@@ -15,14 +15,17 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .cone import (
-    Certificate,
-    DEFAULT_CERTIFY_MAX_DIM,
-    certify,
-    certify_chi_signs,
-    generators,
+from .cone import ASSUMPTION_TAGS, Certificate, certify, certify_chi_signs, generators
+from .hrr import (
+    SIGN_MODES,
+    chi_p,
+    chi_sign,
+    chi_table,
+    euler_functional,
+    mode_convention,
+    signed_target,
+    top_part,
 )
-from .hrr import ChernFunctional, chi_p, chi_table, euler_functional, top_part
 from .poly import GradedPoly, ParseError
 from .symchern import (
     BasisConvention,
@@ -32,7 +35,6 @@ from .symchern import (
     schur,
 )
 from .varieties import (
-    DEFAULT_MAX_DIM,
     Surface,
     SignAudit,
     check_signs,
@@ -47,6 +49,16 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 CONFIG_ENV = "CHIGENUS_CONFIG"
+
+# The only dimension limits: every command checks its dimension against
+# these (or their config / --max-dim overrides) before calling the library,
+# which applies no limit of its own.
+DEFAULT_MAX_DIM = 8
+DEFAULT_CERTIFY_MAX_DIM = 6
+
+MODE_NAMES = tuple(mode.replace("_", "-") for mode in SIGN_MODES)
+# "schur" is always on; --assume adds the opt-in inequality generators
+OPTIONAL_ASSUMPTIONS = tuple(tag for tag in ASSUMPTION_TAGS if tag != "schur")
 
 
 class UsageError(Exception):
@@ -89,8 +101,8 @@ def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> 
 
 def _parse_mode(text: str) -> str:
     mode = text.replace("-", "_")
-    if mode not in ("nef_cotangent", "nef_tangent"):
-        raise UsageError(f"unknown mode {text!r} (use nef-cotangent or nef-tangent)")
+    if mode not in SIGN_MODES:
+        raise UsageError(f"unknown mode {text!r} (use {' or '.join(MODE_NAMES)})")
     return mode
 
 
@@ -99,8 +111,10 @@ def _parse_assumptions(text: str | None) -> tuple[str, ...]:
         return ()
     tags = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     for tag in tags:
-        if tag not in ("my2", "my4", "c1top"):
-            raise UsageError(f"unknown assumption {tag!r} (use my2, my4, c1top)")
+        if tag not in OPTIONAL_ASSUMPTIONS:
+            raise UsageError(
+                f"unknown assumption {tag!r} (use {', '.join(OPTIONAL_ASSUMPTIONS)})"
+            )
     return tags
 
 
@@ -156,28 +170,6 @@ def _cmd_schur(args) -> int:
 # -- certify -----------------------------------------------------------------
 
 
-def _signed_chi_target(n: int, p: int, mode: str) -> tuple[ChernFunctional, int, int]:
-    functional = chi_p(n, p)
-    if mode == "nef_tangent":
-        functional = functional.flipped()
-        sign = (-1) ** p
-    else:
-        sign = (-1) ** (n - p)
-    target, scale = functional.scaled(sign).clear_denominators()
-    return target, sign, scale
-
-
-def _signed_euler_target(n: int, mode: str) -> tuple[ChernFunctional, int, int]:
-    functional = euler_functional(n)
-    if mode == "nef_tangent":
-        functional = functional.flipped()
-        sign = 1
-    else:
-        sign = (-1) ** n
-    target, scale = functional.scaled(sign).clear_denominators()
-    return target, sign, scale
-
-
 def _parse_target(args, n: int, mode: str, convention: BasisConvention):
     spec = args.target
     if spec.startswith("chi:"):
@@ -187,16 +179,20 @@ def _parse_target(args, n: int, mode: str, convention: BasisConvention):
             raise UsageError(f"bad chi target {spec!r}") from exc
         if not 0 <= p <= n:
             raise UsageError(f"chi target p={p} outside 0..{n}")
-        return _signed_chi_target(n, p, mode)
-    if spec == "euler":
-        return _signed_euler_target(n, mode)
-    try:
-        poly = GradedPoly.from_text(n, spec)
-    except ParseError as exc:
-        raise UsageError(f"bad target polynomial: {exc}") from exc
-    if poly.graded_part(n) != poly:
-        raise UsageError("inline target must be homogeneous of top weight")
-    return top_part(poly, convention), 1, 1
+        functional, sign = chi_p(n, p), chi_sign(n, p, mode)
+    elif spec == "euler":
+        # e = sum_p (-1)^p chi^p, so it carries the sign of chi^0
+        functional, sign = euler_functional(n), chi_sign(n, 0, mode)
+    else:
+        try:
+            poly = GradedPoly.from_text(n, spec)
+        except ParseError as exc:
+            raise UsageError(f"bad target polynomial: {exc}") from exc
+        if poly.graded_part(n) != poly:
+            raise UsageError("inline target must be homogeneous of top weight")
+        return top_part(poly, convention), 1, 1
+    target, scale = signed_target(functional, sign, mode)
+    return target, sign, scale
 
 
 def _render_certificate_text(cert: Certificate) -> list[str]:
@@ -213,9 +209,7 @@ def _cmd_certify(args) -> int:
     if n < 1 or n > max_dim:
         raise UsageError(f"--dim must be within 1..{max_dim}")
     mode = _parse_mode(args.mode)
-    convention = (
-        BasisConvention.COTANGENT if mode == "nef_cotangent" else BasisConvention.TANGENT
-    )
+    convention = mode_convention(mode)
     assume = _parse_assumptions(args.assume)
     try:
         tags = ("schur",) + assume
@@ -224,7 +218,7 @@ def _cmd_certify(args) -> int:
         raise UsageError(str(exc)) from exc
 
     if args.all_p:
-        report = certify_chi_signs(n, mode, tags, max_dim=max_dim)
+        report = certify_chi_signs(n, mode, tags)
         if args.json:
             _emit_json("certify", n, convention.value, report.to_json_dict())
         else:
@@ -405,10 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="chi:p, euler, or an inline weight-n polynomial",
     )
-    cert.add_argument("--assume", default=None, help="comma list of my2,my4,c1top")
     cert.add_argument(
-        "--mode", default="nef-cotangent", help="nef-cotangent or nef-tangent"
+        "--assume", default=None, help=f"comma list of {','.join(OPTIONAL_ASSUMPTIONS)}"
     )
+    cert.add_argument("--mode", default="nef-cotangent", help=" or ".join(MODE_NAMES))
     cert.add_argument("--all-p", action="store_true", help="run every chi^p row")
     cert.add_argument("--json", action="store_true")
     cert.add_argument("--max-dim", type=int, default=None)
@@ -418,9 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "target", help="builtin token (pn:3, curve:2, ...), 'surface', or corpus path"
     )
-    check.add_argument(
-        "--mode", default="nef-cotangent", help="nef-cotangent or nef-tangent"
-    )
+    check.add_argument("--mode", default="nef-cotangent", help=" or ".join(MODE_NAMES))
     check.add_argument("--c1sq", type=int, default=None)
     check.add_argument("--c2", type=int, default=None)
     check.add_argument("--json", action="store_true")

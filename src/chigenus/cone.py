@@ -22,7 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .hrr import ChernFunctional, ConsistencyError, chi_p, top_part
+from .hrr import (
+    ChernFunctional,
+    ConsistencyError,
+    chi_p,
+    chi_sign,
+    mode_convention,
+    signed_target,
+    top_part,
+)
 from .poly import DimensionMismatch, GradedPoly, as_rational
 from .symchern import (
     BasisConvention,
@@ -43,11 +51,9 @@ __all__ = [
     "certify",
     "verify_certificate",
     "certify_chi_signs",
-    "DEFAULT_CERTIFY_MAX_DIM",
 ]
 
 ASSUMPTION_TAGS = ("schur", "my2", "my4", "c1top")
-DEFAULT_CERTIFY_MAX_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -395,44 +401,28 @@ class ChiSignReport:
         }
 
 
-SIGN_MODES = ("nef_cotangent", "nef_tangent")
-
-
 def certify_chi_signs(
     n: int,
     mode: str,
     assumptions: Sequence[str] | set[str] = ("schur",),
-    max_dim: int = DEFAULT_CERTIFY_MAX_DIM,
 ) -> ChiSignReport:
     """Try to certify the sign pattern of every chi^p in dimension n.
 
-    ``nef_cotangent`` asks for (-1)^{n-p} chi^p >= 0 against generators of
-    the cotangent bundle; ``nef_tangent`` asks for (-1)^p chi^p >= 0
-    against generators of the tangent bundle (targets are flipped into
-    tangent variables first).  Each target is cleared of denominators, so
+    Row p asks for chi_sign(n, p, mode) * chi^p >= 0 against the generators
+    of the bundle the mode assumes nef (see ``hrr.chi_sign`` and
+    ``hrr.signed_target``).  Each target is cleared of denominators, so
     certificates are statements about integral functionals.
 
     A row that the generator cone cannot reproduce is reported with status
     "open" and carries the Farkas witness: the witness shows these
     generators are insufficient, not that the sign statement is false.
     """
-    if mode not in SIGN_MODES:
-        raise ValueError(f"mode must be one of {SIGN_MODES}, got {mode!r}")
-    if n > max_dim:
-        raise ValueError(f"dimension {n} exceeds configured maximum {max_dim}")
-    convention = (
-        BasisConvention.COTANGENT if mode == "nef_cotangent" else BasisConvention.TANGENT
-    )
+    convention = mode_convention(mode)
     gens = generators(n, assumptions, convention)
     rows = []
     for p in range(n + 1):
-        functional = chi_p(n, p)
-        if mode == "nef_tangent":
-            functional = functional.flipped()
-            sign = (-1) ** p
-        else:
-            sign = (-1) ** (n - p)
-        target, scale = functional.scaled(sign).clear_denominators()
+        sign = chi_sign(n, p, mode)
+        target, scale = signed_target(chi_p(n, p), sign, mode)
         result = certify(target, gens)
         status = "certified" if isinstance(result, Certificate) else "open"
         rows.append(

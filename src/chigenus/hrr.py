@@ -50,6 +50,10 @@ __all__ = [
     "chi_p",
     "chi_table",
     "euler_functional",
+    "SIGN_MODES",
+    "mode_convention",
+    "chi_sign",
+    "signed_target",
 ]
 
 
@@ -348,6 +352,40 @@ def euler_functional(n: int) -> ChernFunctional:
         Fraction((-1) ** n) if m == top_mono else Fraction(0) for m in basis
     )
     return ChernFunctional(n, BasisConvention.COTANGENT, coeffs)
+
+
+SIGN_MODES = ("nef_cotangent", "nef_tangent")
+
+
+def mode_convention(mode: str) -> BasisConvention:
+    """The bundle a sign mode assumes nef: its generators, and the
+    variables its targets are written in."""
+    if mode not in SIGN_MODES:
+        raise ValueError(f"mode must be one of {SIGN_MODES}, got {mode!r}")
+    if mode == "nef_cotangent":
+        return BasisConvention.COTANGENT
+    return BasisConvention.TANGENT
+
+
+def chi_sign(n: int, p: int, mode: str) -> int:
+    """The sign s of the statement s * chi^p >= 0 under a sign mode:
+    (-1)^{n-p} for ``nef_cotangent``, (-1)^p for ``nef_tangent``."""
+    if mode_convention(mode) is BasisConvention.COTANGENT:
+        return (-1) ** (n - p)
+    return (-1) ** p
+
+
+def signed_target(
+    functional: ChernFunctional, sign: int, mode: str
+) -> tuple[ChernFunctional, int]:
+    """sign * functional in the mode's convention, cleared of denominators.
+
+    Returns (target, scale) with target = scale * sign * functional, so a
+    certificate for the target is a statement about an integral functional.
+    """
+    if functional.convention != mode_convention(mode):
+        functional = functional.flipped()
+    return functional.scaled(sign).clear_denominators()
 
 
 @dataclass(frozen=True)

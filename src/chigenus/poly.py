@@ -424,14 +424,13 @@ class GradedPoly:
         try:
             dim = obj["dim"]
             raw = obj["terms"]
-        except (KeyError, TypeError) as exc:
+            terms = [
+                (tuple(entry["exps"]), Fraction(int(entry["num"]), int(entry["den"])))
+                for entry in raw
+            ]
+            return cls(dim, terms)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed polynomial JSON: {exc}") from exc
-        terms = []
-        for entry in raw:
-            exps = tuple(entry["exps"])
-            coef = Fraction(int(entry["num"]), int(entry["den"]))
-            terms.append((exps, coef))
-        return cls(dim, terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))

@@ -6,11 +6,12 @@ polynomial
     P_a(c) = det(c_{a_i - i + j})_{1 <= i,j <= n},   c_0 = 1, c_k = 0 for k
     outside [0, n],
 
-the basic positivity generator for nef bundles.  The determinant is
-expanded by fraction-free (Bareiss) elimination.  Bareiss intermediates
-are minors of weight up to 2n, so they are computed over an untruncated
-exponent map and only the final, homogeneous weight-n result is converted
-back into the truncated ring.
+the basic positivity generator for nef bundles.  The determinant is a
+Laplace expansion along the rows, memoized on the set of columns still
+free.  It stays inside the truncated ring: every term of the full
+determinant has weight exactly n and every entry has weight >= 0, so a
+minor has weight n minus the weight of the entries already chosen, never
+more than n, and truncation drops nothing.
 
 The module also provides the top Segre class (inverse of the total Chern
 class), power sums of the Chern roots via Newton's identities, and the
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .poly import GradedPoly, Monomial, mono_weight
+from .poly import GradedPoly, mono_weight
 
 __all__ = [
     "BasisConvention",
@@ -148,132 +149,6 @@ def partition_label(parts: Sequence[int], n: int | None = None) -> str:
     return "P_(" + ",".join(str(p) for p in parts) + ")"
 
 
-# -- untruncated exponent-map arithmetic for Bareiss ----------------------
-#
-# Values are dicts {exponent tuple: Fraction}; no weight cap, since minor
-# products can reach weight 2n before the exact division brings them back
-# under n.
-
-_DictPoly = dict[Monomial, Fraction]
-
-
-def _d_zero() -> _DictPoly:
-    return {}
-
-
-def _d_const(dim: int, value: Fraction) -> _DictPoly:
-    return {(0,) * dim: value} if value else {}
-
-
-def _d_add(a: _DictPoly, b: _DictPoly) -> _DictPoly:
-    out = dict(a)
-    for m, c in b.items():
-        v = out.get(m, Fraction(0)) + c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _d_sub(a: _DictPoly, b: _DictPoly) -> _DictPoly:
-    out = dict(a)
-    for m, c in b.items():
-        v = out.get(m, Fraction(0)) - c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _d_mul(a: _DictPoly, b: _DictPoly) -> _DictPoly:
-    out: _DictPoly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            v = out.get(m, Fraction(0)) + ca * cb
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _d_lead(a: _DictPoly) -> Monomial:
-    # graded-lex order; any multiplicative well-order works for the exact
-    # division below
-    return max(a, key=lambda m: (sum(m), m))
-
-
-def _d_div_exact(num: _DictPoly, den: _DictPoly) -> _DictPoly:
-    """Exact polynomial division; Bareiss guarantees divisibility."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    den_lead = _d_lead(den)
-    den_coef = den[den_lead]
-    if len(den) == 1 and all(e == 0 for e in den_lead):
-        return {m: c / den_coef for m, c in num.items()}
-    quot: _DictPoly = {}
-    rem = dict(num)
-    while rem:
-        lead = _d_lead(rem)
-        shift = tuple(x - y for x, y in zip(lead, den_lead))
-        if any(e < 0 for e in shift):
-            raise ArithmeticError("inexact polynomial division in Bareiss step")
-        factor = rem[lead] / den_coef
-        quot[shift] = quot.get(shift, Fraction(0)) + factor
-        for m, c in den.items():
-            mm = tuple(x + y for x, y in zip(shift, m))
-            v = rem.get(mm, Fraction(0)) - factor * c
-            if v:
-                rem[mm] = v
-            else:
-                rem.pop(mm, None)
-    return quot
-
-
-def _bareiss_det(matrix: list[list[_DictPoly]], dim: int) -> _DictPoly:
-    """Fraction-free determinant of a matrix of exponent-map polynomials."""
-    size = len(matrix)
-    if size == 0:
-        return _d_const(dim, Fraction(1))
-    work = [row[:] for row in matrix]
-    sign = 1
-    prev: _DictPoly = _d_const(dim, Fraction(1))
-    for k in range(size - 1):
-        if not work[k][k]:
-            pivot_row = next((r for r in range(k + 1, size) if work[r][k]), None)
-            if pivot_row is None:
-                return _d_zero()  # zero column: remaining minor vanishes
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = _d_sub(
-                    _d_mul(work[k][k], work[i][j]),
-                    _d_mul(work[i][k], work[k][j]),
-                )
-                work[i][j] = _d_div_exact(num, prev)
-            work[i][k] = _d_zero()
-        prev = work[k][k]
-    det = work[size - 1][size - 1]
-    if sign < 0:
-        det = {m: -c for m, c in det.items()}
-    return det
-
-
-def _chern_entry(k: int, n: int) -> _DictPoly:
-    """c_k as an exponent map: 1 for k = 0, zero outside [0, n]."""
-    if k == 0:
-        return _d_const(n, Fraction(1))
-    if k < 0 or k > n:
-        return _d_zero()
-    exps = [0] * n
-    exps[k - 1] = 1
-    return {tuple(exps): Fraction(1)}
-
-
 def schur(a: Sequence[int], n: int) -> GradedPoly:
     """Schur polynomial P_a(c) = det(c_{a_i - i + j}) for a partition a of n.
 
@@ -284,14 +159,35 @@ def schur(a: Sequence[int], n: int) -> GradedPoly:
 
 @lru_cache(maxsize=None)
 def _schur_cached(parts: Partition, n: int) -> GradedPoly:
-    matrix = [
-        [_chern_entry(parts[i] - (i + 1) + (j + 1), n) for j in range(n)]
-        for i in range(n)
-    ]
-    det = _bareiss_det(matrix, n)
-    if any(mono_weight(m) != n for m in det):
+    chern = [GradedPoly.one(n)] + [GradedPoly.variable(n, k) for k in range(1, n + 1)]
+    memo: dict[int, GradedPoly] = {}
+
+    def minor(free: int) -> GradedPoly:
+        # determinant of the last popcount(free) rows over the columns whose
+        # bits are set in `free`, expanded along its first row
+        row = n - free.bit_count()
+        if row == n:
+            return chern[0]
+        cached = memo.get(free)
+        if cached is not None:
+            return cached
+        total = GradedPoly.zero(n)
+        sign = 1
+        for j in range(n):
+            if not free >> j & 1:
+                continue
+            k = parts[row] - row + j
+            if 0 <= k <= n:
+                term = chern[k] * minor(free & ~(1 << j))
+                total = total + term if sign > 0 else total - term
+            sign = -sign
+        memo[free] = total
+        return total
+
+    det = minor((1 << n) - 1)
+    if any(mono_weight(m) != n for m in det.terms()):
         raise RuntimeError(f"Schur determinant for {parts} is not homogeneous")
-    return GradedPoly(n, det)
+    return det
 
 
 def segre_top(n: int) -> GradedPoly:

@@ -13,8 +13,8 @@ total-Chern-class computation:
 
 Chern numbers pair with the chi^p functionals by an exact dot product;
 sign audits evaluate the signed values (-1)^{n-p} chi^p or (-1)^p chi^p
-and report per-p pass/fail.  Nefness (or asphericity) of the relevant
-bundle is an assertion made by the caller, never checked here.
+(`hrr.chi_sign`) and report per-p pass/fail.  Nefness (or asphericity) of
+the relevant bundle is an assertion made by the caller, never checked here.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .hrr import ChernFunctional, chi_table, euler_functional
+from .hrr import ChernFunctional, chi_sign, chi_table, euler_functional
 from .poly import (
     DimensionMismatch,
     GradedPoly,
@@ -41,7 +41,6 @@ from .poly import (
 from .symchern import BasisConvention
 
 __all__ = [
-    "DEFAULT_MAX_DIM",
     "VarietyDescriptor",
     "ProjectiveSpace",
     "Curve",
@@ -62,11 +61,6 @@ __all__ = [
     "CorpusEntry",
     "load_corpus",
 ]
-
-DEFAULT_MAX_DIM = 8
-
-SIGN_MODES = ("nef_cotangent", "nef_tangent")
-
 
 @dataclass(frozen=True)
 class ChernNumberSet:
@@ -221,6 +215,11 @@ class Surface(VarietyDescriptor):
     c1sq: int
     c2: int
 
+    def __post_init__(self):
+        for field, value in (("c1sq", self.c1sq), ("c2", self.c2)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"surface {field} must be an integer: {value!r}")
+
     @property
     def dimension(self) -> int:
         return 2
@@ -244,9 +243,9 @@ class Hypersurface(VarietyDescriptor):
     ambient: int
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 1:
+        if isinstance(self.degree, bool) or not isinstance(self.degree, int) or self.degree < 1:
             raise ValueError(f"degree must be a positive integer: {self.degree!r}")
-        if not isinstance(self.ambient, int) or self.ambient < 2:
+        if isinstance(self.ambient, bool) or not isinstance(self.ambient, int) or self.ambient < 2:
             raise ValueError(f"ambient dimension must be >= 2: {self.ambient!r}")
 
     @property
@@ -389,6 +388,8 @@ class Explicit(VarietyDescriptor):
     ):
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"dimension must be a non-negative integer: {n!r}")
+        if not isinstance(values, Mapping):
+            raise TypeError(f"Chern numbers must be a mapping: {values!r}")
         normalized: dict[Monomial, Fraction] = {}
         for key, value in values.items():
             mono = _parse_monomial_key(key, n) if isinstance(key, str) else tuple(key)
@@ -446,15 +447,10 @@ def _parse_monomial_key(key: str, dim: int) -> Monomial:
 def chern_numbers(
     v: VarietyDescriptor,
     convention: BasisConvention = BasisConvention.TANGENT,
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> ChernNumberSet:
     """Exact Chern numbers of a descriptor in the requested convention."""
     if not isinstance(v, VarietyDescriptor):
         raise TypeError("chern_numbers expects a VarietyDescriptor")
-    if v.dimension > max_dim:
-        raise ValueError(
-            f"dimension {v.dimension} exceeds configured maximum {max_dim}"
-        )
     tangent = ChernNumberSet.from_values(
         v.dimension, BasisConvention.TANGENT, v._tangent_values()
     )
@@ -525,18 +521,17 @@ class SignAudit:
 def check_signs(v: VarietyDescriptor, mode: str) -> SignAudit:
     """Audit the sign pattern of the evaluated chi^p values.
 
-    ``nef_cotangent`` checks (-1)^{n-p} chi^p >= 0; ``nef_tangent`` checks
-    (-1)^p chi^p >= 0.  The caller asserts the geometric hypothesis; this
-    only decides the arithmetic.
+    Row p checks chi_sign(n, p, mode) * chi^p >= 0: (-1)^{n-p} chi^p under
+    ``nef_cotangent``, (-1)^p chi^p under ``nef_tangent``.  The caller
+    asserts the geometric hypothesis; this only decides the arithmetic.
     """
-    if mode not in SIGN_MODES:
-        raise ValueError(f"mode must be one of {SIGN_MODES}, got {mode!r}")
     n = v.dimension
+    signs = [chi_sign(n, p, mode) for p in range(n + 1)]
     values = chi_values(v)
-    rows = []
-    for p, value in enumerate(values):
-        sign = (-1) ** (n - p) if mode == "nef_cotangent" else (-1) ** p
-        rows.append(SignAuditRow(p=p, value=value, sign=sign, ok=value * sign >= 0))
+    rows = [
+        SignAuditRow(p=p, value=value, sign=sign, ok=value * sign >= 0)
+        for p, (value, sign) in enumerate(zip(values, signs))
+    ]
     euler = evaluate(euler_functional(n), v)
     return SignAudit(
         variety=v.name(), dimension=n, mode=mode, rows=tuple(rows), euler=euler
@@ -626,6 +621,8 @@ def load_corpus(path) -> list[CorpusEntry]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("expected a JSON object")
                 entries.append(
                     CorpusEntry(
                         name=obj["name"],
@@ -633,6 +630,6 @@ def load_corpus(path) -> list[CorpusEntry]:
                         expected=obj.get("expected", {}),
                     )
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"bad corpus line {line_number}: {exc}") from exc
     return entries

@@ -238,6 +238,26 @@ class TestCheckCommand:
         code, _, err = run_cli(capsys, "check", "blah:3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"name":"s","descriptor":{"type":"surface","c1sq":9.5,"c2":3}}',
+            '{"name":"s","descriptor":{"type":"surface","c1sq":"a","c2":null}}',
+            '{"name":"h","descriptor":{"type":"hypersurface","degree":true,"ambient":3}}',
+            '{"name":"e","descriptor":{"type":"explicit","n":2,"values":[1]}}',
+            '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c2":null}}}',
+            "[1]",
+        ],
+    )
+    def test_malformed_corpus_line_exit_two(self, capsys, tmp_path, line):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "check", str(corpus))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad corpus line 1: ")
+        assert err.count("\n") == 1
+
 
 class TestVarietyCommand:
     def test_eval_table(self, capsys):
@@ -262,6 +282,45 @@ class TestVarietyCommand:
         payload = json.loads(out)["payload"]
         assert payload["chi"] == ["1", "-1", "1", "-1"]
         assert payload["euler"] == "4"
+
+
+class TestDimensionLimit:
+    """The CLI owns the dimension limit; the library applies none."""
+
+    def test_variety_eval_flag_raises_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "variety", "eval", "pn:9", "--max-dim", "10")
+        assert code == 0
+        assert "euler = 10" in out
+
+    def test_check_flag_raises_limit(self, capsys):
+        code, _, _ = run_cli(capsys, "check", "pn:9", "--mode", "nef-tangent", "--max-dim", "9")
+        assert code == 0
+        # P^9 fails the nef-cotangent signs: a verdict, not the limit error
+        code, out, _ = run_cli(capsys, "check", "pn:9", "--max-dim", "9")
+        assert code == 1
+        assert "verdict: fail" in out
+
+    def test_check_default_limit(self, capsys):
+        code, _, err = run_cli(capsys, "check", "pn:9")
+        assert code == 2
+        assert "maximum dimension 8" in err
+
+    def test_certify_flag_raises_limit(self, capsys):
+        code, _, _ = run_cli(capsys, "certify", "--dim", "7", "--all-p")
+        assert code == 2
+        code, _, _ = run_cli(capsys, "certify", "--dim", "7", "--all-p", "--max-dim", "7")
+        assert code in (0, 1)
+
+    def test_config_raises_limit(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_dim": 9}))
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
+        code, _, _ = run_cli(capsys, "variety", "eval", "pn:9")
+        assert code == 0
+        code, _, _ = run_cli(capsys, "check", "pn:9", "--mode", "nef-tangent")
+        assert code == 0
+        code, _, _ = run_cli(capsys, "check", "pn:10")
+        assert code == 2
 
 
 class TestConfigFile:

@@ -329,11 +329,6 @@ class TestChiSignReports:
         # interior rows are not provable from Schur positivity alone
         assert report.row(1).status == "open"
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            certify_chi_signs(7, "nef_cotangent")
-        certify_chi_signs(7, "nef_cotangent", max_dim=7)
-
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             certify_chi_signs(2, "nef-cotangent")

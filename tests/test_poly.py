@@ -199,6 +199,22 @@ class TestSerialization:
         a, _ = pair
         assert GradedPoly.from_json(a.to_json()) == a
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"dim": 2, "terms": [{}]},
+            {"dim": 2, "terms": 5},
+            {"dim": 2, "terms": [{"exps": [2, 0], "num": "1", "den": "0"}]},
+            {"dim": 2, "terms": [{"exps": [2, 0], "num": "x", "den": "1"}]},
+            {"dim": 2, "terms": [{"exps": [3, 0], "num": "1", "den": "1"}]},
+            {"terms": []},
+            [1],
+        ],
+    )
+    def test_rejects_malformed_json(self, bad):
+        with pytest.raises(ParseError):
+            GradedPoly.from_json_dict(bad)
+
     def test_json_shape(self):
         payload = GradedPoly.from_text(2, "1/12*c1^2 + 1/12*c2").to_json_dict()
         assert payload == {

@@ -84,11 +84,6 @@ class TestChernNumbers:
         assert flipped.convention is COT
         assert flipped.entries == tuple(-v for v in numbers.entries)
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            chern_numbers(ProjectiveSpace(9), TAN)
-        chern_numbers(ProjectiveSpace(9), TAN, max_dim=9)
-
     def test_explicit_descriptor(self):
         explicit = Explicit(2, {"c1^2": 9, "c2": 3}, COT)
         assert chern_numbers(explicit, COT).value((2, 0)) == 9
@@ -274,6 +269,21 @@ class TestDescriptorSerialization:
             descriptor_from_json({"n": 3})
         with pytest.raises(ValueError):
             descriptor_from_json({"type": "weird"})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Surface(9.5, 3),
+            lambda: Surface("a", None),
+            lambda: Surface(True, 3),
+            lambda: Hypersurface(True, 3),
+            lambda: Hypersurface(5, True),
+            lambda: Hypersurface(0, 3),
+        ],
+    )
+    def test_descriptors_validate_on_construction(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestCorpusReplay:
