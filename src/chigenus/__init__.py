@@ -29,7 +29,6 @@ from .hrr import (
     ChernFunctional,
     ChiTable,
     ConsistencyError,
-    ch_exterior_cotangent,
     chi_p,
     chi_table,
     euler_functional,
@@ -91,7 +90,6 @@ __all__ = [
     "ChernFunctional",
     "ChiTable",
     "ConsistencyError",
-    "ch_exterior_cotangent",
     "chi_p",
     "chi_table",
     "euler_functional",

@@ -38,6 +38,7 @@ from .varieties import (
     Surface,
     SignAudit,
     check_signs,
+    chern_numbers,
     chi_values,
     descriptor_from_token,
     evaluate,
@@ -83,7 +84,7 @@ def _resolve_max_dim(args, key: str, fallback: int) -> int:
     if getattr(args, "max_dim", None) is not None:
         return args.max_dim
     value = _load_config().get(key, fallback)
-    if not isinstance(value, int) or value < 0:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise UsageError(f"config key {key!r} must be a non-negative integer")
     return value
 
@@ -323,8 +324,9 @@ def _cmd_variety_eval(args) -> int:
     n = descriptor.dimension
     if n > max_dim:
         raise UsageError(f"descriptor dimension {n} exceeds maximum {max_dim}")
-    values = chi_values(descriptor)
-    euler = evaluate(euler_functional(n), descriptor)
+    numbers = chern_numbers(descriptor, BasisConvention.COTANGENT)
+    values = chi_values(numbers)
+    euler = evaluate(euler_functional(n), numbers)
     if args.target is not None:
         if args.target.startswith("chi:"):
             p = int(args.target.split(":", 1)[1])

@@ -1,20 +1,20 @@
-"""Riemann-Roch engine: Todd class, Chern characters of exterior powers of
-the cotangent bundle, and the chi^p functionals.
+"""Riemann-Roch engine: the Todd class and the chi^p functionals.
 
 chi^p(X) = chi(X, Omega_X^p) is a universal polynomial of weight n in the
-Chern classes, obtained as the top-weight part of
+Chern classes.  All n+1 of them come at once from the chi_y genus
+(Hirzebruch, Topological Methods in Algebraic Geometry, 15.5):
 
-    ch(Lambda^p Omega^1) * td(TX).
+    sum_p chi^p y^p = top-weight part of prod_i Q_y(x_i),
+    Q_y(x) = (1 + y exp(-x)) * x / (1 - exp(-x)),
 
-All series work happens in tangent-convention variables with the Chern
-roots x_1..x_n eliminated through power sums:
-
-* td(TX) = prod x_i / (1 - exp(-x_i)) is computed as exp(sum_k a_k p_k)
-  where sum a_k x^k is the logarithm of x/(1 - exp(-x)) and p_k is the
-  k-th power sum in c_1..c_n;
-* ch(Lambda^p Omega^1) is the p-th elementary symmetric polynomial of
-  exp(-x_1), ..., exp(-x_n), recovered from the exponential power sums
-  q_k = sum_i exp(-k x_i) by the Newton recurrence.
+over the Chern roots x_1..x_n of the tangent bundle.  All series work
+happens in tangent-convention variables with the roots eliminated through
+power sums: a product prod_i f(x_i) with f(0) = 1 is exp(sum_k a_k p_k),
+where sum a_k x^k is the logarithm of f and p_k is the k-th power sum in
+c_1..c_n.  The Todd class is the case y = 0.  chi_y is a polynomial of
+degree n in y, so it is evaluated at the nodes y = 0..n (scaling Q_y by
+1/(1 + y) to make its constant term 1) and its coefficients chi^p are
+recovered by exact Lagrange interpolation.
 
 The public chi^p functionals are flipped into cotangent variables (c_i
 meaning c_i of the cotangent bundle) exactly once, at the boundary.
@@ -46,7 +46,6 @@ __all__ = [
     "ChiTable",
     "top_part",
     "todd_class",
-    "ch_exterior_cotangent",
     "chi_p",
     "chi_table",
     "euler_functional",
@@ -270,6 +269,32 @@ def _log_todd_coefficients(order: int) -> tuple[Fraction, ...]:
     return tuple(log_q[1:])
 
 
+def _log_exterior_coefficients(y: int, order: int) -> tuple[Fraction, ...]:
+    """Coefficients b_1..b_order of log((1 + y exp(-x)) / (1 + y))."""
+    # the argument is 1 + u with u = y/(1+y) * sum_{m>=1} (-x)^m / m!
+    scale = Fraction(y, 1 + y)
+    u = [Fraction(0)] + [
+        scale * Fraction((-1) ** m, math.factorial(m)) for m in range(1, order + 1)
+    ]
+    return tuple(_ser_log1p(u, order)[1:])
+
+
+def _multiplicative_sequence(log_coefficients: Sequence[Fraction], n: int) -> GradedPoly:
+    """prod_i f(x_i) over the Chern roots, expanded to weight n in c_1..c_n
+    (tangent convention), for the series f(x) = exp(sum_k a_k x^k) given by
+    a_1..a_n: it is exp(sum_k a_k p_k), p_k the k-th power sum."""
+    log_f = GradedPoly.zero(n)
+    for k, a in enumerate(log_coefficients, start=1):
+        if a:
+            log_f = log_f + power_sum(k, n) * a
+    result = GradedPoly.one(n)
+    term = GradedPoly.one(n)
+    for m in range(1, n + 1):
+        term = term * log_f * Fraction(1, m)
+        result = result + term
+    return result
+
+
 @lru_cache(maxsize=None)
 def todd_class(n: int) -> GradedPoly:
     """Todd class of the tangent bundle, prod x_i / (1 - exp(-x_i)),
@@ -279,48 +304,46 @@ def todd_class(n: int) -> GradedPoly:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"dimension must be a non-negative integer: {n!r}")
-    if n == 0:
-        return GradedPoly.one(0)
-    coefficients = _log_todd_coefficients(n)
-    log_td = GradedPoly.zero(n)
-    for k in range(1, n + 1):
-        if coefficients[k - 1]:
-            log_td = log_td + power_sum(k, n) * coefficients[k - 1]
-    result = GradedPoly.one(n)
-    term = GradedPoly.one(n)
-    for m in range(1, n + 1):
-        term = term * log_td * Fraction(1, m)
-        result = result + term
-    return result
+    return _multiplicative_sequence(_log_todd_coefficients(n), n)
+
+
+def _lagrange_coefficients(n: int) -> list[list[Fraction]]:
+    """basis[j][p]: the coefficient of y^p in the Lagrange polynomial of
+    degree n that is 1 at y = j and 0 at the other nodes 0..n."""
+    basis = []
+    for j in range(n + 1):
+        numerator = [1]  # prod_{m != j} (y - m), lowest degree first
+        denominator = 1
+        for m in range(n + 1):
+            if m == j:
+                continue
+            # multiply by (y - m)
+            numerator = [a - m * b for a, b in zip([0] + numerator, numerator + [0])]
+            denominator *= j - m
+        basis.append([Fraction(c, denominator) for c in numerator])
+    return basis
 
 
 @lru_cache(maxsize=None)
-def _exp_power_sum(k: int, n: int) -> GradedPoly:
-    """q_k = sum_i exp(-k x_i), expanded through the power sums p_m."""
-    result = GradedPoly.constant(n, n)  # p_0 = n
-    for m in range(1, n + 1):
-        result = result + power_sum(m, n) * Fraction((-k) ** m, math.factorial(m))
-    return result
-
-
-@lru_cache(maxsize=None)
-def ch_exterior_cotangent(p: int, n: int) -> GradedPoly:
-    """Chern character of Lambda^p Omega^1 in tangent-convention variables.
-
-    This is the p-th elementary symmetric polynomial of exp(-x_1), ...,
-    exp(-x_n), recovered from the q_k = sum_i exp(-k x_i) by the Newton
-    recurrence j e_j = sum_{k=1..j} (-1)^{k-1} e_{j-k} q_k.
-    """
-    if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= n:
-        raise ValueError(f"exterior power {p!r} outside 0..{n}")
-    elementary = [GradedPoly.one(n)]
-    for j in range(1, p + 1):
-        acc = GradedPoly.zero(n)
-        for k in range(1, j + 1):
-            term = elementary[j - k] * _exp_power_sum(k, n)
-            acc = acc + term * Fraction((-1) ** (k - 1))
-        elementary.append(acc * Fraction(1, j))
-    return elementary[p]
+def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
+    """chi^0..chi^n of dimension n, in cotangent variables: the
+    coefficients in y of the chi_y genus (see the module docstring)."""
+    todd_log = _log_todd_coefficients(n)
+    values = []  # values[y][i]: chi_y at node y, i-th top-weight monomial
+    for y in range(n + 1):
+        log_q = [a + b for a, b in zip(todd_log, _log_exterior_coefficients(y, n))]
+        scale = (1 + y) ** n
+        top = _multiplicative_sequence(log_q, n).top_coefficients()
+        values.append([c * scale for c in top])
+    lagrange = _lagrange_coefficients(n)
+    rows = []
+    for p in range(n + 1):
+        coeffs = tuple(
+            sum((lagrange[y][p] * column[y] for y in range(n + 1)), Fraction(0))
+            for column in zip(*values)
+        )
+        rows.append(ChernFunctional(n, BasisConvention.TANGENT, coeffs).flipped())
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -335,8 +358,7 @@ def chi_p(n: int, p: int) -> ChernFunctional:
         raise ValueError(f"dimension must be a non-negative integer: {n!r}")
     if not 0 <= p <= n:
         raise ValueError(f"form degree {p!r} outside 0..{n}")
-    integrand = ch_exterior_cotangent(p, n) * todd_class(n)
-    return top_part(integrand, BasisConvention.TANGENT).flipped()
+    return _chi_y_rows(n)[p]
 
 
 def euler_functional(n: int) -> ChernFunctional:

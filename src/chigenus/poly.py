@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -73,11 +75,11 @@ def as_rational(value: RationalLike) -> Fraction:
 
 def mono_weight(mono: Monomial) -> int:
     """Weight of a monomial: sum of i * exponent(c_i)."""
-    return sum((i + 1) * e for i, e in enumerate(mono))
+    return sum(map(mul, range(1, len(mono) + 1), mono))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_key(mono: Monomial) -> tuple:
@@ -127,6 +129,7 @@ def weight_basis(dim: int) -> tuple[Monomial, ...]:
 
 
 _COEF_RE = re.compile(r"^\d+(?:/\d+)?$")
+_JSON_INT_RE = re.compile(r"-?[0-9]+")
 _FACTOR_RE = re.compile(r"^c_?(\d+)(?:\^(\d+))?$")
 _SIGN_SPLIT = re.compile(r"\s*([+-])\s*")
 
@@ -286,18 +289,23 @@ class GradedPoly:
             return out
         self._check_dim(other)
         dim = self._dim
+        # Truncation is part of the ring contract: sort the right operand by
+        # weight once, so each left term visits only the prefix that fits.
+        right = sorted((mono_weight(m), m, c) for m, c in other._terms.items())
+        weights = [w for w, _, _ in right]
         acc: dict[Monomial, Fraction] = {}
         for ma, ca in self._terms.items():
-            wa = mono_weight(ma)
-            for mb, cb in other._terms.items():
-                if wa + mono_weight(mb) > dim:
-                    continue  # truncation is part of the ring contract
+            for _, mb, cb in right[: bisect_right(weights, dim - mono_weight(ma))]:
                 m = mono_mul(ma, mb)
-                value = acc.get(m, Fraction(0)) + ca * cb
-                if value:
-                    acc[m] = value
+                value = acc.get(m)
+                if value is None:
+                    acc[m] = ca * cb
                 else:
-                    acc.pop(m, None)
+                    value += ca * cb
+                    if value:
+                        acc[m] = value
+                    else:
+                        del acc[m]
         out = GradedPoly.__new__(GradedPoly)
         out._dim = dim
         out._terms = acc
@@ -425,7 +433,10 @@ class GradedPoly:
             dim = obj["dim"]
             raw = obj["terms"]
             terms = [
-                (tuple(entry["exps"]), Fraction(int(entry["num"]), int(entry["den"])))
+                (
+                    tuple(entry["exps"]),
+                    Fraction(_json_integer(entry["num"]), _json_integer(entry["den"])),
+                )
                 for entry in raw
             ]
             return cls(dim, terms)
@@ -438,6 +449,15 @@ class GradedPoly:
     @classmethod
     def from_json(cls, text: str) -> "GradedPoly":
         return cls.from_json_dict(json.loads(text))
+
+
+def _json_integer(value: object) -> int:
+    """A JSON numerator or denominator: an int, or its decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _JSON_INT_RE.fullmatch(value):
+        return int(value)
+    raise ParseError(f"coefficient part must be an integer or a decimal string, got {value!r}")
 
 
 def poly_add(a: GradedPoly, b: GradedPoly) -> GradedPoly:

@@ -467,11 +467,12 @@ def evaluate(f: ChernFunctional, v: VarietyDescriptor | ChernNumberSet) -> Fract
     return f.dot(numbers.in_convention(f.convention).entries)
 
 
-def chi_values(v: VarietyDescriptor) -> tuple[Fraction, ...]:
-    """The evaluated chi^p table (chi^0, ..., chi^n) of a descriptor."""
-    numbers = chern_numbers(v, BasisConvention.COTANGENT)
-    table = chi_table(v.dimension)
-    return tuple(row.dot(numbers.entries) for row in table.rows)
+def chi_values(v: VarietyDescriptor | ChernNumberSet) -> tuple[Fraction, ...]:
+    """The evaluated chi^p table (chi^0, ..., chi^n) of a descriptor or of
+    its Chern numbers."""
+    numbers = v if isinstance(v, ChernNumberSet) else chern_numbers(v, BasisConvention.COTANGENT)
+    entries = numbers.in_convention(BasisConvention.COTANGENT).entries
+    return tuple(row.dot(entries) for row in chi_table(numbers.dimension).rows)
 
 
 @dataclass(frozen=True)
@@ -527,12 +528,13 @@ def check_signs(v: VarietyDescriptor, mode: str) -> SignAudit:
     """
     n = v.dimension
     signs = [chi_sign(n, p, mode) for p in range(n + 1)]
-    values = chi_values(v)
+    numbers = chern_numbers(v, BasisConvention.COTANGENT)
+    values = chi_values(numbers)
     rows = [
         SignAuditRow(p=p, value=value, sign=sign, ok=value * sign >= 0)
         for p, (value, sign) in enumerate(zip(values, signs))
     ]
-    euler = evaluate(euler_functional(n), v)
+    euler = evaluate(euler_functional(n), numbers)
     return SignAudit(
         variety=v.name(), dimension=n, mode=mode, rows=tuple(rows), euler=euler
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -13,6 +14,9 @@ from chigenus.poly import GradedPoly
 from chigenus.symchern import BasisConvention
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# SHA-256 of the stdout of each `chi --json` command, recorded before the
+# chi^p rows were computed from one chi_y series
+CHI_JSON_SHA256 = json.loads((GOLDEN / "chi_json_sha256.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +69,12 @@ class TestChiCommand:
     def test_max_dim_flag(self, capsys):
         code, _, _ = run_cli(capsys, "chi", "--dim", "9", "--max-dim", "9")
         assert code == 0
+
+    @pytest.mark.parametrize("command", sorted(CHI_JSON_SHA256))
+    def test_json_tables_byte_identical(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CHI_JSON_SHA256[command]
 
 
 class TestSchurCommand:
@@ -283,6 +293,22 @@ class TestVarietyCommand:
         assert payload["chi"] == ["1", "-1", "1", "-1"]
         assert payload["euler"] == "4"
 
+    def test_eval_computes_chern_numbers_once(self, capsys, monkeypatch):
+        import chigenus.cli as cli
+        from chigenus.varieties import chern_numbers
+
+        calls = []
+
+        def counting(v, convention):
+            calls.append(v.name())
+            return chern_numbers(v, convention)
+
+        monkeypatch.setattr(cli, "chern_numbers", counting)
+        code, out, _ = run_cli(capsys, "variety", "eval", "product(pn:1,product(curve:2,pn:2))")
+        assert code == 0
+        assert calls == ["product(pn:1,product(curve:2,pn:2))"]
+        assert out.splitlines()[-1] == "euler = -12"
+
 
 class TestDimensionLimit:
     """The CLI owns the dimension limit; the library applies none."""
@@ -321,6 +347,16 @@ class TestDimensionLimit:
         assert code == 0
         code, _, _ = run_cli(capsys, "check", "pn:10")
         assert code == 2
+
+    @pytest.mark.parametrize("bad", [True, False, -1, 9.0, "9"])
+    def test_config_rejects_non_integer_limit(self, capsys, tmp_path, monkeypatch, bad):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_dim": bad}))
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "chi", "--dim", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: config key 'max_dim' must be a non-negative integer\n"
 
 
 class TestConfigFile:

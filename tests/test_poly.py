@@ -16,7 +16,7 @@ from chigenus.poly import (
     weight_basis,
 )
 
-from conftest import poly_pairs, poly_triples
+from conftest import graded_polys, poly_pairs, poly_triples
 
 
 def P(dim, text):
@@ -85,6 +85,21 @@ class TestMul:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             poly_mul(GradedPoly.one(2), GradedPoly.one(3))
+
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda dim: st.tuples(graded_polys(dim, max_terms=12), graded_polys(dim, max_terms=12))
+        )
+    )
+    def test_matches_all_pairs_product(self, pair):
+        a, b = pair
+        acc = {}
+        for ma, ca in a.terms().items():
+            for mb, cb in b.terms().items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                if sum((i + 1) * e for i, e in enumerate(m)) <= a.dim:
+                    acc[m] = acc.get(m, Fraction(0)) + ca * cb
+        assert a * b == GradedPoly(a.dim, acc)
 
 
 class TestRingAxioms:
@@ -209,11 +224,20 @@ class TestSerialization:
             {"dim": 2, "terms": [{"exps": [3, 0], "num": "1", "den": "1"}]},
             {"terms": []},
             [1],
+            {"dim": 2, "terms": [{"exps": [2, 0], "num": 1.5, "den": 1}]},
+            {"dim": 2, "terms": [{"exps": [2, 0], "num": "1", "den": 2.0}]},
+            {"dim": 2, "terms": [{"exps": [2, 0], "num": True, "den": "1"}]},
+            {"dim": 2, "terms": [{"exps": [2, 0], "num": "1.5", "den": "1"}]},
+            {"dim": 2, "terms": [{"exps": [2, 0], "num": None, "den": "1"}]},
         ],
     )
     def test_rejects_malformed_json(self, bad):
         with pytest.raises(ParseError):
             GradedPoly.from_json_dict(bad)
+
+    def test_json_accepts_integer_parts(self):
+        obj = {"dim": 2, "terms": [{"exps": [2, 0], "num": -3, "den": "4"}]}
+        assert GradedPoly.from_json_dict(obj) == P(2, "-3/4*c1^2")
 
     def test_json_shape(self):
         payload = GradedPoly.from_text(2, "1/12*c1^2 + 1/12*c2").to_json_dict()

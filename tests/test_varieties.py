@@ -238,6 +238,21 @@ class TestCheckSigns:
         with pytest.raises(ValueError):
             check_signs(Curve(2), "both")
 
+    def test_chern_numbers_computed_once(self, monkeypatch):
+        import chigenus.varieties as varieties
+
+        calls = []
+
+        def counting(v, convention=TAN):
+            calls.append(v)
+            return chern_numbers(v, convention)
+
+        monkeypatch.setattr(varieties, "chern_numbers", counting)
+        variety = descriptor_from_token("product(pn:2,product(curve:2,pn:2))")
+        audit = check_signs(variety, "nef_cotangent")
+        assert calls == [variety]
+        assert audit.euler == evaluate(euler_functional(5), variety)
+
 
 class TestDescriptorSerialization:
     TOKENS = [
