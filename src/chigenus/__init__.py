@@ -11,8 +11,6 @@ from .poly import (
     ParseError,
     as_rational,
     monomials_of_weight,
-    poly_add,
-    poly_mul,
     weight_basis,
 )
 from .symchern import (
@@ -74,8 +72,6 @@ __all__ = [
     "ParseError",
     "as_rational",
     "monomials_of_weight",
-    "poly_add",
-    "poly_mul",
     "weight_basis",
     # symchern
     "BasisConvention",

@@ -55,7 +55,7 @@ CONFIG_ENV = "CHIGENUS_CONFIG"
 # these (or their config / --max-dim overrides) before calling the library,
 # which applies no limit of its own.
 DEFAULT_MAX_DIM = 8
-DEFAULT_CERTIFY_MAX_DIM = 6
+DEFAULT_CERTIFY_MAX_DIM = 8
 
 MODE_NAMES = tuple(mode.replace("_", "-") for mode in SIGN_MODES)
 # "schur" is always on; --assume adds the opt-in inequality generators

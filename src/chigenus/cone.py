@@ -8,11 +8,11 @@ functionals that are non-negative by assumption: the Schur polynomials of
 a nef bundle, and optional inequality generators (3c_2 - c_1^2 in
 dimension 2, (5/2)c_1^2 c_2 - c_1^4 in dimension 4, c_1^n).
 
-Membership is decided by an exact phase-1 simplex over Fractions with
-Bland's anti-cycling rule, so answers are deterministic and certificates
-are mathematical proofs, not numerics.  Non-membership is certified by a
-Farkas witness: a linear functional pairing <= 0 with every generator and
-> 0 with the target.
+Membership is decided by an exact phase-1 simplex with Bland's
+anti-cycling rule on a fraction-free integer tableau, so answers are
+deterministic and certificates are mathematical proofs, not numerics.
+Non-membership is certified by a Farkas witness: a linear functional
+pairing <= 0 with every generator and > 0 with the target.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from .hrr import (
@@ -188,26 +189,6 @@ class Infeasibility:
 CertifyResult = Union[Certificate, Infeasibility]
 
 
-def _pivot(
-    tableau: list[list[Fraction]],
-    reduced: list[Fraction],
-    basis: list[int],
-    row: int,
-    col: int,
-) -> None:
-    pivot_value = tableau[row][col]
-    tableau[row] = [x / pivot_value for x in tableau[row]]
-    for i, other in enumerate(tableau):
-        if i != row and other[col]:
-            factor = other[col]
-            tableau[i] = [x - factor * y for x, y in zip(other, tableau[row])]
-    if reduced[col]:
-        factor = reduced[col]
-        for j, y in enumerate(tableau[row]):
-            reduced[j] -= factor * y
-    basis[row] = col
-
-
 def _phase_one(
     columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[str, tuple[Fraction, ...]]:
@@ -216,54 +197,77 @@ def _phase_one(
     Returns ("feasible", lambda) or ("infeasible", w) where w is a Farkas
     witness with respect to the original (unflipped) rows.  Bland's rule
     throughout, so the outcome is deterministic.
+
+    The tableau is fraction-free (Bareiss/Edmonds elimination): each
+    generator column is scaled by the lcm of its denominators and the rhs by
+    its own, and the rows and reduced costs are integers over one common
+    denominator d = det(basis) > 0.  Positive column scaling changes no
+    reduced-cost sign and no ratio order, so the pivots are those of the
+    rational tableau, and it leaves the duals as they are; lambda is
+    unscaled at the end.
     """
     m = len(rhs)
     k = len(columns)
-    signs = [Fraction(-1) if value < 0 else Fraction(1) for value in rhs]
-    tableau: list[list[Fraction]] = []
+    scales = [_denominator_lcm(col) for col in columns]
+    rhs_scale = _denominator_lcm(rhs)
+    signs = [-1 if value < 0 else 1 for value in rhs]
+    tableau: list[list[int]] = []
     for i in range(m):
-        row = [signs[i] * columns[j][i] for j in range(k)]
-        row.extend(Fraction(1) if r == i else Fraction(0) for r in range(m))
-        row.append(signs[i] * rhs[i])
+        row = [signs[i] * _scaled(columns[j][i], scales[j]) for j in range(k)]
+        row.extend(1 if r == i else 0 for r in range(m))
+        row.append(signs[i] * _scaled(rhs[i], rhs_scale))
         tableau.append(row)
     ncols = k + m
     basis = [k + i for i in range(m)]
     # minimize the sum of artificials: reduced costs start at c_j - 1^T A_j
-    reduced = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols):
-        cost = Fraction(0) if j < k else Fraction(1)
-        reduced[j] = cost - sum(tableau[i][j] for i in range(m))
-    reduced[ncols] = -sum(tableau[i][ncols] for i in range(m))
+    costs = [0] * k + [1] * m + [0]
+    reduced = [cost - sum(row[j] for row in tableau) for j, cost in enumerate(costs)]
+    d = 1
     while True:
         enter = next((j for j in range(ncols) if reduced[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][ncols] / tableau[i][enter]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave is not None:
+                # ratios row[ncols] / a against best_num / best_den, both a > 0
+                cross = row[ncols] * best_den - best_num * a
+                if cross > 0 or (cross == 0 and basis[i] > basis[leave]):
+                    continue
+            leave, best_num, best_den = i, row[ncols], a
         if leave is None:
             raise ConsistencyError("phase-1 simplex became unbounded")
-        _pivot(tableau, reduced, basis, leave, enter)
-    objective = -reduced[ncols]
-    if objective == 0:
+        pivot_row = tableau[leave]
+        p = pivot_row[enter]
+        # the Bareiss identity makes every division exact
+        for i, row in enumerate(tableau):
+            if i != leave:
+                f = row[enter]
+                tableau[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        f = reduced[enter]
+        reduced = [(p * x - f * y) // d for x, y in zip(reduced, pivot_row)]
+        basis[leave] = enter
+        d = p
+    if reduced[ncols] == 0:
         lam = [Fraction(0)] * k
         for i, bv in enumerate(basis):
             if bv < k:
-                lam[bv] = tableau[i][ncols]
+                lam[bv] = Fraction(tableau[i][ncols] * scales[bv], d * rhs_scale)
         return "feasible", tuple(lam)
-    # duals from the optimal reduced costs of the artificial columns
-    duals = [Fraction(1) - reduced[k + i] for i in range(m)]
-    witness = tuple(signs[i] * duals[i] for i in range(m))
+    # duals 1 - reduced_j / d from the optimal reduced costs of the artificials
+    witness = tuple(Fraction(signs[i] * (d - reduced[k + i]), d) for i in range(m))
     return "infeasible", witness
+
+
+def _denominator_lcm(values: Sequence[Fraction]) -> int:
+    return lcm(*(value.denominator for value in values))
+
+
+def _scaled(value: Fraction, scale: int) -> int:
+    return value.numerator * (scale // value.denominator)
 
 
 def certify(target: ChernFunctional, gens: GeneratorSet) -> CertifyResult:

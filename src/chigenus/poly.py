@@ -34,8 +34,6 @@ __all__ = [
     "monomials_of_weight",
     "weight_basis",
     "GradedPoly",
-    "poly_add",
-    "poly_mul",
 ]
 
 Monomial = tuple[int, ...]
@@ -396,7 +394,7 @@ class GradedPoly:
                 if _COEF_RE.match(piece):
                     if saw_coef or saw_factor:
                         raise ParseError(f"misplaced coefficient in {term_tok!r}")
-                    coef = Fraction(piece)
+                    coef = as_rational(piece)
                     saw_coef = True
                     continue
                 match = _FACTOR_RE.match(piece)
@@ -459,16 +457,3 @@ def _json_integer(value: object) -> int:
         return int(value)
     raise ParseError(f"coefficient part must be an integer or a decimal string, got {value!r}")
 
-
-def poly_add(a: GradedPoly, b: GradedPoly) -> GradedPoly:
-    """Coefficient-wise sum; dimensions must agree."""
-    if not isinstance(a, GradedPoly) or not isinstance(b, GradedPoly):
-        raise TypeError("poly_add expects GradedPoly operands")
-    return a + b
-
-
-def poly_mul(a: GradedPoly, b: GradedPoly) -> GradedPoly:
-    """Product in the truncated ring (weight > n monomials are dropped)."""
-    if not isinstance(a, GradedPoly) or not isinstance(b, GradedPoly):
-        raise TypeError("poly_mul expects GradedPoly operands")
-    return a * b

@@ -11,7 +11,9 @@ Laplace expansion along the rows, memoized on the set of columns still
 free.  It stays inside the truncated ring: every term of the full
 determinant has weight exactly n and every entry has weight >= 0, so a
 minor has weight n minus the weight of the entries already chosen, never
-more than n, and truncation drops nothing.
+more than n, and truncation drops nothing.  A minor over the last rows
+depends on the partition only through its last parts, so the memo is
+shared by all partitions of one weight.
 
 The module also provides the top Segre class (inverse of the total Chern
 class), power sums of the Chern roots via Newton's identities, and the
@@ -159,35 +161,43 @@ def schur(a: Sequence[int], n: int) -> GradedPoly:
 
 @lru_cache(maxsize=None)
 def _schur_cached(parts: Partition, n: int) -> GradedPoly:
-    chern = [GradedPoly.one(n)] + [GradedPoly.variable(n, k) for k in range(1, n + 1)]
-    memo: dict[int, GradedPoly] = {}
-
-    def minor(free: int) -> GradedPoly:
-        # determinant of the last popcount(free) rows over the columns whose
-        # bits are set in `free`, expanded along its first row
-        row = n - free.bit_count()
-        if row == n:
-            return chern[0]
-        cached = memo.get(free)
-        if cached is not None:
-            return cached
-        total = GradedPoly.zero(n)
-        sign = 1
-        for j in range(n):
-            if not free >> j & 1:
-                continue
-            k = parts[row] - row + j
-            if 0 <= k <= n:
-                term = chern[k] * minor(free & ~(1 << j))
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[free] = total
-        return total
-
-    det = minor((1 << n) - 1)
+    det = _minor(parts, (1 << n) - 1, n)
     if any(mono_weight(m) != n for m in det.terms()):
         raise RuntimeError(f"Schur determinant for {parts} is not homogeneous")
     return det
+
+
+@lru_cache(maxsize=None)
+def _minor(suffix: Partition, free: int, n: int) -> GradedPoly:
+    """Determinant of the last len(suffix) rows of the n x n Jacobi-Trudi
+    matrix of any partition ending in `suffix`, over the columns whose bits
+    are set in `free`, expanded along its first row.
+
+    Row i holds c_{a_i - i + j}, so the minor depends on the partition only
+    through `suffix`; one memo serves every partition of n.
+    """
+    if not suffix:
+        return GradedPoly.one(n)
+    row = n - len(suffix)
+    rest = suffix[1:]
+    total = GradedPoly.zero(n)
+    sign = 1
+    for j in range(n):
+        if not free >> j & 1:
+            continue
+        k = suffix[0] - row + j
+        if 0 <= k <= n:
+            term = _minor(rest, free & ~(1 << j), n)
+            if k:
+                term = _chern_class(k, n) * term
+            total = total + term if sign > 0 else total - term
+        sign = -sign
+    return total
+
+
+@lru_cache(maxsize=None)
+def _chern_class(k: int, n: int) -> GradedPoly:
+    return GradedPoly.variable(n, k)
 
 
 def segre_top(n: int) -> GradedPoly:

@@ -11,7 +11,11 @@ package's own:
 * the full chi_y table from the closed product formula over formal roots;
 * partition counting by the bounded-part recurrence;
 * cofactor expansion for determinants;
-* Fourier-Motzkin elimination for cone feasibility.
+* Fourier-Motzkin elimination for cone feasibility;
+* Gaussian elimination over Fractions for membership in the cone of a
+  basis (the Schur catalog is one: square and nonsingular);
+* the rational phase-1 simplex that ``cone._phase_one`` replaced, kept as
+  the reference for its pivot path.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
+from typing import Sequence
 
+from chigenus.hrr import ConsistencyError
 from chigenus.poly import GradedPoly, Monomial
 
 RootPoly = dict[tuple[int, ...], Fraction]
@@ -393,3 +399,116 @@ def fourier_motzkin_feasible(
                 neutral.add(_normalize_row(coeffs, const))
         live = neutral
     return all(const >= 0 for _, const in live)
+
+
+# -- cone of a basis by Gaussian elimination -------------------------------------
+
+
+def basis_coordinates(
+    columns: list[tuple[Fraction, ...]], rhs: tuple[Fraction, ...]
+) -> tuple[Fraction, ...]:
+    """The unique lambda with sum_j lambda_j columns[j] = rhs.
+
+    The columns must form a basis (square and nonsingular); then rhs lies in
+    their cone iff every coordinate is >= 0, and lambda is the certificate.
+    """
+    size = len(rhs)
+    if len(columns) != size or any(len(col) != size for col in columns):
+        raise ValueError("basis oracle needs a square system")
+    rows = [
+        [Fraction(columns[j][i]) for j in range(size)] + [Fraction(rhs[i])]
+        for i in range(size)
+    ]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            raise ValueError("columns are linearly dependent")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return tuple(row[size] for row in rows)
+
+
+# -- rational phase-1 simplex (reference pivot path) -------------------------------
+
+
+def _pivot(
+    tableau: list[list[Fraction]],
+    reduced: list[Fraction],
+    basis: list[int],
+    row: int,
+    col: int,
+) -> None:
+    pivot_value = tableau[row][col]
+    tableau[row] = [x / pivot_value for x in tableau[row]]
+    for i, other in enumerate(tableau):
+        if i != row and other[col]:
+            factor = other[col]
+            tableau[i] = [x - factor * y for x, y in zip(other, tableau[row])]
+    if reduced[col]:
+        factor = reduced[col]
+        for j, y in enumerate(tableau[row]):
+            reduced[j] -= factor * y
+    basis[row] = col
+
+
+def fraction_phase_one(
+    columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[str, tuple[Fraction, ...]]:
+    """Exact phase-1 simplex for: find lambda >= 0 with sum_j lambda_j col_j = rhs.
+
+    Returns ("feasible", lambda) or ("infeasible", w) where w is a Farkas
+    witness with respect to the original (unflipped) rows.  Bland's rule
+    throughout, so the outcome is deterministic.
+    """
+    m = len(rhs)
+    k = len(columns)
+    signs = [Fraction(-1) if value < 0 else Fraction(1) for value in rhs]
+    tableau: list[list[Fraction]] = []
+    for i in range(m):
+        row = [signs[i] * columns[j][i] for j in range(k)]
+        row.extend(Fraction(1) if r == i else Fraction(0) for r in range(m))
+        row.append(signs[i] * rhs[i])
+        tableau.append(row)
+    ncols = k + m
+    basis = [k + i for i in range(m)]
+    # minimize the sum of artificials: reduced costs start at c_j - 1^T A_j
+    reduced = [Fraction(0)] * (ncols + 1)
+    for j in range(ncols):
+        cost = Fraction(0) if j < k else Fraction(1)
+        reduced[j] = cost - sum(tableau[i][j] for i in range(m))
+    reduced[ncols] = -sum(tableau[i][ncols] for i in range(m))
+    while True:
+        enter = next((j for j in range(ncols) if reduced[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tableau[i][enter] > 0:
+                ratio = tableau[i][ncols] / tableau[i][enter]
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise ConsistencyError("phase-1 simplex became unbounded")
+        _pivot(tableau, reduced, basis, leave, enter)
+    objective = -reduced[ncols]
+    if objective == 0:
+        lam = [Fraction(0)] * k
+        for i, bv in enumerate(basis):
+            if bv < k:
+                lam[bv] = tableau[i][ncols]
+        return "feasible", tuple(lam)
+    # duals from the optimal reduced costs of the artificial columns
+    duals = [Fraction(1) - reduced[k + i] for i in range(m)]
+    witness = tuple(signs[i] * duals[i] for i in range(m))
+    return "infeasible", witness

@@ -130,6 +130,13 @@ class TestCertifyCommand:
         assert "1 * P_(3,0,0)" in out
         assert "1 * P_(2,1,0)" in out
 
+    @pytest.mark.parametrize("target", ["1/0*c1^3", "c1*c2 - 2/0*c3"])
+    def test_zero_denominator_target_exit_two(self, capsys, target):
+        code, out, err = run_cli(capsys, "certify", "--dim", "3", f"--target={target}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_target_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--dim", "3", "--target", "chi:7")
         assert code == 2
@@ -332,9 +339,9 @@ class TestDimensionLimit:
         assert "maximum dimension 8" in err
 
     def test_certify_flag_raises_limit(self, capsys):
-        code, _, _ = run_cli(capsys, "certify", "--dim", "7", "--all-p")
+        code, _, _ = run_cli(capsys, "certify", "--dim", "9", "--all-p")
         assert code == 2
-        code, _, _ = run_cli(capsys, "certify", "--dim", "7", "--all-p", "--max-dim", "7")
+        code, _, _ = run_cli(capsys, "certify", "--dim", "9", "--all-p", "--max-dim", "9")
         assert code in (0, 1)
 
     def test_config_raises_limit(self, capsys, tmp_path, monkeypatch):

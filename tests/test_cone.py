@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chigenus.cone import (
     Certificate,
@@ -11,12 +13,22 @@ from chigenus.cone import (
     certify_chi_signs,
     generators,
     verify_certificate,
+    _phase_one,
 )
-from chigenus.hrr import ChernFunctional, chi_p, top_part
+from chigenus.hrr import (
+    SIGN_MODES,
+    ChernFunctional,
+    chi_p,
+    chi_sign,
+    mode_convention,
+    signed_target,
+    top_part,
+)
 from chigenus.poly import DimensionMismatch, GradedPoly
 from chigenus.symchern import BasisConvention, ConventionMismatch
 
-from oracles import fourier_motzkin_feasible
+from conftest import rationals
+from oracles import basis_coordinates, fourier_motzkin_feasible, fraction_phase_one
 
 COT = BasisConvention.COTANGENT
 TAN = BasisConvention.TANGENT
@@ -290,6 +302,116 @@ class TestFourierMotzkinCrossCheck:
             simplex = isinstance(certify(target, gens), Certificate)
             brute = fourier_motzkin_feasible(columns, target.coeffs)
             assert simplex == brute
+
+
+def signed_chi_targets(n, mode):
+    return [signed_target(chi_p(n, p), chi_sign(n, p, mode), mode)[0] for p in range(n + 1)]
+
+
+def combination(weights, columns):
+    rows = range(len(columns[0]))
+    return tuple(sum(w * col[i] for w, col in zip(weights, columns)) for i in rows)
+
+
+AUGMENTED = [(2, ("schur", "my2")), (4, ("schur", "my4")), (4, ("schur", "my4", "c1top"))] + [
+    (n, ("schur", "c1top")) for n in range(1, 7)
+]
+
+
+class TestPivotPathMatchesFractionSimplex:
+    """The integer tableau takes the rational tableau's Bland pivots, so
+    `_phase_one` returns exactly what the `Fraction` reference returns."""
+
+    def assert_same(self, columns, rhs):
+        result = _phase_one(columns, rhs)
+        assert result == fraction_phase_one(columns, rhs)
+        assert all(type(x) is Fraction for x in result[1])
+        return result
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("mode", SIGN_MODES)
+    def test_signed_chi_targets(self, n, mode):
+        gens = generators(n, {"schur"}, mode_convention(mode))
+        columns = [f.coeffs for f in gens.functionals()]
+        for target in signed_chi_targets(n, mode):
+            for sign in (1, -1):
+                self.assert_same(columns, target.scaled(sign).coeffs)
+
+    @pytest.mark.parametrize("n, tags", AUGMENTED)
+    def test_augmented_catalogs(self, n, tags):
+        for mode in SIGN_MODES:
+            gens = generators(n, tags, mode_convention(mode))
+            columns = [f.coeffs for f in gens.functionals()]
+            for target in signed_chi_targets(n, mode):
+                for sign in (1, -1):
+                    self.assert_same(columns, target.scaled(sign).coeffs)
+
+    @settings(derandomize=True, max_examples=150)
+    @given(st.data())
+    def test_random_fractional_targets(self, data):
+        n, tags = data.draw(st.sampled_from([(n, ("schur",)) for n in range(1, 7)] + AUGMENTED))
+        gens = generators(n, tags)
+        columns = [f.coeffs for f in gens.functionals()]
+        size = len(columns[0])
+        rhs = data.draw(st.lists(rationals(6, 6), min_size=size, max_size=size))
+        self.assert_same(columns, rhs)
+
+    @settings(derandomize=True, max_examples=150)
+    @given(st.data())
+    def test_feasible_by_construction(self, data):
+        n, tags = data.draw(st.sampled_from([(n, ("schur",)) for n in range(1, 7)] + AUGMENTED))
+        gens = generators(n, tags)
+        columns = [f.coeffs for f in gens.functionals()]
+        weights = data.draw(
+            st.lists(
+                st.fractions(min_value=0, max_value=5, max_denominator=4),
+                min_size=len(columns),
+                max_size=len(columns),
+            )
+        )
+        status, _ = self.assert_same(columns, combination(weights, columns))
+        assert status == "feasible"
+
+    @settings(derandomize=True, max_examples=150)
+    @given(st.data())
+    def test_random_fractional_columns(self, data):
+        # small dense systems, where ratio ties and degenerate pivots are common
+        m = data.draw(st.integers(1, 4))
+        entries = st.lists(rationals(3, 3), min_size=m, max_size=m)
+        columns = data.draw(st.lists(entries, max_size=6))
+        self.assert_same(columns, data.draw(entries))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zero_target(self, n):
+        columns = [f.coeffs for f in generators(n, {"schur"}).functionals()]
+        status, lam = self.assert_same(columns, (Fraction(0),) * len(columns[0]))
+        assert status == "feasible" and not any(lam)
+
+
+class TestSchurBasisOracle:
+    """The Schur catalog is a basis of the weight-n functionals (Macdonald
+    I.6), so membership in its cone is one linear solve: feasible iff every
+    coordinate is >= 0, and then lambda is unique."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_verdict_and_coefficients(self, n):
+        rng = random.Random(20261018 + n)
+        for mode in SIGN_MODES:
+            gens = generators(n, {"schur"}, mode_convention(mode))
+            columns = [f.coeffs for f in gens.functionals()]
+            size = len(columns)
+            targets = [t.scaled(sign) for t in signed_chi_targets(n, mode) for sign in (1, -1)]
+            for _ in range(4):
+                weights = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(size)]
+                if rng.random() < 0.5:
+                    weights[rng.randrange(size)] = Fraction(-1)
+                targets.append(ChernFunctional(n, gens.convention, combination(weights, columns)))
+            for target in targets:
+                lam = basis_coordinates(columns, target.coeffs)
+                result = certify(target, gens)
+                assert isinstance(result, Certificate) == all(c >= 0 for c in lam)
+                if isinstance(result, Certificate):
+                    assert result.coefficients == lam
 
 
 class TestChiSignReports:
