@@ -51,11 +51,10 @@ EXIT_USAGE = 2
 
 CONFIG_ENV = "CHIGENUS_CONFIG"
 
-# The only dimension limits: every command checks its dimension against
-# these (or their config / --max-dim overrides) before calling the library,
-# which applies no limit of its own.
+# The only dimension limit: every command checks its dimension against it
+# (or its config / --max-dim override) before calling the library, which
+# applies no limit of its own.
 DEFAULT_MAX_DIM = 8
-DEFAULT_CERTIFY_MAX_DIM = 8
 
 MODE_NAMES = tuple(mode.replace("_", "-") for mode in SIGN_MODES)
 # "schur" is always on; --assume adds the opt-in inequality generators
@@ -77,16 +76,18 @@ def _load_config() -> dict:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")
+    for key in config:
+        if key != "max_dim":
+            raise UsageError(f"unknown config key {key!r} (the only key is 'max_dim')")
     return config
 
 
-def _resolve_max_dim(args, key: str, fallback: int) -> int:
-    if getattr(args, "max_dim", None) is not None:
-        return args.max_dim
-    value = _load_config().get(key, fallback)
+def _resolve_max_dim(args) -> int:
+    # the config is checked even when --max-dim overrides it
+    value = _load_config().get("max_dim", DEFAULT_MAX_DIM)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise UsageError(f"config key {key!r} must be a non-negative integer")
-    return value
+        raise UsageError("config key 'max_dim' must be a non-negative integer")
+    return value if args.max_dim is None else args.max_dim
 
 
 def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> None:
@@ -123,7 +124,7 @@ def _parse_assumptions(text: str | None) -> tuple[str, ...]:
 
 
 def _cmd_chi(args) -> int:
-    max_dim = _resolve_max_dim(args, "max_dim", DEFAULT_MAX_DIM)
+    max_dim = _resolve_max_dim(args)
     n = args.dim
     if n < 0 or n > max_dim:
         raise UsageError(f"--dim must be within 0..{max_dim}")
@@ -144,7 +145,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_schur(args) -> int:
-    max_dim = _resolve_max_dim(args, "max_dim", DEFAULT_MAX_DIM)
+    max_dim = _resolve_max_dim(args)
     n = args.dim
     if n < 0 or n > max_dim:
         raise UsageError(f"--dim must be within 0..{max_dim}")
@@ -171,15 +172,21 @@ def _cmd_schur(args) -> int:
 # -- certify -----------------------------------------------------------------
 
 
+def _parse_chi_target(spec: str, n: int) -> int:
+    """The form degree p of a 'chi:p' target, within 0..n."""
+    try:
+        p = int(spec[len("chi:") :])
+    except ValueError as exc:
+        raise UsageError(f"bad chi target {spec!r}") from exc
+    if not 0 <= p <= n:
+        raise UsageError(f"chi target p={p} outside 0..{n}")
+    return p
+
+
 def _parse_target(args, n: int, mode: str, convention: BasisConvention):
     spec = args.target
     if spec.startswith("chi:"):
-        try:
-            p = int(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise UsageError(f"bad chi target {spec!r}") from exc
-        if not 0 <= p <= n:
-            raise UsageError(f"chi target p={p} outside 0..{n}")
+        p = _parse_chi_target(spec, n)
         functional, sign = chi_p(n, p), chi_sign(n, p, mode)
     elif spec == "euler":
         # e = sum_p (-1)^p chi^p, so it carries the sign of chi^0
@@ -205,7 +212,7 @@ def _render_certificate_text(cert: Certificate) -> list[str]:
 
 
 def _cmd_certify(args) -> int:
-    max_dim = _resolve_max_dim(args, "certify_max_dim", DEFAULT_CERTIFY_MAX_DIM)
+    max_dim = _resolve_max_dim(args)
     n = args.dim
     if n < 1 or n > max_dim:
         raise UsageError(f"--dim must be within 1..{max_dim}")
@@ -277,7 +284,7 @@ def _audit_text(audit: SignAudit) -> list[str]:
 
 
 def _cmd_check(args) -> int:
-    max_dim = _resolve_max_dim(args, "max_dim", DEFAULT_MAX_DIM)
+    max_dim = _resolve_max_dim(args)
     mode = _parse_mode(args.mode)
     audits: list[SignAudit] = []
     if args.target == "surface":
@@ -316,7 +323,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_variety_eval(args) -> int:
-    max_dim = _resolve_max_dim(args, "max_dim", DEFAULT_MAX_DIM)
+    max_dim = _resolve_max_dim(args)
     try:
         descriptor = descriptor_from_token(args.descriptor)
     except ValueError as exc:
@@ -329,9 +336,7 @@ def _cmd_variety_eval(args) -> int:
     euler = evaluate(euler_functional(n), numbers)
     if args.target is not None:
         if args.target.startswith("chi:"):
-            p = int(args.target.split(":", 1)[1])
-            if not 0 <= p <= n:
-                raise UsageError(f"chi target p={p} outside 0..{n}")
+            p = _parse_chi_target(args.target, n)
             value = values[p]
             label = f"chi^{p}"
         elif args.target == "euler":

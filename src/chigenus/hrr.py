@@ -32,7 +32,6 @@ from typing import Mapping, Sequence
 from .poly import (
     DimensionMismatch,
     GradedPoly,
-    Monomial,
     RationalLike,
     as_rational,
     mono_weight,
@@ -89,18 +88,7 @@ class ChernFunctional:
     def zero(cls, dimension: int, convention: BasisConvention) -> "ChernFunctional":
         return cls(dimension, convention, (Fraction(0),) * len(weight_basis(dimension)))
 
-    @classmethod
-    def from_poly(cls, poly: GradedPoly, convention: BasisConvention) -> "ChernFunctional":
-        return cls(poly.dim, convention, poly.top_coefficients())
-
     # -- structure ----------------------------------------------------------
-
-    def basis(self) -> tuple[Monomial, ...]:
-        return weight_basis(self.dimension)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        basis = weight_basis(self.dimension)
-        return self.coeffs[basis.index(tuple(mono))]
 
     def as_poly(self) -> GradedPoly:
         return GradedPoly(
@@ -191,7 +179,7 @@ class ChernFunctional:
         poly = GradedPoly.from_json_dict(obj["poly"])
         if poly.dim != obj["dim"]:
             raise ValueError("functional JSON dimension disagrees with its polynomial")
-        return cls.from_poly(poly, BasisConvention(obj["convention"]))
+        return top_part(poly, BasisConvention(obj["convention"]))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -207,76 +195,62 @@ def top_part(a: GradedPoly, convention: BasisConvention) -> ChernFunctional:
     top-weight piece pairs with Chern numbers; lower-weight terms are
     discarded.  The caller states which convention `a` is written in.
     """
-    return ChernFunctional.from_poly(a, convention)
+    return ChernFunctional(a.dim, convention, a.top_coefficients())
 
 
-# -- univariate series helpers (lists of Fractions, index = degree) --------
+# -- power series in x, as polynomials in c_1 alone -------------------------
+#
+# A series in x truncated at x^n is a polynomial in c_1 in the weight-n ring:
+# c_1^k has weight k, so the ring's truncation is the series truncation.
 
 
-def _ser_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ca in enumerate(a):
-        if i > order or not ca:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            if cb:
-                out[i + j] += ca * cb
-    return out
+def _series(coefficients: Sequence[Fraction], n: int) -> GradedPoly:
+    """sum_k a_k x^k for a_1, a_2, ... (no constant term), with x = c_1,
+    truncated at x^n."""
+    powers = [(k,) + (0,) * (n - 1) for k in range(1, n + 1)]
+    return GradedPoly(n, zip(powers, coefficients))
 
 
-def _ser_inv(a: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Inverse of a series with a(0) = 1."""
-    if a[0] != 1:
-        raise ValueError("series inversion requires unit constant term")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = Fraction(1)
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            if i < len(a) and a[i]:
-                acc += a[i] * inv[k - i]
-        inv[k] = -acc
-    return inv
+def _series_coefficients(series: GradedPoly) -> tuple[Fraction, ...]:
+    """a_1..a_n of a series in x = c_1 (the inverse of `_series`)."""
+    n = series.dim
+    return tuple(series.coefficient((k,) + (0,) * (n - 1)) for k in range(1, n + 1))
 
 
-def _ser_log1p(u: Sequence[Fraction], order: int) -> list[Fraction]:
-    """log(1 + u) for a series u with u(0) = 0."""
-    if u[0] != 0:
-        raise ValueError("log expansion requires vanishing constant term")
-    out = [Fraction(0)] * (order + 1)
-    power = [Fraction(0)] * (order + 1)
-    power[0] = Fraction(1)
-    for m in range(1, order + 1):
-        power = _ser_mul(power, u, order)
-        sign = Fraction((-1) ** (m + 1), m)
-        for k in range(order + 1):
-            if power[k]:
-                out[k] += sign * power[k]
-    return out
+def _exp(u: GradedPoly) -> GradedPoly:
+    """exp(u) = sum_m u^m / m! for u without constant term."""
+    result = GradedPoly.one(u.dim)
+    term = GradedPoly.one(u.dim)
+    for m in range(1, u.dim + 1):
+        term = term * u * Fraction(1, m)
+        result = result + term
+    return result
+
+
+def _log1p(u: GradedPoly) -> GradedPoly:
+    """log(1 + u) = sum_m (-1)^{m+1} u^m / m for u without constant term."""
+    result = GradedPoly.zero(u.dim)
+    power = GradedPoly.one(u.dim)
+    for m in range(1, u.dim + 1):
+        power = power * u
+        result = result + power * Fraction((-1) ** (m + 1), m)
+    return result
 
 
 @lru_cache(maxsize=None)
 def _log_todd_coefficients(order: int) -> tuple[Fraction, ...]:
-    """Coefficients a_1..a_order of log(x / (1 - exp(-x)))."""
-    # (1 - exp(-x)) / x = sum_{m>=0} (-1)^m x^m / (m+1)!
-    base = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(order + 1)]
-    q = _ser_inv(base, order)
-    u = list(q)
-    u[0] = Fraction(0)
-    log_q = _ser_log1p(u, order)
-    return tuple(log_q[1:])
+    """Coefficients a_1..a_order of log(x / (1 - exp(-x))) = -log(q),
+    q = (1 - exp(-x)) / x = 1 + sum_{m>=1} (-1)^m x^m / (m+1)!."""
+    q_minus_one = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(1, order + 1)]
+    return _series_coefficients(-_log1p(_series(q_minus_one, order)))
 
 
 def _log_exterior_coefficients(y: int, order: int) -> tuple[Fraction, ...]:
-    """Coefficients b_1..b_order of log((1 + y exp(-x)) / (1 + y))."""
-    # the argument is 1 + u with u = y/(1+y) * sum_{m>=1} (-x)^m / m!
+    """Coefficients b_1..b_order of log((1 + y exp(-x)) / (1 + y)) = log(1 + u),
+    u = y/(1+y) (exp(-x) - 1) = y/(1+y) sum_{m>=1} (-1)^m x^m / m!."""
     scale = Fraction(y, 1 + y)
-    u = [Fraction(0)] + [
-        scale * Fraction((-1) ** m, math.factorial(m)) for m in range(1, order + 1)
-    ]
-    return tuple(_ser_log1p(u, order)[1:])
+    u = [scale * Fraction((-1) ** m, math.factorial(m)) for m in range(1, order + 1)]
+    return _series_coefficients(_log1p(_series(u, order)))
 
 
 def _multiplicative_sequence(log_coefficients: Sequence[Fraction], n: int) -> GradedPoly:
@@ -287,12 +261,7 @@ def _multiplicative_sequence(log_coefficients: Sequence[Fraction], n: int) -> Gr
     for k, a in enumerate(log_coefficients, start=1):
         if a:
             log_f = log_f + power_sum(k, n) * a
-    result = GradedPoly.one(n)
-    term = GradedPoly.one(n)
-    for m in range(1, n + 1):
-        term = term * log_f * Fraction(1, m)
-        result = result + term
-    return result
+    return _exp(log_f)
 
 
 @lru_cache(maxsize=None)
@@ -444,7 +413,7 @@ class ChiTable:
         rows = []
         for entry in sorted(obj["rows"], key=lambda e: e["p"]):
             poly = GradedPoly.from_json_dict(entry["poly"])
-            rows.append(ChernFunctional.from_poly(poly, convention))
+            rows.append(top_part(poly, convention))
         return cls(obj["dim"], convention, tuple(rows))
 
 

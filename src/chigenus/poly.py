@@ -19,7 +19,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 __all__ = [
     "DimensionMismatch",
@@ -195,10 +195,6 @@ class GradedPoly:
         exps[index - 1] = 1
         return cls(dim, {tuple(exps): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, dim: int, mono: Monomial, coef: RationalLike = 1) -> "GradedPoly":
-        return cls(dim, {tuple(mono): as_rational(coef)})
-
     # -- structure -------------------------------------------------------
 
     @property
@@ -215,22 +211,12 @@ class GradedPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def monomials(self) -> Iterator[Monomial]:
-        return iter(sorted(self._terms, key=mono_key))
-
     def graded_part(self, weight: int) -> "GradedPoly":
         """The homogeneous component of the given weight."""
         return GradedPoly(
             self._dim,
             {m: c for m, c in self._terms.items() if mono_weight(m) == weight},
         )
-
-    def homogeneous_weight(self) -> int | None:
-        """The common weight of all terms, or None if mixed or zero."""
-        weights = {mono_weight(m) for m in self._terms}
-        if len(weights) == 1:
-            return weights.pop()
-        return None
 
     def top_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficient vector of the weight-n part over the canonical

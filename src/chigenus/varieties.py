@@ -19,10 +19,12 @@ the relevant bundle is an assertion made by the caller, never checked here.
 
 from __future__ import annotations
 
+import itertools
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Mapping, Sequence
 
@@ -33,7 +35,6 @@ from .poly import (
     Monomial,
     RationalLike,
     as_rational,
-    mono_mul,
     mono_text,
     mono_weight,
     weight_basis,
@@ -294,28 +295,6 @@ class AbelianVariety(VarietyDescriptor):
         return {"n": self.n, "type": "abelian"}
 
 
-def _bi_mul(
-    a: dict[tuple[Monomial, Monomial], Fraction],
-    b: dict[tuple[Monomial, Monomial], Fraction],
-    nx: int,
-    ny: int,
-) -> dict[tuple[Monomial, Monomial], Fraction]:
-    out: dict[tuple[Monomial, Monomial], Fraction] = {}
-    for (xa, ya), ca in a.items():
-        for (xb, yb), cb in b.items():
-            x = mono_mul(xa, xb)
-            y = mono_mul(ya, yb)
-            if mono_weight(x) > nx or mono_weight(y) > ny:
-                continue
-            key = (x, y)
-            v = out.get(key, Fraction(0)) + ca * cb
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
-
-
 @dataclass(frozen=True)
 class Product(VarietyDescriptor):
     left: VarietyDescriptor
@@ -326,42 +305,29 @@ class Product(VarietyDescriptor):
         return self.left.dimension + self.right.dimension
 
     def _tangent_values(self) -> dict[Monomial, Fraction]:
+        # Whitney: c_k(X x Y) = sum_{i+j=k} c_i(X) c_j(Y), so a Chern number
+        # c_{k_1}...c_{k_r}[X x Y] is the sum, over the splits k_s = i_s + j_s
+        # with sum_s i_s = dim X, of c_{i_1}...c_{i_r}[X] * c_{j_1}...c_{j_r}[Y]
         nx = self.left.dimension
         ny = self.right.dimension
-        total = nx + ny
         left_values = self.left._tangent_values()
         right_values = self.right._tangent_values()
-        left_lookup = {m: left_values.get(m, Fraction(0)) for m in weight_basis(nx)}
-        right_lookup = {m: right_values.get(m, Fraction(0)) for m in weight_basis(ny)}
-
-        def unit(dim: int, i: int) -> Monomial:
-            exps = [0] * dim
-            if i > 0:
-                exps[i - 1] = 1
-            return tuple(exps)
-
-        # c_k(X x Y) = sum_{i+j=k} c_i(X) (x) c_j(Y), stored by bidegree
-        components: list[dict[tuple[Monomial, Monomial], Fraction]] = []
-        for k in range(1, total + 1):
-            component: dict[tuple[Monomial, Monomial], Fraction] = {}
-            for i in range(0, min(k, nx) + 1):
-                j = k - i
-                if j > ny:
-                    continue
-                component[(unit(nx, i), unit(ny, j))] = Fraction(1)
-            components.append(component)
-
         values: dict[Monomial, Fraction] = {}
-        identity = {(unit(nx, 0), unit(ny, 0)): Fraction(1)}
-        for mono in weight_basis(total):
-            acc = identity
-            for idx, e in enumerate(mono):
-                for _ in range(e):
-                    acc = _bi_mul(acc, components[idx], nx, ny)
+        for mono in weight_basis(nx + ny):
+            classes = [k for k, e in enumerate(mono, 1) for _ in range(e)]
             number = Fraction(0)
-            for (mx, my), coef in acc.items():
-                if mono_weight(mx) == nx and mono_weight(my) == ny:
-                    number += coef * left_lookup[mx] * right_lookup[my]
+            for split in itertools.product(
+                *(range(max(0, k - ny), min(k, nx) + 1) for k in classes)
+            ):
+                if sum(split) != nx:
+                    continue
+                mx, my = [0] * nx, [0] * ny
+                for k, i in zip(classes, split):
+                    if i:
+                        mx[i - 1] += 1
+                    if k > i:
+                        my[k - i - 1] += 1
+                number += left_values.get(tuple(mx), 0) * right_values.get(tuple(my), 0)
             values[mono] = number
         return values
 
@@ -390,20 +356,24 @@ class Explicit(VarietyDescriptor):
             raise ValueError(f"dimension must be a non-negative integer: {n!r}")
         if not isinstance(values, Mapping):
             raise TypeError(f"Chern numbers must be a mapping: {values!r}")
-        normalized: dict[Monomial, Fraction] = {}
-        for key, value in values.items():
-            mono = _parse_monomial_key(key, n) if isinstance(key, str) else tuple(key)
-            normalized[mono] = as_rational(value)
-        self._numbers = ChernNumberSet.from_values(n, convention, normalized)
+        self._n = n
+        self._convention = BasisConvention(convention)
+        self._values = {_monomial_key(key, n): as_rational(v) for key, v in values.items()}
         self._name = name or f"explicit:{n}"
+
+    @cached_property
+    def _numbers(self) -> ChernNumberSet:
+        # built on first use: it has one entry per partition of n, so a
+        # descriptor over the dimension limit is refused before it exists
+        return ChernNumberSet.from_values(self._n, self._convention, self._values)
 
     @property
     def dimension(self) -> int:
-        return self._numbers.dimension
+        return self._n
 
     @property
     def convention(self) -> BasisConvention:
-        return self._numbers.convention
+        return self._convention
 
     def _tangent_values(self) -> dict[Monomial, Fraction]:
         return self._numbers.in_convention(BasisConvention.TANGENT).as_dict()
@@ -413,8 +383,8 @@ class Explicit(VarietyDescriptor):
 
     def to_json_dict(self) -> dict:
         return {
-            "convention": self._numbers.convention.value,
-            "n": self._numbers.dimension,
+            "convention": self._convention.value,
+            "n": self._n,
             "type": "explicit",
             "values": {
                 (mono_text(m) or "1"): str(v)
@@ -432,15 +402,21 @@ class Explicit(VarietyDescriptor):
         return hash(self._numbers)
 
 
-def _parse_monomial_key(key: str, dim: int) -> Monomial:
-    """Parse 'c1^2*c2' (or '1' for the constant) into an exponent tuple."""
-    poly = GradedPoly.from_text(dim, key if key != "1" else "1")
+def _monomial_key(key: str | Monomial, dim: int) -> Monomial:
+    """A weight-`dim` monomial from its text ('c1^2*c2', or '1' for the
+    constant) or its exponent tuple."""
+    if isinstance(key, str):
+        poly = GradedPoly.from_text(dim, key)
+    else:
+        poly = GradedPoly(dim, [(key, 1)])
     terms = poly.terms()
     if len(terms) != 1:
         raise ValueError(f"monomial key expected, got {key!r}")
     ((mono, coef),) = terms.items()
     if coef != 1:
         raise ValueError(f"monomial key must have coefficient 1: {key!r}")
+    if mono_weight(mono) != dim:
+        raise ValueError(f"not a weight-{dim} monomial: {key!r}")
     return mono
 
 
@@ -569,6 +545,16 @@ def descriptor_from_json(obj: Mapping) -> VarietyDescriptor:
     raise ValueError(f"unknown descriptor type {kind!r}")
 
 
+# token head -> (descriptor type, number of integer fields after it)
+_TOKEN_TYPES = {
+    "pn": (ProjectiveSpace, 1),
+    "curve": (Curve, 1),
+    "abelian": (AbelianVariety, 1),
+    "surface": (Surface, 2),
+    "hypersurface": (Hypersurface, 2),
+}
+
+
 def descriptor_from_token(token: str) -> VarietyDescriptor:
     """Parse the builtin names: pn:3, curve:2, abelian:2, surface:9:3,
     hypersurface:5:4, product(pn:1,curve:2)."""
@@ -588,21 +574,16 @@ def descriptor_from_token(token: str) -> VarietyDescriptor:
                 )
         raise ValueError(f"malformed product token {token!r}")
     head, _, rest = token.partition(":")
+    if head not in _TOKEN_TYPES:
+        raise ValueError(f"unknown variety token {token!r}")
+    build, arity = _TOKEN_TYPES[head]
     args = rest.split(":") if rest else []
     try:
-        if head == "pn":
-            return ProjectiveSpace(int(args[0]))
-        if head == "curve":
-            return Curve(int(args[0]))
-        if head == "abelian":
-            return AbelianVariety(int(args[0]))
-        if head == "surface":
-            return Surface(int(args[0]), int(args[1]))
-        if head == "hypersurface":
-            return Hypersurface(int(args[0]), int(args[1]))
-    except (IndexError, ValueError) as exc:
+        if len(args) != arity:
+            raise ValueError(f"expected {arity} integer field(s)")
+        return build(*map(int, args))
+    except ValueError as exc:
         raise ValueError(f"malformed variety token {token!r}") from exc
-    raise ValueError(f"unknown variety token {token!r}")
 
 
 @dataclass(frozen=True)

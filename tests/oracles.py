@@ -15,7 +15,10 @@ package's own:
 * Gaussian elimination over Fractions for membership in the cone of a
   basis (the Schur catalog is one: square and nonsingular);
 * the rational phase-1 simplex that ``cone._phase_one`` replaced, kept as
-  the reference for its pivot path.
+  the reference for its pivot path;
+* Chern numbers of products by multiplying total Chern classes in the
+  bigraded ring Q[c(X)] (x) Q[c(Y)], the expansion that the Whitney split
+  of ``varieties.Product`` replaced.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from math import comb, factorial
 from typing import Sequence
 
 from chigenus.hrr import ConsistencyError
-from chigenus.poly import GradedPoly, Monomial
+from chigenus.poly import GradedPoly, Monomial, mono_mul, mono_weight, weight_basis
+from chigenus.varieties import Product
 
 RootPoly = dict[tuple[int, ...], Fraction]
 
@@ -512,3 +516,73 @@ def fraction_phase_one(
     duals = [Fraction(1) - reduced[k + i] for i in range(m)]
     witness = tuple(signs[i] * duals[i] for i in range(m))
     return "infeasible", witness
+
+
+# -- Kuenneth products in the bigraded ring --------------------------------------
+
+
+def _bi_mul(
+    a: dict[tuple[Monomial, Monomial], Fraction],
+    b: dict[tuple[Monomial, Monomial], Fraction],
+    nx: int,
+    ny: int,
+) -> dict[tuple[Monomial, Monomial], Fraction]:
+    out: dict[tuple[Monomial, Monomial], Fraction] = {}
+    for (xa, ya), ca in a.items():
+        for (xb, yb), cb in b.items():
+            x = mono_mul(xa, xb)
+            y = mono_mul(ya, yb)
+            if mono_weight(x) > nx or mono_weight(y) > ny:
+                continue
+            key = (x, y)
+            v = out.get(key, Fraction(0)) + ca * cb
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return out
+
+
+def bigraded_tangent_values(variety) -> dict[Monomial, Fraction]:
+    """Tangent Chern numbers of a descriptor; every product in it, nested
+    ones too, goes through the bigraded expansion."""
+    if not isinstance(variety, Product):
+        return variety._tangent_values()
+    nx = variety.left.dimension
+    ny = variety.right.dimension
+    total = nx + ny
+    left_values = bigraded_tangent_values(variety.left)
+    right_values = bigraded_tangent_values(variety.right)
+    left_lookup = {m: left_values.get(m, Fraction(0)) for m in weight_basis(nx)}
+    right_lookup = {m: right_values.get(m, Fraction(0)) for m in weight_basis(ny)}
+
+    def unit(dim: int, i: int) -> Monomial:
+        exps = [0] * dim
+        if i > 0:
+            exps[i - 1] = 1
+        return tuple(exps)
+
+    # c_k(X x Y) = sum_{i+j=k} c_i(X) (x) c_j(Y), stored by bidegree
+    components: list[dict[tuple[Monomial, Monomial], Fraction]] = []
+    for k in range(1, total + 1):
+        component: dict[tuple[Monomial, Monomial], Fraction] = {}
+        for i in range(0, min(k, nx) + 1):
+            j = k - i
+            if j > ny:
+                continue
+            component[(unit(nx, i), unit(ny, j))] = Fraction(1)
+        components.append(component)
+
+    values: dict[Monomial, Fraction] = {}
+    identity = {(unit(nx, 0), unit(ny, 0)): Fraction(1)}
+    for mono in weight_basis(total):
+        acc = identity
+        for idx, e in enumerate(mono):
+            for _ in range(e):
+                acc = _bi_mul(acc, components[idx], nx, ny)
+        number = Fraction(0)
+        for (mx, my), coef in acc.items():
+            if mono_weight(mx) == nx and mono_weight(my) == ny:
+                number += coef * left_lookup[mx] * right_lookup[my]
+        values[mono] = number
+    return values

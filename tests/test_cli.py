@@ -9,7 +9,7 @@ import pytest
 from chigenus import __version__
 from chigenus.cli import main
 from chigenus.cone import Certificate, certify, generators
-from chigenus.hrr import ChernFunctional, ChiTable, chi_p, chi_table
+from chigenus.hrr import ChiTable, chi_p, chi_table, top_part
 from chigenus.poly import GradedPoly
 from chigenus.symchern import BasisConvention
 
@@ -200,7 +200,7 @@ class TestCertifyCommand:
         assert target == cleared.as_poly()
         # re-run certify in-process and compare coefficient maps
         gens = generators(4, ("schur", "my4", "c1top"))
-        result = certify(ChernFunctional.from_poly(target, BasisConvention.COTANGENT), gens)
+        result = certify(top_part(target, BasisConvention.COTANGENT), gens)
         assert isinstance(result, Certificate)
         expected_terms = [
             {"coef": str(c), "gen": name} for name, c in result.named_coefficients()
@@ -263,6 +263,9 @@ class TestCheckCommand:
             '{"name":"h","descriptor":{"type":"hypersurface","degree":true,"ambient":3}}',
             '{"name":"e","descriptor":{"type":"explicit","n":2,"values":[1]}}',
             '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c2":null}}}',
+            '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1":1}}}',
+            '{"name":"e","descriptor":{"type":"explicit","n":99,"values":{"c1":1}}}',
+            '{"name":"e","descriptor":{"type":"explicit","n":99,"values":{"2*c99":1}}}',
             "[1]",
         ],
     )
@@ -274,6 +277,39 @@ class TestCheckCommand:
         assert out == ""
         assert err.startswith("error: bad corpus line 1: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            {"type": "explicit", "n": 99},
+            {"type": "explicit", "n": 99, "values": {"c1^99": 1, "c1*c98": "-3/2"}},
+        ],
+    )
+    def test_large_explicit_dimension_refused_quickly(self, tmp_path, descriptor):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"name": "x", "descriptor": descriptor}) + "\n")
+        argv = [sys.executable, "-m", "chigenus", "check", str(corpus)]
+        result = subprocess.run(argv, capture_output=True, text=True, timeout=10)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: descriptor explicit:99 exceeds maximum dimension 8\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "hypersurface:5:4:1"),
+            ("check", "pn:3:7"),
+            ("variety", "eval", "curve:2:x"),
+            ("variety", "eval", "abelian:2:1"),
+        ],
+    )
+    def test_extra_token_fields_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: malformed variety token {argv[-1]!r}\n"
 
 
 class TestVarietyCommand:
@@ -299,6 +335,17 @@ class TestVarietyCommand:
         payload = json.loads(out)["payload"]
         assert payload["chi"] == ["1", "-1", "1", "-1"]
         assert payload["euler"] == "4"
+
+    @pytest.mark.parametrize("target", ["chi:x", "chi:"])
+    def test_bad_chi_target_exit_two(self, capsys, target):
+        for argv in (
+            ("variety", "eval", "pn:2", "--target", target),
+            ("certify", "--dim", "2", "--target", target),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: bad chi target {target!r}\n"
 
     def test_eval_computes_chern_numbers_once(self, capsys, monkeypatch):
         import chigenus.cli as cli
@@ -354,6 +401,29 @@ class TestDimensionLimit:
         assert code == 0
         code, _, _ = run_cli(capsys, "check", "pn:10")
         assert code == 2
+
+    def test_config_limit_reaches_certify(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_dim": 2}))
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
+        code, _, err = run_cli(capsys, "certify", "--dim", "3", "--target", "chi:3")
+        assert code == 2
+        assert err == "error: --dim must be within 1..2\n"
+        code, _, _ = run_cli(capsys, "certify", "--dim", "2", "--target", "chi:2")
+        assert code == 0
+
+    @pytest.mark.parametrize("key", ["certify_max_dim", "max-dim"])
+    def test_config_rejects_unknown_key(self, capsys, tmp_path, monkeypatch, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_dim": 8, key: 9}))
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
+        for flags in ((), ("--max-dim", "8")):
+            code, out, err = run_cli(
+                capsys, "certify", "--dim", "3", "--target", "chi:3", *flags
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error: unknown config key {key!r} (the only key is 'max_dim')\n"
 
     @pytest.mark.parametrize("bad", [True, False, -1, 9.0, "9"])
     def test_config_rejects_non_integer_limit(self, capsys, tmp_path, monkeypatch, bad):

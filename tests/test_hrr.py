@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -8,6 +9,7 @@ from chigenus.hrr import (
     _chi_y_rows,
     _lagrange_coefficients,
     _log_exterior_coefficients,
+    _log_todd_coefficients,
     _multiplicative_sequence,
     chi_p,
     chi_table,
@@ -19,6 +21,7 @@ from chigenus.poly import DimensionMismatch, GradedPoly
 from chigenus.symchern import BasisConvention, ConventionMismatch
 
 from oracles import (
+    bernoulli_plus,
     chi_table_via_roots,
     exterior_character_via_roots,
     todd_via_roots,
@@ -53,6 +56,15 @@ class TestToddClass:
 
     def test_point(self):
         assert todd_class(0) == GradedPoly.one(0)
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_log_series_matches_bernoulli_closed_form(self, n):
+        # log(x / (1 - e^{-x})) = x/2 - sum_{k even} B_k x^k / (k * k!)
+        expected = [Fraction(1, 2)] + [
+            -bernoulli_plus(k) / (k * factorial(k)) if k % 2 == 0 else Fraction(0)
+            for k in range(2, n + 1)
+        ]
+        assert _log_todd_coefficients(n) == tuple(expected[:n])
 
 
 def exterior_characters(n):

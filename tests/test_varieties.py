@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from chigenus.varieties import (
     load_corpus,
 )
 
-from oracles import series_inv, series_mul
+from oracles import bigraded_tangent_values, series_inv, series_mul
 
 TAN = BasisConvention.TANGENT
 COT = BasisConvention.COTANGENT
@@ -91,6 +92,38 @@ class TestChernNumbers:
             Explicit(2, {"c1^2": 0.5}, COT)
         with pytest.raises(ValueError):
             Explicit(2, {"c1": 1}, COT)  # not top weight
+
+
+def random_variety(rng, dim):
+    """A random descriptor of the given dimension: a nested product or a
+    curve, surface, abelian variety or hypersurface of degree 1..7."""
+    if dim >= 2 and rng.random() < 0.6:
+        k = rng.randint(1, dim - 1)
+        return Product(random_variety(rng, k), random_variety(rng, dim - k))
+    if rng.random() < 0.1:  # rare: every product with it has zero numbers
+        return AbelianVariety(dim)
+    if dim <= 2 and rng.random() < 0.5:
+        if dim == 1:
+            return Curve(rng.randint(0, 5))
+        return Surface(rng.randint(-8, 12), rng.randint(-4, 30))
+    return Hypersurface(rng.randint(1, 7), dim + 1)
+
+
+class TestProductMatchesBigradedOracle:
+    """The Whitney split of Product against the bigraded expansion of the
+    total Chern class that it replaced."""
+
+    def test_random_nested_products(self):
+        rng = random.Random(20261018)
+        nonzero = 0
+        while nonzero < 300:  # products with a genus-1 or abelian factor read 0
+            dim = rng.randint(2, 8)
+            k = rng.randint(1, dim - 1)
+            variety = Product(random_variety(rng, k), random_variety(rng, dim - k))
+            expected = ChernNumberSet.from_values(dim, TAN, bigraded_tangent_values(variety))
+            assert chern_numbers(variety, TAN) == expected, variety.name()
+            assert chern_numbers(variety, COT) == expected.flipped(), variety.name()
+            nonzero += any(expected.entries)
 
 
 class TestEvaluate:
@@ -277,6 +310,17 @@ class TestDescriptorSerialization:
     def test_bad_tokens(self):
         for token in ["pn", "pn:x", "blah:3", "surface:9", "product(pn:1"]:
             with pytest.raises(ValueError):
+                descriptor_from_token(token)
+        for token in [
+            "curve:2:x",
+            "pn:3:7",
+            "pn:3:",
+            "abelian:2:1",
+            "surface:9:3:1",
+            "hypersurface:5:4:1",
+            "product(pn:1,curve:2:0)",
+        ]:
+            with pytest.raises(ValueError, match="malformed variety token"):
                 descriptor_from_token(token)
 
     def test_bad_json(self):
