@@ -19,7 +19,6 @@ from .symchern import (
     InvalidPartition,
     flip_basis,
     partitions_of,
-    power_sum,
     schur,
     segre_top,
 )
@@ -30,7 +29,6 @@ from .hrr import (
     chi_p,
     chi_table,
     euler_functional,
-    todd_class,
     top_part,
 )
 from .cone import (
@@ -79,7 +77,6 @@ __all__ = [
     "InvalidPartition",
     "flip_basis",
     "partitions_of",
-    "power_sum",
     "schur",
     "segre_top",
     # hrr
@@ -89,7 +86,6 @@ __all__ = [
     "chi_p",
     "chi_table",
     "euler_functional",
-    "todd_class",
     "top_part",
     # cone
     "Certificate",

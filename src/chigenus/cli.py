@@ -26,7 +26,7 @@ from .hrr import (
     signed_target,
     top_part,
 )
-from .poly import GradedPoly, ParseError
+from .poly import GradedPoly, ParseError, parse_decimal
 from .symchern import (
     BasisConvention,
     parse_partition,
@@ -175,7 +175,7 @@ def _cmd_schur(args) -> int:
 def _parse_chi_target(spec: str, n: int) -> int:
     """The form degree p of a 'chi:p' target, within 0..n."""
     try:
-        p = int(spec[len("chi:") :])
+        p = parse_decimal(spec[len("chi:") :])
     except ValueError as exc:
         raise UsageError(f"bad chi target {spec!r}") from exc
     if not 0 <= p <= n:

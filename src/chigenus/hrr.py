@@ -1,20 +1,20 @@
-"""Riemann-Roch engine: the Todd class and the chi^p functionals.
+"""Riemann-Roch engine: the chi^p functionals.
 
 chi^p(X) = chi(X, Omega_X^p) is a universal polynomial of weight n in the
 Chern classes.  All n+1 of them come at once from the chi_y genus
-(Hirzebruch, Topological Methods in Algebraic Geometry, 15.5):
+(Hirzebruch, Topological Methods in Algebraic Geometry, 1 and 15.5):
 
     sum_p chi^p y^p = top-weight part of prod_i Q_y(x_i),
-    Q_y(x) = (1 + y exp(-x)) * x / (1 - exp(-x)),
+    Q_y(x) = (1 + y exp(-x)) * x / (1 - exp(-x)) = sum_k q_k(y) x^k,
 
-over the Chern roots x_1..x_n of the tangent bundle.  All series work
-happens in tangent-convention variables with the roots eliminated through
-power sums: a product prod_i f(x_i) with f(0) = 1 is exp(sum_k a_k p_k),
-where sum a_k x^k is the logarithm of f and p_k is the k-th power sum in
-c_1..c_n.  The Todd class is the case y = 0.  chi_y is a polynomial of
-degree n in y, so it is evaluated at the nodes y = 0..n (scaling Q_y by
-1/(1 + y) to make its constant term 1) and its coefficients chi^p are
-recovered by exact Lagrange interpolation.
+over the Chern roots x_1..x_n of the tangent bundle, where
+q_k(y) = t_k + y s_k with t_k = (-1)^k B_k / k!, s_k = B_k / k! and
+B_1 = -1/2.  The coefficient of the monomial symmetric function m_lambda is
+q_0^{n - len(lambda)} prod_i q_{lambda_i}, a polynomial of degree n in y whose
+y^p coefficient belongs to chi^p.  With q_k scaled by L^k (L the lcm of the
+denominators of t_k and s_k, k <= n) these are integer polynomials over
+L^n; `symchern.chern_coordinates` takes them to the c-monomials, and the
+only fractions are the final divisions by L^n.
 
 The public chi^p functionals are flipped into cotangent variables (c_i
 meaning c_i of the cotangent bundle) exactly once, at the boundary.
@@ -37,14 +37,18 @@ from .poly import (
     mono_weight,
     weight_basis,
 )
-from .symchern import BasisConvention, ConventionMismatch, power_sum
+from .symchern import (
+    BasisConvention,
+    ConventionMismatch,
+    chern_coordinates,
+    partitions_of,
+)
 
 __all__ = [
     "ConsistencyError",
     "ChernFunctional",
     "ChiTable",
     "top_part",
-    "todd_class",
     "chi_p",
     "chi_table",
     "euler_functional",
@@ -198,121 +202,43 @@ def top_part(a: GradedPoly, convention: BasisConvention) -> ChernFunctional:
     return ChernFunctional(a.dim, convention, a.top_coefficients())
 
 
-# -- power series in x, as polynomials in c_1 alone -------------------------
-#
-# A series in x truncated at x^n is a polynomial in c_1 in the weight-n ring:
-# c_1^k has weight k, so the ring's truncation is the series truncation.
-
-
-def _series(coefficients: Sequence[Fraction], n: int) -> GradedPoly:
-    """sum_k a_k x^k for a_1, a_2, ... (no constant term), with x = c_1,
-    truncated at x^n."""
-    powers = [(k,) + (0,) * (n - 1) for k in range(1, n + 1)]
-    return GradedPoly(n, zip(powers, coefficients))
-
-
-def _series_coefficients(series: GradedPoly) -> tuple[Fraction, ...]:
-    """a_1..a_n of a series in x = c_1 (the inverse of `_series`)."""
-    n = series.dim
-    return tuple(series.coefficient((k,) + (0,) * (n - 1)) for k in range(1, n + 1))
-
-
-def _exp(u: GradedPoly) -> GradedPoly:
-    """exp(u) = sum_m u^m / m! for u without constant term."""
-    result = GradedPoly.one(u.dim)
-    term = GradedPoly.one(u.dim)
-    for m in range(1, u.dim + 1):
-        term = term * u * Fraction(1, m)
-        result = result + term
-    return result
-
-
-def _log1p(u: GradedPoly) -> GradedPoly:
-    """log(1 + u) = sum_m (-1)^{m+1} u^m / m for u without constant term."""
-    result = GradedPoly.zero(u.dim)
-    power = GradedPoly.one(u.dim)
-    for m in range(1, u.dim + 1):
-        power = power * u
-        result = result + power * Fraction((-1) ** (m + 1), m)
-    return result
-
-
 @lru_cache(maxsize=None)
-def _log_todd_coefficients(order: int) -> tuple[Fraction, ...]:
-    """Coefficients a_1..a_order of log(x / (1 - exp(-x))) = -log(q),
-    q = (1 - exp(-x)) / x = 1 + sum_{m>=1} (-1)^m x^m / (m+1)!."""
-    q_minus_one = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(1, order + 1)]
-    return _series_coefficients(-_log1p(_series(q_minus_one, order)))
-
-
-def _log_exterior_coefficients(y: int, order: int) -> tuple[Fraction, ...]:
-    """Coefficients b_1..b_order of log((1 + y exp(-x)) / (1 + y)) = log(1 + u),
-    u = y/(1+y) (exp(-x) - 1) = y/(1+y) sum_{m>=1} (-1)^m x^m / m!."""
-    scale = Fraction(y, 1 + y)
-    u = [scale * Fraction((-1) ** m, math.factorial(m)) for m in range(1, order + 1)]
-    return _series_coefficients(_log1p(_series(u, order)))
-
-
-def _multiplicative_sequence(log_coefficients: Sequence[Fraction], n: int) -> GradedPoly:
-    """prod_i f(x_i) over the Chern roots, expanded to weight n in c_1..c_n
-    (tangent convention), for the series f(x) = exp(sum_k a_k x^k) given by
-    a_1..a_n: it is exp(sum_k a_k p_k), p_k the k-th power sum."""
-    log_f = GradedPoly.zero(n)
-    for k, a in enumerate(log_coefficients, start=1):
-        if a:
-            log_f = log_f + power_sum(k, n) * a
-    return _exp(log_f)
-
-
-@lru_cache(maxsize=None)
-def todd_class(n: int) -> GradedPoly:
-    """Todd class of the tangent bundle, prod x_i / (1 - exp(-x_i)),
-    expanded to weight n in c_1..c_n (tangent convention).
-
-    The first graded pieces are c_1/2, (c_1^2 + c_2)/12, c_1 c_2/24.
-    """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"dimension must be a non-negative integer: {n!r}")
-    return _multiplicative_sequence(_log_todd_coefficients(n), n)
-
-
-def _lagrange_coefficients(n: int) -> list[list[Fraction]]:
-    """basis[j][p]: the coefficient of y^p in the Lagrange polynomial of
-    degree n that is 1 at y = j and 0 at the other nodes 0..n."""
-    basis = []
-    for j in range(n + 1):
-        numerator = [1]  # prod_{m != j} (y - m), lowest degree first
-        denominator = 1
-        for m in range(n + 1):
-            if m == j:
-                continue
-            # multiply by (y - m)
-            numerator = [a - m * b for a, b in zip([0] + numerator, numerator + [0])]
-            denominator *= j - m
-        basis.append([Fraction(c, denominator) for c in numerator])
-    return basis
+def _chi_y_factor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(L, ((T_0, S_0), ..., (T_n, S_n))) with q_k(y) = (T_k + y S_k) / L^k
+    the coefficients of Q_y (see the module docstring)."""
+    bernoulli = [Fraction(1)]  # B_0..B_n with B_1 = -1/2
+    for m in range(1, n + 1):
+        total = sum(math.comb(m + 1, j) * b for j, b in enumerate(bernoulli))
+        bernoulli.append(-total / (m + 1))
+    s = [b / math.factorial(k) for k, b in enumerate(bernoulli)]
+    scale = math.lcm(*(c.denominator for c in s))  # also that of t_k = (-1)^k s_k
+    scaled = [c.numerator * (scale**k // c.denominator) for k, c in enumerate(s)]
+    return scale, tuple(((-1) ** k * c, c) for k, c in enumerate(scaled))
 
 
 @lru_cache(maxsize=None)
 def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     """chi^0..chi^n of dimension n, in cotangent variables: the
     coefficients in y of the chi_y genus (see the module docstring)."""
-    todd_log = _log_todd_coefficients(n)
-    values = []  # values[y][i]: chi_y at node y, i-th top-weight monomial
-    for y in range(n + 1):
-        log_q = [a + b for a, b in zip(todd_log, _log_exterior_coefficients(y, n))]
-        scale = (1 + y) ** n
-        top = _multiplicative_sequence(log_q, n).top_coefficients()
-        values.append([c * scale for c in top])
-    lagrange = _lagrange_coefficients(n)
-    rows = []
-    for p in range(n + 1):
-        coeffs = tuple(
-            sum((lagrange[y][p] * column[y] for y in range(n + 1)), Fraction(0))
-            for column in zip(*values)
-        )
-        rows.append(ChernFunctional(n, BasisConvention.TANGENT, coeffs).flipped())
-    return tuple(rows)
+    scale, factor = _chi_y_factor(n)
+    monomial = {}  # m_lambda coefficient times L^n, lowest power of y first
+    for parts in partitions_of(n):
+        poly = [1]
+        for k in parts:  # padded: each zero part is a factor q_0
+            t, s = factor[k]
+            poly = [t * a + s * b for a, b in zip(poly + [0], [0] + poly)]
+        monomial[parts] = poly
+    coordinates = chern_coordinates(monomial, n)
+    denominator = scale**n
+    basis = weight_basis(n)
+    return tuple(
+        ChernFunctional(
+            n,
+            BasisConvention.TANGENT,
+            tuple(Fraction(coordinates[m][p], denominator) for m in basis),
+        ).flipped()
+        for p in range(n + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -422,7 +348,7 @@ def chi_table(n: int) -> ChiTable:
 
     Validates the duality row symmetry chi^p = (-1)^n chi^{n-p} and the
     alternating-sum identity sum_p (-1)^p chi^p = Euler functional before
-    returning; a failure means the series engine is broken and aborts.
+    returning; a failure means the chi_y engine is broken and aborts.
     """
     rows = tuple(chi_p(n, p) for p in range(n + 1))
     for p in range(n + 1):

@@ -27,6 +27,7 @@ __all__ = [
     "Monomial",
     "RationalLike",
     "as_rational",
+    "parse_decimal",
     "mono_weight",
     "mono_mul",
     "mono_key",
@@ -127,7 +128,7 @@ def weight_basis(dim: int) -> tuple[Monomial, ...]:
 
 
 _COEF_RE = re.compile(r"^\d+(?:/\d+)?$")
-_JSON_INT_RE = re.compile(r"-?[0-9]+")
+_DECIMAL_RE = re.compile(r"-?[0-9]+")
 _FACTOR_RE = re.compile(r"^c_?(\d+)(?:\^(\d+))?$")
 _SIGN_SPLIT = re.compile(r"\s*([+-])\s*")
 
@@ -435,11 +436,19 @@ class GradedPoly:
         return cls.from_json_dict(json.loads(text))
 
 
+def parse_decimal(text: str) -> int:
+    """A plain decimal integer: an optional '-' and ASCII digits, nothing
+    else (no '+', '_', spaces or non-ASCII digits, which `int()` takes)."""
+    if not _DECIMAL_RE.fullmatch(text):
+        raise ParseError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _json_integer(value: object) -> int:
     """A JSON numerator or denominator: an int, or its decimal string."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and _JSON_INT_RE.fullmatch(value):
+    if isinstance(value, str) and _DECIMAL_RE.fullmatch(value):
         return int(value)
     raise ParseError(f"coefficient part must be an integer or a decimal string, got {value!r}")
 

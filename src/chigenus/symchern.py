@@ -1,34 +1,39 @@
-"""Partition combinatorics and Schur polynomials of Chern classes.
+"""Partition combinatorics, Schur polynomials of Chern classes, and the
+integer basis changes between symmetric functions of the Chern roots.
 
-A partition a = (a_1 >= ... >= a_n >= 0) of n indexes the weight-n Schur
-polynomial
+A weight-n symmetric function of the roots x_1..x_n is written over the
+monomials c^mu = c_{mu_1} c_{mu_2} ... in c_i = e_i(x), one per partition mu
+of n.  Two transition matrices over the partitions of n lead into that
+basis (Macdonald, Symmetric Functions and Hall Polynomials, I.6):
 
-    P_a(c) = det(c_{a_i - i + j})_{1 <= i,j <= n},   c_0 = 1, c_k = 0 for k
-    outside [0, n],
+* The Schur polynomial P_a(c) = det(c_{a_i - i + j}) (c_0 = 1, c_k = 0 for
+  k outside [0, n]), the basic positivity generator for nef bundles, is
+  s_{a'} by the dual Jacobi-Trudi identity.  As e_mu = sum_lambda
+  K[lambda][mu] s_{lambda'} for the Kostka matrix K, which counts
+  semistandard tableaux one horizontal strip at a time, the coefficient of
+  c^mu in P_a is (K^-1)[mu][a].  K is upper unitriangular in
+  reverse-lexicographic order, so K^-1 is an integer back substitution.
+* A function over the monomial symmetric functions, sum_lambda F_lambda
+  m_lambda, has the coordinates k with A^T k = F, where A[mu][lambda]
+  counts the 0-1 matrices with row sums mu and column sums lambda
+  (e_mu = sum_lambda A[mu][lambda] m_lambda).  A[lambda'][lambda] = 1 and A
+  is triangular after conjugation, so this is a forward substitution
+  (`chern_coordinates`).
 
-the basic positivity generator for nef bundles.  The determinant is a
-Laplace expansion along the rows, memoized on the set of columns still
-free.  It stays inside the truncated ring: every term of the full
-determinant has weight exactly n and every entry has weight >= 0, so a
-minor has weight n minus the weight of the entries already chosen, never
-more than n, and truncation drops nothing.  A minor over the last rows
-depends on the partition only through its last parts, so the memo is
-shared by all partitions of one weight.
-
-The module also provides the top Segre class (inverse of the total Chern
-class), power sums of the Chern roots via Newton's identities, and the
-substitution c_i -> (-1)^i c_i that swaps the tangent and cotangent
-descriptions of the same geometry.
+The module also provides the top Segre class and the substitution
+c_i -> (-1)^i c_i that swaps the tangent and cotangent descriptions of the
+same geometry.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import groupby
+from math import comb
+from typing import Iterable, Mapping, Sequence
 
-from .poly import GradedPoly, mono_weight
+from .poly import GradedPoly, Monomial, mono_weight, parse_decimal
 
 __all__ = [
     "BasisConvention",
@@ -41,9 +46,9 @@ __all__ = [
     "partition_text",
     "parse_partition",
     "partition_label",
+    "chern_coordinates",
     "schur",
     "segre_top",
-    "power_sum",
     "flip_basis",
 ]
 
@@ -138,7 +143,7 @@ def parse_partition(text: str, n: int) -> Partition:
     if body in ("", "0"):
         return _validate_partition((), n)
     try:
-        parts = tuple(int(tok) for tok in body.split(","))
+        parts = tuple(parse_decimal(tok.strip()) for tok in body.split(","))
     except ValueError as exc:
         raise InvalidPartition(f"bad partition text {text!r}") from exc
     return _validate_partition(parts, n)
@@ -151,6 +156,108 @@ def partition_label(parts: Sequence[int], n: int | None = None) -> str:
     return "P_(" + ",".join(str(p) for p in parts) + ")"
 
 
+def _conjugate(parts: Partition) -> Partition:
+    """The conjugate of a partition without zero parts (transposed diagram)."""
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
+
+
+def _partition_monomial(parts: Partition, n: int) -> Monomial:
+    """The exponent tuple of c^parts = c_{parts_1} c_{parts_2} ... in c_1..c_n."""
+    return tuple(parts.count(i) for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _zero_one_count(rows: Partition, cols: Partition) -> int:
+    """A[rows][cols]: the number of 0-1 matrices with the given row and column
+    sums (both non-increasing, without zeros, of equal total).
+
+    The first row puts its ones in distinct columns; columns of equal sum
+    are interchangeable, so choosing k of the m columns of one sum has
+    binomial(m, k) ways, and the rest is memoized on the sorted column sums
+    left over.
+    """
+    if not rows:
+        return 0 if cols else 1
+    if rows[0] > len(cols) or cols[0] > len(rows):
+        return 0
+    groups = [(value, len(tuple(run))) for value, run in groupby(cols)]
+    total = 0
+
+    def place(g: int, left: int, ways: int, rest: tuple[int, ...]) -> None:
+        nonlocal total
+        if g == len(groups):
+            if not left:
+                total += ways * _zero_one_count(rows[1:], rest)
+            return
+        value, size = groups[g]
+        for k in range(min(left, size), -1, -1):
+            lowered = (value - 1,) * k if value > 1 else ()
+            rest_k = rest + (value,) * (size - k) + lowered
+            place(g + 1, left - k, ways * comb(size, k), rest_k)
+
+    place(0, rows[0], 1, ())
+    return total
+
+
+def chern_coordinates(
+    monomial_coefficients: Mapping[Partition, Sequence[int]], n: int
+) -> dict[Monomial, list[int]]:
+    """The c-monomial coordinates k of f = sum_lambda F_lambda m_lambda(x).
+
+    `monomial_coefficients` maps each padded partition lambda of n to an
+    integer vector F_lambda, all of one length.  Row nu' of the system is
+    F_{nu'} = k_nu + sum_{mu != nu} A[mu][nu'] k_mu, and A[mu][nu'] = 0 unless
+    nu dominates mu, which puts mu after nu in reverse-lexicographic order:
+    solving from the last partition to the first needs only known k_mu.
+    """
+    solved: list[tuple[Partition, list[int]]] = []
+    for nu in reversed(partitions_of(n)):
+        nu = strip_partition(nu)
+        conjugate = _conjugate(nu)
+        vector = list(monomial_coefficients[pad_partition(conjugate, n)])
+        for mu, known in solved:
+            count = _zero_one_count(mu, conjugate)
+            if count:
+                vector = [v - count * k for v, k in zip(vector, known)]
+        solved.append((nu, vector))
+    return {_partition_monomial(mu, n): vector for mu, vector in solved}
+
+
+def _horizontal_strips(shape: Partition, size: int) -> list[Partition]:
+    """Every shape obtained by adding a horizontal strip of `size` boxes to
+    `shape` (no zero parts): row i may grow up to the old length of row
+    i - 1, the first row without bound."""
+    rows = shape + (0,)
+    grown: list[Partition] = []
+
+    def place(i: int, left: int, acc: tuple[int, ...]) -> None:
+        if i == len(rows):
+            if not left:
+                grown.append(strip_partition(acc))
+            return
+        cap = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        for extra in range(cap, -1, -1):
+            place(i + 1, left - extra, acc + (rows[i] + extra,))
+
+    place(0, size, ())
+    return grown
+
+
+@lru_cache(maxsize=None)
+def _kostka_column(content: Partition) -> dict[Partition, int]:
+    """K[shape][content] for every shape: the number of semistandard
+    tableaux of that shape and content, one horizontal strip per part
+    (content and shapes without zero parts).  Prefixes are shared by the
+    partitions of every weight."""
+    if not content:
+        return {(): 1}
+    column: dict[Partition, int] = {}
+    for shape, count in _kostka_column(content[:-1]).items():
+        for grown in _horizontal_strips(shape, content[-1]):
+            column[grown] = column.get(grown, 0) + count
+    return column
+
+
 def schur(a: Sequence[int], n: int) -> GradedPoly:
     """Schur polynomial P_a(c) = det(c_{a_i - i + j}) for a partition a of n.
 
@@ -161,71 +268,28 @@ def schur(a: Sequence[int], n: int) -> GradedPoly:
 
 @lru_cache(maxsize=None)
 def _schur_cached(parts: Partition, n: int) -> GradedPoly:
-    det = _minor(parts, (1 << n) - 1, n)
+    """Column a of K^-1 by back substitution: x_a = 1 and, for each mu
+    before a in reverse-lexicographic order, x_mu = -sum_nu K[mu][nu] x_nu
+    over the nu between mu and a."""
+    order = [strip_partition(mu) for mu in partitions_of(n)]
+    target = strip_partition(parts)
+    column = {target: 1}
+    for mu in reversed(order[: order.index(target)]):
+        value = -sum(_kostka_column(nu).get(mu, 0) * x for nu, x in column.items())
+        if value:
+            column[mu] = value
+    det = GradedPoly(n, {_partition_monomial(mu, n): x for mu, x in column.items()})
     if any(mono_weight(m) != n for m in det.terms()):
         raise RuntimeError(f"Schur determinant for {parts} is not homogeneous")
     return det
 
 
-@lru_cache(maxsize=None)
-def _minor(suffix: Partition, free: int, n: int) -> GradedPoly:
-    """Determinant of the last len(suffix) rows of the n x n Jacobi-Trudi
-    matrix of any partition ending in `suffix`, over the columns whose bits
-    are set in `free`, expanded along its first row.
-
-    Row i holds c_{a_i - i + j}, so the minor depends on the partition only
-    through `suffix`; one memo serves every partition of n.
-    """
-    if not suffix:
-        return GradedPoly.one(n)
-    row = n - len(suffix)
-    rest = suffix[1:]
-    total = GradedPoly.zero(n)
-    sign = 1
-    for j in range(n):
-        if not free >> j & 1:
-            continue
-        k = suffix[0] - row + j
-        if 0 <= k <= n:
-            term = _minor(rest, free & ~(1 << j), n)
-            if k:
-                term = _chern_class(k, n) * term
-            total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
-
-
-@lru_cache(maxsize=None)
-def _chern_class(k: int, n: int) -> GradedPoly:
-    return GradedPoly.variable(n, k)
-
-
 def segre_top(n: int) -> GradedPoly:
-    """Weight-n component of the formal inverse of 1 + c_1 + ... + c_n."""
+    """Weight-n component of the formal inverse of 1 + c_1 + ... + c_n,
+    which is (-1)^n P_(1,...,1)."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"dimension must be a non-negative integer: {n!r}")
-    total = GradedPoly.zero(n)
-    for i in range(1, n + 1):
-        total = total + GradedPoly.variable(n, i)
-    inverse = GradedPoly.one(n)
-    power = GradedPoly.one(n)
-    for _ in range(n):
-        power = power * (-total)
-        inverse = inverse + power
-    return inverse.graded_part(n)
-
-
-@lru_cache(maxsize=None)
-def power_sum(k: int, n: int) -> GradedPoly:
-    """k-th power sum of the Chern roots in terms of c_1..c_n, via
-    Newton's identity p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k."""
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
-        raise ValueError(f"power sum index {k!r} outside 1..{n}")
-    result = GradedPoly.variable(n, k) * Fraction((-1) ** (k - 1) * k)
-    for i in range(1, k):
-        term = GradedPoly.variable(n, i) * power_sum(k - i, n)
-        result = result + term * Fraction((-1) ** (i - 1))
-    return result
+    return schur((1,) * n, n) * (-1) ** n
 
 
 def flip_basis(a: GradedPoly) -> GradedPoly:

@@ -37,6 +37,7 @@ from .poly import (
     as_rational,
     mono_text,
     mono_weight,
+    parse_decimal,
     weight_basis,
 )
 from .symchern import BasisConvention
@@ -581,7 +582,7 @@ def descriptor_from_token(token: str) -> VarietyDescriptor:
     try:
         if len(args) != arity:
             raise ValueError(f"expected {arity} integer field(s)")
-        return build(*map(int, args))
+        return build(*map(parse_decimal, args))
     except ValueError as exc:
         raise ValueError(f"malformed variety token {token!r}") from exc
 

@@ -16,6 +16,12 @@ package's own:
   basis (the Schur catalog is one: square and nonsingular);
 * the rational phase-1 simplex that ``cone._phase_one`` replaced, kept as
   the reference for its pivot path;
+* the chi_y rows by the exp/log route that the monomial-to-elementary
+  transition matrix of ``hrr`` replaced: power sums by Newton's identities,
+  log-series, exp of the multiplicative sequence at the nodes y = 0..n and
+  Lagrange interpolation in y (with the Todd class, its y = 0 case);
+* Schur polynomials by the memoized Laplace expansion of the Jacobi-Trudi
+  determinant that the inverse Kostka matrix of ``symchern`` replaced;
 * Chern numbers of products by multiplying total Chern classes in the
   bigraded ring Q[c(X)] (x) Q[c(Y)], the expansion that the Whitney split
   of ``varieties.Product`` replaced.
@@ -23,14 +29,16 @@ package's own:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from typing import Sequence
 
-from chigenus.hrr import ConsistencyError
+from chigenus.hrr import ChernFunctional, ConsistencyError
 from chigenus.poly import GradedPoly, Monomial, mono_mul, mono_weight, weight_basis
+from chigenus.symchern import BasisConvention, Partition
 from chigenus.varieties import Product
 
 RootPoly = dict[tuple[int, ...], Fraction]
@@ -586,3 +594,178 @@ def bigraded_tangent_values(variety) -> dict[Monomial, Fraction]:
                 number += coef * left_lookup[mx] * right_lookup[my]
         values[mono] = number
     return values
+
+
+# -- chi_y rows by exp/log series and interpolation (replaced route) -------------
+
+
+@lru_cache(maxsize=None)
+def power_sum(k: int, n: int) -> GradedPoly:
+    """k-th power sum of the Chern roots in terms of c_1..c_n, via
+    Newton's identity p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k."""
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
+        raise ValueError(f"power sum index {k!r} outside 1..{n}")
+    result = GradedPoly.variable(n, k) * Fraction((-1) ** (k - 1) * k)
+    for i in range(1, k):
+        term = GradedPoly.variable(n, i) * power_sum(k - i, n)
+        result = result + term * Fraction((-1) ** (i - 1))
+    return result
+
+
+# -- power series in x, as polynomials in c_1 alone -------------------------
+#
+# A series in x truncated at x^n is a polynomial in c_1 in the weight-n ring:
+# c_1^k has weight k, so the ring's truncation is the series truncation.
+
+
+def _series(coefficients: Sequence[Fraction], n: int) -> GradedPoly:
+    """sum_k a_k x^k for a_1, a_2, ... (no constant term), with x = c_1,
+    truncated at x^n."""
+    powers = [(k,) + (0,) * (n - 1) for k in range(1, n + 1)]
+    return GradedPoly(n, zip(powers, coefficients))
+
+
+def _series_coefficients(series: GradedPoly) -> tuple[Fraction, ...]:
+    """a_1..a_n of a series in x = c_1 (the inverse of `_series`)."""
+    n = series.dim
+    return tuple(series.coefficient((k,) + (0,) * (n - 1)) for k in range(1, n + 1))
+
+
+def _exp(u: GradedPoly) -> GradedPoly:
+    """exp(u) = sum_m u^m / m! for u without constant term."""
+    result = GradedPoly.one(u.dim)
+    term = GradedPoly.one(u.dim)
+    for m in range(1, u.dim + 1):
+        term = term * u * Fraction(1, m)
+        result = result + term
+    return result
+
+
+def _log1p(u: GradedPoly) -> GradedPoly:
+    """log(1 + u) = sum_m (-1)^{m+1} u^m / m for u without constant term."""
+    result = GradedPoly.zero(u.dim)
+    power = GradedPoly.one(u.dim)
+    for m in range(1, u.dim + 1):
+        power = power * u
+        result = result + power * Fraction((-1) ** (m + 1), m)
+    return result
+
+
+@lru_cache(maxsize=None)
+def _log_todd_coefficients(order: int) -> tuple[Fraction, ...]:
+    """Coefficients a_1..a_order of log(x / (1 - exp(-x))) = -log(q),
+    q = (1 - exp(-x)) / x = 1 + sum_{m>=1} (-1)^m x^m / (m+1)!."""
+    q_minus_one = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(1, order + 1)]
+    return _series_coefficients(-_log1p(_series(q_minus_one, order)))
+
+
+def _log_exterior_coefficients(y: int, order: int) -> tuple[Fraction, ...]:
+    """Coefficients b_1..b_order of log((1 + y exp(-x)) / (1 + y)) = log(1 + u),
+    u = y/(1+y) (exp(-x) - 1) = y/(1+y) sum_{m>=1} (-1)^m x^m / m!."""
+    scale = Fraction(y, 1 + y)
+    u = [scale * Fraction((-1) ** m, math.factorial(m)) for m in range(1, order + 1)]
+    return _series_coefficients(_log1p(_series(u, order)))
+
+
+def _multiplicative_sequence(log_coefficients: Sequence[Fraction], n: int) -> GradedPoly:
+    """prod_i f(x_i) over the Chern roots, expanded to weight n in c_1..c_n
+    (tangent convention), for the series f(x) = exp(sum_k a_k x^k) given by
+    a_1..a_n: it is exp(sum_k a_k p_k), p_k the k-th power sum."""
+    log_f = GradedPoly.zero(n)
+    for k, a in enumerate(log_coefficients, start=1):
+        if a:
+            log_f = log_f + power_sum(k, n) * a
+    return _exp(log_f)
+
+
+@lru_cache(maxsize=None)
+def todd_class(n: int) -> GradedPoly:
+    """Todd class of the tangent bundle, prod x_i / (1 - exp(-x_i)),
+    expanded to weight n in c_1..c_n (tangent convention).
+
+    The first graded pieces are c_1/2, (c_1^2 + c_2)/12, c_1 c_2/24.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"dimension must be a non-negative integer: {n!r}")
+    return _multiplicative_sequence(_log_todd_coefficients(n), n)
+
+
+def _lagrange_coefficients(n: int) -> list[list[Fraction]]:
+    """basis[j][p]: the coefficient of y^p in the Lagrange polynomial of
+    degree n that is 1 at y = j and 0 at the other nodes 0..n."""
+    basis = []
+    for j in range(n + 1):
+        numerator = [1]  # prod_{m != j} (y - m), lowest degree first
+        denominator = 1
+        for m in range(n + 1):
+            if m == j:
+                continue
+            # multiply by (y - m)
+            numerator = [a - m * b for a, b in zip([0] + numerator, numerator + [0])]
+            denominator *= j - m
+        basis.append([Fraction(c, denominator) for c in numerator])
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
+    """chi^0..chi^n of dimension n, in cotangent variables: the
+    coefficients in y of the chi_y genus (see the module docstring)."""
+    todd_log = _log_todd_coefficients(n)
+    values = []  # values[y][i]: chi_y at node y, i-th top-weight monomial
+    for y in range(n + 1):
+        log_q = [a + b for a, b in zip(todd_log, _log_exterior_coefficients(y, n))]
+        scale = (1 + y) ** n
+        top = _multiplicative_sequence(log_q, n).top_coefficients()
+        values.append([c * scale for c in top])
+    lagrange = _lagrange_coefficients(n)
+    rows = []
+    for p in range(n + 1):
+        coeffs = tuple(
+            sum((lagrange[y][p] * column[y] for y in range(n + 1)), Fraction(0))
+            for column in zip(*values)
+        )
+        rows.append(ChernFunctional(n, BasisConvention.TANGENT, coeffs).flipped())
+    return tuple(rows)
+
+
+# -- Schur polynomials by Laplace expansion (replaced route) ----------------------
+
+
+def schur_via_laplace(a: Partition, n: int) -> GradedPoly:
+    """det(c_{a_i - i + j}) for a padded partition a of n, expanded along
+    the rows with one memo shared by all partitions of n."""
+    return _minor(tuple(a), (1 << n) - 1, n)
+
+
+@lru_cache(maxsize=None)
+def _minor(suffix: Partition, free: int, n: int) -> GradedPoly:
+    """Determinant of the last len(suffix) rows of the n x n Jacobi-Trudi
+    matrix of any partition ending in `suffix`, over the columns whose bits
+    are set in `free`, expanded along its first row.
+
+    Row i holds c_{a_i - i + j}, so the minor depends on the partition only
+    through `suffix`; one memo serves every partition of n.
+    """
+    if not suffix:
+        return GradedPoly.one(n)
+    row = n - len(suffix)
+    rest = suffix[1:]
+    total = GradedPoly.zero(n)
+    sign = 1
+    for j in range(n):
+        if not free >> j & 1:
+            continue
+        k = suffix[0] - row + j
+        if 0 <= k <= n:
+            term = _minor(rest, free & ~(1 << j), n)
+            if k:
+                term = _chern_class(k, n) * term
+            total = total + term if sign > 0 else total - term
+        sign = -sign
+    return total
+
+
+@lru_cache(maxsize=None)
+def _chern_class(k: int, n: int) -> GradedPoly:
+    return GradedPoly.variable(n, k)

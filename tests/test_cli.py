@@ -15,8 +15,12 @@ from chigenus.symchern import BasisConvention
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # SHA-256 of the stdout of each `chi --json` command, recorded before the
-# chi^p rows were computed from one chi_y series
+# chi^p rows were computed from one chi_y series (n = 5..9) and before they
+# were computed by the monomial-to-elementary transition matrix (n = 10..12)
 CHI_JSON_SHA256 = json.loads((GOLDEN / "chi_json_sha256.json").read_text())
+# the same for `schur --json`, recorded before the catalog was computed by
+# inverting the Kostka matrix
+SCHUR_JSON_SHA256 = json.loads((GOLDEN / "schur_json_sha256.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -102,10 +106,27 @@ class TestSchurCommand:
             GradedPoly.from_text(2, "1*c1^2 - 1*c2"),
         ]
 
+    @pytest.mark.parametrize("command", sorted(SCHUR_JSON_SHA256))
+    def test_json_catalog_byte_identical(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SCHUR_JSON_SHA256[command]
+
     def test_bad_partition(self, capsys):
         code, _, err = run_cli(capsys, "schur", "--dim", "3", "--partition", "1,2")
         assert code == 2
         assert "error" in err
+
+    def test_signed_partition_part_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "schur", "--dim", "3", "--partition", "+2,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_spaced_partition_text(self, capsys):
+        code, out, _ = run_cli(capsys, "schur", "--dim", "3", "--partition", "2, 1")
+        assert code == 0
+        assert out.strip() == "P_(2,1,0) = 1*c1*c2 - 1*c3"
 
 
 class TestCertifyCommand:
@@ -303,6 +324,9 @@ class TestCheckCommand:
             ("check", "pn:3:7"),
             ("variety", "eval", "curve:2:x"),
             ("variety", "eval", "abelian:2:1"),
+            ("variety", "eval", "curve:1_2"),
+            ("variety", "eval", "pn: 2"),
+            ("check", "surface:+9:3"),
         ],
     )
     def test_extra_token_fields_exit_two(self, capsys, argv):
@@ -336,7 +360,12 @@ class TestVarietyCommand:
         assert payload["chi"] == ["1", "-1", "1", "-1"]
         assert payload["euler"] == "4"
 
-    @pytest.mark.parametrize("target", ["chi:x", "chi:"])
+    def test_negative_surface_field_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "variety", "eval", "surface:-8:20")
+        assert code == 0
+        assert out.startswith("variety surface:-8:20 (dim 2)")
+
+    @pytest.mark.parametrize("target", ["chi:x", "chi:", "chi:+1", "chi: 1", "chi:1_0"])
     def test_bad_chi_target_exit_two(self, capsys, target):
         for argv in (
             ("variety", "eval", "pn:2", "--target", target),

@@ -6,24 +6,26 @@ import pytest
 from chigenus.hrr import (
     ChernFunctional,
     ChiTable,
+    _chi_y_factor,
     _chi_y_rows,
-    _lagrange_coefficients,
-    _log_exterior_coefficients,
-    _log_todd_coefficients,
-    _multiplicative_sequence,
     chi_p,
     chi_table,
     euler_functional,
-    todd_class,
     top_part,
 )
 from chigenus.poly import DimensionMismatch, GradedPoly
 from chigenus.symchern import BasisConvention, ConventionMismatch
 
+import oracles
 from oracles import (
+    _lagrange_coefficients,
+    _log_exterior_coefficients,
+    _log_todd_coefficients,
+    _multiplicative_sequence,
     bernoulli_plus,
     chi_table_via_roots,
     exterior_character_via_roots,
+    todd_class,
     todd_via_roots,
 )
 
@@ -40,6 +42,9 @@ def functional(dim, text, convention=COT):
 
 
 class TestToddClass:
+    """The Todd class by the series route kept in the oracles, against the
+    Bernoulli product over formal roots."""
+
     def test_low_weights(self):
         td = todd_class(3)
         assert td.graded_part(0) == GradedPoly.one(3)
@@ -121,6 +126,24 @@ class TestExteriorCharacters:
                     assert value == (1 if node == j else 0), (n, j, node)
 
 
+class TestChiYFactor:
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_coefficients_match_bernoulli_closed_form(self, n):
+        # q_k(y) = t_k + y s_k: t_k = B^+_k / k! is the Todd series and
+        # s_k = (-1)^k B^+_k / k! that of x / (e^x - 1)
+        scale, factor = _chi_y_factor(n)
+        assert len(factor) == n + 1
+        for k, (t, s) in enumerate(factor):
+            expected = bernoulli_plus(k) / factorial(k)
+            assert Fraction(t, scale**k) == expected, (n, k)
+            assert Fraction(s, scale**k) == (-1) ** k * expected, (n, k)
+
+    def test_scale_is_the_least_common_denominator(self):
+        assert _chi_y_factor(0)[0] == 1
+        assert _chi_y_factor(1)[0] == 2
+        assert _chi_y_factor(4)[0] == 720
+
+
 class TestChiP:
     """The displayed golden formulas, all in cotangent variables."""
 
@@ -161,6 +184,12 @@ class TestChiP:
         rows = chi_table_via_roots(n)  # tangent-convention polynomials
         for p in range(n + 1):
             assert chi_p(n, p).flipped().as_poly() == rows[p], (n, p)
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_matches_interpolated_series_oracle(self, n):
+        rows = oracles._chi_y_rows(n)
+        for p in range(n + 1):
+            assert chi_p(n, p) == rows[p], (n, p)
 
 
 class TestSerreAndEuler:

@@ -11,6 +11,7 @@ from chigenus.poly import (
     as_rational,
     mono_key,
     monomials_of_weight,
+    parse_decimal,
     weight_basis,
 )
 
@@ -37,6 +38,16 @@ class TestRationalGate:
             GradedPoly(2, {(1, 0): 0.5})
         with pytest.raises(TypeError):
             GradedPoly.variable(2, 1) * 0.5
+
+    def test_decimal_integers(self):
+        assert parse_decimal("12") == 12
+        assert parse_decimal("-8") == -8
+        assert parse_decimal("007") == 7
+
+    @pytest.mark.parametrize("bad", ["", "-", "+1", "1_2", " 1", "1 ", "\u0661", "1.0", "0x1"])
+    def test_decimal_rejects_other_int_literals(self, bad):
+        with pytest.raises(ParseError):
+            parse_decimal(bad)
 
     def test_reduced_form(self):
         poly = GradedPoly(2, {(1, 0): Fraction(2, 4)})

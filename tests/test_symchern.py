@@ -7,12 +7,12 @@ from chigenus.poly import GradedPoly
 from chigenus.symchern import (
     BasisConvention,
     InvalidPartition,
+    chern_coordinates,
     flip_basis,
     parse_partition,
     partition_label,
     partition_text,
     partitions_of,
-    power_sum,
     schur,
     segre_top,
 )
@@ -22,7 +22,9 @@ from oracles import (
     cofactor_det,
     jacobi_trudi_matrix,
     partition_count,
+    power_sum,
     power_sum_via_roots,
+    schur_via_laplace,
     schur_via_tableaux,
 )
 
@@ -76,6 +78,9 @@ class TestPartitions:
     def test_parse_rejects_bad_input(self):
         with pytest.raises(InvalidPartition):
             parse_partition("1,2", 3)  # increasing
+        for text in ("+2,1", "2,1_0", "2,\u0661", "2,,1"):
+            with pytest.raises(InvalidPartition):
+                parse_partition(text, 3)
         with pytest.raises(InvalidPartition):
             parse_partition("2,1", 4)  # wrong sum
         with pytest.raises(InvalidPartition):
@@ -123,6 +128,11 @@ class TestSchur:
         for a in partitions_of(n):
             assert schur(a, n) == cofactor_det(jacobi_trudi_matrix(a, n)), a
 
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_matches_laplace_oracle(self, n):
+        for a in partitions_of(n):
+            assert schur(a, n) == schur_via_laplace(a, n), a
+
     def test_rejects_invalid_partitions(self):
         with pytest.raises(InvalidPartition):
             schur((1, 2), 3)
@@ -130,6 +140,29 @@ class TestSchur:
             schur((3, 1), 3)
         with pytest.raises(InvalidPartition):
             schur((4,), 3)
+
+
+class TestChernCoordinates:
+    """The monomial-to-elementary solve on symmetric functions with known
+    c-monomial forms."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_power_sum_is_monomial_of_one_part(self, n):
+        # p_n = m_(n)
+        coefficients = {a: [1 if a[0] == n else 0] for a in partitions_of(n)}
+        coordinates = chern_coordinates(coefficients, n)
+        expected = power_sum(n, n)
+        assert {m: v[0] for m, v in coordinates.items() if v[0]} == expected.terms()
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_elementary_and_vector_entries(self, n):
+        # e_n = m_(1^n), with several right-hand sides solved at once
+        ones = (1,) * n
+        coefficients = {a: [int(a == ones), 2 * int(a == ones), 0] for a in partitions_of(n)}
+        coordinates = chern_coordinates(coefficients, n)
+        top = tuple([0] * (n - 1) + [1]) if n else ()
+        for mono, vector in coordinates.items():
+            assert vector == ([1, 2, 0] if mono == top else [0, 0, 0]), mono
 
 
 class TestSegre:
