@@ -3,21 +3,24 @@ integer basis changes between symmetric functions of the Chern roots.
 
 A weight-n symmetric function of the roots x_1..x_n is written over the
 monomials c^mu = c_{mu_1} c_{mu_2} ... in c_i = e_i(x), one per partition mu
-of n.  Two transition matrices over the partitions of n lead into that
-basis (Macdonald, Symmetric Functions and Hall Polynomials, I.6):
+of n.  One transition matrix leads into that basis: the Kostka matrix K,
+which counts semistandard tableaux one horizontal strip at a time.  It is
+upper unitriangular in reverse-lexicographic order, and (Macdonald,
+Symmetric Functions and Hall Polynomials, I.6)
+
+    s_rho = sum_lambda K[rho][lambda] m_lambda,
+    e_mu  = sum_nu K[nu][mu] s_{nu'},
+
+with nu' the conjugate partition.  A function sum_nu g_nu s_{nu'} has the
+c-monomial coordinates k with K k = g, an integer back substitution.
 
 * The Schur polynomial P_a(c) = det(c_{a_i - i + j}) (c_0 = 1, c_k = 0 for
   k outside [0, n]), the basic positivity generator for nef bundles, is
-  s_{a'} by the dual Jacobi-Trudi identity.  As e_mu = sum_lambda
-  K[lambda][mu] s_{lambda'} for the Kostka matrix K, which counts
-  semistandard tableaux one horizontal strip at a time, the coefficient of
-  c^mu in P_a is (K^-1)[mu][a].  K is upper unitriangular in
-  reverse-lexicographic order, so K^-1 is an integer back substitution.
+  s_{a'} by the dual Jacobi-Trudi identity, so its coordinates are column a
+  of K^-1: the back substitution on the unit vector e_a.
 * A function over the monomial symmetric functions, sum_lambda F_lambda
-  m_lambda, has the coordinates k with A^T k = F, where A[mu][lambda]
-  counts the 0-1 matrices with row sums mu and column sums lambda
-  (e_mu = sum_lambda A[mu][lambda] m_lambda).  A[lambda'][lambda] = 1 and A
-  is triangular after conjugation, so this is a forward substitution
+  m_lambda, first gets its Schur coordinates g by a forward substitution
+  with K^T, then its c-monomial coordinates by the same back substitution
   (`chern_coordinates`).
 
 The module also provides the top Segre class and the substitution
@@ -29,8 +32,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import groupby
-from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .poly import GradedPoly, Monomial, mono_weight, parse_decimal
@@ -167,66 +168,11 @@ def _partition_monomial(parts: Partition, n: int) -> Monomial:
 
 
 @lru_cache(maxsize=None)
-def _zero_one_count(rows: Partition, cols: Partition) -> int:
-    """A[rows][cols]: the number of 0-1 matrices with the given row and column
-    sums (both non-increasing, without zeros, of equal total).
-
-    The first row puts its ones in distinct columns; columns of equal sum
-    are interchangeable, so choosing k of the m columns of one sum has
-    binomial(m, k) ways, and the rest is memoized on the sorted column sums
-    left over.
-    """
-    if not rows:
-        return 0 if cols else 1
-    if rows[0] > len(cols) or cols[0] > len(rows):
-        return 0
-    groups = [(value, len(tuple(run))) for value, run in groupby(cols)]
-    total = 0
-
-    def place(g: int, left: int, ways: int, rest: tuple[int, ...]) -> None:
-        nonlocal total
-        if g == len(groups):
-            if not left:
-                total += ways * _zero_one_count(rows[1:], rest)
-            return
-        value, size = groups[g]
-        for k in range(min(left, size), -1, -1):
-            lowered = (value - 1,) * k if value > 1 else ()
-            rest_k = rest + (value,) * (size - k) + lowered
-            place(g + 1, left - k, ways * comb(size, k), rest_k)
-
-    place(0, rows[0], 1, ())
-    return total
-
-
-def chern_coordinates(
-    monomial_coefficients: Mapping[Partition, Sequence[int]], n: int
-) -> dict[Monomial, list[int]]:
-    """The c-monomial coordinates k of f = sum_lambda F_lambda m_lambda(x).
-
-    `monomial_coefficients` maps each padded partition lambda of n to an
-    integer vector F_lambda, all of one length.  Row nu' of the system is
-    F_{nu'} = k_nu + sum_{mu != nu} A[mu][nu'] k_mu, and A[mu][nu'] = 0 unless
-    nu dominates mu, which puts mu after nu in reverse-lexicographic order:
-    solving from the last partition to the first needs only known k_mu.
-    """
-    solved: list[tuple[Partition, list[int]]] = []
-    for nu in reversed(partitions_of(n)):
-        nu = strip_partition(nu)
-        conjugate = _conjugate(nu)
-        vector = list(monomial_coefficients[pad_partition(conjugate, n)])
-        for mu, known in solved:
-            count = _zero_one_count(mu, conjugate)
-            if count:
-                vector = [v - count * k for v, k in zip(vector, known)]
-        solved.append((nu, vector))
-    return {_partition_monomial(mu, n): vector for mu, vector in solved}
-
-
-def _horizontal_strips(shape: Partition, size: int) -> list[Partition]:
+def _horizontal_strips(shape: Partition, size: int) -> tuple[Partition, ...]:
     """Every shape obtained by adding a horizontal strip of `size` boxes to
     `shape` (no zero parts): row i may grow up to the old length of row
-    i - 1, the first row without bound."""
+    i - 1, the first row without bound.  Memoized, as one (shape, size)
+    recurs in the Kostka columns of many contents."""
     rows = shape + (0,)
     grown: list[Partition] = []
 
@@ -240,7 +186,7 @@ def _horizontal_strips(shape: Partition, size: int) -> list[Partition]:
             place(i + 1, left - extra, acc + (rows[i] + extra,))
 
     place(0, size, ())
-    return grown
+    return tuple(grown)
 
 
 @lru_cache(maxsize=None)
@@ -258,30 +204,81 @@ def _kostka_column(content: Partition) -> dict[Partition, int]:
     return column
 
 
+def _kostka_back_substitution(
+    right: Mapping[Partition, Sequence[int]], n: int
+) -> dict[Partition, list[int]]:
+    """The vectors k with K k = right, over the partitions of n (no zero
+    parts).  Row nu reads right_nu = k_nu + sum_mu K[nu][mu] k_mu over the
+    mu that nu strictly dominates, all after nu in reverse-lexicographic
+    order, so solving from the last partition to the first needs only known
+    k_mu; zero rows are skipped."""
+    solved: dict[Partition, list[int]] = {}
+    nonzero: list[tuple[Partition, list[int]]] = []
+    for nu in reversed([strip_partition(mu) for mu in partitions_of(n)]):
+        vector = list(right[nu])
+        for mu, known in nonzero:
+            count = _kostka_column(mu).get(nu)
+            if count:
+                vector = [v - count * x for v, x in zip(vector, known)]
+        solved[nu] = vector
+        if any(vector):
+            nonzero.append((nu, vector))
+    return solved
+
+
+def chern_coordinates(
+    monomial_coefficients: Mapping[Partition, Sequence[int]], n: int
+) -> dict[Monomial, list[int]]:
+    """The c-monomial coordinates k of f = sum_lambda F_lambda m_lambda(x).
+
+    `monomial_coefficients` maps each padded partition lambda of n to an
+    integer vector F_lambda, all of one length.  Writing f = sum_rho
+    g_{rho'} s_rho, the vectors h_rho = g_{rho'} solve F_lambda =
+    sum_rho K[rho][lambda] h_rho, whose rho dominate lambda and so come
+    first in reverse-lexicographic order: a forward substitution.  Then
+    e_mu = sum_nu K[nu][mu] s_{nu'} gives K k = g.
+    """
+    schur_coordinates: dict[Partition, list[int]] = {}
+    for lam in partitions_of(n):
+        lam = strip_partition(lam)
+        vector = list(monomial_coefficients[pad_partition(lam, n)])
+        for rho, count in _kostka_column(lam).items():
+            if rho != lam:
+                vector = [v - count * h for v, h in zip(vector, schur_coordinates[rho])]
+        schur_coordinates[lam] = vector
+    right = {_conjugate(rho): h for rho, h in schur_coordinates.items()}
+    solved = _kostka_back_substitution(right, n)
+    return {_partition_monomial(mu, n): k for mu, k in solved.items()}
+
+
 def schur(a: Sequence[int], n: int) -> GradedPoly:
     """Schur polynomial P_a(c) = det(c_{a_i - i + j}) for a partition a of n.
 
     The result is homogeneous of weight n in c_1..c_n.
     """
-    return _schur_cached(_validate_partition(tuple(a), n), n)
+    return _schur_catalog(n)[_validate_partition(tuple(a), n)]
 
 
 @lru_cache(maxsize=None)
-def _schur_cached(parts: Partition, n: int) -> GradedPoly:
-    """Column a of K^-1 by back substitution: x_a = 1 and, for each mu
-    before a in reverse-lexicographic order, x_mu = -sum_nu K[mu][nu] x_nu
-    over the nu between mu and a."""
-    order = [strip_partition(mu) for mu in partitions_of(n)]
-    target = strip_partition(parts)
-    column = {target: 1}
-    for mu in reversed(order[: order.index(target)]):
-        value = -sum(_kostka_column(nu).get(mu, 0) * x for nu, x in column.items())
-        if value:
-            column[mu] = value
-    det = GradedPoly(n, {_partition_monomial(mu, n): x for mu, x in column.items()})
-    if any(mono_weight(m) != n for m in det.terms()):
-        raise RuntimeError(f"Schur determinant for {parts} is not homogeneous")
-    return det
+def _schur_catalog(n: int) -> dict[Partition, GradedPoly]:
+    """P_a for every padded partition a of n: column a of K^-1, all columns
+    at once by back substitution on the unit vectors."""
+    order = partitions_of(n)
+    units = {
+        strip_partition(mu): [int(i == j) for j in range(len(order))]
+        for i, mu in enumerate(order)
+    }
+    inverse = [
+        (_partition_monomial(mu, n), row)
+        for mu, row in _kostka_back_substitution(units, n).items()
+    ]
+    catalog = {}
+    for j, parts in enumerate(order):
+        det = GradedPoly(n, {mono: row[j] for mono, row in inverse if row[j]})
+        if any(mono_weight(m) != n for m in det.terms()):
+            raise RuntimeError(f"Schur determinant for {parts} is not homogeneous")
+        catalog[parts] = det
+    return catalog
 
 
 def segre_top(n: int) -> GradedPoly:

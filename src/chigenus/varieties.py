@@ -25,8 +25,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
-from typing import Mapping, Sequence
+from math import comb, prod
+from typing import Mapping
 
 from .hrr import ChernFunctional, chi_sign, chi_table, euler_functional
 from .poly import (
@@ -149,21 +149,6 @@ class VarietyDescriptor(ABC):
         return self.name()
 
 
-def _evaluate_series_numbers(
-    coefficients: Sequence[Fraction], dim: int, degree: Fraction
-) -> dict[Monomial, Fraction]:
-    """Chern numbers when c_i = a_i h^i in a one-variable ring with
-    int h^n = degree."""
-    values: dict[Monomial, Fraction] = {}
-    for mono in weight_basis(dim):
-        total = Fraction(1)
-        for i, e in enumerate(mono):
-            if e:
-                total *= coefficients[i + 1] ** e
-        values[mono] = total * degree
-    return values
-
-
 @dataclass(frozen=True)
 class ProjectiveSpace(VarietyDescriptor):
     n: int
@@ -177,8 +162,8 @@ class ProjectiveSpace(VarietyDescriptor):
         return self.n
 
     def _tangent_values(self) -> dict[Monomial, Fraction]:
-        coeffs = [Fraction(comb(self.n + 1, i)) for i in range(self.n + 1)]
-        return _evaluate_series_numbers(coeffs, self.n, Fraction(1))
+        # P^n is a hyperplane in P^{n+1}
+        return Hypersurface(1, self.n + 1)._tangent_values()
 
     def name(self) -> str:
         return f"pn:{self.n}"
@@ -257,15 +242,15 @@ class Hypersurface(VarietyDescriptor):
     def _tangent_values(self) -> dict[Monomial, Fraction]:
         n = self.dimension
         d = self.degree
-        # c(T) = (1+h)^{n+2} (1+dh)^{-1} truncated at h^n
-        binomials = [Fraction(comb(n + 2, i)) for i in range(n + 1)]
-        series = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            acc = Fraction(0)
-            for i in range(k + 1):
-                acc += binomials[i] * Fraction((-d) ** (k - i))
-            series[k] = acc
-        return _evaluate_series_numbers(series, n, Fraction(d))
+        # c(T) = (1+h)^{n+2} (1+dh)^{-1} = sum_k series[k] h^k truncated at
+        # h^n, and int h^n = d
+        series = [
+            sum(comb(n + 2, i) * (-d) ** (k - i) for i in range(k + 1)) for k in range(n + 1)
+        ]
+        return {
+            mono: Fraction(d * prod(series[i] ** e for i, e in enumerate(mono, 1)))
+            for mono in weight_basis(n)
+        }
 
     def name(self) -> str:
         return f"hypersurface:{self.degree}:{self.ambient}"
@@ -359,7 +344,12 @@ class Explicit(VarietyDescriptor):
             raise TypeError(f"Chern numbers must be a mapping: {values!r}")
         self._n = n
         self._convention = BasisConvention(convention)
-        self._values = {_monomial_key(key, n): as_rational(v) for key, v in values.items()}
+        self._values: dict[Monomial, Fraction] = {}
+        for key, value in values.items():
+            mono = _monomial_key(key, n)
+            if mono in self._values:
+                raise ValueError(f"two keys name the monomial {mono_text(mono) or '1'}: {key!r}")
+            self._values[mono] = as_rational(value)
         self._name = name or f"explicit:{n}"
 
     @cached_property
@@ -520,21 +510,25 @@ def check_signs(v: VarietyDescriptor, mode: str) -> SignAudit:
 # -- descriptor (de)serialization -------------------------------------------
 
 
+# recipe kind (JSON "type" and token head) -> (descriptor type, its integer
+# fields in token order)
+_RECIPES = {
+    "pn": (ProjectiveSpace, ("n",)),
+    "curve": (Curve, ("genus",)),
+    "abelian": (AbelianVariety, ("n",)),
+    "surface": (Surface, ("c1sq", "c2")),
+    "hypersurface": (Hypersurface, ("degree", "ambient")),
+}
+
+
 def descriptor_from_json(obj: Mapping) -> VarietyDescriptor:
     try:
         kind = obj["type"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"descriptor JSON needs a 'type' field: {obj!r}") from exc
-    if kind == "pn":
-        return ProjectiveSpace(obj["n"])
-    if kind == "curve":
-        return Curve(obj["genus"])
-    if kind == "surface":
-        return Surface(obj["c1sq"], obj["c2"])
-    if kind == "hypersurface":
-        return Hypersurface(obj["degree"], obj["ambient"])
-    if kind == "abelian":
-        return AbelianVariety(obj["n"])
+    if kind in _RECIPES:
+        build, fields = _RECIPES[kind]
+        return build(*(obj[field] for field in fields))
     if kind == "product":
         return Product(descriptor_from_json(obj["left"]), descriptor_from_json(obj["right"]))
     if kind == "explicit":
@@ -544,16 +538,6 @@ def descriptor_from_json(obj: Mapping) -> VarietyDescriptor:
             BasisConvention(obj.get("convention", "cotangent")),
         )
     raise ValueError(f"unknown descriptor type {kind!r}")
-
-
-# token head -> (descriptor type, number of integer fields after it)
-_TOKEN_TYPES = {
-    "pn": (ProjectiveSpace, 1),
-    "curve": (Curve, 1),
-    "abelian": (AbelianVariety, 1),
-    "surface": (Surface, 2),
-    "hypersurface": (Hypersurface, 2),
-}
 
 
 def descriptor_from_token(token: str) -> VarietyDescriptor:
@@ -569,19 +553,21 @@ def descriptor_from_token(token: str) -> VarietyDescriptor:
             elif ch == ")":
                 depth -= 1
             elif ch == "," and depth == 0:
-                return Product(
-                    descriptor_from_token(inner[:i]),
-                    descriptor_from_token(inner[i + 1 :]),
-                )
+                try:
+                    left = descriptor_from_token(inner[:i])
+                    right = descriptor_from_token(inner[i + 1 :])
+                except RecursionError:
+                    raise ValueError("product token nests too deeply") from None
+                return Product(left, right)
         raise ValueError(f"malformed product token {token!r}")
     head, _, rest = token.partition(":")
-    if head not in _TOKEN_TYPES:
+    if head not in _RECIPES:
         raise ValueError(f"unknown variety token {token!r}")
-    build, arity = _TOKEN_TYPES[head]
+    build, fields = _RECIPES[head]
     args = rest.split(":") if rest else []
     try:
-        if len(args) != arity:
-            raise ValueError(f"expected {arity} integer field(s)")
+        if len(args) != len(fields):
+            raise ValueError(f"expected {len(fields)} integer field(s)")
         return build(*map(parse_decimal, args))
     except ValueError as exc:
         raise ValueError(f"malformed variety token {token!r}") from exc
@@ -614,6 +600,6 @@ def load_corpus(path) -> list[CorpusEntry]:
                         expected=obj.get("expected", {}),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"bad corpus line {line_number}: {exc}") from exc
     return entries

@@ -287,6 +287,8 @@ class TestCheckCommand:
             '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1":1}}}',
             '{"name":"e","descriptor":{"type":"explicit","n":99,"values":{"c1":1}}}',
             '{"name":"e","descriptor":{"type":"explicit","n":99,"values":{"2*c99":1}}}',
+            '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1^2":"1","c1*c1":"2"}}}',
+            '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1*c1":"2","c1^2":"1"}}}',
             "[1]",
         ],
     )
@@ -334,6 +336,29 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: malformed variety token {argv[-1]!r}\n"
+
+
+class TestDeepNesting:
+    """Nesting deeper than the interpreter's recursion limit is malformed
+    input, not an engine failure."""
+
+    def test_deep_product_token(self, capsys):
+        token = "product(" * 1200 + "pn:1" + ",pn:1)" * 1200
+        code, out, err = run_cli(capsys, "variety", "eval", token)
+        assert code == 2
+        assert out == ""
+        assert err == "error: product token nests too deeply\n"
+
+    def test_deep_corpus_descriptor(self, capsys, tmp_path):
+        pn = '{"type":"pn","n":1}'
+        descriptor = '{"type":"product","left":' * 5000 + pn + (',"right":' + pn + "}") * 5000
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"name":"deep","descriptor":' + descriptor + "}\n")
+        code, out, err = run_cli(capsys, "check", str(corpus))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad corpus line 1: ")
+        assert err.count("\n") == 1
 
 
 class TestVarietyCommand:

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -26,6 +28,7 @@ from oracles import (
     power_sum_via_roots,
     schur_via_laplace,
     schur_via_tableaux,
+    to_elementary,
 )
 
 
@@ -163,6 +166,29 @@ class TestChernCoordinates:
         top = tuple([0] * (n - 1) + [1]) if n else ()
         for mono, vector in coordinates.items():
             assert vector == ([1, 2, 0] if mono == top else [0, 0, 0]), mono
+
+
+class TestChernCoordinatesMatchRootReduction:
+    """chern_coordinates on random integer m-basis vectors against the
+    leading-term descent of the same polynomial in the roots, without hrr."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_vectors(self, n):
+        rng = random.Random(7000 + n)
+        width = 3
+        coefficients = {
+            a: [rng.randint(-9, 9) for _ in range(width)] for a in partitions_of(n)
+        }
+        coordinates = chern_coordinates(coefficients, n)
+        for j in range(width):
+            roots = {}  # sum_lambda F_lambda[j] m_lambda(x_1..x_n)
+            for a, vector in coefficients.items():
+                if vector[j]:
+                    for exponents in set(permutations(a)):
+                        roots[exponents] = Fraction(vector[j])
+            expected = to_elementary(roots, n)
+            got = {m: Fraction(v[j]) for m, v in coordinates.items() if v[j]}
+            assert got == expected, (n, j)
 
 
 class TestSegre:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -43,6 +44,13 @@ class TestChernNumbers:
             (1, 1, 0): Fraction(24),
             (0, 0, 1): Fraction(4),
         }
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_projective_space_binomial_classes(self, n):
+        # c(T P^n) = (1 + h)^{n+1} and int h^n = 1
+        numbers = chern_numbers(ProjectiveSpace(n), TAN).as_dict()
+        for mono, value in numbers.items():
+            assert value == prod(comb(n + 1, i) ** e for i, e in enumerate(mono, 1)), mono
 
     def test_abelian_all_zero(self):
         numbers = chern_numbers(AbelianVariety(3), COT)
@@ -92,6 +100,19 @@ class TestChernNumbers:
             Explicit(2, {"c1^2": 0.5}, COT)
         with pytest.raises(ValueError):
             Explicit(2, {"c1": 1}, COT)  # not top weight
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"c1^2": "1", "c1*c1": "2"},
+            {"c1*c1": "2", "c1^2": "1"},
+            {(2, 0): 1, "c1^2": 1},
+            {"1*c2": 3, "c2": 3},
+        ],
+    )
+    def test_explicit_rejects_two_keys_for_one_monomial(self, values):
+        with pytest.raises(ValueError, match="two keys name the monomial"):
+            Explicit(2, values, COT)
 
 
 def random_variety(rng, dim):
