@@ -37,6 +37,7 @@ from .symchern import (
 from .varieties import (
     Surface,
     SignAudit,
+    VarietyDescriptor,
     check_signs,
     chern_numbers,
     chi_values,
@@ -51,18 +52,14 @@ EXIT_USAGE = 2
 
 CONFIG_ENV = "CHIGENUS_CONFIG"
 
-# The only dimension limit: every command checks its dimension against it
-# (or its config / --max-dim override) before calling the library, which
-# applies no limit of its own.
+# The only dimension limit: `main` resolves it (config, then --max-dim) and
+# every command passes its dimension through `_within_limit` before calling
+# the library, which applies no limit of its own.
 DEFAULT_MAX_DIM = 8
 
 MODE_NAMES = tuple(mode.replace("_", "-") for mode in SIGN_MODES)
 # "schur" is always on; --assume adds the opt-in inequality generators
 OPTIONAL_ASSUMPTIONS = tuple(tag for tag in ASSUMPTION_TAGS if tag != "schur")
-
-
-class UsageError(Exception):
-    pass
 
 
 def _load_config() -> dict:
@@ -73,21 +70,44 @@ def _load_config() -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
-        raise UsageError(f"config {path!r} must hold a JSON object")
+        raise ValueError(f"config {path!r} must hold a JSON object")
     for key in config:
         if key != "max_dim":
-            raise UsageError(f"unknown config key {key!r} (the only key is 'max_dim')")
+            raise ValueError(f"unknown config key {key!r} (the only key is 'max_dim')")
     return config
 
 
-def _resolve_max_dim(args) -> int:
+def _resolve_max_dim(flag: int | None) -> int:
     # the config is checked even when --max-dim overrides it
     value = _load_config().get("max_dim", DEFAULT_MAX_DIM)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise UsageError("config key 'max_dim' must be a non-negative integer")
-    return value if args.max_dim is None else args.max_dim
+        raise ValueError("config key 'max_dim' must be a non-negative integer")
+    if flag is not None and flag < 0:
+        raise ValueError("--max-dim must be a non-negative integer")
+    return value if flag is None else flag
+
+
+def _within_limit(max_dim: int, subject: int | VarietyDescriptor, low: int = 0) -> int:
+    """The one dimension gate: `subject` is a --dim value, refused outside
+    low..max_dim, or a descriptor, refused above max_dim.  Returns the
+    dimension."""
+    if isinstance(subject, VarietyDescriptor):
+        if subject.dimension > max_dim:
+            raise ValueError(f"descriptor {subject.name()} exceeds maximum dimension {max_dim}")
+        return subject.dimension
+    if not low <= subject <= max_dim:
+        raise ValueError(f"--dim must be within {low}..{max_dim}")
+    return subject
+
+
+def _decimal(text: str) -> int:
+    # numeric flags take the grammar of token fields, refused in argparse's words
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> None:
@@ -104,7 +124,7 @@ def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> 
 def _parse_mode(text: str) -> str:
     mode = text.replace("-", "_")
     if mode not in SIGN_MODES:
-        raise UsageError(f"unknown mode {text!r} (use {' or '.join(MODE_NAMES)})")
+        raise ValueError(f"unknown mode {text!r} (use {' or '.join(MODE_NAMES)})")
     return mode
 
 
@@ -114,7 +134,7 @@ def _parse_assumptions(text: str | None) -> tuple[str, ...]:
     tags = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     for tag in tags:
         if tag not in OPTIONAL_ASSUMPTIONS:
-            raise UsageError(
+            raise ValueError(
                 f"unknown assumption {tag!r} (use {', '.join(OPTIONAL_ASSUMPTIONS)})"
             )
     return tags
@@ -124,10 +144,7 @@ def _parse_assumptions(text: str | None) -> tuple[str, ...]:
 
 
 def _cmd_chi(args) -> int:
-    max_dim = _resolve_max_dim(args)
-    n = args.dim
-    if n < 0 or n > max_dim:
-        raise UsageError(f"--dim must be within 0..{max_dim}")
+    n = _within_limit(args.max_dim, args.dim)
     convention = BasisConvention(args.convention)
     table = chi_table(n)
     if convention == BasisConvention.TANGENT:
@@ -145,10 +162,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_schur(args) -> int:
-    max_dim = _resolve_max_dim(args)
-    n = args.dim
-    if n < 0 or n > max_dim:
-        raise UsageError(f"--dim must be within 0..{max_dim}")
+    n = _within_limit(args.max_dim, args.dim)
     if args.partition is not None:
         parts = [parse_partition(args.partition, n)]
     else:
@@ -177,9 +191,9 @@ def _parse_chi_target(spec: str, n: int) -> int:
     try:
         p = parse_decimal(spec[len("chi:") :])
     except ValueError as exc:
-        raise UsageError(f"bad chi target {spec!r}") from exc
+        raise ValueError(f"bad chi target {spec!r}") from exc
     if not 0 <= p <= n:
-        raise UsageError(f"chi target p={p} outside 0..{n}")
+        raise ValueError(f"chi target p={p} outside 0..{n}")
     return p
 
 
@@ -195,9 +209,9 @@ def _parse_target(args, n: int, mode: str, convention: BasisConvention):
         try:
             poly = GradedPoly.from_text(n, spec)
         except ParseError as exc:
-            raise UsageError(f"bad target polynomial: {exc}") from exc
+            raise ValueError(f"bad target polynomial: {exc}") from exc
         if poly.graded_part(n) != poly:
-            raise UsageError("inline target must be homogeneous of top weight")
+            raise ValueError("inline target must be homogeneous of top weight")
         return top_part(poly, convention), 1, 1
     target, scale = signed_target(functional, sign, mode)
     return target, sign, scale
@@ -212,19 +226,10 @@ def _render_certificate_text(cert: Certificate) -> list[str]:
 
 
 def _cmd_certify(args) -> int:
-    max_dim = _resolve_max_dim(args)
-    n = args.dim
-    if n < 1 or n > max_dim:
-        raise UsageError(f"--dim must be within 1..{max_dim}")
+    n = _within_limit(args.max_dim, args.dim, low=1)
     mode = _parse_mode(args.mode)
     convention = mode_convention(mode)
-    assume = _parse_assumptions(args.assume)
-    try:
-        tags = ("schur",) + assume
-        gens = generators(n, tags, convention)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
+    tags = ("schur",) + _parse_assumptions(args.assume)
     if args.all_p:
         report = certify_chi_signs(n, mode, tags)
         if args.json:
@@ -239,6 +244,7 @@ def _cmd_certify(args) -> int:
             print(f"verdict: {'certified' if report.all_certified else 'open'}")
         return EXIT_OK if report.all_certified else EXIT_NEGATIVE
 
+    gens = generators(n, tags, convention)
     target, sign, scale = _parse_target(args, n, mode, convention)
     result = certify(target, gens)
     certified = isinstance(result, Certificate)
@@ -284,28 +290,20 @@ def _audit_text(audit: SignAudit) -> list[str]:
 
 
 def _cmd_check(args) -> int:
-    max_dim = _resolve_max_dim(args)
     mode = _parse_mode(args.mode)
-    audits: list[SignAudit] = []
     if args.target == "surface":
         if args.c1sq is None or args.c2 is None:
-            raise UsageError("surface check needs --c1sq and --c2")
+            raise ValueError("surface check needs --c1sq and --c2")
         descriptors = [Surface(args.c1sq, args.c2)]
+    elif args.c1sq is not None or args.c2 is not None:
+        raise ValueError("--c1sq and --c2 apply only to the 'surface' target")
     elif os.path.exists(args.target):
-        try:
-            descriptors = [entry.descriptor for entry in load_corpus(args.target)]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        descriptors = [entry.descriptor for entry in load_corpus(args.target)]
     else:
-        try:
-            descriptors = [descriptor_from_token(args.target)]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        descriptors = [descriptor_from_token(args.target)]
+    audits: list[SignAudit] = []
     for descriptor in descriptors:
-        if descriptor.dimension > max_dim:
-            raise UsageError(
-                f"descriptor {descriptor.name()} exceeds maximum dimension {max_dim}"
-            )
+        _within_limit(args.max_dim, descriptor)
         audits.append(check_signs(descriptor, mode))
     passed = all(a.passed for a in audits)
     if args.json:
@@ -323,14 +321,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_variety_eval(args) -> int:
-    max_dim = _resolve_max_dim(args)
-    try:
-        descriptor = descriptor_from_token(args.descriptor)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    n = descriptor.dimension
-    if n > max_dim:
-        raise UsageError(f"descriptor dimension {n} exceeds maximum {max_dim}")
+    descriptor = descriptor_from_token(args.descriptor)
+    n = _within_limit(args.max_dim, descriptor)
     numbers = chern_numbers(descriptor, BasisConvention.COTANGENT)
     values = chi_values(numbers)
     euler = evaluate(euler_functional(n), numbers)
@@ -343,7 +335,7 @@ def _cmd_variety_eval(args) -> int:
             value = euler
             label = "euler"
         else:
-            raise UsageError(f"unknown eval target {args.target!r}")
+            raise ValueError(f"unknown eval target {args.target!r}")
         if args.json:
             payload = {
                 "descriptor": descriptor.to_json_dict(),
@@ -383,24 +375,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    chi = sub.add_parser("chi", help="print the chi^p polynomial table")
-    chi.add_argument("--dim", type=int, required=True)
-    chi.add_argument("--json", action="store_true")
+    # flags that several commands share, each declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
+    common.add_argument("--max-dim", type=_decimal, default=None)
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--dim", type=_decimal, required=True)
+    moded = argparse.ArgumentParser(add_help=False)
+    moded.add_argument("--mode", default="nef-cotangent", help=" or ".join(MODE_NAMES))
+
+    chi = sub.add_parser("chi", parents=[common, sized], help="print the chi^p polynomial table")
     chi.add_argument(
         "--convention", choices=["tangent", "cotangent"], default="cotangent"
     )
-    chi.add_argument("--max-dim", type=int, default=None)
     chi.set_defaults(func=_cmd_chi)
 
-    schur_cmd = sub.add_parser("schur", help="print Schur positivity generators")
-    schur_cmd.add_argument("--dim", type=int, required=True)
+    schur_cmd = sub.add_parser(
+        "schur", parents=[common, sized], help="print Schur positivity generators"
+    )
     schur_cmd.add_argument("--partition", default=None, help="e.g. 2,1")
-    schur_cmd.add_argument("--json", action="store_true")
-    schur_cmd.add_argument("--max-dim", type=int, default=None)
     schur_cmd.set_defaults(func=_cmd_schur)
 
-    cert = sub.add_parser("certify", help="search/verify a positivity certificate")
-    cert.add_argument("--dim", type=int, required=True)
+    cert = sub.add_parser(
+        "certify", parents=[common, sized, moded], help="search/verify a positivity certificate"
+    )
     cert.add_argument(
         "--target",
         default=None,
@@ -409,30 +407,26 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument(
         "--assume", default=None, help=f"comma list of {','.join(OPTIONAL_ASSUMPTIONS)}"
     )
-    cert.add_argument("--mode", default="nef-cotangent", help=" or ".join(MODE_NAMES))
     cert.add_argument("--all-p", action="store_true", help="run every chi^p row")
-    cert.add_argument("--json", action="store_true")
-    cert.add_argument("--max-dim", type=int, default=None)
     cert.set_defaults(func=_cmd_certify)
 
-    check = sub.add_parser("check", help="sign audit of a variety or corpus file")
+    check = sub.add_parser(
+        "check", parents=[common, moded], help="sign audit of a variety or corpus file"
+    )
     check.add_argument(
         "target", help="builtin token (pn:3, curve:2, ...), 'surface', or corpus path"
     )
-    check.add_argument("--mode", default="nef-cotangent", help=" or ".join(MODE_NAMES))
-    check.add_argument("--c1sq", type=int, default=None)
-    check.add_argument("--c2", type=int, default=None)
-    check.add_argument("--json", action="store_true")
-    check.add_argument("--max-dim", type=int, default=None)
+    check.add_argument("--c1sq", type=_decimal, default=None)
+    check.add_argument("--c2", type=_decimal, default=None)
     check.set_defaults(func=_cmd_check)
 
     variety = sub.add_parser("variety", help="variety computations")
     variety_sub = variety.add_subparsers(dest="variety_command", required=True)
-    veval = variety_sub.add_parser("eval", help="evaluate chi^p values of a variety")
+    veval = variety_sub.add_parser(
+        "eval", parents=[common], help="evaluate chi^p values of a variety"
+    )
     veval.add_argument("descriptor", help="builtin token, e.g. pn:3 or curve:2")
     veval.add_argument("--target", default=None, help="chi:p or euler")
-    veval.add_argument("--json", action="store_true")
-    veval.add_argument("--max-dim", type=int, default=None)
     veval.set_defaults(func=_cmd_variety_eval)
 
     return parser
@@ -444,10 +438,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "certify" and not args.all_p and args.target is None:
         parser.error("certify needs --target or --all-p")
     try:
+        args.max_dim = _resolve_max_dim(args.max_dim)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

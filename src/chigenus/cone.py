@@ -78,16 +78,6 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.generators)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "convention": self.convention.value,
-            "dim": self.dimension,
-            "generators": [
-                {"name": name, "poly": f.as_poly().to_json_dict()}
-                for name, f in self.generators
-            ],
-        }
-
 
 def generators(
     n: int,

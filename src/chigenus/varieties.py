@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -116,16 +117,6 @@ class ChernNumberSet:
     def in_convention(self, convention: BasisConvention) -> "ChernNumberSet":
         convention = BasisConvention(convention)
         return self if convention == self.convention else self.flipped()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "convention": self.convention.value,
-            "dim": self.dimension,
-            "values": {
-                (mono_text(m) or "1"): str(v)
-                for m, v in zip(weight_basis(self.dimension), self.entries)
-            },
-        }
 
 
 class VarietyDescriptor(ABC):
@@ -543,34 +534,46 @@ def descriptor_from_json(obj: Mapping) -> VarietyDescriptor:
 def descriptor_from_token(token: str) -> VarietyDescriptor:
     """Parse the builtin names: pn:3, curve:2, abelian:2, surface:9:3,
     hypersurface:5:4, product(pn:1,curve:2)."""
-    token = token.strip()
-    if token.startswith("product(") and token.endswith(")"):
-        inner = token[len("product(") : -1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                try:
-                    left = descriptor_from_token(inner[:i])
-                    right = descriptor_from_token(inner[i + 1 :])
-                except RecursionError:
-                    raise ValueError("product token nests too deeply") from None
-                return Product(left, right)
-        raise ValueError(f"malformed product token {token!r}")
-    head, _, rest = token.partition(":")
-    if head not in _RECIPES:
-        raise ValueError(f"unknown variety token {token!r}")
-    build, fields = _RECIPES[head]
-    args = rest.split(":") if rest else []
+    # One pass records each comma under the parenthesis balance before it.
+    # A product's top-level comma is then the first comma at or after its
+    # inner text with the balance of that text's start: one bisection per
+    # level, not a rescan of the inner text, so nesting costs linear time.
+    balance = [0]
+    commas: dict[int, list[int]] = {}
+    for i, ch in enumerate(token):
+        if ch == ",":
+            commas.setdefault(balance[-1], []).append(i)
+        balance.append(balance[-1] + (ch == "(") - (ch == ")"))
+
+    def parse(start: int, end: int) -> VarietyDescriptor:
+        while start < end and token[start].isspace():
+            start += 1
+        while end > start and token[end - 1].isspace():
+            end -= 1
+        if token.startswith("product(", start, end) and token[end - 1] == ")":
+            inner = start + len("product(")
+            level = commas.get(balance[inner], [])
+            k = bisect_left(level, inner)
+            if k == len(level) or level[k] >= end - 1:
+                raise ValueError(f"malformed product token {token[start:end]!r}")
+            return Product(parse(inner, level[k]), parse(level[k] + 1, end - 1))
+        leaf = token[start:end]
+        head, _, rest = leaf.partition(":")
+        if head not in _RECIPES:
+            raise ValueError(f"unknown variety token {leaf!r}")
+        build, fields = _RECIPES[head]
+        args = rest.split(":") if rest else []
+        try:
+            if len(args) != len(fields):
+                raise ValueError(f"expected {len(fields)} integer field(s)")
+            return build(*map(parse_decimal, args))
+        except ValueError as exc:
+            raise ValueError(f"malformed variety token {leaf!r}") from exc
+
     try:
-        if len(args) != len(fields):
-            raise ValueError(f"expected {len(fields)} integer field(s)")
-        return build(*map(parse_decimal, args))
-    except ValueError as exc:
-        raise ValueError(f"malformed variety token {token!r}") from exc
+        return parse(0, len(token))
+    except RecursionError:
+        raise ValueError("product token nests too deeply") from None
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,10 @@ package's own:
   determinant that the inverse Kostka matrix of ``symchern`` replaced;
 * Chern numbers of products by multiplying total Chern classes in the
   bigraded ring Q[c(X)] (x) Q[c(Y)], the expansion that the Whitney split
-  of ``varieties.Product`` replaced.
+  of ``varieties.Product`` replaced;
+* variety tokens by the parser that rescans each product's inner text for
+  its top-level comma, which the comma index of
+  ``varieties.descriptor_from_token`` replaced (same results and messages).
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from math import comb, factorial
 from typing import Sequence
 
 from chigenus.hrr import ChernFunctional, ConsistencyError
-from chigenus.poly import GradedPoly, Monomial, mono_mul, mono_weight, weight_basis
+from chigenus.poly import GradedPoly, Monomial, mono_mul, mono_weight, parse_decimal, weight_basis
 from chigenus.symchern import BasisConvention, Partition
-from chigenus.varieties import Product
+from chigenus.varieties import _RECIPES, Product, VarietyDescriptor
 
 RootPoly = dict[tuple[int, ...], Fraction]
 
@@ -769,3 +772,40 @@ def _minor(suffix: Partition, free: int, n: int) -> GradedPoly:
 @lru_cache(maxsize=None)
 def _chern_class(k: int, n: int) -> GradedPoly:
     return GradedPoly.variable(n, k)
+
+
+# -- variety tokens by rescanning (reference parser) ------------------------------
+
+
+def rescanning_descriptor_from_token(token: str) -> VarietyDescriptor:
+    """The recursive token parser that ``descriptor_from_token`` replaced:
+    each level scans its whole inner text for the top-level comma, which
+    makes nested products quadratic."""
+    token = token.strip()
+    if token.startswith("product(") and token.endswith(")"):
+        inner = token[len("product(") : -1]
+        depth = 0
+        for i, ch in enumerate(inner):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == "," and depth == 0:
+                try:
+                    left = rescanning_descriptor_from_token(inner[:i])
+                    right = rescanning_descriptor_from_token(inner[i + 1 :])
+                except RecursionError:
+                    raise ValueError("product token nests too deeply") from None
+                return Product(left, right)
+        raise ValueError(f"malformed product token {token!r}")
+    head, _, rest = token.partition(":")
+    if head not in _RECIPES:
+        raise ValueError(f"unknown variety token {token!r}")
+    build, fields = _RECIPES[head]
+    args = rest.split(":") if rest else []
+    try:
+        if len(args) != len(fields):
+            raise ValueError(f"expected {len(fields)} integer field(s)")
+        return build(*map(parse_decimal, args))
+    except ValueError as exc:
+        raise ValueError(f"malformed variety token {token!r}") from exc

@@ -272,6 +272,21 @@ class TestCheckCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "pn:2", "--c1sq", "3", "--c2", "4"),
+            ("check", "curve:2", "--c2", "4"),
+            ("check", "{corpus}", "--c1sq", "9"),
+        ],
+    )
+    def test_surface_fields_only_with_surface(self, capsys, corpus_path, argv):
+        argv = [str(corpus_path) if arg == "{corpus}" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --c1sq and --c2 apply only to the 'surface' target\n"
+
     def test_unknown_token(self, capsys):
         code, _, err = run_cli(capsys, "check", "blah:3")
         assert code == 2
@@ -488,6 +503,86 @@ class TestDimensionLimit:
         assert code == 2
         assert out == ""
         assert err == "error: config key 'max_dim' must be a non-negative integer\n"
+
+
+class TestSharedFlags:
+    """`--json` and `--max-dim` reach every command, through one limit."""
+
+    # (argv at dimension 2, argv at dimension 3, refusal at max_dim 2)
+    COMMANDS = {
+        "chi": (("chi", "--dim", "2"), ("chi", "--dim", "3"), "--dim must be within 0..2"),
+        "schur": (("schur", "--dim", "2"), ("schur", "--dim", "3"), "--dim must be within 0..2"),
+        "certify": (
+            ("certify", "--dim", "2", "--target", "chi:2"),
+            ("certify", "--dim", "3", "--target", "chi:3"),
+            "--dim must be within 1..2",
+        ),
+        "check": (
+            ("check", "abelian:2"),
+            ("check", "abelian:3"),
+            "descriptor abelian:3 exceeds maximum dimension 2",
+        ),
+        "variety eval": (
+            ("variety", "eval", "abelian:2"),
+            ("variety", "eval", "abelian:3"),
+            "descriptor abelian:3 exceeds maximum dimension 2",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_takes_json_and_max_dim(self, capsys, command):
+        inside, above, refusal = self.COMMANDS[command]
+        code, out, err = run_cli(capsys, *inside, "--json", "--max-dim", "2")
+        assert code == 0, err
+        assert json.loads(out)["command"] == command.replace(" ", "-")
+        for flags in (("--max-dim", "2"), ("--json", "--max-dim", "2")):
+            code, out, err = run_cli(capsys, *above, *flags)
+            assert (code, out, err) == (2, "", f"error: {refusal}\n")
+        code, out, err = run_cli(capsys, *inside, "--max-dim", "-1")
+        assert (code, out, err) == (2, "", "error: --max-dim must be a non-negative integer\n")
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (("chi", "--dim", "0_3"), "0_3"),
+            (("chi", "--dim", "\u0663"), "\u0663"),
+            (("schur", "--dim", "+3"), "+3"),
+            (("certify", "--dim", " 3", "--all-p"), " 3"),
+            (("chi", "--dim", "2", "--max-dim", "1_0"), "1_0"),
+            (("variety", "eval", "pn:2", "--max-dim", "9 "), "9 "),
+            (("check", "surface", "--c1sq", " +9", "--c2", "3"), " +9"),
+            (("check", "surface", "--c1sq", "9", "--c2", "3_0"), "3_0"),
+        ],
+    )
+    def test_numeric_flags_take_plain_decimals(self, capsys, argv, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(f"invalid int value: {bad!r}")
+
+    # the shared flags come first, from the parent parsers that declare them
+    USAGE = {
+        "chi": "chi [-h] [--json] [--max-dim MAX_DIM] --dim DIM"
+        " [--convention {tangent,cotangent}]",
+        "schur": "schur [-h] [--json] [--max-dim MAX_DIM] --dim DIM [--partition PARTITION]",
+        "certify": "certify [-h] [--json] [--max-dim MAX_DIM] --dim DIM [--mode MODE]"
+        " [--target TARGET] [--assume ASSUME] [--all-p]",
+        "check": "check [-h] [--json] [--max-dim MAX_DIM] [--mode MODE] [--c1sq C1SQ]"
+        " [--c2 C2] target",
+        "variety eval": "variety eval [-h] [--json] [--max-dim MAX_DIM] [--target TARGET]"
+        " descriptor",
+    }
+
+    @pytest.mark.parametrize("command", sorted(USAGE))
+    def test_usage_line(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--bogus"])
+        *usage, last = capsys.readouterr().err.splitlines()
+        assert exc.value.code == 2
+        assert " ".join(" ".join(usage).split()) == f"usage: chigenus {self.USAGE[command]}"
+        assert last.startswith(f"chigenus {command}: error: ")
 
 
 class TestConfigFile:

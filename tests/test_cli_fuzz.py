@@ -1,10 +1,10 @@
 """Property test of the error contract of `cli.main` on arbitrary input.
 
-Whatever the tokens, corpus lines, polynomial text or config JSON, `main`
-returns 0, 1 or 2 without raising; exit 2 comes with exactly one `error:`
-line on stderr, and exit 1 only with an "infeasible", "open" or failed-audit
-verdict on stdout.  Dimensions stay small so every example runs in
-milliseconds.
+Whatever the tokens, corpus lines, polynomial text, numeric flag values or
+config JSON, `main` returns 0, 1 or 2 without raising; exit 2 comes with
+exactly one `error:` line on stderr, and exit 1 only with an "infeasible",
+"open" or failed-audit verdict on stdout.  Dimensions stay small so every
+example runs in milliseconds.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ FIELDS = sorted({field for fields in RECIPES.values() for field in fields})
 TOKEN_HEADS = ("pn", "curve", "abelian", "surface", "hypersurface", "bogus")
 DIGITS = st.integers(0, 5).map(str)
 FIELD_JUNK = st.sampled_from(["-1", "+2", "x", "", " 3", "1_0", "99999999999"])
+# a huge --max-dim would let a fuzzed product of dimension 20 run for minutes
+LIMITS = st.sampled_from(["2", "6", "8"])
+LIMIT_JUNK = FIELD_JUNK.filter(lambda text: text != "99999999999")
 MONOMIALS = st.sampled_from(["c1^2", "c2", "c1*c1", "1", "c3", "c1^3", "c1*c2", "2*c2", "x"])
 
 json_scalars = st.one_of(
@@ -57,6 +60,11 @@ chi_targets = st.builds(
 def mostly(draw, good, bad):
     """Draw from `good` three times in four, else from `bad`."""
     return draw(good if draw(st.integers(0, 3)) < 3 else bad)
+
+
+def rarely(draw) -> bool:
+    """True about once in sixteen (hypothesis leans to low draws, so the top one)."""
+    return draw(st.integers(0, 15)) == 15
 
 
 @st.composite
@@ -115,34 +123,41 @@ modes = st.sampled_from(["nef-cotangent", "nef-tangent", "nef_tangent", "both"])
 def invocations(draw) -> tuple[list[str], list[str] | None]:
     """(argv, corpus lines or None); "{corpus}" in argv names the corpus file."""
     command = draw(st.sampled_from(["chi", "schur", "certify", "eval", "check", "check-corpus"]))
-    json_flag = ["--json"] if draw(st.booleans()) else []
-    dim = str(draw(SMALL))
+    flags = ["--json"] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        flags += ["--max-dim", draw(LIMIT_JUNK if rarely(draw) else LIMITS)]
+    dim = mostly(draw, SMALL.map(str), FIELD_JUNK)
     if command == "chi":
         convention = draw(st.sampled_from(["tangent", "cotangent"]))
-        return ["chi", "--dim", dim, "--convention", convention] + json_flag, None
+        return ["chi", "--dim", dim, "--convention", convention] + flags, None
     if command == "schur":
         partition = draw(st.none() | st.text(alphabet="0123456789, +-", max_size=8))
         extra = [] if partition is None else ["--partition", partition]
-        return ["schur", "--dim", dim] + extra + json_flag, None
+        return ["schur", "--dim", dim] + extra + flags, None
     if command == "certify":
-        dim = str(draw(st.integers(-1, 4)))
+        dim = mostly(draw, st.integers(-1, 4).map(str), FIELD_JUNK)
         argv = ["certify", "--dim", dim, "--mode", draw(modes)]
         if draw(st.booleans()):
             argv += ["--assume", draw(st.sampled_from(["my2", "my4", "c1top", "my4,c1top", "x"]))]
         target = draw(st.just("--all-p") | chi_targets | poly_text)
         argv += [target] if target == "--all-p" else ["--target", target]
-        return argv + json_flag, None
+        return argv + flags, None
     if command == "eval":
         token = mostly(draw, tokens(), token_text)
         argv = ["variety", "eval", token]
         if draw(st.booleans()):
             argv += ["--target", draw(chi_targets)]
-        return argv + json_flag, None
+        return argv + flags, None
     if command == "check":
-        token = mostly(draw, tokens(), token_text)
-        return ["check", token, "--mode", draw(modes)] + json_flag, None
-    lines = draw(st.lists(corpus_lines(), min_size=1, max_size=3))
-    return ["check", "{corpus}", "--mode", draw(modes)] + json_flag, lines
+        target, lines = mostly(draw, tokens(), st.just("surface") | token_text), None
+    else:
+        target, lines = "{corpus}", draw(st.lists(corpus_lines(), min_size=1, max_size=3))
+    # --c1sq/--c2 mostly come with 'surface' and rarely with another target,
+    # as there they are refused before its token or corpus is read
+    for field in ("--c1sq", "--c2"):
+        if draw(st.integers(0, 3)) < 3 if target == "surface" else rarely(draw):
+            flags += [field, mostly(draw, DIGITS, FIELD_JUNK)]
+    return ["check", target, "--mode", draw(modes)] + flags, lines
 
 
 # text and JSON forms of an infeasible target, an open --all-p report and a

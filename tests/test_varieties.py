@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb, prod
 
@@ -25,7 +26,12 @@ from chigenus.varieties import (
     load_corpus,
 )
 
-from oracles import bigraded_tangent_values, series_inv, series_mul
+from oracles import (
+    bigraded_tangent_values,
+    rescanning_descriptor_from_token,
+    series_inv,
+    series_mul,
+)
 
 TAN = BasisConvention.TANGENT
 COT = BasisConvention.COTANGENT
@@ -343,6 +349,55 @@ class TestDescriptorSerialization:
         ]:
             with pytest.raises(ValueError, match="malformed variety token"):
                 descriptor_from_token(token)
+
+    def test_deep_left_nested_token_parses_in_linear_time(self):
+        def nested(depth):
+            return "product(" * depth + "pn:1" + ",pn:1)" * depth
+
+        def best_time(token):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                descriptor_from_token(token)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        descriptor = descriptor_from_token(nested(800))
+        assert descriptor.name() == nested(800)
+        assert descriptor.dimension == 801
+        # four times the depth: about 4x the time when linear, 16x when each
+        # level rescans its inner text for the top-level comma
+        assert best_time(nested(800)) < 10 * best_time(nested(200))
+
+    def test_matches_rescanning_parser(self):
+        # seeded random tokens, half nested products of junk-padded pieces
+        # and half random text; the same descriptor or the same message
+        rng = random.Random(7)
+        leaves = ["pn:1", "curve:2", "surface:9:3", "pn:", "", " ", "x", "product(", ")", ",", "("]
+        chars = "pncurvelabisfyhdt():,0123456789-+ _x"
+
+        def pad():
+            return rng.choice(["", "", " ", "\u3000"])
+
+        def built(depth):
+            if depth and rng.random() < 0.6:
+                tail = rng.choice(["", "", ")", ",x", "(", "pn:1"])
+                return f"{pad()}product({built(depth - 1)},{built(depth - 1)}){tail}{pad()}"
+            return pad() + rng.choice(leaves) + pad()
+
+        def outcome(parse, token):
+            try:
+                return parse(token)
+            except ValueError as exc:
+                return str(exc)
+
+        for i in range(4000):
+            if i % 2:
+                token = built(3)
+            else:
+                token = "".join(rng.choice(chars) for _ in range(rng.randint(0, 24)))
+            expected = outcome(rescanning_descriptor_from_token, token)
+            assert outcome(descriptor_from_token, token) == expected, token
 
     def test_bad_json(self):
         with pytest.raises(ValueError):
