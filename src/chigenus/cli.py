@@ -299,6 +299,8 @@ def _cmd_check(args) -> int:
         raise ValueError("--c1sq and --c2 apply only to the 'surface' target")
     elif os.path.exists(args.target):
         descriptors = [entry.descriptor for entry in load_corpus(args.target)]
+        if not descriptors:
+            raise ValueError(f"corpus {args.target} holds no entries")
     else:
         descriptors = [descriptor_from_token(args.target)]
     audits: list[SignAudit] = []
@@ -437,6 +439,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "certify" and not args.all_p and args.target is None:
         parser.error("certify needs --target or --all-p")
+    if args.command == "certify" and args.all_p and args.target is not None:
+        parser.error("certify takes --target or --all-p, not both")
     try:
         args.max_dim = _resolve_max_dim(args.max_dim)
         return args.func(args)

@@ -18,7 +18,6 @@ pairing <= 0 with every generator and > 0 with the target.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
@@ -32,7 +31,7 @@ from .hrr import (
     signed_target,
     top_part,
 )
-from .poly import DimensionMismatch, GradedPoly, as_rational
+from .poly import DimensionMismatch, GradedPoly, Record, as_rational
 from .symchern import (
     BasisConvention,
     ConventionMismatch,
@@ -57,8 +56,7 @@ __all__ = [
 ASSUMPTION_TAGS = ("schur", "my2", "my4", "c1top")
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Record):
     """Ordered, named generator functionals of one dimension/convention.
 
     Schur generators come first, in the fixed partition order, so
@@ -122,8 +120,7 @@ def generators(
     return GeneratorSet(n, convention, tuple(entries))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """target = sum lambda_i * generator_i + residual, every lambda_i >= 0.
 
     The residual must itself be certified: identically zero, or a declared
@@ -163,8 +160,7 @@ class Certificate:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class Infeasibility:
+class Infeasibility(Record):
     """Farkas witness: pairs <= 0 with every generator, > 0 with the target."""
 
     witness: ChernFunctional
@@ -341,8 +337,7 @@ def verify_certificate(
     return True
 
 
-@dataclass(frozen=True)
-class ChiSignRow:
+class ChiSignRow(Record):
     """Outcome of one sign question (-1)^s chi^p >= 0."""
 
     p: int
@@ -367,8 +362,7 @@ class ChiSignRow:
         return payload
 
 
-@dataclass(frozen=True)
-class ChiSignReport:
+class ChiSignReport(Record):
     """Per-p certification report for one dimension and sign mode."""
 
     dimension: int

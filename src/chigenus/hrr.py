@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -33,6 +32,7 @@ from .poly import (
     DimensionMismatch,
     GradedPoly,
     RationalLike,
+    Record,
     as_rational,
     mono_weight,
     weight_basis,
@@ -63,8 +63,7 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates an implementation bug."""
 
 
-@dataclass(frozen=True)
-class ChernFunctional:
+class ChernFunctional(Record):
     """Top-weight linear functional on Chern-number monomials.
 
     `coeffs` is indexed by the canonical weight-n monomial basis; pairing
@@ -305,8 +304,7 @@ def signed_target(
     return functional.scaled(sign).clear_denominators()
 
 
-@dataclass(frozen=True)
-class ChiTable:
+class ChiTable(Record):
     """All chi^p functionals of one dimension, in a single convention."""
 
     dimension: int

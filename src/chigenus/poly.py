@@ -24,6 +24,8 @@ from typing import Iterable, Mapping, Union
 __all__ = [
     "DimensionMismatch",
     "ParseError",
+    "FrozenInstanceError",
+    "Record",
     "Monomial",
     "RationalLike",
     "as_rational",
@@ -47,6 +49,68 @@ class DimensionMismatch(ValueError):
 
 class ParseError(ValueError):
     """Polynomial text does not match the serialization grammar."""
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of a `Record`."""
+
+
+class Record:
+    """Frozen value object whose fields are its class's own annotations.
+
+    The constructor takes the fields positionally or by keyword, then runs
+    `__post_init__`, which may normalize a field with `object.__setattr__`.
+    Equality compares the field tuples of two instances of the same class,
+    the hash is that of the field tuple, and the repr is
+    `QualName(field=value, ...)`.  Unlike `dataclasses`, nothing is
+    generated with `exec` when a subclass is defined, which keeps import
+    cheap for every cold command.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # keys only: under `from __future__ import annotations` the values
+        # are unevaluated strings
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args))
+        if len(args) > len(fields) or values.keys() & kwargs or {*values, *kwargs} != {*fields}:
+            raise TypeError(
+                f"{type(self).__qualname__}() takes each of ({', '.join(fields)}) once, "
+                f"got {len(args)} positional and keywords ({', '.join(kwargs)})"
+            )
+        values.update(kwargs)
+        self.__dict__.update((f, values[f]) for f in fields)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validate or normalize the fields; the default accepts them."""
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def as_rational(value: RationalLike) -> Fraction:

@@ -23,7 +23,6 @@ import itertools
 import json
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
@@ -35,6 +34,7 @@ from .poly import (
     GradedPoly,
     Monomial,
     RationalLike,
+    Record,
     as_rational,
     mono_text,
     mono_weight,
@@ -65,8 +65,7 @@ __all__ = [
     "load_corpus",
 ]
 
-@dataclass(frozen=True)
-class ChernNumberSet:
+class ChernNumberSet(Record):
     """Complete assignment of a rational number to every weight-n monomial."""
 
     dimension: int
@@ -140,8 +139,7 @@ class VarietyDescriptor(ABC):
         return self.name()
 
 
-@dataclass(frozen=True)
-class ProjectiveSpace(VarietyDescriptor):
+class ProjectiveSpace(VarietyDescriptor, Record):
     n: int
 
     def __post_init__(self):
@@ -163,8 +161,7 @@ class ProjectiveSpace(VarietyDescriptor):
         return {"n": self.n, "type": "pn"}
 
 
-@dataclass(frozen=True)
-class Curve(VarietyDescriptor):
+class Curve(VarietyDescriptor, Record):
     genus: int
 
     def __post_init__(self):
@@ -185,8 +182,7 @@ class Curve(VarietyDescriptor):
         return {"genus": self.genus, "type": "curve"}
 
 
-@dataclass(frozen=True)
-class Surface(VarietyDescriptor):
+class Surface(VarietyDescriptor, Record):
     """Surface given by its two Chern numbers (cotangent convention; both
     monomials have even weight, so the tangent numbers are identical)."""
 
@@ -212,8 +208,7 @@ class Surface(VarietyDescriptor):
         return {"c1sq": self.c1sq, "c2": self.c2, "type": "surface"}
 
 
-@dataclass(frozen=True)
-class Hypersurface(VarietyDescriptor):
+class Hypersurface(VarietyDescriptor, Record):
     """Smooth degree-d hypersurface in projective space of the given
     (ambient) dimension."""
 
@@ -250,8 +245,7 @@ class Hypersurface(VarietyDescriptor):
         return {"ambient": self.ambient, "degree": self.degree, "type": "hypersurface"}
 
 
-@dataclass(frozen=True)
-class AbelianVariety(VarietyDescriptor):
+class AbelianVariety(VarietyDescriptor, Record):
     n: int
 
     def __post_init__(self):
@@ -272,8 +266,7 @@ class AbelianVariety(VarietyDescriptor):
         return {"n": self.n, "type": "abelian"}
 
 
-@dataclass(frozen=True)
-class Product(VarietyDescriptor):
+class Product(VarietyDescriptor, Record):
     left: VarietyDescriptor
     right: VarietyDescriptor
 
@@ -433,8 +426,7 @@ def chi_values(v: VarietyDescriptor | ChernNumberSet) -> tuple[Fraction, ...]:
     return tuple(row.dot(entries) for row in chi_table(numbers.dimension).rows)
 
 
-@dataclass(frozen=True)
-class SignAuditRow:
+class SignAuditRow(Record):
     p: int
     value: Fraction
     sign: int
@@ -454,8 +446,7 @@ class SignAuditRow:
         }
 
 
-@dataclass(frozen=True)
-class SignAudit:
+class SignAudit(Record):
     variety: str
     dimension: int
     mode: str
@@ -576,8 +567,7 @@ def descriptor_from_token(token: str) -> VarietyDescriptor:
         raise ValueError("product token nests too deeply") from None
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     name: str
     descriptor: VarietyDescriptor
     expected: dict

@@ -208,6 +208,16 @@ class TestCertifyCommand:
         assert "p=2 scale=120 open" in lines
         assert "verdict: open" in lines
 
+    def test_all_p_with_target_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--all-p", "--dim", "2", "--target", "garbage"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "chigenus: error: certify takes --target or --all-p, not both"
+        )
+
     def test_json_certificate_reparses(self, capsys):
         _, out, _ = run_cli(
             capsys, "certify", "--dim", "4", "--target", "chi:4",
@@ -286,6 +296,13 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert err == "error: --c1sq and --c2 apply only to the 'surface' target\n"
+
+    @pytest.mark.parametrize("text", ["", "# comments only\n\n# no entries\n"])
+    def test_corpus_without_entries_exit_two(self, capsys, tmp_path, text):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(text)
+        code, out, err = run_cli(capsys, "check", str(corpus), "--json")
+        assert (code, out, err) == (2, "", f"error: corpus {corpus} holds no entries\n")
 
     def test_unknown_token(self, capsys):
         code, _, err = run_cli(capsys, "check", "blah:3")
@@ -615,3 +632,30 @@ class TestDeterminism:
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+
+class TestStartup:
+    # `dataclasses` imports `inspect` (and with it `ast`) and generates each
+    # class's methods with `exec`; together about a quarter of a cold command.
+    # The value classes are `poly.Record`s, so no command needs either module.
+    REPORT = "print(sorted(set(sys.modules) & {'dataclasses', 'inspect'}))"
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import sys\nimport chigenus.cli\n",
+            # what `python -m chigenus --version` runs
+            "import runpy, sys\n"
+            "sys.argv = ['chigenus', '--version']\n"
+            "try:\n"
+            "    runpy.run_module('chigenus', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n",
+        ],
+        ids=["import", "version"],
+    )
+    def test_start_up_imports_neither_dataclasses_nor_inspect(self, code):
+        result = subprocess.run(
+            [sys.executable, "-c", code + self.REPORT], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines()[-1] == "[]", result.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -5,17 +6,29 @@ from math import comb, prod
 
 import pytest
 
-from chigenus.hrr import chi_p, euler_functional
-from chigenus.poly import DimensionMismatch
+from chigenus.cone import (
+    Certificate,
+    ChiSignReport,
+    ChiSignRow,
+    GeneratorSet,
+    Infeasibility,
+    certify_chi_signs,
+    generators,
+)
+from chigenus.hrr import ChernFunctional, ChiTable, chi_p, chi_table, euler_functional
+from chigenus.poly import DimensionMismatch, Record
 from chigenus.symchern import BasisConvention
 from chigenus.varieties import (
     AbelianVariety,
     ChernNumberSet,
+    CorpusEntry,
     Curve,
     Explicit,
     Hypersurface,
     Product,
     ProjectiveSpace,
+    SignAudit,
+    SignAuditRow,
     Surface,
     chern_numbers,
     check_signs,
@@ -456,3 +469,135 @@ class TestChernNumberSet:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             ChernNumberSet.from_values(2, COT, {(2, 0): 1.5})
+
+
+# Every value class and its fields, in constructor order, as they were when
+# the classes were frozen dataclasses.
+RECORD_FIELDS = {
+    ChernFunctional: ("dimension", "convention", "coeffs"),
+    ChiTable: ("dimension", "convention", "rows"),
+    GeneratorSet: ("dimension", "convention", "generators"),
+    Certificate: ("target", "generator_names", "coefficients", "residual"),
+    Infeasibility: ("witness",),
+    ChiSignRow: ("p", "sign", "scale", "target", "result", "status"),
+    ChiSignReport: ("dimension", "mode", "assumptions", "convention", "rows"),
+    ChernNumberSet: ("dimension", "convention", "entries"),
+    ProjectiveSpace: ("n",),
+    Curve: ("genus",),
+    Surface: ("c1sq", "c2"),
+    Hypersurface: ("degree", "ambient"),
+    AbelianVariety: ("n",),
+    Product: ("left", "right"),
+    SignAuditRow: ("p", "value", "sign", "ok"),
+    SignAudit: ("variety", "dimension", "mode", "rows", "euler"),
+    CorpusEntry: ("name", "descriptor", "expected"),
+}
+
+
+def record_samples():
+    report = certify_chi_signs(4, "nef_cotangent", ("schur", "my4", "c1top"))
+    product = Product(Curve(2), ProjectiveSpace(1))
+    audit = check_signs(product, "nef_cotangent")
+    return [
+        ChernFunctional(2, COT, (1, Fraction(-1, 2))),
+        chi_table(2),
+        generators(2),
+        report,
+        *report.rows,
+        *(row.result for row in report.rows),
+        chern_numbers(Hypersurface(3, 4)),
+        Hypersurface(3, 4),
+        product,
+        product.left,
+        product.right,
+        Surface(9, 3),
+        AbelianVariety(2),
+        audit,
+        *audit.rows,
+        CorpusEntry("x", Curve(2), {"euler": "-2"}),
+    ]
+
+
+def hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+class TestRecord:
+    def test_fields_in_constructor_order(self):
+        for cls, fields in RECORD_FIELDS.items():
+            assert issubclass(cls, Record) and cls._fields == fields, cls
+
+    def test_samples_cover_every_record(self):
+        assert {type(x) for x in record_samples()} == set(RECORD_FIELDS)
+
+    def test_same_repr_equality_and_hash_as_a_frozen_dataclass(self):
+        for record in record_samples():
+            fields = RECORD_FIELDS[type(record)]
+            twin_class = dataclasses.make_dataclass(
+                type(record).__qualname__, fields, frozen=True
+            )
+            twin = twin_class(*(getattr(record, f) for f in fields))
+            assert repr(record) == repr(twin)
+            assert hash_or_error(record) == hash_or_error(twin)
+            assert record == type(record)(*(getattr(record, f) for f in fields))
+
+    def test_repr(self):
+        assert repr(Product(Curve(2), ProjectiveSpace(3))) == (
+            "Product(left=Curve(genus=2), right=ProjectiveSpace(n=3))"
+        )
+
+    def test_equality_and_hash_by_value_within_a_class(self):
+        assert Curve(1) == Curve(1) and hash(Curve(1)) == hash(Curve(1))
+        assert Curve(1) != Curve(2)
+        assert len({Product(Curve(1), Curve(2)), Product(Curve(1), Curve(2))}) == 1
+        assert Curve(1) != AbelianVariety(1)
+        assert ProjectiveSpace(2) != AbelianVariety(2)
+        assert Curve(1).__eq__(1) is NotImplemented
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c: setattr(c, "genus", 3),
+            lambda c: setattr(c, "other", 3),
+            lambda c: delattr(c, "genus"),
+        ],
+    )
+    def test_frozen(self, mutate):
+        curve = Curve(2)
+        with pytest.raises(AttributeError):
+            mutate(curve)
+        assert curve == Curve(2)
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert Surface(9, 3) == Surface(c1sq=9, c2=3) == Surface(9, c2=3)
+        assert repr(Surface(c2=3, c1sq=9)) == "Surface(c1sq=9, c2=3)"
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((), {}), ((1, 2), {}), ((), {"g": 1}), ((1,), {"genus": 1}), ((), {"genus": 1, "g": 2})],
+    )
+    def test_wrong_arguments_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Curve(*args, **kwargs)
+
+    def test_post_init_validates_and_normalizes(self):
+        with pytest.raises(ValueError):
+            Curve(-1)
+        with pytest.raises(ValueError):
+            Curve(genus=-1)
+        with pytest.raises(ValueError):
+            ChernFunctional(2, COT, (1,))
+        functional = ChernFunctional(2, "cotangent", [1, "1/2"])
+        assert functional.convention is COT
+        assert functional.coeffs == (Fraction(1), Fraction(1, 2))
+
+    def test_explicit_is_not_a_record(self):
+        a = Explicit(1, {"c1": 2}, name="a")
+        assert not isinstance(a, Record)
+        assert a == Explicit(1, {"c1": 2}, name="b")
+        assert a != Explicit(1, {"c1": 3})
+        assert a != Curve(0)
+        assert hash(a) == hash(Explicit(1, {(1,): 2}))
