@@ -9,6 +9,7 @@ malformed input.  JSON output is a single line with sorted keys and exact
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -450,7 +451,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:  # console-script entry point
-    sys.exit(main())
+    try:
+        code = main()
+    finally:
+        # the process ends here: the OS reclaims the heap, so the collector
+        # need not walk every module object at shutdown
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

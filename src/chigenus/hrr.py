@@ -154,7 +154,14 @@ class ChernFunctional(Record):
             raise DimensionMismatch(
                 f"expected {len(self.coeffs)} values, got {len(values)}"
             )
-        return sum((c * v for c, v in zip(self.coeffs, values)), Fraction(0))
+        # integer numerators over the two common denominators, one Fraction
+        c_den = math.lcm(*(c.denominator for c in self.coeffs))
+        v_den = math.lcm(*(v.denominator for v in values))
+        total = sum(
+            c.numerator * (c_den // c.denominator) * v.numerator * (v_den // v.denominator)
+            for c, v in zip(self.coeffs, values)
+        )
+        return Fraction(total, c_den * v_den)
 
     def clear_denominators(self) -> tuple["ChernFunctional", int]:
         """Smallest positive integer multiple with integral coefficients.

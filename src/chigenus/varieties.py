@@ -371,10 +371,12 @@ class Explicit(VarietyDescriptor):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Explicit):
             return NotImplemented
-        return self._numbers == other._numbers
+        # one variety given in either convention is one descriptor
+        cot = BasisConvention.COTANGENT
+        return self._numbers.in_convention(cot) == other._numbers.in_convention(cot)
 
     def __hash__(self) -> int:
-        return hash(self._numbers)
+        return hash(self._numbers.in_convention(BasisConvention.COTANGENT))
 
 
 def _monomial_key(key: str | Monomial, dim: int) -> Monomial:

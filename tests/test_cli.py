@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -659,3 +661,75 @@ class TestStartup:
             [sys.executable, "-c", code + self.REPORT], capture_output=True, text=True, check=True
         )
         assert result.stdout.splitlines()[-1] == "[]", result.stdout
+
+
+class TestExitContract:
+    # `python -m chigenus` goes through `cli.run()`, which freezes the heap
+    # before the interpreter shuts down; that must not change a byte of
+    # output or an exit code, and `main()` itself must leave the collector
+    # alone for callers that stay in the process.
+    EXITS = [
+        (("--version",), 0),
+        (("--help",), 0),
+        (("chi", "--dim", "3", "--json"), 0),
+        (("chi", "--dim", "99"), 2),
+        (("chi", "--dim", "0_3"), 2),  # refused by argparse inside main
+        (("check", "pn:9", "--max-dim", "9"), 1),
+        (("certify", "--dim", "2", "--target", "chi:1", "--json"), 1),
+    ]
+
+    @pytest.fixture
+    def env(self, monkeypatch):
+        # argparse wraps help and usage text at the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("CHIGENUS_CONFIG", raising=False)
+        # a block-buffered stdout must still be flushed at exit
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        return dict(os.environ)
+
+    @pytest.mark.parametrize("argv, expected", EXITS, ids=[" ".join(a) for a, _ in EXITS])
+    def test_console_entry_matches_main(self, capsysbinary, env, argv, expected):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsysbinary.readouterr()
+        result = subprocess.run(
+            [sys.executable, "-m", "chigenus", *argv], capture_output=True, env=env, timeout=30
+        )
+        assert code == expected
+        assert (result.stdout, result.stderr, result.returncode) == (
+            captured.out,
+            captured.err,
+            code,
+        )
+        if argv == ("chi", "--dim", "99"):
+            assert result.stderr == b"error: --dim must be within 0..8\n"
+
+    @pytest.mark.parametrize("argv", [("chi", "--dim", "2"), ("--version",), ("chi", "--dim", "0_3")])
+    def test_main_leaves_the_collector_alone(self, capsys, argv):
+        try:
+            main(list(argv))
+        except SystemExit:
+            pass
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(("chi", "--dim", "2"), 0), (("--version",), 0), (("chi", "--dim", "0_3"), 2)],
+    )
+    def test_run_freezes_the_heap_on_every_exit(self, env, argv, code):
+        script = (
+            "import gc, sys\n"
+            "from chigenus import cli\n"
+            f"sys.argv = ['chigenus', *{list(argv)!r}]\n"
+            "try:\n"
+            "    cli.run()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert result.stderr.splitlines()[-1] == f"{code} True"

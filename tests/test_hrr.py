@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chigenus.hrr import (
     ChernFunctional,
@@ -13,10 +16,11 @@ from chigenus.hrr import (
     euler_functional,
     top_part,
 )
-from chigenus.poly import DimensionMismatch, GradedPoly
+from chigenus.poly import DimensionMismatch, GradedPoly, weight_basis
 from chigenus.symchern import BasisConvention, ConventionMismatch
 
 import oracles
+from conftest import rationals
 from oracles import (
     _lagrange_coefficients,
     _log_exterior_coefficients,
@@ -305,6 +309,38 @@ class TestChernFunctional:
     def test_dot_product(self):
         f = functional(2, "1/12*c1^2 + 1/12*c2")
         assert f.dot((Fraction(9), Fraction(3))) == 1
+        assert f.dot((9, "3")) == 1
+        assert f.dot(("1/2", Fraction(-3, 5))) == Fraction(1, 24) - Fraction(1, 20)
+
+    @given(st.data())
+    def test_dot_equals_fraction_sum(self, data):
+        # the integer accumulation over common denominators returns exactly
+        # the Fraction sum of the products
+        n = data.draw(st.integers(0, 9), label="n")
+        size = len(weight_basis(n))
+        coeffs = data.draw(st.lists(rationals(), min_size=size, max_size=size))
+        values = data.draw(
+            st.lists(rationals(1 << 40, 1 << 20), min_size=size, max_size=size)
+        )
+        f = ChernFunctional(n, COT, coeffs)
+        expected = sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
+        assert f.dot(values) == expected
+        assert type(f.dot(values)) is Fraction
+
+    def test_dot_of_chi_rows_on_random_numbers(self):
+        rng = random.Random(20231021)
+        for n in range(10):
+            rows = chi_table(n).rows
+            for _ in range(5):
+                values = [
+                    Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+                    for _ in weight_basis(n)
+                ]
+                for row in rows:
+                    expected = sum(
+                        (c * v for c, v in zip(row.coeffs, values)), Fraction(0)
+                    )
+                    assert row.dot(values) == expected
 
     def test_mismatch_errors(self):
         f = chi_p(2, 0)

@@ -601,3 +601,28 @@ class TestRecord:
         assert a != Explicit(1, {"c1": 3})
         assert a != Curve(0)
         assert hash(a) == hash(Explicit(1, {(1,): 2}))
+
+    def test_explicit_equality_ignores_input_convention(self):
+        cotangent = Explicit(1, {"c1": 2})
+        tangent = Explicit(1, {"c1": -2}, TAN)
+        assert cotangent == tangent
+        assert hash(cotangent) == hash(tangent)
+        surface = Explicit(2, {"c1^2": 9, "c2": 3}, COT)
+        # c1^2 and c2 have even weight, so the same numbers in either convention
+        assert surface == Explicit(2, {"c1^2": 9, "c2": 3}, TAN)
+        assert hash(surface) == hash(Explicit(2, {"c1^2": 9, "c2": 3}, TAN))
+
+    def test_explicit_with_different_numbers_is_unequal(self):
+        assert Explicit(1, {"c1": 2}) != Explicit(1, {"c1": 2}, TAN)
+        assert Explicit(1, {"c1": 2}) != Explicit(1, {"c1": -2})
+        assert Explicit(2, {"c1^2": 9, "c2": 3}, COT) != Explicit(2, {"c1^2": 9, "c2": -3}, TAN)
+        assert Explicit(1, {"c1": 0}) != Explicit(2, {"c1^2": 0, "c2": 0})
+
+    @pytest.mark.parametrize("convention", [COT, TAN])
+    def test_explicit_never_equals_a_curve(self, convention):
+        curve = Curve(0)  # tangent c1 = 2, cotangent c1 = -2
+        values = chern_numbers(curve, convention).as_dict()
+        same_numbers = Explicit(1, values, convention)
+        assert chern_numbers(same_numbers) == chern_numbers(curve)
+        assert same_numbers != curve
+        assert curve != same_numbers
