@@ -133,11 +133,13 @@ def _parse_assumptions(text: str | None) -> tuple[str, ...]:
     if not text:
         return ()
     tags = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    for tag in tags:
+    for i, tag in enumerate(tags):
         if tag not in OPTIONAL_ASSUMPTIONS:
             raise ValueError(
                 f"unknown assumption {tag!r} (use {', '.join(OPTIONAL_ASSUMPTIONS)})"
             )
+        if tag in tags[:i]:
+            raise ValueError(f"assumption {tag!r} given twice")
     return tags
 
 

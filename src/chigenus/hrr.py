@@ -225,7 +225,14 @@ def _chi_y_factor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 @lru_cache(maxsize=None)
 def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     """chi^0..chi^n of dimension n, in cotangent variables: the
-    coefficients in y of the chi_y genus (see the module docstring)."""
+    coefficients in y of the chi_y genus (see the module docstring).
+
+    The rows are validated once, here: the duality symmetry chi^p =
+    (-1)^n chi^{n-p} and the alternating-sum identity sum_p (-1)^p chi^p =
+    Euler functional.  A failure means the chi_y engine is broken and
+    aborts."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"dimension must be a non-negative integer: {n!r}")
     scale, factor = _chi_y_factor(n)
     monomial = {}  # m_lambda coefficient times L^n, lowest power of y first
     for parts in partitions_of(n):
@@ -237,7 +244,7 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     coordinates = chern_coordinates(monomial, n)
     denominator = scale**n
     basis = weight_basis(n)
-    return tuple(
+    rows = tuple(
         ChernFunctional(
             n,
             BasisConvention.TANGENT,
@@ -245,6 +252,15 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
         ).flipped()
         for p in range(n + 1)
     )
+    for p in range(n + 1):
+        if rows[p] != rows[n - p].scaled((-1) ** n):
+            raise ConsistencyError(f"duality symmetry failed at dimension {n}, p={p}")
+    alternating = ChernFunctional.zero(n, BasisConvention.COTANGENT)
+    for p in range(n + 1):
+        alternating = alternating + rows[p].scaled((-1) ** p)
+    if alternating != euler_functional(n):
+        raise ConsistencyError(f"alternating sum is not the Euler class at dimension {n}")
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -255,11 +271,10 @@ def chi_p(n: int, p: int) -> ChernFunctional:
     characteristic of its sheaf of p-forms, e.g. chi^1 = (c_1^2 - 5 c_2)/6
     in dimension 2.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"dimension must be a non-negative integer: {n!r}")
+    rows = _chi_y_rows(n)
     if not 0 <= p <= n:
         raise ValueError(f"form degree {p!r} outside 0..{n}")
-    return _chi_y_rows(n)[p]
+    return rows[p]
 
 
 def euler_functional(n: int) -> ChernFunctional:
@@ -349,21 +364,6 @@ class ChiTable(Record):
 
 
 def chi_table(n: int) -> ChiTable:
-    """All n+1 chi^p functionals in cotangent convention.
-
-    Validates the duality row symmetry chi^p = (-1)^n chi^{n-p} and the
-    alternating-sum identity sum_p (-1)^p chi^p = Euler functional before
-    returning; a failure means the chi_y engine is broken and aborts.
-    """
-    rows = tuple(chi_p(n, p) for p in range(n + 1))
-    for p in range(n + 1):
-        if rows[p] != rows[n - p].scaled((-1) ** n):
-            raise ConsistencyError(
-                f"duality symmetry failed at dimension {n}, p={p}"
-            )
-    alternating = ChernFunctional.zero(n, BasisConvention.COTANGENT)
-    for p in range(n + 1):
-        alternating = alternating + rows[p].scaled((-1) ** p)
-    if alternating != euler_functional(n):
-        raise ConsistencyError(f"alternating sum is not the Euler class at dimension {n}")
-    return ChiTable(n, BasisConvention.COTANGENT, rows)
+    """All n+1 chi^p functionals in cotangent convention, validated where
+    they are built (`_chi_y_rows`)."""
+    return ChiTable(n, BasisConvention.COTANGENT, _chi_y_rows(n))

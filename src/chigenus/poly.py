@@ -114,7 +114,8 @@ class Record:
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce exact input (int, Fraction, or 'a/b' string) to Fraction.
+    """Coerce exact input to Fraction: an int, a Fraction, or a string
+    matching ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator.
 
     Floats and other inexact types are refused: the whole engine is
     exact-arithmetic and a single float would poison every certificate.
@@ -126,10 +127,13 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {value!r}") from exc
+        # Fraction() alone also takes '1_0', ' 2e1 ', '0.5' and non-ASCII digits
+        if _RATIONAL_RE.fullmatch(value):
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                pass
+        raise ParseError(f"bad rational literal {value!r}")
     raise TypeError(
         "exact rational required (int, Fraction, or 'a/b' string), "
         f"got {type(value).__name__}"
@@ -191,9 +195,9 @@ def weight_basis(dim: int) -> tuple[Monomial, ...]:
     return monomials_of_weight(dim, dim)
 
 
-_COEF_RE = re.compile(r"^\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
-_FACTOR_RE = re.compile(r"^c_?(\d+)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"c_?([0-9]+)(?:\^([0-9]+))?")
 _SIGN_SPLIT = re.compile(r"\s*([+-])\s*")
 
 
@@ -442,13 +446,13 @@ class GradedPoly:
                 piece = piece.strip()
                 if not piece:
                     raise ParseError(f"empty factor in term {term_tok!r}")
-                if _COEF_RE.match(piece):
+                if _RATIONAL_RE.fullmatch(piece):
                     if saw_coef or saw_factor:
                         raise ParseError(f"misplaced coefficient in {term_tok!r}")
                     coef = as_rational(piece)
                     saw_coef = True
                     continue
-                match = _FACTOR_RE.match(piece)
+                match = _FACTOR_RE.fullmatch(piece)
                 if not match:
                     raise ParseError(f"bad factor {piece!r} in {text!r}")
                 index = int(match.group(1))

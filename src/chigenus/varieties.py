@@ -139,12 +139,31 @@ class VarietyDescriptor(ABC):
         return self.name()
 
 
-class ProjectiveSpace(VarietyDescriptor, Record):
-    n: int
+class _Recipe(VarietyDescriptor, Record):
+    """A variety given by integer fields.  `_kind` is its token head and
+    JSON "type"; `_lows` holds one lower bound per field (None: any
+    integer).  Neither is annotated, so neither is a `Record` field."""
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"projective space dimension must be >= 1: {self.n!r}")
+        for field, low, value in zip(self._fields, self._lows, self._astuple()):
+            if isinstance(value, bool) or not isinstance(value, int) or (
+                low is not None and value < low
+            ):
+                bound = "" if low is None else f" >= {low}"
+                raise ValueError(
+                    f"{self._kind} field {field!r} must be an integer{bound}: {value!r}"
+                )
+
+    def name(self) -> str:
+        return ":".join([self._kind, *map(str, self._astuple())])
+
+    def to_json_dict(self) -> dict:
+        return {**dict(zip(self._fields, self._astuple())), "type": self._kind}
+
+
+class ProjectiveSpace(_Recipe):
+    n: int
+    _kind, _lows = "pn", (1,)
 
     @property
     def dimension(self) -> int:
@@ -154,19 +173,10 @@ class ProjectiveSpace(VarietyDescriptor, Record):
         # P^n is a hyperplane in P^{n+1}
         return Hypersurface(1, self.n + 1)._tangent_values()
 
-    def name(self) -> str:
-        return f"pn:{self.n}"
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "type": "pn"}
-
-
-class Curve(VarietyDescriptor, Record):
+class Curve(_Recipe):
     genus: int
-
-    def __post_init__(self):
-        if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 0:
-            raise ValueError(f"genus must be a non-negative integer: {self.genus!r}")
+    _kind, _lows = "curve", (0,)
 
     @property
     def dimension(self) -> int:
@@ -175,24 +185,14 @@ class Curve(VarietyDescriptor, Record):
     def _tangent_values(self) -> dict[Monomial, Fraction]:
         return {(1,): Fraction(2 - 2 * self.genus)}
 
-    def name(self) -> str:
-        return f"curve:{self.genus}"
 
-    def to_json_dict(self) -> dict:
-        return {"genus": self.genus, "type": "curve"}
-
-
-class Surface(VarietyDescriptor, Record):
+class Surface(_Recipe):
     """Surface given by its two Chern numbers (cotangent convention; both
     monomials have even weight, so the tangent numbers are identical)."""
 
     c1sq: int
     c2: int
-
-    def __post_init__(self):
-        for field, value in (("c1sq", self.c1sq), ("c2", self.c2)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"surface {field} must be an integer: {value!r}")
+    _kind, _lows = "surface", (None, None)
 
     @property
     def dimension(self) -> int:
@@ -201,25 +201,14 @@ class Surface(VarietyDescriptor, Record):
     def _tangent_values(self) -> dict[Monomial, Fraction]:
         return {(2, 0): as_rational(self.c1sq), (0, 1): as_rational(self.c2)}
 
-    def name(self) -> str:
-        return f"surface:{self.c1sq}:{self.c2}"
 
-    def to_json_dict(self) -> dict:
-        return {"c1sq": self.c1sq, "c2": self.c2, "type": "surface"}
-
-
-class Hypersurface(VarietyDescriptor, Record):
+class Hypersurface(_Recipe):
     """Smooth degree-d hypersurface in projective space of the given
     (ambient) dimension."""
 
     degree: int
     ambient: int
-
-    def __post_init__(self):
-        if isinstance(self.degree, bool) or not isinstance(self.degree, int) or self.degree < 1:
-            raise ValueError(f"degree must be a positive integer: {self.degree!r}")
-        if isinstance(self.ambient, bool) or not isinstance(self.ambient, int) or self.ambient < 2:
-            raise ValueError(f"ambient dimension must be >= 2: {self.ambient!r}")
+    _kind, _lows = "hypersurface", (1, 2)
 
     @property
     def dimension(self) -> int:
@@ -238,19 +227,10 @@ class Hypersurface(VarietyDescriptor, Record):
             for mono in weight_basis(n)
         }
 
-    def name(self) -> str:
-        return f"hypersurface:{self.degree}:{self.ambient}"
 
-    def to_json_dict(self) -> dict:
-        return {"ambient": self.ambient, "degree": self.degree, "type": "hypersurface"}
-
-
-class AbelianVariety(VarietyDescriptor, Record):
+class AbelianVariety(_Recipe):
     n: int
-
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"abelian variety dimension must be >= 1: {self.n!r}")
+    _kind, _lows = "abelian", (1,)
 
     @property
     def dimension(self) -> int:
@@ -258,12 +238,6 @@ class AbelianVariety(VarietyDescriptor, Record):
 
     def _tangent_values(self) -> dict[Monomial, Fraction]:
         return {}  # trivial tangent bundle
-
-    def name(self) -> str:
-        return f"abelian:{self.n}"
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "type": "abelian"}
 
 
 class Product(VarietyDescriptor, Record):
@@ -497,11 +471,8 @@ def check_signs(v: VarietyDescriptor, mode: str) -> SignAudit:
 # recipe kind (JSON "type" and token head) -> (descriptor type, its integer
 # fields in token order)
 _RECIPES = {
-    "pn": (ProjectiveSpace, ("n",)),
-    "curve": (Curve, ("genus",)),
-    "abelian": (AbelianVariety, ("n",)),
-    "surface": (Surface, ("c1sq", "c2")),
-    "hypersurface": (Hypersurface, ("degree", "ambient")),
+    cls._kind: (cls, cls._fields)
+    for cls in (ProjectiveSpace, Curve, AbelianVariety, Surface, Hypersurface)
 }
 
 

@@ -160,6 +160,20 @@ class TestCertifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("dim, target", [("1", "\u0663*c1"), ("2", "1*c\u0661^2")])
+    def test_non_ascii_digit_target_exit_two(self, capsys, dim, target):
+        code, out, err = run_cli(capsys, "certify", "--dim", dim, "--target", target)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad target polynomial: ") and err.count("\n") == 1
+
+    def test_repeated_assumption_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "certify", "--dim", "4", "--target", "chi:4",
+            "--assume", "my4,my4,c1top", "--json",
+        )
+        assert (code, out, err) == (2, "", "error: assumption 'my4' given twice\n")
+
     def test_malformed_target_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--dim", "3", "--target", "chi:7")
         assert code == 2
@@ -323,6 +337,7 @@ class TestCheckCommand:
             '{"name":"e","descriptor":{"type":"explicit","n":99,"values":{"2*c99":1}}}',
             '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1^2":"1","c1*c1":"2"}}}',
             '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1*c1":"2","c1^2":"1"}}}',
+            '{"name":"e","descriptor":{"type":"explicit","n":1,"values":{"c1":"1_0"}}}',
             "[1]",
         ],
     )
@@ -334,6 +349,15 @@ class TestCheckCommand:
         assert out == ""
         assert err.startswith("error: bad corpus line 1: ")
         assert err.count("\n") == 1
+
+    def test_recipe_field_refusal_names_kind_and_field(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"name":"h","descriptor":{"type":"hypersurface","degree":5,"ambient":1}}\n')
+        code, out, err = run_cli(capsys, "check", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: bad corpus line 1: hypersurface field 'ambient' must be an integer >= 2: 1\n"
+        )
 
     @pytest.mark.parametrize(
         "descriptor",

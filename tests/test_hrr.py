@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chigenus import hrr
 from chigenus.hrr import (
     ChernFunctional,
     ChiTable,
+    ConsistencyError,
     _chi_y_factor,
     _chi_y_rows,
     chi_p,
@@ -272,6 +274,39 @@ class TestChiTable:
             concurrent_rows = list(pool.map(lambda p: chi_p(5, p), range(6)))
         assert concurrent_rows == [chi_p(5, p) for p in range(6)]
         assert tuple(concurrent_rows) == chi_table(5).rows
+
+
+class TestRowValidation:
+    @pytest.fixture
+    def cold_rows(self):
+        chi_p.cache_clear()
+        _chi_y_rows.cache_clear()
+        yield
+        chi_p.cache_clear()
+        _chi_y_rows.cache_clear()
+
+    def test_broken_rows_refused_before_any_use(self, monkeypatch, cold_rows):
+        real = hrr.chern_coordinates
+
+        def perturbed(monomial, n):
+            coordinates = real(monomial, n)
+            first = next(iter(coordinates))
+            k = coordinates[first]
+            coordinates[first] = [k[0], k[1] + 1, *k[2:]]  # the y^1 coefficient
+            return coordinates
+
+        monkeypatch.setattr(hrr, "chern_coordinates", perturbed)
+        with pytest.raises(ConsistencyError):
+            chi_p(4, 1)
+
+    def test_rows_checked_once_per_dimension(self, monkeypatch, cold_rows):
+        real = hrr.euler_functional
+        calls = []
+        monkeypatch.setattr(hrr, "euler_functional", lambda n: calls.append(n) or real(n))
+        for _ in range(3):
+            chi_table(4)
+            chi_p(4, 1)
+        assert calls == [4]
 
 
 class TestSurfaceSignatureIdentity:

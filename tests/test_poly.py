@@ -28,7 +28,9 @@ class TestRationalGate:
         assert as_rational("3/4") == Fraction(3, 4)
         assert as_rational(Fraction(-2, 6)) == Fraction(-1, 3)
 
-    @pytest.mark.parametrize("bad", [0.5, 1.0, complex(1), True, None, [1]])
+    @pytest.mark.parametrize(
+        "bad", [0.5, 1.0, complex(1), True, None, [1], "1_0", " 2e1 ", "\u0663", "0.5"]
+    )
     def test_rejects_inexact_inputs(self, bad):
         with pytest.raises((TypeError, ParseError)):
             as_rational(bad)
@@ -207,7 +209,7 @@ class TestSerialization:
         "bad",
         [
             "", "c5", "c1^3", "1*", "*c1", "c1 +", "x1", "1.5*c1", "c1^-1", "c0",
-            "1/0*c1^2", "c2 - 3/0*c1^2", "1/0",
+            "1/0*c1^2", "c2 - 3/0*c1^2", "1/0", "\u0663*c1", "1*c\u0661^2",
         ],
     )
     def test_rejects_malformed_text(self, bad):

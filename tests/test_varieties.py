@@ -334,6 +334,12 @@ class TestDescriptorSerialization:
         "abelian:2",
         "surface:9:3",
         "hypersurface:5:4",
+        # every bounded field at its bound; surface fields have none
+        "pn:1",
+        "curve:0",
+        "abelian:1",
+        "hypersurface:1:2",
+        "surface:-3:0",
         "product(curve:2,curve:2)",
         "product(pn:1,product(curve:2,pn:2))",
     ]
@@ -341,6 +347,7 @@ class TestDescriptorSerialization:
     @pytest.mark.parametrize("token", TOKENS)
     def test_token_json_round_trip(self, token):
         descriptor = descriptor_from_token(token)
+        assert descriptor.name() == token
         assert descriptor_from_json(descriptor.to_json_dict()) == descriptor
 
     def test_explicit_json_round_trip(self):
@@ -427,6 +434,13 @@ class TestDescriptorSerialization:
             lambda: Hypersurface(True, 3),
             lambda: Hypersurface(5, True),
             lambda: Hypersurface(0, 3),
+            lambda: Hypersurface(1, 1),
+            lambda: ProjectiveSpace(0),
+            lambda: ProjectiveSpace(True),
+            lambda: Curve(-1),
+            lambda: Curve(False),
+            lambda: AbelianVariety(0),
+            lambda: AbelianVariety(True),
         ],
     )
     def test_descriptors_validate_on_construction(self, build):
