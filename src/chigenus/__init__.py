@@ -3,114 +3,49 @@ positivity generators, and rational cone certificates for sign theorems
 about manifolds with nef (co)tangent bundles.
 
 Everything is exact rational arithmetic; no floats are accepted anywhere.
+
+The public names load on first use (PEP 562): ``import chigenus`` runs no
+mathematics, and ``chigenus.chi_table`` imports ``chigenus.hrr`` only when
+it is first read, so a command loads only the modules it runs.
 """
 
-from .poly import (
-    DimensionMismatch,
-    GradedPoly,
-    ParseError,
-    as_rational,
-    monomials_of_weight,
-    weight_basis,
-)
-from .symchern import (
-    BasisConvention,
-    ConventionMismatch,
-    InvalidPartition,
-    flip_basis,
-    partitions_of,
-    schur,
-    segre_top,
-)
-from .hrr import (
-    ChernFunctional,
-    ChiTable,
-    ConsistencyError,
-    chi_p,
-    chi_table,
-    euler_functional,
-    top_part,
-)
-from .cone import (
-    Certificate,
-    ChiSignReport,
-    GeneratorSet,
-    Infeasibility,
-    certify,
-    certify_chi_signs,
-    generators,
-    verify_certificate,
-)
-from .varieties import (
-    AbelianVariety,
-    ChernNumberSet,
-    Curve,
-    Explicit,
-    Hypersurface,
-    Product,
-    ProjectiveSpace,
-    Surface,
-    VarietyDescriptor,
-    chern_numbers,
-    check_signs,
-    chi_values,
-    descriptor_from_json,
-    descriptor_from_token,
-    evaluate,
-    load_corpus,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # poly
-    "DimensionMismatch",
-    "GradedPoly",
-    "ParseError",
-    "as_rational",
-    "monomials_of_weight",
-    "weight_basis",
-    # symchern
-    "BasisConvention",
-    "ConventionMismatch",
-    "InvalidPartition",
-    "flip_basis",
-    "partitions_of",
-    "schur",
-    "segre_top",
-    # hrr
-    "ChernFunctional",
-    "ChiTable",
-    "ConsistencyError",
-    "chi_p",
-    "chi_table",
-    "euler_functional",
-    "top_part",
-    # cone
-    "Certificate",
-    "ChiSignReport",
-    "GeneratorSet",
-    "Infeasibility",
-    "certify",
-    "certify_chi_signs",
-    "generators",
-    "verify_certificate",
-    # varieties
-    "AbelianVariety",
-    "ChernNumberSet",
-    "Curve",
-    "Explicit",
-    "Hypersurface",
-    "Product",
-    "ProjectiveSpace",
-    "Surface",
-    "VarietyDescriptor",
-    "chern_numbers",
-    "check_signs",
-    "chi_values",
-    "descriptor_from_json",
-    "descriptor_from_token",
-    "evaluate",
-    "load_corpus",
-]
+# Owned here so the command-line parser can name them without loading the
+# mathematics; `hrr` and `cone` re-export them.
+SIGN_MODES = ("nef_cotangent", "nef_tangent")
+ASSUMPTION_TAGS = ("schur", "my2", "my4", "c1top")
+
+# public name -> the submodule that defines it
+_HOMES = {
+    name: home
+    for home, names in {
+        "poly": "DimensionMismatch GradedPoly ParseError as_rational "
+        "monomials_of_weight weight_basis",
+        "symchern": "BasisConvention ConventionMismatch InvalidPartition flip_basis "
+        "partitions_of schur segre_top",
+        "hrr": "ChernFunctional ChiTable ConsistencyError chi_p chi_table "
+        "euler_functional top_part",
+        "cone": "Certificate ChiSignReport GeneratorSet Infeasibility certify "
+        "certify_chi_signs generators verify_certificate",
+        "varieties": "AbelianVariety ChernNumberSet Curve Explicit Hypersurface Product "
+        "ProjectiveSpace Surface VarietyDescriptor chern_numbers check_signs chi_values "
+        "descriptor_from_json descriptor_from_token evaluate load_corpus",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = ["__version__", "SIGN_MODES", "ASSUMPTION_TAGS", *_HOMES]
+
+
+def __getattr__(name: str):
+    if name in _HOMES.values():  # a submodule, which `import chigenus` does not load
+        return importlib.import_module(f"{__name__}.{name}")
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value

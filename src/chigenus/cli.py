@@ -10,42 +10,18 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import __version__
-from .cone import ASSUMPTION_TAGS, Certificate, certify, certify_chi_signs, generators
-from .hrr import (
-    SIGN_MODES,
-    chi_p,
-    chi_sign,
-    chi_table,
-    euler_functional,
-    mode_convention,
-    signed_target,
-    top_part,
-)
-from .poly import GradedPoly, ParseError, parse_decimal
-from .symchern import (
-    BasisConvention,
-    parse_partition,
-    partition_label,
-    partitions_of,
-    schur,
-)
-from .varieties import (
-    Surface,
-    SignAudit,
-    VarietyDescriptor,
-    check_signs,
-    chern_numbers,
-    chi_values,
-    descriptor_from_token,
-    evaluate,
-    load_corpus,
-)
+from . import ASSUMPTION_TAGS, SIGN_MODES, __version__
+
+# The mathematics is imported by each command when it runs, so a command
+# loads only the modules it uses and --version or --help loads none.
+if TYPE_CHECKING:
+    from .cone import Certificate
+    from .symchern import BasisConvention
+    from .varieties import SignAudit, VarietyDescriptor
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -67,6 +43,8 @@ def _load_config() -> dict:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
@@ -91,20 +69,22 @@ def _resolve_max_dim(flag: int | None) -> int:
 
 
 def _within_limit(max_dim: int, subject: int | VarietyDescriptor, low: int = 0) -> int:
-    """The one dimension gate: `subject` is a --dim value, refused outside
-    low..max_dim, or a descriptor, refused above max_dim.  Returns the
-    dimension."""
-    if isinstance(subject, VarietyDescriptor):
-        if subject.dimension > max_dim:
-            raise ValueError(f"descriptor {subject.name()} exceeds maximum dimension {max_dim}")
-        return subject.dimension
-    if not low <= subject <= max_dim:
-        raise ValueError(f"--dim must be within {low}..{max_dim}")
-    return subject
+    """The one dimension gate: `subject` is a --dim value (an int), refused
+    outside low..max_dim, or a variety descriptor, refused above max_dim.
+    Returns the dimension."""
+    if isinstance(subject, int):
+        if not low <= subject <= max_dim:
+            raise ValueError(f"--dim must be within {low}..{max_dim}")
+        return subject
+    if subject.dimension > max_dim:
+        raise ValueError(f"descriptor {subject.name()} exceeds maximum dimension {max_dim}")
+    return subject.dimension
 
 
 def _decimal(text: str) -> int:
     # numeric flags take the grammar of token fields, refused in argparse's words
+    from .poly import parse_decimal
+
     try:
         return parse_decimal(text)
     except ValueError:
@@ -112,6 +92,8 @@ def _decimal(text: str) -> int:
 
 
 def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> None:
+    import json
+
     envelope = {
         "command": command,
         "convention": convention,
@@ -147,6 +129,9 @@ def _parse_assumptions(text: str | None) -> tuple[str, ...]:
 
 
 def _cmd_chi(args) -> int:
+    from .hrr import chi_table
+    from .symchern import BasisConvention
+
     n = _within_limit(args.max_dim, args.dim)
     convention = BasisConvention(args.convention)
     table = chi_table(n)
@@ -165,6 +150,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_schur(args) -> int:
+    from .symchern import parse_partition, partition_label, partitions_of, schur
+
     n = _within_limit(args.max_dim, args.dim)
     if args.partition is not None:
         parts = [parse_partition(args.partition, n)]
@@ -191,6 +178,8 @@ def _cmd_schur(args) -> int:
 
 def _parse_chi_target(spec: str, n: int) -> int:
     """The form degree p of a 'chi:p' target, within 0..n."""
+    from .poly import parse_decimal
+
     try:
         p = parse_decimal(spec[len("chi:") :])
     except ValueError as exc:
@@ -201,6 +190,9 @@ def _parse_chi_target(spec: str, n: int) -> int:
 
 
 def _parse_target(args, n: int, mode: str, convention: BasisConvention):
+    from .hrr import chi_p, chi_sign, euler_functional, signed_target, top_part
+    from .poly import GradedPoly, ParseError
+
     spec = args.target
     if spec.startswith("chi:"):
         p = _parse_chi_target(spec, n)
@@ -229,6 +221,9 @@ def _render_certificate_text(cert: Certificate) -> list[str]:
 
 
 def _cmd_certify(args) -> int:
+    from .cone import Certificate, certify, certify_chi_signs, generators
+    from .hrr import mode_convention
+
     n = _within_limit(args.max_dim, args.dim, low=1)
     mode = _parse_mode(args.mode)
     convention = mode_convention(mode)
@@ -293,6 +288,8 @@ def _audit_text(audit: SignAudit) -> list[str]:
 
 
 def _cmd_check(args) -> int:
+    from .varieties import Surface, check_signs, descriptor_from_token, load_corpus
+
     mode = _parse_mode(args.mode)
     if args.target == "surface":
         if args.c1sq is None or args.c2 is None:
@@ -326,6 +323,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_variety_eval(args) -> int:
+    from .hrr import euler_functional
+    from .symchern import BasisConvention
+    from .varieties import chern_numbers, chi_values, descriptor_from_token, evaluate
+
     descriptor = descriptor_from_token(args.descriptor)
     n = _within_limit(args.max_dim, descriptor)
     numbers = chern_numbers(descriptor, BasisConvention.COTANGENT)

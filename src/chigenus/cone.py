@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
+from . import ASSUMPTION_TAGS
 from .hrr import (
     ChernFunctional,
     ConsistencyError,
@@ -52,8 +53,6 @@ __all__ = [
     "verify_certificate",
     "certify_chi_signs",
 ]
-
-ASSUMPTION_TAGS = ("schur", "my2", "my4", "c1top")
 
 
 class GeneratorSet(Record):

@@ -28,13 +28,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from . import SIGN_MODES
 from .poly import (
     DimensionMismatch,
     GradedPoly,
     RationalLike,
     Record,
     as_rational,
-    mono_weight,
     weight_basis,
 )
 from .symchern import (
@@ -140,13 +140,13 @@ class ChernFunctional(Record):
         )
 
     def flipped(self) -> "ChernFunctional":
-        """Same functional re-expressed in the other (co)tangent convention."""
-        basis = weight_basis(self.dimension)
-        return ChernFunctional(
-            self.dimension,
-            self.convention.other(),
-            tuple(c * ((-1) ** mono_weight(m)) for c, m in zip(self.coeffs, basis)),
-        )
+        """Same functional re-expressed in the other (co)tangent convention.
+
+        c_i changes sign with i, so a monomial of weight w changes by
+        (-1)^w; every top-weight monomial has weight n, so the whole flip
+        is the sign (-1)^n."""
+        coeffs = tuple(-c for c in self.coeffs) if self.dimension % 2 else self.coeffs
+        return ChernFunctional(self.dimension, self.convention.other(), coeffs)
 
     def dot(self, values: Sequence[RationalLike]) -> Fraction:
         values = tuple(as_rational(v) for v in values)
@@ -222,17 +222,22 @@ def _chi_y_factor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return scale, tuple(((-1) ** k * c, c) for k, c in enumerate(scaled))
 
 
+def _check_dimension(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"dimension must be a non-negative integer: {n!r}")
+
+
 @lru_cache(maxsize=None)
 def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     """chi^0..chi^n of dimension n, in cotangent variables: the
     coefficients in y of the chi_y genus (see the module docstring).
 
-    The rows are validated once, here: the duality symmetry chi^p =
+    The rows are validated once, here, on their integer numerators over
+    L^n before any fraction is made: the duality symmetry chi^p =
     (-1)^n chi^{n-p} and the alternating-sum identity sum_p (-1)^p chi^p =
     Euler functional.  A failure means the chi_y engine is broken and
     aborts."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"dimension must be a non-negative integer: {n!r}")
+    _check_dimension(n)
     scale, factor = _chi_y_factor(n)
     monomial = {}  # m_lambda coefficient times L^n, lowest power of y first
     for parts in partitions_of(n):
@@ -244,35 +249,37 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     coordinates = chern_coordinates(monomial, n)
     denominator = scale**n
     basis = weight_basis(n)
-    rows = tuple(
+    # tangent numerators; the flip to cotangent variables is the sign (-1)^n
+    sign = (-1) ** n
+    numerators = [coordinates[m] for m in basis]
+    for p in range(n + 1):
+        if any(k[p] != sign * k[n - p] for k in numerators):
+            raise ConsistencyError(f"duality symmetry failed at dimension {n}, p={p}")
+    euler = euler_functional(n).coeffs
+    for k, e in zip(numerators, euler):
+        if sign * (sum(k[0::2]) - sum(k[1::2])) != e * denominator:
+            raise ConsistencyError(f"alternating sum is not the Euler class at dimension {n}")
+    return tuple(
         ChernFunctional(
             n,
-            BasisConvention.TANGENT,
-            tuple(Fraction(coordinates[m][p], denominator) for m in basis),
-        ).flipped()
+            BasisConvention.COTANGENT,
+            tuple(Fraction(sign * k[p], denominator) for k in numerators),
+        )
         for p in range(n + 1)
     )
-    for p in range(n + 1):
-        if rows[p] != rows[n - p].scaled((-1) ** n):
-            raise ConsistencyError(f"duality symmetry failed at dimension {n}, p={p}")
-    alternating = ChernFunctional.zero(n, BasisConvention.COTANGENT)
-    for p in range(n + 1):
-        alternating = alternating + rows[p].scaled((-1) ** p)
-    if alternating != euler_functional(n):
-        raise ConsistencyError(f"alternating sum is not the Euler class at dimension {n}")
-    return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def chi_p(n: int, p: int) -> ChernFunctional:
     """The chi^p functional, in cotangent-convention variables.
 
     chi^p pairs a manifold's Chern numbers with the holomorphic Euler
     characteristic of its sheaf of p-forms, e.g. chi^1 = (c_1^2 - 5 c_2)/6
-    in dimension 2.
+    in dimension 2.  The cache is typed: (True, 0) == (1, 0), so an
+    untyped key would answer a bool with a cached row.
     """
     rows = _chi_y_rows(n)
-    if not 0 <= p <= n:
+    if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= n:
         raise ValueError(f"form degree {p!r} outside 0..{n}")
     return rows[p]
 
@@ -280,8 +287,7 @@ def chi_p(n: int, p: int) -> ChernFunctional:
 def euler_functional(n: int) -> ChernFunctional:
     """Topological Euler characteristic as a cotangent-convention
     functional: (-1)^n c_n, i.e. c_n of the tangent bundle."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"dimension must be a non-negative integer: {n!r}")
+    _check_dimension(n)
     if n == 0:
         return ChernFunctional(0, BasisConvention.COTANGENT, (Fraction(1),))
     top_mono = tuple([0] * (n - 1) + [1])
@@ -290,9 +296,6 @@ def euler_functional(n: int) -> ChernFunctional:
         Fraction((-1) ** n) if m == top_mono else Fraction(0) for m in basis
     )
     return ChernFunctional(n, BasisConvention.COTANGENT, coeffs)
-
-
-SIGN_MODES = ("nef_cotangent", "nef_tangent")
 
 
 def mode_convention(mode: str) -> BasisConvention:

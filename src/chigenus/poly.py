@@ -165,10 +165,16 @@ def mono_text(mono: Monomial) -> str:
     return "*".join(factors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def monomials_of_weight(dim: int, weight: int) -> tuple[Monomial, ...]:
     """All exponent tuples of length `dim` with weight exactly `weight`,
-    in canonical order."""
+    in canonical order.  The cache is typed, so the key True never
+    answers for 1, and a refused argument is never cached."""
+    for value in (dim, weight):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(
+                f"dimension and weight must be non-negative integers, got {value!r}"
+            )
     found: list[Monomial] = []
 
     def descend(i: int, left: int, acc: list[int]) -> None:

@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -460,7 +461,8 @@ class TestVarietyCommand:
             assert err == f"error: bad chi target {target!r}\n"
 
     def test_eval_computes_chern_numbers_once(self, capsys, monkeypatch):
-        import chigenus.cli as cli
+        # the command imports chern_numbers from its home module when it runs
+        import chigenus.varieties as varieties
         from chigenus.varieties import chern_numbers
 
         calls = []
@@ -469,7 +471,7 @@ class TestVarietyCommand:
             calls.append(v.name())
             return chern_numbers(v, convention)
 
-        monkeypatch.setattr(cli, "chern_numbers", counting)
+        monkeypatch.setattr(varieties, "chern_numbers", counting)
         code, out, _ = run_cli(capsys, "variety", "eval", "product(pn:1,product(curve:2,pn:2))")
         assert code == 0
         assert calls == ["product(pn:1,product(curve:2,pn:2))"]
@@ -685,6 +687,67 @@ class TestStartup:
             [sys.executable, "-c", code + self.REPORT], capture_output=True, text=True, check=True
         )
         assert result.stdout.splitlines()[-1] == "[]", result.stdout
+
+    # Each command imports only the mathematics it runs.  Only chigenus
+    # modules are compared: which standard modules `site` loads depends on
+    # the host.
+    ENTRY = {"chigenus.cli"}
+    CHI = {"chigenus.poly", "chigenus.symchern", "chigenus.hrr"}
+    LOADS = [
+        (("--version",), set()),
+        (("--help",), set()),
+        (("chi",), set()),  # argparse error: --dim is required
+        (("nope",), set()),  # argparse error: no such command
+        (("chi", "--dim", "3", "--json"), CHI),
+        (("schur", "--dim", "3", "--json"), {"chigenus.poly", "chigenus.symchern"}),
+        (("certify", "--dim", "3", "--all-p"), CHI | {"chigenus.cone"}),
+        (("certify", "--dim", "2", "--target", "chi:1"), CHI | {"chigenus.cone"}),
+        (("check", "pn:3"), CHI | {"chigenus.varieties"}),
+        (("variety", "eval", "pn:2", "--json"), CHI | {"chigenus.varieties"}),
+    ]
+
+    @pytest.mark.parametrize("argv, expected", LOADS, ids=[" ".join(a) for a, _ in LOADS])
+    def test_command_loads_only_its_modules(self, argv, expected):
+        script = (
+            "import runpy, sys\n"
+            f"sys.argv = ['chigenus', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('chigenus', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.startswith('chigenus.')), file=sys.stderr)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+        )
+        loaded = set(ast.literal_eval(result.stderr.splitlines()[-1]))
+        assert loaded == self.ENTRY | expected
+
+    def test_every_export_is_its_home_modules_object(self):
+        import importlib
+
+        import chigenus
+
+        for name in chigenus.__all__:
+            home = chigenus._HOMES.get(name)
+            module = chigenus if home is None else importlib.import_module(f"chigenus.{home}")
+            assert getattr(chigenus, name) is vars(module)[name], name
+        star: dict = {}
+        exec("from chigenus import *", star)
+        assert {name: star[name] for name in chigenus.__all__} == {
+            name: getattr(chigenus, name) for name in chigenus.__all__
+        }
+        assert chigenus.hrr.SIGN_MODES is chigenus.SIGN_MODES
+        assert chigenus.cone.ASSUMPTION_TAGS is chigenus.ASSUMPTION_TAGS
+        with pytest.raises(AttributeError):
+            chigenus.no_such_name
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        code = "import chigenus\nprint(chigenus.varieties.chern_numbers is chigenus.chern_numbers)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=30
+        )
+        assert result.stdout == "True\n"
 
 
 class TestExitContract:

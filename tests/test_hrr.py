@@ -309,6 +309,41 @@ class TestRowValidation:
         assert calls == [4]
 
 
+class TestCacheKeys:
+    """True == 1 and both hash alike, so an untyped cache would answer a
+    bool with the row of 1 once that row is cached."""
+
+    BAD = [(True, 0), (True, 1), (2, True), (2, False), (-1, 0), (2, -1)]
+
+    @pytest.fixture
+    def cold_rows(self):
+        chi_p.cache_clear()
+        _chi_y_rows.cache_clear()
+        yield
+        chi_p.cache_clear()
+        _chi_y_rows.cache_clear()
+
+    @pytest.mark.parametrize("n, p", BAD)
+    def test_refused_cold_and_warm(self, cold_rows, n, p):
+        with pytest.raises(ValueError):
+            chi_p(n, p)
+        for m in range(3):
+            chi_table(m)
+            for q in range(m + 1):
+                chi_p(m, q)
+        with pytest.raises(ValueError):
+            chi_p(n, p)
+        assert chi_p(1, 0) == functional(1, "-1/2*c1")
+        assert chi_p(2, 1) == functional(2, "1/6*c1^2 - 5/6*c2")
+
+    def test_table_refuses_a_bool_cold_and_warm(self, cold_rows):
+        with pytest.raises(ValueError):
+            chi_table(True)
+        chi_table(1)
+        with pytest.raises(ValueError):
+            chi_table(True)
+
+
 class TestSurfaceSignatureIdentity:
     def test_rows_from_euler_and_signature(self):
         # chi_top = c_2(TX) = c_2, sigma = (c_1(TX)^2 - 2 c_2(TX))/3; both

@@ -185,6 +185,28 @@ class TestCanonicalOrder:
         assert monomials_of_weight(0, 0) == ((),)
         assert monomials_of_weight(3, 0) == ((0, 0, 0),)
 
+    @pytest.mark.parametrize(
+        "dim, weight", [(True, True), (1, True), (True, 1), (False, 0), (-1, -1), (2, -1), (-1, 2)]
+    )
+    def test_bool_or_negative_refused_cold_and_warm(self, dim, weight):
+        # True == 1 and both hash alike: an untyped cache answers True with
+        # the entry of 1 once that is cached
+        monomials_of_weight.cache_clear()
+        with pytest.raises(ValueError):
+            monomials_of_weight(dim, weight)
+        monomials_of_weight(abs(int(dim)), abs(int(weight)))
+        with pytest.raises(ValueError):
+            monomials_of_weight(dim, weight)
+
+    @pytest.mark.parametrize("dim", [True, False, -1])
+    def test_weight_basis_refuses_bool_or_negative(self, dim):
+        monomials_of_weight.cache_clear()
+        with pytest.raises(ValueError):
+            weight_basis(dim)
+        weight_basis(abs(int(dim)))
+        with pytest.raises(ValueError):
+            weight_basis(dim)
+
 
 class TestSerialization:
     def test_spec_string_round_trips(self):
