@@ -8,10 +8,10 @@ malformed input.  JSON output is a single line with sorted keys and exact
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 from . import ASSUMPTION_TAGS, SIGN_MODES, __version__
@@ -82,13 +82,13 @@ def _within_limit(max_dim: int, subject: int | VarietyDescriptor, low: int = 0) 
 
 
 def _decimal(text: str) -> int:
-    # numeric flags take the grammar of token fields, refused in argparse's words
+    # numeric flags take the grammar of token fields
     from .poly import parse_decimal
 
     try:
         return parse_decimal(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> None:
@@ -224,6 +224,10 @@ def _cmd_certify(args) -> int:
     from .cone import Certificate, certify, certify_chi_signs, generators
     from .hrr import mode_convention
 
+    if args.all_p and args.target is not None:
+        raise ValueError("certify takes --target or --all-p, not both")
+    if not args.all_p and args.target is None:
+        raise ValueError("certify needs --target or --all-p")
     n = _within_limit(args.max_dim, args.dim, low=1)
     mode = _parse_mode(args.mode)
     convention = mode_convention(mode)
@@ -253,7 +257,7 @@ def _cmd_certify(args) -> int:
             "scale": scale,
             "sign": sign,
             "status": "certified" if certified else "infeasible",
-            "target": target.as_poly().to_json_dict(),
+            "target": target.poly_json_dict(),
         }
         if certified:
             payload["certificate"] = result.to_json_dict()
@@ -369,83 +373,128 @@ def _cmd_variety_eval(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+# Every flag, once: name -> (converter, default).  Its dest is the name
+# without the dashes ("--max-dim" -> args.max_dim); a converter of None
+# makes a switch and a tuple lists the accepted values.
+FLAGS = {
+    "--json": (None, False),
+    "--max-dim": (_decimal, None),
+    "--dim": (_decimal, None),
+    "--convention": (("tangent", "cotangent"), "cotangent"),
+    "--partition": (str, None),
+    "--mode": (str, MODE_NAMES[0]),
+    "--target": (str, None),
+    "--assume": (str, None),
+    "--all-p": (None, False),
+    "--c1sq": (_decimal, None),
+    "--c2": (_decimal, None),
+}
+SHARED_FLAGS = "--json --max-dim"  # every command takes these first
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chigenus",
-        description=(
-            "Exact chi^p genus polynomials, Schur positivity generators, and "
-            "rational cone certificates for Chern-number sign theorems."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, its other flags, the required ones, positional)
+COMMANDS = {
+    "chi": (_cmd_chi, "--dim --convention", "--dim", ""),
+    "schur": (_cmd_schur, "--dim --partition", "--dim", ""),
+    "certify": (_cmd_certify, "--dim --mode --target --assume --all-p", "--dim", ""),
+    "check": (_cmd_check, "--mode --c1sq --c2", "", "target"),
+    "variety eval": (_cmd_variety_eval, "--target", "", "descriptor"),
+}
 
-    # flags that several commands share, each declared once
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--max-dim", type=_decimal, default=None)
-    sized = argparse.ArgumentParser(add_help=False)
-    sized.add_argument("--dim", type=_decimal, required=True)
-    moded = argparse.ArgumentParser(add_help=False)
-    moded.add_argument("--mode", default="nef-cotangent", help=" or ".join(MODE_NAMES))
+HELP = f"""
+Exact chi^p genus polynomials, Schur positivity generators and rational cone
+certificates for Chern-number sign theorems.  A flag takes its value as
+--flag VALUE or --flag=VALUE.  --mode is {' or '.join(MODE_NAMES)} (default
+{MODE_NAMES[0]}), --assume a comma list of {','.join(OPTIONAL_ASSUMPTIONS)}, --partition
+e.g. 2,1, --target chi:p, euler or (certify only) an inline weight-n
+polynomial, and check's target a builtin token (pn:3, curve:2, ...),
+'surface' or a corpus path.
+"""
 
-    chi = sub.add_parser("chi", parents=[common, sized], help="print the chi^p polynomial table")
-    chi.add_argument(
-        "--convention", choices=["tangent", "cotangent"], default="cotangent"
-    )
-    chi.set_defaults(func=_cmd_chi)
 
-    schur_cmd = sub.add_parser(
-        "schur", parents=[common, sized], help="print Schur positivity generators"
-    )
-    schur_cmd.add_argument("--partition", default=None, help="e.g. 2,1")
-    schur_cmd.set_defaults(func=_cmd_schur)
+def _help() -> str:
+    lines = ["usage: chigenus [-h] [--version] COMMAND ..."]
+    for command, (_, flags, required, positional) in COMMANDS.items():
+        words = [f"       chigenus {command} [-h]"]
+        for name in f"{SHARED_FLAGS} {flags}".split():
+            convert = FLAGS[name][0]
+            if isinstance(convert, tuple):
+                name += " {" + ",".join(convert) + "}"
+            elif convert is not None:
+                name += " " + name[2:].replace("-", "_").upper()
+            words.append(name if name.split()[0] in required.split() else f"[{name}]")
+        lines.append(" ".join(words + positional.split()))
+    return "\n".join(lines) + "\n" + HELP
 
-    cert = sub.add_parser(
-        "certify", parents=[common, sized, moded], help="search/verify a positivity certificate"
-    )
-    cert.add_argument(
-        "--target",
-        default=None,
-        help="chi:p, euler, or an inline weight-n polynomial",
-    )
-    cert.add_argument(
-        "--assume", default=None, help=f"comma list of {','.join(OPTIONAL_ASSUMPTIONS)}"
-    )
-    cert.add_argument("--all-p", action="store_true", help="run every chi^p row")
-    cert.set_defaults(func=_cmd_certify)
 
-    check = sub.add_parser(
-        "check", parents=[common, moded], help="sign audit of a variety or corpus file"
-    )
-    check.add_argument(
-        "target", help="builtin token (pn:3, curve:2, ...), 'surface', or corpus path"
-    )
-    check.add_argument("--c1sq", type=_decimal, default=None)
-    check.add_argument("--c2", type=_decimal, default=None)
-    check.set_defaults(func=_cmd_check)
-
-    variety = sub.add_parser("variety", help="variety computations")
-    variety_sub = variety.add_subparsers(dest="variety_command", required=True)
-    veval = variety_sub.add_parser(
-        "eval", parents=[common], help="evaluate chi^p values of a variety"
-    )
-    veval.add_argument("descriptor", help="builtin token, e.g. pn:3 or curve:2")
-    veval.add_argument("--target", default=None, help="chi:p or euler")
-    veval.set_defaults(func=_cmd_variety_eval)
-
-    return parser
+def _parse(argv: Sequence[str]) -> SimpleNamespace | str:
+    """The parsed command line, or the text that --help or --version prints.
+    A value flag takes the next token verbatim, even one that starts with
+    '-'; every refusal is a ValueError."""
+    if argv[:1] == ["--version"]:
+        return f"chigenus {__version__}\n"
+    command = " ".join(argv[:2])
+    if command not in COMMANDS:
+        command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        return _help()
+    if command not in COMMANDS:
+        known = f"(use {', '.join(COMMANDS)})"
+        raise ValueError(
+            f"unknown command {command!r} {known}" if argv else f"missing command {known}"
+        )
+    handler, flags, required, positional = COMMANDS[command]
+    allowed = f"{SHARED_FLAGS} {flags}".split()
+    given: dict = {}
+    tokens = iter(argv[len(command.split()) :])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help()
+        if not token.startswith("-"):
+            if not positional or positional in given:
+                raise ValueError(f"unexpected argument {token!r} for {command}")
+            given[positional] = token
+            continue
+        name, inline, value = token.partition("=")
+        if name not in allowed:
+            raise ValueError(f"unknown flag {name!r} for {command}")
+        if name in given:
+            raise ValueError(f"{name} given twice")
+        convert = FLAGS[name][0]
+        if convert is None:
+            if inline:
+                raise ValueError(f"{name} takes no value")
+            given[name] = True
+            continue
+        if not inline:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"{name} needs a value")
+        if isinstance(convert, tuple):
+            if value not in convert:
+                raise ValueError(f"{name}: invalid choice {value!r} (use {' or '.join(convert)})")
+        else:
+            try:
+                value = convert(value)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        given[name] = value
+    for name in f"{required} {positional}".split():
+        if name not in given:
+            raise ValueError(f"{command} needs {name}")
+    args = SimpleNamespace(func=handler)
+    for name, (_, default) in FLAGS.items():
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    if positional:
+        setattr(args, positional, given[positional])
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "certify" and not args.all_p and args.target is None:
-        parser.error("certify needs --target or --all-p")
-    if args.command == "certify" and args.all_p and args.target is not None:
-        parser.error("certify takes --target or --all-p, not both")
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):  # --help or --version
+            sys.stdout.write(args)
+            return EXIT_OK
         args.max_dim = _resolve_max_dim(args.max_dim)
         return args.func(args)
     except (ValueError, OSError) as exc:

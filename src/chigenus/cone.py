@@ -147,8 +147,8 @@ class Certificate(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "residual": self.residual.as_poly().to_json_dict(),
-            "target": self.target.as_poly().to_json_dict(),
+            "residual": self.residual.poly_json_dict(),
+            "target": self.target.poly_json_dict(),
             "terms": [
                 {"coef": str(coef), "gen": name}
                 for name, coef in self.named_coefficients()
@@ -165,7 +165,7 @@ class Infeasibility(Record):
     witness: ChernFunctional
 
     def to_json_dict(self) -> dict:
-        return {"witness": self.witness.as_poly().to_json_dict()}
+        return {"witness": self.witness.poly_json_dict()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -352,7 +352,7 @@ class ChiSignRow(Record):
             "scale": self.scale,
             "sign": self.sign,
             "status": self.status,
-            "target": self.target.as_poly().to_json_dict(),
+            "target": self.target.poly_json_dict(),
         }
         if isinstance(self.result, Certificate):
             payload["certificate"] = self.result.to_json_dict()

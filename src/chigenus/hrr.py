@@ -35,6 +35,7 @@ from .poly import (
     RationalLike,
     Record,
     as_rational,
+    json_terms,
     weight_basis,
 )
 from .symchern import (
@@ -98,6 +99,12 @@ class ChernFunctional(Record):
             self.dimension,
             {m: c for m, c in zip(weight_basis(self.dimension), self.coeffs) if c},
         )
+
+    def poly_json_dict(self) -> dict:
+        """`as_poly().to_json_dict()` without building the polynomial: the
+        basis is already in `mono_key` order."""
+        terms = json_terms(zip(weight_basis(self.dimension), self.coeffs))
+        return {"dim": self.dimension, "terms": terms}
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -181,7 +188,7 @@ class ChernFunctional(Record):
         return {
             "convention": self.convention.value,
             "dim": self.dimension,
-            "poly": self.as_poly().to_json_dict(),
+            "poly": self.poly_json_dict(),
         }
 
     @classmethod
@@ -351,7 +358,7 @@ class ChiTable(Record):
             "convention": self.convention.value,
             "dim": self.dimension,
             "rows": [
-                {"p": p, "poly": row.as_poly().to_json_dict()}
+                {"p": p, "poly": row.poly_json_dict()}
                 for p, row in enumerate(self.rows)
             ],
         }

@@ -36,6 +36,7 @@ __all__ = [
     "mono_text",
     "monomials_of_weight",
     "weight_basis",
+    "json_terms",
     "GradedPoly",
 ]
 
@@ -199,6 +200,16 @@ def weight_basis(dim: int) -> tuple[Monomial, ...]:
     Its length is the number of partitions of `dim`.
     """
     return monomials_of_weight(dim, dim)
+
+
+def json_terms(terms: Iterable[tuple[Monomial, Fraction]]) -> list[dict]:
+    """The JSON term list of (monomial, coefficient) pairs given in
+    `mono_key` order; zero coefficients are left out."""
+    return [
+        {"exps": list(mono), "num": str(coef.numerator), "den": str(coef.denominator)}
+        for mono, coef in terms
+        if coef
+    ]
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -474,17 +485,8 @@ class GradedPoly:
             raise ParseError(str(exc)) from exc
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self._dim,
-            "terms": [
-                {
-                    "exps": list(mono),
-                    "num": str(self._terms[mono].numerator),
-                    "den": str(self._terms[mono].denominator),
-                }
-                for mono in sorted(self._terms, key=mono_key)
-            ],
-        }
+        terms = sorted(self._terms.items(), key=lambda item: mono_key(item[0]))
+        return {"dim": self._dim, "terms": json_terms(terms)}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "GradedPoly":

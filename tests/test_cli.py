@@ -126,6 +126,11 @@ class TestSchurCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_partition_part_reaches_its_check(self, capsys):
+        code, out, err = run_cli(capsys, "schur", "--dim", "3", "--partition", "-1,4")
+        assert (code, out) == (2, "")
+        assert err == "error: parts must be non-negative integers: (-1, 4)\n"
+
     def test_spaced_partition_text(self, capsys):
         code, out, _ = run_cli(capsys, "schur", "--dim", "3", "--partition", "2, 1")
         assert code == 0
@@ -226,14 +231,19 @@ class TestCertifyCommand:
         assert "verdict: open" in lines
 
     def test_all_p_with_target_refused(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["certify", "--all-p", "--dim", "2", "--target", "garbage"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            "chigenus: error: certify takes --target or --all-p, not both"
-        )
+        code, out, err = run_cli(capsys, "certify", "--all-p", "--dim", "2", "--target", "garbage")
+        assert (code, out, err) == (2, "", "error: certify takes --target or --all-p, not both\n")
+
+    def test_neither_target_nor_all_p_refused(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--dim", "2")
+        assert (code, out, err) == (2, "", "error: certify needs --target or --all-p\n")
+
+    def test_target_value_may_start_with_a_dash(self, capsys):
+        # a value flag takes the next token verbatim, as in the --flag=value form
+        spaced = run_cli(capsys, "certify", "--dim", "2", "--target", "-1*c1^2")
+        joined = run_cli(capsys, "certify", "--dim", "2", "--target=-1*c1^2")
+        assert spaced == joined
+        assert spaced[0] == 1 and "target = -1*c1^2" in spaced[1]
 
     def test_json_certificate_reparses(self, capsys):
         _, out, _ = run_cli(
@@ -600,14 +610,14 @@ class TestSharedFlags:
         ],
     )
     def test_numeric_flags_take_plain_decimals(self, capsys, argv, bad):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].endswith(f"invalid int value: {bad!r}")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --") and err.count("\n") == 1
+        assert err.endswith(f"invalid int value: {bad!r}\n")
 
-    # the shared flags come first, from the parent parsers that declare them
+    COMMAND_LIST = "(use chi, schur, certify, check, variety eval)"
+
+    # the shared flags come first; required flags are not bracketed
     USAGE = {
         "chi": "chi [-h] [--json] [--max-dim MAX_DIM] --dim DIM"
         " [--convention {tangent,cotangent}]",
@@ -620,14 +630,56 @@ class TestSharedFlags:
         " descriptor",
     }
 
-    @pytest.mark.parametrize("command", sorted(USAGE))
-    def test_usage_line(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([*command.split(), "--bogus"])
-        *usage, last = capsys.readouterr().err.splitlines()
-        assert exc.value.code == 2
-        assert " ".join(" ".join(usage).split()) == f"usage: chigenus {self.USAGE[command]}"
-        assert last.startswith(f"chigenus {command}: error: ")
+    @pytest.mark.parametrize(
+        "argv", [("--help",), ("-h",), ("chi", "--help"), ("check", "pn:2", "-h")]
+    )
+    def test_help_lists_each_commands_flags(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        first, *usage = out.splitlines()[: 1 + len(self.USAGE)]
+        assert first == "usage: chigenus [-h] [--version] COMMAND ..."
+        assert [line.strip() for line in usage] == [f"chigenus {u}" for u in self.USAGE.values()]
+        assert "--flag VALUE or --flag=VALUE" in out
+
+    def test_help_ignores_the_terminal_width(self, capsys, monkeypatch):
+        wide = run_cli(capsys, "--help")
+        monkeypatch.setenv("COLUMNS", "20")
+        assert run_cli(capsys, "--help") == wide
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), f"missing command {COMMAND_LIST}"),
+            (("nope",), f"unknown command 'nope' {COMMAND_LIST}"),
+            (("variety",), f"unknown command 'variety' {COMMAND_LIST}"),
+            (("chi", "--bogus"), "unknown flag '--bogus' for chi"),
+            (("chi", "--di", "2"), "unknown flag '--di' for chi"),  # no prefix abbreviations
+            (("chi", "--dim", "2", "--partition", "1"), "unknown flag '--partition' for chi"),
+            (("chi", "--version"), "unknown flag '--version' for chi"),
+            (("chi", "--dim", "2", "--dim", "3"), "--dim given twice"),
+            (("chi", "--json", "--dim", "2", "--json"), "--json given twice"),
+            (("check", "pn:2", "--mode=nef-tangent", "--mode", "nef-tangent"),
+             "--mode given twice"),
+            (("chi",), "chi needs --dim"),
+            (("chi", "--dim"), "--dim needs a value"),
+            (("chi", "--json=yes", "--dim", "2"), "--json takes no value"),
+            (("check",), "check needs target"),
+            (("variety", "eval", "--json"), "variety eval needs descriptor"),
+            (("check", "pn:2", "pn:3"), "unexpected argument 'pn:3' for check"),
+            (("chi", "3"), "unexpected argument '3' for chi"),
+            (("chi", "--dim", "2", "--convention", "both"),
+             "--convention: invalid choice 'both' (use tangent or cotangent)"),
+            (("chi", "--dim=2", "--convention="),
+             "--convention: invalid choice '' (use tangent or cotangent)"),
+        ],
+    )
+    def test_bad_command_line_is_one_error_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_flag_value_forms_agree(self, capsys):
+        spaced = run_cli(capsys, "chi", "--dim", "3", "--convention", "tangent", "--json")
+        joined = run_cli(capsys, "chi", "--dim=3", "--convention=tangent", "--json")
+        assert spaced == joined and spaced[0] == 0
 
 
 class TestConfigFile:
@@ -688,16 +740,19 @@ class TestStartup:
         )
         assert result.stdout.splitlines()[-1] == "[]", result.stdout
 
-    # Each command imports only the mathematics it runs.  Only chigenus
-    # modules are compared: which standard modules `site` loads depends on
-    # the host.
+    # Each command imports only the mathematics it runs, and no command line
+    # loads the standard modules of the former argparse parser.  Which
+    # standard modules `site` loads depends on the host, so the child
+    # compares with the set present when its script starts.
+    PARSER_MODULES = {"argparse", "gettext", "locale", "textwrap"}
     ENTRY = {"chigenus.cli"}
     CHI = {"chigenus.poly", "chigenus.symchern", "chigenus.hrr"}
     LOADS = [
         (("--version",), set()),
         (("--help",), set()),
-        (("chi",), set()),  # argparse error: --dim is required
-        (("nope",), set()),  # argparse error: no such command
+        (("chi",), set()),  # refused by the parser: --dim is required
+        (("nope",), set()),  # refused by the parser: no such command
+        (("chi", "--dim", "0_3"), {"chigenus.poly"}),  # refused by --dim's converter
         (("chi", "--dim", "3", "--json"), CHI),
         (("schur", "--dim", "3", "--json"), {"chigenus.poly", "chigenus.symchern"}),
         (("certify", "--dim", "3", "--all-p"), CHI | {"chigenus.cone"}),
@@ -709,19 +764,23 @@ class TestStartup:
     @pytest.mark.parametrize("argv, expected", LOADS, ids=[" ".join(a) for a, _ in LOADS])
     def test_command_loads_only_its_modules(self, argv, expected):
         script = (
-            "import runpy, sys\n"
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import runpy\n"
             f"sys.argv = ['chigenus', *{list(argv)!r}]\n"
             "try:\n"
             "    runpy.run_module('chigenus', run_name='__main__', alter_sys=True)\n"
             "except SystemExit:\n"
             "    pass\n"
-            "print(sorted(m for m in sys.modules if m.startswith('chigenus.')), file=sys.stderr)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('chigenus.')),\n"
+            "      sorted(set(sys.modules) - before), sep='\\n', file=sys.stderr)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
         )
-        loaded = set(ast.literal_eval(result.stderr.splitlines()[-1]))
-        assert loaded == self.ENTRY | expected
+        loaded, added = map(ast.literal_eval, result.stderr.splitlines()[-2:])
+        assert set(loaded) == self.ENTRY | expected
+        assert not self.PARSER_MODULES & set(added), added
 
     def test_every_export_is_its_home_modules_object(self):
         import importlib
@@ -760,15 +819,15 @@ class TestExitContract:
         (("--help",), 0),
         (("chi", "--dim", "3", "--json"), 0),
         (("chi", "--dim", "99"), 2),
-        (("chi", "--dim", "0_3"), 2),  # refused by argparse inside main
+        (("chi", "--dim", "0_3"), 2),  # refused by the parser inside main
         (("check", "pn:9", "--max-dim", "9"), 1),
         (("certify", "--dim", "2", "--target", "chi:1", "--json"), 1),
     ]
 
     @pytest.fixture
     def env(self, monkeypatch):
-        # argparse wraps help and usage text at the terminal width
-        monkeypatch.setenv("COLUMNS", "80")
+        # help text is static: a narrow terminal must not change a byte of it
+        monkeypatch.setenv("COLUMNS", "20")
         monkeypatch.delenv("CHIGENUS_CONFIG", raising=False)
         # a block-buffered stdout must still be flushed at exit
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
@@ -776,10 +835,7 @@ class TestExitContract:
 
     @pytest.mark.parametrize("argv, expected", EXITS, ids=[" ".join(a) for a, _ in EXITS])
     def test_console_entry_matches_main(self, capsysbinary, env, argv, expected):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(argv))
         captured = capsysbinary.readouterr()
         result = subprocess.run(
             [sys.executable, "-m", "chigenus", *argv], capture_output=True, env=env, timeout=30
@@ -795,10 +851,7 @@ class TestExitContract:
 
     @pytest.mark.parametrize("argv", [("chi", "--dim", "2"), ("--version",), ("chi", "--dim", "0_3")])
     def test_main_leaves_the_collector_alone(self, capsys, argv):
-        try:
-            main(list(argv))
-        except SystemExit:
-            pass
+        main(list(argv))
         assert gc.isenabled()
         assert gc.get_freeze_count() == 0
 

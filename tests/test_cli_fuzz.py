@@ -1,10 +1,12 @@
 """Property test of the error contract of `cli.main` on arbitrary input.
 
-Whatever the tokens, corpus lines, polynomial text, numeric flag values or
-config JSON, `main` returns 0, 1 or 2 without raising; exit 2 comes with
-exactly one `error:` line on stderr, and exit 1 only with an "infeasible",
-"open" or failed-audit verdict on stdout.  Dimensions stay small so every
-example runs in milliseconds.
+Whatever the tokens, corpus lines, polynomial text, numeric flag values,
+config JSON or shape of the command line (either flag value form, values
+that start with '-', unknown or repeated flags, no command), `main` returns
+0, 1 or 2 without raising; exit 2 comes with exactly one `error:` line on
+stderr and nothing on stdout, and exit 1 only with an "infeasible", "open"
+or failed-audit verdict on stdout.  Dimensions stay small so every example
+runs in milliseconds.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ poly_text = st.text(alphabet="c0123456789^*+-/ .e_", max_size=20)
 chi_targets = st.builds(
     str.__add__, st.sampled_from(["chi:", "euler", "eul"]), st.text("0123456789-+ x", max_size=3)
 )
+# values that look like flags: a value flag takes them verbatim
+DASHED = st.sampled_from(["-1*c1^2", "-c2", "-1,4", "-1", "--json", "-h", "--"])
+# unknown flags, prefixes of real ones, and flags of other commands
+STRAY_FLAGS = st.sampled_from(["--bogus", "--js", "--dim-", "-x", "--JSON", "--all", "--version"])
+SWITCHES = ("--json", "--all-p")
 
 
 def mostly(draw, good, bad):
@@ -65,6 +72,11 @@ def mostly(draw, good, bad):
 def rarely(draw) -> bool:
     """True about once in sixteen (hypothesis leans to low draws, so the top one)."""
     return draw(st.integers(0, 15)) == 15
+
+
+def valued(draw, name: str, value: str) -> list[str]:
+    """A value flag as '--flag value' or, now and then, as '--flag=value'."""
+    return [f"{name}={value}"] if draw(st.integers(0, 3)) == 3 else [name, value]
 
 
 @st.composite
@@ -120,33 +132,34 @@ modes = st.sampled_from(["nef-cotangent", "nef-tangent", "nef_tangent", "both"])
 
 
 @st.composite
-def invocations(draw) -> tuple[list[str], list[str] | None]:
-    """(argv, corpus lines or None); "{corpus}" in argv names the corpus file."""
+def commands(draw) -> tuple[list[str], list[str] | None]:
+    """A well-formed command line with fuzzed values: (argv, corpus lines or
+    None); "{corpus}" in argv names the corpus file."""
     command = draw(st.sampled_from(["chi", "schur", "certify", "eval", "check", "check-corpus"]))
     flags = ["--json"] if draw(st.booleans()) else []
     if draw(st.booleans()):
-        flags += ["--max-dim", draw(LIMIT_JUNK if rarely(draw) else LIMITS)]
+        flags += valued(draw, "--max-dim", draw(LIMIT_JUNK if rarely(draw) else LIMITS))
     dim = mostly(draw, SMALL.map(str), FIELD_JUNK)
     if command == "chi":
-        convention = draw(st.sampled_from(["tangent", "cotangent"]))
-        return ["chi", "--dim", dim, "--convention", convention] + flags, None
+        convention = mostly(draw, st.sampled_from(["tangent", "cotangent"]), st.just("both"))
+        return ["chi", *valued(draw, "--dim", dim), "--convention", convention] + flags, None
     if command == "schur":
-        partition = draw(st.none() | st.text(alphabet="0123456789, +-", max_size=8))
-        extra = [] if partition is None else ["--partition", partition]
+        partition = draw(st.none() | st.text(alphabet="0123456789, +-", max_size=8) | DASHED)
+        extra = [] if partition is None else valued(draw, "--partition", partition)
         return ["schur", "--dim", dim] + extra + flags, None
     if command == "certify":
         dim = mostly(draw, st.integers(-1, 4).map(str), FIELD_JUNK)
-        argv = ["certify", "--dim", dim, "--mode", draw(modes)]
+        argv = ["certify", *valued(draw, "--dim", dim), "--mode", draw(modes)]
         if draw(st.booleans()):
             argv += ["--assume", draw(st.sampled_from(["my2", "my4", "c1top", "my4,c1top", "x"]))]
-        target = draw(st.just("--all-p") | chi_targets | poly_text)
-        argv += [target] if target == "--all-p" else ["--target", target]
+        target = draw(st.just("--all-p") | chi_targets | poly_text | DASHED)
+        argv += [target] if target == "--all-p" else valued(draw, "--target", target)
         return argv + flags, None
     if command == "eval":
         token = mostly(draw, tokens(), token_text)
         argv = ["variety", "eval", token]
         if draw(st.booleans()):
-            argv += ["--target", draw(chi_targets)]
+            argv += valued(draw, "--target", draw(chi_targets | DASHED))
         return argv + flags, None
     if command == "check":
         target, lines = mostly(draw, tokens(), st.just("surface") | token_text), None
@@ -156,8 +169,25 @@ def invocations(draw) -> tuple[list[str], list[str] | None]:
     # as there they are refused before its token or corpus is read
     for field in ("--c1sq", "--c2"):
         if draw(st.integers(0, 3)) < 3 if target == "surface" else rarely(draw):
-            flags += [field, mostly(draw, DIGITS, FIELD_JUNK)]
-    return ["check", target, "--mode", draw(modes)] + flags, lines
+            flags += valued(draw, field, mostly(draw, DIGITS, FIELD_JUNK))
+    return ["check", target, *valued(draw, "--mode", draw(modes))] + flags, lines
+
+
+@st.composite
+def invocations(draw) -> tuple[list[str], list[str] | None]:
+    """A command line from `commands`, now and then misshapen: with an
+    unknown flag, with one flag repeated, or without its command."""
+    argv, lines = draw(commands())
+    misuse = draw(st.integers(0, 6))
+    if misuse == 4:
+        argv.insert(draw(st.integers(0, len(argv))), draw(STRAY_FLAGS))
+    elif misuse == 5 and any(arg.startswith("--") for arg in argv):
+        # repeat a flag with its value, if it takes a separate one
+        i = draw(st.sampled_from([i for i, arg in enumerate(argv) if arg.startswith("--")]))
+        argv += argv[i : i + (1 if "=" in argv[i] or argv[i] in SWITCHES else 2)]
+    elif misuse == 6:
+        argv = argv[2:] if argv[0] == "variety" else argv[1:]
+    return argv, lines
 
 
 # text and JSON forms of an infeasible target, an open --all-p report and a
@@ -191,22 +221,14 @@ def test_main_keeps_the_error_contract(invocation, config):
                     handle.write(config)
                 os.environ[CONFIG_ENV] = path
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                    from_argparse = False
-                except SystemExit as exc:  # argparse rejects the command line
-                    code, from_argparse = exc.code, True
+                code = main(argv)
     finally:
         os.environ.pop(CONFIG_ENV, None)
         if saved is not None:
             os.environ[CONFIG_ENV] = saved
     stdout, stderr = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code)
-    if from_argparse:
-        assert code == 2, argv
-        assert sum("error:" in line for line in stderr.splitlines()) == 1, stderr
-        assert stdout == ""
-    elif code == 2:
+    if code == 2:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
         assert stdout == ""
     else:

@@ -430,3 +430,9 @@ class TestChernFunctional:
     def test_json_round_trip(self):
         f = chi_p(4, 2)
         assert ChernFunctional.from_json_dict(f.to_json_dict()) == f
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_poly_json_dict_matches_the_polynomial(self, n):
+        rows = chi_table(n).rows
+        for f in (*rows, *(row.flipped() for row in rows), ChernFunctional.zero(n, COT)):
+            assert f.poly_json_dict() == f.as_poly().to_json_dict()
