@@ -24,6 +24,11 @@ CHI_JSON_SHA256 = json.loads((GOLDEN / "chi_json_sha256.json").read_text())
 # the same for `schur --json`, recorded before the catalog was computed by
 # inverting the Kostka matrix
 SCHUR_JSON_SHA256 = json.loads((GOLDEN / "schur_json_sha256.json").read_text())
+# exit code and SHA-256 of stdout and stderr of the outputs the two files
+# above and the benchmark do not see (text tables, certify reports, inline
+# targets and their refusals, variety eval), recorded before the functionals
+# were parsed, printed and built without the truncated polynomial ring
+OUTPUT_SHA256 = json.loads((GOLDEN / "outputs_sha256.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -699,6 +704,18 @@ class TestConfigFile:
         monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
         code, _, err = run_cli(capsys, "chi", "--dim", "2")
         assert code == 2
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+    def test_output_byte_identical(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split())
+        digests = {
+            "exit": code,
+            "stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.encode()).hexdigest(),
+        }
+        assert digests == OUTPUT_SHA256[command]
 
 
 class TestDeterminism:
