@@ -22,12 +22,10 @@ ASSUMPTION_TAGS = ("schur", "my2", "my4", "c1top")
 _HOMES = {
     name: home
     for home, names in {
-        "poly": "DimensionMismatch GradedPoly ParseError as_rational "
-        "monomials_of_weight weight_basis",
-        "symchern": "BasisConvention ConventionMismatch InvalidPartition flip_basis "
-        "partitions_of schur segre_top",
-        "hrr": "ChernFunctional ChiTable ConsistencyError chi_p chi_table "
-        "euler_functional top_part",
+        "poly": "BasisConvention ChernFunctional ConventionMismatch DimensionMismatch "
+        "ParseError as_rational monomials_of_weight weight_basis",
+        "symchern": "InvalidPartition partitions_of schur",
+        "hrr": "ChiTable ConsistencyError chi_p chi_table euler_functional",
         "cone": "Certificate ChiSignReport GeneratorSet Infeasibility certify "
         "certify_chi_signs generators verify_certificate",
         "varieties": "AbelianVariety ChernNumberSet Curve Explicit Hypersurface Product "

@@ -161,7 +161,7 @@ def _cmd_schur(args) -> int:
     if args.json:
         payload = {
             "generators": [
-                {"name": name, "poly": poly.to_json_dict()} for name, poly in rows
+                {"name": name, "poly": poly.poly_json_dict()} for name, poly in rows
             ]
         }
         _emit_json("schur", n, "any", payload)
@@ -190,8 +190,8 @@ def _parse_chi_target(spec: str, n: int) -> int:
 
 
 def _parse_target(args, n: int, mode: str, convention: BasisConvention):
-    from .hrr import chi_p, chi_sign, euler_functional, signed_target, top_part
-    from .poly import GradedPoly, ParseError
+    from .hrr import chi_p, chi_sign, euler_functional, signed_target
+    from .poly import ChernFunctional, ParseError
 
     spec = args.target
     if spec.startswith("chi:"):
@@ -202,12 +202,11 @@ def _parse_target(args, n: int, mode: str, convention: BasisConvention):
         functional, sign = euler_functional(n), chi_sign(n, 0, mode)
     else:
         try:
-            poly = GradedPoly.from_text(n, spec)
+            return ChernFunctional.from_text(n, convention, spec), 1, 1
         except ParseError as exc:
             raise ValueError(f"bad target polynomial: {exc}") from exc
-        if poly.graded_part(n) != poly:
-            raise ValueError("inline target must be homogeneous of top weight")
-        return top_part(poly, convention), 1, 1
+        except ValueError:
+            raise ValueError("inline target must be homogeneous of top weight") from None
     target, scale = signed_target(functional, sign, mode)
     return target, sign, scale
 

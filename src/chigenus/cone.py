@@ -30,9 +30,8 @@ from .hrr import (
     chi_sign,
     mode_convention,
     signed_target,
-    top_part,
 )
-from .poly import DimensionMismatch, GradedPoly, Record, as_rational
+from .poly import DimensionMismatch, Record, as_rational, weight_basis
 from .symchern import (
     BasisConvention,
     ConventionMismatch,
@@ -105,17 +104,18 @@ def generators(
     entries: list[tuple[str, ChernFunctional]] = []
     if "schur" in tags:
         for a in partitions_of(n):
-            entries.append((partition_label(a), top_part(schur(a, n), convention)))
+            row = schur(a, n).coeffs
+            entries.append((partition_label(a), ChernFunctional(n, convention, row)))
+    # rows over weight_basis(2) = (c1^2, c2) and weight_basis(4) = (c1^4,
+    # c1^2*c2, c1*c3, c2^2, c4); c_1^n is the first monomial of every basis
     if "my2" in tags:
-        c1, c2 = GradedPoly.variable(2, 1), GradedPoly.variable(2, 2)
-        entries.append(("my2", top_part(c2 * 3 - c1 * c1, convention)))
+        entries.append(("my2", ChernFunctional(2, convention, (-1, 3))))
     if "my4" in tags:
-        c1, c2 = GradedPoly.variable(4, 1), GradedPoly.variable(4, 2)
-        my4 = c1 * c1 * c2 * Fraction(5, 2) - c1 ** 4
-        entries.append(("my4", top_part(my4, convention)))
+        my4 = (-1, Fraction(5, 2), 0, 0, 0)
+        entries.append(("my4", ChernFunctional(4, convention, my4)))
     if "c1top" in tags:
-        c1 = GradedPoly.variable(n, 1)
-        entries.append(("c1top", top_part(c1 ** n, convention)))
+        unit = (1,) + (0,) * (len(weight_basis(n)) - 1)
+        entries.append(("c1top", ChernFunctional(n, convention, unit)))
     return GeneratorSet(n, convention, tuple(entries))
 
 

@@ -22,34 +22,20 @@ meaning c_i of the cotangent bundle) exactly once, at the boundary.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
 
 from . import SIGN_MODES
-from .poly import (
-    DimensionMismatch,
-    GradedPoly,
-    RationalLike,
-    Record,
-    as_rational,
-    json_terms,
-    weight_basis,
-)
-from .symchern import (
-    BasisConvention,
-    ConventionMismatch,
-    chern_coordinates,
-    partitions_of,
-)
+# the functional type and its tags live in `poly`; importing them from here
+# also works
+from .poly import BasisConvention, ChernFunctional, ConventionMismatch, Record, weight_basis
+from .symchern import chern_coordinates, partitions_of
 
 __all__ = [
     "ConsistencyError",
     "ChernFunctional",
     "ChiTable",
-    "top_part",
     "chi_p",
     "chi_table",
     "euler_functional",
@@ -62,157 +48,6 @@ __all__ = [
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates an implementation bug."""
-
-
-class ChernFunctional(Record):
-    """Top-weight linear functional on Chern-number monomials.
-
-    `coeffs` is indexed by the canonical weight-n monomial basis; pairing
-    with a complete set of Chern numbers is an exact dot product.
-    """
-
-    dimension: int
-    convention: BasisConvention
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        basis = weight_basis(self.dimension)
-        coeffs = tuple(as_rational(c) for c in self.coeffs)
-        if len(coeffs) != len(basis):
-            raise ValueError(
-                f"expected {len(basis)} coefficients for dimension "
-                f"{self.dimension}, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "convention", BasisConvention(self.convention))
-        object.__setattr__(self, "coeffs", coeffs)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dimension: int, convention: BasisConvention) -> "ChernFunctional":
-        return cls(dimension, convention, (Fraction(0),) * len(weight_basis(dimension)))
-
-    # -- structure ----------------------------------------------------------
-
-    def as_poly(self) -> GradedPoly:
-        return GradedPoly(
-            self.dimension,
-            {m: c for m, c in zip(weight_basis(self.dimension), self.coeffs) if c},
-        )
-
-    def poly_json_dict(self) -> dict:
-        """`as_poly().to_json_dict()` without building the polynomial: the
-        basis is already in `mono_key` order."""
-        terms = json_terms(zip(weight_basis(self.dimension), self.coeffs))
-        return {"dim": self.dimension, "terms": terms}
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check_compatible(self, other: "ChernFunctional") -> None:
-        if self.dimension != other.dimension:
-            raise DimensionMismatch(
-                f"dimension mismatch: {self.dimension} vs {other.dimension}"
-            )
-        if self.convention != other.convention:
-            raise ConventionMismatch(
-                f"convention mismatch: {self.convention.value} vs {other.convention.value}"
-            )
-
-    def __add__(self, other: "ChernFunctional") -> "ChernFunctional":
-        self._check_compatible(other)
-        return ChernFunctional(
-            self.dimension,
-            self.convention,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "ChernFunctional") -> "ChernFunctional":
-        self._check_compatible(other)
-        return ChernFunctional(
-            self.dimension,
-            self.convention,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self) -> "ChernFunctional":
-        return self.scaled(-1)
-
-    def scaled(self, factor: RationalLike) -> "ChernFunctional":
-        factor = as_rational(factor)
-        return ChernFunctional(
-            self.dimension, self.convention, tuple(c * factor for c in self.coeffs)
-        )
-
-    def flipped(self) -> "ChernFunctional":
-        """Same functional re-expressed in the other (co)tangent convention.
-
-        c_i changes sign with i, so a monomial of weight w changes by
-        (-1)^w; every top-weight monomial has weight n, so the whole flip
-        is the sign (-1)^n."""
-        coeffs = tuple(-c for c in self.coeffs) if self.dimension % 2 else self.coeffs
-        return ChernFunctional(self.dimension, self.convention.other(), coeffs)
-
-    def dot(self, values: Sequence[RationalLike]) -> Fraction:
-        values = tuple(as_rational(v) for v in values)
-        if len(values) != len(self.coeffs):
-            raise DimensionMismatch(
-                f"expected {len(self.coeffs)} values, got {len(values)}"
-            )
-        # integer numerators over the two common denominators, one Fraction
-        c_den = math.lcm(*(c.denominator for c in self.coeffs))
-        v_den = math.lcm(*(v.denominator for v in values))
-        total = sum(
-            c.numerator * (c_den // c.denominator) * v.numerator * (v_den // v.denominator)
-            for c, v in zip(self.coeffs, values)
-        )
-        return Fraction(total, c_den * v_den)
-
-    def clear_denominators(self) -> tuple["ChernFunctional", int]:
-        """Smallest positive integer multiple with integral coefficients.
-
-        Returns (scaled functional, multiplier)."""
-        scale = 1
-        for c in self.coeffs:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        return self.scaled(scale), scale
-
-    # -- serialization --------------------------------------------------------
-
-    def to_text(self) -> str:
-        return self.as_poly().to_text()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "convention": self.convention.value,
-            "dim": self.dimension,
-            "poly": self.poly_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "ChernFunctional":
-        poly = GradedPoly.from_json_dict(obj["poly"])
-        if poly.dim != obj["dim"]:
-            raise ValueError("functional JSON dimension disagrees with its polynomial")
-        return top_part(poly, BasisConvention(obj["convention"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-
-def top_part(a: GradedPoly, convention: BasisConvention) -> ChernFunctional:
-    """Extract the weight-n component of a polynomial as a functional.
-
-    This is the formal analogue of integrating over the manifold: only the
-    top-weight piece pairs with Chern numbers; lower-weight terms are
-    discarded.  The caller states which convention `a` is written in.
-    """
-    return ChernFunctional(a.dim, convention, a.top_coefficients())
 
 
 @lru_cache(maxsize=None)
@@ -362,15 +197,6 @@ class ChiTable(Record):
                 for p, row in enumerate(self.rows)
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "ChiTable":
-        convention = BasisConvention(obj["convention"])
-        rows = []
-        for entry in sorted(obj["rows"], key=lambda e: e["p"]):
-            poly = GradedPoly.from_json_dict(entry["poly"])
-            rows.append(top_part(poly, convention))
-        return cls(obj["dim"], convention, tuple(rows))
 
 
 def chi_table(n: int) -> ChiTable:

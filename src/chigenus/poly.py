@@ -1,25 +1,27 @@
-"""Exact graded polynomial ring in Chern-class variables.
+"""Chern-class monomials, the text and JSON forms of polynomials in them,
+and the top-weight functional type.
 
-The ring is Q[c_1, ..., c_n] with weight(c_i) = i, truncated at weight n:
-products silently drop every monomial heavier than the ambient dimension.
-Coefficients are `fractions.Fraction`, reduced and positive-denominator by
-construction; floats are rejected at every entry point.
+The variables are c_1, ..., c_n with weight(c_i) = i.  A monomial is an
+exponent tuple of length n (entry i-1 is the exponent of c_i).  The
+canonical term order is (weight, then lexicographic on the exponent vector
+with c_1 dominant and higher powers first), which makes text and JSON
+serialization deterministic.
 
-A monomial is an exponent tuple of length n (entry i-1 is the exponent of
-c_i).  The canonical term order is (weight, then lexicographic on the
-exponent vector with c_1 dominant and higher powers first), which makes
-text and JSON serialization deterministic and round-trippable.
+Every value the package computes is a `ChernFunctional`: a weight-n form,
+one coefficient per monomial of `weight_basis(n)`, which pairs with a
+complete set of Chern numbers.  Coefficients are `fractions.Fraction`;
+floats are rejected at every entry point.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import re
-from bisect import bisect_right
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
-from typing import Iterable, Mapping, Union
+from operator import mul
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "DimensionMismatch",
@@ -31,13 +33,16 @@ __all__ = [
     "as_rational",
     "parse_decimal",
     "mono_weight",
-    "mono_mul",
     "mono_key",
     "mono_text",
     "monomials_of_weight",
     "weight_basis",
     "json_terms",
-    "GradedPoly",
+    "parse_terms",
+    "terms_text",
+    "BasisConvention",
+    "ConventionMismatch",
+    "ChernFunctional",
 ]
 
 Monomial = tuple[int, ...]
@@ -146,10 +151,6 @@ def mono_weight(mono: Monomial) -> int:
     return sum(map(mul, range(1, len(mono) + 1), mono))
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
 def mono_key(mono: Monomial) -> tuple:
     """Canonical sort key: weight, then c_1-dominant descending lex."""
     return (mono_weight(mono), tuple(-e for e in mono))
@@ -218,298 +219,79 @@ _FACTOR_RE = re.compile(r"c_?([0-9]+)(?:\^([0-9]+))?")
 _SIGN_SPLIT = re.compile(r"\s*([+-])\s*")
 
 
-class GradedPoly:
-    """Sparse polynomial in c_1..c_n over Q, truncated at weight n.
-
-    Instances are immutable; all arithmetic returns new objects, so values
-    can be shared freely across threads.
-    """
-
-    __slots__ = ("_dim", "_terms", "_hash")
-
-    def __init__(
-        self,
-        dim: int,
-        terms: Mapping[Monomial, RationalLike] | Iterable[tuple[Monomial, RationalLike]] = (),
-    ):
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-            raise ValueError(f"dimension must be a non-negative integer, got {dim!r}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coef in items:
-            mono = tuple(mono)
-            if len(mono) != dim:
-                raise DimensionMismatch(
-                    f"monomial {mono} has {len(mono)} exponents, expected {dim}"
-                )
-            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in mono):
-                raise ValueError(f"exponents must be non-negative integers: {mono}")
-            if mono_weight(mono) > dim:
-                raise ValueError(
-                    f"monomial {mono_text(mono) or '1'} has weight {mono_weight(mono)}"
-                    f" > dimension {dim}"
-                )
-            value = acc.get(mono, Fraction(0)) + as_rational(coef)
-            if value:
-                acc[mono] = value
-            else:
-                acc.pop(mono, None)
-        self._dim = dim
-        self._terms = acc
-        self._hash: int | None = None
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int) -> "GradedPoly":
-        return cls(dim)
-
-    @classmethod
-    def one(cls, dim: int) -> "GradedPoly":
-        return cls.constant(dim, 1)
-
-    @classmethod
-    def constant(cls, dim: int, value: RationalLike) -> "GradedPoly":
-        return cls(dim, {(0,) * dim: as_rational(value)})
-
-    @classmethod
-    def variable(cls, dim: int, index: int) -> "GradedPoly":
-        """The generator c_index, 1-based."""
-        if not 1 <= index <= dim:
-            raise ValueError(f"variable index {index} outside 1..{dim}")
+def parse_terms(dim: int, text: str) -> list[tuple[Monomial, Fraction]]:
+    """The signed terms of polynomial text in c_1..c_dim, as written: not
+    summed, so '1 - 1' is two terms.  The grammar is what `terms_text`
+    writes, plus c_1 for c1 and an omitted unit coefficient; '0' alone has
+    no terms.  A monomial heavier than `dim` is refused once the whole
+    text has parsed.  Every refusal is a `ParseError`."""
+    body = text.strip()
+    if not body:
+        raise ParseError("empty polynomial text")
+    if body == "0":
+        return []
+    chunks = _SIGN_SPLIT.split(body)
+    if chunks[0] == "":
+        chunks = chunks[1:]
+        if not chunks or chunks[0] not in "+-":
+            raise ParseError(f"dangling sign in {text!r}")
+    else:
+        chunks = ["+"] + chunks
+    if len(chunks) % 2 != 0:
+        raise ParseError(f"malformed polynomial text {text!r}")
+    terms: list[tuple[Monomial, Fraction]] = []
+    for sign_tok, term_tok in zip(chunks[0::2], chunks[1::2]):
+        sign = 1 if sign_tok == "+" else -1
+        if not term_tok:
+            raise ParseError(f"empty term in {text!r}")
+        coef = Fraction(1)
         exps = [0] * dim
-        exps[index - 1] = 1
-        return cls(dim, {tuple(exps): Fraction(1)})
-
-    # -- structure -------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def terms(self) -> dict[Monomial, Fraction]:
-        """Copy of the term map (monomial -> coefficient)."""
-        return dict(self._terms)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def graded_part(self, weight: int) -> "GradedPoly":
-        """The homogeneous component of the given weight."""
-        return GradedPoly(
-            self._dim,
-            {m: c for m, c in self._terms.items() if mono_weight(m) == weight},
-        )
-
-    def top_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficient vector of the weight-n part over the canonical
-        top-weight monomial basis (lower-weight terms are ignored)."""
-        return tuple(self._terms.get(m, Fraction(0)) for m in weight_basis(self._dim))
-
-    # -- arithmetic ------------------------------------------------------
-
-    def _check_dim(self, other: "GradedPoly") -> None:
-        if self._dim != other._dim:
-            raise DimensionMismatch(
-                f"dimension mismatch: {self._dim} vs {other._dim}"
+        saw_coef = False
+        saw_factor = False
+        for piece in term_tok.split("*"):
+            piece = piece.strip()
+            if not piece:
+                raise ParseError(f"empty factor in term {term_tok!r}")
+            if _RATIONAL_RE.fullmatch(piece):
+                if saw_coef or saw_factor:
+                    raise ParseError(f"misplaced coefficient in {term_tok!r}")
+                coef = as_rational(piece)
+                saw_coef = True
+                continue
+            match = _FACTOR_RE.fullmatch(piece)
+            if not match:
+                raise ParseError(f"bad factor {piece!r} in {text!r}")
+            index = int(match.group(1))
+            power = int(match.group(2)) if match.group(2) else 1
+            if not 1 <= index <= dim:
+                raise ParseError(f"variable c{index} outside dimension {dim}")
+            exps[index - 1] += power
+            saw_factor = True
+        terms.append((tuple(exps), sign * coef))
+    for mono, _ in terms:
+        if mono_weight(mono) > dim:
+            raise ParseError(
+                f"monomial {mono_text(mono) or '1'} has weight {mono_weight(mono)}"
+                f" > dimension {dim}"
             )
+    return terms
 
-    def __add__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
-        if not isinstance(other, GradedPoly):
-            other = GradedPoly.constant(self._dim, other)
-        self._check_dim(other)
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            value = acc.get(m, Fraction(0)) + c
-            if value:
-                acc[m] = value
-            else:
-                acc.pop(m, None)
-        out = GradedPoly.__new__(GradedPoly)
-        out._dim = self._dim
-        out._terms = acc
-        out._hash = None
-        return out
 
-    def __radd__(self, other: RationalLike) -> "GradedPoly":
-        return self.__add__(other)
-
-    def __neg__(self) -> "GradedPoly":
-        return self.__mul__(Fraction(-1))
-
-    def __sub__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
-        if not isinstance(other, GradedPoly):
-            other = GradedPoly.constant(self._dim, other)
-        return self.__add__(other.__neg__())
-
-    def __rsub__(self, other: RationalLike) -> "GradedPoly":
-        return GradedPoly.constant(self._dim, other).__sub__(self)
-
-    def __mul__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
-        if not isinstance(other, GradedPoly):
-            scalar = as_rational(other)
-            terms = {m: c * scalar for m, c in self._terms.items()} if scalar else {}
-            out = GradedPoly.__new__(GradedPoly)
-            out._dim = self._dim
-            out._terms = terms
-            out._hash = None
-            return out
-        self._check_dim(other)
-        dim = self._dim
-        # Truncation is part of the ring contract: sort the right operand by
-        # weight once, so each left term visits only the prefix that fits.
-        right = sorted((mono_weight(m), m, c) for m, c in other._terms.items())
-        weights = [w for w, _, _ in right]
-        acc: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for _, mb, cb in right[: bisect_right(weights, dim - mono_weight(ma))]:
-                m = mono_mul(ma, mb)
-                value = acc.get(m)
-                if value is None:
-                    acc[m] = ca * cb
-                else:
-                    value += ca * cb
-                    if value:
-                        acc[m] = value
-                    else:
-                        del acc[m]
-        out = GradedPoly.__new__(GradedPoly)
-        out._dim = dim
-        out._terms = acc
-        out._hash = None
-        return out
-
-    def __rmul__(self, other: RationalLike) -> "GradedPoly":
-        return self.__mul__(other)
-
-    def __pow__(self, exponent: int) -> "GradedPoly":
-        if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = GradedPoly.one(self._dim)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    # -- equality / hashing ----------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self._dim == other._dim and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._dim, frozenset(self._terms.items())))
-        return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __repr__(self) -> str:
-        return f"GradedPoly(dim={self._dim}, {self.to_text()!r})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    # -- serialization ---------------------------------------------------
-
-    def to_text(self) -> str:
-        """Canonical text form, e.g. '-1*c1^4 + 4*c1^2*c2 + 1*c1*c3'."""
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for mono in sorted(self._terms, key=mono_key):
-            coef = self._terms[mono]
-            magnitude = abs(coef)
-            body = mono_text(mono)
-            chunk = f"{magnitude}*{body}" if body else f"{magnitude}"
-            if not pieces:
-                pieces.append(chunk if coef > 0 else f"-{chunk}")
-            else:
-                pieces.append(f"+ {chunk}" if coef > 0 else f"- {chunk}")
-        return " ".join(pieces)
-
-    @classmethod
-    def from_text(cls, dim: int, text: str) -> "GradedPoly":
-        """Parse the canonical text form (tolerates c_1 for c1 and an
-        omitted unit coefficient)."""
-        body = text.strip()
-        if not body:
-            raise ParseError("empty polynomial text")
-        if body == "0":
-            return cls.zero(dim)
-        chunks = _SIGN_SPLIT.split(body)
-        if chunks[0] == "":
-            chunks = chunks[1:]
-            if not chunks or chunks[0] not in "+-":
-                raise ParseError(f"dangling sign in {text!r}")
+def terms_text(terms: Iterable[tuple[Monomial, Fraction]]) -> str:
+    """Canonical text of (monomial, coefficient) pairs given in `mono_key`
+    order, e.g. '-1*c1^4 + 4*c1^2*c2 + 1*c1*c3'; zero coefficients are left
+    out, and with no term left the text is '0'."""
+    pieces: list[str] = []
+    for mono, coef in terms:
+        if not coef:
+            continue
+        body = mono_text(mono)
+        chunk = f"{abs(coef)}*{body}" if body else f"{abs(coef)}"
+        if not pieces:
+            pieces.append(chunk if coef > 0 else f"-{chunk}")
         else:
-            chunks = ["+"] + chunks
-        if len(chunks) % 2 != 0:
-            raise ParseError(f"malformed polynomial text {text!r}")
-        terms: list[tuple[Monomial, Fraction]] = []
-        for sign_tok, term_tok in zip(chunks[0::2], chunks[1::2]):
-            sign = 1 if sign_tok == "+" else -1
-            if not term_tok:
-                raise ParseError(f"empty term in {text!r}")
-            coef = Fraction(1)
-            exps = [0] * dim
-            saw_coef = False
-            saw_factor = False
-            for piece in term_tok.split("*"):
-                piece = piece.strip()
-                if not piece:
-                    raise ParseError(f"empty factor in term {term_tok!r}")
-                if _RATIONAL_RE.fullmatch(piece):
-                    if saw_coef or saw_factor:
-                        raise ParseError(f"misplaced coefficient in {term_tok!r}")
-                    coef = as_rational(piece)
-                    saw_coef = True
-                    continue
-                match = _FACTOR_RE.fullmatch(piece)
-                if not match:
-                    raise ParseError(f"bad factor {piece!r} in {text!r}")
-                index = int(match.group(1))
-                power = int(match.group(2)) if match.group(2) else 1
-                if not 1 <= index <= dim:
-                    raise ParseError(f"variable c{index} outside dimension {dim}")
-                exps[index - 1] += power
-                saw_factor = True
-            terms.append((tuple(exps), sign * coef))
-        try:
-            return cls(dim, terms)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-
-    def to_json_dict(self) -> dict:
-        terms = sorted(self._terms.items(), key=lambda item: mono_key(item[0]))
-        return {"dim": self._dim, "terms": json_terms(terms)}
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "GradedPoly":
-        try:
-            dim = obj["dim"]
-            raw = obj["terms"]
-            terms = [
-                (
-                    tuple(entry["exps"]),
-                    Fraction(_json_integer(entry["num"]), _json_integer(entry["den"])),
-                )
-                for entry in raw
-            ]
-            return cls(dim, terms)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"malformed polynomial JSON: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "GradedPoly":
-        return cls.from_json_dict(json.loads(text))
+            pieces.append(f"+ {chunk}" if coef > 0 else f"- {chunk}")
+    return " ".join(pieces) or "0"
 
 
 def parse_decimal(text: str) -> int:
@@ -520,11 +302,168 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
-def _json_integer(value: object) -> int:
-    """A JSON numerator or denominator: an int, or its decimal string."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and _DECIMAL_RE.fullmatch(value):
-        return int(value)
-    raise ParseError(f"coefficient part must be an integer or a decimal string, got {value!r}")
+class BasisConvention(str, Enum):
+    """Which bundle the variables c_i refer to.
 
+    Cotangent means c_i = c_i(Omega^1); tangent means c_i = c_i(TX).  The
+    two differ by the sign flip c_i -> (-1)^i c_i.
+    """
+
+    TANGENT = "tangent"
+    COTANGENT = "cotangent"
+
+    def other(self) -> "BasisConvention":
+        if self is BasisConvention.TANGENT:
+            return BasisConvention.COTANGENT
+        return BasisConvention.TANGENT
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.value
+
+
+class ConventionMismatch(ValueError):
+    """Operands carry different tangent/cotangent convention tags."""
+
+
+class ChernFunctional(Record):
+    """Top-weight linear functional on Chern-number monomials.
+
+    `coeffs` is indexed by the canonical weight-n monomial basis; pairing
+    with a complete set of Chern numbers is an exact dot product.
+    """
+
+    dimension: int
+    convention: BasisConvention
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        basis = weight_basis(self.dimension)
+        coeffs = tuple(as_rational(c) for c in self.coeffs)
+        if len(coeffs) != len(basis):
+            raise ValueError(
+                f"expected {len(basis)} coefficients for dimension "
+                f"{self.dimension}, got {len(coeffs)}"
+            )
+        object.__setattr__(self, "convention", BasisConvention(self.convention))
+        object.__setattr__(self, "coeffs", coeffs)
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, dimension: int, convention: BasisConvention) -> "ChernFunctional":
+        return cls(dimension, convention, (Fraction(0),) * len(weight_basis(dimension)))
+
+    @classmethod
+    def from_text(
+        cls, dimension: int, convention: BasisConvention, text: str
+    ) -> "ChernFunctional":
+        """The functional written as polynomial text (`parse_terms`).  The
+        terms are summed first, so a lower-weight term may cancel; one that
+        is left raises a `ValueError` that is not a `ParseError`."""
+        basis = weight_basis(dimension)
+        sums = dict.fromkeys(basis, Fraction(0))
+        for mono, coef in parse_terms(dimension, text):
+            sums[mono] = sums.get(mono, 0) + coef
+        if any(c for m, c in sums.items() if mono_weight(m) != dimension):
+            raise ValueError(f"polynomial text {text!r} is not of weight {dimension}")
+        return cls(dimension, convention, tuple(sums[m] for m in basis))
+
+    # -- structure ----------------------------------------------------------
+
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The nonzero coefficients, by monomial."""
+        return {m: c for m, c in zip(weight_basis(self.dimension), self.coeffs) if c}
+
+    def poly_json_dict(self) -> dict:
+        """The JSON form of the functional as a polynomial: its dimension
+        and `json_terms` over the basis, which is in `mono_key` order."""
+        terms = json_terms(zip(weight_basis(self.dimension), self.coeffs))
+        return {"dim": self.dimension, "terms": terms}
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _check_compatible(self, other: "ChernFunctional") -> None:
+        if self.dimension != other.dimension:
+            raise DimensionMismatch(
+                f"dimension mismatch: {self.dimension} vs {other.dimension}"
+            )
+        if self.convention != other.convention:
+            raise ConventionMismatch(
+                f"convention mismatch: {self.convention.value} vs {other.convention.value}"
+            )
+
+    def __add__(self, other: "ChernFunctional") -> "ChernFunctional":
+        self._check_compatible(other)
+        return ChernFunctional(
+            self.dimension,
+            self.convention,
+            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+        )
+
+    def __sub__(self, other: "ChernFunctional") -> "ChernFunctional":
+        self._check_compatible(other)
+        return ChernFunctional(
+            self.dimension,
+            self.convention,
+            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
+        )
+
+    def __neg__(self) -> "ChernFunctional":
+        return self.scaled(-1)
+
+    def scaled(self, factor: RationalLike) -> "ChernFunctional":
+        factor = as_rational(factor)
+        return ChernFunctional(
+            self.dimension, self.convention, tuple(c * factor for c in self.coeffs)
+        )
+
+    def flipped(self) -> "ChernFunctional":
+        """Same functional re-expressed in the other (co)tangent convention.
+
+        c_i changes sign with i, so a monomial of weight w changes by
+        (-1)^w; every top-weight monomial has weight n, so the whole flip
+        is the sign (-1)^n."""
+        coeffs = tuple(-c for c in self.coeffs) if self.dimension % 2 else self.coeffs
+        return ChernFunctional(self.dimension, self.convention.other(), coeffs)
+
+    def dot(self, values: Sequence[RationalLike]) -> Fraction:
+        values = tuple(as_rational(v) for v in values)
+        if len(values) != len(self.coeffs):
+            raise DimensionMismatch(
+                f"expected {len(self.coeffs)} values, got {len(values)}"
+            )
+        # integer numerators over the two common denominators, one Fraction
+        c_den = math.lcm(*(c.denominator for c in self.coeffs))
+        v_den = math.lcm(*(v.denominator for v in values))
+        total = sum(
+            c.numerator * (c_den // c.denominator) * v.numerator * (v_den // v.denominator)
+            for c, v in zip(self.coeffs, values)
+        )
+        return Fraction(total, c_den * v_den)
+
+    def clear_denominators(self) -> tuple["ChernFunctional", int]:
+        """Smallest positive integer multiple with integral coefficients.
+
+        Returns (scaled functional, multiplier)."""
+        scale = 1
+        for c in self.coeffs:
+            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+        return self.scaled(scale), scale
+
+    # -- serialization --------------------------------------------------------
+
+    def to_text(self) -> str:
+        return terms_text(zip(weight_basis(self.dimension), self.coeffs))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "convention": self.convention.value,
+            "dim": self.dimension,
+            "poly": self.poly_json_dict(),
+        }
+
+    def __str__(self) -> str:
+        return self.to_text()

@@ -22,19 +22,23 @@ c-monomial coordinates k with K k = g, an integer back substitution.
   m_lambda, first gets its Schur coordinates g by a forward substitution
   with K^T, then its c-monomial coordinates by the same back substitution
   (`chern_coordinates`).
-
-The module also provides the top Segre class and the substitution
-c_i -> (-1)^i c_i that swaps the tangent and cotangent descriptions of the
-same geometry.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .poly import GradedPoly, Monomial, mono_weight, parse_decimal
+# the functional type and its tags live in `poly`; importing them from here
+# also works
+from .poly import (
+    BasisConvention,
+    ChernFunctional,
+    ConventionMismatch,
+    Monomial,
+    parse_decimal,
+    weight_basis,
+)
 
 __all__ = [
     "BasisConvention",
@@ -49,34 +53,9 @@ __all__ = [
     "partition_label",
     "chern_coordinates",
     "schur",
-    "segre_top",
-    "flip_basis",
 ]
 
 Partition = tuple[int, ...]
-
-
-class BasisConvention(str, Enum):
-    """Which bundle the variables c_i refer to.
-
-    Cotangent means c_i = c_i(Omega^1); tangent means c_i = c_i(TX).  The
-    two differ by the sign flip c_i -> (-1)^i c_i.
-    """
-
-    TANGENT = "tangent"
-    COTANGENT = "cotangent"
-
-    def other(self) -> "BasisConvention":
-        if self is BasisConvention.TANGENT:
-            return BasisConvention.COTANGENT
-        return BasisConvention.TANGENT
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
-class ConventionMismatch(ValueError):
-    """Operands carry different tangent/cotangent convention tags."""
 
 
 class InvalidPartition(ValueError):
@@ -251,52 +230,26 @@ def chern_coordinates(
     return {_partition_monomial(mu, n): k for mu, k in solved.items()}
 
 
-def schur(a: Sequence[int], n: int) -> GradedPoly:
-    """Schur polynomial P_a(c) = det(c_{a_i - i + j}) for a partition a of n.
-
-    The result is homogeneous of weight n in c_1..c_n.
-    """
-    return _schur_catalog(n)[_validate_partition(tuple(a), n)]
+def schur(a: Sequence[int], n: int) -> ChernFunctional:
+    """Schur polynomial P_a(c) = det(c_{a_i - i + j}) for a partition a of n,
+    a weight-n form, tagged cotangent like `hrr.chi_p`."""
+    row = _schur_catalog(n)[_validate_partition(tuple(a), n)]
+    return ChernFunctional(n, BasisConvention.COTANGENT, row)
 
 
 @lru_cache(maxsize=None)
-def _schur_catalog(n: int) -> dict[Partition, GradedPoly]:
-    """P_a for every padded partition a of n: column a of K^-1, all columns
-    at once by back substitution on the unit vectors."""
+def _schur_catalog(n: int) -> dict[Partition, tuple[int, ...]]:
+    """P_a for every padded partition a of n, as its integer coefficients
+    over `weight_basis(n)`: column a of K^-1, all columns at once by back
+    substitution on the unit vectors.  Each row of K^-1 belongs to the
+    monomial c^mu of a partition mu of n, so every P_a is of weight n."""
     order = partitions_of(n)
     units = {
         strip_partition(mu): [int(i == j) for j in range(len(order))]
         for i, mu in enumerate(order)
     }
-    inverse = [
-        (_partition_monomial(mu, n), row)
+    inverse = {
+        _partition_monomial(mu, n): row
         for mu, row in _kostka_back_substitution(units, n).items()
-    ]
-    catalog = {}
-    for j, parts in enumerate(order):
-        det = GradedPoly(n, {mono: row[j] for mono, row in inverse if row[j]})
-        if any(mono_weight(m) != n for m in det.terms()):
-            raise RuntimeError(f"Schur determinant for {parts} is not homogeneous")
-        catalog[parts] = det
-    return catalog
-
-
-def segre_top(n: int) -> GradedPoly:
-    """Weight-n component of the formal inverse of 1 + c_1 + ... + c_n,
-    which is (-1)^n P_(1,...,1)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"dimension must be a non-negative integer: {n!r}")
-    return schur((1,) * n, n) * (-1) ** n
-
-
-def flip_basis(a: GradedPoly) -> GradedPoly:
-    """Substitute c_i -> (-1)^i c_i (the tangent/cotangent swap).
-
-    Each monomial picks up (-1)^weight; the map is an involution.
-    """
-    if not isinstance(a, GradedPoly):
-        raise TypeError("flip_basis expects a GradedPoly")
-    return GradedPoly(
-        a.dim,
-        {m: c * ((-1) ** mono_weight(m)) for m, c in a.terms().items()},
-    )
+    }
+    return dict(zip(order, zip(*(inverse[m] for m in weight_basis(n)))))

@@ -31,7 +31,6 @@ from typing import Mapping
 from .hrr import ChernFunctional, chi_sign, chi_table, euler_functional
 from .poly import (
     DimensionMismatch,
-    GradedPoly,
     Monomial,
     RationalLike,
     Record,
@@ -39,6 +38,7 @@ from .poly import (
     mono_text,
     mono_weight,
     parse_decimal,
+    parse_terms,
     weight_basis,
 )
 from .symchern import BasisConvention
@@ -354,19 +354,20 @@ class Explicit(VarietyDescriptor):
 
 
 def _monomial_key(key: str | Monomial, dim: int) -> Monomial:
-    """A weight-`dim` monomial from its text ('c1^2*c2', or '1' for the
-    constant) or its exponent tuple."""
-    if isinstance(key, str):
-        poly = GradedPoly.from_text(dim, key)
-    else:
-        poly = GradedPoly(dim, [(key, 1)])
-    terms = poly.terms()
+    """A weight-`dim` monomial from its text, one product term with
+    coefficient 1 ('c1^2*c2', or '1' for the constant), or from its
+    exponent tuple."""
+    terms = parse_terms(dim, key) if isinstance(key, str) else [(tuple(key), 1)]
     if len(terms) != 1:
         raise ValueError(f"monomial key expected, got {key!r}")
-    ((mono, coef),) = terms.items()
+    ((mono, coef),) = terms
     if coef != 1:
         raise ValueError(f"monomial key must have coefficient 1: {key!r}")
-    if mono_weight(mono) != dim:
+    if (
+        len(mono) != dim
+        or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in mono)
+        or mono_weight(mono) != dim
+    ):
         raise ValueError(f"not a weight-{dim} monomial: {key!r}")
     return mono
 

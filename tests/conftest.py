@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from chigenus.poly import GradedPoly, monomials_of_weight
+from chigenus.poly import monomials_of_weight
+from oracles import GradedPoly
 
 settings.register_profile(
     "suite",

@@ -3,6 +3,9 @@
 Everything here recomputes expected values by a route disjoint from the
 package's own:
 
+* polynomials in c_1..c_n of every weight up to n, in the truncated ring
+  `GradedPoly`, which the program left when every value it computes became
+  a top-weight `ChernFunctional`; the routes below build on it;
 * Schur polynomials by semistandard-tableau enumeration over formal Chern
   roots (combinatorial, no determinant);
 * symmetric-polynomial reduction to elementary symmetric polynomials by
@@ -32,19 +35,241 @@ package's own:
 
 from __future__ import annotations
 
+import json
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
-from typing import Sequence
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from chigenus.hrr import ChernFunctional, ConsistencyError
-from chigenus.poly import GradedPoly, Monomial, mono_mul, mono_weight, parse_decimal, weight_basis
+from chigenus.poly import (
+    DimensionMismatch,
+    Monomial,
+    ParseError,
+    RationalLike,
+    as_rational,
+    json_terms,
+    mono_key,
+    mono_text,
+    mono_weight,
+    parse_decimal,
+    parse_terms,
+    terms_text,
+    weight_basis,
+)
 from chigenus.symchern import BasisConvention, Partition
 from chigenus.varieties import _RECIPES, Product, VarietyDescriptor
 
 RootPoly = dict[tuple[int, ...], Fraction]
+
+
+# -- the truncated polynomial ring ----------------------------------------------
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(add, a, b))
+
+
+class GradedPoly:
+    """Sparse polynomial in c_1..c_n over Q, truncated at weight n.
+
+    Instances are immutable; all arithmetic returns new objects, so values
+    can be shared freely across threads.
+    """
+
+    __slots__ = ("_dim", "_terms")
+
+    def __init__(
+        self,
+        dim: int,
+        terms: Mapping[Monomial, RationalLike] | Iterable[tuple[Monomial, RationalLike]] = (),
+    ):
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+            raise ValueError(f"dimension must be a non-negative integer, got {dim!r}")
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        acc: dict[Monomial, Fraction] = {}
+        for mono, coef in items:
+            mono = tuple(mono)
+            if len(mono) != dim:
+                raise DimensionMismatch(
+                    f"monomial {mono} has {len(mono)} exponents, expected {dim}"
+                )
+            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in mono):
+                raise ValueError(f"exponents must be non-negative integers: {mono}")
+            if mono_weight(mono) > dim:
+                raise ValueError(
+                    f"monomial {mono_text(mono) or '1'} has weight {mono_weight(mono)}"
+                    f" > dimension {dim}"
+                )
+            value = acc.get(mono, Fraction(0)) + as_rational(coef)
+            if value:
+                acc[mono] = value
+            else:
+                acc.pop(mono, None)
+        self._dim = dim
+        self._terms = acc
+
+    # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def zero(cls, dim: int) -> "GradedPoly":
+        return cls(dim)
+
+    @classmethod
+    def one(cls, dim: int) -> "GradedPoly":
+        return cls.constant(dim, 1)
+
+    @classmethod
+    def constant(cls, dim: int, value: RationalLike) -> "GradedPoly":
+        return cls(dim, {(0,) * dim: as_rational(value)})
+
+    @classmethod
+    def variable(cls, dim: int, index: int) -> "GradedPoly":
+        """The generator c_index, 1-based."""
+        if not 1 <= index <= dim:
+            raise ValueError(f"variable index {index} outside 1..{dim}")
+        exps = [0] * dim
+        exps[index - 1] = 1
+        return cls(dim, {tuple(exps): Fraction(1)})
+
+    # -- structure -------------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    def terms(self) -> dict[Monomial, Fraction]:
+        """Copy of the term map (monomial -> coefficient)."""
+        return dict(self._terms)
+
+    def coefficient(self, mono: Monomial) -> Fraction:
+        return self._terms.get(tuple(mono), Fraction(0))
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def graded_part(self, weight: int) -> "GradedPoly":
+        """The homogeneous component of the given weight."""
+        return GradedPoly(
+            self._dim,
+            {m: c for m, c in self._terms.items() if mono_weight(m) == weight},
+        )
+
+    def top_coefficients(self) -> tuple[Fraction, ...]:
+        """Coefficient vector of the weight-n part over the canonical
+        top-weight monomial basis (lower-weight terms are ignored)."""
+        return tuple(self._terms.get(m, Fraction(0)) for m in weight_basis(self._dim))
+
+    # -- arithmetic ------------------------------------------------------
+
+    def _check_dim(self, other: "GradedPoly") -> None:
+        if self._dim != other._dim:
+            raise DimensionMismatch(
+                f"dimension mismatch: {self._dim} vs {other._dim}"
+            )
+
+    def __add__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
+        if not isinstance(other, GradedPoly):
+            other = GradedPoly.constant(self._dim, other)
+        self._check_dim(other)
+        acc = dict(self._terms)
+        for m, c in other._terms.items():
+            value = acc.get(m, Fraction(0)) + c
+            if value:
+                acc[m] = value
+            else:
+                acc.pop(m, None)
+        out = GradedPoly.__new__(GradedPoly)
+        out._dim = self._dim
+        out._terms = acc
+        return out
+
+    def __neg__(self) -> "GradedPoly":
+        return self.__mul__(Fraction(-1))
+
+    def __sub__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
+        if not isinstance(other, GradedPoly):
+            other = GradedPoly.constant(self._dim, other)
+        return self.__add__(other.__neg__())
+
+    def __mul__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
+        if not isinstance(other, GradedPoly):
+            scalar = as_rational(other)
+            terms = {m: c * scalar for m, c in self._terms.items()} if scalar else {}
+            out = GradedPoly.__new__(GradedPoly)
+            out._dim = self._dim
+            out._terms = terms
+            return out
+        self._check_dim(other)
+        dim = self._dim
+        # Truncation is part of the ring contract: sort the right operand by
+        # weight once, so each left term visits only the prefix that fits.
+        right = sorted((mono_weight(m), m, c) for m, c in other._terms.items())
+        weights = [w for w, _, _ in right]
+        acc: dict[Monomial, Fraction] = {}
+        for ma, ca in self._terms.items():
+            for _, mb, cb in right[: bisect_right(weights, dim - mono_weight(ma))]:
+                m = mono_mul(ma, mb)
+                value = acc.get(m)
+                if value is None:
+                    acc[m] = ca * cb
+                else:
+                    value += ca * cb
+                    if value:
+                        acc[m] = value
+                    else:
+                        del acc[m]
+        out = GradedPoly.__new__(GradedPoly)
+        out._dim = dim
+        out._terms = acc
+        return out
+
+    # -- equality ----------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
+        return self._dim == other._dim and self._terms == other._terms
+
+    # -- serialization ---------------------------------------------------
+
+    def to_text(self) -> str:
+        return terms_text(sorted(self._terms.items(), key=lambda item: mono_key(item[0])))
+
+    @classmethod
+    def from_text(cls, dim: int, text: str) -> "GradedPoly":
+        return cls(dim, parse_terms(dim, text))
+
+    def to_json_dict(self) -> dict:
+        terms = sorted(self._terms.items(), key=lambda item: mono_key(item[0]))
+        return {"dim": self._dim, "terms": json_terms(terms)}
+
+    @classmethod
+    def from_json_dict(cls, obj: Mapping) -> "GradedPoly":
+        try:
+            dim = obj["dim"]
+            raw = obj["terms"]
+            terms = [
+                (
+                    tuple(entry["exps"]),
+                    Fraction(as_rational(entry["num"]), as_rational(entry["den"])),
+                )
+                for entry in raw
+            ]
+            return cls(dim, terms)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"malformed polynomial JSON: {exc}") from exc
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "GradedPoly":
+        return cls.from_json_dict(json.loads(text))
 
 
 # -- partitions ---------------------------------------------------------------

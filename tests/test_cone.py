@@ -22,13 +22,12 @@ from chigenus.hrr import (
     chi_sign,
     mode_convention,
     signed_target,
-    top_part,
 )
-from chigenus.poly import DimensionMismatch, GradedPoly
+from chigenus.poly import DimensionMismatch
 from chigenus.symchern import BasisConvention, ConventionMismatch
 
 from conftest import rationals
-from oracles import basis_coordinates, fourier_motzkin_feasible, fraction_phase_one
+from oracles import GradedPoly, basis_coordinates, fourier_motzkin_feasible, fraction_phase_one
 
 COT = BasisConvention.COTANGENT
 TAN = BasisConvention.TANGENT
@@ -39,7 +38,7 @@ def P(dim, text):
 
 
 def functional(dim, text, convention=COT):
-    return top_part(P(dim, text), convention)
+    return ChernFunctional.from_text(dim, convention, text)
 
 
 class TestGenerators:
@@ -184,7 +183,7 @@ class TestPaperChainCertificate:
         lookup = dict(gens.generators)
         total = GradedPoly.zero(4)
         for name, coefficient in self.CHAIN.items():
-            total = total + lookup[name].as_poly() * coefficient
+            total = total + GradedPoly(4, lookup[name].terms()) * coefficient
         assert total == P(4, "-1*c1^4 + 4*c1^2*c2 + 1*c1*c3 + 3*c2^2 - 1*c4")
 
     def test_chain_passes_verification(self):

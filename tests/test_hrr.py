@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -9,21 +10,20 @@ from hypothesis import strategies as st
 from chigenus import hrr
 from chigenus.hrr import (
     ChernFunctional,
-    ChiTable,
     ConsistencyError,
     _chi_y_factor,
     _chi_y_rows,
     chi_p,
     chi_table,
     euler_functional,
-    top_part,
 )
-from chigenus.poly import DimensionMismatch, GradedPoly, weight_basis
+from chigenus.poly import DimensionMismatch, weight_basis
 from chigenus.symchern import BasisConvention, ConventionMismatch
 
 import oracles
 from conftest import rationals
 from oracles import (
+    GradedPoly,
     _lagrange_coefficients,
     _log_exterior_coefficients,
     _log_todd_coefficients,
@@ -44,7 +44,7 @@ def P(dim, text):
 
 
 def functional(dim, text, convention=COT):
-    return top_part(P(dim, text), convention)
+    return ChernFunctional.from_text(dim, convention, text)
 
 
 class TestToddClass:
@@ -189,7 +189,7 @@ class TestChiP:
     def test_matches_generating_series_oracle(self, n):
         rows = chi_table_via_roots(n)  # tangent-convention polynomials
         for p in range(n + 1):
-            assert chi_p(n, p).flipped().as_poly() == rows[p], (n, p)
+            assert chi_p(n, p).flipped().terms() == rows[p].terms(), (n, p)
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_matches_interpolated_series_oracle(self, n):
@@ -249,7 +249,12 @@ class TestChiTable:
 
     def test_json_round_trip(self):
         table = chi_table(3)
-        assert ChiTable.from_json_dict(table.to_json_dict()) == table
+        payload = json.loads(json.dumps(table.to_json_dict()))
+        assert (payload["dim"], payload["convention"]) == (3, "cotangent")
+        assert [row["p"] for row in payload["rows"]] == [0, 1, 2, 3]
+        assert [
+            GradedPoly.from_json_dict(row["poly"]).top_coefficients() for row in payload["rows"]
+        ] == [row.coeffs for row in table.rows]
 
     def test_flip_round_trip(self):
         table = chi_table(4)
@@ -257,8 +262,6 @@ class TestChiTable:
         assert table.flipped().convention is TAN
 
     def test_deterministic(self):
-        import json
-
         first = json.dumps(chi_table(4).to_json_dict(), sort_keys=True)
         chi_p.cache_clear()
         _chi_y_rows.cache_clear()
@@ -358,12 +361,15 @@ class TestSurfaceSignatureIdentity:
 
 
 class TestChernFunctional:
-    def test_top_part_examples(self):
-        f = top_part(P(2, "1 + 1/2*c1 + 1/12*c1^2 + 1/12*c2"), COT)
+    def test_text_examples(self):
+        f = functional(2, "1/12*c1^2 + 1/12*c2")
         assert f.coeffs == (Fraction(1, 12), Fraction(1, 12))
-        g = top_part(P(3, "1/24*c1*c2 + 1/2*c1"), COT)
-        assert g.as_poly() == P(3, "1/24*c1*c2")
-        assert top_part(GradedPoly.zero(2), COT).is_zero()
+        g = functional(3, "1/24*c1*c2")
+        assert g.terms() == P(3, "1/24*c1*c2").terms()
+        assert g.to_text() == "1/24*c1*c2"
+        assert functional(2, "0").is_zero()
+        with pytest.raises(ValueError):
+            functional(3, "1/24*c1*c2 + 1/2*c1")  # a lower-weight term is refused
 
     def test_flip_is_involution_and_retags(self):
         f = chi_p(3, 1)
@@ -374,7 +380,7 @@ class TestChernFunctional:
         f = functional(2, "1/6*c1^2 - 5/6*c2")
         cleared, scale = f.clear_denominators()
         assert scale == 6
-        assert cleared.as_poly() == P(2, "1*c1^2 - 5*c2")
+        assert cleared == functional(2, "1*c1^2 - 5*c2")
 
     def test_dot_product(self):
         f = functional(2, "1/12*c1^2 + 1/12*c2")
@@ -429,10 +435,12 @@ class TestChernFunctional:
 
     def test_json_round_trip(self):
         f = chi_p(4, 2)
-        assert ChernFunctional.from_json_dict(f.to_json_dict()) == f
+        payload = json.loads(json.dumps(f.to_json_dict()))
+        assert (payload["dim"], payload["convention"]) == (4, "cotangent")
+        assert GradedPoly.from_json_dict(payload["poly"]).top_coefficients() == f.coeffs
 
     @pytest.mark.parametrize("n", range(9))
     def test_poly_json_dict_matches_the_polynomial(self, n):
         rows = chi_table(n).rows
         for f in (*rows, *(row.flipped() for row in rows), ChernFunctional.zero(n, COT)):
-            assert f.poly_json_dict() == f.as_poly().to_json_dict()
+            assert f.poly_json_dict() == GradedPoly(n, f.terms()).to_json_dict()

@@ -1,12 +1,17 @@
+import ast
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import chigenus
 from chigenus.poly import (
+    BasisConvention,
+    ChernFunctional,
     DimensionMismatch,
-    GradedPoly,
     ParseError,
     as_rational,
     mono_key,
@@ -16,6 +21,12 @@ from chigenus.poly import (
 )
 
 from conftest import graded_polys, poly_pairs, poly_triples
+from oracles import GradedPoly
+
+
+# `GradedPoly` is the truncated ring of the oracles: the tests below pin the
+# ring arithmetic the oracles build on, and the term grammar it shares with
+# the program (`parse_terms` and `terms_text`).
 
 
 def P(dim, text):
@@ -301,3 +312,102 @@ class TestInvariants:
         b = a + a
         assert a == GradedPoly.one(dim)
         assert b.coefficient((0,) * dim) == 2
+
+
+class TestTopWeightParser:
+    """`ChernFunctional.from_text`, which parses inline targets, against the
+    oracle ring: parse every term, then keep the text only if it equals its
+    own weight-n part."""
+
+    ALPHABET = "c_123^*+- /0"
+
+    @staticmethod
+    def via_ring(dim, text):
+        try:
+            poly = GradedPoly.from_text(dim, text)
+        except ParseError as exc:
+            return "parse", str(exc)
+        if poly.graded_part(dim) != poly:
+            return "weight", None
+        return "ok", poly.top_coefficients()
+
+    @staticmethod
+    def via_functional(dim, text):
+        try:
+            f = ChernFunctional.from_text(dim, BasisConvention.TANGENT, text)
+        except ParseError as exc:
+            return "parse", str(exc)
+        except ValueError:
+            return "weight", None
+        assert f.convention is BasisConvention.TANGENT
+        return "ok", f.coeffs
+
+    @given(st.integers(0, 4), st.text(ALPHABET, max_size=16))
+    def test_random_text(self, dim, text):
+        assert self.via_functional(dim, text) == self.via_ring(dim, text)
+
+    @given(poly_pairs(max_dim=5))
+    def test_rendered_polynomials(self, pair):
+        # mostly well formed, and of mixed weight unless the draw is top
+        # weight only
+        a, b = pair
+        for poly in (a, b, a.graded_part(a.dim), a - a.graded_part(a.dim) + b):
+            text = poly.to_text()
+            assert self.via_functional(a.dim, text) == self.via_ring(a.dim, text)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1-1+c2", "1*c2"),
+            ("c1^2-c1+c1", "1*c1^2"),
+            ("c_1^2", "1*c1^2"),
+            ("c1^2*c1^0", "1*c1^2"),
+            ("00*c2", "0"),
+            ("+c2", "1*c2"),
+            ("c2 + c1*c1 - 1/2*c2", "1*c1^2 + 1/2*c2"),
+        ],
+    )
+    def test_terms_are_summed_before_the_weight_check(self, text, expected):
+        f = ChernFunctional.from_text(2, BasisConvention.COTANGENT, text)
+        assert f.to_text() == expected
+
+    @pytest.mark.parametrize("text", ["1", "c1", "c1 + c2", "c2 + 1 - 2"])
+    def test_lower_weight_left_over_is_refused(self, text):
+        with pytest.raises(ValueError) as info:
+            ChernFunctional.from_text(2, BasisConvention.COTANGENT, text)
+        assert not isinstance(info.value, ParseError)
+
+    def test_terms_are_the_nonzero_coefficients(self):
+        f = ChernFunctional.from_text(3, BasisConvention.COTANGENT, "1/24*c1*c2 - c3")
+        assert f.terms() == {(0, 0, 1): Fraction(-1), (1, 1, 0): Fraction(1, 24)}
+        assert ChernFunctional.zero(2, BasisConvention.COTANGENT).terms() == {}
+
+
+class TestOneRepresentation:
+    """The program holds each weight-n value as a `ChernFunctional`; the
+    truncated ring and the helpers that went with it live in the oracles."""
+
+    GONE = {"GradedPoly", "top_part", "flip_basis", "segre_top"}
+    SOURCES = sorted((pathlib.Path(chigenus.__file__).parent).glob("*.py"))
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+    def test_no_module_defines_or_imports_the_ring(self, path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                named.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(alias.asname or alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                named.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.update(re.findall(r"\w+", node.value))  # `__all__`, `_HOMES`
+        assert not named & self.GONE, path.name
+
+    def test_the_package_does_not_export_them(self):
+        assert not self.GONE & set(chigenus.__all__)
+        assert not self.GONE & set(chigenus._HOMES)
+        for name in self.GONE:
+            with pytest.raises(AttributeError):
+                getattr(chigenus, name)

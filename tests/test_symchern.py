@@ -3,24 +3,23 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
 
-from chigenus.poly import GradedPoly
+from chigenus.poly import weight_basis
 from chigenus.symchern import (
     BasisConvention,
+    ChernFunctional,
     InvalidPartition,
+    _schur_catalog,
     chern_coordinates,
-    flip_basis,
     parse_partition,
     partition_label,
     partition_text,
     partitions_of,
     schur,
-    segre_top,
 )
 
-from conftest import poly_pairs
 from oracles import (
+    GradedPoly,
     cofactor_det,
     jacobi_trudi_matrix,
     partition_count,
@@ -34,6 +33,10 @@ from oracles import (
 
 def P(dim, text):
     return GradedPoly.from_text(dim, text)
+
+
+def functional(dim, text):
+    return ChernFunctional.from_text(dim, BasisConvention.COTANGENT, text)
 
 
 class TestPartitions:
@@ -94,22 +97,22 @@ class TestPartitions:
 
 class TestSchur:
     def test_dim3_displays(self):
-        assert schur((3, 0, 0), 3) == P(3, "1*c3")
-        assert schur((2, 1, 0), 3) == P(3, "1*c1*c2 - 1*c3")
-        assert schur((1, 1, 1), 3) == P(3, "1*c1^3 - 2*c1*c2 + 1*c3")
+        assert schur((3, 0, 0), 3) == functional(3, "1*c3")
+        assert schur((2, 1, 0), 3) == functional(3, "1*c1*c2 - 1*c3")
+        assert schur((1, 1, 1), 3) == functional(3, "1*c1^3 - 2*c1*c2 + 1*c3")
 
     def test_dim4_displays(self):
-        assert schur((4, 0, 0, 0), 4) == P(4, "1*c4")
-        assert schur((3, 1, 0, 0), 4) == P(4, "1*c1*c3 - 1*c4")
-        assert schur((2, 2, 0, 0), 4) == P(4, "1*c2^2 - 1*c1*c3")
-        assert schur((2, 1, 1, 0), 4) == P(4, "1*c1^2*c2 - 1*c1*c3 - 1*c2^2 + 1*c4")
-        assert schur((1, 1, 1, 1), 4) == P(
+        assert schur((4, 0, 0, 0), 4) == functional(4, "1*c4")
+        assert schur((3, 1, 0, 0), 4) == functional(4, "1*c1*c3 - 1*c4")
+        assert schur((2, 2, 0, 0), 4) == functional(4, "1*c2^2 - 1*c1*c3")
+        assert schur((2, 1, 1, 0), 4) == functional(4, "1*c1^2*c2 - 1*c1*c3 - 1*c2^2 + 1*c4")
+        assert schur((1, 1, 1, 1), 4) == functional(
             4, "1*c1^4 - 3*c1^2*c2 + 2*c1*c3 + 1*c2^2 - 1*c4"
         )
 
     def test_dim2_generators(self):
-        assert schur((2, 0), 2) == P(2, "1*c2")
-        assert schur((1, 1), 2) == P(2, "1*c1^2 - 1*c2")
+        assert schur((2, 0), 2) == functional(2, "1*c2")
+        assert schur((1, 1), 2) == functional(2, "1*c1^2 - 1*c2")
 
     def test_accepts_unpadded_input(self):
         assert schur((2, 1), 3) == schur((2, 1, 0), 3)
@@ -117,24 +120,33 @@ class TestSchur:
     @pytest.mark.parametrize("n", range(0, 8))
     def test_matches_tableau_oracle(self, n):
         for a in partitions_of(n):
-            assert schur(a, n) == schur_via_tableaux(a, n), a
+            assert schur(a, n).terms() == schur_via_tableaux(a, n).terms(), a
 
     @pytest.mark.parametrize("n", range(0, 7))
-    def test_homogeneous_of_top_weight(self, n):
+    def test_nonzero_cotangent_rows(self, n):
         for a in partitions_of(n):
-            poly = schur(a, n)
-            assert poly.graded_part(n) == poly
-            assert not poly.is_zero()
+            f = schur(a, n)
+            assert f.convention is BasisConvention.COTANGENT
+            assert not f.is_zero()
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_catalog_holds_integer_rows(self, n):
+        catalog = _schur_catalog(n)
+        assert tuple(catalog) == partitions_of(n)
+        for a, row in catalog.items():
+            assert len(row) == len(weight_basis(n))
+            assert all(type(c) is int for c in row)
+            assert schur(a, n).coeffs == row
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_cofactor_oracle(self, n):
         for a in partitions_of(n):
-            assert schur(a, n) == cofactor_det(jacobi_trudi_matrix(a, n)), a
+            assert schur(a, n).terms() == cofactor_det(jacobi_trudi_matrix(a, n)).terms(), a
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_matches_laplace_oracle(self, n):
         for a in partitions_of(n):
-            assert schur(a, n) == schur_via_laplace(a, n), a
+            assert schur(a, n).terms() == schur_via_laplace(a, n).terms(), a
 
     def test_rejects_invalid_partitions(self):
         with pytest.raises(InvalidPartition):
@@ -192,15 +204,11 @@ class TestChernCoordinatesMatchRootReduction:
 
 
 class TestSegre:
-    def test_dim1(self):
-        assert segre_top(1) == P(1, "-1*c1")
+    """The top Segre class, the weight-n part of (1 + c_1 + ... + c_n)^-1
+    in the oracle ring, is (-1)^n P_(1^n)."""
 
-    def test_dim2_series_inversion(self):
-        assert segre_top(2) == P(2, "1*c1^2 - 1*c2")
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_inverse_of_total_chern_class(self, n):
-        # independent check: (1 + c_1 + ... + c_n) * (1 + s_1 + ... + s_n) = 1
+    @staticmethod
+    def segre_top(n):
         total = GradedPoly.one(n)
         for i in range(1, n + 1):
             total = total + GradedPoly.variable(n, i)
@@ -209,19 +217,20 @@ class TestSegre:
         for _ in range(n):
             power = power * (GradedPoly.one(n) - total)
             inverse = inverse + power
+        # independent check: (1 + c_1 + ... + c_n) * (1 + s_1 + ... + s_n) = 1
         assert total * inverse == GradedPoly.one(n)
-        assert inverse.graded_part(n) == segre_top(n)
+        return inverse.graded_part(n)
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_equals_hook_schur_in_even_dimension(self, n):
-        assert segre_top(n) == schur((1,) * n, n)
+    def test_dim1(self):
+        assert self.segre_top(1) == P(1, "-1*c1")
 
-    @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_sign_flips_in_odd_dimension(self, n):
-        # the inverse-series normalization differs from det(c_{1-i+j}) by
-        # (-1)^n; they agree exactly in even dimension
-        assert segre_top(n) == -schur((1,) * n, n)
-        assert flip_basis(segre_top(n)) == schur((1,) * n, n)
+    def test_dim2_series_inversion(self):
+        assert self.segre_top(2) == P(2, "1*c1^2 - 1*c2")
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_equals_signed_hook_schur(self, n):
+        hook = schur((1,) * n, n).scaled((-1) ** n)
+        assert self.segre_top(n).top_coefficients() == hook.coeffs
 
 
 class TestPowerSums:
@@ -242,38 +251,15 @@ class TestPowerSums:
             power_sum(4, 3)
 
 
-class TestFlipBasis:
-    def test_odd_total_weight(self):
-        assert flip_basis(P(3, "1*c1*c2")) == P(3, "-1*c1*c2")
-
-    def test_even_total_weight(self):
-        poly = P(2, "1*c1^2 + 1*c2")
-        assert flip_basis(poly) == poly
-
-    def test_dim4_top_weight_fixed(self):
-        poly = P(4, "1*c1^4 - 3*c1^2*c2 + 2*c1*c3 + 1*c2^2 - 1*c4")
-        assert flip_basis(poly) == poly
-
-    def test_mixed_weights(self):
-        poly = P(3, "1 + 1*c1 + 1*c2 + 1*c3")
-        assert flip_basis(poly) == P(3, "1 - 1*c1 + 1*c2 - 1*c3")
-
-    @given(poly_pairs())
-    def test_involution(self, pair):
-        a, _ = pair
-        assert flip_basis(flip_basis(a)) == a
-
-    @given(poly_pairs())
-    def test_ring_homomorphism(self, pair):
-        a, b = pair
-        assert flip_basis(a * b) == flip_basis(a) * flip_basis(b)
-        assert flip_basis(a + b) == flip_basis(a) + flip_basis(b)
-
+class TestFlipped:
     def test_top_weight_flip_is_global_sign(self):
         for n in range(1, 6):
             for a in partitions_of(n):
-                poly = schur(a, n)
-                assert flip_basis(poly) == poly * Fraction((-1) ** n)
+                f = schur(a, n)
+                assert f.flipped() == ChernFunctional(
+                    n, BasisConvention.TANGENT, f.scaled((-1) ** n).coeffs
+                )
+                assert f.flipped().flipped() == f
 
 
 class TestConvention:

@@ -354,6 +354,17 @@ class TestDescriptorSerialization:
         explicit = Explicit(2, {"c1^2": 9, "c2": 3}, COT)
         assert descriptor_from_json(explicit.to_json_dict()) == explicit
 
+    @pytest.mark.parametrize("key", ["c1*c1", "1*c1^2", "c_1^2", "c1^2*c2^0", (2, 0)])
+    def test_explicit_key_spellings(self, key):
+        assert Explicit(2, {key: 5, "c2": 1}, COT) == Explicit(2, {"c1^2": 5, "c2": 1}, COT)
+
+    @pytest.mark.parametrize("key", ["2*c2-c2", "c2 + 0", "c1^2 - c1^2 + c2", "0", "c2 - c1"])
+    def test_explicit_key_is_one_term(self, key):
+        obj = {"type": "explicit", "n": 2, "values": {key: "1"}}
+        with pytest.raises(ValueError) as info:
+            descriptor_from_json(obj)
+        assert str(info.value) == f"monomial key expected, got {key!r}"
+
     def test_bad_tokens(self):
         for token in ["pn", "pn:x", "blah:3", "surface:9", "product(pn:1"]:
             with pytest.raises(ValueError):
