@@ -388,7 +388,7 @@ class TestOneRepresentation:
     truncated ring and the helpers that went with it live in the oracles."""
 
     GONE = {"GradedPoly", "top_part", "flip_basis", "segre_top"}
-    SOURCES = sorted((pathlib.Path(chigenus.__file__).parent).glob("*.py"))
+    SOURCES = sorted(pathlib.Path(chigenus.__file__).parent.glob("*.py"))
 
     @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
     def test_no_module_defines_or_imports_the_ring(self, path):
