@@ -17,9 +17,7 @@ pairing <= 0 with every generator and > 0 with the target.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Union
 
 from . import ASSUMPTION_TAGS
@@ -31,7 +29,7 @@ from .hrr import (
     mode_convention,
     signed_target,
 )
-from .poly import DimensionMismatch, Record, as_rational, weight_basis
+from .poly import DimensionMismatch, Record, as_rational, over_common_denominator, weight_basis
 from .symchern import (
     BasisConvention,
     ConventionMismatch,
@@ -120,16 +118,12 @@ def generators(
 
 
 class Certificate(Record):
-    """target = sum lambda_i * generator_i + residual, every lambda_i >= 0.
-
-    The residual must itself be certified: identically zero, or a declared
-    non-negative multiple of one of the generators.
-    """
+    """target = sum lambda_i * generator_i with every lambda_i >= 0: the
+    coefficients are the whole proof."""
 
     target: ChernFunctional
     generator_names: tuple[str, ...]
     coefficients: tuple[Fraction, ...]
-    residual: ChernFunctional
 
     def __post_init__(self):
         coefficients = tuple(as_rational(c) for c in self.coefficients)
@@ -146,17 +140,15 @@ class Certificate(Record):
         )
 
     def to_json_dict(self) -> dict:
+        # a certificate has no residual; its zero keeps the output format
         return {
-            "residual": self.residual.poly_json_dict(),
+            "residual": {"dim": self.target.dimension, "terms": []},
             "target": self.target.poly_json_dict(),
             "terms": [
                 {"coef": str(coef), "gen": name}
                 for name, coef in self.named_coefficients()
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 class Infeasibility(Record):
@@ -166,9 +158,6 @@ class Infeasibility(Record):
 
     def to_json_dict(self) -> dict:
         return {"witness": self.witness.poly_json_dict()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 CertifyResult = Union[Certificate, Infeasibility]
@@ -184,23 +173,23 @@ def _phase_one(
     throughout, so the outcome is deterministic.
 
     The tableau is fraction-free (Bareiss/Edmonds elimination): each
-    generator column is scaled by the lcm of its denominators and the rhs by
-    its own, and the rows and reduced costs are integers over one common
-    denominator d = det(basis) > 0.  Positive column scaling changes no
-    reduced-cost sign and no ratio order, so the pivots are those of the
-    rational tableau, and it leaves the duals as they are; lambda is
-    unscaled at the end.
+    generator column and the rhs are taken over their own least common
+    denominators (`poly.over_common_denominator`), and the rows and reduced
+    costs are integers over one common denominator d = det(basis) > 0.
+    Positive column scaling changes no reduced-cost sign and no ratio
+    order, so the pivots are those of the rational tableau, and it leaves
+    the duals as they are; lambda is unscaled at the end.
     """
     m = len(rhs)
     k = len(columns)
-    scales = [_denominator_lcm(col) for col in columns]
-    rhs_scale = _denominator_lcm(rhs)
-    signs = [-1 if value < 0 else 1 for value in rhs]
+    cleared = [over_common_denominator(col) for col in columns]
+    rhs_numerators, rhs_scale = over_common_denominator(rhs)
+    signs = [-1 if value < 0 else 1 for value in rhs_numerators]
     tableau: list[list[int]] = []
-    for i in range(m):
-        row = [signs[i] * _scaled(columns[j][i], scales[j]) for j in range(k)]
+    for i, value in enumerate(rhs_numerators):
+        row = [signs[i] * col[i] for col, _ in cleared]
         row.extend(1 if r == i else 0 for r in range(m))
-        row.append(signs[i] * _scaled(rhs[i], rhs_scale))
+        row.append(signs[i] * value)
         tableau.append(row)
     ncols = k + m
     basis = [k + i for i in range(m)]
@@ -240,27 +229,19 @@ def _phase_one(
         lam = [Fraction(0)] * k
         for i, bv in enumerate(basis):
             if bv < k:
-                lam[bv] = Fraction(tableau[i][ncols] * scales[bv], d * rhs_scale)
+                lam[bv] = Fraction(tableau[i][ncols] * cleared[bv][1], d * rhs_scale)
         return "feasible", tuple(lam)
     # duals 1 - reduced_j / d from the optimal reduced costs of the artificials
     witness = tuple(Fraction(signs[i] * (d - reduced[k + i]), d) for i in range(m))
     return "infeasible", witness
 
 
-def _denominator_lcm(values: Sequence[Fraction]) -> int:
-    return lcm(*(value.denominator for value in values))
-
-
-def _scaled(value: Fraction, scale: int) -> int:
-    return value.numerator * (scale // value.denominator)
-
-
 def certify(target: ChernFunctional, gens: GeneratorSet) -> CertifyResult:
     """Decide exact membership of `target` in the cone spanned by `gens`.
 
-    Feasibility means target = sum lambda_i g_i with lambda >= 0 and zero
-    residual; otherwise a Farkas witness is returned.  Both outcomes are
-    re-verified exactly before being handed back.
+    Feasibility means target = sum lambda_i g_i with lambda >= 0; otherwise
+    a Farkas witness is returned.  Both outcomes are re-verified exactly
+    before being handed back.
     """
     if target.dimension != gens.dimension:
         raise DimensionMismatch(
@@ -274,12 +255,7 @@ def certify(target: ChernFunctional, gens: GeneratorSet) -> CertifyResult:
     columns = [f.coeffs for f in gens.functionals()]
     status, data = _phase_one(columns, target.coeffs)
     if status == "feasible":
-        certificate = Certificate(
-            target=target,
-            generator_names=gens.names(),
-            coefficients=data,
-            residual=ChernFunctional.zero(gens.dimension, gens.convention),
-        )
+        certificate = Certificate(target, gens.names(), data)
         if not verify_certificate(certificate, gens):
             raise ConsistencyError("simplex returned an invalid certificate")
         return certificate
@@ -299,9 +275,9 @@ def verify_certificate(
 ) -> bool:
     """Re-expand a certificate and check it exactly.
 
-    True iff sum lambda_i g_i + residual == target, all lambda_i >= 0, and
-    the residual is zero or a non-negative multiple of a single generator.
-    On failure a reason is appended to `diagnostics` (if given).
+    True iff the names, dimension and convention match `gens`, all
+    lambda_i >= 0 and sum lambda_i g_i == target.  On failure a reason is
+    appended to `diagnostics` (if given).
     """
 
     def fail(reason: str) -> bool:
@@ -321,18 +297,8 @@ def verify_certificate(
     for coef, (_, f) in zip(cert.coefficients, gens.generators):
         if coef:
             combo = combo + f.scaled(coef)
-    if combo + cert.residual != cert.target:
-        return fail("combination plus residual does not reproduce the target")
-    if not cert.residual.is_zero():
-        for name, f in gens.generators:
-            anchor = next((i for i, c in enumerate(f.coeffs) if c), None)
-            if anchor is None:
-                continue
-            ratio = cert.residual.coeffs[anchor] / f.coeffs[anchor]
-            if ratio >= 0 and f.scaled(ratio) == cert.residual:
-                break
-        else:
-            return fail("residual is not a non-negative multiple of a generator")
+    if combo != cert.target:
+        return fail("combination does not reproduce the target")
     return True
 
 
@@ -373,9 +339,6 @@ class ChiSignReport(Record):
     @property
     def all_certified(self) -> bool:
         return all(row.status == "certified" for row in self.rows)
-
-    def row(self, p: int) -> ChiSignRow:
-        return self.rows[p]
 
     def to_json_dict(self) -> dict:
         return {

@@ -178,9 +178,6 @@ class ChiTable(Record):
     convention: BasisConvention
     rows: tuple[ChernFunctional, ...]
 
-    def row(self, p: int) -> ChernFunctional:
-        return self.rows[p]
-
     def flipped(self) -> "ChiTable":
         return ChiTable(
             self.dimension,

@@ -31,6 +31,7 @@ __all__ = [
     "Monomial",
     "RationalLike",
     "as_rational",
+    "over_common_denominator",
     "parse_decimal",
     "mono_weight",
     "mono_key",
@@ -133,17 +134,26 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # Fraction() alone also takes '1_0', ' 2e1 ', '0.5' and non-ASCII digits
+        # Fraction() alone also takes '1_0', ' 2e1 ', '0.5' and non-ASCII
+        # digits; its ValueError is a part past the int-string digit limit
         if _RATIONAL_RE.fullmatch(value):
             try:
                 return Fraction(value)
-            except ZeroDivisionError:
+            except (ZeroDivisionError, ValueError):
                 pass
         raise ParseError(f"bad rational literal {value!r}")
     raise TypeError(
         "exact rational required (int, Fraction, or 'a/b' string), "
         f"got {type(value).__name__}"
     )
+
+
+def over_common_denominator(values: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(numerators, d): the integers with value == numerator / d for each
+    value, over d the least common denominator of all of them."""
+    values = tuple(values)
+    d = math.lcm(*(value.denominator for value in values))
+    return tuple(value.numerator * (d // value.denominator) for value in values), d
 
 
 def mono_weight(mono: Monomial) -> int:
@@ -261,8 +271,11 @@ def parse_terms(dim: int, text: str) -> list[tuple[Monomial, Fraction]]:
             match = _FACTOR_RE.fullmatch(piece)
             if not match:
                 raise ParseError(f"bad factor {piece!r} in {text!r}")
-            index = int(match.group(1))
-            power = int(match.group(2)) if match.group(2) else 1
+            try:
+                index = int(match.group(1))
+                power = int(match.group(2)) if match.group(2) else 1
+            except ValueError:  # past the int-string digit limit
+                raise ParseError("a variable index or exponent is too long") from None
             if not 1 <= index <= dim:
                 raise ParseError(f"variable c{index} outside dimension {dim}")
             exps[index - 1] += power
@@ -436,22 +449,16 @@ class ChernFunctional(Record):
                 f"expected {len(self.coeffs)} values, got {len(values)}"
             )
         # integer numerators over the two common denominators, one Fraction
-        c_den = math.lcm(*(c.denominator for c in self.coeffs))
-        v_den = math.lcm(*(v.denominator for v in values))
-        total = sum(
-            c.numerator * (c_den // c.denominator) * v.numerator * (v_den // v.denominator)
-            for c, v in zip(self.coeffs, values)
-        )
-        return Fraction(total, c_den * v_den)
+        c_num, c_den = over_common_denominator(self.coeffs)
+        v_num, v_den = over_common_denominator(values)
+        return Fraction(sum(map(mul, c_num, v_num)), c_den * v_den)
 
     def clear_denominators(self) -> tuple["ChernFunctional", int]:
         """Smallest positive integer multiple with integral coefficients.
 
         Returns (scaled functional, multiplier)."""
-        scale = 1
-        for c in self.coeffs:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        return self.scaled(scale), scale
+        numerators, scale = over_common_denominator(self.coeffs)
+        return ChernFunctional(self.dimension, self.convention, numerators), scale
 
     # -- serialization --------------------------------------------------------
 

@@ -48,7 +48,6 @@ __all__ = [
     "partitions_of",
     "pad_partition",
     "strip_partition",
-    "partition_text",
     "parse_partition",
     "partition_label",
     "chern_coordinates",
@@ -63,7 +62,8 @@ class InvalidPartition(ValueError):
 
 
 def pad_partition(parts: Sequence[int], n: int) -> Partition:
-    """Zero-pad to length n (so Jacobi-Trudi matrices are always n x n)."""
+    """Zero-pad to length n: the form of the `P_(...)` labels, and one
+    zero part per factor q_0 in `hrr._chi_y_rows`."""
     parts = tuple(parts)
     if len(parts) > n:
         if any(p != 0 for p in parts[n:]):
@@ -109,12 +109,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
                 yield (first,) + rest
 
     return tuple(pad_partition(p, n) for p in descend(n, n))
-
-
-def partition_text(parts: Sequence[int]) -> str:
-    """External form: comma-separated parts without padding, e.g. '2,1'."""
-    stripped = strip_partition(parts)
-    return ",".join(str(p) for p in stripped) if stripped else "0"
 
 
 def parse_partition(text: str, n: int) -> Partition:

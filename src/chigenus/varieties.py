@@ -551,12 +551,14 @@ def load_corpus(path) -> list[CorpusEntry]:
     """Read a JSON-lines corpus: {"name": ..., "descriptor": {...},
     "expected": {...}} per line."""
     entries = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    # lines end at b"\n" as in JSON Lines, and each is decoded on its own so
+    # that a byte that is not UTF-8 is reported with its line number
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line or line.startswith("#"):
+                    continue
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("expected a JSON object")
@@ -567,6 +569,8 @@ def load_corpus(path) -> list[CorpusEntry]:
                         expected=obj.get("expected", {}),
                     )
                 )
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            except KeyError as exc:
+                raise ValueError(f"bad corpus line {line_number}: missing field {exc}") from exc
+            except (TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"bad corpus line {line_number}: {exc}") from exc
     return entries

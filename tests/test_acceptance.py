@@ -112,7 +112,6 @@ def test_criterion_3_paper_chain_certificate():
             target=target,
             generator_names=gens.names(),
             coefficients=tuple(chain.get(name, Fraction(0)) for name in gens.names()),
-            residual=ChernFunctional.zero(4, COT),
         )
         assert verify_certificate(cert, gens)
         assert cert.target == signed_chi_target(4, 4)

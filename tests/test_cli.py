@@ -176,6 +176,11 @@ class TestCertifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_exponent_past_the_digit_limit_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--dim", "2", "--target", "c1^" + "9" * 5000)
+        assert (code, out) == (2, "")
+        assert err == "error: bad target polynomial: a variable index or exponent is too long\n"
+
     @pytest.mark.parametrize("dim, target", [("1", "\u0663*c1"), ("2", "1*c\u0661^2")])
     def test_non_ascii_digit_target_exit_two(self, capsys, dim, target):
         code, out, err = run_cli(capsys, "certify", "--dim", dim, "--target", target)
@@ -278,6 +283,14 @@ class TestCertifyCommand:
         assert payload["certificate"]["terms"] == expected_terms
 
 
+# corpus lines that lack a field, and the field
+MISSING_FIELD = {
+    '{"name":"a","descriptor":{"type":"pn"}}': "n",
+    '{"name":"p","descriptor":{"type":"product","left":{"type":"pn","n":1}}}': "right",
+    '{"descriptor":{"type":"pn","n":1}}': "name",
+}
+
+
 class TestCheckCommand:
     def test_builtin_pn3(self, capsys):
         code, out, _ = run_cli(capsys, "check", "pn:3", "--mode", "nef-tangent")
@@ -365,6 +378,7 @@ class TestCheckCommand:
             '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c2 + 0":"1"}}}',
             '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1^2 - c1^2 + c2":"1"}}}',
             "[1]",
+            *MISSING_FIELD,
         ],
     )
     def test_malformed_corpus_line_exit_two(self, capsys, tmp_path, line):
@@ -374,6 +388,16 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: bad corpus line 1: ")
+        assert err.count("\n") == 1
+        if line in MISSING_FIELD:
+            assert err == f"error: bad corpus line 1: missing field {MISSING_FIELD[line]!r}\n"
+
+    def test_corpus_line_not_utf8_names_the_line(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b'{"name":"p","descriptor":{"type":"pn","n":1}}\n\xff\n')
+        code, out, err = run_cli(capsys, "check", str(corpus))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad corpus line 2: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
 
     def test_recipe_field_refusal_names_kind_and_field(self, capsys, tmp_path):
@@ -714,6 +738,15 @@ class TestConfigFile:
         monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
         code, _, err = run_cli(capsys, "chi", "--dim", "2")
         assert code == 2
+
+    def test_config_not_utf8_names_the_file(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff")
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "chi", "--dim", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config {str(config)!r}: 'utf-8' codec")
+        assert err.count("\n") == 1
 
 
 class TestPinnedOutputs:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -92,7 +93,6 @@ class TestCertify:
         result = certify(target, gens)
         assert isinstance(result, Certificate)
         assert verify_certificate(result, gens)
-        assert result.residual.is_zero()
         # the system is square and invertible: lambda is forced
         assert dict(result.named_coefficients()) == {
             "P_(2,0)": Fraction(2),
@@ -172,7 +172,6 @@ class TestPaperChainCertificate:
                 target=target,
                 generator_names=gens.names(),
                 coefficients=coefficients,
-                residual=ChernFunctional.zero(4, COT),
             ),
             gens,
         )
@@ -199,7 +198,6 @@ class TestPaperChainCertificate:
                 -c if name == "my4" else c
                 for name, c in zip(cert.generator_names, cert.coefficients)
             ),
-            residual=cert.residual,
         )
         diagnostics = []
         assert not verify_certificate(broken, gens, diagnostics)
@@ -214,42 +212,42 @@ class TestPaperChainCertificate:
                 c + 1 if name == "P_(4,0,0,0)" else c
                 for name, c in zip(cert.generator_names, cert.coefficients)
             ),
-            residual=cert.residual,
         )
         assert not verify_certificate(tampered, gens)
 
 
-class TestResidualRule:
-    def test_declared_generator_multiple_accepted(self):
+class TestCoefficientsAreTheCertificate:
+    # over (P_(3,0,0), P_(2,1,0), P_(1,1,1)) = (c3, c1*c2 - c3, ...)
+    def test_generator_combination_accepted(self):
         gens = generators(3, {"schur"})
-        # c1 c2 = (c1 c2 - c3) * 1 + residual c3 = P_(3,0,0) * 1
+        cert = Certificate(
+            target=functional(3, "1*c1*c2"),
+            generator_names=gens.names(),
+            coefficients=(Fraction(1), Fraction(1), Fraction(0)),
+        )
+        assert verify_certificate(cert, gens)
+
+    def test_dropped_coefficient_rejected(self):
+        gens = generators(3, {"schur"})
         cert = Certificate(
             target=functional(3, "1*c1*c2"),
             generator_names=gens.names(),
             coefficients=(Fraction(0), Fraction(1), Fraction(0)),
-            residual=functional(3, "1*c3"),
         )
-        assert verify_certificate(cert, gens)
+        diagnostics = []
+        assert not verify_certificate(cert, gens, diagnostics)
+        assert diagnostics == ["combination does not reproduce the target"]
 
-    def test_negative_multiple_rejected(self):
+    def test_negative_coefficient_rejected(self):
         gens = generators(3, {"schur"})
         cert = Certificate(
             target=functional(3, "1*c1*c2 - 2*c3"),
             generator_names=gens.names(),
-            coefficients=(Fraction(0), Fraction(1), Fraction(0)),
-            residual=functional(3, "-1*c3"),
+            coefficients=(Fraction(-1), Fraction(1), Fraction(0)),
         )
-        assert not verify_certificate(cert, gens)
-
-    def test_unrelated_residual_rejected(self):
-        gens = generators(3, {"schur"})
-        cert = Certificate(
-            target=functional(3, "1*c1*c2 + 1*c1^3"),
-            generator_names=gens.names(),
-            coefficients=(Fraction(0), Fraction(1), Fraction(0)),
-            residual=functional(3, "1*c3 + 1*c1^3"),
-        )
-        assert not verify_certificate(cert, gens)
+        diagnostics = []
+        assert not verify_certificate(cert, gens, diagnostics)
+        assert diagnostics == ["negative combination coefficient"]
 
 
 class TestSoundnessAndDeterminism:
@@ -270,7 +268,7 @@ class TestSoundnessAndDeterminism:
         def run():
             gens = generators(4, {"schur", "my4", "c1top"})
             target, _ = chi_p(4, 4).clear_denominators()
-            return certify(target, gens).to_json()
+            return json.dumps(certify(target, gens).to_json_dict(), sort_keys=True)
 
         assert run() == run()
 
@@ -424,31 +422,31 @@ class TestChiSignReports:
 
     def test_dim3_cotangent_boundary_rows(self):
         report = certify_chi_signs(3, "nef_cotangent")
-        top = report.row(3)
+        top = report.rows[3]
         assert top.status == "certified"
         assert dict(top.result.named_coefficients()) == {
             "P_(3,0,0)": Fraction(1),
             "P_(2,1,0)": Fraction(1),
         }
-        assert report.row(0).status == "certified"
+        assert report.rows[0].status == "certified"
 
     def test_dim4_with_assumptions(self):
         report = certify_chi_signs(4, "nef_cotangent", ("schur", "my4", "c1top"))
-        assert report.row(4).status == "certified"
-        assert report.row(0).status == "certified"
+        assert report.rows[4].status == "certified"
+        assert report.rows[0].status == "certified"
 
     def test_dim4_schur_only_leaves_top_open(self):
         report = certify_chi_signs(4, "nef_cotangent")
-        assert report.row(4).status == "open"
-        assert isinstance(report.row(4).result, Infeasibility)
+        assert report.rows[4].status == "open"
+        assert isinstance(report.rows[4].result, Infeasibility)
 
     def test_tangent_mode_uses_tangent_generators(self):
         report = certify_chi_signs(3, "nef_tangent")
         assert report.convention is TAN
-        assert report.row(0).status == "certified"
-        assert report.row(3).status == "certified"
+        assert report.rows[0].status == "certified"
+        assert report.rows[3].status == "certified"
         # interior rows are not provable from Schur positivity alone
-        assert report.row(1).status == "open"
+        assert report.rows[1].status == "open"
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

@@ -235,8 +235,8 @@ class TestChiTable:
 
     def test_dim3_boundary_rows(self):
         table = chi_table(3)
-        assert table.row(0) == functional(3, "-1/24*c1*c2")
-        assert table.row(3) == functional(3, "1/24*c1*c2")
+        assert table.rows[0] == functional(3, "-1/24*c1*c2")
+        assert table.rows[3] == functional(3, "1/24*c1*c2")
 
     def test_dim1(self):
         table = chi_table(1)
@@ -245,7 +245,7 @@ class TestChiTable:
     def test_point(self):
         table = chi_table(0)
         assert len(table.rows) == 1
-        assert table.row(0).coeffs == (Fraction(1),)
+        assert table.rows[0].coeffs == (Fraction(1),)
 
     def test_json_round_trip(self):
         table = chi_table(3)

@@ -243,6 +243,11 @@ class TestSerialization:
         [
             "", "c5", "c1^3", "1*", "*c1", "c1 +", "x1", "1.5*c1", "c1^-1", "c0",
             "1/0*c1^2", "c2 - 3/0*c1^2", "1/0", "\u0663*c1", "1*c\u0661^2",
+            # past the 4300-digit limit of int(), which raises a plain ValueError
+            *(
+                pytest.param(form.format("9" * 5000), id=form.format("<5000 nines>"))
+                for form in ("c1^{}", "{}*c1^2", "c{}", "1/{}*c1^2")
+            ),
         ],
     )
     def test_rejects_malformed_text(self, bad):

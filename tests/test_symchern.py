@@ -13,7 +13,6 @@ from chigenus.symchern import (
     chern_coordinates,
     parse_partition,
     partition_label,
-    partition_text,
     partitions_of,
     schur,
 )
@@ -75,8 +74,6 @@ class TestPartitions:
                 assert all(a[i] >= a[i + 1] for i in range(n - 1))
 
     def test_text_forms(self):
-        assert partition_text((2, 1, 0)) == "2,1"
-        assert partition_text((0, 0)) == "0"
         assert parse_partition("2,1", 3) == (2, 1, 0)
         assert parse_partition("2, 1", 3) == (2, 1, 0)
         assert partition_label((2, 1), 3) == "P_(2,1,0)"

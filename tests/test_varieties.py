@@ -502,7 +502,7 @@ RECORD_FIELDS = {
     ChernFunctional: ("dimension", "convention", "coeffs"),
     ChiTable: ("dimension", "convention", "rows"),
     GeneratorSet: ("dimension", "convention", "generators"),
-    Certificate: ("target", "generator_names", "coefficients", "residual"),
+    Certificate: ("target", "generator_names", "coefficients"),
     Infeasibility: ("witness",),
     ChiSignRow: ("p", "sign", "scale", "target", "result", "status"),
     ChiSignReport: ("dimension", "mode", "assumptions", "convention", "rows"),
