@@ -23,8 +23,8 @@ _HOMES = {
     name: home
     for home, names in {
         "poly": "BasisConvention ChernFunctional ConventionMismatch DimensionMismatch "
-        "ParseError as_rational monomials_of_weight weight_basis",
-        "symchern": "InvalidPartition partitions_of schur",
+        "InvalidPartition ParseError as_rational partitions_of weight_basis",
+        "symchern": "schur",
         "hrr": "ChiTable ConsistencyError chi_p chi_table euler_functional",
         "cone": "Certificate ChiSignReport GeneratorSet Infeasibility certify "
         "certify_chi_signs generators verify_certificate",

@@ -150,7 +150,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_schur(args) -> int:
-    from .symchern import parse_partition, partition_label, partitions_of, schur
+    from .poly import partitions_of
+    from .symchern import parse_partition, partition_label, schur
 
     n = _within_limit(args.max_dim, args.dim)
     if args.partition is not None:

@@ -21,22 +21,19 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import ASSUMPTION_TAGS
-from .hrr import (
-    ChernFunctional,
-    ConsistencyError,
-    chi_p,
-    chi_sign,
-    mode_convention,
-    signed_target,
-)
-from .poly import DimensionMismatch, Record, as_rational, over_common_denominator, weight_basis
-from .symchern import (
+from .hrr import ConsistencyError, chi_p, chi_sign, mode_convention, signed_target
+from .poly import (
     BasisConvention,
+    ChernFunctional,
     ConventionMismatch,
-    partition_label,
+    DimensionMismatch,
+    Record,
+    as_rational,
+    over_common_denominator,
     partitions_of,
-    schur,
+    weight_basis,
 )
+from .symchern import partition_label, schur
 
 __all__ = [
     "ASSUMPTION_TAGS",
@@ -276,8 +273,9 @@ def verify_certificate(
     """Re-expand a certificate and check it exactly.
 
     True iff the names, dimension and convention match `gens`, all
-    lambda_i >= 0 and sum lambda_i g_i == target.  On failure a reason is
-    appended to `diagnostics` (if given).
+    lambda_i >= 0 and sum lambda_i g_i == target, summed coordinate by
+    coordinate over the generator rows.  On failure a reason is appended to
+    `diagnostics` (if given).
     """
 
     def fail(reason: str) -> bool:
@@ -293,11 +291,9 @@ def verify_certificate(
         return fail("certificate convention disagrees with generator set")
     if any(coef < 0 for coef in cert.coefficients):
         return fail("negative combination coefficient")
-    combo = ChernFunctional.zero(gens.dimension, gens.convention)
-    for coef, (_, f) in zip(cert.coefficients, gens.generators):
-        if coef:
-            combo = combo + f.scaled(coef)
-    if combo != cert.target:
+    used = [(coef, f.coeffs) for coef, f in zip(cert.coefficients, gens.functionals()) if coef]
+    combo = [sum(coef * row[i] for coef, row in used) for i in range(len(cert.target.coeffs))]
+    if combo != list(cert.target.coeffs):
         return fail("combination does not reproduce the target")
     return True
 

@@ -29,8 +29,15 @@ from functools import lru_cache
 from . import SIGN_MODES
 # the functional type and its tags live in `poly`; importing them from here
 # also works
-from .poly import BasisConvention, ChernFunctional, ConventionMismatch, Record, weight_basis
-from .symchern import chern_coordinates, partitions_of
+from .poly import (
+    BasisConvention,
+    ChernFunctional,
+    ConventionMismatch,
+    Record,
+    partitions_of,
+    weight_basis,
+)
+from .symchern import chern_coordinates
 
 __all__ = [
     "ConsistencyError",
@@ -128,15 +135,10 @@ def chi_p(n: int, p: int) -> ChernFunctional:
 
 def euler_functional(n: int) -> ChernFunctional:
     """Topological Euler characteristic as a cotangent-convention
-    functional: (-1)^n c_n, i.e. c_n of the tangent bundle."""
+    functional: (-1)^n c_n, i.e. c_n of the tangent bundle.  c_n is the
+    last monomial of `weight_basis(n)`, and for n = 0 the only one, 1."""
     _check_dimension(n)
-    if n == 0:
-        return ChernFunctional(0, BasisConvention.COTANGENT, (Fraction(1),))
-    top_mono = tuple([0] * (n - 1) + [1])
-    basis = weight_basis(n)
-    coeffs = tuple(
-        Fraction((-1) ** n) if m == top_mono else Fraction(0) for m in basis
-    )
+    coeffs = (0,) * (len(weight_basis(n)) - 1) + ((-1) ** n,)
     return ChernFunctional(n, BasisConvention.COTANGENT, coeffs)
 
 

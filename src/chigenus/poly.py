@@ -1,5 +1,6 @@
-"""Chern-class monomials, the text and JSON forms of polynomials in them,
-and the top-weight functional type.
+"""Chern-class monomials, the partitions that index the weight-n ones, the
+text and JSON forms of polynomials in them, and the top-weight functional
+type.
 
 The variables are c_1, ..., c_n with weight(c_i) = i.  A monomial is an
 exponent tuple of length n (entry i-1 is the exponent of c_i).  The
@@ -8,9 +9,10 @@ with c_1 dominant and higher powers first), which makes text and JSON
 serialization deterministic.
 
 Every value the package computes is a `ChernFunctional`: a weight-n form,
-one coefficient per monomial of `weight_basis(n)`, which pairs with a
-complete set of Chern numbers.  Coefficients are `fractions.Fraction`;
-floats are rejected at every entry point.
+one coefficient per monomial of `weight_basis(n)`.  It scales, and it pairs
+with a complete set of Chern numbers; a sum of functionals is summed row
+by row where it is needed.  Coefficients are `fractions.Fraction`; floats
+are rejected at every entry point.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ __all__ = [
     "mono_weight",
     "mono_key",
     "mono_text",
-    "monomials_of_weight",
+    "Partition",
+    "InvalidPartition",
+    "partitions_of",
     "weight_basis",
     "json_terms",
     "parse_terms",
@@ -47,6 +51,7 @@ __all__ = [
 ]
 
 Monomial = tuple[int, ...]
+Partition = tuple[int, ...]
 RationalLike = Union[int, str, Fraction]
 
 
@@ -56,6 +61,10 @@ class DimensionMismatch(ValueError):
 
 class ParseError(ValueError):
     """Polynomial text does not match the serialization grammar."""
+
+
+class InvalidPartition(ValueError):
+    """Sequence is not a partition of the requested weight."""
 
 
 class FrozenInstanceError(AttributeError):
@@ -178,39 +187,38 @@ def mono_text(mono: Monomial) -> str:
 
 
 @lru_cache(maxsize=None, typed=True)
-def monomials_of_weight(dim: int, weight: int) -> tuple[Monomial, ...]:
-    """All exponent tuples of length `dim` with weight exactly `weight`,
-    in canonical order.  The cache is typed, so the key True never
-    answers for 1, and a refused argument is never cached."""
-    for value in (dim, weight):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(
-                f"dimension and weight must be non-negative integers, got {value!r}"
-            )
-    found: list[Monomial] = []
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n, zero-padded to length n, in reverse-lexicographic
+    order: (n, 0, ...) first, (1, 1, ..., 1) last.  The cache is typed, so
+    the key True never answers for 1, and a refused argument is never
+    cached."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise InvalidPartition(f"partition weight must be a non-negative integer: {n!r}")
 
-    def descend(i: int, left: int, acc: list[int]) -> None:
-        if i == dim:
-            if left == 0:
-                found.append(tuple(acc))
+    def descend(left: int, cap: int) -> Iterable[Partition]:
+        if left == 0:
+            yield ()
             return
-        step = i + 1
-        for e in range(left // step, -1, -1):
-            acc.append(e)
-            descend(i + 1, left - step * e, acc)
-            acc.pop()
+        for first in range(min(left, cap), 0, -1):
+            for rest in descend(left - first, first):
+                yield (first,) + rest
 
-    descend(0, weight, [])
-    found.sort(key=mono_key)
-    return tuple(found)
+    return tuple(p + (0,) * (n - len(p)) for p in descend(n, n))
 
 
+def _partition_monomial(parts: Partition, n: int) -> Monomial:
+    """The exponent tuple of c^parts = c_{parts_1} c_{parts_2} ... in c_1..c_n."""
+    return tuple(parts.count(i) for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=None, typed=True)
 def weight_basis(dim: int) -> tuple[Monomial, ...]:
-    """Canonical basis of the top graded piece (weight == dim).
-
-    Its length is the number of partitions of `dim`.
-    """
-    return monomials_of_weight(dim, dim)
+    """Canonical basis of the top graded piece (weight == dim): the
+    monomials c^mu of the partitions mu of `dim` (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.1-I.2), in canonical order.  The cache
+    is typed, like that of `partitions_of`."""
+    monomials = (_partition_monomial(mu, dim) for mu in partitions_of(dim))
+    return tuple(sorted(monomials, key=mono_key))
 
 
 def json_terms(terms: Iterable[tuple[Monomial, Fraction]]) -> list[dict]:
@@ -339,7 +347,8 @@ class ConventionMismatch(ValueError):
 
 
 class ChernFunctional(Record):
-    """Top-weight linear functional on Chern-number monomials.
+    """Top-weight linear functional on Chern-number monomials: a validated
+    coefficient row, tagged with its dimension and convention.
 
     `coeffs` is indexed by the canonical weight-n monomial basis; pairing
     with a complete set of Chern numbers is an exact dot product.
@@ -359,12 +368,6 @@ class ChernFunctional(Record):
             )
         object.__setattr__(self, "convention", BasisConvention(self.convention))
         object.__setattr__(self, "coeffs", coeffs)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dimension: int, convention: BasisConvention) -> "ChernFunctional":
-        return cls(dimension, convention, (Fraction(0),) * len(weight_basis(dimension)))
 
     @classmethod
     def from_text(
@@ -393,39 +396,7 @@ class ChernFunctional(Record):
         terms = json_terms(zip(weight_basis(self.dimension), self.coeffs))
         return {"dim": self.dimension, "terms": terms}
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     # -- arithmetic ----------------------------------------------------------
-
-    def _check_compatible(self, other: "ChernFunctional") -> None:
-        if self.dimension != other.dimension:
-            raise DimensionMismatch(
-                f"dimension mismatch: {self.dimension} vs {other.dimension}"
-            )
-        if self.convention != other.convention:
-            raise ConventionMismatch(
-                f"convention mismatch: {self.convention.value} vs {other.convention.value}"
-            )
-
-    def __add__(self, other: "ChernFunctional") -> "ChernFunctional":
-        self._check_compatible(other)
-        return ChernFunctional(
-            self.dimension,
-            self.convention,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "ChernFunctional") -> "ChernFunctional":
-        self._check_compatible(other)
-        return ChernFunctional(
-            self.dimension,
-            self.convention,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self) -> "ChernFunctional":
-        return self.scaled(-1)
 
     def scaled(self, factor: RationalLike) -> "ChernFunctional":
         factor = as_rational(factor)
@@ -464,13 +435,6 @@ class ChernFunctional(Record):
 
     def to_text(self) -> str:
         return terms_text(zip(weight_basis(self.dimension), self.coeffs))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "convention": self.convention.value,
-            "dim": self.dimension,
-            "poly": self.poly_json_dict(),
-        }
 
     def __str__(self) -> str:
         return self.to_text()

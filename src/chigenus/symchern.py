@@ -1,12 +1,13 @@
-"""Partition combinatorics, Schur polynomials of Chern classes, and the
+"""Partition labels and text, Schur polynomials of Chern classes, and the
 integer basis changes between symmetric functions of the Chern roots.
 
 A weight-n symmetric function of the roots x_1..x_n is written over the
 monomials c^mu = c_{mu_1} c_{mu_2} ... in c_i = e_i(x), one per partition mu
-of n.  One transition matrix leads into that basis: the Kostka matrix K,
-which counts semistandard tableaux one horizontal strip at a time.  It is
-upper unitriangular in reverse-lexicographic order, and (Macdonald,
-Symmetric Functions and Hall Polynomials, I.6)
+of n (`poly.partitions_of`, `poly.weight_basis`).  One transition matrix
+leads into that basis: the Kostka matrix K, which counts semistandard
+tableaux one horizontal strip at a time.  It is upper unitriangular in
+reverse-lexicographic order, and (Macdonald, Symmetric Functions and Hall
+Polynomials, I.6)
 
     s_rho = sum_lambda K[rho][lambda] m_lambda,
     e_mu  = sum_nu K[nu][mu] s_{nu'},
@@ -27,16 +28,20 @@ c-monomial coordinates k with K k = g, an integer back substitution.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-# the functional type and its tags live in `poly`; importing them from here
-# also works
+# the functional type, its tags and the partitions live in `poly`; importing
+# them from here also works
 from .poly import (
     BasisConvention,
     ChernFunctional,
     ConventionMismatch,
+    InvalidPartition,
     Monomial,
+    Partition,
+    _partition_monomial,
     parse_decimal,
+    partitions_of,
     weight_basis,
 )
 
@@ -53,12 +58,6 @@ __all__ = [
     "chern_coordinates",
     "schur",
 ]
-
-Partition = tuple[int, ...]
-
-
-class InvalidPartition(ValueError):
-    """Sequence is not a partition of the requested weight."""
 
 
 def pad_partition(parts: Sequence[int], n: int) -> Partition:
@@ -93,24 +92,6 @@ def _validate_partition(parts: Sequence[int], n: int) -> Partition:
     return padded
 
 
-@lru_cache(maxsize=None)
-def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, zero-padded to length n, in reverse-lexicographic
-    order: (n, 0, ...) first, (1, 1, ..., 1) last."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise InvalidPartition(f"partition weight must be a non-negative integer: {n!r}")
-
-    def descend(left: int, cap: int) -> Iterable[tuple[int, ...]]:
-        if left == 0:
-            yield ()
-            return
-        for first in range(min(left, cap), 0, -1):
-            for rest in descend(left - first, first):
-                yield (first,) + rest
-
-    return tuple(pad_partition(p, n) for p in descend(n, n))
-
-
 def parse_partition(text: str, n: int) -> Partition:
     """Parse '2,1' (or '2, 1') into a validated padded partition of n."""
     body = text.strip()
@@ -123,21 +104,14 @@ def parse_partition(text: str, n: int) -> Partition:
     return _validate_partition(parts, n)
 
 
-def partition_label(parts: Sequence[int], n: int | None = None) -> str:
-    """Stable generator name, padded: 'P_(2,1,0)'."""
-    if n is not None:
-        parts = pad_partition(parts, n)
+def partition_label(parts: Sequence[int]) -> str:
+    """Stable generator name of a padded partition: 'P_(2,1,0)'."""
     return "P_(" + ",".join(str(p) for p in parts) + ")"
 
 
 def _conjugate(parts: Partition) -> Partition:
     """The conjugate of a partition without zero parts (transposed diagram)."""
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
-
-
-def _partition_monomial(parts: Partition, n: int) -> Monomial:
-    """The exponent tuple of c^parts = c_{parts_1} c_{parts_2} ... in c_1..c_n."""
-    return tuple(parts.count(i) for i in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)

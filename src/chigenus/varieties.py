@@ -294,7 +294,6 @@ class Explicit(VarietyDescriptor):
         n: int,
         values: Mapping[Monomial, RationalLike] | Mapping[str, RationalLike],
         convention: BasisConvention = BasisConvention.COTANGENT,
-        name: str | None = None,
     ):
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"dimension must be a non-negative integer: {n!r}")
@@ -308,7 +307,6 @@ class Explicit(VarietyDescriptor):
             if mono in self._values:
                 raise ValueError(f"two keys name the monomial {mono_text(mono) or '1'}: {key!r}")
             self._values[mono] = as_rational(value)
-        self._name = name or f"explicit:{n}"
 
     @cached_property
     def _numbers(self) -> ChernNumberSet:
@@ -328,7 +326,7 @@ class Explicit(VarietyDescriptor):
         return self._numbers.in_convention(BasisConvention.TANGENT).as_dict()
 
     def name(self) -> str:
-        return self._name
+        return f"explicit:{self._n}"
 
     def to_json_dict(self) -> dict:
         return {

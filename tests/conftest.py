@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import os
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from chigenus.poly import monomials_of_weight
+from chigenus.poly import weight_basis
 from oracles import GradedPoly
+
+# `pythonpath` in pyproject.toml puts `src` on this process's path; the
+# `python -m chigenus` children that some tests start need it too
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "suite",
@@ -25,7 +32,7 @@ def rationals(magnitude: int = 8, max_denominator: int = 12) -> st.SearchStrateg
 
 
 def monomials_for(dim: int) -> st.SearchStrategy[tuple[int, ...]]:
-    pool = [m for w in range(dim + 1) for m in monomials_of_weight(dim, w)]
+    pool = [m + (0,) * (dim - w) for w in range(dim + 1) for m in weight_basis(w)]
     return st.sampled_from(pool)
 
 

@@ -673,6 +673,29 @@ def basis_coordinates(
     return tuple(row[size] for row in rows)
 
 
+def rank(rows: Sequence[Sequence[RationalLike]]) -> int:
+    """The rank over Q of a matrix given by its rows, by Gaussian
+    elimination in Fractions.
+
+    Milnor's basis theorem (Milnor and Stasheff, Characteristic Classes,
+    section 16) says that the products P^lambda = P^{lambda_1} x ... x
+    P^{lambda_k} of complex projective spaces, one per partition lambda of
+    n, have linearly independent Chern-number vectors: the p(n) vectors
+    have rank p(n)."""
+    pending = [[as_rational(x) for x in row] for row in rows]
+    found = 0
+    while pending:
+        row = pending.pop()
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        found += 1
+        pending = [
+            [x - other[col] / row[col] * y for x, y in zip(other, row)] for other in pending
+        ]
+    return found
+
+
 # -- rational phase-1 simplex (reference pivot path) -------------------------------
 
 

@@ -24,7 +24,7 @@ from chigenus.hrr import (
     mode_convention,
     signed_target,
 )
-from chigenus.poly import DimensionMismatch
+from chigenus.poly import DimensionMismatch, weight_basis
 from chigenus.symchern import BasisConvention, ConventionMismatch
 
 from conftest import rationals
@@ -140,9 +140,28 @@ class TestCertify:
 
     def test_zero_target_feasible(self):
         gens = generators(3, {"schur"})
-        result = certify(ChernFunctional.zero(3, COT), gens)
+        result = certify(ChernFunctional(3, COT, (0, 0, 0)), gens)
         assert isinstance(result, Certificate)
         assert all(c == 0 for c in result.coefficients)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_empty_generator_set_certifies_only_zero(self, n):
+        # the combination of no rows is zero in every coordinate
+        gens = generators(n, ())
+        assert len(gens) == 0
+        size = len(weight_basis(n))
+        result = certify(ChernFunctional(n, COT, (0,) * size), gens)
+        assert isinstance(result, Certificate)
+        assert result.coefficients == ()
+        assert verify_certificate(result, gens)
+        c1_top = ChernFunctional(n, COT, (1,) + (0,) * (size - 1))
+        assert not verify_certificate(Certificate(c1_top, (), ()), gens)
+
+    def test_empty_generator_set_refuses_a_nonzero_target(self):
+        target = functional(3, "1*c1*c2")
+        result = certify(target, generators(3, ()))
+        assert isinstance(result, Infeasibility)
+        assert result.witness.dot(target.coeffs) > 0
 
 
 class TestPaperChainCertificate:

@@ -18,7 +18,7 @@ from chigenus.hrr import (
     euler_functional,
 )
 from chigenus.poly import DimensionMismatch, weight_basis
-from chigenus.symchern import BasisConvention, ConventionMismatch
+from chigenus.symchern import BasisConvention
 
 import oracles
 from conftest import rationals
@@ -206,22 +206,20 @@ class TestSerreAndEuler:
 
     @pytest.mark.parametrize("n", range(0, 10))
     def test_alternating_sum_is_euler(self, n):
-        total = ChernFunctional.zero(n, COT)
-        for p in range(n + 1):
-            total = total + chi_p(n, p).scaled((-1) ** p)
-        assert total == euler_functional(n)
+        rows = [chi_p(n, p).scaled((-1) ** p).coeffs for p in range(n + 1)]
+        assert [sum(column) for column in zip(*rows)] == list(euler_functional(n).coeffs)
 
     def test_euler_examples(self):
         assert euler_functional(2) == functional(2, "1*c2")
         assert euler_functional(3) == functional(3, "-1*c3")
 
     def test_euler_alternating_sum_dim2(self):
-        total = (
-            functional(2, "1/12*c1^2 + 1/12*c2")
-            - functional(2, "1/6*c1^2 - 5/6*c2")
-            + functional(2, "1/12*c1^2 + 1/12*c2")
+        chi0, chi1, chi2 = (
+            functional(2, text).coeffs
+            for text in ("1/12*c1^2 + 1/12*c2", "1/6*c1^2 - 5/6*c2", "1/12*c1^2 + 1/12*c2")
         )
-        assert total == functional(2, "1*c2")
+        total = [a - b + c for a, b, c in zip(chi0, chi1, chi2)]
+        assert total == list(functional(2, "1*c2").coeffs)
 
 
 class TestChiTable:
@@ -353,11 +351,11 @@ class TestSurfaceSignatureIdentity:
         # monomials are flip-even so the cotangent expressions coincide
         chi_top = functional(2, "1*c2")
         sigma = functional(2, "1/3*c1^2 - 2/3*c2")
-        quarter = (chi_top + sigma).scaled(Fraction(1, 4))
-        half = (sigma - chi_top).scaled(Fraction(1, 2))
-        assert chi_p(2, 0) == quarter
-        assert chi_p(2, 2) == quarter
-        assert chi_p(2, 1) == half
+        quarter = [(e + s) / 4 for e, s in zip(chi_top.coeffs, sigma.coeffs)]
+        half = [(s - e) / 2 for e, s in zip(chi_top.coeffs, sigma.coeffs)]
+        assert list(chi_p(2, 0).coeffs) == quarter
+        assert list(chi_p(2, 2).coeffs) == quarter
+        assert list(chi_p(2, 1).coeffs) == half
 
 
 class TestChernFunctional:
@@ -367,7 +365,7 @@ class TestChernFunctional:
         g = functional(3, "1/24*c1*c2")
         assert g.terms() == P(3, "1/24*c1*c2").terms()
         assert g.to_text() == "1/24*c1*c2"
-        assert functional(2, "0").is_zero()
+        assert functional(2, "0").coeffs == (0, 0)
         with pytest.raises(ValueError):
             functional(3, "1/24*c1*c2 + 1/2*c1")  # a lower-weight term is refused
 
@@ -418,14 +416,9 @@ class TestChernFunctional:
                     )
                     assert row.dot(values) == expected
 
-    def test_mismatch_errors(self):
-        f = chi_p(2, 0)
-        with pytest.raises(ConventionMismatch):
-            f + f.flipped()
+    def test_dot_refuses_a_wrong_length(self):
         with pytest.raises(DimensionMismatch):
-            f + chi_p(3, 0)
-        with pytest.raises(DimensionMismatch):
-            f.dot((1, 2, 3))
+            chi_p(2, 0).dot((1, 2, 3))
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
@@ -433,14 +426,9 @@ class TestChernFunctional:
         with pytest.raises(TypeError):
             chi_p(2, 0).scaled(0.5)
 
-    def test_json_round_trip(self):
-        f = chi_p(4, 2)
-        payload = json.loads(json.dumps(f.to_json_dict()))
-        assert (payload["dim"], payload["convention"]) == (4, "cotangent")
-        assert GradedPoly.from_json_dict(payload["poly"]).top_coefficients() == f.coeffs
-
     @pytest.mark.parametrize("n", range(9))
     def test_poly_json_dict_matches_the_polynomial(self, n):
         rows = chi_table(n).rows
-        for f in (*rows, *(row.flipped() for row in rows), ChernFunctional.zero(n, COT)):
+        zero = ChernFunctional(n, COT, (0,) * len(weight_basis(n)))
+        for f in (*rows, *(row.flipped() for row in rows), zero):
             assert f.poly_json_dict() == GradedPoly(n, f.terms()).to_json_dict()

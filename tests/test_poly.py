@@ -12,11 +12,13 @@ from chigenus.poly import (
     BasisConvention,
     ChernFunctional,
     DimensionMismatch,
+    InvalidPartition,
     ParseError,
     as_rational,
     mono_key,
-    monomials_of_weight,
+    mono_weight,
     parse_decimal,
+    partitions_of,
     weight_basis,
 )
 
@@ -187,36 +189,52 @@ class TestCanonicalOrder:
         for n in range(9):
             assert len(weight_basis(n)) == partition_count(n)
 
+    @pytest.mark.parametrize("n", range(15))
+    def test_basis_is_every_weight_n_monomial_in_order(self, n):
+        # p(n) distinct exponent tuples of length n and weight n are all of
+        # them, whatever enumerated the partitions
+        from oracles import partition_count
+
+        basis = weight_basis(n)
+        assert len(set(basis)) == len(basis) == partition_count(n)
+        assert all(len(m) == n and mono_weight(m) == n for m in basis)
+        assert list(basis) == sorted(basis, key=mono_key)
+
+    def test_the_package_exports_the_partitions_of_poly(self):
+        import chigenus.symchern
+
+        assert chigenus.partitions_of is chigenus.poly.partitions_of
+        assert chigenus.symchern.partitions_of is chigenus.poly.partitions_of
+        assert chigenus.InvalidPartition is chigenus.poly.InvalidPartition
+
     def test_mono_key_sorts_weight_first(self):
         monos = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (3, 0, 0)]
         ordered = sorted(monos, key=mono_key)
         assert ordered == [(1, 0, 0), (0, 1, 0), (3, 0, 0), (1, 1, 0), (0, 0, 1)]
 
-    def test_monomials_of_weight_zero(self):
-        assert monomials_of_weight(0, 0) == ((),)
-        assert monomials_of_weight(3, 0) == ((0, 0, 0),)
-
-    @pytest.mark.parametrize(
-        "dim, weight", [(True, True), (1, True), (True, 1), (False, 0), (-1, -1), (2, -1), (-1, 2)]
-    )
-    def test_bool_or_negative_refused_cold_and_warm(self, dim, weight):
-        # True == 1 and both hash alike: an untyped cache answers True with
-        # the entry of 1 once that is cached
-        monomials_of_weight.cache_clear()
-        with pytest.raises(ValueError):
-            monomials_of_weight(dim, weight)
-        monomials_of_weight(abs(int(dim)), abs(int(weight)))
-        with pytest.raises(ValueError):
-            monomials_of_weight(dim, weight)
+    def test_weight_zero_basis_is_the_constant(self):
+        assert weight_basis(0) == ((),)
 
     @pytest.mark.parametrize("dim", [True, False, -1])
     def test_weight_basis_refuses_bool_or_negative(self, dim):
-        monomials_of_weight.cache_clear()
+        # True == 1 and both hash alike: an untyped cache answers True with
+        # the entry of 1 once that is cached
+        weight_basis.cache_clear()
+        partitions_of.cache_clear()
         with pytest.raises(ValueError):
             weight_basis(dim)
         weight_basis(abs(int(dim)))
         with pytest.raises(ValueError):
             weight_basis(dim)
+
+    @pytest.mark.parametrize("n", [True, False, -1])
+    def test_partitions_of_refuses_bool_or_negative_cold_and_warm(self, n):
+        partitions_of.cache_clear()
+        with pytest.raises(InvalidPartition):
+            partitions_of(n)
+        partitions_of(abs(int(n)))
+        with pytest.raises(InvalidPartition):
+            partitions_of(n)
 
 
 class TestSerialization:
@@ -385,14 +403,25 @@ class TestTopWeightParser:
     def test_terms_are_the_nonzero_coefficients(self):
         f = ChernFunctional.from_text(3, BasisConvention.COTANGENT, "1/24*c1*c2 - c3")
         assert f.terms() == {(0, 0, 1): Fraction(-1), (1, 1, 0): Fraction(1, 24)}
-        assert ChernFunctional.zero(2, BasisConvention.COTANGENT).terms() == {}
+        assert ChernFunctional(2, BasisConvention.COTANGENT, (0, 0)).terms() == {}
 
 
 class TestOneRepresentation:
-    """The program holds each weight-n value as a `ChernFunctional`; the
-    truncated ring and the helpers that went with it live in the oracles."""
+    """The program holds each weight-n value as a `ChernFunctional`, a
+    coefficient row that scales and pairs, over the one basis that
+    `weight_basis` builds from `partitions_of`.  The truncated ring and the
+    helpers that went with it live in the oracles; the second monomial
+    enumerator and the functional sums are gone."""
 
-    GONE = {"GradedPoly", "top_part", "flip_basis", "segre_top"}
+    GONE = {
+        "GradedPoly",
+        "top_part",
+        "flip_basis",
+        "segre_top",
+        "monomials_of_weight",
+        "is_zero",
+        "_check_compatible",
+    }
     SOURCES = sorted(pathlib.Path(chigenus.__file__).parent.glob("*.py"))
 
     @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

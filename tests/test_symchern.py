@@ -76,7 +76,7 @@ class TestPartitions:
     def test_text_forms(self):
         assert parse_partition("2,1", 3) == (2, 1, 0)
         assert parse_partition("2, 1", 3) == (2, 1, 0)
-        assert partition_label((2, 1), 3) == "P_(2,1,0)"
+        assert partition_label((2, 1, 0)) == "P_(2,1,0)"
 
     def test_parse_rejects_bad_input(self):
         with pytest.raises(InvalidPartition):
@@ -124,7 +124,7 @@ class TestSchur:
         for a in partitions_of(n):
             f = schur(a, n)
             assert f.convention is BasisConvention.COTANGENT
-            assert not f.is_zero()
+            assert any(f.coeffs)
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_catalog_holds_integer_rows(self, n):

@@ -16,7 +16,7 @@ from chigenus.cone import (
     generators,
 )
 from chigenus.hrr import ChernFunctional, ChiTable, chi_p, chi_table, euler_functional
-from chigenus.poly import DimensionMismatch, Record
+from chigenus.poly import DimensionMismatch, Record, partitions_of
 from chigenus.symchern import BasisConvention
 from chigenus.varieties import (
     AbelianVariety,
@@ -41,6 +41,8 @@ from chigenus.varieties import (
 
 from oracles import (
     bigraded_tangent_values,
+    partition_count,
+    rank,
     rescanning_descriptor_from_token,
     series_inv,
     series_mul,
@@ -279,6 +281,45 @@ class TestTableProperties:
         values = chi_values(surface)
         assert values[0] == Fraction(chi_top + sigma, 4)
         assert values[1] == Fraction(sigma - chi_top, 2)
+
+
+class TestProductsOfProjectiveSpaces:
+    """chi_y(P^m) = sum_{j<=m} (-y)^j and chi_y is multiplicative, so
+    P^lambda = P^{lambda_1} x ... x P^{lambda_k} pins every chi^p row; by
+    Milnor's basis theorem these products span all Chern numbers of weight n
+    (`oracles.rank`)."""
+
+    @staticmethod
+    def products(n):
+        for parts in partitions_of(n):
+            factors = [ProjectiveSpace(m) for m in parts if m]
+            variety = factors[0]
+            for factor in factors[1:]:
+                variety = Product(variety, factor)
+            yield parts, variety
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_chi_values_are_the_product_of_the_factors(self, n):
+        for parts, variety in self.products(n):
+            expected = [1]  # coefficients in y, lowest power first
+            for m in parts:
+                product = [0] * (len(expected) + m)
+                for i, a in enumerate(expected):
+                    for j in range(m + 1):
+                        product[i + j] += a * (-1) ** j
+                expected = product
+            assert list(chi_values(variety)) == expected, parts
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_tangent_numbers_have_full_rank(self, n):
+        vectors = [chern_numbers(variety, TAN).entries for _, variety in self.products(n)]
+        assert rank(vectors) == partition_count(n)
+
+    def test_rank_oracle(self):
+        assert rank([]) == 0
+        assert rank([(1, 2), (2, 4), (0, 0)]) == 1
+        assert rank([(0, 1, 0), (1, 0, 0), (1, 1, 0)]) == 2
+        assert rank([("1/2", 1), (1, "1/3")]) == 2
 
 
 class TestCheckSigns:
@@ -620,9 +661,9 @@ class TestRecord:
         assert functional.coeffs == (Fraction(1), Fraction(1, 2))
 
     def test_explicit_is_not_a_record(self):
-        a = Explicit(1, {"c1": 2}, name="a")
+        a = Explicit(1, {"c1": 2})
         assert not isinstance(a, Record)
-        assert a == Explicit(1, {"c1": 2}, name="b")
+        assert a.name() == "explicit:1"
         assert a != Explicit(1, {"c1": 3})
         assert a != Curve(0)
         assert hash(a) == hash(Explicit(1, {(1,): 2}))
