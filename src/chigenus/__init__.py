@@ -28,7 +28,7 @@ _HOMES = {
         "hrr": "ChiTable ConsistencyError chi_p chi_table euler_functional",
         "cone": "Certificate ChiSignReport GeneratorSet Infeasibility certify "
         "certify_chi_signs generators verify_certificate",
-        "varieties": "AbelianVariety ChernNumberSet Curve Explicit Hypersurface Product "
+        "varieties": "AbelianVariety Curve Explicit Hypersurface Product "
         "ProjectiveSpace Surface VarietyDescriptor chern_numbers check_signs chi_values "
         "descriptor_from_json descriptor_from_token evaluate load_corpus",
     }.items()

@@ -60,6 +60,14 @@ class GeneratorSet(Record):
     convention: BasisConvention
     generators: tuple[tuple[str, ChernFunctional], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "convention", BasisConvention(self.convention))
+        for name, f in self.generators:
+            if f.dimension != self.dimension:
+                raise DimensionMismatch(f"generator {name} is not of dimension {self.dimension}")
+            if f.convention is not self.convention:
+                raise ConventionMismatch(f"generator {name} is not in {self.convention.value}")
+
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.generators)
 
@@ -366,10 +374,13 @@ def certify_chi_signs(
     convention = mode_convention(mode)
     gens = generators(n, assumptions, convention)
     rows = []
+    solved: dict[tuple[Fraction, ...], CertifyResult] = {}  # rows p and n - p share one
     for p in range(n + 1):
         sign = chi_sign(n, p, mode)
         target, scale = signed_target(chi_p(n, p), sign, mode)
-        result = certify(target, gens)
+        if target.coeffs not in solved:
+            solved[target.coeffs] = certify(target, gens)
+        result = solved[target.coeffs]
         status = "certified" if isinstance(result, Certificate) else "open"
         rows.append(
             ChiSignRow(

@@ -168,9 +168,7 @@ def signed_target(
     Returns (target, scale) with target = scale * sign * functional, so a
     certificate for the target is a statement about an integral functional.
     """
-    if functional.convention != mode_convention(mode):
-        functional = functional.flipped()
-    return functional.scaled(sign).clear_denominators()
+    return functional.in_convention(mode_convention(mode)).scaled(sign).clear_denominators()
 
 
 class ChiTable(Record):

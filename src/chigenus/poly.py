@@ -8,11 +8,11 @@ canonical term order is (weight, then lexicographic on the exponent vector
 with c_1 dominant and higher powers first), which makes text and JSON
 serialization deterministic.
 
-Every value the package computes is a `ChernFunctional`: a weight-n form,
-one coefficient per monomial of `weight_basis(n)`.  It scales, and it pairs
-with a complete set of Chern numbers; a sum of functionals is summed row
-by row where it is needed.  Coefficients are `fractions.Fraction`; floats
-are rejected at every entry point.
+Every weight-n row is a `ChernFunctional`: one rational per monomial of
+`weight_basis(n)`, tagged with a convention.  It holds the coefficients of a
+weight-n Chern polynomial or the Chern numbers of an n-fold, and `dot` pairs
+the two; it scales, and rows are summed entry by entry where needed.
+Entries are `fractions.Fraction`; floats are rejected at every entry point.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "DimensionMismatch",
@@ -347,11 +347,12 @@ class ConventionMismatch(ValueError):
 
 
 class ChernFunctional(Record):
-    """Top-weight linear functional on Chern-number monomials: a validated
-    coefficient row, tagged with its dimension and convention.
+    """A validated weight-n row, tagged with its dimension and convention:
+    the coefficients of a weight-n Chern polynomial (a linear functional on
+    Chern numbers), or the Chern numbers of an n-fold.
 
-    `coeffs` is indexed by the canonical weight-n monomial basis; pairing
-    with a complete set of Chern numbers is an exact dot product.
+    `coeffs` is indexed by the canonical weight-n monomial basis; `dot`
+    pairs a polynomial with Chern numbers as an exact dot product.
     """
 
     dimension: int
@@ -384,6 +385,20 @@ class ChernFunctional(Record):
             raise ValueError(f"polynomial text {text!r} is not of weight {dimension}")
         return cls(dimension, convention, tuple(sums[m] for m in basis))
 
+    @classmethod
+    def from_values(
+        cls,
+        dimension: int,
+        convention: BasisConvention,
+        values: Mapping[Monomial, RationalLike],
+    ) -> "ChernFunctional":
+        basis = weight_basis(dimension)
+        lookup = {tuple(m): as_rational(v) for m, v in values.items()}
+        unknown = set(lookup).difference(basis)
+        if unknown:
+            raise ValueError(f"not weight-{dimension} monomials: {sorted(unknown)}")
+        return cls(dimension, convention, tuple(lookup.get(m, Fraction(0)) for m in basis))
+
     # -- structure ----------------------------------------------------------
 
     def terms(self) -> dict[Monomial, Fraction]:
@@ -412,6 +427,10 @@ class ChernFunctional(Record):
         is the sign (-1)^n."""
         coeffs = tuple(-c for c in self.coeffs) if self.dimension % 2 else self.coeffs
         return ChernFunctional(self.dimension, self.convention.other(), coeffs)
+
+    def in_convention(self, convention: BasisConvention) -> "ChernFunctional":
+        """This row, flipped if it is tagged with the other convention."""
+        return self if BasisConvention(convention) is self.convention else self.flipped()
 
     def dot(self, values: Sequence[RationalLike]) -> Fraction:
         values = tuple(as_rational(v) for v in values)

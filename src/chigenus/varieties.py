@@ -52,7 +52,6 @@ __all__ = [
     "AbelianVariety",
     "Product",
     "Explicit",
-    "ChernNumberSet",
     "chern_numbers",
     "evaluate",
     "chi_values",
@@ -64,59 +63,6 @@ __all__ = [
     "CorpusEntry",
     "load_corpus",
 ]
-
-class ChernNumberSet(Record):
-    """Complete assignment of a rational number to every weight-n monomial."""
-
-    dimension: int
-    convention: BasisConvention
-    entries: tuple[Fraction, ...]  # aligned with the canonical top basis
-
-    def __post_init__(self):
-        basis = weight_basis(self.dimension)
-        entries = tuple(as_rational(v) for v in self.entries)
-        if len(entries) != len(basis):
-            raise ValueError(
-                f"expected {len(basis)} Chern numbers for dimension "
-                f"{self.dimension}, got {len(entries)}"
-            )
-        object.__setattr__(self, "convention", BasisConvention(self.convention))
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_values(
-        cls,
-        dimension: int,
-        convention: BasisConvention,
-        values: Mapping[Monomial, RationalLike],
-    ) -> "ChernNumberSet":
-        basis = weight_basis(dimension)
-        lookup = {tuple(m): as_rational(v) for m, v in values.items()}
-        unknown = set(lookup).difference(basis)
-        if unknown:
-            raise ValueError(f"not weight-{dimension} monomials: {sorted(unknown)}")
-        return cls(dimension, convention, tuple(lookup.get(m, Fraction(0)) for m in basis))
-
-    def value(self, mono: Monomial) -> Fraction:
-        basis = weight_basis(self.dimension)
-        return self.entries[basis.index(tuple(mono))]
-
-    def as_dict(self) -> dict[Monomial, Fraction]:
-        return dict(zip(weight_basis(self.dimension), self.entries))
-
-    def flipped(self) -> "ChernNumberSet":
-        # at top weight every monomial flips by the same (-1)^n
-        sign = (-1) ** self.dimension
-        return ChernNumberSet(
-            self.dimension,
-            self.convention.other(),
-            tuple(v * sign for v in self.entries),
-        )
-
-    def in_convention(self, convention: BasisConvention) -> "ChernNumberSet":
-        convention = BasisConvention(convention)
-        return self if convention == self.convention else self.flipped()
-
 
 class VarietyDescriptor(ABC):
     """Recipe for a manifold whose Chern numbers can be computed exactly."""
@@ -309,10 +255,10 @@ class Explicit(VarietyDescriptor):
             self._values[mono] = as_rational(value)
 
     @cached_property
-    def _numbers(self) -> ChernNumberSet:
+    def _numbers(self) -> ChernFunctional:
         # built on first use: it has one entry per partition of n, so a
         # descriptor over the dimension limit is refused before it exists
-        return ChernNumberSet.from_values(self._n, self._convention, self._values)
+        return ChernFunctional.from_values(self._n, self._convention, self._values)
 
     @property
     def dimension(self) -> int:
@@ -323,7 +269,7 @@ class Explicit(VarietyDescriptor):
         return self._convention
 
     def _tangent_values(self) -> dict[Monomial, Fraction]:
-        return self._numbers.in_convention(BasisConvention.TANGENT).as_dict()
+        return self._numbers.in_convention(BasisConvention.TANGENT).terms()
 
     def name(self) -> str:
         return f"explicit:{self._n}"
@@ -333,11 +279,7 @@ class Explicit(VarietyDescriptor):
             "convention": self._convention.value,
             "n": self._n,
             "type": "explicit",
-            "values": {
-                (mono_text(m) or "1"): str(v)
-                for m, v in self._numbers.as_dict().items()
-                if v
-            },
+            "values": {(mono_text(m) or "1"): str(v) for m, v in self._numbers.terms().items()},
         }
 
     def __eq__(self, other: object) -> bool:
@@ -373,32 +315,33 @@ def _monomial_key(key: str | Monomial, dim: int) -> Monomial:
 def chern_numbers(
     v: VarietyDescriptor,
     convention: BasisConvention = BasisConvention.TANGENT,
-) -> ChernNumberSet:
-    """Exact Chern numbers of a descriptor in the requested convention."""
+) -> ChernFunctional:
+    """Exact Chern numbers of a descriptor in the requested convention, as
+    a row over `weight_basis(n)`."""
     if not isinstance(v, VarietyDescriptor):
         raise TypeError("chern_numbers expects a VarietyDescriptor")
-    tangent = ChernNumberSet.from_values(
+    tangent = ChernFunctional.from_values(
         v.dimension, BasisConvention.TANGENT, v._tangent_values()
     )
     return tangent.in_convention(convention)
 
 
-def evaluate(f: ChernFunctional, v: VarietyDescriptor | ChernNumberSet) -> Fraction:
+def evaluate(f: ChernFunctional, v: VarietyDescriptor | ChernFunctional) -> Fraction:
     """Pair a functional with a variety's Chern numbers (exact dot product)."""
-    numbers = v if isinstance(v, ChernNumberSet) else chern_numbers(v, f.convention)
+    numbers = v if isinstance(v, ChernFunctional) else chern_numbers(v, f.convention)
     if numbers.dimension != f.dimension:
         raise DimensionMismatch(
             f"functional dimension {f.dimension} != variety {numbers.dimension}"
         )
-    return f.dot(numbers.in_convention(f.convention).entries)
+    return f.dot(numbers.in_convention(f.convention).coeffs)
 
 
-def chi_values(v: VarietyDescriptor | ChernNumberSet) -> tuple[Fraction, ...]:
+def chi_values(v: VarietyDescriptor | ChernFunctional) -> tuple[Fraction, ...]:
     """The evaluated chi^p table (chi^0, ..., chi^n) of a descriptor or of
     its Chern numbers."""
-    numbers = v if isinstance(v, ChernNumberSet) else chern_numbers(v, BasisConvention.COTANGENT)
-    entries = numbers.in_convention(BasisConvention.COTANGENT).entries
-    return tuple(row.dot(entries) for row in chi_table(numbers.dimension).rows)
+    numbers = v if isinstance(v, ChernFunctional) else chern_numbers(v, BasisConvention.COTANGENT)
+    values = numbers.in_convention(BasisConvention.COTANGENT).coeffs
+    return tuple(row.dot(values) for row in chi_table(numbers.dimension).rows)
 
 
 class SignAuditRow(Record):

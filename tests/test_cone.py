@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chigenus.cone import (
     Certificate,
     ChiSignReport,
+    GeneratorSet,
     Infeasibility,
     certify,
     certify_chi_signs,
@@ -470,3 +471,53 @@ class TestChiSignReports:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             certify_chi_signs(2, "nef-cotangent")
+
+    @pytest.mark.parametrize("mode", SIGN_MODES)
+    def test_dual_rows_share_target_scale_and_result(self, mode):
+        # Serre duality chi^p = (-1)^n chi^{n-p}, and chi_sign(n, p) =
+        # (-1)^n chi_sign(n, n - p), so rows p and n - p ask one question
+        for n in range(1, 11):
+            rows = certify_chi_signs(n, mode).rows
+            for p in range(n + 1):
+                twin = rows[n - p]
+                assert rows[p].target == twin.target, (n, p)
+                assert rows[p].scale == twin.scale, (n, p)
+                assert rows[p].result == twin.result, (n, p)
+
+    @pytest.mark.parametrize("mode", SIGN_MODES)
+    def test_each_distinct_target_is_solved_once(self, mode, monkeypatch):
+        import chigenus.cone as cone
+
+        targets = []
+        solve = cone.certify
+        monkeypatch.setattr(cone, "certify", lambda t, g: targets.append(t) or solve(t, g))
+        for n in range(1, 9):
+            targets.clear()
+            report = certify_chi_signs(n, mode)
+            assert len(targets) == len({row.target for row in report.rows}) == n // 2 + 1
+
+
+class TestGeneratorSetRows:
+    """A generator set refuses, when it is built, a row of another
+    dimension or convention than the set."""
+
+    def test_foreign_dimension_refused(self):
+        row = ChernFunctional(2, COT, (1, 0))
+        with pytest.raises(DimensionMismatch):
+            GeneratorSet(3, COT, (("x", row),))
+
+    def test_foreign_convention_refused(self):
+        row = ChernFunctional(2, TAN, (1, 0))
+        with pytest.raises(ConventionMismatch):
+            GeneratorSet(2, COT, (("x", row),))
+
+    def test_mismatched_set_never_reaches_verification(self):
+        # this set made verify_certificate raise IndexError deep inside
+        t3 = functional(3, "1*c1^3")
+        with pytest.raises(DimensionMismatch):
+            gens = GeneratorSet(3, "cotangent", (("x", ChernFunctional(2, "cotangent", (1, 0))),))
+            verify_certificate(Certificate(t3, ("x",), (1,)), gens)
+
+    def test_convention_is_normalized(self):
+        row = ChernFunctional(2, COT, (1, 0))
+        assert GeneratorSet(2, "cotangent", (("x", row),)).convention is COT

@@ -407,11 +407,12 @@ class TestTopWeightParser:
 
 
 class TestOneRepresentation:
-    """The program holds each weight-n value as a `ChernFunctional`, a
-    coefficient row that scales and pairs, over the one basis that
-    `weight_basis` builds from `partitions_of`.  The truncated ring and the
-    helpers that went with it live in the oracles; the second monomial
-    enumerator and the functional sums are gone."""
+    """The program holds each weight-n value, a polynomial's coefficients or
+    a variety's Chern numbers, as a `ChernFunctional`, a row that scales and
+    pairs, over the one basis that `weight_basis` builds from
+    `partitions_of`.  The truncated ring and the helpers that went with it
+    live in the oracles; the second monomial enumerator, the functional
+    sums and the second row type are gone."""
 
     GONE = {
         "GradedPoly",
@@ -421,6 +422,7 @@ class TestOneRepresentation:
         "monomials_of_weight",
         "is_zero",
         "_check_compatible",
+        "ChernNumberSet",
     }
     SOURCES = sorted(pathlib.Path(chigenus.__file__).parent.glob("*.py"))
 

@@ -16,11 +16,10 @@ from chigenus.cone import (
     generators,
 )
 from chigenus.hrr import ChernFunctional, ChiTable, chi_p, chi_table, euler_functional
-from chigenus.poly import DimensionMismatch, Record, partitions_of
+from chigenus.poly import DimensionMismatch, Record, partitions_of, weight_basis
 from chigenus.symchern import BasisConvention
 from chigenus.varieties import (
     AbelianVariety,
-    ChernNumberSet,
     CorpusEntry,
     Curve,
     Explicit,
@@ -55,12 +54,12 @@ COT = BasisConvention.COTANGENT
 class TestChernNumbers:
     def test_p2_tangent(self):
         numbers = chern_numbers(ProjectiveSpace(2), TAN)
-        assert numbers.value((2, 0)) == 9
-        assert numbers.value((0, 1)) == 3
+        assert numbers.terms().get((2, 0), 0) == 9
+        assert numbers.terms().get((0, 1), 0) == 3
 
     def test_p3_tangent(self):
         numbers = chern_numbers(ProjectiveSpace(3), TAN)
-        assert numbers.as_dict() == {
+        assert numbers.terms() == {
             (3, 0, 0): Fraction(64),
             (1, 1, 0): Fraction(24),
             (0, 0, 1): Fraction(4),
@@ -69,22 +68,22 @@ class TestChernNumbers:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_projective_space_binomial_classes(self, n):
         # c(T P^n) = (1 + h)^{n+1} and int h^n = 1
-        numbers = chern_numbers(ProjectiveSpace(n), TAN).as_dict()
-        for mono, value in numbers.items():
+        numbers = chern_numbers(ProjectiveSpace(n), TAN)
+        for mono, value in zip(weight_basis(n), numbers.coeffs):
             assert value == prod(comb(n + 1, i) ** e for i, e in enumerate(mono, 1)), mono
 
     def test_abelian_all_zero(self):
         numbers = chern_numbers(AbelianVariety(3), COT)
-        assert all(v == 0 for v in numbers.entries)
+        assert all(v == 0 for v in numbers.coeffs)
 
     def test_curve_cotangent(self):
-        assert chern_numbers(Curve(2), COT).value((1,)) == 2
-        assert chern_numbers(Curve(2), TAN).value((1,)) == -2
-        assert chern_numbers(Curve(0), TAN).value((1,)) == 2
+        assert chern_numbers(Curve(2), COT).terms().get((1,), 0) == 2
+        assert chern_numbers(Curve(2), TAN).terms().get((1,), 0) == -2
+        assert chern_numbers(Curve(0), TAN).terms().get((1,), 0) == 2
 
     def test_surface_convention_blind(self):
         surface = Surface(9, 3)
-        assert chern_numbers(surface, TAN).entries == chern_numbers(surface, COT).entries
+        assert chern_numbers(surface, TAN).coeffs == chern_numbers(surface, COT).coeffs
 
     def test_quintic_series_oracle(self):
         # independent expansion of (1+h)^5 / (1+5h) mod h^4
@@ -94,29 +93,29 @@ class TestChernNumbers:
         assert series == [Fraction(1), Fraction(0), Fraction(10), Fraction(-40)]
         numbers = chern_numbers(Hypersurface(5, 4), TAN)
         degree = Fraction(5)
-        assert numbers.value((0, 0, 1)) == series[3] * degree  # -200
-        assert numbers.value((1, 1, 0)) == series[1] * series[2] * degree  # 0
-        assert numbers.value((3, 0, 0)) == series[1] ** 3 * degree  # 0
+        assert numbers.terms().get((0, 0, 1), 0) == series[3] * degree  # -200
+        assert numbers.terms().get((1, 1, 0), 0) == series[1] * series[2] * degree  # 0
+        assert numbers.terms().get((3, 0, 0), 0) == series[1] ** 3 * degree  # 0
 
     def test_product_kuenneth_curve_squared(self):
         numbers = chern_numbers(Product(Curve(2), Curve(2)), COT)
-        assert numbers.value((2, 0)) == 8  # 2 * c1(X) c1(Y) with c1 = 2
-        assert numbers.value((0, 1)) == 4  # c1(X) c1(Y)
+        assert numbers.terms().get((2, 0), 0) == 8  # 2 * c1(X) c1(Y) with c1 = 2
+        assert numbers.terms().get((0, 1), 0) == 4  # c1(X) c1(Y)
 
     def test_product_projective_line_squared(self):
         numbers = chern_numbers(Product(ProjectiveSpace(1), ProjectiveSpace(1)), TAN)
-        assert numbers.value((2, 0)) == 8
-        assert numbers.value((0, 1)) == 4
+        assert numbers.terms().get((2, 0), 0) == 8
+        assert numbers.terms().get((0, 1), 0) == 4
 
     def test_flip_is_global_sign_at_top_weight(self):
         numbers = chern_numbers(ProjectiveSpace(3), TAN)
         flipped = numbers.flipped()
         assert flipped.convention is COT
-        assert flipped.entries == tuple(-v for v in numbers.entries)
+        assert flipped.coeffs == tuple(-v for v in numbers.coeffs)
 
     def test_explicit_descriptor(self):
         explicit = Explicit(2, {"c1^2": 9, "c2": 3}, COT)
-        assert chern_numbers(explicit, COT).value((2, 0)) == 9
+        assert chern_numbers(explicit, COT).terms().get((2, 0), 0) == 9
         with pytest.raises(TypeError):
             Explicit(2, {"c1^2": 0.5}, COT)
         with pytest.raises(ValueError):
@@ -162,10 +161,10 @@ class TestProductMatchesBigradedOracle:
             dim = rng.randint(2, 8)
             k = rng.randint(1, dim - 1)
             variety = Product(random_variety(rng, k), random_variety(rng, dim - k))
-            expected = ChernNumberSet.from_values(dim, TAN, bigraded_tangent_values(variety))
+            expected = ChernFunctional.from_values(dim, TAN, bigraded_tangent_values(variety))
             assert chern_numbers(variety, TAN) == expected, variety.name()
             assert chern_numbers(variety, COT) == expected.flipped(), variety.name()
-            nonzero += any(expected.entries)
+            nonzero += any(expected.coeffs)
 
 
 class TestEvaluate:
@@ -276,7 +275,7 @@ class TestTableProperties:
     )
     def test_surface_euler_signature_split(self, surface):
         chi_top = evaluate(euler_functional(2), surface)
-        c1sq_tan = chern_numbers(surface, TAN).value((2, 0))
+        c1sq_tan = chern_numbers(surface, TAN).terms().get((2, 0), 0)
         sigma = Fraction(c1sq_tan - 2 * chi_top, 3)
         values = chi_values(surface)
         assert values[0] == Fraction(chi_top + sigma, 4)
@@ -312,7 +311,7 @@ class TestProductsOfProjectiveSpaces:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_tangent_numbers_have_full_rank(self, n):
-        vectors = [chern_numbers(variety, TAN).entries for _, variety in self.products(n)]
+        vectors = [chern_numbers(variety, TAN).coeffs for _, variety in self.products(n)]
         assert rank(vectors) == partition_count(n)
 
     def test_rank_oracle(self):
@@ -519,22 +518,48 @@ class TestCorpusReplay:
                 assert audit.passed == expected["pass"], entry.name
 
 
-class TestChernNumberSet:
+class TestChernNumbersAreAFunctional:
+    """Chern numbers are held as a `ChernFunctional` row over
+    `weight_basis(n)`, the one weight-n type."""
+
     def test_complete_over_basis(self):
         with pytest.raises(ValueError):
-            ChernNumberSet(2, COT, (Fraction(1),))
+            ChernFunctional(2, COT, (Fraction(1),))
 
     def test_from_values_fills_zeros(self):
-        numbers = ChernNumberSet.from_values(2, COT, {(2, 0): 5})
-        assert numbers.value((0, 1)) == 0
+        numbers = ChernFunctional.from_values(2, COT, {(2, 0): 5})
+        assert numbers.coeffs == (5, 0)
 
     def test_rejects_low_weight_monomials(self):
         with pytest.raises(ValueError):
-            ChernNumberSet.from_values(2, COT, {(1, 0): 5})
+            ChernFunctional.from_values(2, COT, {(1, 0): 5})
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            ChernNumberSet.from_values(2, COT, {(2, 0): 1.5})
+            ChernFunctional.from_values(2, COT, {(2, 0): 1.5})
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_in_convention_round_trip(self, n):
+        row = ChernFunctional(n, TAN, tuple(range(1, len(weight_basis(n)) + 1)))
+        assert row.in_convention(TAN) is row
+        other = row.in_convention(COT)
+        assert other == row.flipped()
+        assert other.in_convention("cotangent") is other
+        assert other.in_convention(TAN) == row
+
+    @pytest.mark.parametrize("convention", [COT, TAN])
+    def test_chern_numbers_are_a_functional(self, convention):
+        numbers = chern_numbers(ProjectiveSpace(3), convention)
+        assert type(numbers) is ChernFunctional
+        assert numbers.convention is convention
+
+    def test_the_second_row_type_is_gone(self):
+        import chigenus
+        import chigenus.varieties
+
+        for module in (chigenus, chigenus.varieties):
+            with pytest.raises(AttributeError):
+                module.ChernNumberSet
 
 
 # Every value class and its fields, in constructor order, as they were when
@@ -547,7 +572,6 @@ RECORD_FIELDS = {
     Infeasibility: ("witness",),
     ChiSignRow: ("p", "sign", "scale", "target", "result", "status"),
     ChiSignReport: ("dimension", "mode", "assumptions", "convention", "rows"),
-    ChernNumberSet: ("dimension", "convention", "entries"),
     ProjectiveSpace: ("n",),
     Curve: ("genus",),
     Surface: ("c1sq", "c2"),
@@ -687,7 +711,7 @@ class TestRecord:
     @pytest.mark.parametrize("convention", [COT, TAN])
     def test_explicit_never_equals_a_curve(self, convention):
         curve = Curve(0)  # tangent c1 = 2, cotangent c1 = -2
-        values = chern_numbers(curve, convention).as_dict()
+        values = chern_numbers(curve, convention).terms()
         same_numbers = Explicit(1, values, convention)
         assert chern_numbers(same_numbers) == chern_numbers(curve)
         assert same_numbers != curve
