@@ -19,7 +19,6 @@ from . import ASSUMPTION_TAGS, SIGN_MODES, __version__
 # The mathematics is imported by each command when it runs, so a command
 # loads only the modules it uses and --version or --help loads none.
 if TYPE_CHECKING:
-    from .cone import Certificate
     from .symchern import BasisConvention
     from .varieties import SignAudit, VarietyDescriptor
 
@@ -212,14 +211,6 @@ def _parse_target(args, n: int, mode: str, convention: BasisConvention):
     return target, sign, scale
 
 
-def _render_certificate_text(cert: Certificate) -> list[str]:
-    lines = ["status = certified"]
-    for name, coef in cert.named_coefficients():
-        lines.append(f"  {coef} * {name}")
-    lines.append("residual = 0")  # no residual; the line keeps the format
-    return lines
-
-
 def _cmd_certify(args) -> int:
     from .cone import Certificate, certify, certify_chi_signs, generators
     from .hrr import mode_convention
@@ -268,8 +259,10 @@ def _cmd_certify(args) -> int:
         print(f"certify (dim {n}, {convention.value})")
         print(f"target = {target.to_text()} (sign {sign}, scale {scale})")
         if certified:
-            for line in _render_certificate_text(result):
-                print(line)
+            print("status = certified")
+            for term in result.to_json_dict()["terms"]:  # the coefficients as JSON writes them
+                print(f"  {term['coef']} * {term['gen']}")
+            print("residual = 0")  # no residual; the line keeps the format
         else:
             print("status = infeasible")
             print(f"witness = {result.witness.to_text()}")
@@ -280,13 +273,14 @@ def _cmd_certify(args) -> int:
 
 
 def _audit_text(audit: SignAudit) -> list[str]:
+    from .varieties import number_text
+
     lines = [f"sign audit: {audit.variety} (dim {audit.dimension}, mode {audit.mode})"]
     for row in audit.rows:
         verdict = "ok" if row.ok else "FAIL"
-        lines.append(
-            f"p={row.p} chi={row.value} signed={row.signed_value} {verdict}"
-        )
-    lines.append(f"euler = {audit.euler}")
+        chi, signed = number_text(row.value), number_text(row.signed_value)
+        lines.append(f"p={row.p} chi={chi} signed={signed} {verdict}")
+    lines.append(f"euler = {number_text(audit.euler)}")
     lines.append(f"verdict: {'pass' if audit.passed else 'fail'}")
     return lines
 
@@ -329,7 +323,7 @@ def _cmd_check(args) -> int:
 def _cmd_variety_eval(args) -> int:
     from .hrr import euler_functional
     from .symchern import BasisConvention
-    from .varieties import chern_numbers, chi_values, descriptor_from_token, evaluate
+    from .varieties import chern_numbers, chi_values, descriptor_from_token, evaluate, number_text
 
     descriptor = descriptor_from_token(args.descriptor)
     n = _within_limit(args.max_dim, descriptor)
@@ -346,21 +340,25 @@ def _cmd_variety_eval(args) -> int:
             label = "euler"
         else:
             raise ValueError(f"unknown eval target {args.target!r}")
+        value = number_text(value)
         if args.json:
             payload = {
                 "descriptor": descriptor.to_json_dict(),
                 "target": label,
-                "value": str(value),
+                "value": value,
             }
             _emit_json("variety-eval", n, "cotangent", payload)
         else:
             print(f"{label} = {value}")
         return EXIT_OK
+    # every number is written out before the first line is printed
+    values = [number_text(v) for v in values]
+    euler = number_text(euler)
     if args.json:
         payload = {
-            "chi": [str(v) for v in values],
+            "chi": values,
             "descriptor": descriptor.to_json_dict(),
-            "euler": str(euler),
+            "euler": euler,
         }
         _emit_json("variety-eval", n, "cotangent", payload)
     else:

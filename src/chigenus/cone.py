@@ -17,8 +17,9 @@ pairing <= 0 with every generator and > 0 with the target.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence, Union
+import math
+from operator import mul
+from typing import TYPE_CHECKING, Sequence, Union
 
 from . import ASSUMPTION_TAGS
 from .hrr import ConsistencyError, chi_p, chi_sign, mode_convention, signed_target
@@ -28,12 +29,15 @@ from .poly import (
     ConventionMismatch,
     DimensionMismatch,
     Record,
-    as_rational,
-    over_common_denominator,
+    lowest_terms,
     partitions_of,
+    rational_text,
     weight_basis,
 )
 from .symchern import partition_label, schur
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ASSUMPTION_TAGS",
@@ -107,42 +111,44 @@ def generators(
     entries: list[tuple[str, ChernFunctional]] = []
     if "schur" in tags:
         for a in partitions_of(n):
-            row = schur(a, n).coeffs
-            entries.append((partition_label(a), ChernFunctional(n, convention, row)))
+            row = schur(a, n).numerators
+            entries.append((partition_label(a), ChernFunctional(n, convention, row, 1)))
     # rows over weight_basis(2) = (c1^2, c2) and weight_basis(4) = (c1^4,
     # c1^2*c2, c1*c3, c2^2, c4); c_1^n is the first monomial of every basis
     if "my2" in tags:
-        entries.append(("my2", ChernFunctional(2, convention, (-1, 3))))
+        entries.append(("my2", ChernFunctional(2, convention, (-1, 3), 1)))
     if "my4" in tags:
-        my4 = (-1, Fraction(5, 2), 0, 0, 0)
-        entries.append(("my4", ChernFunctional(4, convention, my4)))
+        entries.append(("my4", ChernFunctional(4, convention, (-2, 5, 0, 0, 0), 2)))
     if "c1top" in tags:
         unit = (1,) + (0,) * (len(weight_basis(n)) - 1)
-        entries.append(("c1top", ChernFunctional(n, convention, unit)))
+        entries.append(("c1top", ChernFunctional(n, convention, unit, 1)))
     return GeneratorSet(n, convention, tuple(entries))
 
 
 class Certificate(Record):
     """target = sum lambda_i * generator_i with every lambda_i >= 0: the
-    coefficients are the whole proof."""
+    coefficients are the whole proof, held like a `ChernFunctional` row as
+    numerators over one positive denominator (`poly.lowest_terms`)."""
 
     target: ChernFunctional
     generator_names: tuple[str, ...]
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self):
-        coefficients = tuple(as_rational(c) for c in self.coefficients)
-        if len(coefficients) != len(self.generator_names):
+        numerators, den = lowest_terms(self.numerators, self.denominator)
+        if len(numerators) != len(self.generator_names):
             raise ValueError("one coefficient per generator name required")
-        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "generator_names", tuple(self.generator_names))
 
-    def named_coefficients(self) -> tuple[tuple[str, Fraction], ...]:
-        return tuple(
-            (name, coef)
-            for name, coef in zip(self.generator_names, self.coefficients)
-            if coef
-        )
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, for library callers."""
+        from fractions import Fraction
+
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     def to_json_dict(self) -> dict:
         # a certificate has no residual; its zero keeps the output format
@@ -150,8 +156,9 @@ class Certificate(Record):
             "residual": {"dim": self.target.dimension, "terms": []},
             "target": self.target.poly_json_dict(),
             "terms": [
-                {"coef": str(coef), "gen": name}
-                for name, coef in self.named_coefficients()
+                {"coef": rational_text(c, self.denominator), "gen": name}
+                for name, c in zip(self.generator_names, self.numerators)
+                if c
             ],
         }
 
@@ -169,30 +176,29 @@ CertifyResult = Union[Certificate, Infeasibility]
 
 
 def _phase_one(
-    columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[str, tuple[Fraction, ...]]:
+    columns: Sequence[tuple[Sequence[int], int]], rhs: tuple[Sequence[int], int]
+) -> tuple[str, tuple[int, ...], int]:
     """Exact phase-1 simplex for: find lambda >= 0 with sum_j lambda_j col_j = rhs.
 
-    Returns ("feasible", lambda) or ("infeasible", w) where w is a Farkas
-    witness with respect to the original (unflipped) rows.  Bland's rule
-    throughout, so the outcome is deterministic.
+    Each column, the rhs and the answer are integer numerators over a
+    positive denominator: ("feasible", lambda, d) or ("infeasible", w, d),
+    where w is a Farkas witness with respect to the original (unflipped) rows.
+    Bland's rule throughout, so the outcome is deterministic.
 
     The tableau is fraction-free (Bareiss/Edmonds elimination): each
-    generator column and the rhs are taken over their own least common
-    denominators (`poly.over_common_denominator`), and the rows and reduced
-    costs are integers over one common denominator d = det(basis) > 0.
-    Positive column scaling changes no reduced-cost sign and no ratio
-    order, so the pivots are those of the rational tableau, and it leaves
-    the duals as they are; lambda is unscaled at the end.
+    generator column and the rhs are taken as their integer numerators, and
+    the rows and reduced costs are integers over one common denominator d =
+    det(basis) > 0.  Positive column scaling changes no reduced-cost sign
+    and no ratio order, so the pivots are those of the rational tableau, and
+    it leaves the duals as they are; lambda is unscaled at the end.
     """
-    m = len(rhs)
+    rhs_numerators, rhs_scale = rhs
+    m = len(rhs_numerators)
     k = len(columns)
-    cleared = [over_common_denominator(col) for col in columns]
-    rhs_numerators, rhs_scale = over_common_denominator(rhs)
     signs = [-1 if value < 0 else 1 for value in rhs_numerators]
     tableau: list[list[int]] = []
     for i, value in enumerate(rhs_numerators):
-        row = [signs[i] * col[i] for col, _ in cleared]
+        row = [signs[i] * col[i] for col, _ in columns]
         row.extend(1 if r == i else 0 for r in range(m))
         row.append(signs[i] * value)
         tableau.append(row)
@@ -231,14 +237,13 @@ def _phase_one(
         basis[leave] = enter
         d = p
     if reduced[ncols] == 0:
-        lam = [Fraction(0)] * k
+        lam = [0] * k
         for i, bv in enumerate(basis):
             if bv < k:
-                lam[bv] = Fraction(tableau[i][ncols] * cleared[bv][1], d * rhs_scale)
-        return "feasible", tuple(lam)
+                lam[bv] = tableau[i][ncols] * columns[bv][1]
+        return "feasible", tuple(lam), d * rhs_scale
     # duals 1 - reduced_j / d from the optimal reduced costs of the artificials
-    witness = tuple(Fraction(signs[i] * (d - reduced[k + i]), d) for i in range(m))
-    return "infeasible", witness
+    return "infeasible", tuple(signs[i] * (d - reduced[k + i]) for i in range(m)), d
 
 
 def certify(target: ChernFunctional, gens: GeneratorSet) -> CertifyResult:
@@ -257,18 +262,19 @@ def certify(target: ChernFunctional, gens: GeneratorSet) -> CertifyResult:
             f"target convention {target.convention.value} != "
             f"generators {gens.convention.value}"
         )
-    columns = [f.coeffs for f in gens.functionals()]
-    status, data = _phase_one(columns, target.coeffs)
+    columns = [(f.numerators, f.denominator) for f in gens.functionals()]
+    status, numerators, den = _phase_one(columns, (target.numerators, target.denominator))
     if status == "feasible":
-        certificate = Certificate(target, gens.names(), data)
+        certificate = Certificate(target, gens.names(), numerators, den)
         if not verify_certificate(certificate, gens):
             raise ConsistencyError("simplex returned an invalid certificate")
         return certificate
-    witness = ChernFunctional(gens.dimension, gens.convention, data)
+    witness = ChernFunctional(gens.dimension, gens.convention, numerators, den)
+    # every denominator is positive, so a pairing has its numerator sum's sign
     for name, f in gens.generators:
-        if witness.dot(f.coeffs) > 0:
+        if sum(map(mul, witness.numerators, f.numerators)) > 0:
             raise ConsistencyError(f"Farkas witness pairs positively with {name}")
-    if witness.dot(target.coeffs) <= 0:
+    if sum(map(mul, witness.numerators, target.numerators)) <= 0:
         raise ConsistencyError("Farkas witness does not separate the target")
     return Infeasibility(witness)
 
@@ -297,12 +303,18 @@ def verify_certificate(
         return fail("certificate dimension disagrees with generator set")
     if cert.target.convention != gens.convention:
         return fail("certificate convention disagrees with generator set")
-    if any(coef < 0 for coef in cert.coefficients):
+    if any(coef < 0 for coef in cert.numerators):
         return fail("negative combination coefficient")
-    used = [(coef, f.coeffs) for coef, f in zip(cert.coefficients, gens.functionals()) if coef]
-    combo = [sum(coef * row[i] for coef, row in used) for i in range(len(cert.target.coeffs))]
-    if combo != list(cert.target.coeffs):
-        return fail("combination does not reproduce the target")
+    # sum_i (c_i / D) (g_i / d_i) == t / T, times D T L with L the lcm of the d_i
+    functionals = gens.functionals()
+    scale = math.lcm(*(f.denominator for f in functionals))
+    used = [(c * scale // f.denominator, f) for c, f in zip(cert.numerators, functionals) if c]
+    target = cert.target
+    for i, t in enumerate(target.numerators):
+        if sum(c * f.numerators[i] for c, f in used) * target.denominator != (
+            t * cert.denominator * scale
+        ):
+            return fail("combination does not reproduce the target")
     return True
 
 
@@ -374,13 +386,13 @@ def certify_chi_signs(
     convention = mode_convention(mode)
     gens = generators(n, assumptions, convention)
     rows = []
-    solved: dict[tuple[Fraction, ...], CertifyResult] = {}  # rows p and n - p share one
+    solved: dict[ChernFunctional, CertifyResult] = {}  # rows p and n - p share one
     for p in range(n + 1):
         sign = chi_sign(n, p, mode)
         target, scale = signed_target(chi_p(n, p), sign, mode)
-        if target.coeffs not in solved:
-            solved[target.coeffs] = certify(target, gens)
-        result = solved[target.coeffs]
+        if target not in solved:
+            solved[target] = certify(target, gens)
+        result = solved[target]
         status = "certified" if isinstance(result, Certificate) else "open"
         rows.append(
             ChiSignRow(

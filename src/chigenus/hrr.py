@@ -13,8 +13,8 @@ B_1 = -1/2.  The coefficient of the monomial symmetric function m_lambda is
 q_0^{n - len(lambda)} prod_i q_{lambda_i}, a polynomial of degree n in y whose
 y^p coefficient belongs to chi^p.  With q_k scaled by L^k (L the lcm of the
 denominators of t_k and s_k, k <= n) these are integer polynomials over
-L^n; `symchern.chern_coordinates` takes them to the c-monomials, and the
-only fractions are the final divisions by L^n.
+L^n; `symchern.chern_coordinates` takes them to the c-monomials, and each
+row is its integer numerators over L^n.
 
 The public chi^p functionals are flipped into cotangent variables (c_i
 meaning c_i of the cotangent bundle) exactly once, at the boundary.
@@ -23,7 +23,6 @@ meaning c_i of the cotangent bundle) exactly once, at the boundary.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from . import SIGN_MODES
@@ -34,6 +33,7 @@ from .poly import (
     ChernFunctional,
     ConventionMismatch,
     Record,
+    lowest_terms,
     partitions_of,
     weight_basis,
 )
@@ -61,13 +61,16 @@ class ConsistencyError(RuntimeError):
 def _chi_y_factor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(L, ((T_0, S_0), ..., (T_n, S_n))) with q_k(y) = (T_k + y S_k) / L^k
     the coefficients of Q_y (see the module docstring)."""
-    bernoulli = [Fraction(1)]  # B_0..B_n with B_1 = -1/2
+    # s_k = B_k / k! (B_1 = -1/2) as (numerator, denominator): the coefficients
+    # of x / (e^x - 1), the inverse of (e^x - 1) / x = sum_j x^j / (j + 1)!
+    s = [(1, 1)]
     for m in range(1, n + 1):
-        total = sum(math.comb(m + 1, j) * b for j, b in enumerate(bernoulli))
-        bernoulli.append(-total / (m + 1))
-    s = [b / math.factorial(k) for k, b in enumerate(bernoulli)]
-    scale = math.lcm(*(c.denominator for c in s))  # also that of t_k = (-1)^k s_k
-    scaled = [c.numerator * (scale**k // c.denominator) for k, c in enumerate(s)]
+        terms = [(a, b * math.factorial(j + 1)) for j, (a, b) in zip(range(m, 0, -1), s)]
+        den = math.lcm(*(b for _, b in terms))
+        (total,), den = lowest_terms([-sum(a * (den // b) for a, b in terms)], den)
+        s.append((total, den))
+    scale = math.lcm(*(b for _, b in s))  # also that of t_k = (-1)^k s_k
+    scaled = [a * (scale**k // b) for k, (a, b) in enumerate(s)]
     return scale, tuple(((-1) ** k * c, c) for k, c in enumerate(scaled))
 
 
@@ -81,8 +84,8 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     """chi^0..chi^n of dimension n, in cotangent variables: the
     coefficients in y of the chi_y genus (see the module docstring).
 
-    The rows are validated once, here, on their integer numerators over
-    L^n before any fraction is made: the duality symmetry chi^p =
+    The rows are validated once, here, on the integer numerators over L^n
+    that they are built from: the duality symmetry chi^p =
     (-1)^n chi^{n-p} and the alternating-sum identity sum_p (-1)^p chi^p =
     Euler functional.  A failure means the chi_y engine is broken and
     aborts."""
@@ -96,7 +99,7 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
             poly = [t * a + s * b for a, b in zip(poly + [0], [0] + poly)]
         monomial[parts] = poly
     coordinates = chern_coordinates(monomial, n)
-    denominator = scale**n
+    den = scale**n
     basis = weight_basis(n)
     # tangent numerators; the flip to cotangent variables is the sign (-1)^n
     sign = (-1) ** n
@@ -104,16 +107,12 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     for p in range(n + 1):
         if any(k[p] != sign * k[n - p] for k in numerators):
             raise ConsistencyError(f"duality symmetry failed at dimension {n}, p={p}")
-    euler = euler_functional(n).coeffs
+    euler = euler_functional(n).numerators
     for k, e in zip(numerators, euler):
-        if sign * (sum(k[0::2]) - sum(k[1::2])) != e * denominator:
+        if sign * (sum(k[0::2]) - sum(k[1::2])) != e * den:
             raise ConsistencyError(f"alternating sum is not the Euler class at dimension {n}")
     return tuple(
-        ChernFunctional(
-            n,
-            BasisConvention.COTANGENT,
-            tuple(Fraction(sign * k[p], denominator) for k in numerators),
-        )
+        ChernFunctional(n, BasisConvention.COTANGENT, [sign * k[p] for k in numerators], den)
         for p in range(n + 1)
     )
 
@@ -139,7 +138,7 @@ def euler_functional(n: int) -> ChernFunctional:
     last monomial of `weight_basis(n)`, and for n = 0 the only one, 1."""
     _check_dimension(n)
     coeffs = (0,) * (len(weight_basis(n)) - 1) + ((-1) ** n,)
-    return ChernFunctional(n, BasisConvention.COTANGENT, coeffs)
+    return ChernFunctional(n, BasisConvention.COTANGENT, coeffs, 1)
 
 
 def mode_convention(mode: str) -> BasisConvention:

@@ -12,18 +12,24 @@ Every weight-n row is a `ChernFunctional`: one rational per monomial of
 `weight_basis(n)`, tagged with a convention.  It holds the coefficients of a
 weight-n Chern polynomial or the Chern numbers of an n-fold, and `dot` pairs
 the two; it scales, and rows are summed entry by entry where needed.
-Entries are `fractions.Fraction`; floats are rejected at every entry point.
+A row is integer numerators over one positive denominator in lowest terms;
+floats are rejected at every entry point.  `fractions` is imported only
+where a caller asks for a `Fraction` (`as_rational`, `coeffs`, `dot`).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DimensionMismatch",
@@ -32,8 +38,10 @@ __all__ = [
     "Record",
     "Monomial",
     "RationalLike",
+    "rational_parts",
     "as_rational",
-    "over_common_denominator",
+    "rational_text",
+    "lowest_terms",
     "parse_decimal",
     "mono_weight",
     "mono_key",
@@ -52,7 +60,7 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 Partition = tuple[int, ...]
-RationalLike = Union[int, str, Fraction]
+RationalLike = Union[int, str, "Fraction"]
 
 
 class DimensionMismatch(ValueError):
@@ -129,40 +137,69 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def as_rational(value: RationalLike) -> Fraction:
-    """Coerce exact input to Fraction: an int, a Fraction, or a string
-    matching ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator.
+def rational_parts(value: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of exact input, in lowest terms with the
+    denominator positive: an int, a Fraction, or a string matching
+    ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator.
 
     Floats and other inexact types are refused: the whole engine is
     exact-arithmetic and a single float would poison every certificate.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational coefficient")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
-        # Fraction() alone also takes '1_0', ' 2e1 ', '0.5' and non-ASCII
-        # digits; its ValueError is a part past the int-string digit limit
-        if _RATIONAL_RE.fullmatch(value):
-            try:
-                return Fraction(value)
-            except (ZeroDivisionError, ValueError):
-                pass
+        # int() alone also takes '1_0', ' 2 ' and non-ASCII digits
+        num, _, den = value.partition("/")
+        try:
+            if _RATIONAL_RE.fullmatch(value):
+                (num,), den = lowest_terms((int(num),), int(den or 1))
+                return num, den
+        except ValueError:  # a zero denominator, or a part past the digit limit
+            pass
         raise ParseError(f"bad rational literal {value!r}")
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(
         "exact rational required (int, Fraction, or 'a/b' string), "
         f"got {type(value).__name__}"
     )
 
 
-def over_common_denominator(values: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
-    """(numerators, d): the integers with value == numerator / d for each
-    value, over d the least common denominator of all of them."""
-    values = tuple(values)
-    d = math.lcm(*(value.denominator for value in values))
-    return tuple(value.numerator * (d // value.denominator) for value in values), d
+def as_rational(value: RationalLike) -> Fraction:
+    """`rational_parts` of the value as a Fraction."""
+    from fractions import Fraction
+
+    return Fraction(*rational_parts(value))
+
+
+def lowest_terms(numerators: Iterable[RationalLike], den: int) -> tuple[tuple[int, ...], int]:
+    """The rationals numerator / den, for exact numerators and an int den >
+    0, as integer numerators over one positive denominator whose gcd with
+    all of them is 1: the form of a row and of a certificate."""
+    if isinstance(den, bool) or not isinstance(den, int) or den <= 0:
+        raise ValueError(f"a denominator must be a positive integer: {den!r}")
+    parts = [rational_parts(c) for c in numerators]
+    scale = math.lcm(*(d for _, d in parts))
+    numerators = [c * (scale // d) for c, d in parts]
+    den *= scale
+    g = math.gcd(den, *numerators)
+    return tuple(c // g for c in numerators), den // g
+
+
+def rational_text(num: int, den: int = 1) -> str:
+    """What str(Fraction(num, den)) writes for den > 0.  Every number the
+    program prints goes through here, so a computed number past the
+    int-string digit limit is this program's one-line ValueError."""
+    g = math.gcd(num, den)
+    try:
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a computed number has over {limit} digits, too many to print") from None
 
 
 def mono_weight(mono: Monomial) -> int:
@@ -221,14 +258,16 @@ def weight_basis(dim: int) -> tuple[Monomial, ...]:
     return tuple(sorted(monomials, key=mono_key))
 
 
-def json_terms(terms: Iterable[tuple[Monomial, Fraction]]) -> list[dict]:
-    """The JSON term list of (monomial, coefficient) pairs given in
-    `mono_key` order; zero coefficients are left out."""
-    return [
-        {"exps": list(mono), "num": str(coef.numerator), "den": str(coef.denominator)}
-        for mono, coef in terms
-        if coef
-    ]
+def json_terms(terms: Iterable[tuple[Monomial, int, int]]) -> list[dict]:
+    """The JSON term list of (monomial, numerator, denominator > 0) triples
+    given in `mono_key` order, each coefficient in lowest terms; zero
+    coefficients are left out."""
+    listed = []
+    for mono, num, den in terms:
+        if num:
+            num_text, _, den_text = rational_text(num, den).partition("/")
+            listed.append({"exps": list(mono), "num": num_text, "den": den_text or "1"})
+    return listed
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -237,9 +276,10 @@ _FACTOR_RE = re.compile(r"c_?([0-9]+)(?:\^([0-9]+))?")
 _SIGN_SPLIT = re.compile(r"\s*([+-])\s*")
 
 
-def parse_terms(dim: int, text: str) -> list[tuple[Monomial, Fraction]]:
-    """The signed terms of polynomial text in c_1..c_dim, as written: not
-    summed, so '1 - 1' is two terms.  The grammar is what `terms_text`
+def parse_terms(dim: int, text: str) -> list[tuple[Monomial, int, int]]:
+    """The signed terms of polynomial text in c_1..c_dim, as written, each a
+    (monomial, numerator, denominator) triple in lowest terms: not summed,
+    so '1 - 1' is two terms.  The grammar is what `terms_text`
     writes, plus c_1 for c1 and an omitted unit coefficient; '0' alone has
     no terms.  A monomial heavier than `dim` is refused once the whole
     text has parsed.  Every refusal is a `ParseError`."""
@@ -257,12 +297,12 @@ def parse_terms(dim: int, text: str) -> list[tuple[Monomial, Fraction]]:
         chunks = ["+"] + chunks
     if len(chunks) % 2 != 0:
         raise ParseError(f"malformed polynomial text {text!r}")
-    terms: list[tuple[Monomial, Fraction]] = []
+    terms: list[tuple[Monomial, int, int]] = []
     for sign_tok, term_tok in zip(chunks[0::2], chunks[1::2]):
         sign = 1 if sign_tok == "+" else -1
         if not term_tok:
             raise ParseError(f"empty term in {text!r}")
-        coef = Fraction(1)
+        num, den = 1, 1
         exps = [0] * dim
         saw_coef = False
         saw_factor = False
@@ -273,7 +313,7 @@ def parse_terms(dim: int, text: str) -> list[tuple[Monomial, Fraction]]:
             if _RATIONAL_RE.fullmatch(piece):
                 if saw_coef or saw_factor:
                     raise ParseError(f"misplaced coefficient in {term_tok!r}")
-                coef = as_rational(piece)
+                num, den = rational_parts(piece)
                 saw_coef = True
                 continue
             match = _FACTOR_RE.fullmatch(piece)
@@ -288,8 +328,8 @@ def parse_terms(dim: int, text: str) -> list[tuple[Monomial, Fraction]]:
                 raise ParseError(f"variable c{index} outside dimension {dim}")
             exps[index - 1] += power
             saw_factor = True
-        terms.append((tuple(exps), sign * coef))
-    for mono, _ in terms:
+        terms.append((tuple(exps), sign * num, den))
+    for mono, _, _ in terms:
         if mono_weight(mono) > dim:
             raise ParseError(
                 f"monomial {mono_text(mono) or '1'} has weight {mono_weight(mono)}"
@@ -298,20 +338,21 @@ def parse_terms(dim: int, text: str) -> list[tuple[Monomial, Fraction]]:
     return terms
 
 
-def terms_text(terms: Iterable[tuple[Monomial, Fraction]]) -> str:
-    """Canonical text of (monomial, coefficient) pairs given in `mono_key`
-    order, e.g. '-1*c1^4 + 4*c1^2*c2 + 1*c1*c3'; zero coefficients are left
-    out, and with no term left the text is '0'."""
+def terms_text(terms: Iterable[tuple[Monomial, int, int]]) -> str:
+    """Canonical text of (monomial, numerator, denominator > 0) triples
+    given in `mono_key` order, e.g. '-1*c1^4 + 4*c1^2*c2 + 1*c1*c3'; zero
+    coefficients are left out, and with no term left the text is '0'."""
     pieces: list[str] = []
-    for mono, coef in terms:
-        if not coef:
+    for mono, num, den in terms:
+        if not num:
             continue
         body = mono_text(mono)
-        chunk = f"{abs(coef)}*{body}" if body else f"{abs(coef)}"
+        coef = rational_text(abs(num), den)
+        chunk = f"{coef}*{body}" if body else coef
         if not pieces:
-            pieces.append(chunk if coef > 0 else f"-{chunk}")
+            pieces.append(chunk if num > 0 else f"-{chunk}")
         else:
-            pieces.append(f"+ {chunk}" if coef > 0 else f"- {chunk}")
+            pieces.append(f"+ {chunk}" if num > 0 else f"- {chunk}")
     return " ".join(pieces) or "0"
 
 
@@ -351,24 +392,28 @@ class ChernFunctional(Record):
     the coefficients of a weight-n Chern polynomial (a linear functional on
     Chern numbers), or the Chern numbers of an n-fold.
 
-    `coeffs` is indexed by the canonical weight-n monomial basis; `dot`
-    pairs a polynomial with Chern numbers as an exact dot product.
+    The coefficients, indexed by the canonical weight-n monomial basis, are
+    `numerators` over `denominator`, given as exact rationals over an int > 0
+    and kept as ints in `lowest_terms`, so equal rows have equal fields and
+    hashes.  `dot` pairs a polynomial with Chern numbers exactly.
     """
 
     dimension: int
     convention: BasisConvention
-    coeffs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self):
         basis = weight_basis(self.dimension)
-        coeffs = tuple(as_rational(c) for c in self.coeffs)
-        if len(coeffs) != len(basis):
+        numerators, den = lowest_terms(self.numerators, self.denominator)
+        if len(numerators) != len(basis):
             raise ValueError(
                 f"expected {len(basis)} coefficients for dimension "
-                f"{self.dimension}, got {len(coeffs)}"
+                f"{self.dimension}, got {len(numerators)}"
             )
         object.__setattr__(self, "convention", BasisConvention(self.convention))
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", den)
 
     @classmethod
     def from_text(
@@ -378,12 +423,14 @@ class ChernFunctional(Record):
         terms are summed first, so a lower-weight term may cancel; one that
         is left raises a `ValueError` that is not a `ParseError`."""
         basis = weight_basis(dimension)
-        sums = dict.fromkeys(basis, Fraction(0))
-        for mono, coef in parse_terms(dimension, text):
-            sums[mono] = sums.get(mono, 0) + coef
+        terms = parse_terms(dimension, text)
+        den = math.lcm(*(d for _, _, d in terms))
+        sums = dict.fromkeys(basis, 0)
+        for mono, num, d in terms:
+            sums[mono] = sums.get(mono, 0) + num * (den // d)
         if any(c for m, c in sums.items() if mono_weight(m) != dimension):
             raise ValueError(f"polynomial text {text!r} is not of weight {dimension}")
-        return cls(dimension, convention, tuple(sums[m] for m in basis))
+        return cls(dimension, convention, tuple(sums[m] for m in basis), den)
 
     @classmethod
     def from_values(
@@ -393,31 +440,39 @@ class ChernFunctional(Record):
         values: Mapping[Monomial, RationalLike],
     ) -> "ChernFunctional":
         basis = weight_basis(dimension)
-        lookup = {tuple(m): as_rational(v) for m, v in values.items()}
+        lookup = {tuple(m): v for m, v in values.items()}
         unknown = set(lookup).difference(basis)
         if unknown:
             raise ValueError(f"not weight-{dimension} monomials: {sorted(unknown)}")
-        return cls(dimension, convention, tuple(lookup.get(m, Fraction(0)) for m in basis))
+        return cls(dimension, convention, [lookup.get(m, 0) for m in basis], 1)
 
     # -- structure ----------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, for library callers."""
+        from fractions import Fraction
+
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     def terms(self) -> dict[Monomial, Fraction]:
         """The nonzero coefficients, by monomial."""
         return {m: c for m, c in zip(weight_basis(self.dimension), self.coeffs) if c}
 
+    def _parts(self) -> Iterable[tuple[Monomial, int, int]]:
+        return zip(weight_basis(self.dimension), self.numerators, repeat(self.denominator))
+
     def poly_json_dict(self) -> dict:
         """The JSON form of the functional as a polynomial: its dimension
         and `json_terms` over the basis, which is in `mono_key` order."""
-        terms = json_terms(zip(weight_basis(self.dimension), self.coeffs))
-        return {"dim": self.dimension, "terms": terms}
+        return {"dim": self.dimension, "terms": json_terms(self._parts())}
 
     # -- arithmetic ----------------------------------------------------------
 
     def scaled(self, factor: RationalLike) -> "ChernFunctional":
-        factor = as_rational(factor)
-        return ChernFunctional(
-            self.dimension, self.convention, tuple(c * factor for c in self.coeffs)
-        )
+        num, den = rational_parts(factor)
+        numerators = tuple(c * num for c in self.numerators)
+        return ChernFunctional(self.dimension, self.convention, numerators, self.denominator * den)
 
     def flipped(self) -> "ChernFunctional":
         """Same functional re-expressed in the other (co)tangent convention.
@@ -425,35 +480,34 @@ class ChernFunctional(Record):
         c_i changes sign with i, so a monomial of weight w changes by
         (-1)^w; every top-weight monomial has weight n, so the whole flip
         is the sign (-1)^n."""
-        coeffs = tuple(-c for c in self.coeffs) if self.dimension % 2 else self.coeffs
-        return ChernFunctional(self.dimension, self.convention.other(), coeffs)
+        flip = tuple(-c for c in self.numerators) if self.dimension % 2 else self.numerators
+        return ChernFunctional(self.dimension, self.convention.other(), flip, self.denominator)
 
     def in_convention(self, convention: BasisConvention) -> "ChernFunctional":
         """This row, flipped if it is tagged with the other convention."""
         return self if BasisConvention(convention) is self.convention else self.flipped()
 
     def dot(self, values: Sequence[RationalLike]) -> Fraction:
-        values = tuple(as_rational(v) for v in values)
-        if len(values) != len(self.coeffs):
+        from fractions import Fraction
+
+        numerators, den = lowest_terms(values, 1)
+        if len(numerators) != len(self.numerators):
             raise DimensionMismatch(
-                f"expected {len(self.coeffs)} values, got {len(values)}"
+                f"expected {len(self.numerators)} values, got {len(numerators)}"
             )
-        # integer numerators over the two common denominators, one Fraction
-        c_num, c_den = over_common_denominator(self.coeffs)
-        v_num, v_den = over_common_denominator(values)
-        return Fraction(sum(map(mul, c_num, v_num)), c_den * v_den)
+        return Fraction(sum(map(mul, self.numerators, numerators)), self.denominator * den)
 
     def clear_denominators(self) -> tuple["ChernFunctional", int]:
         """Smallest positive integer multiple with integral coefficients.
 
-        Returns (scaled functional, multiplier)."""
-        numerators, scale = over_common_denominator(self.coeffs)
-        return ChernFunctional(self.dimension, self.convention, numerators), scale
+        Returns (scaled functional, multiplier): the numerators and the denominator."""
+        cleared = ChernFunctional(self.dimension, self.convention, self.numerators, 1)
+        return cleared, self.denominator
 
     # -- serialization --------------------------------------------------------
 
     def to_text(self) -> str:
-        return terms_text(zip(weight_basis(self.dimension), self.coeffs))
+        return terms_text(self._parts())
 
     def __str__(self) -> str:
         return self.to_text()

@@ -202,7 +202,7 @@ def schur(a: Sequence[int], n: int) -> ChernFunctional:
     """Schur polynomial P_a(c) = det(c_{a_i - i + j}) for a partition a of n,
     a weight-n form, tagged cotangent like `hrr.chi_p`."""
     row = _schur_catalog(n)[_validate_partition(tuple(a), n)]
-    return ChernFunctional(n, BasisConvention.COTANGENT, row)
+    return ChernFunctional(n, BasisConvention.COTANGENT, row, 1)
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,7 @@ from .poly import (
     mono_weight,
     parse_decimal,
     parse_terms,
+    rational_text,
     weight_basis,
 )
 from .symchern import BasisConvention
@@ -62,6 +63,7 @@ __all__ = [
     "descriptor_from_token",
     "CorpusEntry",
     "load_corpus",
+    "number_text",
 ]
 
 class VarietyDescriptor(ABC):
@@ -297,11 +299,11 @@ def _monomial_key(key: str | Monomial, dim: int) -> Monomial:
     """A weight-`dim` monomial from its text, one product term with
     coefficient 1 ('c1^2*c2', or '1' for the constant), or from its
     exponent tuple."""
-    terms = parse_terms(dim, key) if isinstance(key, str) else [(tuple(key), 1)]
+    terms = parse_terms(dim, key) if isinstance(key, str) else [(tuple(key), 1, 1)]
     if len(terms) != 1:
         raise ValueError(f"monomial key expected, got {key!r}")
-    ((mono, coef),) = terms
-    if coef != 1:
+    ((mono, num, den),) = terms
+    if (num, den) != (1, 1):
         raise ValueError(f"monomial key must have coefficient 1: {key!r}")
     if (
         len(mono) != dim
@@ -336,6 +338,11 @@ def evaluate(f: ChernFunctional, v: VarietyDescriptor | ChernFunctional) -> Frac
     return f.dot(numbers.in_convention(f.convention).coeffs)
 
 
+def number_text(value: Fraction) -> str:
+    """A chi value or an Euler number as `poly.rational_text` writes it."""
+    return rational_text(value.numerator, value.denominator)
+
+
 def chi_values(v: VarietyDescriptor | ChernFunctional) -> tuple[Fraction, ...]:
     """The evaluated chi^p table (chi^0, ..., chi^n) of a descriptor or of
     its Chern numbers."""
@@ -356,11 +363,11 @@ class SignAuditRow(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "chi": str(self.value),
+            "chi": number_text(self.value),
             "ok": self.ok,
             "p": self.p,
             "sign": self.sign,
-            "signed": str(self.signed_value),
+            "signed": number_text(self.signed_value),
         }
 
 
@@ -378,7 +385,7 @@ class SignAudit(Record):
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dimension,
-            "euler": str(self.euler),
+            "euler": number_text(self.euler),
             "mode": self.mode,
             "pass": self.passed,
             "rows": [row.to_json_dict() for row in self.rows],

@@ -237,16 +237,20 @@ class GradedPoly:
 
     # -- serialization ---------------------------------------------------
 
+    def _triples(self) -> list[tuple[Monomial, int, int]]:
+        # (monomial, numerator, denominator), the term form of `poly`'s text and JSON
+        terms = sorted(self._terms.items(), key=lambda item: mono_key(item[0]))
+        return [(mono, coef.numerator, coef.denominator) for mono, coef in terms]
+
     def to_text(self) -> str:
-        return terms_text(sorted(self._terms.items(), key=lambda item: mono_key(item[0])))
+        return terms_text(self._triples())
 
     @classmethod
     def from_text(cls, dim: int, text: str) -> "GradedPoly":
-        return cls(dim, parse_terms(dim, text))
+        return cls(dim, [(mono, Fraction(num, den)) for mono, num, den in parse_terms(dim, text)])
 
     def to_json_dict(self) -> dict:
-        terms = sorted(self._terms.items(), key=lambda item: mono_key(item[0]))
-        return {"dim": self._dim, "terms": json_terms(terms)}
+        return {"dim": self._dim, "terms": json_terms(self._triples())}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "GradedPoly":
@@ -976,7 +980,7 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
             sum((lagrange[y][p] * column[y] for y in range(n + 1)), Fraction(0))
             for column in zip(*values)
         )
-        rows.append(ChernFunctional(n, BasisConvention.TANGENT, coeffs).flipped())
+        rows.append(ChernFunctional(n, BasisConvention.TANGENT, coeffs, 1).flipped())
     return tuple(rows)
 
 

@@ -111,7 +111,8 @@ def test_criterion_3_paper_chain_certificate():
         cert = Certificate(
             target=target,
             generator_names=gens.names(),
-            coefficients=tuple(chain.get(name, Fraction(0)) for name in gens.names()),
+            numerators=tuple(chain.get(name, Fraction(0)) for name in gens.names()),
+            denominator=1,
         )
         assert verify_certificate(cert, gens)
         assert cert.target == signed_chi_target(4, 4)
@@ -189,7 +190,7 @@ def test_criterion_6_property_suite():
                 for _ in range(20)
             ]
             for rhs in targets:
-                target = ChernFunctional(n, COT, rhs)
+                target = ChernFunctional(n, COT, rhs, 1)
                 simplex = isinstance(certify(target, gens), Certificate)
                 assert simplex == fourier_motzkin_feasible(columns, rhs)
 

@@ -274,11 +274,13 @@ class TestCertifyCommand:
         # re-run certify in-process and compare coefficient maps
         gens = generators(4, ("schur", "my4", "c1top"))
         result = certify(
-            ChernFunctional(4, BasisConvention.COTANGENT, target.top_coefficients()), gens
+            ChernFunctional(4, BasisConvention.COTANGENT, target.top_coefficients(), 1), gens
         )
         assert isinstance(result, Certificate)
         expected_terms = [
-            {"coef": str(c), "gen": name} for name, c in result.named_coefficients()
+            {"coef": str(c), "gen": name}
+            for name, c in zip(result.generator_names, result.coefficients)
+            if c
         ]
         assert payload["certificate"]["terms"] == expected_terms
 
@@ -467,6 +469,49 @@ class TestDeepNesting:
         assert out == ""
         assert err.startswith("error: bad corpus line 1: ")
         assert err.count("\n") == 1
+
+
+class TestComputedNumbersPastTheDigitLimit:
+    """A value the program computes may have more digits than the
+    interpreter converts to text (`sys.set_int_max_str_digits`), although no
+    input number does: two curves whose c_1 has 2 500 or 3 000 digits have a
+    product with twice as many.  Every number is printed through
+    `poly.rational_text`, so such a value is this program's one-line error
+    and exit 2, and nothing is printed before it."""
+
+    MESSAGE = (
+        f"error: a computed number has over {sys.get_int_max_str_digits()} digits, "
+        "too many to print\n"
+    )
+    CURVE = "curve:" + "9" * 2500
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("variety", "eval", f"product({CURVE},{CURVE})"),
+            ("variety", "eval", f"product({CURVE},{CURVE})", "--target", "euler"),
+            ("check", f"product({CURVE},{CURVE})"),
+        ],
+        ids=["eval", "eval-euler", "check"],
+    )
+    def test_token(self, capsys, argv, json_flag):
+        assert run_cli(capsys, *argv, *json_flag) == (2, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_corpus_line(self, capsys, tmp_path, json_flag):
+        curve = {"type": "explicit", "n": 1, "values": {"c1": "9" * 3000}}
+        line = {"name": "EE", "descriptor": {"type": "product", "left": curve, "right": curve}}
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(line) + "\n")
+        assert run_cli(capsys, "check", str(corpus), *json_flag) == (2, "", self.MESSAGE)
+
+    def test_a_long_input_with_small_values_prints(self, capsys):
+        # a genus-1 curve has c_1 = 0, so every Chern number of its product
+        # with the long curve is 0
+        code, out, err = run_cli(capsys, "variety", "eval", f"product({self.CURVE},curve:1)")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["chi^0 = 0", "chi^1 = 0", "chi^2 = 0", "euler = 0"]
 
 
 class TestVarietyCommand:
@@ -821,8 +866,9 @@ class TestStartup:
         (("variety", "eval", "pn:2", "--json"), CHI | {"chigenus.varieties"}),
     ]
 
-    @pytest.mark.parametrize("argv, expected", LOADS, ids=[" ".join(a) for a, _ in LOADS])
-    def test_command_loads_only_its_modules(self, argv, expected):
+    @staticmethod
+    def modules_after(argv):
+        """The chigenus modules a command line loads, and every module it adds."""
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -839,8 +885,42 @@ class TestStartup:
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
         )
         loaded, added = map(ast.literal_eval, result.stderr.splitlines()[-2:])
-        assert set(loaded) == self.ENTRY | expected
-        assert not self.PARSER_MODULES & set(added), added
+        return set(loaded), set(added)
+
+    @pytest.mark.parametrize("argv, expected", LOADS, ids=[" ".join(a) for a, _ in LOADS])
+    def test_command_loads_only_its_modules(self, argv, expected):
+        loaded, added = self.modules_after(argv)
+        assert loaded == self.ENTRY | expected
+        assert not self.PARSER_MODULES & added, added
+
+    # Rows are integers over one denominator from the chi_y series and the
+    # Kostka matrix through the simplex to the printed text, so the commands
+    # that build, solve and print rows never load `fractions` (and with it
+    # `decimal` and `numbers`).  `check` and `variety eval` evaluate Chern
+    # numbers as Fractions, which shows that the probe sees the modules.
+    FRACTION_MODULES = {"fractions", "decimal", "numbers"}
+    ROW_COMMANDS = [
+        ("chi", "--dim", "4"),
+        ("chi", "--dim", "3", "--convention", "tangent"),
+        ("schur", "--dim", "4"),
+        ("schur", "--dim", "4", "--partition", "2,1,1"),
+        ("certify", "--dim", "4", "--target", "chi:4", "--assume", "my4,c1top"),  # certified
+        ("certify", "--dim", "4", "--target", "chi:4"),  # a Farkas witness
+        ("certify", "--dim", "2", "--target", "1/3*c1^2 - 2/7*c2", "--mode", "nef-tangent"),
+        ("certify", "--dim", "4", "--all-p", "--assume", "my4"),
+        ("certify", "--dim", "5", "--all-p", "--mode", "nef-tangent"),
+    ]
+    ROW_ARGVS = [argv + flag for argv in ROW_COMMANDS for flag in ((), ("--json",))]
+
+    @pytest.mark.parametrize("argv", ROW_ARGVS, ids=[" ".join(a) for a in ROW_ARGVS])
+    def test_row_commands_load_no_fractions(self, argv):
+        _, added = self.modules_after(argv)
+        assert not self.FRACTION_MODULES & added, added
+
+    @pytest.mark.parametrize("argv", [("check", "pn:3"), ("variety", "eval", "pn:2", "--json")])
+    def test_evaluating_commands_may_load_fractions(self, argv):
+        _, added = self.modules_after(argv)
+        assert self.FRACTION_MODULES <= added, added
 
     def test_every_export_is_its_home_modules_object(self):
         import importlib

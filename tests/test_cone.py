@@ -20,12 +20,13 @@ from chigenus.cone import (
 from chigenus.hrr import (
     SIGN_MODES,
     ChernFunctional,
+    ConsistencyError,
     chi_p,
     chi_sign,
     mode_convention,
     signed_target,
 )
-from chigenus.poly import DimensionMismatch, weight_basis
+from chigenus.poly import DimensionMismatch, lowest_terms, weight_basis
 from chigenus.symchern import BasisConvention, ConventionMismatch
 
 from conftest import rationals
@@ -41,6 +42,10 @@ def P(dim, text):
 
 def functional(dim, text, convention=COT):
     return ChernFunctional.from_text(dim, convention, text)
+
+
+def nonzero_coefficients(cert):
+    return {name: c for name, c in zip(cert.generator_names, cert.coefficients) if c}
 
 
 class TestGenerators:
@@ -95,7 +100,7 @@ class TestCertify:
         assert isinstance(result, Certificate)
         assert verify_certificate(result, gens)
         # the system is square and invertible: lambda is forced
-        assert dict(result.named_coefficients()) == {
+        assert nonzero_coefficients(result) == {
             "P_(2,0)": Fraction(2),
             "P_(1,1)": Fraction(1),
         }
@@ -106,7 +111,7 @@ class TestCertify:
         result = certify(target, gens)
         assert isinstance(result, Certificate)
         assert verify_certificate(result, gens)
-        combo = dict(result.named_coefficients())
+        combo = nonzero_coefficients(result)
         assert combo["my2"] > 0  # Schur cone alone cannot reach it
 
     def test_dim2_bmy_needed(self):
@@ -141,7 +146,7 @@ class TestCertify:
 
     def test_zero_target_feasible(self):
         gens = generators(3, {"schur"})
-        result = certify(ChernFunctional(3, COT, (0, 0, 0)), gens)
+        result = certify(ChernFunctional(3, COT, (0, 0, 0), 1), gens)
         assert isinstance(result, Certificate)
         assert all(c == 0 for c in result.coefficients)
 
@@ -151,12 +156,12 @@ class TestCertify:
         gens = generators(n, ())
         assert len(gens) == 0
         size = len(weight_basis(n))
-        result = certify(ChernFunctional(n, COT, (0,) * size), gens)
+        result = certify(ChernFunctional(n, COT, (0,) * size, 1), gens)
         assert isinstance(result, Certificate)
         assert result.coefficients == ()
         assert verify_certificate(result, gens)
-        c1_top = ChernFunctional(n, COT, (1,) + (0,) * (size - 1))
-        assert not verify_certificate(Certificate(c1_top, (), ()), gens)
+        c1_top = ChernFunctional(n, COT, (1,) + (0,) * (size - 1), 1)
+        assert not verify_certificate(Certificate(c1_top, (), (), 1), gens)
 
     def test_empty_generator_set_refuses_a_nonzero_target(self):
         target = functional(3, "1*c1*c2")
@@ -191,7 +196,8 @@ class TestPaperChainCertificate:
             Certificate(
                 target=target,
                 generator_names=gens.names(),
-                coefficients=coefficients,
+                numerators=coefficients,
+                denominator=1,
             ),
             gens,
         )
@@ -214,10 +220,11 @@ class TestPaperChainCertificate:
         broken = Certificate(
             target=cert.target,
             generator_names=cert.generator_names,
-            coefficients=tuple(
+            numerators=tuple(
                 -c if name == "my4" else c
                 for name, c in zip(cert.generator_names, cert.coefficients)
             ),
+            denominator=1,
         )
         diagnostics = []
         assert not verify_certificate(broken, gens, diagnostics)
@@ -228,10 +235,11 @@ class TestPaperChainCertificate:
         tampered = Certificate(
             target=cert.target,
             generator_names=cert.generator_names,
-            coefficients=tuple(
+            numerators=tuple(
                 c + 1 if name == "P_(4,0,0,0)" else c
                 for name, c in zip(cert.generator_names, cert.coefficients)
             ),
+            denominator=1,
         )
         assert not verify_certificate(tampered, gens)
 
@@ -243,7 +251,8 @@ class TestCoefficientsAreTheCertificate:
         cert = Certificate(
             target=functional(3, "1*c1*c2"),
             generator_names=gens.names(),
-            coefficients=(Fraction(1), Fraction(1), Fraction(0)),
+            numerators=(Fraction(1), Fraction(1), Fraction(0)),
+            denominator=1,
         )
         assert verify_certificate(cert, gens)
 
@@ -252,7 +261,8 @@ class TestCoefficientsAreTheCertificate:
         cert = Certificate(
             target=functional(3, "1*c1*c2"),
             generator_names=gens.names(),
-            coefficients=(Fraction(0), Fraction(1), Fraction(0)),
+            numerators=(Fraction(0), Fraction(1), Fraction(0)),
+            denominator=1,
         )
         diagnostics = []
         assert not verify_certificate(cert, gens, diagnostics)
@@ -263,7 +273,8 @@ class TestCoefficientsAreTheCertificate:
         cert = Certificate(
             target=functional(3, "1*c1*c2 - 2*c3"),
             generator_names=gens.names(),
-            coefficients=(Fraction(-1), Fraction(1), Fraction(0)),
+            numerators=(Fraction(-1), Fraction(1), Fraction(0)),
+            denominator=1,
         )
         diagnostics = []
         assert not verify_certificate(cert, gens, diagnostics)
@@ -314,7 +325,7 @@ class TestFourierMotzkinCrossCheck:
         size = len(columns[0])
         for _ in range(25):
             target = ChernFunctional(
-                n, COT, tuple(Fraction(rng.randint(-4, 4)) for _ in range(size))
+                n, COT, tuple(Fraction(rng.randint(-4, 4)) for _ in range(size)), 1
             )
             simplex = isinstance(certify(target, gens), Certificate)
             brute = fourier_motzkin_feasible(columns, target.coeffs)
@@ -337,12 +348,16 @@ AUGMENTED = [(2, ("schur", "my2")), (4, ("schur", "my4")), (4, ("schur", "my4", 
 
 class TestPivotPathMatchesFractionSimplex:
     """The integer tableau takes the rational tableau's Bland pivots, so
-    `_phase_one` returns exactly what the `Fraction` reference returns."""
+    `_phase_one`, given each vector as integers over one denominator,
+    returns exactly what the `Fraction` reference returns."""
 
     def assert_same(self, columns, rhs):
-        result = _phase_one(columns, rhs)
+        status, numerators, den = _phase_one(
+            [lowest_terms(col, 1) for col in columns], lowest_terms(rhs, 1)
+        )
+        assert den > 0 and all(type(x) is int for x in numerators)
+        result = (status, tuple(Fraction(x, den) for x in numerators))
         assert result == fraction_phase_one(columns, rhs)
-        assert all(type(x) is Fraction for x in result[1])
         return result
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -422,7 +437,8 @@ class TestSchurBasisOracle:
                 weights = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(size)]
                 if rng.random() < 0.5:
                     weights[rng.randrange(size)] = Fraction(-1)
-                targets.append(ChernFunctional(n, gens.convention, combination(weights, columns)))
+                combined = combination(weights, columns)
+                targets.append(ChernFunctional(n, gens.convention, combined, 1))
             for target in targets:
                 lam = basis_coordinates(columns, target.coeffs)
                 result = certify(target, gens)
@@ -444,7 +460,7 @@ class TestChiSignReports:
         report = certify_chi_signs(3, "nef_cotangent")
         top = report.rows[3]
         assert top.status == "certified"
-        assert dict(top.result.named_coefficients()) == {
+        assert nonzero_coefficients(top.result) == {
             "P_(3,0,0)": Fraction(1),
             "P_(2,1,0)": Fraction(1),
         }
@@ -502,12 +518,12 @@ class TestGeneratorSetRows:
     dimension or convention than the set."""
 
     def test_foreign_dimension_refused(self):
-        row = ChernFunctional(2, COT, (1, 0))
+        row = ChernFunctional(2, COT, (1, 0), 1)
         with pytest.raises(DimensionMismatch):
             GeneratorSet(3, COT, (("x", row),))
 
     def test_foreign_convention_refused(self):
-        row = ChernFunctional(2, TAN, (1, 0))
+        row = ChernFunctional(2, TAN, (1, 0), 1)
         with pytest.raises(ConventionMismatch):
             GeneratorSet(2, COT, (("x", row),))
 
@@ -515,9 +531,104 @@ class TestGeneratorSetRows:
         # this set made verify_certificate raise IndexError deep inside
         t3 = functional(3, "1*c1^3")
         with pytest.raises(DimensionMismatch):
-            gens = GeneratorSet(3, "cotangent", (("x", ChernFunctional(2, "cotangent", (1, 0))),))
-            verify_certificate(Certificate(t3, ("x",), (1,)), gens)
+            row = ChernFunctional(2, "cotangent", (1, 0), 1)
+            gens = GeneratorSet(3, "cotangent", (("x", row),))
+            verify_certificate(Certificate(t3, ("x",), (1,), 1), gens)
 
     def test_convention_is_normalized(self):
-        row = ChernFunctional(2, COT, (1, 0))
+        row = ChernFunctional(2, COT, (1, 0), 1)
         assert GeneratorSet(2, "cotangent", (("x", row),)).convention is COT
+
+
+class TestIntegerReVerification:
+    """`verify_certificate` and the witness checks of `certify` work on
+    integer numerators over positive denominators, so cross-multiplied sums
+    and numerator signs decide them exactly.  Both checks re-run on every
+    answer of the simplex: they are the proof."""
+
+    @pytest.mark.parametrize("mode", SIGN_MODES)
+    def test_my4_certificates_reverify(self, mode):
+        # my4 = (5/2) c1^2 c2 - c1^4 is the one generator row over 2
+        gens = generators(4, ("schur", "my4"), mode_convention(mode))
+        my4 = dict(gens.generators)["my4"]
+        assert (my4.numerators, my4.denominator) == ((-2, 5, 0, 0, 0), 2)
+        certificates = [
+            row.result
+            for row in certify_chi_signs(4, mode, ("schur", "my4")).rows
+            if isinstance(row.result, Certificate)
+        ]
+        own = certify(my4, gens)
+        assert nonzero_coefficients(own) == {"my4": 1}
+        for cert in [*certificates, own, certify(my4.scaled(Fraction(6, 7)), gens)]:
+            assert verify_certificate(cert, gens)
+            assert cert.denominator > 0
+
+    def test_my4_coefficient_over_two(self):
+        gens = generators(4, ("schur", "my4", "c1top"))
+        cert = certify(functional(4, "-1*c1^4 + 4*c1^2*c2 + 1*c1*c3 + 3*c2^2 - 1*c4"), gens)
+        assert cert.denominator == 2
+        assert verify_certificate(cert, gens)
+
+    def chain(self):
+        gens = generators(4, ("schur", "my4", "c1top"))
+        target, _ = chi_p(4, 4).clear_denominators()
+        cert = certify(target, gens)
+        assert isinstance(cert, Certificate) and cert.denominator > 1
+        return cert, gens
+
+    @pytest.mark.parametrize("index", range(7))
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_a_coefficient_off_by_one_over_the_denominator_is_refused(self, index, step):
+        cert, gens = self.chain()
+        numerators = list(cert.numerators)
+        numerators[index] += step
+        forged = Certificate(cert.target, cert.generator_names, numerators, cert.denominator)
+        diagnostics = []
+        assert not verify_certificate(forged, gens, diagnostics)
+        assert diagnostics in (
+            ["combination does not reproduce the target"],
+            ["negative combination coefficient"],
+        )
+
+    def test_a_negative_coefficient_is_refused(self):
+        cert, gens = self.chain()
+        index = next(i for i, c in enumerate(cert.numerators) if c)
+        numerators = list(cert.numerators)
+        numerators[index] = -numerators[index]
+        forged = Certificate(cert.target, cert.generator_names, numerators, cert.denominator)
+        diagnostics = []
+        assert not verify_certificate(forged, gens, diagnostics)
+        assert diagnostics == ["negative combination coefficient"]
+
+    def test_a_scaled_certificate_is_the_same_certificate(self):
+        cert, gens = self.chain()
+        tripled = [3 * c for c in cert.numerators]
+        scaled = Certificate(cert.target, cert.generator_names, tripled, 3 * cert.denominator)
+        assert scaled == cert and hash(scaled) == hash(cert)
+        assert verify_certificate(scaled, gens)
+
+    def forge(self, monkeypatch, answer):
+        import chigenus.cone as cone
+
+        monkeypatch.setattr(cone, "_phase_one", lambda columns, rhs: answer)
+
+    def test_a_witness_pairing_positively_with_a_generator_is_refused(self, monkeypatch):
+        gens = generators(2, {"schur"})  # P_(2,0) = c2, P_(1,1) = c1^2 - c2
+        # w = c1^2 + 2 c2 separates the target c1^2 but pairs 2/3 with P_(2,0)
+        self.forge(monkeypatch, ("infeasible", (1, 2), 3))
+        with pytest.raises(ConsistencyError, match=r"pairs positively with P_\(2,0\)"):
+            certify(functional(2, "1*c1^2"), gens)
+
+    def test_a_witness_that_does_not_separate_is_refused(self, monkeypatch):
+        gens = generators(2, {"schur"})
+        # w = -c1^2 pairs 0 and -1/5 with the generators, and -1/5 with c1^2
+        self.forge(monkeypatch, ("infeasible", (-1, 0), 5))
+        with pytest.raises(ConsistencyError, match="does not separate"):
+            certify(functional(2, "1*c1^2"), gens)
+
+    def test_a_wrong_combination_is_refused(self, monkeypatch):
+        gens = generators(2, {"schur"})
+        # c1^2 = P_(2,0) + P_(1,1); claim half of each
+        self.forge(monkeypatch, ("feasible", (1, 1), 2))
+        with pytest.raises(ConsistencyError, match="invalid certificate"):
+            certify(functional(2, "1*c1^2"), gens)

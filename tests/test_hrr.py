@@ -396,7 +396,7 @@ class TestChernFunctional:
         values = data.draw(
             st.lists(rationals(1 << 40, 1 << 20), min_size=size, max_size=size)
         )
-        f = ChernFunctional(n, COT, coeffs)
+        f = ChernFunctional(n, COT, coeffs, 1)
         expected = sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
         assert f.dot(values) == expected
         assert type(f.dot(values)) is Fraction
@@ -422,13 +422,13 @@ class TestChernFunctional:
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            ChernFunctional(2, COT, (0.5, 1))
+            ChernFunctional(2, COT, (0.5, 1), 1)
         with pytest.raises(TypeError):
             chi_p(2, 0).scaled(0.5)
 
     @pytest.mark.parametrize("n", range(9))
     def test_poly_json_dict_matches_the_polynomial(self, n):
         rows = chi_table(n).rows
-        zero = ChernFunctional(n, COT, (0,) * len(weight_basis(n)))
+        zero = ChernFunctional(n, COT, (0,) * len(weight_basis(n)), 1)
         for f in (*rows, *(row.flipped() for row in rows), zero):
             assert f.poly_json_dict() == GradedPoly(n, f.terms()).to_json_dict()

@@ -1,6 +1,8 @@
 import ast
+import math
 import pathlib
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,14 +17,18 @@ from chigenus.poly import (
     InvalidPartition,
     ParseError,
     as_rational,
+    lowest_terms,
     mono_key,
+    mono_text,
     mono_weight,
     parse_decimal,
     partitions_of,
+    rational_parts,
+    rational_text,
     weight_basis,
 )
 
-from conftest import graded_polys, poly_pairs, poly_triples
+from conftest import graded_polys, poly_pairs, poly_triples, rationals
 from oracles import GradedPoly
 
 
@@ -403,7 +409,7 @@ class TestTopWeightParser:
     def test_terms_are_the_nonzero_coefficients(self):
         f = ChernFunctional.from_text(3, BasisConvention.COTANGENT, "1/24*c1*c2 - c3")
         assert f.terms() == {(0, 0, 1): Fraction(-1), (1, 1, 0): Fraction(1, 24)}
-        assert ChernFunctional(2, BasisConvention.COTANGENT, (0, 0)).terms() == {}
+        assert ChernFunctional(2, BasisConvention.COTANGENT, (0, 0), 1).terms() == {}
 
 
 class TestOneRepresentation:
@@ -447,3 +453,164 @@ class TestOneRepresentation:
         for name in self.GONE:
             with pytest.raises(AttributeError):
                 getattr(chigenus, name)
+
+
+COT, TAN = BasisConvention.COTANGENT, BasisConvention.TANGENT
+
+
+@st.composite
+def fraction_rows(draw, max_dim: int = 7):
+    """(n, convention, the coefficients as Fractions) of a random weight-n row."""
+    n = draw(st.integers(0, max_dim), label="n")
+    size = len(weight_basis(n))
+    coeffs = draw(st.lists(rationals(10**6, 10**4), min_size=size, max_size=size))
+    return n, draw(st.sampled_from([COT, TAN])), tuple(coeffs)
+
+
+def fraction_text(n, coeffs):
+    """The canonical text of a row, written from the Fractions alone."""
+    pieces = []
+    for mono, c in zip(weight_basis(n), coeffs):
+        if c:
+            body = mono_text(mono)
+            chunk = f"{abs(c)}*{body}" if body else str(abs(c))
+            sign = ("" if c > 0 else "-") if not pieces else ("+ " if c > 0 else "- ")
+            pieces.append(sign + chunk)
+    return " ".join(pieces) or "0"
+
+
+class TestIntegerRow:
+    """A `ChernFunctional` is integer numerators over one positive
+    denominator, in lowest terms.  Every operation is checked against the
+    `Fraction` arithmetic of the same coefficients, and the text and JSON
+    against what `str(Fraction)` writes."""
+
+    @given(fraction_rows())
+    def test_lowest_terms_with_a_positive_denominator(self, row):
+        n, convention, coeffs = row
+        f = ChernFunctional(n, convention, coeffs, 1)
+        assert all(type(c) is int for c in (*f.numerators, f.denominator))
+        assert f.denominator > 0
+        assert math.gcd(f.denominator, *f.numerators) == 1
+        assert f.denominator == math.lcm(*(c.denominator for c in coeffs))
+
+    @given(fraction_rows(), st.integers(1, 10**6))
+    def test_every_construction_of_one_row_is_one_value(self, row, multiple):
+        n, convention, coeffs = row
+        common = math.lcm(*(c.denominator for c in coeffs))
+        integers = [int(c * common) * multiple for c in coeffs]
+        text = fraction_text(n, coeffs)
+        rows = [
+            ChernFunctional(n, convention, coeffs, 1),
+            ChernFunctional(n, convention, [str(c) for c in coeffs], 1),
+            ChernFunctional(n, convention, integers, common * multiple),
+            ChernFunctional(n, convention, [c * multiple for c in coeffs], multiple),
+            ChernFunctional.from_text(n, convention, text),
+            ChernFunctional.from_values(n, convention, dict(zip(weight_basis(n), coeffs))),
+        ]
+        first = rows[0]
+        for other in rows[1:]:
+            assert (other.numerators, other.denominator) == (first.numerators, first.denominator)
+            assert other == first and hash(other) == hash(first)
+
+    @given(fraction_rows(), rationals(10**3, 10**3))
+    def test_operations_match_fraction_arithmetic(self, row, factor):
+        n, convention, coeffs = row
+        f = ChernFunctional(n, convention, coeffs, 1)
+        sign = (-1) ** n
+        assert f.coeffs == coeffs
+        assert all(type(c) is Fraction for c in f.coeffs)
+        assert f.scaled(factor).coeffs == tuple(c * factor for c in coeffs)
+        assert f.scaled(str(factor)) == f.scaled(factor)
+        assert f.flipped().coeffs == tuple(sign * c for c in coeffs)
+        assert f.flipped().convention is convention.other()
+        assert f.in_convention(convention.other()) == f.flipped()
+        assert f.in_convention(convention) is f
+        assert f.terms() == {m: c for m, c in zip(weight_basis(n), coeffs) if c}
+
+    @given(fraction_rows(), st.data())
+    def test_dot_matches_the_fraction_sum(self, row, data):
+        n, convention, coeffs = row
+        size = len(coeffs)
+        values = data.draw(st.lists(rationals(10**9, 10**5), min_size=size, max_size=size))
+        expected = sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
+        assert ChernFunctional(n, convention, coeffs, 1).dot(values) == expected
+
+    @given(fraction_rows())
+    def test_clear_denominators_is_the_least_integral_multiple(self, row):
+        n, convention, coeffs = row
+        cleared, scale = ChernFunctional(n, convention, coeffs, 1).clear_denominators()
+        assert scale == math.lcm(*(c.denominator for c in coeffs))
+        assert cleared.coeffs == tuple(c * scale for c in coeffs)
+        assert cleared.denominator == 1
+
+    @given(fraction_rows())
+    def test_text_and_json_are_what_fraction_writes(self, row):
+        n, convention, coeffs = row
+        f = ChernFunctional(n, convention, coeffs, 1)
+        assert f.to_text() == str(f) == fraction_text(n, coeffs)
+        assert f.poly_json_dict() == {
+            "dim": n,
+            "terms": [
+                {"exps": list(m), "num": str(c.numerator), "den": str(c.denominator)}
+                for m, c in zip(weight_basis(n), coeffs)
+                if c
+            ],
+        }
+
+    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+    def test_rational_text_is_str_of_the_fraction(self, num, den):
+        assert rational_text(num, den) == str(Fraction(num, den))
+        assert rational_parts(rational_text(num, den)) == rational_parts(Fraction(num, den))
+
+    def test_parse_edges(self):
+        assert rational_parts("00012/0004") == (3, 1)
+        assert rational_parts("-0") == (0, 1)
+        assert rational_parts("-6/4") == (-3, 2)
+        assert ChernFunctional.from_text(1, COT, "00012/0004*c1").numerators == (3,)
+        assert ChernFunctional.from_text(1, COT, "-0*c1") == ChernFunctional(1, COT, (0,), 1)
+        long_part = "1" * (sys.get_int_max_str_digits() + 1)
+        for bad in ("1/0", "-0/0", long_part, f"1/{long_part}", f"{long_part}/3"):
+            with pytest.raises(ParseError):
+                rational_parts(bad)
+            with pytest.raises(ParseError):
+                ChernFunctional.from_text(1, COT, f"{bad}*c1")
+
+    @pytest.mark.parametrize("den", [0, -2, True, 1.0, "2", Fraction(2)])
+    def test_the_denominator_is_a_positive_int(self, den):
+        with pytest.raises(ValueError):
+            lowest_terms((1,), den)
+        with pytest.raises(ValueError):
+            ChernFunctional(1, COT, (1,), den)
+
+    @pytest.mark.parametrize("numerator", [0.5, True, None, "1.5", "1_0"])
+    def test_numerators_are_exact(self, numerator):
+        with pytest.raises((TypeError, ParseError)):
+            ChernFunctional(1, COT, (numerator,), 1)
+
+
+class TestFractionsAtTheBoundary:
+    """Only `varieties`, whose chi values and Euler numbers are Fractions,
+    imports `fractions` when it loads; every other module imports it inside
+    the functions that hand a Fraction to a caller."""
+
+    SOURCES = sorted(pathlib.Path(chigenus.__file__).parent.glob("*.py"))
+
+    @staticmethod
+    def loads_fractions(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "fractions" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "fractions"
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            return any(TestFractionsAtTheBoundary.loads_fractions(n) for n in node.orelse)
+        if isinstance(node, (ast.If, ast.Try)):
+            body = node.body + node.orelse + getattr(node, "finalbody", [])
+            return any(TestFractionsAtTheBoundary.loads_fractions(n) for n in body)
+        return False
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+    def test_module_level_imports(self, path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loads = any(self.loads_fractions(node) for node in tree.body)
+        assert loads == (path.name == "varieties.py"), path.name

@@ -254,7 +254,7 @@ class TestFlipped:
             for a in partitions_of(n):
                 f = schur(a, n)
                 assert f.flipped() == ChernFunctional(
-                    n, BasisConvention.TANGENT, f.scaled((-1) ** n).coeffs
+                    n, BasisConvention.TANGENT, f.scaled((-1) ** n).coeffs, 1
                 )
                 assert f.flipped().flipped() == f
 

@@ -524,7 +524,7 @@ class TestChernNumbersAreAFunctional:
 
     def test_complete_over_basis(self):
         with pytest.raises(ValueError):
-            ChernFunctional(2, COT, (Fraction(1),))
+            ChernFunctional(2, COT, (Fraction(1),), 1)
 
     def test_from_values_fills_zeros(self):
         numbers = ChernFunctional.from_values(2, COT, {(2, 0): 5})
@@ -540,7 +540,7 @@ class TestChernNumbersAreAFunctional:
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_in_convention_round_trip(self, n):
-        row = ChernFunctional(n, TAN, tuple(range(1, len(weight_basis(n)) + 1)))
+        row = ChernFunctional(n, TAN, tuple(range(1, len(weight_basis(n)) + 1)), 1)
         assert row.in_convention(TAN) is row
         other = row.in_convention(COT)
         assert other == row.flipped()
@@ -565,10 +565,10 @@ class TestChernNumbersAreAFunctional:
 # Every value class and its fields, in constructor order, as they were when
 # the classes were frozen dataclasses.
 RECORD_FIELDS = {
-    ChernFunctional: ("dimension", "convention", "coeffs"),
+    ChernFunctional: ("dimension", "convention", "numerators", "denominator"),
     ChiTable: ("dimension", "convention", "rows"),
     GeneratorSet: ("dimension", "convention", "generators"),
-    Certificate: ("target", "generator_names", "coefficients"),
+    Certificate: ("target", "generator_names", "numerators", "denominator"),
     Infeasibility: ("witness",),
     ChiSignRow: ("p", "sign", "scale", "target", "result", "status"),
     ChiSignReport: ("dimension", "mode", "assumptions", "convention", "rows"),
@@ -589,7 +589,7 @@ def record_samples():
     product = Product(Curve(2), ProjectiveSpace(1))
     audit = check_signs(product, "nef_cotangent")
     return [
-        ChernFunctional(2, COT, (1, Fraction(-1, 2))),
+        ChernFunctional(2, COT, (1, Fraction(-1, 2)), 1),
         chi_table(2),
         generators(2),
         report,
@@ -679,8 +679,8 @@ class TestRecord:
         with pytest.raises(ValueError):
             Curve(genus=-1)
         with pytest.raises(ValueError):
-            ChernFunctional(2, COT, (1,))
-        functional = ChernFunctional(2, "cotangent", [1, "1/2"])
+            ChernFunctional(2, COT, (1,), 1)
+        functional = ChernFunctional(2, "cotangent", [1, "1/2"], 1)
         assert functional.convention is COT
         assert functional.coeffs == (Fraction(1), Fraction(1, 2))
 
