@@ -309,11 +309,9 @@ def verify_certificate(
     functionals = gens.functionals()
     scale = math.lcm(*(f.denominator for f in functionals))
     used = [(c * scale // f.denominator, f) for c, f in zip(cert.numerators, functionals) if c]
-    target = cert.target
-    for i, t in enumerate(target.numerators):
-        if sum(c * f.numerators[i] for c, f in used) * target.denominator != (
-            t * cert.denominator * scale
-        ):
+    left, right = cert.target.denominator, cert.denominator * scale
+    for i, t in enumerate(cert.target.numerators):
+        if sum(c * f.numerators[i] for c, f in used) * left != t * right:
             return fail("combination does not reproduce the target")
     return True
 

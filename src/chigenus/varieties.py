@@ -74,7 +74,7 @@ class VarietyDescriptor(ABC):
     def dimension(self) -> int: ...
 
     @abstractmethod
-    def _tangent_values(self) -> dict[Monomial, Fraction]:
+    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
         """Chern numbers of the tangent bundle over the top monomial basis."""
 
     @abstractmethod
@@ -117,7 +117,7 @@ class ProjectiveSpace(_Recipe):
     def dimension(self) -> int:
         return self.n
 
-    def _tangent_values(self) -> dict[Monomial, Fraction]:
+    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
         # P^n is a hyperplane in P^{n+1}
         return Hypersurface(1, self.n + 1)._tangent_values()
 
@@ -130,8 +130,8 @@ class Curve(_Recipe):
     def dimension(self) -> int:
         return 1
 
-    def _tangent_values(self) -> dict[Monomial, Fraction]:
-        return {(1,): Fraction(2 - 2 * self.genus)}
+    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
+        return {(1,): 2 - 2 * self.genus}
 
 
 class Surface(_Recipe):
@@ -146,8 +146,8 @@ class Surface(_Recipe):
     def dimension(self) -> int:
         return 2
 
-    def _tangent_values(self) -> dict[Monomial, Fraction]:
-        return {(2, 0): as_rational(self.c1sq), (0, 1): as_rational(self.c2)}
+    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
+        return {(2, 0): self.c1sq, (0, 1): self.c2}
 
 
 class Hypersurface(_Recipe):
@@ -162,7 +162,7 @@ class Hypersurface(_Recipe):
     def dimension(self) -> int:
         return self.ambient - 1
 
-    def _tangent_values(self) -> dict[Monomial, Fraction]:
+    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
         n = self.dimension
         d = self.degree
         # c(T) = (1+h)^{n+2} (1+dh)^{-1} = sum_k series[k] h^k truncated at
@@ -171,7 +171,7 @@ class Hypersurface(_Recipe):
             sum(comb(n + 2, i) * (-d) ** (k - i) for i in range(k + 1)) for k in range(n + 1)
         ]
         return {
-            mono: Fraction(d * prod(series[i] ** e for i, e in enumerate(mono, 1)))
+            mono: d * prod(series[i] ** e for i, e in enumerate(mono, 1))
             for mono in weight_basis(n)
         }
 
@@ -184,7 +184,7 @@ class AbelianVariety(_Recipe):
     def dimension(self) -> int:
         return self.n
 
-    def _tangent_values(self) -> dict[Monomial, Fraction]:
+    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
         return {}  # trivial tangent bundle
 
 
@@ -196,7 +196,7 @@ class Product(VarietyDescriptor, Record):
     def dimension(self) -> int:
         return self.left.dimension + self.right.dimension
 
-    def _tangent_values(self) -> dict[Monomial, Fraction]:
+    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
         # Whitney: c_k(X x Y) = sum_{i+j=k} c_i(X) c_j(Y), so a Chern number
         # c_{k_1}...c_{k_r}[X x Y] is the sum, over the splits k_s = i_s + j_s
         # with sum_s i_s = dim X, of c_{i_1}...c_{i_r}[X] * c_{j_1}...c_{j_r}[Y]
@@ -204,10 +204,10 @@ class Product(VarietyDescriptor, Record):
         ny = self.right.dimension
         left_values = self.left._tangent_values()
         right_values = self.right._tangent_values()
-        values: dict[Monomial, Fraction] = {}
+        values: dict[Monomial, int | Fraction] = {}
         for mono in weight_basis(nx + ny):
             classes = [k for k, e in enumerate(mono, 1) for _ in range(e)]
-            number = Fraction(0)
+            number = 0
             for split in itertools.product(
                 *(range(max(0, k - ny), min(k, nx) + 1) for k in classes)
             ):
@@ -270,7 +270,7 @@ class Explicit(VarietyDescriptor):
     def convention(self) -> BasisConvention:
         return self._convention
 
-    def _tangent_values(self) -> dict[Monomial, Fraction]:
+    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
         return self._numbers.in_convention(BasisConvention.TANGENT).terms()
 
     def name(self) -> str:
@@ -335,7 +335,8 @@ def evaluate(f: ChernFunctional, v: VarietyDescriptor | ChernFunctional) -> Frac
         raise DimensionMismatch(
             f"functional dimension {f.dimension} != variety {numbers.dimension}"
         )
-    return f.dot(numbers.in_convention(f.convention).coeffs)
+    numbers = numbers.in_convention(f.convention)
+    return f.dot(numbers.numerators) / numbers.denominator
 
 
 def number_text(value: Fraction) -> str:
@@ -347,8 +348,9 @@ def chi_values(v: VarietyDescriptor | ChernFunctional) -> tuple[Fraction, ...]:
     """The evaluated chi^p table (chi^0, ..., chi^n) of a descriptor or of
     its Chern numbers."""
     numbers = v if isinstance(v, ChernFunctional) else chern_numbers(v, BasisConvention.COTANGENT)
-    values = numbers.in_convention(BasisConvention.COTANGENT).coeffs
-    return tuple(row.dot(values) for row in chi_table(numbers.dimension).rows)
+    numbers = numbers.in_convention(BasisConvention.COTANGENT)
+    rows = chi_table(numbers.dimension).rows
+    return tuple(row.dot(numbers.numerators) / numbers.denominator for row in rows)
 
 
 class SignAuditRow(Record):
