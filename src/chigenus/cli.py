@@ -256,16 +256,17 @@ def _cmd_certify(args) -> int:
             payload["infeasibility"] = result.to_json_dict()
         _emit_json("certify", n, convention.value, payload)
     else:
-        print(f"certify (dim {n}, {convention.value})")
-        print(f"target = {target.to_text()} (sign {sign}, scale {scale})")
+        # every number is written out before the first line is printed
+        lines = [f"certify (dim {n}, {convention.value})"]
+        lines.append(f"target = {target.to_text()} (sign {sign}, scale {scale})")
         if certified:
-            print("status = certified")
+            lines.append("status = certified")
             for term in result.to_json_dict()["terms"]:  # the coefficients as JSON writes them
-                print(f"  {term['coef']} * {term['gen']}")
-            print("residual = 0")  # no residual; the line keeps the format
+                lines.append(f"  {term['coef']} * {term['gen']}")
+            lines.append("residual = 0")  # no residual; the line keeps the format
         else:
-            print("status = infeasible")
-            print(f"witness = {result.witness.to_text()}")
+            lines += ["status = infeasible", f"witness = {result.witness.to_text()}"]
+        print("\n".join(lines))
     return EXIT_OK if certified else EXIT_NEGATIVE
 
 
@@ -310,10 +311,8 @@ def _cmd_check(args) -> int:
         payload = {"audits": [a.to_json_dict() for a in audits], "pass": passed}
         dim = audits[0].dimension if len(audits) == 1 else 0
         _emit_json("check", dim, "cotangent", payload)
-    else:
-        for audit in audits:
-            for line in _audit_text(audit):
-                print(line)
+    else:  # every audit is written out before the first line is printed
+        print("\n".join(line for audit in audits for line in _audit_text(audit)))
     return EXIT_OK if passed else EXIT_NEGATIVE
 
 

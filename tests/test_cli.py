@@ -475,7 +475,8 @@ class TestComputedNumbersPastTheDigitLimit:
     """A value the program computes may have more digits than the
     interpreter converts to text (`sys.set_int_max_str_digits`), although no
     input number does: two curves whose c_1 has 2 500 or 3 000 digits have a
-    product with twice as many.  Every number is printed through
+    product with twice as many, and two 4 000-digit denominators a sum with
+    a denominator of 8 000.  Every number is printed through
     `poly.rational_text`, so such a value is this program's one-line error
     and exit 2, and nothing is printed before it."""
 
@@ -505,6 +506,26 @@ class TestComputedNumbersPastTheDigitLimit:
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(json.dumps(line) + "\n")
         assert run_cli(capsys, "check", str(corpus), *json_flag) == (2, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_a_later_corpus_entry(self, capsys, tmp_path, json_flag):
+        curve = {"type": "explicit", "n": 1, "values": {"c1": "9" * 3000}}
+        lines = [
+            {"name": "P1", "descriptor": {"type": "pn", "n": 1}},
+            {"name": "EE", "descriptor": {"type": "product", "left": curve, "right": curve}},
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert run_cli(capsys, "check", str(corpus), *json_flag) == (2, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_certificate_coefficient(self, capsys, json_flag):
+        # x c1^2 + y c2 = x P_(1,1) + (x + y) P_(2,0), and x + y = 1/a + 1/b
+        # has a denominator of twice the digits of a and b
+        a, b = "9" * 4000, "8" * 4000 + "1"
+        target = f"1/{a}*c1^2 + 1/{b}*c2"
+        argv = ("certify", "--dim", "2", "--target", target, *json_flag)
+        assert run_cli(capsys, *argv) == (2, "", self.MESSAGE)
 
     def test_a_long_input_with_small_values_prints(self, capsys):
         # a genus-1 curve has c_1 = 0, so every Chern number of its product
