@@ -28,7 +28,10 @@ SCHUR_JSON_SHA256 = json.loads((GOLDEN / "schur_json_sha256.json").read_text())
 # exit code and SHA-256 of stdout and stderr of the outputs the two files
 # above and the benchmark do not see (text tables, certify reports, inline
 # targets and their refusals, variety eval), recorded before the functionals
-# were parsed, printed and built without the truncated polynomial ring
+# were parsed, printed and built without the truncated polynomial ring; the
+# `check` lines and the larger products were recorded before products were
+# evaluated by convolving their factors' chi_y coefficients.  Corpus paths
+# are relative to the repository root.
 OUTPUT_SHA256 = json.loads((GOLDEN / "outputs_sha256.json").read_text())
 
 
@@ -817,7 +820,8 @@ class TestConfigFile:
 
 class TestPinnedOutputs:
     @pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
-    def test_output_byte_identical(self, capsys, command):
+    def test_output_byte_identical(self, capsys, monkeypatch, command):
+        monkeypatch.chdir(GOLDEN.parent.parent)
         code, out, err = run_cli(capsys, *command.split())
         digests = {
             "exit": code,
