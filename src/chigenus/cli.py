@@ -274,14 +274,12 @@ def _cmd_certify(args) -> int:
 
 
 def _audit_text(audit: SignAudit) -> list[str]:
-    from .varieties import number_text
-
+    data = audit.to_json_dict()  # the numbers as JSON writes them
     lines = [f"sign audit: {audit.variety} (dim {audit.dimension}, mode {audit.mode})"]
-    for row in audit.rows:
-        verdict = "ok" if row.ok else "FAIL"
-        chi, signed = number_text(row.value), number_text(row.signed_value)
-        lines.append(f"p={row.p} chi={chi} signed={signed} {verdict}")
-    lines.append(f"euler = {number_text(audit.euler)}")
+    for row in data["rows"]:
+        verdict = "ok" if row["ok"] else "FAIL"
+        lines.append(f"p={row['p']} chi={row['chi']} signed={row['signed']} {verdict}")
+    lines.append(f"euler = {data['euler']}")
     lines.append(f"verdict: {'pass' if audit.passed else 'fail'}")
     return lines
 
@@ -320,26 +318,22 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_variety_eval(args) -> int:
-    from .hrr import euler_functional
-    from .symchern import BasisConvention
-    from .varieties import chern_numbers, chi_values, descriptor_from_token, evaluate, number_text
+    from .poly import rational_text
+    from .varieties import descriptor_from_token
 
     descriptor = descriptor_from_token(args.descriptor)
     n = _within_limit(args.max_dim, descriptor)
-    numbers = chern_numbers(descriptor, BasisConvention.COTANGENT)
-    values = chi_values(numbers)
-    euler = evaluate(euler_functional(n), numbers)
+    numerators, den = descriptor._chi_y()
+    euler = sum(numerators[0::2]) - sum(numerators[1::2])  # sum_p (-1)^p chi^p
     if args.target is not None:
         if args.target.startswith("chi:"):
             p = _parse_chi_target(args.target, n)
-            value = values[p]
-            label = f"chi^{p}"
+            value, label = numerators[p], f"chi^{p}"
         elif args.target == "euler":
-            value = euler
-            label = "euler"
+            value, label = euler, "euler"
         else:
             raise ValueError(f"unknown eval target {args.target!r}")
-        value = number_text(value)
+        value = rational_text(value, den)
         if args.json:
             payload = {
                 "descriptor": descriptor.to_json_dict(),
@@ -351,8 +345,8 @@ def _cmd_variety_eval(args) -> int:
             print(f"{label} = {value}")
         return EXIT_OK
     # every number is written out before the first line is printed
-    values = [number_text(v) for v in values]
-    euler = number_text(euler)
+    values = [rational_text(c, den) for c in numerators]
+    euler = rational_text(euler, den)
     if args.json:
         payload = {
             "chi": values,

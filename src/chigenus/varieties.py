@@ -8,11 +8,13 @@ total-Chern-class computation:
 * surface:                   c_1^2 and c_2 given directly
 * degree-d hypersurface:     c(T) = (1 + h)^{n+2} / (1 + d h),  int h^n = d
 * abelian variety:           trivial tangent bundle, all numbers zero
-* product X x Y:             Whitney sum / Kuenneth pairing of factors
+* product X x Y:             Whitney sum of factors (`chern_numbers` only)
 * explicit:                  raw numbers supplied by the caller
 
-Chern numbers pair with the chi^p functionals by an exact dot product;
-sign audits evaluate the signed values (-1)^{n-p} chi^p or (-1)^p chi^p
+A leaf's chi^p values pair `chi_table(n)` with its Chern numbers; chi_y is
+multiplicative (Hirzebruch, Topological Methods, 15.5), so a product
+convolves its factors' values.  The Euler number is sum_p (-1)^p chi^p.
+Sign audits evaluate the signed values (-1)^{n-p} chi^p or (-1)^p chi^p
 (`hrr.chi_sign`) and report per-p pass/fail.  Nefness (or asphericity) of
 the relevant bundle is an assertion made by the caller, never checked here.
 """
@@ -23,26 +25,30 @@ import itertools
 import json
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cached_property
-from math import comb, prod
-from typing import Mapping
+from math import comb, lcm, prod
+from operator import mul
+from typing import TYPE_CHECKING, Mapping
 
-from .hrr import ChernFunctional, chi_sign, chi_table, euler_functional
+from .hrr import ChernFunctional, chi_sign, chi_table
 from .poly import (
     DimensionMismatch,
     Monomial,
     RationalLike,
     Record,
-    as_rational,
+    lowest_terms,
     mono_text,
     mono_weight,
     parse_decimal,
     parse_terms,
+    rational_parts,
     rational_text,
     weight_basis,
 )
 from .symchern import BasisConvention
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "VarietyDescriptor",
@@ -63,7 +69,6 @@ __all__ = [
     "descriptor_from_token",
     "CorpusEntry",
     "load_corpus",
-    "number_text",
 ]
 
 class VarietyDescriptor(ABC):
@@ -76,6 +81,11 @@ class VarietyDescriptor(ABC):
     @abstractmethod
     def _tangent_values(self) -> dict[Monomial, int | Fraction]:
         """Chern numbers of the tangent bundle over the top monomial basis."""
+
+    def _chi_y(self) -> tuple[tuple[int, ...], int]:
+        """chi^0..chi^n as int numerators over one positive denominator, in
+        lowest terms."""
+        return _paired(chern_numbers(self, BasisConvention.COTANGENT))
 
     @abstractmethod
     def name(self) -> str: ...
@@ -223,6 +233,15 @@ class Product(VarietyDescriptor, Record):
             values[mono] = number
         return values
 
+    def _chi_y(self) -> tuple[tuple[int, ...], int]:
+        # chi_y(X x Y) = chi_y(X) chi_y(Y): convolve the coefficients
+        (left, left_den), (right, right_den) = self.left._chi_y(), self.right._chi_y()
+        values = [0] * (len(left) + len(right) - 1)
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                values[i + j] += a * b
+        return lowest_terms(values, left_den * right_den)
+
     def name(self) -> str:
         return f"product({self.left.name()},{self.right.name()})"
 
@@ -249,12 +268,13 @@ class Explicit(VarietyDescriptor):
             raise TypeError(f"Chern numbers must be a mapping: {values!r}")
         self._n = n
         self._convention = BasisConvention(convention)
-        self._values: dict[Monomial, Fraction] = {}
+        self._values: dict[Monomial, RationalLike] = {}
         for key, value in values.items():
             mono = _monomial_key(key, n)
             if mono in self._values:
                 raise ValueError(f"two keys name the monomial {mono_text(mono) or '1'}: {key!r}")
-            self._values[mono] = as_rational(value)
+            rational_parts(value)  # refuses a float or a malformed literal now
+            self._values[mono] = value
 
     @cached_property
     def _numbers(self) -> ChernFunctional:
@@ -273,15 +293,20 @@ class Explicit(VarietyDescriptor):
     def _tangent_values(self) -> dict[Monomial, int | Fraction]:
         return self._numbers.in_convention(BasisConvention.TANGENT).terms()
 
+    def _chi_y(self) -> tuple[tuple[int, ...], int]:
+        return _paired(self._numbers)
+
     def name(self) -> str:
         return f"explicit:{self._n}"
 
     def to_json_dict(self) -> dict:
+        den = self._numbers.denominator
+        values = zip(weight_basis(self._n), self._numbers.numerators)
         return {
             "convention": self._convention.value,
             "n": self._n,
             "type": "explicit",
-            "values": {(mono_text(m) or "1"): str(v) for m, v in self._numbers.terms().items()},
+            "values": {(mono_text(m) or "1"): rational_text(c, den) for m, c in values if c},
         }
 
     def __eq__(self, other: object) -> bool:
@@ -339,25 +364,39 @@ def evaluate(f: ChernFunctional, v: VarietyDescriptor | ChernFunctional) -> Frac
     return f.dot(numbers.numerators) / numbers.denominator
 
 
-def number_text(value: Fraction) -> str:
-    """A chi value or an Euler number as `poly.rational_text` writes it."""
-    return rational_text(value.numerator, value.denominator)
+def _paired(numbers: ChernFunctional) -> tuple[tuple[int, ...], int]:
+    """`chi_table(n)` paired with Chern numbers, in the form of `_chi_y`."""
+    numbers = numbers.in_convention(BasisConvention.COTANGENT)
+    rows = chi_table(numbers.dimension).rows
+    den = lcm(*(r.denominator for r in rows))
+    dots = [sum(map(mul, r.numerators, numbers.numerators)) * (den // r.denominator) for r in rows]
+    return lowest_terms(dots, den * numbers.denominator)
 
 
 def chi_values(v: VarietyDescriptor | ChernFunctional) -> tuple[Fraction, ...]:
     """The evaluated chi^p table (chi^0, ..., chi^n) of a descriptor or of
     its Chern numbers."""
-    numbers = v if isinstance(v, ChernFunctional) else chern_numbers(v, BasisConvention.COTANGENT)
-    numbers = numbers.in_convention(BasisConvention.COTANGENT)
-    rows = chi_table(numbers.dimension).rows
-    return tuple(row.dot(numbers.numerators) / numbers.denominator for row in rows)
+    from fractions import Fraction
+
+    numerators, den = _paired(v) if isinstance(v, ChernFunctional) else v._chi_y()
+    return tuple(Fraction(c, den) for c in numerators)
 
 
 class SignAuditRow(Record):
     p: int
-    value: Fraction
+    numerator: int
+    denominator: int
     sign: int
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.sign * self.numerator >= 0
+
+    @property
+    def value(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.numerator, self.denominator)
 
     @property
     def signed_value(self) -> Fraction:
@@ -365,11 +404,11 @@ class SignAuditRow(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "chi": number_text(self.value),
+            "chi": rational_text(self.numerator, self.denominator),
             "ok": self.ok,
             "p": self.p,
             "sign": self.sign,
-            "signed": number_text(self.signed_value),
+            "signed": rational_text(self.sign * self.numerator, self.denominator),
         }
 
 
@@ -378,7 +417,14 @@ class SignAudit(Record):
     dimension: int
     mode: str
     rows: tuple[SignAuditRow, ...]
-    euler: Fraction
+    euler_numerator: int
+    euler_denominator: int
+
+    @property
+    def euler(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.euler_numerator, self.euler_denominator)
 
     @property
     def passed(self) -> bool:
@@ -387,7 +433,7 @@ class SignAudit(Record):
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dimension,
-            "euler": number_text(self.euler),
+            "euler": rational_text(self.euler_numerator, self.euler_denominator),
             "mode": self.mode,
             "pass": self.passed,
             "rows": [row.to_json_dict() for row in self.rows],
@@ -404,16 +450,13 @@ def check_signs(v: VarietyDescriptor, mode: str) -> SignAudit:
     """
     n = v.dimension
     signs = [chi_sign(n, p, mode) for p in range(n + 1)]
-    numbers = chern_numbers(v, BasisConvention.COTANGENT)
-    values = chi_values(numbers)
-    rows = [
-        SignAuditRow(p=p, value=value, sign=sign, ok=value * sign >= 0)
-        for p, (value, sign) in enumerate(zip(values, signs))
-    ]
-    euler = evaluate(euler_functional(n), numbers)
-    return SignAudit(
-        variety=v.name(), dimension=n, mode=mode, rows=tuple(rows), euler=euler
-    )
+    numerators, den = v._chi_y()
+    rows = []
+    for p, (c, sign) in enumerate(zip(numerators, signs)):
+        (c,), d = lowest_terms((c,), den)
+        rows.append(SignAuditRow(p, c, d, sign))
+    (euler,), euler_den = lowest_terms((sum(numerators[0::2]) - sum(numerators[1::2]),), den)
+    return SignAudit(v.name(), n, mode, tuple(rows), euler, euler_den)
 
 
 # -- descriptor (de)serialization -------------------------------------------

@@ -578,10 +578,11 @@ class TestVarietyCommand:
             assert out == ""
             assert err == f"error: bad chi target {target!r}\n"
 
-    def test_eval_computes_chern_numbers_once(self, capsys, monkeypatch):
-        # the command imports chern_numbers from its home module when it runs
+    def test_eval_computes_chern_numbers_of_the_leaves_only(self, capsys, monkeypatch):
+        # a product's chi values convolve its factors'; the command never
+        # computes a Chern number of a product
         import chigenus.varieties as varieties
-        from chigenus.varieties import chern_numbers
+        from chigenus.varieties import Product, chern_numbers
 
         calls = []
 
@@ -589,10 +590,14 @@ class TestVarietyCommand:
             calls.append(v.name())
             return chern_numbers(v, convention)
 
+        def whitney(self):
+            raise AssertionError("a product's Chern numbers were computed")
+
         monkeypatch.setattr(varieties, "chern_numbers", counting)
+        monkeypatch.setattr(Product, "_tangent_values", whitney)
         code, out, _ = run_cli(capsys, "variety", "eval", "product(pn:1,product(curve:2,pn:2))")
         assert code == 0
-        assert calls == ["product(pn:1,product(curve:2,pn:2))"]
+        assert calls == ["pn:1", "curve:2", "pn:2"]
         assert out.splitlines()[-1] == "euler = -12"
 
 
@@ -892,8 +897,9 @@ class TestStartup:
     ]
 
     @staticmethod
-    def modules_after(argv):
-        """The chigenus modules a command line loads, and every module it adds."""
+    def modules_after(argv, after=""):
+        """The chigenus modules a command line, then the statement `after`,
+        load, and every module they add."""
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -903,11 +909,16 @@ class TestStartup:
             "    runpy.run_module('chigenus', run_name='__main__', alter_sys=True)\n"
             "except SystemExit:\n"
             "    pass\n"
+            f"{after}\n"
             "print(sorted(m for m in sys.modules if m.startswith('chigenus.')),\n"
             "      sorted(set(sys.modules) - before), sep='\\n', file=sys.stderr)\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            cwd=GOLDEN.parent.parent,  # corpus paths are relative to the repository root
         )
         loaded, added = map(ast.literal_eval, result.stderr.splitlines()[-2:])
         return set(loaded), set(added)
@@ -919,12 +930,13 @@ class TestStartup:
         assert not self.PARSER_MODULES & added, added
 
     # Rows are integers over one denominator from the chi_y series and the
-    # Kostka matrix through the simplex to the printed text, so the commands
-    # that build, solve and print rows never load `fractions` (and with it
-    # `decimal` and `numbers`).  `check` and `variety eval` evaluate Chern
-    # numbers as Fractions, which shows that the probe sees the modules.
+    # Kostka matrix through the simplex to the printed text, and chi values
+    # and Euler numbers are integers over one denominator from the leaves of
+    # a product up, so no command loads `fractions` (and with it `decimal`
+    # and `numbers`).  A library call that hands out Fractions loads them,
+    # which shows that the probe sees the modules.
     FRACTION_MODULES = {"fractions", "decimal", "numbers"}
-    ROW_COMMANDS = [
+    COMMANDS = [
         ("chi", "--dim", "4"),
         ("chi", "--dim", "3", "--convention", "tangent"),
         ("schur", "--dim", "4"),
@@ -934,17 +946,25 @@ class TestStartup:
         ("certify", "--dim", "2", "--target", "1/3*c1^2 - 2/7*c2", "--mode", "nef-tangent"),
         ("certify", "--dim", "4", "--all-p", "--assume", "my4"),
         ("certify", "--dim", "5", "--all-p", "--mode", "nef-tangent"),
+        ("check", "pn:3"),
+        ("check", "product(pn:2,product(curve:2,pn:2))", "--mode", "nef-tangent"),
+        ("check", "tests/data/products.jsonl"),  # products and explicit leaves
+        ("check", "surface", "--c1sq", "9", "--c2", "3"),
+        ("variety", "eval", "pn:2"),
+        ("variety", "eval", "product(pn:1,hypersurface:5:4)", "--target", "euler"),
     ]
-    ROW_ARGVS = [argv + flag for argv in ROW_COMMANDS for flag in ((), ("--json",))]
+    ARGVS = [argv + flag for argv in COMMANDS for flag in ((), ("--json",))]
 
-    @pytest.mark.parametrize("argv", ROW_ARGVS, ids=[" ".join(a) for a in ROW_ARGVS])
-    def test_row_commands_load_no_fractions(self, argv):
+    @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(a) for a in ARGVS])
+    def test_commands_load_no_fractions(self, argv):
         _, added = self.modules_after(argv)
         assert not self.FRACTION_MODULES & added, added
 
-    @pytest.mark.parametrize("argv", [("check", "pn:3"), ("variety", "eval", "pn:2", "--json")])
-    def test_evaluating_commands_may_load_fractions(self, argv):
-        _, added = self.modules_after(argv)
+    def test_a_library_call_loads_fractions(self):
+        # the positive control: after a command, `chi_values` hands its
+        # caller Fractions
+        after = "import chigenus; chigenus.chi_values(chigenus.descriptor_from_token('pn:2'))"
+        _, added = self.modules_after(("variety", "eval", "pn:2"), after)
         assert self.FRACTION_MODULES <= added, added
 
     def test_every_export_is_its_home_modules_object(self):

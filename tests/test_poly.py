@@ -590,15 +590,10 @@ class TestIntegerRow:
 
 
 class TestFractionsAtTheBoundary:
-    """No module but `varieties`, whose chi values and Euler numbers are
-    Fractions, imports `fractions` when it loads; the others import it
-    inside the functions that hand a Fraction to a caller."""
+    """No module imports `fractions` when it loads; each imports it inside
+    the functions that hand a Fraction to a caller."""
 
-    SOURCES = sorted(
-        path
-        for path in pathlib.Path(chigenus.__file__).parent.glob("*.py")
-        if path.name != "varieties.py"
-    )
+    SOURCES = sorted(pathlib.Path(chigenus.__file__).parent.glob("*.py"))
 
     @staticmethod
     def loads_fractions(node):

@@ -1,10 +1,13 @@
 import dataclasses
+import math
 import random
 import time
 from fractions import Fraction
 from math import comb, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chigenus.cone import (
     Certificate,
@@ -38,6 +41,7 @@ from chigenus.varieties import (
     load_corpus,
 )
 
+from conftest import rationals
 from oracles import (
     bigraded_tangent_values,
     partition_count,
@@ -167,6 +171,74 @@ class TestProductMatchesBigradedOracle:
             nonzero += any(expected.coeffs)
 
 
+@st.composite
+def leaves(draw, dim):
+    """A non-product descriptor of the given dimension, or an `Explicit`
+    one, in either convention, with random rationals given as Fractions,
+    'a/b' strings or ints."""
+    explicit = st.builds(
+        Explicit,
+        st.just(dim),
+        st.dictionaries(
+            st.sampled_from(weight_basis(dim)),
+            rationals().flatmap(lambda r: st.sampled_from([r, str(r)] + [int(r)] * (r == int(r)))),
+        ),
+        st.sampled_from([COT, TAN]),
+    )
+    recipes = [explicit]
+    if dim >= 1:
+        recipes += [
+            st.builds(ProjectiveSpace, st.just(dim)),
+            st.builds(AbelianVariety, st.just(dim)),
+            st.builds(Hypersurface, st.integers(1, 7), st.just(dim + 1)),
+        ]
+    if dim == 1:
+        recipes.append(st.builds(Curve, st.integers(0, 6)))
+    if dim == 2:
+        recipes.append(st.builds(Surface, st.integers(-8, 12), st.integers(-4, 30)))
+    return draw(st.one_of(recipes))
+
+
+@st.composite
+def nested_products(draw, dim, depth=3):
+    """A descriptor of the given dimension: a product nested at most
+    `depth` deep (a factor may be a point), or a leaf."""
+    if depth and draw(st.booleans()):
+        k = draw(st.integers(0, dim))
+        left = draw(nested_products(k, depth - 1))
+        return Product(left, draw(nested_products(dim - k, depth - 1)))
+    return draw(leaves(dim))
+
+
+class TestChiYOfProducts:
+    """chi_y is multiplicative, so a product's chi values are convolved
+    from its factors' values; they must equal the rows of `chi_table(n)`
+    paired with the product's Chern numbers (the Whitney split)."""
+
+    @staticmethod
+    def in_lowest_terms(num, den):
+        return den > 0 and math.gcd(num, den) == 1
+
+    @given(
+        st.integers(0, 10).flatmap(nested_products),
+        st.sampled_from(["nef_cotangent", "nef_tangent"]),
+    )
+    def test_convolution_matches_the_chern_numbers(self, variety, mode):
+        n = variety.dimension
+        numbers = chern_numbers(variety, COT)
+        expected = [row.dot(numbers.numerators) / numbers.denominator for row in chi_table(n).rows]
+        numerators, den = variety._chi_y()
+        assert den > 0 and math.gcd(den, *numerators) == 1
+        assert [Fraction(c, den) for c in numerators] == expected
+        assert list(chi_values(variety)) == expected
+        audit = check_signs(variety, mode)
+        assert [row.value for row in audit.rows] == expected
+        assert audit.euler == evaluate(euler_functional(n), numbers)
+        for row in audit.rows:
+            assert self.in_lowest_terms(row.numerator, row.denominator)
+        assert self.in_lowest_terms(audit.euler_numerator, audit.euler_denominator)
+
+
 class TestEvaluate:
     def test_todd_genus_of_p2(self):
         assert evaluate(chi_p(2, 0), ProjectiveSpace(2)) == 1
@@ -250,6 +322,8 @@ class TestTableProperties:
         assert alternating == evaluate(euler_functional(n), variety)
 
     def test_product_table_is_convolution(self):
+        # the product's values from its Chern numbers, not from chi_values,
+        # which convolves the factors' values itself
         cases = [
             (Curve(2), Curve(2)),
             (Curve(2), Curve(3)),
@@ -258,7 +332,7 @@ class TestTableProperties:
         ]
         for left, right in cases:
             lv, rv = chi_values(left), chi_values(right)
-            pv = chi_values(Product(left, right))
+            pv = chi_values(chern_numbers(Product(left, right), COT))
             for p in range(len(pv)):
                 expected = sum(
                     (
@@ -299,7 +373,12 @@ class TestProductsOfProjectiveSpaces:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_chi_values_are_the_product_of_the_factors(self, n):
+        # the dimension-n rows paired with the product's Chern numbers:
+        # chi_values(variety) would only multiply the factors' tables
+        rows = chi_table(n).rows
         for parts, variety in self.products(n):
+            numbers = chern_numbers(variety, COT)
+            values = [row.dot(numbers.numerators) / numbers.denominator for row in rows]
             expected = [1]  # coefficients in y, lowest power first
             for m in parts:
                 product = [0] * (len(expected) + m)
@@ -307,6 +386,7 @@ class TestProductsOfProjectiveSpaces:
                     for j in range(m + 1):
                         product[i + j] += a * (-1) ** j
                 expected = product
+            assert values == expected, parts
             assert list(chi_values(variety)) == expected, parts
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -351,20 +431,27 @@ class TestCheckSigns:
         with pytest.raises(ValueError):
             check_signs(Curve(2), "both")
 
-    def test_chern_numbers_computed_once(self, monkeypatch):
+    def test_products_never_compute_their_chern_numbers(self, monkeypatch):
         import chigenus.varieties as varieties
 
+        variety = descriptor_from_token("product(pn:2,product(curve:2,pn:2))")
+        expected = evaluate(euler_functional(5), variety)
         calls = []
+        whitney = Product._tangent_values
 
         def counting(v, convention=TAN):
-            calls.append(v)
+            calls.append(v.name())
             return chern_numbers(v, convention)
 
+        def counting_whitney(self):
+            calls.append(f"whitney {self.name()}")
+            return whitney(self)
+
         monkeypatch.setattr(varieties, "chern_numbers", counting)
-        variety = descriptor_from_token("product(pn:2,product(curve:2,pn:2))")
+        monkeypatch.setattr(Product, "_tangent_values", counting_whitney)
         audit = check_signs(variety, "nef_cotangent")
-        assert calls == [variety]
-        assert audit.euler == evaluate(euler_functional(5), variety)
+        assert calls == ["pn:2", "curve:2", "pn:2"]
+        assert audit.euler == expected
 
 
 class TestDescriptorSerialization:
@@ -563,7 +650,8 @@ class TestChernNumbersAreAFunctional:
 
 
 # Every value class and its fields, in constructor order, as they were when
-# the classes were frozen dataclasses.
+# the classes were frozen dataclasses; the sign audits have since held their
+# numbers as int numerators over a positive denominator.
 RECORD_FIELDS = {
     ChernFunctional: ("dimension", "convention", "numerators", "denominator"),
     ChiTable: ("dimension", "convention", "rows"),
@@ -578,8 +666,8 @@ RECORD_FIELDS = {
     Hypersurface: ("degree", "ambient"),
     AbelianVariety: ("n",),
     Product: ("left", "right"),
-    SignAuditRow: ("p", "value", "sign", "ok"),
-    SignAudit: ("variety", "dimension", "mode", "rows", "euler"),
+    SignAuditRow: ("p", "numerator", "denominator", "sign"),
+    SignAudit: ("variety", "dimension", "mode", "rows", "euler_numerator", "euler_denominator"),
     CorpusEntry: ("name", "descriptor", "expected"),
 }
 
