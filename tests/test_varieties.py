@@ -1,9 +1,8 @@
 import dataclasses
-import math
 import random
 import time
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given
@@ -217,7 +216,7 @@ class TestChiYOfProducts:
 
     @staticmethod
     def in_lowest_terms(num, den):
-        return den > 0 and math.gcd(num, den) == 1
+        return den > 0 and gcd(num, den) == 1
 
     @given(
         st.integers(0, 10).flatmap(nested_products),
@@ -228,7 +227,7 @@ class TestChiYOfProducts:
         numbers = chern_numbers(variety, COT)
         expected = [row.dot(numbers.numerators) / numbers.denominator for row in chi_table(n).rows]
         numerators, den = variety._chi_y()
-        assert den > 0 and math.gcd(den, *numerators) == 1
+        assert den > 0 and gcd(den, *numerators) == 1
         assert [Fraction(c, den) for c in numerators] == expected
         assert list(chi_values(variety)) == expected
         audit = check_signs(variety, mode)
