@@ -20,7 +20,9 @@ from oracles import GradedPoly
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # SHA-256 of the stdout of each `chi --json` command, recorded before the
 # chi^p rows were computed from one chi_y series (n = 5..9) and before they
-# were computed by the monomial-to-elementary transition matrix (n = 10..12)
+# were computed by the monomial-to-elementary transition matrix (n = 10..12);
+# n = 13 and 14 were recorded before JSON was written without the `json`
+# module, as were schur n = 13 and the certify --all-p n = 10, 11 lines below
 CHI_JSON_SHA256 = json.loads((GOLDEN / "chi_json_sha256.json").read_text())
 # the same for `schur --json`, recorded before the catalog was computed by
 # inverting the Kostka matrix
