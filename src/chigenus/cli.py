@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -42,12 +43,12 @@ def _load_config() -> dict:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    import json
+    from .poly import parse_json
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+            config = parse_json(handle.read())
+    except (OSError, ValueError) as exc:  # bad JSON, a repeated key or not UTF-8
         raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError(f"config {path!r} must hold a JSON object")
@@ -90,9 +91,54 @@ def _decimal(text: str) -> int:
         raise ValueError(f"invalid int value: {text!r}") from None
 
 
-def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> None:
-    import json
+# the escapes `json.dumps` writes for these characters; any other outside
+# ' '..'~' becomes \uXXXX, as with its default ensure_ascii
+_JSON_ESCAPES = {ch: "\\" + letter for ch, letter in zip('"\\\n\r\t\b\f', '"\\nrtbf')}
 
+
+def _json_text(value) -> str:
+    """The canonical JSON of a str, int, bool, list or dict: what
+    json.dumps(value, sort_keys=True, separators=(",", ":")) writes.  Each
+    container is joined as soon as it closes, with one call per level of
+    nesting; any other type, and a key that is not a str, is a TypeError."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return '"' + value + '"'
+        chars = []
+        for ch in value:
+            code = ord(ch)
+            if code > 0xFFFF:  # a surrogate pair
+                code -= 0x10000
+                chars.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+            elif ch in _JSON_ESCAPES or not 0x20 <= code < 0x7F:
+                chars.append(_JSON_ESCAPES.get(ch, f"\\u{code:04x}"))
+            else:
+                chars.append(ch)
+        return '"' + "".join(chars) + '"'
+    if isinstance(value, dict):
+        members = []
+        for key in sorted(value):
+            members.append(_json_key(key) + _json_text(value[key]))
+        return "{%s}" % ",".join(members)  # one copy of the joined text, not two
+    if isinstance(value, list):
+        if {*map(type, value)} <= {int}:  # e.g. a monomial's exponents: one repr
+            return repr(value).replace(" ", "")
+        return "[%s]" % ",".join(map(_json_text, value))
+    if isinstance(value, int):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return int.__repr__(value)
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+@lru_cache(maxsize=256)  # a payload repeats a few keys thousands of times
+def _json_key(key: str) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"a JSON key must be a str, not {type(key).__name__}")
+    return _json_text(key) + ":"
+
+
+def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> None:
     envelope = {
         "command": command,
         "convention": convention,
@@ -100,7 +146,7 @@ def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> 
         "payload": payload,
         "toolVersion": __version__,
     }
-    sys.stdout.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
+    print(_json_text(envelope))
 
 
 def _parse_mode(text: str) -> str:

@@ -43,6 +43,7 @@ __all__ = [
     "rational_text",
     "lowest_terms",
     "parse_decimal",
+    "parse_json",
     "mono_weight",
     "mono_key",
     "mono_text",
@@ -153,7 +154,7 @@ def rational_parts(value: RationalLike) -> tuple[int, int]:
         # int() alone also takes '1_0', ' 2 ' and non-ASCII digits
         num, _, den = value.partition("/")
         try:
-            if _RATIONAL_RE.fullmatch(value):
+            if re.fullmatch(_RATIONAL, value):
                 (num,), den = lowest_terms((int(num),), int(den or 1))
                 return num, den
         except ValueError:  # a zero denominator, or a part past the digit limit
@@ -270,10 +271,12 @@ def json_terms(terms: Iterable[tuple[Monomial, int, int]]) -> list[dict]:
     return listed
 
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-_DECIMAL_RE = re.compile(r"-?[0-9]+")
-_FACTOR_RE = re.compile(r"c_?([0-9]+)(?:\^([0-9]+))?")
-_SIGN_SPLIT = re.compile(r"\s*([+-])\s*")
+# patterns, not compiled ones: `re` compiles each on first use and caches it,
+# so a command compiles only the patterns it matches
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+_DECIMAL = r"-?[0-9]+"
+_FACTOR = r"c_?([0-9]+)(?:\^([0-9]+))?"
+_SIGN_SPLIT = r"\s*([+-])\s*"
 
 
 def parse_terms(dim: int, text: str) -> list[tuple[Monomial, int, int]]:
@@ -288,7 +291,7 @@ def parse_terms(dim: int, text: str) -> list[tuple[Monomial, int, int]]:
         raise ParseError("empty polynomial text")
     if body == "0":
         return []
-    chunks = _SIGN_SPLIT.split(body)
+    chunks = re.split(_SIGN_SPLIT, body)
     if chunks[0] == "":
         chunks = chunks[1:]
         if not chunks or chunks[0] not in "+-":
@@ -310,13 +313,13 @@ def parse_terms(dim: int, text: str) -> list[tuple[Monomial, int, int]]:
             piece = piece.strip()
             if not piece:
                 raise ParseError(f"empty factor in term {term_tok!r}")
-            if _RATIONAL_RE.fullmatch(piece):
+            if re.fullmatch(_RATIONAL, piece):
                 if saw_coef or saw_factor:
                     raise ParseError(f"misplaced coefficient in {term_tok!r}")
                 num, den = rational_parts(piece)
                 saw_coef = True
                 continue
-            match = _FACTOR_RE.fullmatch(piece)
+            match = re.fullmatch(_FACTOR, piece)
             if not match:
                 raise ParseError(f"bad factor {piece!r} in {text!r}")
             try:
@@ -359,9 +362,25 @@ def terms_text(terms: Iterable[tuple[Monomial, int, int]]) -> str:
 def parse_decimal(text: str) -> int:
     """A plain decimal integer: an optional '-' and ASCII digits, nothing
     else (no '+', '_', spaces or non-ASCII digits, which `int()` takes)."""
-    if not _DECIMAL_RE.fullmatch(text):
+    if not re.fullmatch(_DECIMAL, text):
         raise ParseError(f"not a decimal integer: {text!r}")
     return int(text)
+
+
+def parse_json(text: str):
+    """The values of JSON text, the corpus's or the config's; an object that
+    repeats a key, whose last value `json` would keep, is a ValueError."""
+    import json
+
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 class BasisConvention(str, Enum):

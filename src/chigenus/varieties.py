@@ -22,7 +22,6 @@ the relevant bundle is an assertion made by the caller, never checked here.
 from __future__ import annotations
 
 import itertools
-import json
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from functools import cached_property
@@ -40,6 +39,7 @@ from .poly import (
     mono_text,
     mono_weight,
     parse_decimal,
+    parse_json,
     parse_terms,
     rational_parts,
     rational_text,
@@ -79,8 +79,9 @@ class VarietyDescriptor(ABC):
     def dimension(self) -> int: ...
 
     @abstractmethod
-    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
-        """Chern numbers of the tangent bundle over the top monomial basis."""
+    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
+        """Chern numbers of the tangent bundle over the top monomial basis,
+        as int numerators over one positive denominator."""
 
     def _chi_y(self) -> tuple[tuple[int, ...], int]:
         """chi^0..chi^n as int numerators over one positive denominator, in
@@ -127,7 +128,7 @@ class ProjectiveSpace(_Recipe):
     def dimension(self) -> int:
         return self.n
 
-    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
+    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
         # P^n is a hyperplane in P^{n+1}
         return Hypersurface(1, self.n + 1)._tangent_values()
 
@@ -140,8 +141,8 @@ class Curve(_Recipe):
     def dimension(self) -> int:
         return 1
 
-    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
-        return {(1,): 2 - 2 * self.genus}
+    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
+        return {(1,): 2 - 2 * self.genus}, 1
 
 
 class Surface(_Recipe):
@@ -156,8 +157,8 @@ class Surface(_Recipe):
     def dimension(self) -> int:
         return 2
 
-    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
-        return {(2, 0): self.c1sq, (0, 1): self.c2}
+    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
+        return {(2, 0): self.c1sq, (0, 1): self.c2}, 1
 
 
 class Hypersurface(_Recipe):
@@ -172,7 +173,7 @@ class Hypersurface(_Recipe):
     def dimension(self) -> int:
         return self.ambient - 1
 
-    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
+    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
         n = self.dimension
         d = self.degree
         # c(T) = (1+h)^{n+2} (1+dh)^{-1} = sum_k series[k] h^k truncated at
@@ -183,7 +184,7 @@ class Hypersurface(_Recipe):
         return {
             mono: d * prod(series[i] ** e for i, e in enumerate(mono, 1))
             for mono in weight_basis(n)
-        }
+        }, 1
 
 
 class AbelianVariety(_Recipe):
@@ -194,8 +195,8 @@ class AbelianVariety(_Recipe):
     def dimension(self) -> int:
         return self.n
 
-    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
-        return {}  # trivial tangent bundle
+    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
+        return {}, 1  # trivial tangent bundle
 
 
 class Product(VarietyDescriptor, Record):
@@ -206,15 +207,15 @@ class Product(VarietyDescriptor, Record):
     def dimension(self) -> int:
         return self.left.dimension + self.right.dimension
 
-    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
+    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
         # Whitney: c_k(X x Y) = sum_{i+j=k} c_i(X) c_j(Y), so a Chern number
         # c_{k_1}...c_{k_r}[X x Y] is the sum, over the splits k_s = i_s + j_s
         # with sum_s i_s = dim X, of c_{i_1}...c_{i_r}[X] * c_{j_1}...c_{j_r}[Y]
         nx = self.left.dimension
         ny = self.right.dimension
-        left_values = self.left._tangent_values()
-        right_values = self.right._tangent_values()
-        values: dict[Monomial, int | Fraction] = {}
+        left_values, left_den = self.left._tangent_values()
+        right_values, right_den = self.right._tangent_values()
+        values: dict[Monomial, int] = {}
         for mono in weight_basis(nx + ny):
             classes = [k for k, e in enumerate(mono, 1) for _ in range(e)]
             number = 0
@@ -231,7 +232,7 @@ class Product(VarietyDescriptor, Record):
                         my[k - i - 1] += 1
                 number += left_values.get(tuple(mx), 0) * right_values.get(tuple(my), 0)
             values[mono] = number
-        return values
+        return values, left_den * right_den
 
     def _chi_y(self) -> tuple[tuple[int, ...], int]:
         # chi_y(X x Y) = chi_y(X) chi_y(Y): convolve the coefficients
@@ -290,8 +291,9 @@ class Explicit(VarietyDescriptor):
     def convention(self) -> BasisConvention:
         return self._convention
 
-    def _tangent_values(self) -> dict[Monomial, int | Fraction]:
-        return self._numbers.in_convention(BasisConvention.TANGENT).terms()
+    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
+        tangent = self._numbers.in_convention(BasisConvention.TANGENT)
+        return dict(zip(weight_basis(self._n), tangent.numerators)), tangent.denominator
 
     def _chi_y(self) -> tuple[tuple[int, ...], int]:
         return _paired(self._numbers)
@@ -347,9 +349,9 @@ def chern_numbers(
     a row over `weight_basis(n)`."""
     if not isinstance(v, VarietyDescriptor):
         raise TypeError("chern_numbers expects a VarietyDescriptor")
-    tangent = ChernFunctional.from_values(
-        v.dimension, BasisConvention.TANGENT, v._tangent_values()
-    )
+    values, den = v._tangent_values()
+    numerators = [values.get(mono, 0) for mono in weight_basis(v.dimension)]
+    tangent = ChernFunctional(v.dimension, BasisConvention.TANGENT, numerators, den)
     return tangent.in_convention(convention)
 
 
@@ -552,7 +554,7 @@ def load_corpus(path) -> list[CorpusEntry]:
                 line = raw.decode("utf-8").strip()
                 if not line or line.startswith("#"):
                     continue
-                obj = json.loads(line)
+                obj = parse_json(line)
                 if not isinstance(obj, dict):
                     raise ValueError("expected a JSON object")
                 entries.append(

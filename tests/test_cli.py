@@ -8,9 +8,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chigenus import __version__
-from chigenus.cli import main
+from chigenus.cli import _json_text, main
 from chigenus.cone import Certificate, certify, generators
 from chigenus.hrr import ChernFunctional, chi_p, chi_table
 from chigenus.symchern import BasisConvention
@@ -296,6 +298,13 @@ MISSING_FIELD = {
     '{"name":"p","descriptor":{"type":"product","left":{"type":"pn","n":1}}}': "right",
     '{"descriptor":{"type":"pn","n":1}}': "name",
 }
+# JSON keeps the last of a repeated key; a corpus line that repeats one is
+# refused, so it never audits a variety other than the one it seems to name
+REPEATED_KEY = {
+    '{"name":"a","descriptor":{"type":"pn","n":2,"n":3}}': "n",
+    '{"name":"a","name":"b","descriptor":{"type":"pn","n":2}}': "name",
+    '{"name":"e","descriptor":{"type":"explicit","n":1,"values":{"c1":"1","c1":"2"}}}': "c1",
+}
 
 
 class TestCheckCommand:
@@ -386,6 +395,7 @@ class TestCheckCommand:
             '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1^2 - c1^2 + c2":"1"}}}',
             "[1]",
             *MISSING_FIELD,
+            *REPEATED_KEY,
         ],
     )
     def test_malformed_corpus_line_exit_two(self, capsys, tmp_path, line):
@@ -398,6 +408,8 @@ class TestCheckCommand:
         assert err.count("\n") == 1
         if line in MISSING_FIELD:
             assert err == f"error: bad corpus line 1: missing field {MISSING_FIELD[line]!r}\n"
+        if line in REPEATED_KEY:
+            assert err == f"error: bad corpus line 1: repeated key {REPEATED_KEY[line]!r}\n"
 
     def test_corpus_line_not_utf8_names_the_line(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -664,6 +676,15 @@ class TestDimensionLimit:
             assert out == ""
             assert err == f"error: unknown config key {key!r} (the only key is 'max_dim')\n"
 
+    def test_config_rejects_repeated_key(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text('{"max_dim": 5, "max_dim": 6}')
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
+        for flags in ((), ("--max-dim", "6")):
+            code, out, err = run_cli(capsys, "chi", "--dim", "6", *flags)
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot read config {str(config)!r}: repeated key 'max_dim'\n"
+
     @pytest.mark.parametrize("bad", [True, False, -1, 9.0, "9"])
     def test_config_rejects_non_integer_limit(self, capsys, tmp_path, monkeypatch, bad):
         config = tmp_path / "config.json"
@@ -851,6 +872,36 @@ class TestDeterminism:
         assert first.stdout.strip()
 
 
+# every character a str can hold, lone surrogates too, with ASCII and the
+# characters that JSON escapes drawn often
+JSON_CHARS = (
+    st.sampled_from('"\\\x00\x1f\x7f\b\f\n\r\t\u2028\ud800\udfff\U0001f600')
+    | st.characters(max_codepoint=0x7F)
+    | st.characters(exclude_categories=())
+)
+JSON_VALUES = st.recursive(
+    st.text(JSON_CHARS) | st.integers(-(10**100), 10**100) | st.booleans(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(JSON_CHARS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    """`cli._json_text` writes what json.dumps(sort_keys=True) with compact
+    separators writes, without loading `json`."""
+
+    @given(JSON_VALUES)
+    @example({"say": 'a "b"', "path": "a\\b", "del": "\x7f", "": [True, -(10**100)]})
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("value", [1.0, None, (1, 2), {"a": (1,)}, [None], {1: 2}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
 class TestStartup:
     # `dataclasses` imports `inspect` (and with it `ast`) and generates each
     # class's methods with `exec`; together about a quarter of a cold command.
@@ -968,6 +1019,35 @@ class TestStartup:
         after = "import chigenus; chigenus.chi_values(chigenus.descriptor_from_token('pn:2'))"
         _, added = self.modules_after(("variety", "eval", "pn:2"), after)
         assert self.FRACTION_MODULES <= added, added
+
+    # JSON is written by `cli._json_text`, so a command loads `json` only to
+    # read a corpus or a config file; those two runs show the probe sees it
+    JSON_MODULES = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+    WRITERS = [
+        ("chi", "--dim", "4"),
+        ("schur", "--dim", "4"),
+        ("certify", "--dim", "4", "--target", "chi:4"),
+        ("certify", "--dim", "4", "--all-p"),
+        ("variety", "eval", "product(pn:1,curve:2)"),
+        ("check", "pn:3"),
+    ]
+    WRITER_ARGVS = [argv + flag for argv in WRITERS for flag in ((), ("--json",))]
+
+    @pytest.mark.parametrize("argv", WRITER_ARGVS, ids=[" ".join(a) for a in WRITER_ARGVS])
+    def test_commands_load_no_json(self, argv):
+        _, added = self.modules_after(argv)
+        assert not self.JSON_MODULES & added, added
+
+    def test_reading_a_corpus_loads_json(self):
+        _, added = self.modules_after(("check", "tests/data/corpus.jsonl", "--json"))
+        assert self.JSON_MODULES <= added, added
+
+    def test_reading_a_config_loads_json(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text('{"max_dim": 4}')
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))  # the child inherits it
+        _, added = self.modules_after(("chi", "--dim", "4", "--json"))
+        assert self.JSON_MODULES <= added, added
 
     def test_every_export_is_its_home_modules_object(self):
         import importlib

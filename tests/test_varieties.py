@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb, gcd, prod
@@ -168,6 +171,29 @@ class TestProductMatchesBigradedOracle:
             assert chern_numbers(variety, TAN) == expected, variety.name()
             assert chern_numbers(variety, COT) == expected.flipped(), variety.name()
             nonzero += any(expected.coeffs)
+
+    def test_explicit_leaves_split_without_fractions(self):
+        # every leaf hands the split int numerators over one denominator,
+        # so rational Chern numbers of an explicit leaf load no `fractions`
+        token = (
+            "Product(Explicit(1, {'c1': '1/3'}), Product(ProjectiveSpace(1), "
+            "Explicit(2, {'c1^2': '-5/7', 'c2': 3}, BasisConvention.TANGENT)))"
+        )
+        code = (
+            "import sys\n"
+            "from chigenus import *\n"
+            f"numbers = chern_numbers({token})\n"
+            "print(repr(('fractions' in sys.modules, numbers.numerators, numbers.denominator)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=30
+        )
+        loaded, numerators, den = ast.literal_eval(result.stdout)
+        assert not loaded
+        variety = eval(token)
+        expected = ChernFunctional.from_values(4, TAN, bigraded_tangent_values(variety))
+        assert [Fraction(c, den) for c in numerators] == list(expected.coeffs)
+        assert chern_numbers(variety, TAN) == expected
 
 
 @st.composite
