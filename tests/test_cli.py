@@ -34,8 +34,9 @@ SCHUR_JSON_SHA256 = json.loads((GOLDEN / "schur_json_sha256.json").read_text())
 # targets and their refusals, variety eval), recorded before the functionals
 # were parsed, printed and built without the truncated polynomial ring; the
 # `check` lines and the larger products were recorded before products were
-# evaluated by convolving their factors' chi_y coefficients.  Corpus paths
-# are relative to the repository root.
+# evaluated by convolving their factors' chi_y coefficients, and the
+# `check surface:A:B` lines while `check surface --c1sq A --c2 B` still
+# printed the same bytes.  Corpus paths are relative to the repository root.
 OUTPUT_SHA256 = json.loads((GOLDEN / "outputs_sha256.json").read_text())
 
 
