@@ -295,11 +295,8 @@ def _cmd_certify(args) -> int:
             "sign": sign,
             "status": "certified" if certified else "infeasible",
             "target": target.poly_json_dict(),
+            result.json_key: result.to_json_dict(),
         }
-        if certified:
-            payload["certificate"] = result.to_json_dict()
-        else:
-            payload["infeasibility"] = result.to_json_dict()
         _emit_json("certify", n, convention.value, payload)
     else:
         # every number is written out before the first line is printed
@@ -331,17 +328,11 @@ def _audit_text(audit: SignAudit) -> list[str]:
 
 
 def _cmd_check(args) -> int:
-    from .varieties import Surface, check_signs, descriptor_from_token, load_corpus
+    from .varieties import check_signs, descriptor_from_token, load_corpus
 
     mode = _parse_mode(args.mode)
-    if args.target == "surface":
-        if args.c1sq is None or args.c2 is None:
-            raise ValueError("surface check needs --c1sq and --c2")
-        descriptors = [Surface(args.c1sq, args.c2)]
-    elif args.c1sq is not None or args.c2 is not None:
-        raise ValueError("--c1sq and --c2 apply only to the 'surface' target")
-    elif os.path.exists(args.target):
-        descriptors = [entry.descriptor for entry in load_corpus(args.target)]
+    if os.path.exists(args.target):
+        descriptors = [entry.descriptor for entry in load_corpus(args.target, args.max_dim)]
         if not descriptors:
             raise ValueError(f"corpus {args.target} holds no entries")
     else:
@@ -423,8 +414,6 @@ FLAGS = {
     "--target": (str, None),
     "--assume": (str, None),
     "--all-p": (None, False),
-    "--c1sq": (_decimal, None),
-    "--c2": (_decimal, None),
 }
 SHARED_FLAGS = "--json --max-dim"  # every command takes these first
 
@@ -433,7 +422,7 @@ COMMANDS = {
     "chi": (_cmd_chi, "--dim --convention", "--dim", ""),
     "schur": (_cmd_schur, "--dim --partition", "--dim", ""),
     "certify": (_cmd_certify, "--dim --mode --target --assume --all-p", "--dim", ""),
-    "check": (_cmd_check, "--mode --c1sq --c2", "", "target"),
+    "check": (_cmd_check, "--mode", "", "target"),
     "variety eval": (_cmd_variety_eval, "--target", "", "descriptor"),
 }
 
@@ -443,8 +432,8 @@ certificates for Chern-number sign theorems.  A flag takes its value as
 --flag VALUE or --flag=VALUE.  --mode is {' or '.join(MODE_NAMES)} (default
 {MODE_NAMES[0]}), --assume a comma list of {','.join(OPTIONAL_ASSUMPTIONS)}, --partition
 e.g. 2,1, --target chi:p, euler or (certify only) an inline weight-n
-polynomial, and check's target a builtin token (pn:3, curve:2, ...),
-'surface' or a corpus path.
+polynomial, and check's target a builtin token (pn:3, curve:2, surface:9:3,
+...) or a corpus path.
 """
 
 

@@ -130,6 +130,7 @@ class Certificate(Record):
     coefficients are the whole proof, held like a `ChernFunctional` row as
     numerators over one positive denominator (`poly.lowest_terms`)."""
 
+    json_key = "certificate"  # where a report holds `to_json_dict()`
     target: ChernFunctional
     generator_names: tuple[str, ...]
     numerators: tuple[int, ...]
@@ -166,6 +167,7 @@ class Certificate(Record):
 class Infeasibility(Record):
     """Farkas witness: pairs <= 0 with every generator, > 0 with the target."""
 
+    json_key = "infeasibility"
     witness: ChernFunctional
 
     def to_json_dict(self) -> dict:
@@ -324,21 +326,20 @@ class ChiSignRow(Record):
     scale: int
     target: ChernFunctional
     result: CertifyResult
-    status: str  # "certified" or "open"
+
+    @property
+    def status(self) -> str:
+        return "certified" if isinstance(self.result, Certificate) else "open"
 
     def to_json_dict(self) -> dict:
-        payload: dict = {
+        return {
             "p": self.p,
             "scale": self.scale,
             "sign": self.sign,
             "status": self.status,
             "target": self.target.poly_json_dict(),
+            self.result.json_key: self.result.to_json_dict(),
         }
-        if isinstance(self.result, Certificate):
-            payload["certificate"] = self.result.to_json_dict()
-        else:
-            payload["infeasibility"] = self.result.to_json_dict()
-        return payload
 
 
 class ChiSignReport(Record):
@@ -347,8 +348,11 @@ class ChiSignReport(Record):
     dimension: int
     mode: str
     assumptions: tuple[str, ...]
-    convention: BasisConvention
     rows: tuple[ChiSignRow, ...]
+
+    @property
+    def convention(self) -> BasisConvention:
+        return mode_convention(self.mode)
 
     @property
     def all_certified(self) -> bool:
@@ -381,8 +385,7 @@ def certify_chi_signs(
     "open" and carries the Farkas witness: the witness shows these
     generators are insufficient, not that the sign statement is false.
     """
-    convention = mode_convention(mode)
-    gens = generators(n, assumptions, convention)
+    gens = generators(n, assumptions, mode_convention(mode))
     rows = []
     solved: dict[ChernFunctional, CertifyResult] = {}  # rows p and n - p share one
     for p in range(n + 1):
@@ -390,17 +393,5 @@ def certify_chi_signs(
         target, scale = signed_target(chi_p(n, p), sign, mode)
         if target not in solved:
             solved[target] = certify(target, gens)
-        result = solved[target]
-        status = "certified" if isinstance(result, Certificate) else "open"
-        rows.append(
-            ChiSignRow(
-                p=p, sign=sign, scale=scale, target=target, result=result, status=status
-            )
-        )
-    return ChiSignReport(
-        dimension=n,
-        mode=mode,
-        assumptions=tuple(sorted(set(assumptions))),
-        convention=convention,
-        rows=tuple(rows),
-    )
+        rows.append(ChiSignRow(p, sign, scale, target, solved[target]))
+    return ChiSignReport(n, mode, tuple(sorted(set(assumptions))), tuple(rows))

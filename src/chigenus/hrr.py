@@ -74,11 +74,6 @@ def _chi_y_factor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return scale, tuple(((-1) ** k * c, c) for k, c in enumerate(scaled))
 
 
-def _check_dimension(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"dimension must be a non-negative integer: {n!r}")
-
-
 @lru_cache(maxsize=None)
 def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     """chi^0..chi^n of dimension n, in cotangent variables: the
@@ -89,7 +84,7 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     (-1)^n chi^{n-p} and the alternating-sum identity sum_p (-1)^p chi^p =
     Euler functional.  A failure means the chi_y engine is broken and
     aborts."""
-    _check_dimension(n)
+    basis = weight_basis(n)  # refuses an n that is not a non-negative int
     scale, factor = _chi_y_factor(n)
     monomial = {}  # m_lambda coefficient times L^n, lowest power of y first
     for parts in partitions_of(n):
@@ -100,7 +95,6 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
         monomial[parts] = poly
     coordinates = chern_coordinates(monomial, n)
     den = scale**n
-    basis = weight_basis(n)
     # tangent numerators; the flip to cotangent variables is the sign (-1)^n
     sign = (-1) ** n
     numerators = [coordinates[m] for m in basis]
@@ -136,7 +130,6 @@ def euler_functional(n: int) -> ChernFunctional:
     """Topological Euler characteristic as a cotangent-convention
     functional: (-1)^n c_n, i.e. c_n of the tangent bundle.  c_n is the
     last monomial of `weight_basis(n)`, and for n = 0 the only one, 1."""
-    _check_dimension(n)
     coeffs = (0,) * (len(weight_basis(n)) - 1) + ((-1) ** n,)
     return ChernFunctional(n, BasisConvention.COTANGENT, coeffs, 1)
 

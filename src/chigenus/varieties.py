@@ -79,14 +79,13 @@ class VarietyDescriptor(ABC):
     def dimension(self) -> int: ...
 
     @abstractmethod
-    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
-        """Chern numbers of the tangent bundle over the top monomial basis,
-        as int numerators over one positive denominator."""
+    def _tangent_values(self) -> ChernFunctional:
+        """Chern numbers of the tangent bundle, as a tangent-convention row."""
 
     def _chi_y(self) -> tuple[tuple[int, ...], int]:
         """chi^0..chi^n as int numerators over one positive denominator, in
         lowest terms."""
-        return _paired(chern_numbers(self, BasisConvention.COTANGENT))
+        return _paired(self._tangent_values())
 
     @abstractmethod
     def name(self) -> str: ...
@@ -128,7 +127,7 @@ class ProjectiveSpace(_Recipe):
     def dimension(self) -> int:
         return self.n
 
-    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
+    def _tangent_values(self) -> ChernFunctional:
         # P^n is a hyperplane in P^{n+1}
         return Hypersurface(1, self.n + 1)._tangent_values()
 
@@ -141,8 +140,8 @@ class Curve(_Recipe):
     def dimension(self) -> int:
         return 1
 
-    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
-        return {(1,): 2 - 2 * self.genus}, 1
+    def _tangent_values(self) -> ChernFunctional:
+        return ChernFunctional(1, BasisConvention.TANGENT, (2 - 2 * self.genus,), 1)
 
 
 class Surface(_Recipe):
@@ -157,8 +156,9 @@ class Surface(_Recipe):
     def dimension(self) -> int:
         return 2
 
-    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
-        return {(2, 0): self.c1sq, (0, 1): self.c2}, 1
+    def _tangent_values(self) -> ChernFunctional:
+        # weight_basis(2) = (c1^2, c2)
+        return ChernFunctional(2, BasisConvention.TANGENT, (self.c1sq, self.c2), 1)
 
 
 class Hypersurface(_Recipe):
@@ -173,7 +173,7 @@ class Hypersurface(_Recipe):
     def dimension(self) -> int:
         return self.ambient - 1
 
-    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
+    def _tangent_values(self) -> ChernFunctional:
         n = self.dimension
         d = self.degree
         # c(T) = (1+h)^{n+2} (1+dh)^{-1} = sum_k series[k] h^k truncated at
@@ -181,10 +181,10 @@ class Hypersurface(_Recipe):
         series = [
             sum(comb(n + 2, i) * (-d) ** (k - i) for i in range(k + 1)) for k in range(n + 1)
         ]
-        return {
-            mono: d * prod(series[i] ** e for i, e in enumerate(mono, 1))
-            for mono in weight_basis(n)
-        }, 1
+        numbers = [
+            d * prod(series[i] ** e for i, e in enumerate(mono, 1)) for mono in weight_basis(n)
+        ]
+        return ChernFunctional(n, BasisConvention.TANGENT, numbers, 1)
 
 
 class AbelianVariety(_Recipe):
@@ -195,8 +195,8 @@ class AbelianVariety(_Recipe):
     def dimension(self) -> int:
         return self.n
 
-    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
-        return {}, 1  # trivial tangent bundle
+    def _tangent_values(self) -> ChernFunctional:  # trivial tangent bundle
+        return ChernFunctional(self.n, BasisConvention.TANGENT, [0] * len(weight_basis(self.n)), 1)
 
 
 class Product(VarietyDescriptor, Record):
@@ -207,15 +207,16 @@ class Product(VarietyDescriptor, Record):
     def dimension(self) -> int:
         return self.left.dimension + self.right.dimension
 
-    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
+    def _tangent_values(self) -> ChernFunctional:
         # Whitney: c_k(X x Y) = sum_{i+j=k} c_i(X) c_j(Y), so a Chern number
         # c_{k_1}...c_{k_r}[X x Y] is the sum, over the splits k_s = i_s + j_s
         # with sum_s i_s = dim X, of c_{i_1}...c_{i_r}[X] * c_{j_1}...c_{j_r}[Y]
         nx = self.left.dimension
         ny = self.right.dimension
-        left_values, left_den = self.left._tangent_values()
-        right_values, right_den = self.right._tangent_values()
-        values: dict[Monomial, int] = {}
+        left, right = self.left._tangent_values(), self.right._tangent_values()
+        left_values = dict(zip(weight_basis(nx), left.numerators))
+        right_values = dict(zip(weight_basis(ny), right.numerators))
+        numbers = []
         for mono in weight_basis(nx + ny):
             classes = [k for k, e in enumerate(mono, 1) for _ in range(e)]
             number = 0
@@ -230,9 +231,10 @@ class Product(VarietyDescriptor, Record):
                         mx[i - 1] += 1
                     if k > i:
                         my[k - i - 1] += 1
-                number += left_values.get(tuple(mx), 0) * right_values.get(tuple(my), 0)
-            values[mono] = number
-        return values, left_den * right_den
+                number += left_values[tuple(mx)] * right_values[tuple(my)]
+            numbers.append(number)
+        den = left.denominator * right.denominator
+        return ChernFunctional(nx + ny, BasisConvention.TANGENT, numbers, den)
 
     def _chi_y(self) -> tuple[tuple[int, ...], int]:
         # chi_y(X x Y) = chi_y(X) chi_y(Y): convolve the coefficients
@@ -291,12 +293,8 @@ class Explicit(VarietyDescriptor):
     def convention(self) -> BasisConvention:
         return self._convention
 
-    def _tangent_values(self) -> tuple[dict[Monomial, int], int]:
-        tangent = self._numbers.in_convention(BasisConvention.TANGENT)
-        return dict(zip(weight_basis(self._n), tangent.numerators)), tangent.denominator
-
-    def _chi_y(self) -> tuple[tuple[int, ...], int]:
-        return _paired(self._numbers)
+    def _tangent_values(self) -> ChernFunctional:
+        return self._numbers.in_convention(BasisConvention.TANGENT)
 
     def name(self) -> str:
         return f"explicit:{self._n}"
@@ -349,10 +347,7 @@ def chern_numbers(
     a row over `weight_basis(n)`."""
     if not isinstance(v, VarietyDescriptor):
         raise TypeError("chern_numbers expects a VarietyDescriptor")
-    values, den = v._tangent_values()
-    numerators = [values.get(mono, 0) for mono in weight_basis(v.dimension)]
-    tangent = ChernFunctional(v.dimension, BasisConvention.TANGENT, numerators, den)
-    return tangent.in_convention(convention)
+    return v._tangent_values().in_convention(convention)
 
 
 def evaluate(f: ChernFunctional, v: VarietyDescriptor | ChernFunctional) -> Fraction:
@@ -472,19 +467,25 @@ _RECIPES = {
 }
 
 
-def descriptor_from_json(obj: Mapping) -> VarietyDescriptor:
+def descriptor_from_json(obj: Mapping, max_dim: int | None = None) -> VarietyDescriptor:
+    """The descriptor of a JSON object.  One that is explicit and above
+    `max_dim` is refused before its keys, tuples of its length, are parsed."""
     try:
         kind = obj["type"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"descriptor JSON needs a 'type' field: {obj!r}") from exc
-    if kind in _RECIPES:
+    if isinstance(kind, str) and kind in _RECIPES:
         build, fields = _RECIPES[kind]
         return build(*(obj[field] for field in fields))
     if kind == "product":
-        return Product(descriptor_from_json(obj["left"]), descriptor_from_json(obj["right"]))
+        left, right = (descriptor_from_json(obj[side], max_dim) for side in ("left", "right"))
+        return Product(left, right)
     if kind == "explicit":
+        n = obj["n"]
+        if max_dim is not None and isinstance(n, int) and n > max_dim:
+            raise ValueError(f"descriptor explicit:{n} exceeds maximum dimension {max_dim}")
         return Explicit(
-            obj["n"],
+            n,
             obj.get("values", {}),
             BasisConvention(obj.get("convention", "cotangent")),
         )
@@ -542,9 +543,10 @@ class CorpusEntry(Record):
     expected: dict
 
 
-def load_corpus(path) -> list[CorpusEntry]:
+def load_corpus(path, max_dim: int | None = None) -> list[CorpusEntry]:
     """Read a JSON-lines corpus: {"name": ..., "descriptor": {...},
-    "expected": {...}} per line."""
+    "expected": {...}} per line; `max_dim` is that of
+    `descriptor_from_json`."""
     entries = []
     # lines end at b"\n" as in JSON Lines, and each is decoded on its own so
     # that a byte that is not UTF-8 is reported with its line number
@@ -560,7 +562,7 @@ def load_corpus(path) -> list[CorpusEntry]:
                 entries.append(
                     CorpusEntry(
                         name=obj["name"],
-                        descriptor=descriptor_from_json(obj["descriptor"]),
+                        descriptor=descriptor_from_json(obj["descriptor"], max_dim),
                         expected=obj.get("expected", {}),
                     )
                 )

@@ -810,8 +810,7 @@ def bigraded_tangent_values(variety) -> dict[Monomial, Fraction]:
     """Tangent Chern numbers of a descriptor; every product in it, nested
     ones too, goes through the bigraded expansion."""
     if not isinstance(variety, Product):
-        values, den = variety._tangent_values()
-        return {m: Fraction(c, den) for m, c in values.items()}
+        return variety._tangent_values().terms()
     nx = variety.left.dimension
     ny = variety.right.dimension
     total = nx + ny

@@ -306,6 +306,13 @@ REPEATED_KEY = {
     '{"name":"a","name":"b","descriptor":{"type":"pn","n":2}}': "name",
     '{"name":"e","descriptor":{"type":"explicit","n":1,"values":{"c1":"1","c1":"2"}}}': "c1",
 }
+# a "type" that names no descriptor is refused by its value, whatever its
+# JSON type
+UNKNOWN_TYPE = {
+    '{"name":"a","descriptor":{"type":5}}': "5",
+    '{"name":"a","descriptor":{"type":[1]}}': "[1]",
+    '{"name":"a","descriptor":{"type":{"n":1}}}': "{'n': 1}",
+}
 
 
 class TestCheckCommand:
@@ -319,23 +326,23 @@ class TestCheckCommand:
         assert code == 0
         assert "p=0 chi=0 signed=0 ok" in out
 
-    def test_surface_flags(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "surface", "--c1sq", "9", "--c2", "3",
-            "--mode", "nef-cotangent",
-        )
+    def test_surface_token(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "surface:9:3", "--mode", "nef-cotangent")
         assert code == 0
         assert "p=1 chi=-1 signed=1 ok" in out
 
-    def test_surface_missing_flags(self, capsys):
-        code, _, err = run_cli(capsys, "check", "surface")
-        assert code == 2
+    def test_surface_without_fields_is_a_malformed_token(self, capsys):
+        code, out, err = run_cli(capsys, "check", "surface")
+        assert (code, out, err) == (2, "", "error: malformed variety token 'surface'\n")
+
+    @pytest.mark.parametrize("flag", ["--c1sq", "--c2"])
+    def test_surface_flags_are_unknown(self, capsys, flag):
+        # a surface is named by its token alone
+        code, out, err = run_cli(capsys, "check", "surface", flag, "9", "--c2", "3")
+        assert (code, out, err) == (2, "", f"error: unknown flag {flag!r} for check\n")
 
     def test_failing_audit_exit_one(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "surface", "--c1sq", "100", "--c2", "1",
-            "--mode", "nef-cotangent",
-        )
+        code, out, _ = run_cli(capsys, "check", "surface:100:1", "--mode", "nef-cotangent")
         assert code == 1
         assert "FAIL" in out
         assert "verdict: fail" in out
@@ -350,21 +357,6 @@ class TestCheckCommand:
             capsys, "check", "product(curve:2,curve:2)", "--mode", "nef-cotangent"
         )
         assert code == 0
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("check", "pn:2", "--c1sq", "3", "--c2", "4"),
-            ("check", "curve:2", "--c2", "4"),
-            ("check", "{corpus}", "--c1sq", "9"),
-        ],
-    )
-    def test_surface_fields_only_with_surface(self, capsys, corpus_path, argv):
-        argv = [str(corpus_path) if arg == "{corpus}" else arg for arg in argv]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == "error: --c1sq and --c2 apply only to the 'surface' target\n"
 
     @pytest.mark.parametrize("text", ["", "# comments only\n\n# no entries\n"])
     def test_corpus_without_entries_exit_two(self, capsys, tmp_path, text):
@@ -397,6 +389,7 @@ class TestCheckCommand:
             "[1]",
             *MISSING_FIELD,
             *REPEATED_KEY,
+            *UNKNOWN_TYPE,
         ],
     )
     def test_malformed_corpus_line_exit_two(self, capsys, tmp_path, line):
@@ -411,6 +404,10 @@ class TestCheckCommand:
             assert err == f"error: bad corpus line 1: missing field {MISSING_FIELD[line]!r}\n"
         if line in REPEATED_KEY:
             assert err == f"error: bad corpus line 1: repeated key {REPEATED_KEY[line]!r}\n"
+        if line in UNKNOWN_TYPE:
+            assert err == (
+                f"error: bad corpus line 1: unknown descriptor type {UNKNOWN_TYPE[line]}\n"
+            )
 
     def test_corpus_line_not_utf8_names_the_line(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -430,21 +427,41 @@ class TestCheckCommand:
         )
 
     @pytest.mark.parametrize(
-        "descriptor",
+        "descriptor, n",
         [
-            {"type": "explicit", "n": 99},
-            {"type": "explicit", "n": 99, "values": {"c1^99": 1, "c1*c98": "-3/2"}},
+            ({"type": "explicit", "n": 99}, 99),
+            ({"type": "explicit", "n": 99, "values": {"c1^99": 1, "c1*c98": "-3/2"}}, 99),
+            ({"type": "explicit", "n": 10**9, "values": {"c1": 1}}, 10**9),
+            (
+                {
+                    "type": "product",
+                    "left": {"type": "pn", "n": 1},
+                    "right": {"type": "explicit", "n": 10**9, "values": {"c1": 1}},
+                },
+                10**9,
+            ),
         ],
     )
-    def test_large_explicit_dimension_refused_quickly(self, tmp_path, descriptor):
+    def test_large_explicit_dimension_refused_quickly(self, tmp_path, descriptor, n):
+        # each key of an explicit descriptor parses to a tuple as long as its
+        # dimension, so the reader applies the limit before the keys; the
+        # child's address space is capped at 1.5 GiB, so a reader that
+        # builds such a tuple fails here without exhausting the machine
+        def cap_address_space():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(json.dumps({"name": "x", "descriptor": descriptor}) + "\n")
         argv = [sys.executable, "-m", "chigenus", "check", str(corpus)]
-        result = subprocess.run(argv, capture_output=True, text=True, timeout=10)
+        result = subprocess.run(
+            argv, capture_output=True, text=True, timeout=10, preexec_fn=cap_address_space
+        )
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == (
-            "error: descriptor explicit:99 exceeds maximum dimension 8\n"
+            f"error: bad corpus line 1: descriptor explicit:{n} exceeds maximum dimension 8\n"
         )
 
     @pytest.mark.parametrize(
@@ -596,19 +613,20 @@ class TestVarietyCommand:
     def test_eval_computes_chern_numbers_of_the_leaves_only(self, capsys, monkeypatch):
         # a product's chi values convolve its factors'; the command never
         # computes a Chern number of a product
-        import chigenus.varieties as varieties
-        from chigenus.varieties import Product, chern_numbers
+        from chigenus.varieties import Curve, Product, ProjectiveSpace
 
         calls = []
+        for leaf in (ProjectiveSpace, Curve):
 
-        def counting(v, convention):
-            calls.append(v.name())
-            return chern_numbers(v, convention)
+            def counting(self, tangent_values=leaf._tangent_values):
+                calls.append(self.name())
+                return tangent_values(self)
+
+            monkeypatch.setattr(leaf, "_tangent_values", counting)
 
         def whitney(self):
             raise AssertionError("a product's Chern numbers were computed")
 
-        monkeypatch.setattr(varieties, "chern_numbers", counting)
         monkeypatch.setattr(Product, "_tangent_values", whitney)
         code, out, _ = run_cli(capsys, "variety", "eval", "product(pn:1,product(curve:2,pn:2))")
         assert code == 0
@@ -742,8 +760,6 @@ class TestSharedFlags:
             (("certify", "--dim", " 3", "--all-p"), " 3"),
             (("chi", "--dim", "2", "--max-dim", "1_0"), "1_0"),
             (("variety", "eval", "pn:2", "--max-dim", "9 "), "9 "),
-            (("check", "surface", "--c1sq", " +9", "--c2", "3"), " +9"),
-            (("check", "surface", "--c1sq", "9", "--c2", "3_0"), "3_0"),
         ],
     )
     def test_numeric_flags_take_plain_decimals(self, capsys, argv, bad):
@@ -761,8 +777,7 @@ class TestSharedFlags:
         "schur": "schur [-h] [--json] [--max-dim MAX_DIM] --dim DIM [--partition PARTITION]",
         "certify": "certify [-h] [--json] [--max-dim MAX_DIM] --dim DIM [--mode MODE]"
         " [--target TARGET] [--assume ASSUME] [--all-p]",
-        "check": "check [-h] [--json] [--max-dim MAX_DIM] [--mode MODE] [--c1sq C1SQ]"
-        " [--c2 C2] target",
+        "check": "check [-h] [--json] [--max-dim MAX_DIM] [--mode MODE] target",
         "variety eval": "variety eval [-h] [--json] [--max-dim MAX_DIM] [--target TARGET]"
         " descriptor",
     }
@@ -1003,7 +1018,7 @@ class TestStartup:
         ("check", "pn:3"),
         ("check", "product(pn:2,product(curve:2,pn:2))", "--mode", "nef-tangent"),
         ("check", "tests/data/products.jsonl"),  # products and explicit leaves
-        ("check", "surface", "--c1sq", "9", "--c2", "3"),
+        ("check", "surface:9:3"),
         ("variety", "eval", "pn:2"),
         ("variety", "eval", "product(pn:1,hypersurface:5:4)", "--target", "euler"),
     ]

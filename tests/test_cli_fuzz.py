@@ -59,8 +59,10 @@ chi_targets = st.builds(
 )
 # values that look like flags: a value flag takes them verbatim
 DASHED = st.sampled_from(["-1*c1^2", "-c2", "-1,4", "-1", "--json", "-h", "--"])
-# unknown flags, prefixes of real ones, and flags of other commands
-STRAY_FLAGS = st.sampled_from(["--bogus", "--js", "--dim-", "-x", "--JSON", "--all", "--version"])
+# unknown flags, prefixes of real ones, flags of other commands and removed ones
+STRAY_FLAGS = st.sampled_from(
+    ["--bogus", "--js", "--dim-", "-x", "--JSON", "--all", "--version", "--c1sq"]
+)
 SWITCHES = ("--json", "--all-p")
 
 
@@ -162,14 +164,9 @@ def commands(draw) -> tuple[list[str], list[str] | None]:
             argv += valued(draw, "--target", draw(chi_targets | DASHED))
         return argv + flags, None
     if command == "check":
-        target, lines = mostly(draw, tokens(), st.just("surface") | token_text), None
+        target, lines = mostly(draw, tokens(), token_text), None
     else:
         target, lines = "{corpus}", draw(st.lists(corpus_lines(), min_size=1, max_size=3))
-    # --c1sq/--c2 mostly come with 'surface' and rarely with another target,
-    # as there they are refused before its token or corpus is read
-    for field in ("--c1sq", "--c2"):
-        if draw(st.integers(0, 3)) < 3 if target == "surface" else rarely(draw):
-            flags += valued(draw, field, mostly(draw, DIGITS, FIELD_JUNK))
     return ["check", target, *valued(draw, "--mode", draw(modes))] + flags, lines
 
 

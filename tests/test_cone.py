@@ -500,6 +500,27 @@ class TestChiSignReports:
                 assert rows[p].scale == twin.scale, (n, p)
                 assert rows[p].result == twin.result, (n, p)
 
+    def test_both_modes_certify_the_same_rows(self):
+        # under nef_tangent the target is the nef_cotangent one flipped to
+        # tangent variables, (-1)^n times its coefficients, with the sign
+        # (-1)^n times its sign: the same row over the same Schur rows, so the
+        # two modes ask one question in two conventions
+        compared = 0
+        for n in range(1, 10):
+            extras = [()] + [(f"my{n}",)] * (n in (2, 4))  # my2, my4: n = 2, 4 only
+            for extra in extras:
+                for c1top in ((), ("c1top",)):
+                    tags = ("schur",) + extra + c1top
+                    cotangent = certify_chi_signs(n, "nef_cotangent", tags)
+                    tangent = certify_chi_signs(n, "nef_tangent", tags)
+                    for cot, tan in zip(cotangent.rows, tangent.rows, strict=True):
+                        assert cot.target.poly_json_dict() == tan.target.poly_json_dict()
+                        assert (cot.scale, cot.status) == (tan.scale, tan.status)
+                        assert cot.result.to_json_dict() == tan.result.to_json_dict()
+                        assert tan.sign == (-1) ** n * cot.sign
+                        compared += 1
+        assert compared == 124
+
     @pytest.mark.parametrize("mode", SIGN_MODES)
     def test_each_distinct_target_is_solved_once(self, mode, monkeypatch):
         import chigenus.cone as cone
