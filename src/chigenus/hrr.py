@@ -57,7 +57,6 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates an implementation bug."""
 
 
-@lru_cache(maxsize=None)
 def _chi_y_factor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(L, ((T_0, S_0), ..., (T_n, S_n))) with q_k(y) = (T_k + y S_k) / L^k
     the coefficients of Q_y (see the module docstring)."""
@@ -111,14 +110,12 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     )
 
 
-@lru_cache(maxsize=None, typed=True)
 def chi_p(n: int, p: int) -> ChernFunctional:
     """The chi^p functional, in cotangent-convention variables.
 
     chi^p pairs a manifold's Chern numbers with the holomorphic Euler
     characteristic of its sheaf of p-forms, e.g. chi^1 = (c_1^2 - 5 c_2)/6
-    in dimension 2.  The cache is typed: (True, 0) == (1, 0), so an
-    untyped key would answer a bool with a cached row.
+    in dimension 2.
     """
     rows = _chi_y_rows(n)
     if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= n:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from functools import cached_property
 from math import comb, lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Mapping
@@ -41,7 +40,6 @@ from .poly import (
     parse_decimal,
     parse_json,
     parse_terms,
-    rational_parts,
     rational_text,
     weight_basis,
 )
@@ -269,42 +267,34 @@ class Explicit(VarietyDescriptor):
             raise ValueError(f"dimension must be a non-negative integer: {n!r}")
         if not isinstance(values, Mapping):
             raise TypeError(f"Chern numbers must be a mapping: {values!r}")
-        self._n = n
-        self._convention = BasisConvention(convention)
-        self._values: dict[Monomial, RationalLike] = {}
+        monomials: dict[Monomial, RationalLike] = {}
         for key, value in values.items():
             mono = _monomial_key(key, n)
-            if mono in self._values:
+            if mono in monomials:
                 raise ValueError(f"two keys name the monomial {mono_text(mono) or '1'}: {key!r}")
-            rational_parts(value)  # refuses a float or a malformed literal now
-            self._values[mono] = value
-
-    @cached_property
-    def _numbers(self) -> ChernFunctional:
-        # built on first use: it has one entry per partition of n, so a
-        # descriptor over the dimension limit is refused before it exists
-        return ChernFunctional.from_values(self._n, self._convention, self._values)
+            monomials[mono] = value
+        self._numbers = ChernFunctional.from_values(n, convention, monomials)
 
     @property
     def dimension(self) -> int:
-        return self._n
+        return self._numbers.dimension
 
     @property
     def convention(self) -> BasisConvention:
-        return self._convention
+        return self._numbers.convention
 
     def _tangent_values(self) -> ChernFunctional:
         return self._numbers.in_convention(BasisConvention.TANGENT)
 
     def name(self) -> str:
-        return f"explicit:{self._n}"
+        return f"explicit:{self.dimension}"
 
     def to_json_dict(self) -> dict:
-        den = self._numbers.denominator
-        values = zip(weight_basis(self._n), self._numbers.numerators)
+        n, den = self.dimension, self._numbers.denominator
+        values = zip(weight_basis(n), self._numbers.numerators)
         return {
-            "convention": self._convention.value,
-            "n": self._n,
+            "convention": self.convention.value,
+            "n": n,
             "type": "explicit",
             "values": {(mono_text(m) or "1"): rational_text(c, den) for m, c in values if c},
         }
@@ -484,11 +474,7 @@ def descriptor_from_json(obj: Mapping, max_dim: int | None = None) -> VarietyDes
         n = obj["n"]
         if max_dim is not None and isinstance(n, int) and n > max_dim:
             raise ValueError(f"descriptor explicit:{n} exceeds maximum dimension {max_dim}")
-        return Explicit(
-            n,
-            obj.get("values", {}),
-            BasisConvention(obj.get("convention", "cotangent")),
-        )
+        return Explicit(n, obj.get("values", {}), obj.get("convention", "cotangent"))
     raise ValueError(f"unknown descriptor type {kind!r}")
 
 

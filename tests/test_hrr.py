@@ -261,7 +261,6 @@ class TestChiTable:
 
     def test_deterministic(self):
         first = json.dumps(chi_table(4).to_json_dict(), sort_keys=True)
-        chi_p.cache_clear()
         _chi_y_rows.cache_clear()
         second = json.dumps(chi_table(4).to_json_dict(), sort_keys=True)
         assert first == second
@@ -269,7 +268,6 @@ class TestChiTable:
     def test_rows_identical_under_concurrent_evaluation(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        chi_p.cache_clear()
         _chi_y_rows.cache_clear()
         with ThreadPoolExecutor(max_workers=6) as pool:
             concurrent_rows = list(pool.map(lambda p: chi_p(5, p), range(6)))
@@ -280,10 +278,8 @@ class TestChiTable:
 class TestRowValidation:
     @pytest.fixture
     def cold_rows(self):
-        chi_p.cache_clear()
         _chi_y_rows.cache_clear()
         yield
-        chi_p.cache_clear()
         _chi_y_rows.cache_clear()
 
     def test_broken_rows_refused_before_any_use(self, monkeypatch, cold_rows):
@@ -311,17 +307,16 @@ class TestRowValidation:
 
 
 class TestCacheKeys:
-    """True == 1 and both hash alike, so an untyped cache would answer a
-    bool with the row of 1 once that row is cached."""
+    """chi_p refuses a bool and an out-of-range n or p, before and after the
+    rows of dimensions 0..2 are cached: True == 1 and both hash alike, so no
+    cache on the way may answer a bool with the row of 1."""
 
     BAD = [(True, 0), (True, 1), (2, True), (2, False), (-1, 0), (2, -1)]
 
     @pytest.fixture
     def cold_rows(self):
-        chi_p.cache_clear()
         _chi_y_rows.cache_clear()
         yield
-        chi_p.cache_clear()
         _chi_y_rows.cache_clear()
 
     @pytest.mark.parametrize("n, p", BAD)
