@@ -29,9 +29,9 @@ EXIT_USAGE = 2
 
 CONFIG_ENV = "CHIGENUS_CONFIG"
 
-# The only dimension limit: `main` resolves it (config, then --max-dim) and
-# every command passes its dimension through `_within_limit` before calling
-# the library, which applies no limit of its own.
+# The only dimension limit: `main` resolves it (config, then --max-dim).
+# `_within_limit` refuses a --dim value or a token above it, and the corpus
+# reader (`load_corpus`) a corpus line, with the line's number.
 DEFAULT_MAX_DIM = 8
 
 MODE_NAMES = tuple(mode.replace("_", "-") for mode in SIGN_MODES)
@@ -335,12 +335,10 @@ def _cmd_check(args) -> int:
         descriptors = [entry.descriptor for entry in load_corpus(args.target, args.max_dim)]
         if not descriptors:
             raise ValueError(f"corpus {args.target} holds no entries")
-    else:
+    else:  # a corpus line above the limit is refused where it is read
         descriptors = [descriptor_from_token(args.target)]
-    audits: list[SignAudit] = []
-    for descriptor in descriptors:
-        _within_limit(args.max_dim, descriptor)
-        audits.append(check_signs(descriptor, mode))
+        _within_limit(args.max_dim, descriptors[0])
+    audits = [check_signs(descriptor, mode) for descriptor in descriptors]
     passed = all(a.passed for a in audits)
     if args.json:
         payload = {"audits": [a.to_json_dict() for a in audits], "pass": passed}

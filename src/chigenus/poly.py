@@ -369,10 +369,17 @@ def parse_decimal(text: str) -> int:
 
 def parse_json(text: str):
     """The values of JSON text, the corpus's or the config's; an object that
-    repeats a key, whose last value `json` would keep, is a ValueError."""
+    repeats a key and an integer past the digit limit are ValueErrors."""
     import json
 
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
+
+
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"a number has over {sys.get_int_max_str_digits()} digits") from None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -397,6 +404,10 @@ class BasisConvention(str, Enum):
         if self is BasisConvention.TANGENT:
             return BasisConvention.COTANGENT
         return BasisConvention.TANGENT
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown convention {value!r} (use tangent or cotangent)")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

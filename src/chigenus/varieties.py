@@ -455,27 +455,39 @@ _RECIPES = {
     cls._kind: (cls, cls._fields)
     for cls in (ProjectiveSpace, Curve, AbelianVariety, Surface, Hypersurface)
 }
+# JSON "type" -> the fields a descriptor of that type may have
+_JSON_FIELDS = {kind: fields for kind, (_, fields) in _RECIPES.items()}
+_JSON_FIELDS.update(product=("left", "right"), explicit=("n", "values", "convention"))
 
 
 def descriptor_from_json(obj: Mapping, max_dim: int | None = None) -> VarietyDescriptor:
-    """The descriptor of a JSON object.  One that is explicit and above
-    `max_dim` is refused before its keys, tuples of its length, are parsed."""
+    """The descriptor of a JSON object, which holds "type" and fields of
+    that type only.  One above `max_dim` is refused, the innermost of a
+    product first, and one that is explicit before its keys, tuples of its
+    length, are parsed."""
     try:
         kind = obj["type"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"descriptor JSON needs a 'type' field: {obj!r}") from exc
-    if isinstance(kind, str) and kind in _RECIPES:
-        build, fields = _RECIPES[kind]
-        return build(*(obj[field] for field in fields))
-    if kind == "product":
-        left, right = (descriptor_from_json(obj[side], max_dim) for side in ("left", "right"))
-        return Product(left, right)
+    if not isinstance(kind, str) or kind not in _JSON_FIELDS:
+        raise ValueError(f"unknown descriptor type {kind!r}")
+    for field in obj:
+        if field != "type" and field not in _JSON_FIELDS[kind]:
+            raise ValueError(f"unknown field {field!r} for descriptor type {kind!r}")
     if kind == "explicit":
         n = obj["n"]
-        if max_dim is not None and isinstance(n, int) and n > max_dim:
+        if max_dim is not None and type(n) is int and n > max_dim:  # not a bool
             raise ValueError(f"descriptor explicit:{n} exceeds maximum dimension {max_dim}")
         return Explicit(n, obj.get("values", {}), obj.get("convention", "cotangent"))
-    raise ValueError(f"unknown descriptor type {kind!r}")
+    if kind == "product":
+        left, right = (descriptor_from_json(obj[side], max_dim) for side in ("left", "right"))
+        descriptor = Product(left, right)
+    else:
+        build, fields = _RECIPES[kind]
+        descriptor = build(*(obj[field] for field in fields))
+    if max_dim is not None and descriptor.dimension > max_dim:
+        raise ValueError(f"descriptor {descriptor.name()} exceeds maximum dimension {max_dim}")
+    return descriptor
 
 
 def descriptor_from_token(token: str) -> VarietyDescriptor:
@@ -532,7 +544,7 @@ class CorpusEntry(Record):
 def load_corpus(path, max_dim: int | None = None) -> list[CorpusEntry]:
     """Read a JSON-lines corpus: {"name": ..., "descriptor": {...},
     "expected": {...}} per line; `max_dim` is that of
-    `descriptor_from_json`."""
+    `descriptor_from_json`, so a line above it is refused with its number."""
     entries = []
     # lines end at b"\n" as in JSON Lines, and each is decoded on its own so
     # that a byte that is not UTF-8 is reported with its line number

@@ -313,6 +313,24 @@ UNKNOWN_TYPE = {
     '{"name":"a","descriptor":{"type":[1]}}': "[1]",
     '{"name":"a","descriptor":{"type":{"n":1}}}': "{'n': 1}",
 }
+# a field that the descriptor's type does not have is refused, so a misspelt
+# one never leaves the default in place (here cotangent, or no values)
+UNKNOWN_FIELD = {
+    (
+        '{"name":"e","descriptor":'
+        '{"type":"explicit","n":1,"values":{"c1":2},"conventon":"tangent"}}'
+    ): "'conventon' for descriptor type 'explicit'",
+    '{"name":"e","descriptor":{"type":"explicit","n":1,"value":{"c1":2}}}': (
+        "'value' for descriptor type 'explicit'"
+    ),
+}
+# a convention that is neither name is refused by its value, whatever its
+# JSON type
+BAD_CONVENTION = {
+    '{"name":"e","descriptor":{"type":"explicit","n":1,"convention":"x"}}': "'x'",
+    '{"name":"e","descriptor":{"type":"explicit","n":1,"convention":5}}': "5",
+    '{"name":"e","descriptor":{"type":"explicit","n":1,"convention":[1]}}': "[1]",
+}
 
 
 class TestCheckCommand:
@@ -390,6 +408,8 @@ class TestCheckCommand:
             *MISSING_FIELD,
             *REPEATED_KEY,
             *UNKNOWN_TYPE,
+            *UNKNOWN_FIELD,
+            *BAD_CONVENTION,
         ],
     )
     def test_malformed_corpus_line_exit_two(self, capsys, tmp_path, line):
@@ -407,6 +427,13 @@ class TestCheckCommand:
         if line in UNKNOWN_TYPE:
             assert err == (
                 f"error: bad corpus line 1: unknown descriptor type {UNKNOWN_TYPE[line]}\n"
+            )
+        if line in UNKNOWN_FIELD:
+            assert err == f"error: bad corpus line 1: unknown field {UNKNOWN_FIELD[line]}\n"
+        if line in BAD_CONVENTION:
+            assert err == (
+                f"error: bad corpus line 1: unknown convention {BAD_CONVENTION[line]} "
+                "(use tangent or cotangent)\n"
             )
 
     def test_corpus_line_not_utf8_names_the_line(self, capsys, tmp_path):
@@ -462,6 +489,54 @@ class TestCheckCommand:
         assert result.stdout == ""
         assert result.stderr == (
             f"error: bad corpus line 1: descriptor explicit:{n} exceeds maximum dimension 8\n"
+        )
+
+    @pytest.mark.parametrize(
+        "descriptor, name",
+        [
+            ({"type": "pn", "n": 99}, "pn:99"),
+            (
+                {
+                    "type": "product",
+                    "left": {"type": "pn", "n": 5},
+                    "right": {"type": "pn", "n": 4},
+                },
+                "product(pn:5,pn:4)",
+            ),
+            (
+                {
+                    "type": "product",
+                    "left": {"type": "pn", "n": 1},
+                    "right": {
+                        "type": "product",
+                        "left": {"type": "pn", "n": 9},
+                        "right": {"type": "curve", "genus": 2},
+                    },
+                },
+                "pn:9",
+            ),
+        ],
+        ids=["recipe", "product", "nested"],
+    )
+    def test_corpus_line_above_the_limit_names_the_line(self, capsys, tmp_path, descriptor, name):
+        # every corpus line above the limit is refused where it is read, and
+        # in a product the innermost descriptor above it is named
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"name": "x", "descriptor": descriptor}) + "\n")
+        assert run_cli(capsys, "check", str(corpus)) == (
+            2,
+            "",
+            f"error: bad corpus line 1: descriptor {name} exceeds maximum dimension 8\n",
+        )
+
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        # written as text: json.dumps of such an int raises
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"name":"x","descriptor":{"type":"pn","n":' + "9" * 5000 + "}}\n")
+        assert run_cli(capsys, "check", str(corpus)) == (
+            2,
+            "",
+            f"error: bad corpus line 1: a number has over {sys.get_int_max_str_digits()} digits\n",
         )
 
     @pytest.mark.parametrize(
@@ -851,6 +926,17 @@ class TestConfigFile:
         monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
         code, _, err = run_cli(capsys, "chi", "--dim", "2")
         assert code == 2
+
+    def test_config_integer_past_the_digit_limit(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text('{"max_dim": ' + "9" * 5000 + "}")
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
+        limit = sys.get_int_max_str_digits()
+        assert run_cli(capsys, "chi", "--dim", "2") == (
+            2,
+            "",
+            f"error: cannot read config {str(config)!r}: a number has over {limit} digits\n",
+        )
 
     def test_config_not_utf8_names_the_file(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.json"

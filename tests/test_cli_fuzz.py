@@ -1,12 +1,14 @@
 """Property test of the error contract of `cli.main` on arbitrary input.
 
-Whatever the tokens, corpus lines, polynomial text, numeric flag values,
-config JSON or shape of the command line (either flag value form, values
-that start with '-', unknown or repeated flags, no command), `main` returns
-0, 1 or 2 without raising; exit 2 comes with exactly one `error:` line on
-stderr and nothing on stdout, and exit 1 only with an "infeasible", "open"
-or failed-audit verdict on stdout.  Dimensions stay small so every example
-runs in milliseconds.
+Whatever the tokens, corpus lines (with misspelt fields, conventions,
+dimensions above the limit and integers past the digit limit), polynomial
+text, numeric flag values, config JSON or shape of the command line (either
+flag value form, values that start with '-', unknown or repeated flags, no
+command), `main` returns 0, 1 or 2 without raising; exit 2 comes with
+exactly one `error:` line on stderr and nothing on stdout, and exit 1 only
+with an "infeasible", "open" or failed-audit verdict on stdout.  Dimensions
+within the limit stay small, and larger ones are refused before anything of
+their size is built, so every example runs in milliseconds.
 """
 
 from __future__ import annotations
@@ -31,16 +33,27 @@ RECIPES = {
     "surface": ("c1sq", "c2"),
     "hypersurface": ("degree", "ambient"),
     "product": ("left", "right"),
-    "explicit": ("n", "values"),
+    "explicit": ("n", "values", "convention"),
     "bogus": (),
 }
-FIELDS = sorted({field for fields in RECIPES.values() for field in fields})
+# every field name, and misspellings that no descriptor type has
+FIELDS = sorted({field for fields in RECIPES.values() for field in fields}) + [
+    "conventon",
+    "value",
+    "genus_",
+]
 TOKEN_HEADS = ("pn", "curve", "abelian", "surface", "hypersurface", "bogus")
 DIGITS = st.integers(0, 5).map(str)
 FIELD_JUNK = st.sampled_from(["-1", "+2", "x", "", " 3", "1_0", "99999999999"])
 # a huge --max-dim would let a fuzzed product of dimension 20 run for minutes
 LIMITS = st.sampled_from(["2", "6", "8"])
 LIMIT_JUNK = FIELD_JUNK.filter(lambda text: text != "99999999999")
+# dimensions and degrees above every limit; a corpus line refuses them
+# before it builds anything of their size
+ABOVE_LIMIT = st.sampled_from([9, 99, 10**9])
+# stands for an integer past the int-string digit limit, which `json.dumps`
+# refuses to write, so the line's text carries it in place of this string
+HUGE = "<4301 digits>"
 MONOMIALS = st.sampled_from(["c1^2", "c2", "c1*c1", "1", "c3", "c1^3", "c1*c2", "2*c2", "x"])
 
 json_scalars = st.one_of(
@@ -102,6 +115,10 @@ def descriptors(draw, depth: int = 2):
             obj[field] = draw(descriptors(depth - 1)) if depth else draw(json_scalars)
         elif field == "values":
             obj[field] = mostly(draw, st.dictionaries(MONOMIALS, SMALL.map(str)), json_values)
+        elif field == "convention":
+            obj[field] = mostly(draw, st.sampled_from(["tangent", "cotangent"]), json_scalars)
+        elif rarely(draw):
+            obj[field] = draw(ABOVE_LIMIT | st.just(HUGE))
         else:
             obj[field] = mostly(draw, st.integers(0, 4), json_scalars)
     return obj
@@ -113,7 +130,7 @@ def corpus_lines(draw) -> str:
         entry = {"name": draw(st.text(max_size=4)), "descriptor": draw(descriptors())}
         if draw(st.booleans()):
             entry["expected"] = draw(json_values)
-        return json.dumps(entry)
+        return json.dumps(entry).replace(json.dumps(HUGE), "9" * 4301)
     line = draw(json_values.map(json.dumps) | st.text(max_size=12))
     return line.replace("\n", " ").replace("\r", " ")
 
@@ -228,6 +245,9 @@ def test_main_keeps_the_error_contract(invocation, config):
     if code == 2:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
         assert stdout == ""
+        # the interpreter's own texts for a long integer and a bad enum value
+        assert "set_int_max_str_digits" not in stderr, (argv, stderr)
+        assert "is not a valid BasisConvention" not in stderr, (argv, stderr)
     else:
         assert stderr == "", (argv, stderr)
         if code == 1:

@@ -119,6 +119,11 @@ class TestChernNumbers:
         assert flipped.convention is COT
         assert flipped.coeffs == tuple(-v for v in numbers.coeffs)
 
+    def test_explicit_rejects_an_unknown_convention(self):
+        with pytest.raises(ValueError) as info:
+            Explicit(2, {}, "x")
+        assert str(info.value) == "unknown convention 'x' (use tangent or cotangent)"
+
     def test_explicit_descriptor(self):
         explicit = Explicit(2, {"c1^2": 9, "c2": 3}, COT)
         assert chern_numbers(explicit, COT).terms().get((2, 0), 0) == 9
@@ -581,6 +586,55 @@ class TestDescriptorSerialization:
             descriptor_from_json({"n": 3})
         with pytest.raises(ValueError):
             descriptor_from_json({"type": "weird"})
+
+    @pytest.mark.parametrize(
+        "obj, error",
+        [
+            ({"type": "pn", "n": 2, "genus": 1}, "'genus' for descriptor type 'pn'"),
+            (
+                {"type": "explicit", "n": 1, "values": {}, "conventon": "tangent"},
+                "'conventon' for descriptor type 'explicit'",
+            ),
+            (
+                {"type": "product", "left": {"type": "pn", "n": 1}, "right": {}, "n": 1},
+                "'n' for descriptor type 'product'",
+            ),
+            (
+                {"type": "product", "left": {"type": "pn", "n": 1, "degree": 2}},
+                "'degree' for descriptor type 'pn'",
+            ),
+        ],
+    )
+    def test_json_refuses_a_field_its_type_lacks(self, obj, error):
+        with pytest.raises(ValueError) as info:
+            descriptor_from_json(obj)
+        assert str(info.value) == f"unknown field {error}"
+
+    @pytest.mark.parametrize(
+        "obj, name",
+        [
+            ({"type": "abelian", "n": 3}, "abelian:3"),
+            ({"type": "explicit", "n": 3}, "explicit:3"),
+            (
+                {
+                    "type": "product",
+                    "left": {"type": "pn", "n": 1},
+                    "right": {"type": "pn", "n": 2},
+                },
+                "product(pn:1,pn:2)",
+            ),
+        ],
+    )
+    def test_json_refuses_a_descriptor_above_max_dim(self, obj, name):
+        assert descriptor_from_json(obj, max_dim=3).dimension == 3
+        with pytest.raises(ValueError) as info:
+            descriptor_from_json(obj, max_dim=2)
+        assert str(info.value) == f"descriptor {name} exceeds maximum dimension 2"
+
+    def test_json_refuses_a_bool_dimension_as_such_under_any_limit(self):
+        with pytest.raises(ValueError) as info:
+            descriptor_from_json({"type": "explicit", "n": True}, max_dim=0)
+        assert str(info.value) == "dimension must be a non-negative integer: True"
 
     @pytest.mark.parametrize(
         "build",
