@@ -1,9 +1,10 @@
 """Command-line surface: chi tables, Schur generators, certificates, and
 corpus sign audits, in line-stable text or canonical JSON.
 
-Exit codes: 0 success/certified, 1 infeasible or failed audit, 2 usage or
-malformed input.  JSON output is a single line with sorted keys and exact
-'a/b' rationals, so repeated runs are byte-identical.
+Exit codes: 0 success/certified, 1 infeasible or failed audit, 2 usage,
+malformed input or output that cannot be written.  JSON output is a single
+line with sorted keys and exact 'a/b' rationals, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def _json_key(key: str) -> str:
     return _json_text(key) + ":"
 
 
-def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> None:
+def _envelope(command: str, dimension: int, convention: str, payload: dict) -> str:
+    """The one JSON line of a --json command."""
     envelope = {
         "command": command,
         "convention": convention,
@@ -146,7 +148,7 @@ def _emit_json(command: str, dimension: int, convention: str, payload: dict) -> 
         "payload": payload,
         "toolVersion": __version__,
     }
-    print(_json_text(envelope))
+    return _json_text(envelope)
 
 
 def _parse_mode(text: str) -> str:
@@ -173,7 +175,7 @@ def _parse_assumptions(text: str | None) -> tuple[str, ...]:
 # -- chi ---------------------------------------------------------------------
 
 
-def _cmd_chi(args) -> int:
+def _cmd_chi(args) -> tuple[int, str]:
     from .hrr import chi_table
     from .symchern import BasisConvention
 
@@ -183,18 +185,16 @@ def _cmd_chi(args) -> int:
     if convention == BasisConvention.TANGENT:
         table = table.flipped()
     if args.json:
-        _emit_json("chi", n, convention.value, table.to_json_dict())
-        return EXIT_OK
-    print(f"chi table (dim {n}, {convention.value})")
-    for p, row in enumerate(table.rows):
-        print(f"chi^{p} = {row.to_text()}")
-    return EXIT_OK
+        return EXIT_OK, _envelope("chi", n, convention.value, table.to_json_dict())
+    lines = [f"chi table (dim {n}, {convention.value})"]
+    lines += (f"chi^{p} = {row.to_text()}" for p, row in enumerate(table.rows))
+    return EXIT_OK, "\n".join(lines)
 
 
 # -- schur -------------------------------------------------------------------
 
 
-def _cmd_schur(args) -> int:
+def _cmd_schur(args) -> tuple[int, str]:
     from .poly import partitions_of
     from .symchern import parse_partition, partition_label, schur
 
@@ -210,13 +210,10 @@ def _cmd_schur(args) -> int:
                 {"name": name, "poly": poly.poly_json_dict()} for name, poly in rows
             ]
         }
-        _emit_json("schur", n, "any", payload)
-        return EXIT_OK
-    if args.partition is None:
-        print(f"schur generators (dim {n})")
-    for name, poly in rows:
-        print(f"{name} = {poly.to_text()}")
-    return EXIT_OK
+        return EXIT_OK, _envelope("schur", n, "any", payload)
+    lines = [f"schur generators (dim {n})"] if args.partition is None else []
+    lines += (f"{name} = {poly.to_text()}" for name, poly in rows)
+    return EXIT_OK, "\n".join(lines)
 
 
 # -- certify -----------------------------------------------------------------
@@ -257,7 +254,7 @@ def _parse_target(args, n: int, mode: str, convention: BasisConvention):
     return target, sign, scale
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[int, str]:
     from .cone import Certificate, certify, certify_chi_signs, generators
     from .hrr import mode_convention
 
@@ -271,22 +268,20 @@ def _cmd_certify(args) -> int:
     tags = ("schur",) + _parse_assumptions(args.assume)
     if args.all_p:
         report = certify_chi_signs(n, mode, tags)
+        code = EXIT_OK if report.all_certified else EXIT_NEGATIVE
         if args.json:
-            _emit_json("certify", n, convention.value, report.to_json_dict())
-        else:
-            print(
-                f"chi sign report (dim {n}, mode {mode}, "
-                f"assume {','.join(report.assumptions)})"
-            )
-            for row in report.rows:
-                print(f"p={row.p} scale={row.scale} {row.status}")
-            print(f"verdict: {'certified' if report.all_certified else 'open'}")
-        return EXIT_OK if report.all_certified else EXIT_NEGATIVE
+            return code, _envelope("certify", n, convention.value, report.to_json_dict())
+        assumed = ",".join(report.assumptions)
+        lines = [f"chi sign report (dim {n}, mode {mode}, assume {assumed})"]
+        lines += (f"p={row.p} scale={row.scale} {row.status}" for row in report.rows)
+        lines.append(f"verdict: {'certified' if report.all_certified else 'open'}")
+        return code, "\n".join(lines)
 
     gens = generators(n, tags, convention)
     target, sign, scale = _parse_target(args, n, mode, convention)
     result = certify(target, gens)
     certified = isinstance(result, Certificate)
+    code = EXIT_OK if certified else EXIT_NEGATIVE
     if args.json:
         payload = {
             "assumptions": list(tags),
@@ -297,20 +292,17 @@ def _cmd_certify(args) -> int:
             "target": target.poly_json_dict(),
             result.json_key: result.to_json_dict(),
         }
-        _emit_json("certify", n, convention.value, payload)
+        return code, _envelope("certify", n, convention.value, payload)
+    lines = [f"certify (dim {n}, {convention.value})"]
+    lines.append(f"target = {target.to_text()} (sign {sign}, scale {scale})")
+    if certified:
+        lines.append("status = certified")
+        for term in result.to_json_dict()["terms"]:  # the coefficients as JSON writes them
+            lines.append(f"  {term['coef']} * {term['gen']}")
+        lines.append("residual = 0")  # no residual; the line keeps the format
     else:
-        # every number is written out before the first line is printed
-        lines = [f"certify (dim {n}, {convention.value})"]
-        lines.append(f"target = {target.to_text()} (sign {sign}, scale {scale})")
-        if certified:
-            lines.append("status = certified")
-            for term in result.to_json_dict()["terms"]:  # the coefficients as JSON writes them
-                lines.append(f"  {term['coef']} * {term['gen']}")
-            lines.append("residual = 0")  # no residual; the line keeps the format
-        else:
-            lines += ["status = infeasible", f"witness = {result.witness.to_text()}"]
-        print("\n".join(lines))
-    return EXIT_OK if certified else EXIT_NEGATIVE
+        lines += ["status = infeasible", f"witness = {result.witness.to_text()}"]
+    return code, "\n".join(lines)
 
 
 # -- check -------------------------------------------------------------------
@@ -327,7 +319,7 @@ def _audit_text(audit: SignAudit) -> list[str]:
     return lines
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, str]:
     from .varieties import check_signs, descriptor_from_token, load_corpus
 
     mode = _parse_mode(args.mode)
@@ -340,19 +332,18 @@ def _cmd_check(args) -> int:
         _within_limit(args.max_dim, descriptors[0])
     audits = [check_signs(descriptor, mode) for descriptor in descriptors]
     passed = all(a.passed for a in audits)
+    code = EXIT_OK if passed else EXIT_NEGATIVE
     if args.json:
         payload = {"audits": [a.to_json_dict() for a in audits], "pass": passed}
         dim = audits[0].dimension if len(audits) == 1 else 0
-        _emit_json("check", dim, "cotangent", payload)
-    else:  # every audit is written out before the first line is printed
-        print("\n".join(line for audit in audits for line in _audit_text(audit)))
-    return EXIT_OK if passed else EXIT_NEGATIVE
+        return code, _envelope("check", dim, "cotangent", payload)
+    return code, "\n".join(line for audit in audits for line in _audit_text(audit))
 
 
 # -- variety -----------------------------------------------------------------
 
 
-def _cmd_variety_eval(args) -> int:
+def _cmd_variety_eval(args) -> tuple[int, str]:
     from .poly import rational_text
     from .varieties import descriptor_from_token
 
@@ -375,11 +366,8 @@ def _cmd_variety_eval(args) -> int:
                 "target": label,
                 "value": value,
             }
-            _emit_json("variety-eval", n, "cotangent", payload)
-        else:
-            print(f"{label} = {value}")
-        return EXIT_OK
-    # every number is written out before the first line is printed
+            return EXIT_OK, _envelope("variety-eval", n, "cotangent", payload)
+        return EXIT_OK, f"{label} = {value}"
     values = [rational_text(c, den) for c in numerators]
     euler = rational_text(euler, den)
     if args.json:
@@ -388,13 +376,11 @@ def _cmd_variety_eval(args) -> int:
             "descriptor": descriptor.to_json_dict(),
             "euler": euler,
         }
-        _emit_json("variety-eval", n, "cotangent", payload)
-    else:
-        print(f"variety {descriptor.name()} (dim {n})")
-        for p, value in enumerate(values):
-            print(f"chi^{p} = {value}")
-        print(f"euler = {euler}")
-    return EXIT_OK
+        return EXIT_OK, _envelope("variety-eval", n, "cotangent", payload)
+    lines = [f"variety {descriptor.name()} (dim {n})"]
+    lines += (f"chi^{p} = {value}" for p, value in enumerate(values))
+    lines.append(f"euler = {euler}")
+    return EXIT_OK, "\n".join(lines)
 
 
 # -- parser ------------------------------------------------------------------
@@ -431,8 +417,7 @@ certificates for Chern-number sign theorems.  A flag takes its value as
 {MODE_NAMES[0]}), --assume a comma list of {','.join(OPTIONAL_ASSUMPTIONS)}, --partition
 e.g. 2,1, --target chi:p, euler or (certify only) an inline weight-n
 polynomial, and check's target a builtin token (pn:3, curve:2, surface:9:3,
-...) or a corpus path.
-"""
+...) or a corpus path."""
 
 
 def _help() -> str:
@@ -451,11 +436,11 @@ def _help() -> str:
 
 
 def _parse(argv: Sequence[str]) -> SimpleNamespace | str:
-    """The parsed command line, or the text that --help or --version prints.
+    """The parsed command line, or the text of --help or --version.
     A value flag takes the next token verbatim, even one that starts with
     '-'; every refusal is a ValueError."""
     if argv[:1] == ["--version"]:
-        return f"chigenus {__version__}\n"
+        return f"chigenus {__version__}"
     command = " ".join(argv[:2])
     if command not in COMMANDS:
         command = argv[0] if argv else ""
@@ -514,15 +499,22 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line and write the whole text its command returns at
+    once; a refusal or a failed write is one error line and exit 2."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         if isinstance(args, str):  # --help or --version
-            sys.stdout.write(args)
-            return EXIT_OK
-        args.max_dim = _resolve_max_dim(args.max_dim)
-        return args.func(args)
+            code, text = EXIT_OK, args
+        else:
+            args.max_dim = _resolve_max_dim(args.max_dim)
+            code, text = args.func(args)
+        print(text, flush=True)
+        return code
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr cannot be written either: the exit code tells
+            pass
         return EXIT_USAGE
 
 
@@ -533,6 +525,14 @@ def run() -> None:  # console-script entry point
         # the process ends here: the OS reclaims the heap, so the collector
         # need not walk every module object at shutdown
         gc.freeze()
+    # the interpreter flushes both streams again as it shuts down, and a write
+    # that failed in `main` would fail there again and exit 120: such a
+    # stream's descriptor now points at devnull
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 
 

@@ -385,10 +385,6 @@ class SignAuditRow(Record):
 
         return Fraction(self.numerator, self.denominator)
 
-    @property
-    def signed_value(self) -> Fraction:
-        return self.value * self.sign
-
     def to_json_dict(self) -> dict:
         return {
             "chi": rational_text(self.numerator, self.denominator),
@@ -543,8 +539,9 @@ class CorpusEntry(Record):
 
 def load_corpus(path, max_dim: int | None = None) -> list[CorpusEntry]:
     """Read a JSON-lines corpus: {"name": ..., "descriptor": {...},
-    "expected": {...}} per line; `max_dim` is that of
-    `descriptor_from_json`, so a line above it is refused with its number."""
+    "expected": {...}} per line, with no other key and a string name;
+    `max_dim` is that of `descriptor_from_json`, so a line above it is
+    refused with its number."""
     entries = []
     # lines end at b"\n" as in JSON Lines, and each is decoded on its own so
     # that a byte that is not UTF-8 is reported with its line number
@@ -557,6 +554,11 @@ def load_corpus(path, max_dim: int | None = None) -> list[CorpusEntry]:
                 obj = parse_json(line)
                 if not isinstance(obj, dict):
                     raise ValueError("expected a JSON object")
+                for field in obj:
+                    if field not in ("name", "descriptor", "expected"):
+                        raise ValueError(f"unknown field {field!r}")
+                if not isinstance(obj["name"], str):
+                    raise ValueError("field 'name' must be a string")
                 entries.append(
                     CorpusEntry(
                         name=obj["name"],

@@ -324,6 +324,15 @@ UNKNOWN_FIELD = {
         "'value' for descriptor type 'explicit'"
     ),
 }
+# a line holds "name", "descriptor" and "expected" only, so a key that
+# `check` would never read (here a mode) is refused, not ignored; and a
+# name is a string
+BAD_TOP_LEVEL = {
+    '{"name":"a","descriptor":{"type":"pn","n":2},"mode":"nef_tangent"}': (
+        "unknown field 'mode'"
+    ),
+    '{"name":5,"descriptor":{"type":"pn","n":2}}': "field 'name' must be a string",
+}
 # a convention that is neither name is refused by its value, whatever its
 # JSON type
 BAD_CONVENTION = {
@@ -409,6 +418,7 @@ class TestCheckCommand:
             *REPEATED_KEY,
             *UNKNOWN_TYPE,
             *UNKNOWN_FIELD,
+            *BAD_TOP_LEVEL,
             *BAD_CONVENTION,
         ],
     )
@@ -430,6 +440,8 @@ class TestCheckCommand:
             )
         if line in UNKNOWN_FIELD:
             assert err == f"error: bad corpus line 1: unknown field {UNKNOWN_FIELD[line]}\n"
+        if line in BAD_TOP_LEVEL:
+            assert err == f"error: bad corpus line 1: {BAD_TOP_LEVEL[line]}\n"
         if line in BAD_CONVENTION:
             assert err == (
                 f"error: bad corpus line 1: unknown convention {BAD_CONVENTION[line]} "
@@ -1242,3 +1254,59 @@ class TestExitContract:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
         )
         assert result.stderr.splitlines()[-1] == f"{code} True"
+
+    # output that cannot be written is one error line and exit 2, whether
+    # stdout is buffered or not and whether the text fits the 8 KiB buffer
+    # (chi --dim 8 --json does not) or not
+    CLOSED = [
+        ("--version",),
+        ("chi", "--dim", "3"),
+        ("chi", "--dim", "8", "--json"),
+        ("certify", "--all-p", "--dim", "4", "--json"),
+    ]
+    ERRORS = {
+        "pipe": "error: [Errno 32] Broken pipe\n",
+        "full": "error: [Errno 28] No space left on device\n",
+    }
+
+    @staticmethod
+    def run_closed(env, argv, unbuffered, stdout, stderr=subprocess.PIPE):
+        if unbuffered:
+            env = {**env, "PYTHONUNBUFFERED": "1"}
+        return subprocess.run(
+            [sys.executable, "-m", "chigenus", *argv],
+            stdout=stdout,
+            stderr=stderr,
+            env=env,
+            timeout=30,
+        )
+
+    @staticmethod
+    def closed_pipe() -> int:
+        """The write end of a pipe whose read end is closed."""
+        read, write = os.pipe()
+        os.close(read)
+        return write
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["pipe", "full"])
+    @pytest.mark.parametrize("argv", CLOSED, ids=[" ".join(a) for a in CLOSED])
+    def test_unwritable_stdout_is_one_error_line(self, env, argv, sink, unbuffered):
+        if sink == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        stdout = self.closed_pipe() if sink == "pipe" else os.open("/dev/full", os.O_WRONLY)
+        try:
+            result = self.run_closed(env, argv, unbuffered, stdout)
+        finally:
+            os.close(stdout)
+        assert (result.returncode, result.stderr.decode()) == (2, self.ERRORS[sink])
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", CLOSED, ids=[" ".join(a) for a in CLOSED])
+    def test_unwritable_stdout_and_stderr_exit_two(self, env, argv, unbuffered):
+        both = self.closed_pipe()
+        try:
+            result = self.run_closed(env, argv, unbuffered, both, both)
+        finally:
+            os.close(both)
+        assert result.returncode == 2

@@ -1,12 +1,13 @@
 """Property test of the error contract of `cli.main` on arbitrary input.
 
-Whatever the tokens, corpus lines (with misspelt fields, conventions,
-dimensions above the limit and integers past the digit limit), polynomial
-text, numeric flag values, config JSON or shape of the command line (either
-flag value form, values that start with '-', unknown or repeated flags, no
-command), `main` returns 0, 1 or 2 without raising; exit 2 comes with
-exactly one `error:` line on stderr and nothing on stdout, and exit 1 only
-with an "infeasible", "open" or failed-audit verdict on stdout.  Dimensions
+Whatever the tokens, corpus lines (with misspelt fields and top-level keys,
+names that are not strings, conventions, dimensions above the limit and
+integers past the digit limit), polynomial text, numeric flag values,
+config JSON or shape of the command line (either flag value form, values
+that start with '-', unknown or repeated flags, no command), `main`
+returns 0, 1 or 2 without raising; exit 2 comes with exactly one `error:`
+line on stderr and nothing on stdout, and exit 1 only with an
+"infeasible", "open" or failed-audit verdict on stdout.  Dimensions
 within the limit stay small, and larger ones are refused before anything of
 their size is built, so every example runs in milliseconds.
 """
@@ -42,6 +43,8 @@ FIELDS = sorted({field for fields in RECIPES.values() for field in fields}) + [
     "value",
     "genus_",
 ]
+# a corpus line's keys, misspellings of them and a key `check` never reads
+CORPUS_KEYS = ("name", "descriptor", "expected", "nam", "Descriptor", "expect", "mode")
 TOKEN_HEADS = ("pn", "curve", "abelian", "surface", "hypersurface", "bogus")
 DIGITS = st.integers(0, 5).map(str)
 FIELD_JUNK = st.sampled_from(["-1", "+2", "x", "", " 3", "1_0", "99999999999"])
@@ -127,9 +130,15 @@ def descriptors(draw, depth: int = 2):
 @st.composite
 def corpus_lines(draw) -> str:
     if draw(st.integers(0, 3)) < 3:
-        entry = {"name": draw(st.text(max_size=4)), "descriptor": draw(descriptors())}
+        entry = {
+            "name": mostly(draw, st.text(max_size=4), json_scalars),
+            "descriptor": draw(descriptors()),
+        }
         if draw(st.booleans()):
             entry["expected"] = draw(json_values)
+        if draw(st.integers(0, 3)) == 3:  # one key renamed: misspelt, stray or another's
+            key = draw(st.sampled_from(sorted(entry)))
+            entry[draw(st.sampled_from(CORPUS_KEYS))] = entry.pop(key)
         return json.dumps(entry).replace(json.dumps(HUGE), "9" * 4301)
     line = draw(json_values.map(json.dumps) | st.text(max_size=12))
     return line.replace("\n", " ").replace("\r", " ")

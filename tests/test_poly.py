@@ -612,3 +612,63 @@ class TestFractionsAtTheBoundary:
     def test_module_level_imports(self, path):
         tree = ast.parse(path.read_text(), filename=str(path))
         assert not any(self.loads_fractions(node) for node in tree.body), path.name
+
+
+class TestOneWriter:
+    """`cli.py` writes stdout at one site and stderr at one site, both in
+    `main`: every command returns its text, so none prints on its own, and
+    a failed write is always caught by `main`'s one handler."""
+
+    @staticmethod
+    def write_sites(tree):
+        """(stream, innermost enclosing function) of each print, .write,
+        .writelines or os.write call, in source order; a print's stream is
+        its file= (sys.stdout if none)."""
+        sites = []
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call):
+                func, stream = ast.unparse(node.func), None
+                if func == "print":
+                    files = [k.value for k in node.keywords if k.arg == "file"]
+                    stream = ast.unparse(files[0]) if files else "sys.stdout"
+                elif func == "os.write":
+                    stream = f"fd {ast.unparse(node.args[0])}"
+                elif isinstance(node.func, ast.Attribute) and node.func.attr in (
+                    "write",
+                    "writelines",
+                ):
+                    stream = ast.unparse(node.func.value)
+                if stream is not None:
+                    sites.append((stream, function))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(tree, "<module>")
+        return sites
+
+    def test_cli_writes_each_stream_once(self):
+        path = pathlib.Path(chigenus.__file__).parent / "cli.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert sorted(self.write_sites(tree)) == [("sys.stderr", "main"), ("sys.stdout", "main")]
+
+    def test_the_scan_sees_every_kind_of_write(self):
+        code = (
+            "def f():\n"
+            "    print('a')\n"
+            "    print('b', file=sys.stderr)\n"
+            "    sys.stdout.write('c')\n"
+            "    sys.stdout.buffer.write(b'd')\n"
+            "    os.write(1, b'e')\n"
+            "print('f')\n"
+        )
+        assert self.write_sites(ast.parse(code)) == [
+            ("sys.stdout", "f"),
+            ("sys.stderr", "f"),
+            ("sys.stdout", "f"),
+            ("sys.stdout.buffer", "f"),
+            ("fd 1", "f"),
+            ("sys.stdout", "<module>"),
+        ]

@@ -434,7 +434,7 @@ class TestProductsOfProjectiveSpaces:
 class TestCheckSigns:
     def test_p3_tangent_mode(self):
         audit = check_signs(ProjectiveSpace(3), "nef_tangent")
-        assert [row.signed_value for row in audit.rows] == [1, 1, 1, 1]
+        assert [row.value * row.sign for row in audit.rows] == [1, 1, 1, 1]
         assert audit.passed
 
     def test_abelian_cotangent_mode(self):
@@ -445,7 +445,7 @@ class TestCheckSigns:
     def test_product_of_genus_two_curves(self):
         audit = check_signs(Product(Curve(2), Curve(2)), "nef_cotangent")
         assert [row.value for row in audit.rows] == [1, -2, 1]
-        assert [row.signed_value for row in audit.rows] == [1, 2, 1]
+        assert [row.value * row.sign for row in audit.rows] == [1, 2, 1]
         assert audit.passed
 
     def test_bmy_equality_surface(self):
