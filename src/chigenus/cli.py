@@ -22,7 +22,7 @@ from . import ASSUMPTION_TAGS, SIGN_MODES, __version__
 # loads only the modules it uses and --version or --help loads none.
 if TYPE_CHECKING:
     from .symchern import BasisConvention
-    from .varieties import SignAudit, VarietyDescriptor
+    from .varieties import SignAudit
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -31,8 +31,8 @@ EXIT_USAGE = 2
 CONFIG_ENV = "CHIGENUS_CONFIG"
 
 # The only dimension limit: `main` resolves it (config, then --max-dim).
-# `_within_limit` refuses a --dim value or a token above it, and the corpus
-# reader (`load_corpus`) a corpus line, with the line's number.
+# `_within_limit` gates only --dim; `varieties` refuses a token or a corpus
+# line above it.
 DEFAULT_MAX_DIM = 8
 
 MODE_NAMES = tuple(mode.replace("_", "-") for mode in SIGN_MODES)
@@ -69,17 +69,11 @@ def _resolve_max_dim(flag: int | None) -> int:
     return value if flag is None else flag
 
 
-def _within_limit(max_dim: int, subject: int | VarietyDescriptor, low: int = 0) -> int:
-    """The one dimension gate: `subject` is a --dim value (an int), refused
-    outside low..max_dim, or a variety descriptor, refused above max_dim.
-    Returns the dimension."""
-    if isinstance(subject, int):
-        if not low <= subject <= max_dim:
-            raise ValueError(f"--dim must be within {low}..{max_dim}")
-        return subject
-    if subject.dimension > max_dim:
-        raise ValueError(f"descriptor {subject.name()} exceeds maximum dimension {max_dim}")
-    return subject.dimension
+def _within_limit(max_dim: int, dim: int, low: int = 0) -> int:
+    """A --dim value, refused outside low..max_dim."""
+    if not low <= dim <= max_dim:
+        raise ValueError(f"--dim must be within {low}..{max_dim}")
+    return dim
 
 
 def _decimal(text: str) -> int:
@@ -327,9 +321,8 @@ def _cmd_check(args) -> tuple[int, str]:
         descriptors = [entry.descriptor for entry in load_corpus(args.target, args.max_dim)]
         if not descriptors:
             raise ValueError(f"corpus {args.target} holds no entries")
-    else:  # a corpus line above the limit is refused where it is read
-        descriptors = [descriptor_from_token(args.target)]
-        _within_limit(args.max_dim, descriptors[0])
+    else:  # a corpus line or token above the limit is refused where it is read
+        descriptors = [descriptor_from_token(args.target, args.max_dim)]
     audits = [check_signs(descriptor, mode) for descriptor in descriptors]
     passed = all(a.passed for a in audits)
     code = EXIT_OK if passed else EXIT_NEGATIVE
@@ -347,8 +340,8 @@ def _cmd_variety_eval(args) -> tuple[int, str]:
     from .poly import rational_text
     from .varieties import descriptor_from_token
 
-    descriptor = descriptor_from_token(args.descriptor)
-    n = _within_limit(args.max_dim, descriptor)
+    descriptor = descriptor_from_token(args.descriptor, args.max_dim)
+    n = descriptor.dimension
     numerators, den = descriptor._chi_y()
     euler = sum(numerators[0::2]) - sum(numerators[1::2])  # sum_p (-1)^p chi^p
     if args.target is not None:
@@ -500,7 +493,8 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line and write the whole text its command returns at
-    once; a refusal or a failed write is one error line and exit 2."""
+    once; a refusal, a failed write or a product token that parses but nests
+    too deeply to evaluate is one error line and exit 2."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         if isinstance(args, str):  # --help or --version
@@ -510,7 +504,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             code, text = args.func(args)
         print(text, flush=True)
         return code
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
+        if isinstance(exc, RecursionError):  # only a product token nests this deep
+            exc = "product token nests too deeply"
         try:
             print(f"error: {exc}", file=sys.stderr, flush=True)
         except OSError:  # stderr cannot be written either: the exit code tells

@@ -26,7 +26,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from math import comb, lcm, prod
 from operator import mul
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .hrr import ChernFunctional, chi_sign, chi_table
 from .poly import (
@@ -456,6 +456,13 @@ _JSON_FIELDS = {kind: fields for kind, (_, fields) in _RECIPES.items()}
 _JSON_FIELDS.update(product=("left", "right"), explicit=("n", "values", "convention"))
 
 
+def _refuse_above(max_dim: int | None, dimension, name: Callable[[], str]) -> None:
+    """The one dimension limit of both readers (None: none).  A dimension
+    that is not an int (an explicit's raw "n") is refused by its descriptor."""
+    if max_dim is not None and type(dimension) is int and dimension > max_dim:
+        raise ValueError(f"descriptor {name()} exceeds maximum dimension {max_dim}")
+
+
 def descriptor_from_json(obj: Mapping, max_dim: int | None = None) -> VarietyDescriptor:
     """The descriptor of a JSON object, which holds "type" and fields of
     that type only.  One above `max_dim` is refused, the innermost of a
@@ -472,8 +479,7 @@ def descriptor_from_json(obj: Mapping, max_dim: int | None = None) -> VarietyDes
             raise ValueError(f"unknown field {field!r} for descriptor type {kind!r}")
     if kind == "explicit":
         n = obj["n"]
-        if max_dim is not None and type(n) is int and n > max_dim:  # not a bool
-            raise ValueError(f"descriptor explicit:{n} exceeds maximum dimension {max_dim}")
+        _refuse_above(max_dim, n, lambda: f"explicit:{n}")
         return Explicit(n, obj.get("values", {}), obj.get("convention", "cotangent"))
     if kind == "product":
         left, right = (descriptor_from_json(obj[side], max_dim) for side in ("left", "right"))
@@ -481,14 +487,13 @@ def descriptor_from_json(obj: Mapping, max_dim: int | None = None) -> VarietyDes
     else:
         build, fields = _RECIPES[kind]
         descriptor = build(*(obj[field] for field in fields))
-    if max_dim is not None and descriptor.dimension > max_dim:
-        raise ValueError(f"descriptor {descriptor.name()} exceeds maximum dimension {max_dim}")
+    _refuse_above(max_dim, descriptor.dimension, descriptor.name)
     return descriptor
 
 
-def descriptor_from_token(token: str) -> VarietyDescriptor:
-    """Parse the builtin names: pn:3, curve:2, abelian:2, surface:9:3,
-    hypersurface:5:4, product(pn:1,curve:2)."""
+def descriptor_from_token(token: str, max_dim: int | None = None) -> VarietyDescriptor:
+    """Parse the builtin names (pn:3, curve:2, abelian:2, surface:9:3,
+    hypersurface:5:4, product(pn:1,curve:2)), refusing one above `max_dim`."""
     # One pass records each comma under the parenthesis balance before it.
     # A product's top-level comma is then the first comma at or after its
     # inner text with the balance of that text's start: one bisection per
@@ -526,7 +531,9 @@ def descriptor_from_token(token: str) -> VarietyDescriptor:
             raise ValueError(f"malformed variety token {leaf!r}") from exc
 
     try:
-        return parse(0, len(token))
+        descriptor = parse(0, len(token))
+        _refuse_above(max_dim, descriptor.dimension, descriptor.name)
+        return descriptor
     except RecursionError:
         raise ValueError("product token nests too deeply") from None
 
@@ -539,7 +546,8 @@ class CorpusEntry(Record):
 
 def load_corpus(path, max_dim: int | None = None) -> list[CorpusEntry]:
     """Read a JSON-lines corpus: {"name": ..., "descriptor": {...},
-    "expected": {...}} per line, with no other key and a string name;
+    "expected": {...}} per line, with no other key, a string name and, if
+    given, an object as expected;
     `max_dim` is that of `descriptor_from_json`, so a line above it is
     refused with its number."""
     entries = []
@@ -559,6 +567,8 @@ def load_corpus(path, max_dim: int | None = None) -> list[CorpusEntry]:
                         raise ValueError(f"unknown field {field!r}")
                 if not isinstance(obj["name"], str):
                     raise ValueError("field 'name' must be a string")
+                if not isinstance(obj.get("expected", {}), dict):
+                    raise ValueError("field 'expected' must be an object")
                 entries.append(
                     CorpusEntry(
                         name=obj["name"],

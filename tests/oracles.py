@@ -11,6 +11,8 @@ package's own:
 * symmetric-polynomial reduction to elementary symmetric polynomials by
   the classical leading-term algorithm;
 * the Todd class from Bernoulli numbers, one factor per formal root;
+* the chi_y genus of a hypersurface by its closed residue formula in one
+  variable, with no Chern number;
 * the full chi_y table from the closed product formula over formal roots;
 * partition counting by the bounded-part recurrence;
 * cofactor expansion for determinants;
@@ -591,6 +593,38 @@ def series_inv(a: list[Fraction], order: int) -> list[Fraction]:
     for k in range(1, order + 1):
         out[k] = -sum(a[i] * out[k - i] for i in range(1, k + 1) if i < len(a))
     return out
+
+
+def hypersurface_chi_y(degree: int, ambient: int) -> tuple[Fraction, ...]:
+    """chi^0..chi^n of a smooth degree-d hypersurface V in P^N (N = ambient,
+    n = N - 1) by the residue formula
+
+        chi_y(V) = [z^N] (1 + y - yz)^{N+1} (1 - (1-z)^d)
+                         / ((1 + y) (1 + y (1-z)^d) (1 - z)),
+
+    summed as series in z at the nodes y = 0..n and interpolated in y.  No
+    Chern number, chi table or Kostka matrix enters."""
+    N, d, n = ambient, degree, ambient - 1
+    power = [(-1) ** k * comb(d, k) for k in range(d + 1)]  # (1 - z)^d
+    values = []
+    for y in range(n + 1):
+        numerator = series_mul(
+            [Fraction(comb(N + 1, k) * (1 + y) ** (N + 1 - k) * (-y) ** k) for k in range(N + 2)],
+            [Fraction(0)] + [Fraction(-c) for c in power[1:]],
+            N,
+        )
+        # the denominator over its constant term (1 + y)^2
+        scale = (1 + y) ** 2
+        denominator = series_mul(
+            [Fraction((1 + y) * ((k == 0) + y * c), scale) for k, c in enumerate(power)],
+            [Fraction(1), Fraction(-1)],
+            N,
+        )
+        values.append(series_mul(numerator, series_inv(denominator, N), N)[N] / scale)
+    lagrange = _lagrange_coefficients(n)
+    return tuple(
+        sum((lagrange[y][p] * values[y] for y in range(n + 1)), Fraction(0)) for p in range(n + 1)
+    )
 
 
 # -- Fourier-Motzkin feasibility -----------------------------------------------

@@ -332,6 +332,12 @@ BAD_TOP_LEVEL = {
         "unknown field 'mode'"
     ),
     '{"name":5,"descriptor":{"type":"pn","n":2}}': "field 'name' must be a string",
+    '{"name":"a","descriptor":{"type":"pn","n":2},"expected":5}': (
+        "field 'expected' must be an object"
+    ),
+    '{"name":"a","descriptor":{"type":"pn","n":2},"expected":["chi"]}': (
+        "field 'expected' must be an object"
+    ),
 }
 # a convention that is neither name is refused by its value, whatever its
 # JSON type
@@ -527,8 +533,16 @@ class TestCheckCommand:
                 },
                 "pn:9",
             ),
+            (
+                {
+                    "type": "product",
+                    "left": {"type": "pn", "n": 9},
+                    "right": {"type": "pn", "n": 1},
+                },
+                "pn:9",
+            ),
         ],
-        ids=["recipe", "product", "nested"],
+        ids=["recipe", "product", "nested", "factor"],
     )
     def test_corpus_line_above_the_limit_names_the_line(self, capsys, tmp_path, descriptor, name):
         # every corpus line above the limit is refused where it is read, and
@@ -539,6 +553,18 @@ class TestCheckCommand:
             2,
             "",
             f"error: bad corpus line 1: descriptor {name} exceeds maximum dimension 8\n",
+        )
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("command", [("check",), ("variety", "eval")], ids=["check", "eval"])
+    def test_token_above_the_limit_is_named_whole(self, capsys, command, json_flag):
+        # the token is gated once parsed; its corpus twin ("factor" above)
+        # names the factor
+        token = "product(pn:9,pn:1)"
+        assert run_cli(capsys, *command, token, *json_flag) == (
+            2,
+            "",
+            f"error: descriptor {token} exceeds maximum dimension 8\n",
         )
 
     def test_integer_past_the_digit_limit(self, capsys, tmp_path):
@@ -591,6 +617,43 @@ class TestDeepNesting:
         assert out == ""
         assert err.startswith("error: bad corpus line 1: ")
         assert err.count("\n") == 1
+
+    def test_a_token_that_parses_but_nests_too_deeply_to_evaluate(self):
+        # Under a large --max-dim, a product token a few levels short of the
+        # parser's refusal parses, and evaluating it then overflows the stack
+        # deeper down.  The band depends on the stack depth at `main`, so
+        # every depth runs as `python -m chigenus`, two at a time; -S skips
+        # `site` at start-up, which puts no frame under `main`.
+        from concurrent.futures import ThreadPoolExecutor
+
+        def run(argv):
+            return argv, subprocess.run(
+                [sys.executable, "-S", "-m", "chigenus", *argv, "--max-dim", "2000"],
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+
+        depths = (975, 978, 980, 982, 983, 984, 985, 986, 987, 991, 995)
+        runs = [
+            (*command, "product(" * depth + "pn:1" + ",pn:1)" * depth)
+            for depth in depths
+            for command in (("variety", "eval", "--json"), ("check",))
+        ]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(run, runs))
+        for argv, result in results:
+            depth = argv[-1].count("(")
+            assert "Traceback" not in result.stderr, (argv[:-1], depth)
+            if result.returncode == 2:
+                assert result.stdout == "", (argv[:-1], depth)
+                assert result.stderr == "error: product token nests too deeply\n"
+            else:
+                assert result.stderr == "", (argv[:-1], depth)
+                verdict = "verdict: fail" in result.stdout
+                assert (result.returncode, verdict) in ((0, False), (1, True)), (argv[:-1], depth)
+        # the sweep straddles the deepest token that runs
+        assert {result.returncode for _, result in results} == {0, 2}
 
 
 class TestComputedNumbersPastTheDigitLimit:

@@ -1,8 +1,9 @@
 """Property test of the error contract of `cli.main` on arbitrary input.
 
 Whatever the tokens, corpus lines (with misspelt fields and top-level keys,
-names that are not strings, conventions, dimensions above the limit and
-integers past the digit limit), polynomial text, numeric flag values,
+names that are not strings, an `expected` that is not an object,
+conventions, dimensions above the limit and integers past the digit
+limit), polynomial text, numeric flag values,
 config JSON or shape of the command line (either flag value form, values
 that start with '-', unknown or repeated flags, no command), `main`
 returns 0, 1 or 2 without raising; exit 2 comes with exactly one `error:`
@@ -134,8 +135,10 @@ def corpus_lines(draw) -> str:
             "name": mostly(draw, st.text(max_size=4), json_scalars),
             "descriptor": draw(descriptors()),
         }
-        if draw(st.booleans()):
-            entry["expected"] = draw(json_values)
+        if draw(st.booleans()):  # an object, or now and then a scalar or a list
+            objects = st.dictionaries(st.text(max_size=4), json_values, max_size=3)
+            others = json_scalars | st.lists(json_values, max_size=3)
+            entry["expected"] = mostly(draw, objects, others)
         if draw(st.integers(0, 3)) == 3:  # one key renamed: misspelt, stray or another's
             key = draw(st.sampled_from(sorted(entry)))
             entry[draw(st.sampled_from(CORPUS_KEYS))] = entry.pop(key)

@@ -672,3 +672,17 @@ class TestOneWriter:
             ("fd 1", "f"),
             ("sys.stdout", "<module>"),
         ]
+
+
+class TestOneLimit:
+    """The descriptor limit has one rule and one message, in `varieties`,
+    which both readers (token and corpus) call; `cli` gates only --dim."""
+
+    def test_the_message_is_written_once(self):
+        package = pathlib.Path(chigenus.__file__).parent
+        sites = [
+            (path.name, text.count("exceeds maximum dimension"))
+            for path in sorted(package.glob("*.py"))
+            if "exceeds maximum dimension" in (text := path.read_text())
+        ]
+        assert sites == [("varieties.py", 1)]

@@ -46,6 +46,7 @@ from chigenus.varieties import (
 from conftest import rationals
 from oracles import (
     bigraded_tangent_values,
+    hypersurface_chi_y,
     partition_count,
     rank,
     rescanning_descriptor_from_token,
@@ -319,6 +320,19 @@ class TestEulerCharacteristics:
             assert product_euler == evaluate(
                 euler_functional(left.dimension), left
             ) * evaluate(euler_functional(right.dimension), right)
+
+
+class TestHypersurfaceClosedForm:
+    """Every chi^p of a degree-d hypersurface against the residue formula
+    of `oracles.hypersurface_chi_y`, which uses no Chern number and no
+    Kostka matrix, up to n = 14, the largest golden `chi --json` table.
+    Its Chern numbers are polynomials in d of degree at most n + 1, so
+    d = 1..6 pins each chi^p row on a slice of rank up to 6."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_chi_values(self, d):
+        for n in range(1, 15):
+            assert chi_values(Hypersurface(d, n + 1)) == hypersurface_chi_y(d, n + 1), n
 
 
 class TestTableProperties:
@@ -626,10 +640,17 @@ class TestDescriptorSerialization:
         ],
     )
     def test_json_refuses_a_descriptor_above_max_dim(self, obj, name):
-        assert descriptor_from_json(obj, max_dim=3).dimension == 3
-        with pytest.raises(ValueError) as info:
-            descriptor_from_json(obj, max_dim=2)
-        assert str(info.value) == f"descriptor {name} exceeds maximum dimension 2"
+        # a recipe's or a product's name is its token, which the token
+        # reader refuses through the same rule and message
+        readers = [lambda limit: descriptor_from_json(obj, max_dim=limit)]
+        if obj["type"] != "explicit":  # no token
+            readers.append(lambda limit: descriptor_from_token(name, max_dim=limit))
+        for read in readers:
+            assert read(3).dimension == 3
+            assert read(None).dimension == 3
+            with pytest.raises(ValueError) as info:
+                read(2)
+            assert str(info.value) == f"descriptor {name} exceeds maximum dimension 2"
 
     def test_json_refuses_a_bool_dimension_as_such_under_any_limit(self):
         with pytest.raises(ValueError) as info:
