@@ -9,7 +9,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 from functools import lru_cache
@@ -515,21 +514,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:  # console-script entry point
-    try:
-        code = main()
-    finally:
-        # the process ends here: the OS reclaims the heap, so the collector
-        # need not walk every module object at shutdown
-        gc.freeze()
-    # the interpreter flushes both streams again as it shuts down, and a write
-    # that failed in `main` would fail there again and exit 120: such a
-    # stream's descriptor now points at devnull
+    """Run `main` and end the process at its last write.  Nothing runs after
+    it: no `atexit` handler and no interpreter shutdown, whose second flush
+    of a stream that failed in `main` would turn exit 2 into exit 120."""
+    code = main()
     for stream in filter(None, (sys.stdout, sys.stderr)):
         try:
             stream.flush()
-        except OSError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-    sys.exit(code)
+        except OSError:  # `main` has reported it in one error line
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

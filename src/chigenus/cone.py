@@ -30,11 +30,10 @@ from .poly import (
     DimensionMismatch,
     Record,
     lowest_terms,
-    partitions_of,
     rational_text,
     weight_basis,
 )
-from .symchern import partition_label, schur
+from .symchern import _schur_catalog, partition_label
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -110,8 +109,7 @@ def generators(
     convention = BasisConvention(convention)
     entries: list[tuple[str, ChernFunctional]] = []
     if "schur" in tags:
-        for a in partitions_of(n):
-            row = schur(a, n).numerators
+        for a, row in _schur_catalog(n).items():
             entries.append((partition_label(a), ChernFunctional(n, convention, row, 1)))
     # rows over weight_basis(2) = (c1^2, c2) and weight_basis(4) = (c1^4,
     # c1^2*c2, c1*c3, c2^2, c4); c_1^n is the first monomial of every basis

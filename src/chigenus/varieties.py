@@ -201,9 +201,14 @@ class Product(VarietyDescriptor, Record):
     left: VarietyDescriptor
     right: VarietyDescriptor
 
+    def __post_init__(self):
+        # once, so reading a chain of k products costs O(k) leaf reads, not
+        # O(k^2); not a field, so equality and the hash stay the factors'
+        self.__dict__["_dimension"] = self.left.dimension + self.right.dimension
+
     @property
     def dimension(self) -> int:
-        return self.left.dimension + self.right.dimension
+        return self._dimension
 
     def _tangent_values(self) -> ChernFunctional:
         # Whitney: c_k(X x Y) = sum_{i+j=k} c_i(X) c_j(Y), so a Chern number

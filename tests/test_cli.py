@@ -1079,6 +1079,11 @@ class TestJsonText:
             _json_text(value)
 
 
+# `cli.run()` ends the process at `os._exit`; a child script that goes on
+# after `runpy` starts with this, which turns that exit into a SystemExit
+RAISE_AT_EXIT = "import os\ndef _exit(code):\n    raise SystemExit(code)\nos._exit = _exit\n"
+
+
 class TestStartup:
     # `dataclasses` imports `inspect` (and with it `ast`) and generates each
     # class's methods with `exec`; together about a quarter of a cold command.
@@ -1090,7 +1095,7 @@ class TestStartup:
         [
             "import sys\nimport chigenus.cli\n",
             # what `python -m chigenus --version` runs
-            "import runpy, sys\n"
+            RAISE_AT_EXIT + "import runpy, sys\n"
             "sys.argv = ['chigenus', '--version']\n"
             "try:\n"
             "    runpy.run_module('chigenus', run_name='__main__', alter_sys=True)\n"
@@ -1130,7 +1135,7 @@ class TestStartup:
     def modules_after(argv, after=""):
         """The chigenus modules a command line, then the statement `after`,
         load, and every module they add."""
-        script = (
+        script = RAISE_AT_EXIT + (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import runpy\n"
@@ -1254,18 +1259,23 @@ class TestStartup:
 
 
 class TestExitContract:
-    # `python -m chigenus` goes through `cli.run()`, which freezes the heap
-    # before the interpreter shuts down; that must not change a byte of
-    # output or an exit code, and `main()` itself must leave the collector
-    # alone for callers that stay in the process.
+    # `python -m chigenus` goes through `cli.run()`, which ends the process at
+    # `os._exit` once `main` returns; that must not change a byte of output
+    # or an exit code, and `main()` itself must leave the collector alone for
+    # callers that stay in the process.
     EXITS = [
         (("--version",), 0),
         (("--help",), 0),
         (("chi", "--dim", "3", "--json"), 0),
         (("chi", "--dim", "99"), 2),
         (("chi", "--dim", "0_3"), 2),  # refused by the parser inside main
-        (("check", "pn:9", "--max-dim", "9"), 1),
+        (("schur", "--dim", "4", "--partition", "2,1,1"), 0),
+        (("certify", "--dim", "4", "--all-p", "--json"), 1),
+        (("certify", "--dim", "4", "--target", "chi:4", "--assume", "my4,c1top"), 0),
         (("certify", "--dim", "2", "--target", "chi:1", "--json"), 1),
+        (("check", "pn:9", "--max-dim", "9"), 1),
+        (("check", "tests/data/products.jsonl"), 1),
+        (("variety", "eval", "product(pn:1,hypersurface:5:4)", "--target", "euler", "--json"), 0),
     ]
 
     @pytest.fixture
@@ -1275,6 +1285,8 @@ class TestExitContract:
         monkeypatch.delenv("CHIGENUS_CONFIG", raising=False)
         # a block-buffered stdout must still be flushed at exit
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        # corpus paths are relative to the repository root, here and in the child
+        monkeypatch.chdir(GOLDEN.parent.parent)
         return dict(os.environ)
 
     @pytest.mark.parametrize("argv, expected", EXITS, ids=[" ".join(a) for a, _ in EXITS])
@@ -1299,24 +1311,38 @@ class TestExitContract:
         assert gc.isenabled()
         assert gc.get_freeze_count() == 0
 
-    @pytest.mark.parametrize(
-        "argv, code",
-        [(("chi", "--dim", "2"), 0), (("--version",), 0), (("chi", "--dim", "0_3"), 2)],
+    # a hook registered before the command prints to stderr if it runs
+    HOOKED = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit hook ran', file=sys.stderr)\n"
+        "sys.argv = ['chigenus', *{argv!r}]\n"
+        "runpy.run_module('chigenus', run_name='__main__', alter_sys=True)\n"
     )
-    def test_run_freezes_the_heap_on_every_exit(self, env, argv, code):
-        script = (
-            "import gc, sys\n"
-            "from chigenus import cli\n"
-            f"sys.argv = ['chigenus', *{list(argv)!r}]\n"
-            "try:\n"
-            "    cli.run()\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+
+    # chi --dim 8 --json does not fit the 8 KiB buffer of a piped stdout
+    @pytest.mark.parametrize(
+        "argv", [("chi", "--dim", "8", "--json"), ("--version",), ("chi", "--dim", "0_3")]
+    )
+    def test_run_ends_at_mains_last_write(self, capsysbinary, env, argv):
+        code = main(list(argv))
+        captured = capsysbinary.readouterr()
+        script = self.HOOKED.format(argv=list(argv))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, timeout=30
         )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            code,
+            captured.out,
+            captured.err,
+        )
+
+    def test_the_hook_runs_if_the_interpreter_shuts_down(self, env):
+        # the positive control: once `os._exit` raises, the hook runs
+        script = RAISE_AT_EXIT + self.HOOKED.format(argv=["--version"])
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
         )
-        assert result.stderr.splitlines()[-1] == f"{code} True"
+        assert (result.returncode, result.stderr) == (0, "atexit hook ran\n")
 
     # output that cannot be written is one error line and exit 2, whether
     # stdout is buffered or not and whether the text fits the 8 KiB buffer

@@ -222,6 +222,20 @@ class TestSerreAndEuler:
         assert total == list(functional(2, "1*c2").coeffs)
 
 
+class TestSignModes:
+    def test_each_mode_names_the_bundle_it_assumes_nef(self):
+        assert hrr.mode_convention("nef_cotangent") is COT
+        assert hrr.mode_convention("nef_tangent") is TAN
+
+    @pytest.mark.parametrize("mode", ["nef-cotangent", "NEF_TANGENT", "ample_cotangent", ""])
+    def test_an_unknown_mode_is_refused(self, mode):
+        with pytest.raises(ValueError) as info:
+            hrr.mode_convention(mode)
+        assert str(info.value) == (
+            f"mode must be one of ('nef_cotangent', 'nef_tangent'), got {mode!r}"
+        )
+
+
 class TestChiTable:
     def test_dim2_rows(self):
         table = chi_table(2)

@@ -565,6 +565,22 @@ class TestDescriptorSerialization:
         # level rescans its inner text for the top-level comma
         assert best_time(nested(800)) < 10 * best_time(nested(200))
 
+    def test_deep_left_nested_json_reads_each_leaf_dimension_at_most_twice(self, monkeypatch):
+        depth = 200
+        obj = {"type": "pn", "n": 1}
+        for _ in range(depth):
+            obj = {"type": "product", "left": obj, "right": {"type": "pn", "n": 1}}
+        reads = []
+        leaf_dimension = ProjectiveSpace.dimension.fget
+        monkeypatch.setattr(
+            ProjectiveSpace, "dimension", property(lambda s: reads.append(s) or leaf_dimension(s))
+        )
+        descriptor = descriptor_from_json(obj, max_dim=1000)
+        assert descriptor.dimension == depth + 1
+        # each leaf is read where it is gated and where its product is built;
+        # gating every product by walking to its leaves reads about depth^2 / 2
+        assert len(reads) <= 2 * (depth + 1)
+
     def test_matches_rescanning_parser(self):
         # seeded random tokens, half nested products of junk-padded pieces
         # and half random text; the same descriptor or the same message
