@@ -85,30 +85,17 @@ def _decimal(text: str) -> int:
         raise ValueError(f"invalid int value: {text!r}") from None
 
 
-# the escapes `json.dumps` writes for these characters; any other outside
-# ' '..'~' becomes \uXXXX, as with its default ensure_ascii
-_JSON_ESCAPES = {ch: "\\" + letter for ch, letter in zip('"\\\n\r\t\b\f', '"\\nrtbf')}
-
-
 def _json_text(value) -> str:
     """The canonical JSON of a str, int, bool, list or dict: what
-    json.dumps(value, sort_keys=True, separators=(",", ":")) writes.  Each
-    container is joined as soon as it closes, with one call per level of
-    nesting; any other type, and a key that is not a str, is a TypeError."""
+    json.dumps(value, sort_keys=True, separators=(",", ":")) writes.  A str
+    must be plain, printable ASCII with no '"' or '\\', as every string a
+    command prints is, so it needs no escape.  Each container is joined as
+    soon as it closes, with one call per level of nesting; any other value,
+    and a key that is not a plain str, is a TypeError."""
     if isinstance(value, str):
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return '"' + value + '"'
-        chars = []
-        for ch in value:
-            code = ord(ch)
-            if code > 0xFFFF:  # a surrogate pair
-                code -= 0x10000
-                chars.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
-            elif ch in _JSON_ESCAPES or not 0x20 <= code < 0x7F:
-                chars.append(_JSON_ESCAPES.get(ch, f"\\u{code:04x}"))
-            else:
-                chars.append(ch)
-        return '"' + "".join(chars) + '"'
+        raise TypeError(f"no JSON form for a str that needs an escape: {value!r}")
     if isinstance(value, dict):
         members = []
         for key in sorted(value):

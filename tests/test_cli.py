@@ -1049,17 +1049,12 @@ class TestDeterminism:
         assert first.stdout.strip()
 
 
-# every character a str can hold, lone surrogates too, with ASCII and the
-# characters that JSON escapes drawn often
-JSON_CHARS = (
-    st.sampled_from('"\\\x00\x1f\x7f\b\f\n\r\t\u2028\ud800\udfff\U0001f600')
-    | st.characters(max_codepoint=0x7F)
-    | st.characters(exclude_categories=())
-)
+# the strings `cli._json_text` writes: printable ASCII without '"' or '\\',
+# which is every string a command prints, so none needs an escape
+PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'))
 JSON_VALUES = st.recursive(
-    st.text(JSON_CHARS) | st.integers(-(10**100), 10**100) | st.booleans(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(JSON_CHARS), inner, max_size=4),
+    PLAIN_TEXT | st.integers(-(10**100), 10**100) | st.booleans(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(PLAIN_TEXT, inner, max_size=4),
     max_leaves=12,
 )
 
@@ -1069,7 +1064,7 @@ class TestJsonText:
     separators writes, without loading `json`."""
 
     @given(JSON_VALUES)
-    @example({"say": 'a "b"', "path": "a\\b", "del": "\x7f", "": [True, -(10**100)]})
+    @example({"say": "a 'b'", "path": "a/b", "tilde": "~", "": [True, -(10**100)]})
     def test_matches_json_dumps(self, value):
         assert _json_text(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -1077,6 +1072,24 @@ class TestJsonText:
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             _json_text(value)
+
+    # one string for each class the writer has no escape for
+    NEEDS_ESCAPE = {
+        "non-ASCII": "caf\u00e9",
+        "astral": "\U0001f600",
+        "lone surrogate": "\ud800",
+        "control": "a\nb",
+        "DEL": "\x7f",
+        "quote": 'a "b"',
+        "backslash": "a\\b",
+    }
+
+    @pytest.mark.parametrize("text", NEEDS_ESCAPE.values(), ids=NEEDS_ESCAPE)
+    def test_str_needing_an_escape_raises_as_value_and_key(self, text):
+        with pytest.raises(TypeError, match="needs an escape"):
+            _json_text(text)
+        with pytest.raises(TypeError, match="needs an escape"):
+            _json_text({text: 1})
 
 
 # `cli.run()` ends the process at `os._exit`; a child script that goes on

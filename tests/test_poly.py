@@ -22,6 +22,7 @@ from chigenus.poly import (
     mono_text,
     mono_weight,
     parse_decimal,
+    parse_json,
     partitions_of,
     rational_parts,
     rational_text,
@@ -206,6 +207,10 @@ class TestCanonicalOrder:
         assert all(len(m) == n and mono_weight(m) == n for m in basis)
         assert list(basis) == sorted(basis, key=mono_key)
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_partitions_are_padded_to_length_n(self, n):
+        assert all(len(p) == n and sum(p) == n for p in partitions_of(n))
+
     def test_the_package_exports_the_partitions_of_poly(self):
         import chigenus.symchern
 
@@ -310,6 +315,11 @@ class TestSerialization:
     def test_rejects_malformed_json(self, bad):
         with pytest.raises(ParseError):
             GradedPoly.from_json_dict(bad)
+
+    def test_parse_json_refuses_only_a_repeated_key(self):
+        assert parse_json('{"a": 1, "b": {}, "c": [{"d": 2}]}') == {"a": 1, "b": {}, "c": [{"d": 2}]}
+        with pytest.raises(ValueError, match="repeated key 'a'"):
+            parse_json('{"a": 1, "b": 2, "a": 1}')
 
     def test_json_accepts_integer_parts(self):
         obj = {"dim": 2, "terms": [{"exps": [2, 0], "num": -3, "den": "4"}]}

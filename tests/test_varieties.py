@@ -475,6 +475,14 @@ class TestCheckSigns:
         with pytest.raises(ValueError):
             check_signs(Curve(2), "both")
 
+    def test_json_rows_print_the_signed_value(self):
+        rows = check_signs(Product(Curve(2), Curve(2)), "nef_cotangent").to_json_dict()["rows"]
+        assert [(row["chi"], row["sign"], row["signed"]) for row in rows] == [
+            ("1", 1, "1"), ("-2", -1, "2"), ("1", 1, "1"),
+        ]
+        row = SignAuditRow(p=1, numerator=-3, denominator=4, sign=-1).to_json_dict()
+        assert row == {"chi": "-3/4", "ok": True, "p": 1, "sign": -1, "signed": "3/4"}
+
     def test_products_never_compute_their_chern_numbers(self, monkeypatch):
         # the leaves' rows are counted; a product's would be counted too
         variety = descriptor_from_token("product(pn:2,product(curve:2,pn:2))")
