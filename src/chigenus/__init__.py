@@ -17,6 +17,9 @@ __version__ = "0.1.0"
 # mathematics; `hrr` and `cone` re-export them.
 SIGN_MODES = ("nef_cotangent", "nef_tangent")
 ASSUMPTION_TAGS = ("schur", "my2", "my4", "c1top")
+# The ceiling on every dimension limit: p(64) is about 1.7 million, and a
+# product read within a limit nests too shallowly for a walk to near the stack.
+MAX_DIM = 64
 
 # public name -> the submodule that defines it
 _HOMES = {
@@ -35,7 +38,7 @@ _HOMES = {
     for name in names.split()
 }
 
-__all__ = ["__version__", "SIGN_MODES", "ASSUMPTION_TAGS", *_HOMES]
+__all__ = ["__version__", "SIGN_MODES", "ASSUMPTION_TAGS", "MAX_DIM", *_HOMES]
 
 
 def __getattr__(name: str):

@@ -15,7 +15,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
-from . import ASSUMPTION_TAGS, SIGN_MODES, __version__
+from . import ASSUMPTION_TAGS, MAX_DIM, SIGN_MODES, __version__
 
 # The mathematics is imported by each command when it runs, so a command
 # loads only the modules it uses and --version or --help loads none.
@@ -29,9 +29,9 @@ EXIT_USAGE = 2
 
 CONFIG_ENV = "CHIGENUS_CONFIG"
 
-# The only dimension limit: `main` resolves it (config, then --max-dim).
-# `_within_limit` gates only --dim; `varieties` refuses a token or a corpus
-# line above it.
+# The only dimension limit: `main` resolves it (config, then --max-dim, at
+# most `MAX_DIM`).  `_within_limit` gates only --dim; `varieties` refuses a
+# token or a corpus line above it, or one whose products nest as deep.
 DEFAULT_MAX_DIM = 8
 
 MODE_NAMES = tuple(mode.replace("_", "-") for mode in SIGN_MODES)
@@ -61,10 +61,10 @@ def _load_config() -> dict:
 def _resolve_max_dim(flag: int | None) -> int:
     # the config is checked even when --max-dim overrides it
     value = _load_config().get("max_dim", DEFAULT_MAX_DIM)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError("config key 'max_dim' must be a non-negative integer")
-    if flag is not None and flag < 0:
-        raise ValueError("--max-dim must be a non-negative integer")
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= MAX_DIM:
+        raise ValueError(f"config key 'max_dim' must be an integer within 0..{MAX_DIM}")
+    if flag is not None and not 0 <= flag <= MAX_DIM:
+        raise ValueError(f"--max-dim must be an integer within 0..{MAX_DIM}")
     return value if flag is None else flag
 
 
@@ -479,8 +479,7 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line and write the whole text its command returns at
-    once; a refusal, a failed write or a product token that parses but nests
-    too deeply to evaluate is one error line and exit 2."""
+    once; a refusal or a failed write is one error line and exit 2."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         if isinstance(args, str):  # --help or --version
@@ -490,9 +489,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             code, text = args.func(args)
         print(text, flush=True)
         return code
-    except (ValueError, OSError, RecursionError) as exc:
-        if isinstance(exc, RecursionError):  # only a product token nests this deep
-            exc = "product token nests too deeply"
+    except (ValueError, OSError) as exc:
         try:
             print(f"error: {exc}", file=sys.stderr, flush=True)
         except OSError:  # stderr cannot be written either: the exit code tells

@@ -368,11 +368,14 @@ def parse_decimal(text: str) -> int:
 
 
 def parse_json(text: str):
-    """The values of JSON text, the corpus's or the config's; an object that
-    repeats a key and an integer past the digit limit are ValueErrors."""
+    """The values of JSON text, the corpus's or the config's; a repeated key,
+    an integer past the digit limit and too deep nesting are ValueErrors."""
     import json
 
-    return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
 
 
 def _json_int(text: str) -> int:

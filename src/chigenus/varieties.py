@@ -28,6 +28,7 @@ from math import comb, lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping
 
+from . import MAX_DIM
 from .hrr import ChernFunctional, chi_sign, chi_table
 from .poly import (
     DimensionMismatch,
@@ -201,14 +202,9 @@ class Product(VarietyDescriptor, Record):
     left: VarietyDescriptor
     right: VarietyDescriptor
 
-    def __post_init__(self):
-        # once, so reading a chain of k products costs O(k) leaf reads, not
-        # O(k^2); not a field, so equality and the hash stay the factors'
-        self.__dict__["_dimension"] = self.left.dimension + self.right.dimension
-
     @property
     def dimension(self) -> int:
-        return self._dimension
+        return self.left.dimension + self.right.dimension
 
     def _tangent_values(self) -> ChernFunctional:
         # Whitney: c_k(X x Y) = sum_{i+j=k} c_i(X) c_j(Y), so a Chern number
@@ -461,18 +457,32 @@ _JSON_FIELDS = {kind: fields for kind, (_, fields) in _RECIPES.items()}
 _JSON_FIELDS.update(product=("left", "right"), explicit=("n", "values", "convention"))
 
 
-def _refuse_above(max_dim: int | None, dimension, name: Callable[[], str]) -> None:
-    """The one dimension limit of both readers (None: none).  A dimension
-    that is not an int (an explicit's raw "n") is refused by its descriptor."""
-    if max_dim is not None and type(dimension) is int and dimension > max_dim:
+def _refuse_above(max_dim: int, dimension, name: Callable[[], str]) -> None:
+    """The one dimension limit of both readers.  A dimension that is not an
+    int (an explicit's raw "n") is refused by its descriptor."""
+    if type(dimension) is int and dimension > max_dim:
         raise ValueError(f"descriptor {name()} exceeds maximum dimension {max_dim}")
 
 
-def descriptor_from_json(obj: Mapping, max_dim: int | None = None) -> VarietyDescriptor:
+def _refuse_nesting(max_dim: int, levels: int) -> None:
+    """What both readers refuse before they descend: `max_dim` above the
+    ceiling, and products nested `max_dim` or more `levels` deep, which are
+    above it as no factor they read has dimension 0 (a leaf nests 0)."""
+    if type(max_dim) is not int or not 0 <= max_dim <= MAX_DIM:
+        raise ValueError(f"max_dim must be an integer within 0..{MAX_DIM}: {max_dim!r}")
+    if levels and levels >= max_dim:
+        raise ValueError(f"product nests too deeply for maximum dimension {max_dim}")
+
+
+def descriptor_from_json(
+    obj: Mapping, max_dim: int = MAX_DIM, *, _depth: int = 0
+) -> VarietyDescriptor:
     """The descriptor of a JSON object, which holds "type" and fields of
     that type only.  One above `max_dim` is refused, the innermost of a
     product first, and one that is explicit before its keys, tuples of its
-    length, are parsed."""
+    length, are parsed.  So is a product factor of dimension 0, and a node
+    under `max_dim` products (`_depth` counts them) before it is read."""
+    _refuse_nesting(max_dim, _depth)
     try:
         kind = obj["type"]
     except (KeyError, TypeError) as exc:
@@ -487,7 +497,11 @@ def descriptor_from_json(obj: Mapping, max_dim: int | None = None) -> VarietyDes
         _refuse_above(max_dim, n, lambda: f"explicit:{n}")
         return Explicit(n, obj.get("values", {}), obj.get("convention", "cotangent"))
     if kind == "product":
-        left, right = (descriptor_from_json(obj[side], max_dim) for side in ("left", "right"))
+        left = descriptor_from_json(obj["left"], max_dim, _depth=_depth + 1)
+        right = descriptor_from_json(obj["right"], max_dim, _depth=_depth + 1)
+        for factor in (left, right):
+            if factor.dimension == 0:  # X x point = X
+                raise ValueError(f"product factor {factor.name()} has dimension 0")
         descriptor = Product(left, right)
     else:
         build, fields = _RECIPES[kind]
@@ -496,19 +510,20 @@ def descriptor_from_json(obj: Mapping, max_dim: int | None = None) -> VarietyDes
     return descriptor
 
 
-def descriptor_from_token(token: str, max_dim: int | None = None) -> VarietyDescriptor:
+def descriptor_from_token(token: str, max_dim: int = MAX_DIM) -> VarietyDescriptor:
     """Parse the builtin names (pn:3, curve:2, abelian:2, surface:9:3,
-    hypersurface:5:4, product(pn:1,curve:2)), refusing one above `max_dim`."""
-    # One pass records each comma under the parenthesis balance before it.
-    # A product's top-level comma is then the first comma at or after its
-    # inner text with the balance of that text's start: one bisection per
-    # level, not a rescan of the inner text, so nesting costs linear time.
+    hypersurface:5:4, product(pn:1,curve:2)), refusing one above `max_dim`
+    and, before it is parsed, one whose parentheses nest `max_dim` deep."""
+    # One pass records each comma under the parenthesis balance before it,
+    # so a product's top-level comma, the first at or after its inner text
+    # with that text's balance, is one bisection away, not a rescan.
     balance = [0]
     commas: dict[int, list[int]] = {}
     for i, ch in enumerate(token):
         if ch == ",":
             commas.setdefault(balance[-1], []).append(i)
         balance.append(balance[-1] + (ch == "(") - (ch == ")"))
+    _refuse_nesting(max_dim, max(balance))  # each product opens one more level
 
     def parse(start: int, end: int) -> VarietyDescriptor:
         while start < end and token[start].isspace():
@@ -535,12 +550,9 @@ def descriptor_from_token(token: str, max_dim: int | None = None) -> VarietyDesc
         except ValueError as exc:
             raise ValueError(f"malformed variety token {leaf!r}") from exc
 
-    try:
-        descriptor = parse(0, len(token))
-        _refuse_above(max_dim, descriptor.dimension, descriptor.name)
-        return descriptor
-    except RecursionError:
-        raise ValueError("product token nests too deeply") from None
+    descriptor = parse(0, len(token))
+    _refuse_above(max_dim, descriptor.dimension, descriptor.name)
+    return descriptor
 
 
 class CorpusEntry(Record):
@@ -549,12 +561,13 @@ class CorpusEntry(Record):
     expected: dict
 
 
-def load_corpus(path, max_dim: int | None = None) -> list[CorpusEntry]:
+def load_corpus(path, max_dim: int = MAX_DIM) -> list[CorpusEntry]:
     """Read a JSON-lines corpus: {"name": ..., "descriptor": {...},
     "expected": {...}} per line, with no other key, a string name and, if
     given, an object as expected;
     `max_dim` is that of `descriptor_from_json`, so a line above it is
     refused with its number."""
+    _refuse_nesting(max_dim, 0)  # a limit above the ceiling, even with no line
     entries = []
     # lines end at b"\n" as in JSON Lines, and each is decoded on its own so
     # that a byte that is not UTF-8 is reported with its line number
@@ -583,6 +596,6 @@ def load_corpus(path, max_dim: int | None = None) -> list[CorpusEntry]:
                 )
             except KeyError as exc:
                 raise ValueError(f"bad corpus line {line_number}: missing field {exc}") from exc
-            except (TypeError, ValueError, RecursionError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad corpus line {line_number}: {exc}") from exc
     return entries

@@ -1077,11 +1077,8 @@ def rescanning_descriptor_from_token(token: str) -> VarietyDescriptor:
             elif ch == ")":
                 depth -= 1
             elif ch == "," and depth == 0:
-                try:
-                    left = rescanning_descriptor_from_token(inner[:i])
-                    right = rescanning_descriptor_from_token(inner[i + 1 :])
-                except RecursionError:
-                    raise ValueError("product token nests too deeply") from None
+                left = rescanning_descriptor_from_token(inner[:i])
+                right = rescanning_descriptor_from_token(inner[i + 1 :])
                 return Product(left, right)
         raise ValueError(f"malformed product token {token!r}")
     head, _, rest = token.partition(":")

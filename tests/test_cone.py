@@ -1,4 +1,6 @@
+import itertools
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chigenus.cli import OPTIONAL_ASSUMPTIONS
 from chigenus.cone import (
     Certificate,
     ChiSignReport,
@@ -532,6 +535,60 @@ class TestChiSignReports:
             targets.clear()
             report = certify_chi_signs(n, mode)
             assert len(targets) == len({row.target for row in report.rows}) == n // 2 + 1
+
+
+VERDICTS = pathlib.Path(__file__).parent / "golden" / "verdicts.txt"
+
+
+def assumption_sets(n):
+    """Every assumption set `certify --dim n` accepts: "schur" and any of
+    the optional tags that `generators` takes at n."""
+    for k in range(len(OPTIONAL_ASSUMPTIONS) + 1):
+        for extra in itertools.combinations(OPTIONAL_ASSUMPTIONS, k):
+            try:
+                generators(n, ("schur", *extra))
+            except ValueError:  # my2 or my4 outside its dimension
+                continue
+            yield ("schur", *extra)
+
+
+def verdict_lines(n):
+    """The lines of `VERDICTS` for dimension n: `n mode assumptions p
+    status`, one per `certify_chi_signs` row, for both modes."""
+    return [
+        f"{n} {mode} {','.join(report.assumptions)} {row.p} {row.status}"
+        for mode in SIGN_MODES
+        for tags in assumption_sets(n)
+        for report in [certify_chi_signs(n, mode, tags)]
+        for row in report.rows
+    ]
+
+
+class TestVerdictTable:
+    """`tests/golden/verdicts.txt` lists the status of every row of
+    `certify_chi_signs` for n = 1..12, so a change of witness bytes can be
+    shown to move no verdict.  The rows for n <= 9 are recomputed here."""
+
+    LINES = [line for line in VERDICTS.read_text().splitlines() if not line.startswith("#")]
+
+    def rows(self, n):
+        return [line for line in self.LINES if line.split()[0] == str(n)]
+
+    def test_the_table_holds_every_row_for_n_1_to_12(self):
+        keys = [line.rsplit(" ", 1)[0] for line in self.LINES]
+        expected = [
+            f"{n} {mode} {','.join(sorted(tags))} {p}"
+            for n in range(1, 13)
+            for mode in SIGN_MODES
+            for tags in assumption_sets(n)
+            for p in range(n + 1)
+        ]
+        assert keys == expected
+        assert {line.rsplit(" ", 1)[1] for line in self.LINES} == {"certified", "open"}
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_recomputed_rows_match(self, n):
+        assert verdict_lines(n) == self.rows(n)
 
 
 class TestGeneratorSetRows:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chigenus import MAX_DIM
 from chigenus.cone import (
     Certificate,
     ChiSignReport,
@@ -555,8 +556,10 @@ class TestDescriptorSerialization:
                 descriptor_from_token(token)
 
     def test_deep_left_nested_token_parses_in_linear_time(self):
+        # a chain nests at most 63 deep under the ceiling, so each level's
+        # right factor is padded to give a rescan of the inner text its cost
         def nested(depth):
-            return "product(" * depth + "pn:1" + ",pn:1)" * depth
+            return "product(" * depth + "pn:1" + (",pn:1" + " " * 100 + ")") * depth
 
         def best_time(token):
             times = []
@@ -566,28 +569,60 @@ class TestDescriptorSerialization:
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        descriptor = descriptor_from_token(nested(800))
-        assert descriptor.name() == nested(800)
-        assert descriptor.dimension == 801
-        # four times the depth: about 4x the time when linear, 16x when each
-        # level rescans its inner text for the top-level comma
-        assert best_time(nested(800)) < 10 * best_time(nested(200))
+        descriptor = descriptor_from_token(nested(63))
+        assert descriptor.name() == "product(" * 63 + "pn:1" + ",pn:1)" * 63
+        assert descriptor.dimension == MAX_DIM
+        # four times the depth and the length: about 4x the time when
+        # linear, 16x when each level rescans its inner text for the
+        # top-level comma
+        assert best_time(nested(63)) < 10 * best_time(nested(15))
 
-    def test_deep_left_nested_json_reads_each_leaf_dimension_at_most_twice(self, monkeypatch):
-        depth = 200
-        obj = {"type": "pn", "n": 1}
-        for _ in range(depth):
-            obj = {"type": "product", "left": obj, "right": {"type": "pn", "n": 1}}
-        reads = []
-        leaf_dimension = ProjectiveSpace.dimension.fget
-        monkeypatch.setattr(
-            ProjectiveSpace, "dimension", property(lambda s: reads.append(s) or leaf_dimension(s))
-        )
-        descriptor = descriptor_from_json(obj, max_dim=1000)
-        assert descriptor.dimension == depth + 1
-        # each leaf is read where it is gated and where its product is built;
-        # gating every product by walking to its leaves reads about depth^2 / 2
-        assert len(reads) <= 2 * (depth + 1)
+    @pytest.mark.parametrize("max_dim", [1, 2, 8, MAX_DIM])
+    def test_both_readers_refuse_products_nested_max_dim_deep(self, max_dim):
+        # refused before the readers descend, so a bad leaf at the bottom
+        # and nesting far past the stack limit give the same line
+        def chain(depth, leaf="pn:1"):
+            obj = {"type": leaf.split(":")[0], "n": 1}
+            for _ in range(depth):
+                obj = {"type": "product", "left": obj, "right": {"type": "pn", "n": 1}}
+            return "product(" * depth + leaf + ",pn:1)" * depth, obj
+
+        token, obj = chain(max_dim - 1)
+        assert descriptor_from_token(token, max_dim) == descriptor_from_json(obj, max_dim)
+        assert descriptor_from_token(token, max_dim).dimension == max_dim
+        for depth, leaf in [(max_dim, "pn:1"), (max_dim, "bogus:1"), (5000, "pn:1")]:
+            token, obj = chain(depth, leaf)
+            for read in (descriptor_from_token, descriptor_from_json):
+                with pytest.raises(ValueError) as info:
+                    read(token if read is descriptor_from_token else obj, max_dim)
+                assert str(info.value) == (
+                    f"product nests too deeply for maximum dimension {max_dim}"
+                )
+
+    @pytest.mark.parametrize("limit", [MAX_DIM + 1, 10**9, -1, None, True, 8.0])
+    def test_readers_refuse_a_limit_outside_the_ceiling(self, tmp_path, limit):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        reads = [
+            lambda: descriptor_from_token("pn:1", limit),
+            lambda: descriptor_from_json({"type": "pn", "n": 1}, limit),
+            lambda: load_corpus(corpus, limit),
+        ]
+        for read in reads:
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == f"max_dim must be an integer within 0..64: {limit!r}"
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_json_refuses_a_product_factor_of_dimension_zero(self, side):
+        point = {"type": "explicit", "n": 0, "values": {"1": "3"}}
+        assert descriptor_from_json(point) == Explicit(0, {"1": 3})
+        pn = {"type": "pn", "n": 1}
+        obj = {"type": "product", "left": pn, "right": pn, side: point}
+        for nested in (obj, {"type": "product", "left": obj, "right": {"type": "pn", "n": 2}}):
+            with pytest.raises(ValueError) as info:
+                descriptor_from_json(nested)
+            assert str(info.value) == "product factor explicit:0 has dimension 0"
 
     def test_matches_rescanning_parser(self):
         # seeded random tokens, half nested products of junk-padded pieces
@@ -671,7 +706,7 @@ class TestDescriptorSerialization:
             readers.append(lambda limit: descriptor_from_token(name, max_dim=limit))
         for read in readers:
             assert read(3).dimension == 3
-            assert read(None).dimension == 3
+            assert read(MAX_DIM).dimension == 3
             with pytest.raises(ValueError) as info:
                 read(2)
             assert str(info.value) == f"descriptor {name} exceeds maximum dimension 2"
