@@ -17,8 +17,9 @@ __version__ = "0.1.0"
 # mathematics; `hrr` and `cone` re-export them.
 SIGN_MODES = ("nef_cotangent", "nef_tangent")
 ASSUMPTION_TAGS = ("schur", "my2", "my4", "c1top")
-# The ceiling on every dimension limit: p(64) is about 1.7 million, and a
-# product read within a limit nests too shallowly for a walk to near the stack.
+# The ceiling on every dimension limit.  It bounds nesting, not work: a product
+# read within it nests too shallowly to near the stack, but a leaf or a --dim
+# near 64 enumerates p(n) (about 1.7 million) monomials and does not finish.
 MAX_DIM = 64
 
 # public name -> the submodule that defines it

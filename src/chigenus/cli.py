@@ -175,15 +175,11 @@ def _cmd_chi(args) -> tuple[int, str]:
 
 
 def _cmd_schur(args) -> tuple[int, str]:
-    from .poly import partitions_of
-    from .symchern import parse_partition, partition_label, schur
+    from .symchern import _schur_rows, parse_partition, partition_label, partitions_of
 
     n = _within_limit(args.max_dim, args.dim)
-    if args.partition is not None:
-        parts = [parse_partition(args.partition, n)]
-    else:
-        parts = list(partitions_of(n))
-    rows = [(partition_label(a), schur(a, n)) for a in parts]
+    parts = partitions_of(n) if args.partition is None else [parse_partition(args.partition, n)]
+    rows = [(partition_label(a), f) for a, f in _schur_rows(parts, n).items()]
     if args.json:
         payload = {
             "generators": [

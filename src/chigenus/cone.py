@@ -33,7 +33,7 @@ from .poly import (
     rational_text,
     weight_basis,
 )
-from .symchern import _schur_catalog, partition_label
+from .symchern import _schur_rows, partition_label, partitions_of
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -109,8 +109,8 @@ def generators(
     convention = BasisConvention(convention)
     entries: list[tuple[str, ChernFunctional]] = []
     if "schur" in tags:
-        for a, row in _schur_catalog(n).items():
-            entries.append((partition_label(a), ChernFunctional(n, convention, row, 1)))
+        schur_rows = _schur_rows(partitions_of(n), n, convention)
+        entries += ((partition_label(a), f) for a, f in schur_rows.items())
     # rows over weight_basis(2) = (c1^2, c2) and weight_basis(4) = (c1^4,
     # c1^2*c2, c1*c3, c2^2, c4); c_1^n is the first monomial of every basis
     if "my2" in tags:

@@ -201,23 +201,24 @@ def chern_coordinates(
 def schur(a: Sequence[int], n: int) -> ChernFunctional:
     """Schur polynomial P_a(c) = det(c_{a_i - i + j}) for a partition a of n,
     a weight-n form, tagged cotangent like `hrr.chi_p`."""
-    row = _schur_catalog(n)[_validate_partition(tuple(a), n)]
-    return ChernFunctional(n, BasisConvention.COTANGENT, row, 1)
+    a = _validate_partition(tuple(a), n)
+    return _schur_rows([a], n)[a]
 
 
-@lru_cache(maxsize=None)
-def _schur_catalog(n: int) -> dict[Partition, tuple[int, ...]]:
-    """P_a for every padded partition a of n, as its integer coefficients
-    over `weight_basis(n)`: column a of K^-1, all columns at once by back
-    substitution on the unit vectors.  Each row of K^-1 belongs to the
+def _schur_rows(
+    parts: Sequence[Partition], n: int, convention: BasisConvention = BasisConvention.COTANGENT
+) -> dict[Partition, ChernFunctional]:
+    """P_a for each padded partition a of n in `parts`, as integer rows over
+    `weight_basis(n)`: column a of K^-1, every requested column in one back
+    substitution on the unit vectors e_a.  Each row of K^-1 belongs to the
     monomial c^mu of a partition mu of n, so every P_a is of weight n."""
-    order = partitions_of(n)
-    units = {
-        strip_partition(mu): [int(i == j) for j in range(len(order))]
-        for i, mu in enumerate(order)
-    }
+    zero = [0] * len(parts)
+    units = {strip_partition(mu): zero for mu in partitions_of(n)}
+    for j, a in enumerate(parts):
+        units[strip_partition(a)] = [int(i == j) for i in range(len(parts))]
     inverse = {
         _partition_monomial(mu, n): row
         for mu, row in _kostka_back_substitution(units, n).items()
     }
-    return dict(zip(order, zip(*(inverse[m] for m in weight_basis(n)))))
+    rows = zip(*(inverse[m] for m in weight_basis(n)))
+    return {a: ChernFunctional(n, convention, row, 1) for a, row in zip(parts, rows)}

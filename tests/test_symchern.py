@@ -9,7 +9,7 @@ from chigenus.symchern import (
     BasisConvention,
     ChernFunctional,
     InvalidPartition,
-    _schur_catalog,
+    _schur_rows,
     chern_coordinates,
     parse_partition,
     partition_label,
@@ -128,12 +128,27 @@ class TestSchur:
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_catalog_holds_integer_rows(self, n):
-        catalog = _schur_catalog(n)
-        assert tuple(catalog) == partitions_of(n)
-        for a, row in catalog.items():
-            assert len(row) == len(weight_basis(n))
-            assert all(type(c) is int for c in row)
-            assert schur(a, n).coeffs == row
+        rows = _schur_rows(partitions_of(n), n)
+        assert tuple(rows) == partitions_of(n)
+        for a, f in rows.items():
+            assert f.denominator == 1 and len(f.numerators) == len(weight_basis(n))
+            assert all(type(c) is int for c in f.numerators)
+            assert f.convention is BasisConvention.COTANGENT
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_one_row_matches_the_all_rows_solve(self, n):
+        rows = _schur_rows(partitions_of(n), n)
+        for a in partitions_of(n):
+            assert schur(a, n) == rows[a], a
+
+    def test_seeded_rows_at_16_match_the_all_rows_solve(self):
+        # one unit vector starts the back substitution at its own partition:
+        # the solve reaches (16) last and 1^16 first, so both are always drawn
+        order = partitions_of(16)
+        rows = _schur_rows(order, 16)
+        drawn = random.Random(16).sample(order[1:-1], 18) + [order[0], order[-1]]
+        for a in drawn:
+            assert schur(a, 16) == rows[a], a
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_cofactor_oracle(self, n):
