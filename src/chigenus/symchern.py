@@ -12,17 +12,16 @@ Polynomials, I.6)
     s_rho = sum_lambda K[rho][lambda] m_lambda,
     e_mu  = sum_nu K[nu][mu] s_{nu'},
 
-with nu' the conjugate partition.  A function sum_nu g_nu s_{nu'} has the
-c-monomial coordinates k with K k = g, an integer back substitution.
-
-* The Schur polynomial P_a(c) = det(c_{a_i - i + j}) (c_0 = 1, c_k = 0 for
-  k outside [0, n]), the basic positivity generator for nef bundles, is
-  s_{a'} by the dual Jacobi-Trudi identity, so its coordinates are column a
-  of K^-1: the back substitution on the unit vector e_a.
-* A function over the monomial symmetric functions, sum_lambda F_lambda
-  m_lambda, first gets its Schur coordinates g by a forward substitution
-  with K^T, then its c-monomial coordinates by the same back substitution
-  (`chern_coordinates`).
+with nu' the conjugate partition.  So the basis change is one pair of
+integer solves, each reading K by columns (`_kostka_column`).
+`_kostka_forward_substitution` solves K^T h = F: it takes sum_lambda F_lambda
+m_lambda to its Schur coordinates h_rho = g_{rho'}.
+`_kostka_back_substitution` solves K k = g: it takes sum_nu g_nu s_{nu'} to
+its c-monomial coordinates k.  `chern_coordinates` runs both.  The Schur
+polynomial P_a(c) = det(c_{a_i - i + j}) (c_0 = 1, c_k = 0 for k outside
+[0, n]), the basic positivity generator for nef bundles, is s_{a'} by the
+dual Jacobi-Trudi identity, so its coordinates are column a of K^-1: the
+back substitution on the unit vector e_a.
 """
 
 from __future__ import annotations
@@ -151,51 +150,52 @@ def _kostka_column(content: Partition) -> dict[Partition, int]:
     return column
 
 
-def _kostka_back_substitution(
+def _kostka_forward_substitution(
     right: Mapping[Partition, Sequence[int]], n: int
 ) -> dict[Partition, list[int]]:
-    """The vectors k with K k = right, over the partitions of n (no zero
-    parts).  Row nu reads right_nu = k_nu + sum_mu K[nu][mu] k_mu over the
-    mu that nu strictly dominates, all after nu in reverse-lexicographic
-    order, so solving from the last partition to the first needs only known
-    k_mu; zero rows are skipped."""
+    """The h with K^T h = right over the partitions of n (no zero parts),
+    from the first to the last: row lam of K^T is column lam of K, whose
+    rho other than lam dominate lam and so are solved before it."""
     solved: dict[Partition, list[int]] = {}
-    nonzero: list[tuple[Partition, list[int]]] = []
-    for nu in reversed([strip_partition(mu) for mu in partitions_of(n)]):
-        vector = list(right[nu])
-        for mu, known in nonzero:
-            count = _kostka_column(mu).get(nu)
-            if count:
-                vector = [v - count * x for v, x in zip(vector, known)]
-        solved[nu] = vector
+    for lam in partitions_of(n):
+        lam = strip_partition(lam)
+        vector = list(right[lam])
+        for rho, count in _kostka_column(lam).items():
+            if rho != lam:
+                vector = [v - count * h for v, h in zip(vector, solved[rho])]
+        solved[lam] = vector
+    return solved
+
+
+def _kostka_back_substitution(
+    right: Mapping[Partition, Sequence[int]], n: int
+) -> dict[Monomial, list[int]]:
+    """The k with K k = right over the partitions of n (no zero parts),
+    keyed by the monomials c^mu, from the last to the first: k_mu is what
+    is left of right_mu, and a nonzero one takes k_mu times column mu of K
+    off the rows of the nu that dominate mu, all still to be solved."""
+    pending = dict(right)
+    solved: dict[Monomial, list[int]] = {}
+    for mu in reversed([strip_partition(mu) for mu in partitions_of(n)]):
+        vector = list(pending.pop(mu))
+        solved[_partition_monomial(mu, n)] = vector
         if any(vector):
-            nonzero.append((nu, vector))
+            for nu, count in _kostka_column(mu).items():
+                if nu != mu:
+                    pending[nu] = [v - count * k for v, k in zip(pending[nu], vector)]
     return solved
 
 
 def chern_coordinates(
     monomial_coefficients: Mapping[Partition, Sequence[int]], n: int
 ) -> dict[Monomial, list[int]]:
-    """The c-monomial coordinates k of f = sum_lambda F_lambda m_lambda(x).
-
-    `monomial_coefficients` maps each padded partition lambda of n to an
-    integer vector F_lambda, all of one length.  Writing f = sum_rho
-    g_{rho'} s_rho, the vectors h_rho = g_{rho'} solve F_lambda =
-    sum_rho K[rho][lambda] h_rho, whose rho dominate lambda and so come
-    first in reverse-lexicographic order: a forward substitution.  Then
-    e_mu = sum_nu K[nu][mu] s_{nu'} gives K k = g.
-    """
-    schur_coordinates: dict[Partition, list[int]] = {}
-    for lam in partitions_of(n):
-        lam = strip_partition(lam)
-        vector = list(monomial_coefficients[pad_partition(lam, n)])
-        for rho, count in _kostka_column(lam).items():
-            if rho != lam:
-                vector = [v - count * h for v, h in zip(vector, schur_coordinates[rho])]
-        schur_coordinates[lam] = vector
-    right = {_conjugate(rho): h for rho, h in schur_coordinates.items()}
-    solved = _kostka_back_substitution(right, n)
-    return {_partition_monomial(mu, n): k for mu, k in solved.items()}
+    """The c-monomial coordinates k of f = sum_lambda F_lambda m_lambda(x),
+    given one integer vector F_lambda per padded partition lambda of n, all
+    of one length: the forward substitution to the Schur coordinates of f,
+    then the back substitution on their conjugate partitions."""
+    stripped = {strip_partition(lam): f for lam, f in monomial_coefficients.items()}
+    h = _kostka_forward_substitution(stripped, n)
+    return _kostka_back_substitution({_conjugate(rho): g for rho, g in h.items()}, n)
 
 
 def schur(a: Sequence[int], n: int) -> ChernFunctional:
@@ -210,15 +210,11 @@ def _schur_rows(
 ) -> dict[Partition, ChernFunctional]:
     """P_a for each padded partition a of n in `parts`, as integer rows over
     `weight_basis(n)`: column a of K^-1, every requested column in one back
-    substitution on the unit vectors e_a.  Each row of K^-1 belongs to the
-    monomial c^mu of a partition mu of n, so every P_a is of weight n."""
+    substitution on the unit vectors e_a, over the weight-n monomials c^mu."""
     zero = [0] * len(parts)
     units = {strip_partition(mu): zero for mu in partitions_of(n)}
     for j, a in enumerate(parts):
         units[strip_partition(a)] = [int(i == j) for i in range(len(parts))]
-    inverse = {
-        _partition_monomial(mu, n): row
-        for mu, row in _kostka_back_substitution(units, n).items()
-    }
+    inverse = _kostka_back_substitution(units, n)
     rows = zip(*(inverse[m] for m in weight_basis(n)))
     return {a: ChernFunctional(n, convention, row, 1) for a, row in zip(parts, rows)}

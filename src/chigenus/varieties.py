@@ -474,6 +474,13 @@ def _refuse_nesting(max_dim: int, levels: int) -> None:
         raise ValueError(f"product nests too deeply for maximum dimension {max_dim}")
 
 
+def _field(obj: Mapping, field: str):
+    """obj[field], refused by name if it is missing."""
+    if field not in obj:
+        raise ValueError(f"missing field {field!r}")
+    return obj[field]
+
+
 def descriptor_from_json(
     obj: Mapping, max_dim: int = MAX_DIM, *, _depth: int = 0
 ) -> VarietyDescriptor:
@@ -493,19 +500,19 @@ def descriptor_from_json(
         if field != "type" and field not in _JSON_FIELDS[kind]:
             raise ValueError(f"unknown field {field!r} for descriptor type {kind!r}")
     if kind == "explicit":
-        n = obj["n"]
+        n = _field(obj, "n")
         _refuse_above(max_dim, n, lambda: f"explicit:{n}")
         return Explicit(n, obj.get("values", {}), obj.get("convention", "cotangent"))
     if kind == "product":
-        left = descriptor_from_json(obj["left"], max_dim, _depth=_depth + 1)
-        right = descriptor_from_json(obj["right"], max_dim, _depth=_depth + 1)
+        left = descriptor_from_json(_field(obj, "left"), max_dim, _depth=_depth + 1)
+        right = descriptor_from_json(_field(obj, "right"), max_dim, _depth=_depth + 1)
         for factor in (left, right):
             if factor.dimension == 0:  # X x point = X
                 raise ValueError(f"product factor {factor.name()} has dimension 0")
         descriptor = Product(left, right)
     else:
         build, fields = _RECIPES[kind]
-        descriptor = build(*(obj[field] for field in fields))
+        descriptor = build(*(_field(obj, field) for field in fields))
     _refuse_above(max_dim, descriptor.dimension, descriptor.name)
     return descriptor
 
@@ -583,19 +590,12 @@ def load_corpus(path, max_dim: int = MAX_DIM) -> list[CorpusEntry]:
                 for field in obj:
                     if field not in ("name", "descriptor", "expected"):
                         raise ValueError(f"unknown field {field!r}")
-                if not isinstance(obj["name"], str):
+                if not isinstance(_field(obj, "name"), str):
                     raise ValueError("field 'name' must be a string")
                 if not isinstance(obj.get("expected", {}), dict):
                     raise ValueError("field 'expected' must be an object")
-                entries.append(
-                    CorpusEntry(
-                        name=obj["name"],
-                        descriptor=descriptor_from_json(obj["descriptor"], max_dim),
-                        expected=obj.get("expected", {}),
-                    )
-                )
-            except KeyError as exc:
-                raise ValueError(f"bad corpus line {line_number}: missing field {exc}") from exc
+                descriptor = descriptor_from_json(_field(obj, "descriptor"), max_dim)
+                entries.append(CorpusEntry(obj["name"], descriptor, obj.get("expected", {})))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad corpus line {line_number}: {exc}") from exc
     return entries

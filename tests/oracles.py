@@ -12,7 +12,8 @@ package's own:
   the classical leading-term algorithm;
 * the Todd class from Bernoulli numbers, one factor per formal root;
 * the chi_y genus of a hypersurface by its closed residue formula in one
-  variable, with no Chern number;
+  variable, with no Chern number, and of the other recipe leaves and their
+  products by closed forms and the product rule;
 * the full chi_y table from the closed product formula over formal roots;
 * partition counting by the bounded-part recurrence;
 * cofactor expansion for determinants;
@@ -64,7 +65,16 @@ from chigenus.poly import (
     weight_basis,
 )
 from chigenus.symchern import BasisConvention, Partition
-from chigenus.varieties import _RECIPES, Product, VarietyDescriptor
+from chigenus.varieties import (
+    _RECIPES,
+    AbelianVariety,
+    Curve,
+    Hypersurface,
+    Product,
+    ProjectiveSpace,
+    Surface,
+    VarietyDescriptor,
+)
 
 RootPoly = dict[tuple[int, ...], Fraction]
 
@@ -625,6 +635,29 @@ def hypersurface_chi_y(degree: int, ambient: int) -> tuple[Fraction, ...]:
     return tuple(
         sum((lagrange[y][p] * values[y] for y in range(n + 1)), Fraction(0)) for p in range(n + 1)
     )
+
+
+def closed_form_chi_y(variety: VarietyDescriptor) -> tuple[Fraction, ...]:
+    """chi^0..chi^n of a recipe leaf or of a product of them, with no Chern
+    number: P^n has chi_y = sum_p (-y)^p, a curve of genus g (1 - g)(1 - y),
+    an abelian variety 0, a surface chi^0 = chi^2 = (c_1^2 + c_2)/12
+    (Noether) and chi^1 = (c_1^2 - 5 c_2)/6, a hypersurface
+    `hypersurface_chi_y`, and a product the product of its factors' chi_y."""
+    if isinstance(variety, Product):
+        left, right = closed_form_chi_y(variety.left), closed_form_chi_y(variety.right)
+        return tuple(series_mul(list(left), list(right), len(left) + len(right) - 2))
+    if isinstance(variety, ProjectiveSpace):
+        return tuple(Fraction((-1) ** p) for p in range(variety.n + 1))
+    if isinstance(variety, Curve):
+        return (Fraction(1 - variety.genus), Fraction(variety.genus - 1))
+    if isinstance(variety, AbelianVariety):
+        return (Fraction(0),) * (variety.n + 1)
+    if isinstance(variety, Surface):
+        edge = Fraction(variety.c1sq + variety.c2, 12)
+        return (edge, Fraction(variety.c1sq - 5 * variety.c2, 6), edge)
+    if isinstance(variety, Hypersurface):
+        return hypersurface_chi_y(variety.degree, variety.ambient)
+    raise TypeError(f"no closed form for {variety.name()}")
 
 
 # -- Fourier-Motzkin feasibility -----------------------------------------------

@@ -4,17 +4,21 @@ from itertools import permutations
 
 import pytest
 
-from chigenus.poly import weight_basis
+from chigenus.poly import _partition_monomial, weight_basis
 from chigenus.symchern import (
     BasisConvention,
     ChernFunctional,
     InvalidPartition,
+    _kostka_back_substitution,
+    _kostka_column,
+    _kostka_forward_substitution,
     _schur_rows,
     chern_coordinates,
     parse_partition,
     partition_label,
     partitions_of,
     schur,
+    strip_partition,
 )
 
 from oracles import (
@@ -26,6 +30,7 @@ from oracles import (
     power_sum_via_roots,
     schur_via_laplace,
     schur_via_tableaux,
+    ssyt_schur,
     to_elementary,
 )
 
@@ -167,6 +172,51 @@ class TestSchur:
             schur((3, 1), 3)
         with pytest.raises(InvalidPartition):
             schur((4,), 3)
+
+
+class TestKostkaSolves:
+    """The pair of triangular solves against K itself: the columns of K
+    against tableau enumeration, and each solve's output multiplied back by
+    K, so the forward solve's Schur coordinates h are checked on their own."""
+
+    @staticmethod
+    def stripped(n):
+        return [strip_partition(mu) for mu in partitions_of(n)]
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_columns_count_tableaux(self, n):
+        # K[shape][content] is the coefficient of x^content in s_shape
+        columns = {content: {} for content in self.stripped(n)}
+        for shape in self.stripped(n):
+            schur_function = ssyt_schur(shape, n)
+            for content, column in columns.items():
+                count = schur_function.get(content + (0,) * (n - len(content)), 0)
+                if count:
+                    column[shape] = int(count)
+        for content, column in columns.items():
+            assert _kostka_column(content) == column, content
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_solves_satisfy_their_systems(self, n):
+        rng = random.Random(3300 + n)
+        width = 3
+        parts = self.stripped(n)
+        right = {
+            mu: [0] * width if rng.random() < 0.3 else [rng.randint(-9, 9) for _ in range(width)]
+            for mu in parts
+        }
+        h = _kostka_forward_substitution(right, n)
+        k = _kostka_back_substitution(right, n)
+        assert set(h) == set(parts) and set(k) == set(weight_basis(n))
+        k = {mu: k[_partition_monomial(mu, n)] for mu in parts}
+        for lam in parts:
+            # K^T h = right: row lam of K^T is column lam of K
+            column = _kostka_column(lam).items()
+            forward = [sum(c * h[rho][j] for rho, c in column) for j in range(width)]
+            # K k = right: row lam of K holds K[lam][mu] over the columns mu
+            row = [(mu, _kostka_column(mu).get(lam, 0)) for mu in parts]
+            back = [sum(c * k[mu][j] for mu, c in row) for j in range(width)]
+            assert forward == right[lam] and back == right[lam], lam
 
 
 class TestChernCoordinates:

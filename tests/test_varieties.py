@@ -47,6 +47,7 @@ from chigenus.varieties import (
 from conftest import rationals
 from oracles import (
     bigraded_tangent_values,
+    closed_form_chi_y,
     hypersurface_chi_y,
     partition_count,
     rank,
@@ -334,6 +335,50 @@ class TestHypersurfaceClosedForm:
     def test_chi_values(self, d):
         for n in range(1, 15):
             assert chi_values(Hypersurface(d, n + 1)) == hypersurface_chi_y(d, n + 1), n
+
+
+def leaf_product(rng, n):
+    """A seeded random product of recipe leaves of total dimension n >= 1,
+    nested at random."""
+    if n > 1 and rng.random() < 0.6:
+        k = rng.randint(1, n - 1)
+        return Product(leaf_product(rng, k), leaf_product(rng, n - k))
+    leaves = [ProjectiveSpace(n), AbelianVariety(n), Hypersurface(rng.randint(1, 5), n + 1)]
+    if n == 1:
+        leaves.append(Curve(rng.randint(0, 9)))
+    if n == 2:
+        leaves.append(Surface(rng.randint(-20, 20), rng.randint(-20, 40)))
+    return rng.choice(leaves)
+
+
+class TestLeafClosedForms:
+    """Every chi^p of P^n, curves, abelian varieties and surfaces, and of
+    seeded random products of all recipe leaves up to total dimension 14,
+    against `oracles.closed_form_chi_y`: closed forms multiplied out by the
+    product rule, with no Chern number and no Whitney split."""
+
+    def test_known_values(self):
+        assert closed_form_chi_y(Surface(0, 24)) == (2, -20, 2)  # K3
+        assert closed_form_chi_y(Surface(9, 3)) == (1, -1, 1)  # P^2
+        assert closed_form_chi_y(Product(Curve(2), Curve(3))) == (2, -4, 2)
+
+    def test_leaves(self):
+        for n in range(1, 15):
+            for leaf in (ProjectiveSpace(n), AbelianVariety(n)):
+                assert chi_values(leaf) == closed_form_chi_y(leaf), leaf.name()
+        for g in range(8):
+            assert chi_values(Curve(g)) == closed_form_chi_y(Curve(g))
+        rng = random.Random(7)
+        for _ in range(20):
+            surface = Surface(rng.randint(-50, 50), rng.randint(-50, 50))
+            assert chi_values(surface) == closed_form_chi_y(surface), surface.name()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_products(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            variety = leaf_product(rng, rng.randint(2, 14))
+            assert chi_values(variety) == closed_form_chi_y(variety), variety.name()
 
 
 class TestTableProperties:
@@ -659,6 +704,19 @@ class TestDescriptorSerialization:
             descriptor_from_json({"n": 3})
         with pytest.raises(ValueError):
             descriptor_from_json({"type": "weird"})
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"type": "pn"}, "n"),
+            ({"type": "explicit"}, "n"),
+            ({"type": "product", "left": {"type": "pn", "n": 1}}, "right"),
+        ],
+    )
+    def test_json_refuses_a_missing_field_by_name(self, obj, field):
+        with pytest.raises(ValueError) as info:
+            descriptor_from_json(obj)
+        assert str(info.value) == f"missing field {field!r}"
 
     @pytest.mark.parametrize(
         "obj, error",
