@@ -326,7 +326,14 @@ def _cmd_variety_eval(args) -> tuple[int, str]:
     n = descriptor.dimension
     numerators, den = descriptor._chi_y()
     euler = sum(numerators[0::2]) - sum(numerators[1::2])  # sum_p (-1)^p chi^p
-    if args.target is not None:
+    # every number is rendered before anything is printed
+    if args.target is None:
+        values = [rational_text(c, den) for c in numerators]
+        payload = {"chi": values, "euler": rational_text(euler, den)}
+        lines = [f"variety {descriptor.name()} (dim {n})"]
+        lines += (f"chi^{p} = {value}" for p, value in enumerate(values))
+        lines.append(f"euler = {payload['euler']}")
+    else:
         if args.target.startswith("chi:"):
             p = _parse_chi_target(args.target, n)
             value, label = numerators[p], f"chi^{p}"
@@ -334,27 +341,11 @@ def _cmd_variety_eval(args) -> tuple[int, str]:
             value, label = euler, "euler"
         else:
             raise ValueError(f"unknown eval target {args.target!r}")
-        value = rational_text(value, den)
-        if args.json:
-            payload = {
-                "descriptor": descriptor.to_json_dict(),
-                "target": label,
-                "value": value,
-            }
-            return EXIT_OK, _envelope("variety-eval", n, "cotangent", payload)
-        return EXIT_OK, f"{label} = {value}"
-    values = [rational_text(c, den) for c in numerators]
-    euler = rational_text(euler, den)
+        payload = {"target": label, "value": rational_text(value, den)}
+        lines = [f"{label} = {payload['value']}"]
     if args.json:
-        payload = {
-            "chi": values,
-            "descriptor": descriptor.to_json_dict(),
-            "euler": euler,
-        }
+        payload["descriptor"] = descriptor.to_json_dict()
         return EXIT_OK, _envelope("variety-eval", n, "cotangent", payload)
-    lines = [f"variety {descriptor.name()} (dim {n})"]
-    lines += (f"chi^{p} = {value}" for p, value in enumerate(values))
-    lines.append(f"euler = {euler}")
     return EXIT_OK, "\n".join(lines)
 
 

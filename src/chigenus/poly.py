@@ -283,42 +283,31 @@ def parse_terms(dim: int, text: str) -> list[tuple[Monomial, int, int]]:
     """The signed terms of polynomial text in c_1..c_dim, as written, each a
     (monomial, numerator, denominator) triple in lowest terms: not summed,
     so '1 - 1' is two terms.  The grammar is what `terms_text`
-    writes, plus c_1 for c1 and an omitted unit coefficient; '0' alone has
-    no terms.  A monomial heavier than `dim` is refused once the whole
-    text has parsed.  Every refusal is a `ParseError`."""
+    writes, plus c_1 for c1 and an omitted unit coefficient; a coefficient
+    may only lead its term, and '0' alone has no terms.  A monomial heavier
+    than `dim` is refused once the whole text has parsed.  Every refusal is
+    a `ParseError`."""
     body = text.strip()
     if not body:
         raise ParseError("empty polynomial text")
     if body == "0":
         return []
-    chunks = re.split(_SIGN_SPLIT, body)
-    if chunks[0] == "":
-        chunks = chunks[1:]
-        if not chunks or chunks[0] not in "+-":
-            raise ParseError(f"dangling sign in {text!r}")
-    else:
-        chunks = ["+"] + chunks
-    if len(chunks) % 2 != 0:
-        raise ParseError(f"malformed polynomial text {text!r}")
+    # signs and terms alternate once a sign leads the text
+    chunks = re.split(_SIGN_SPLIT, body if body[0] in "+-" else "+" + body)[1:]
     terms: list[tuple[Monomial, int, int]] = []
     for sign_tok, term_tok in zip(chunks[0::2], chunks[1::2]):
-        sign = 1 if sign_tok == "+" else -1
         if not term_tok:
             raise ParseError(f"empty term in {text!r}")
+        pieces = [piece.strip() for piece in term_tok.split("*")]
         num, den = 1, 1
+        if re.fullmatch(_RATIONAL, pieces[0]):
+            num, den = rational_parts(pieces.pop(0))
         exps = [0] * dim
-        saw_coef = False
-        saw_factor = False
-        for piece in term_tok.split("*"):
-            piece = piece.strip()
+        for piece in pieces:
             if not piece:
                 raise ParseError(f"empty factor in term {term_tok!r}")
             if re.fullmatch(_RATIONAL, piece):
-                if saw_coef or saw_factor:
-                    raise ParseError(f"misplaced coefficient in {term_tok!r}")
-                num, den = rational_parts(piece)
-                saw_coef = True
-                continue
+                raise ParseError(f"misplaced coefficient in {term_tok!r}")
             match = re.fullmatch(_FACTOR, piece)
             if not match:
                 raise ParseError(f"bad factor {piece!r} in {text!r}")
@@ -330,8 +319,7 @@ def parse_terms(dim: int, text: str) -> list[tuple[Monomial, int, int]]:
             if not 1 <= index <= dim:
                 raise ParseError(f"variable c{index} outside dimension {dim}")
             exps[index - 1] += power
-            saw_factor = True
-        terms.append((tuple(exps), sign * num, den))
+        terms.append((tuple(exps), num if sign_tok == "+" else -num, den))
     for mono, _, _ in terms:
         if mono_weight(mono) > dim:
             raise ParseError(

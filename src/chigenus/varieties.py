@@ -502,7 +502,10 @@ def descriptor_from_json(
     if kind == "explicit":
         n = _field(obj, "n")
         _refuse_above(max_dim, n, lambda: f"explicit:{n}")
-        return Explicit(n, obj.get("values", {}), obj.get("convention", "cotangent"))
+        try:
+            return Explicit(n, obj.get("values", {}), obj.get("convention", "cotangent"))
+        except TypeError as exc:  # values, or a key or value of theirs, of the wrong type
+            raise ValueError(str(exc)) from exc
     if kind == "product":
         left = descriptor_from_json(_field(obj, "left"), max_dim, _depth=_depth + 1)
         right = descriptor_from_json(_field(obj, "right"), max_dim, _depth=_depth + 1)
@@ -596,6 +599,6 @@ def load_corpus(path, max_dim: int = MAX_DIM) -> list[CorpusEntry]:
                     raise ValueError("field 'expected' must be an object")
                 descriptor = descriptor_from_json(_field(obj, "descriptor"), max_dim)
                 entries.append(CorpusEntry(obj["name"], descriptor, obj.get("expected", {})))
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"bad corpus line {line_number}: {exc}") from exc
     return entries

@@ -33,13 +33,16 @@ package's own:
   of ``varieties.Product`` replaced;
 * variety tokens by the parser that rescans each product's inner text for
   its top-level comma, which the comma index of
-  ``varieties.descriptor_from_token`` replaced (same results and messages).
+  ``varieties.descriptor_from_token`` replaced (same results and messages);
+* polynomial text by the two-flag term parser that the one-pass term loop
+  of ``poly.parse_terms`` replaced (same results and messages).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -61,6 +64,7 @@ from chigenus.poly import (
     mono_weight,
     parse_decimal,
     parse_terms,
+    rational_parts,
     terms_text,
     weight_basis,
 )
@@ -1125,3 +1129,66 @@ def rescanning_descriptor_from_token(token: str) -> VarietyDescriptor:
         return build(*map(parse_decimal, args))
     except ValueError as exc:
         raise ValueError(f"malformed variety token {token!r}") from exc
+
+
+# -- polynomial text by two flags (reference parser) -------------------------------
+
+
+def flagged_parse_terms(dim: int, text: str) -> list[tuple[Monomial, int, int]]:
+    """The term parser that ``poly.parse_terms`` replaced: each term is a
+    state machine over its '*' pieces, with one flag for a coefficient
+    seen and one for a factor seen, and two refusals of a sign list that
+    ``re.split`` never returns (same results and messages)."""
+    body = text.strip()
+    if not body:
+        raise ParseError("empty polynomial text")
+    if body == "0":
+        return []
+    chunks = re.split(r"\s*([+-])\s*", body)
+    if chunks[0] == "":
+        chunks = chunks[1:]
+        if not chunks or chunks[0] not in "+-":
+            raise ParseError(f"dangling sign in {text!r}")
+    else:
+        chunks = ["+"] + chunks
+    if len(chunks) % 2 != 0:
+        raise ParseError(f"malformed polynomial text {text!r}")
+    terms: list[tuple[Monomial, int, int]] = []
+    for sign_tok, term_tok in zip(chunks[0::2], chunks[1::2]):
+        sign = 1 if sign_tok == "+" else -1
+        if not term_tok:
+            raise ParseError(f"empty term in {text!r}")
+        num, den = 1, 1
+        exps = [0] * dim
+        saw_coef = False
+        saw_factor = False
+        for piece in term_tok.split("*"):
+            piece = piece.strip()
+            if not piece:
+                raise ParseError(f"empty factor in term {term_tok!r}")
+            if re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", piece):
+                if saw_coef or saw_factor:
+                    raise ParseError(f"misplaced coefficient in {term_tok!r}")
+                num, den = rational_parts(piece)
+                saw_coef = True
+                continue
+            match = re.fullmatch(r"c_?([0-9]+)(?:\^([0-9]+))?", piece)
+            if not match:
+                raise ParseError(f"bad factor {piece!r} in {text!r}")
+            try:
+                index = int(match.group(1))
+                power = int(match.group(2)) if match.group(2) else 1
+            except ValueError:  # past the int-string digit limit
+                raise ParseError("a variable index or exponent is too long") from None
+            if not 1 <= index <= dim:
+                raise ParseError(f"variable c{index} outside dimension {dim}")
+            exps[index - 1] += power
+            saw_factor = True
+        terms.append((tuple(exps), sign * num, den))
+    for mono, _, _ in terms:
+        if mono_weight(mono) > dim:
+            raise ParseError(
+                f"monomial {mono_text(mono) or '1'} has weight {mono_weight(mono)}"
+                f" > dimension {dim}"
+            )
+    return terms

@@ -1054,6 +1054,17 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "chi", "--dim", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["[1]", "8", '"max_dim"', "null"])
+    def test_config_must_hold_an_object(self, capsys, tmp_path, monkeypatch, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
+        assert run_cli(capsys, "chi", "--dim", "2") == (
+            2,
+            "",
+            f"error: config {str(config)!r} must hold a JSON object\n",
+        )
+
     def test_deeply_nested_config(self, capsys, tmp_path, monkeypatch):
         # read by `json` alone, so refused whatever the command line holds
         config = tmp_path / "config.json"

@@ -283,6 +283,25 @@ class TestCoefficientsAreTheCertificate:
         assert not verify_certificate(cert, gens, diagnostics)
         assert diagnostics == ["negative combination coefficient"]
 
+    def test_one_coefficient_per_name(self):
+        names = generators(3, {"schur"}).names()
+        with pytest.raises(ValueError) as info:
+            Certificate(functional(3, "1*c1*c2"), names, (1, 1), 1)
+        assert str(info.value) == "one coefficient per generator name required"
+
+    def test_misaligned_certificate_rejected(self):
+        gens = generators(3, {"schur"})
+        names = gens.names()
+        tangent = functional(3, "1*c1*c2", TAN)
+        for target, order, reason in [
+            (functional(3, "1*c1*c2"), names[::-1], "is not aligned with this generator set"),
+            (functional(2, "1*c2"), names, "dimension disagrees with generator set"),
+            (tangent, names, "convention disagrees with generator set"),
+        ]:
+            diagnostics = []
+            assert not verify_certificate(Certificate(target, order, (1, 1, 0), 1), gens, diagnostics)
+            assert diagnostics == [f"certificate {reason}"]
+
 
 class TestSoundnessAndDeterminism:
     def test_every_returned_certificate_verifies(self):

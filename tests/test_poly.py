@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import random
 import re
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from chigenus.poly import (
     mono_weight,
     parse_decimal,
     parse_json,
+    parse_terms,
     partitions_of,
     rational_parts,
     rational_text,
@@ -30,7 +32,7 @@ from chigenus.poly import (
 )
 
 from conftest import graded_polys, poly_pairs, poly_triples, rationals
-from oracles import GradedPoly
+from oracles import GradedPoly, flagged_parse_terms
 
 
 # `GradedPoly` is the truncated ring of the oracles: the tests below pin the
@@ -420,6 +422,69 @@ class TestTopWeightParser:
         f = ChernFunctional.from_text(3, BasisConvention.COTANGENT, "1/24*c1*c2 - c3")
         assert f.terms() == {(0, 0, 1): Fraction(-1), (1, 1, 0): Fraction(1, 24)}
         assert ChernFunctional(2, BasisConvention.COTANGENT, (0, 0), 1).terms() == {}
+
+
+class TestOnePassTerms:
+    """`parse_terms` reads each term in one pass: a coefficient may only
+    lead it.  Against the two-flag parser it replaced, on seeded random
+    text built from pieces of the grammar: the same terms, or the same
+    exception and message."""
+
+    # grammar fragments: pieces of a term, what joins them, and signs
+    PIECES = ["c1", "c2", "c_3", "c4", "c1^2", "c2^0", "c0", "2", "-1", "2/3", "1/0", "0", "x", "", " "]
+    JOINS = ["*", " * ", "*\t", "**", "^2*"]
+    SIGNS = ["+ ", " - ", "+", "-", "\t+\t", "+-"]
+
+    def random_text(self, rng):
+        text = rng.choice(["", *self.SIGNS])
+        for k in range(rng.randint(1, 3)):
+            pieces = rng.choices(self.PIECES, k=rng.randint(1, 4))
+            text += rng.choice(self.SIGNS) if k else ""
+            text += "".join(piece + rng.choice(self.JOINS) for piece in pieces[:-1]) + pieces[-1]
+        return text
+
+    @staticmethod
+    def outcome(parse, dim, text):
+        try:
+            return parse(dim, text)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    def test_matches_the_two_flag_parser(self):
+        rng = random.Random(34)
+        seen = set()
+        for _ in range(10_000):
+            dim, text = rng.choice((1, 2, 4)), self.random_text(rng)
+            expected = self.outcome(flagged_parse_terms, dim, text)
+            assert self.outcome(parse_terms, dim, text) == expected, (dim, text)
+            seen.add("terms" if isinstance(expected, list) else re.match("[a-z ]*", expected[1])[0])
+        # parsed terms and every refusal short of the digit limit were drawn
+        assert seen == {
+            "terms",
+            "empty polynomial text",
+            "empty term in ",
+            "empty factor in term ",
+            "misplaced coefficient in ",
+            "bad factor ",
+            "bad rational literal ",
+            "variable c",
+            "monomial c",
+        }
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("c1*2", "misplaced coefficient in 'c1*2'"),
+            ("2*3*c1", "misplaced coefficient in '2*3*c1'"),
+            ("2*c1*1/0", "misplaced coefficient in '2*c1*1/0'"),
+            ("1/0*c1", "bad rational literal '1/0'"),
+            ("* 2", "empty factor in term '* 2'"),
+        ],
+    )
+    def test_a_coefficient_only_leads_its_term(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_terms(2, text)
+        assert str(info.value) == message
 
 
 class TestOneRepresentation:

@@ -118,6 +118,12 @@ class TestSchur:
 
     def test_accepts_unpadded_input(self):
         assert schur((2, 1), 3) == schur((2, 1, 0), 3)
+        assert schur((2, 1, 0, 0), 3) == schur((2, 1), 3)  # zero parts past n drop
+
+    def test_refuses_a_partition_longer_than_n(self):
+        with pytest.raises(InvalidPartition) as info:
+            schur((1, 1, 1, 1), 3)
+        assert str(info.value) == "partition (1, 1, 1, 1) longer than 3"
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_matches_tableau_oracle(self, n):

@@ -584,6 +584,32 @@ class TestDescriptorSerialization:
             descriptor_from_json(obj)
         assert str(info.value) == f"monomial key expected, got {key!r}"
 
+    def test_explicit_key_with_a_coefficient_is_refused(self):
+        obj = {"type": "explicit", "n": 2, "values": {"2*c2": "1"}}
+        with pytest.raises(ValueError) as info:
+            descriptor_from_json(obj)
+        assert str(info.value) == "monomial key must have coefficient 1: '2*c2'"
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1], "Chern numbers must be a mapping: [1]"),
+            ({"c2": None}, "exact rational required (int, Fraction, or 'a/b' string), got NoneType"),
+            ({"c2": 1.5}, "exact rational required (int, Fraction, or 'a/b' string), got float"),
+            ({"c2": True}, "bool is not a rational coefficient"),
+            ({"c2": [1]}, "exact rational required (int, Fraction, or 'a/b' string), got list"),
+            ({3: 1}, "'int' object is not iterable"),
+        ],
+    )
+    def test_json_refuses_explicit_values_of_the_wrong_type(self, values, message):
+        # a ValueError, as every malformed JSON descriptor is, with the
+        # message of the type check it comes from
+        obj = {"type": "explicit", "n": 2, "values": values}
+        with pytest.raises(ValueError) as info:
+            descriptor_from_json(obj)
+        assert str(info.value) == message
+        assert isinstance(info.value.__cause__, TypeError)
+
     def test_bad_tokens(self):
         for token in ["pn", "pn:x", "blah:3", "surface:9", "product(pn:1"]:
             with pytest.raises(ValueError):
