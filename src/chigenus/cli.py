@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import sys
 from functools import lru_cache
+from itertools import repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -86,12 +87,14 @@ def _decimal(text: str) -> int:
 
 
 def _json_text(value) -> str:
-    """The canonical JSON of a str, int, bool, list or dict: what
-    json.dumps(value, sort_keys=True, separators=(",", ":")) writes.  A str
-    must be plain, printable ASCII with no '"' or '\\', as every string a
-    command prints is, so it needs no escape.  Each container is joined as
-    soon as it closes, with one call per level of nesting; any other value,
-    and a key that is not a plain str, is a TypeError."""
+    """The canonical JSON of a str, int, bool, list, dict or ChernFunctional:
+    what json.dumps(value, sort_keys=True, separators=(",", ":")) writes,
+    with a functional written as its `poly_json_dict()`.  A str must be
+    plain, printable ASCII with no '"' or '\\', as every string a command
+    prints is, so it needs no escape.  Each container is joined as it
+    closes, with one call per level of nesting, and a functional's terms
+    are written straight from its numerators, with no dict per term; any
+    other value, and a key that is not a plain str, is a TypeError."""
     if isinstance(value, str):
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return '"' + value + '"'
@@ -99,24 +102,35 @@ def _json_text(value) -> str:
     if isinstance(value, dict):
         members = []
         for key in sorted(value):
-            members.append(_json_key(key) + _json_text(value[key]))
+            if not isinstance(key, str):
+                raise TypeError(f"a JSON key must be a str, not {type(key).__name__}")
+            members.append(_json_text(key) + ":" + _json_text(value[key]))
         return "{%s}" % ",".join(members)  # one copy of the joined text, not two
     if isinstance(value, list):
-        if {*map(type, value)} <= {int}:  # e.g. a monomial's exponents: one repr
-            return repr(value).replace(" ", "")
         return "[%s]" % ",".join(map(_json_text, value))
     if isinstance(value, int):
         if isinstance(value, bool):
             return "true" if value else "false"
         return int.__repr__(value)
+    from .poly import ChernFunctional, json_term_texts
+
+    if isinstance(value, ChernFunctional):
+        n = value.dimension
+        parts = zip(_exps_texts(n), value.numerators, repeat(value.denominator))
+        terms = ",".join(
+            '{"den":"%s","exps":%s,"num":"%s"}' % (den, exps, num)
+            for exps, num, den in json_term_texts(parts)
+        )
+        return '{"dim":%d,"terms":[%s]}' % (n, terms)
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
-@lru_cache(maxsize=256)  # a payload repeats a few keys thousands of times
-def _json_key(key: str) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"a JSON key must be a str, not {type(key).__name__}")
-    return _json_text(key) + ":"
+@lru_cache(maxsize=None)
+def _exps_texts(n: int) -> tuple[str, ...]:
+    """The JSON exponent list of each monomial of `weight_basis(n)`."""
+    from .poly import weight_basis
+
+    return tuple("[%s]" % ",".join(map(str, mono)) for mono in weight_basis(n))
 
 
 def _envelope(command: str, dimension: int, convention: str, payload: dict) -> str:
@@ -165,7 +179,7 @@ def _cmd_chi(args) -> tuple[int, str]:
     if convention == BasisConvention.TANGENT:
         table = table.flipped()
     if args.json:
-        return EXIT_OK, _envelope("chi", n, convention.value, table.to_json_dict())
+        return EXIT_OK, _envelope("chi", n, convention.value, table._json_shape())
     lines = [f"chi table (dim {n}, {convention.value})"]
     lines += (f"chi^{p} = {row.to_text()}" for p, row in enumerate(table.rows))
     return EXIT_OK, "\n".join(lines)
@@ -181,11 +195,7 @@ def _cmd_schur(args) -> tuple[int, str]:
     parts = partitions_of(n) if args.partition is None else [parse_partition(args.partition, n)]
     rows = [(partition_label(a), f) for a, f in _schur_rows(parts, n).items()]
     if args.json:
-        payload = {
-            "generators": [
-                {"name": name, "poly": poly.poly_json_dict()} for name, poly in rows
-            ]
-        }
+        payload = {"generators": [{"name": name, "poly": poly} for name, poly in rows]}
         return EXIT_OK, _envelope("schur", n, "any", payload)
     lines = [f"schur generators (dim {n})"] if args.partition is None else []
     lines += (f"{name} = {poly.to_text()}" for name, poly in rows)
@@ -246,7 +256,7 @@ def _cmd_certify(args) -> tuple[int, str]:
         report = certify_chi_signs(n, mode, tags)
         code = EXIT_OK if report.all_certified else EXIT_NEGATIVE
         if args.json:
-            return code, _envelope("certify", n, convention.value, report.to_json_dict())
+            return code, _envelope("certify", n, convention.value, report._json_shape())
         assumed = ",".join(report.assumptions)
         lines = [f"chi sign report (dim {n}, mode {mode}, assume {assumed})"]
         lines += (f"p={row.p} scale={row.scale} {row.status}" for row in report.rows)
@@ -265,15 +275,15 @@ def _cmd_certify(args) -> tuple[int, str]:
             "scale": scale,
             "sign": sign,
             "status": "certified" if certified else "infeasible",
-            "target": target.poly_json_dict(),
-            result.json_key: result.to_json_dict(),
+            "target": target,
+            result.json_key: result._json_shape(),
         }
         return code, _envelope("certify", n, convention.value, payload)
     lines = [f"certify (dim {n}, {convention.value})"]
     lines.append(f"target = {target.to_text()} (sign {sign}, scale {scale})")
     if certified:
         lines.append("status = certified")
-        for term in result.to_json_dict()["terms"]:  # the coefficients as JSON writes them
+        for term in result._json_shape()["terms"]:  # the coefficients as JSON writes them
             lines.append(f"  {term['coef']} * {term['gen']}")
         lines.append("residual = 0")  # no residual; the line keeps the format
     else:

@@ -29,6 +29,7 @@ from .poly import (
     ConventionMismatch,
     DimensionMismatch,
     Record,
+    json_view,
     lowest_terms,
     rational_text,
     weight_basis,
@@ -128,7 +129,7 @@ class Certificate(Record):
     coefficients are the whole proof, held like a `ChernFunctional` row as
     numerators over one positive denominator (`poly.lowest_terms`)."""
 
-    json_key = "certificate"  # where a report holds `to_json_dict()`
+    json_key = "certificate"  # where a report holds `_json_shape()`
     target: ChernFunctional
     generator_names: tuple[str, ...]
     numerators: tuple[int, ...]
@@ -149,17 +150,21 @@ class Certificate(Record):
 
         return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
-    def to_json_dict(self) -> dict:
-        # a certificate has no residual; its zero keeps the output format
+    def _json_shape(self) -> dict:
+        # the target in place (`poly.json_view`); a certificate has no
+        # residual, and its zero keeps the output format
         return {
             "residual": {"dim": self.target.dimension, "terms": []},
-            "target": self.target.poly_json_dict(),
+            "target": self.target,
             "terms": [
                 {"coef": rational_text(c, self.denominator), "gen": name}
                 for name, c in zip(self.generator_names, self.numerators)
                 if c
             ],
         }
+
+    def to_json_dict(self) -> dict:
+        return json_view(self._json_shape())
 
 
 class Infeasibility(Record):
@@ -168,8 +173,11 @@ class Infeasibility(Record):
     json_key = "infeasibility"
     witness: ChernFunctional
 
+    def _json_shape(self) -> dict:
+        return {"witness": self.witness}
+
     def to_json_dict(self) -> dict:
-        return {"witness": self.witness.poly_json_dict()}
+        return json_view(self._json_shape())
 
 
 CertifyResult = Union[Certificate, Infeasibility]
@@ -329,15 +337,18 @@ class ChiSignRow(Record):
     def status(self) -> str:
         return "certified" if isinstance(self.result, Certificate) else "open"
 
-    def to_json_dict(self) -> dict:
+    def _json_shape(self) -> dict:
         return {
             "p": self.p,
             "scale": self.scale,
             "sign": self.sign,
             "status": self.status,
-            "target": self.target.poly_json_dict(),
-            self.result.json_key: self.result.to_json_dict(),
+            "target": self.target,
+            self.result.json_key: self.result._json_shape(),
         }
+
+    def to_json_dict(self) -> dict:
+        return json_view(self._json_shape())
 
 
 class ChiSignReport(Record):
@@ -356,15 +367,18 @@ class ChiSignReport(Record):
     def all_certified(self) -> bool:
         return all(row.status == "certified" for row in self.rows)
 
-    def to_json_dict(self) -> dict:
+    def _json_shape(self) -> dict:
         return {
             "allCertified": self.all_certified,
             "assumptions": list(self.assumptions),
             "convention": self.convention.value,
             "dim": self.dimension,
             "mode": self.mode,
-            "rows": [row.to_json_dict() for row in self.rows],
+            "rows": [row._json_shape() for row in self.rows],
         }
+
+    def to_json_dict(self) -> dict:
+        return json_view(self._json_shape())
 
 
 def certify_chi_signs(

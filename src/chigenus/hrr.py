@@ -33,6 +33,7 @@ from .poly import (
     ChernFunctional,
     ConventionMismatch,
     Record,
+    json_view,
     lowest_terms,
     partitions_of,
     weight_basis,
@@ -174,15 +175,16 @@ class ChiTable(Record):
             tuple(r.flipped() for r in self.rows),
         )
 
-    def to_json_dict(self) -> dict:
+    def _json_shape(self) -> dict:
+        # the rows in place, for `poly.json_view` and `cli._json_text`
         return {
             "convention": self.convention.value,
             "dim": self.dimension,
-            "rows": [
-                {"p": p, "poly": row.poly_json_dict()}
-                for p, row in enumerate(self.rows)
-            ],
+            "rows": [{"p": p, "poly": row} for p, row in enumerate(self.rows)],
         }
+
+    def to_json_dict(self) -> dict:
+        return json_view(self._json_shape())
 
 
 def chi_table(n: int) -> ChiTable:

@@ -26,7 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -51,12 +51,14 @@ __all__ = [
     "InvalidPartition",
     "partitions_of",
     "weight_basis",
+    "json_term_texts",
     "json_terms",
     "parse_terms",
     "terms_text",
     "BasisConvention",
     "ConventionMismatch",
     "ChernFunctional",
+    "json_view",
 ]
 
 Monomial = tuple[int, ...]
@@ -259,16 +261,21 @@ def weight_basis(dim: int) -> tuple[Monomial, ...]:
     return tuple(sorted(monomials, key=mono_key))
 
 
-def json_terms(terms: Iterable[tuple[Monomial, int, int]]) -> list[dict]:
-    """The JSON term list of (monomial, numerator, denominator > 0) triples
-    given in `mono_key` order, each coefficient in lowest terms; zero
-    coefficients are left out."""
-    listed = []
-    for mono, num, den in terms:
+def json_term_texts(terms: Iterable[tuple[object, int, int]]) -> Iterator[tuple[object, str, str]]:
+    """(key, numerator text, denominator text) of each (key, numerator,
+    denominator > 0) triple whose numerator is not zero, the coefficient in
+    lowest terms: the one rule for JSON terms, which `json_terms` lists and
+    `cli._json_text` writes.  The key is passed through as it is."""
+    for key, num, den in terms:
         if num:
             num_text, _, den_text = rational_text(num, den).partition("/")
-            listed.append({"exps": list(mono), "num": num_text, "den": den_text or "1"})
-    return listed
+            yield key, num_text, den_text or "1"
+
+
+def json_terms(terms: Iterable[tuple[Monomial, int, int]]) -> list[dict]:
+    """The JSON term list of (monomial, numerator, denominator > 0) triples
+    given in `mono_key` order (`json_term_texts`)."""
+    return [{"exps": list(m), "num": a, "den": b} for m, a, b in json_term_texts(terms)]
 
 
 # patterns, not compiled ones: `re` compiles each on first use and caches it,
@@ -532,3 +539,18 @@ class ChernFunctional(Record):
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def json_view(shape):
+    """The plain JSON values of a shape: dicts, lists, strs, ints and bools
+    that hold `ChernFunctional`s in place, as a report's `_json_shape()`
+    does, with each functional replaced by its `poly_json_dict()`.
+    `cli._json_text` writes a shape as it is, so a command builds no term
+    dict; the library's `to_json_dict` views are this of the same shape."""
+    if isinstance(shape, ChernFunctional):
+        return shape.poly_json_dict()
+    if isinstance(shape, dict):
+        return {key: json_view(value) for key, value in shape.items()}
+    if isinstance(shape, list):
+        return [json_view(value) for value in shape]
+    return shape

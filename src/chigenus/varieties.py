@@ -315,7 +315,13 @@ def _monomial_key(key: str | Monomial, dim: int) -> Monomial:
     """A weight-`dim` monomial from its text, one product term with
     coefficient 1 ('c1^2*c2', or '1' for the constant), or from its
     exponent tuple."""
-    terms = parse_terms(dim, key) if isinstance(key, str) else [(tuple(key), 1, 1)]
+    if isinstance(key, str):
+        terms = parse_terms(dim, key)
+    else:
+        try:
+            terms = [(tuple(key), 1, 1)]
+        except TypeError:  # neither text nor a sequence, e.g. the int 3
+            raise ValueError(f"not a weight-{dim} monomial: {key!r}") from None
     if len(terms) != 1:
         raise ValueError(f"monomial key expected, got {key!r}")
     ((mono, num, den),) = terms
@@ -504,7 +510,7 @@ def descriptor_from_json(
         _refuse_above(max_dim, n, lambda: f"explicit:{n}")
         try:
             return Explicit(n, obj.get("values", {}), obj.get("convention", "cotangent"))
-        except TypeError as exc:  # values, or a key or value of theirs, of the wrong type
+        except TypeError as exc:  # values, or a value of theirs, of the wrong type
             raise ValueError(str(exc)) from exc
     if kind == "product":
         left = descriptor_from_json(_field(obj, "left"), max_dim, _depth=_depth + 1)

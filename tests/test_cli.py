@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chigenus import __version__
+from chigenus import __version__, poly
 from chigenus.cli import _json_text, main
-from chigenus.cone import Certificate, certify, generators
+from chigenus.cone import Certificate, certify, certify_chi_signs, generators
 from chigenus.hrr import ChernFunctional, chi_p, chi_table
-from chigenus.symchern import BasisConvention
+from chigenus.poly import json_view, weight_basis
+from chigenus.symchern import BasisConvention, partition_label, partitions_of, schur
 
 from oracles import GradedPoly
 
@@ -1164,6 +1165,87 @@ class TestJsonText:
             _json_text(text)
         with pytest.raises(TypeError, match="needs an escape"):
             _json_text({text: 1})
+
+    # edges of the functional case: the zero row, dimension 0 (whose one
+    # monomial has no exponents), large and negative numerators over
+    # denominators above 1, in both conventions
+    FUNCTIONALS = {
+        "zero row": (3, "cotangent", (0, 0, 0), 1),
+        "dim 0": (0, "tangent", (-7,), 3),
+        "dim 0 zero": (0, "cotangent", (0,), 1),
+        "large": (2, "tangent", (-(10**60), 10**40 + 1), 6),
+        "mixed": (4, "cotangent", (0, 3, -4, 0, 5), 10),
+    }
+
+    @pytest.mark.parametrize("fields", FUNCTIONALS.values(), ids=FUNCTIONALS)
+    def test_functional_matches_json_dumps_of_its_dict_view(self, fields):
+        f = ChernFunctional(*fields)
+        expected = json.dumps(f.poly_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert _json_text(f) == expected
+
+    @given(st.data())
+    def test_seeded_functionals_match_json_dumps(self, data):
+        n = data.draw(st.integers(0, 7))
+        size = len(weight_basis(n))
+        coefficient = st.integers(-(10**30), 10**30) | st.just(0)
+        numerators = data.draw(st.lists(coefficient, min_size=size, max_size=size))
+        den = data.draw(st.integers(1, 10**6))
+        f = ChernFunctional(n, data.draw(st.sampled_from(BasisConvention)), numerators, den)
+        shape = {"rows": [{"poly": f}, f], "x": 1}
+        for value, view in ((f, f.poly_json_dict()), (shape, json_view(shape))):
+            assert _json_text(value) == json.dumps(view, sort_keys=True, separators=(",", ":"))
+
+
+class TestPayloadsWithoutTermDicts:
+    """A --json command writes its functionals straight to text, and what
+    it prints is the library's dict view of the same payload."""
+
+    COMMANDS = [
+        "chi --dim 5 --json",
+        "chi --dim 4 --json --convention tangent",
+        "schur --dim 5 --json",
+        "schur --dim 6 --partition 3,2,1 --json",
+        "certify --dim 4 --target chi:4 --assume my4,c1top --json",
+        "certify --dim 4 --target chi:4 --json",
+        "certify --dim 4 --target -1*c1^4+4*c1^2*c2 --json",
+        "certify --all-p --dim 5 --json",
+        "certify --all-p --dim 4 --mode nef-tangent --json",
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_term_dict_is_built(self, capsys, monkeypatch, command):
+        def refuse(terms):
+            raise AssertionError("a --json command built a term dict")
+
+        monkeypatch.setattr(poly, "json_terms", refuse)
+        code, out, err = run_cli(capsys, *command.split())
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["payload"]
+
+    @pytest.mark.parametrize("convention", ["cotangent", "tangent"])
+    @pytest.mark.parametrize("n", range(10))
+    def test_chi_payload_is_the_table_view(self, capsys, n, convention):
+        argv = ["chi", "--dim", str(n), "--json", "--max-dim", "9", "--convention", convention]
+        _, out, _ = run_cli(capsys, *argv)
+        table = chi_table(n) if convention == "cotangent" else chi_table(n).flipped()
+        assert json.loads(out)["payload"] == table.to_json_dict()
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_schur_payload_is_the_generators_view(self, capsys, n):
+        _, out, _ = run_cli(capsys, "schur", "--dim", str(n), "--json", "--max-dim", "9")
+        generators = [
+            {"name": partition_label(a), "poly": schur(a, n).poly_json_dict()}
+            for a in partitions_of(n)
+        ]
+        assert json.loads(out)["payload"] == {"generators": generators}
+
+    @pytest.mark.parametrize("mode", ["nef-cotangent", "nef-tangent"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_all_p_payload_is_the_report_view(self, capsys, n, mode):
+        argv = ["certify", "--all-p", "--dim", str(n), "--mode", mode, "--json"]
+        _, out, _ = run_cli(capsys, *argv)
+        report = certify_chi_signs(n, mode.replace("-", "_"))
+        assert json.loads(out)["payload"] == report.to_json_dict()
 
 
 # `cli.run()` ends the process at `os._exit`; a child script that goes on

@@ -598,7 +598,6 @@ class TestDescriptorSerialization:
             ({"c2": 1.5}, "exact rational required (int, Fraction, or 'a/b' string), got float"),
             ({"c2": True}, "bool is not a rational coefficient"),
             ({"c2": [1]}, "exact rational required (int, Fraction, or 'a/b' string), got list"),
-            ({3: 1}, "'int' object is not iterable"),
         ],
     )
     def test_json_refuses_explicit_values_of_the_wrong_type(self, values, message):
@@ -609,6 +608,17 @@ class TestDescriptorSerialization:
             descriptor_from_json(obj)
         assert str(info.value) == message
         assert isinstance(info.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("key", [3, 1.5, None])
+    def test_explicit_key_that_is_neither_text_nor_a_sequence_is_refused(self, key):
+        # from Python only: a JSON key is always a string
+        message = f"not a weight-2 monomial: {key!r}"
+        with pytest.raises(ValueError) as info:
+            Explicit(2, {key: 1})
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            descriptor_from_json({"type": "explicit", "n": 2, "values": {key: 1}})
+        assert str(info.value) == message
 
     def test_bad_tokens(self):
         for token in ["pn", "pn:x", "blah:3", "surface:9", "product(pn:1"]:
