@@ -13,11 +13,15 @@ Polynomials, I.6)
     e_mu  = sum_nu K[nu][mu] s_{nu'},
 
 with nu' the conjugate partition.  So the basis change is one pair of
-integer solves, each reading K by columns (`_kostka_column`).
+integer solves over the ranks of the partitions in `partitions_of(n)`.
+Both read the table of `_kostka_table(n)`, which holds each column of K as
+the ranks of its shapes and their counts; its caller builds it for one
+solve, and the module keeps no state between calls.
 `_kostka_forward_substitution` solves K^T h = F: it takes sum_lambda F_lambda
 m_lambda to its Schur coordinates h_rho = g_{rho'}.
 `_kostka_back_substitution` solves K k = g: it takes sum_nu g_nu s_{nu'} to
-its c-monomial coordinates k.  `chern_coordinates` runs both.  The Schur
+its c-monomial coordinates k.  `chern_coordinates` builds one table and runs
+both, the conjugation between them a permutation of the ranks.  The Schur
 polynomial P_a(c) = det(c_{a_i - i + j}) (c_0 = 1, c_k = 0 for k outside
 [0, n]), the basic positivity generator for nef bundles, is s_{a'} by the
 dual Jacobi-Trudi identity, so its coordinates are column a of K^-1: the
@@ -26,8 +30,7 @@ back substitution on the unit vector e_a.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 # the functional type, its tags and the partitions live in `poly`; importing
 # them from here also works
@@ -108,82 +111,102 @@ def partition_label(parts: Sequence[int]) -> str:
     return "P_(" + ",".join(str(p) for p in parts) + ")"
 
 
-def _conjugate(parts: Partition) -> Partition:
-    """The conjugate of a partition without zero parts (transposed diagram)."""
-    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
+def _conjugate(parts: Partition, n: int) -> Partition:
+    """The conjugate (transposed diagram) of a partition of n, padded to
+    length n."""
+    return tuple(sum(1 for p in parts if p > j) for j in range(n))
 
 
-@lru_cache(maxsize=None)
-def _horizontal_strips(shape: Partition, size: int) -> tuple[Partition, ...]:
+def _horizontal_strips(shape: Partition, size: int) -> list[Partition]:
     """Every shape obtained by adding a horizontal strip of `size` boxes to
     `shape` (no zero parts): row i may grow up to the old length of row
-    i - 1, the first row without bound.  Memoized, as one (shape, size)
-    recurs in the Kostka columns of many contents."""
-    rows = shape + (0,)
-    grown: list[Partition] = []
-
-    def place(i: int, left: int, acc: tuple[int, ...]) -> None:
-        if i == len(rows):
-            if not left:
-                grown.append(strip_partition(acc))
-            return
-        cap = left if i == 0 else min(left, rows[i - 1] - rows[i])
-        for extra in range(cap, -1, -1):
-            place(i + 1, left - extra, acc + (rows[i] + extra,))
-
-    place(0, size, ())
-    return tuple(grown)
+    i - 1, the first row without bound."""
+    grown: list[tuple[Partition, int]] = [((), size)]  # rows so far, boxes left
+    for i, row in enumerate(shape + (0,)):
+        room = shape[i - 1] - row if i else size
+        grown = [
+            (rows + (row + extra,), left - extra)
+            for rows, left in grown
+            for extra in range(min(left, room), -1, -1)
+        ]
+    return [strip_partition(rows) for rows, left in grown if not left]
 
 
-@lru_cache(maxsize=None)
-def _kostka_column(content: Partition) -> dict[Partition, int]:
-    """K[shape][content] for every shape: the number of semistandard
-    tableaux of that shape and content, one horizontal strip per part
-    (content and shapes without zero parts).  Prefixes are shared by the
-    partitions of every weight."""
-    if not content:
-        return {(): 1}
-    column: dict[Partition, int] = {}
-    for shape, count in _kostka_column(content[:-1]).items():
-        for grown in _horizontal_strips(shape, content[-1]):
-            column[grown] = column.get(grown, 0) + count
-    return column
+KostkaColumn = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _kostka_columns(
+    column: dict[Partition, int],
+    left: int,
+    cap: int,
+    strips: dict[tuple[Partition, int], list[Partition]],
+) -> Iterator[dict[Partition, int]]:
+    """The columns of K, keyed by shape, for every content that extends
+    the prefix of `column` by parts of at most `cap` summing to `left`, in
+    reverse-lexicographic order: the descent of `partitions_of`, a
+    depth-first walk of the prefix trie, so the generators alive hold the
+    column of each prefix of the current content and no other.  `strips`
+    memoizes `_horizontal_strips`, as one (shape, size) recurs in many
+    contents."""
+    if not left:
+        yield column
+        return
+    for part in range(min(left, cap), 0, -1):
+        longer: dict[Partition, int] = {}
+        for shape, count in column.items():
+            strip = strips.get((shape, part))
+            if strip is None:
+                strip = strips[shape, part] = _horizontal_strips(shape, part)
+            for grown in strip:
+                longer[grown] = longer.get(grown, 0) + count
+        yield from _kostka_columns(longer, left - part, part, strips)
+
+
+def _kostka_table(n: int) -> list[KostkaColumn]:
+    """Column j of K for each partition of n, in `partitions_of(n)` order:
+    the ranks of the shapes with K[shape][content] != 0 and those counts of
+    semistandard tableaux, grown one horizontal strip per part of the
+    content (`_kostka_columns`, with a strip memo that lives for the
+    call)."""
+    rank = {strip_partition(mu): j for j, mu in enumerate(partitions_of(n))}
+    return [
+        (tuple(rank[shape] for shape in column), tuple(column.values()))
+        for column in _kostka_columns({(): 1}, n, n, {})
+    ]
 
 
 def _kostka_forward_substitution(
-    right: Mapping[Partition, Sequence[int]], n: int
-) -> dict[Partition, list[int]]:
-    """The h with K^T h = right over the partitions of n (no zero parts),
-    from the first to the last: row lam of K^T is column lam of K, whose
-    rho other than lam dominate lam and so are solved before it."""
-    solved: dict[Partition, list[int]] = {}
-    for lam in partitions_of(n):
-        lam = strip_partition(lam)
-        vector = list(right[lam])
-        for rho, count in _kostka_column(lam).items():
-            if rho != lam:
-                vector = [v - count * h for v, h in zip(vector, solved[rho])]
-        solved[lam] = vector
+    right: Sequence[Sequence[int]], table: Sequence[KostkaColumn]
+) -> list[list[int]]:
+    """The h with K^T h = right, both indexed by rank, from the first to the
+    last: row j of K^T is column j of K, whose other ranks dominate j and
+    so are solved before it."""
+    solved: list[list[int]] = []
+    for j, (ranks, counts) in enumerate(table):
+        vector = list(right[j])
+        for r, count in zip(ranks, counts):
+            if r != j:
+                vector = [v - count * h for v, h in zip(vector, solved[r])]
+        solved.append(vector)
     return solved
 
 
 def _kostka_back_substitution(
-    right: Mapping[Partition, Sequence[int]], n: int
-) -> dict[Monomial, list[int]]:
-    """The k with K k = right over the partitions of n (no zero parts),
-    keyed by the monomials c^mu, from the last to the first: k_mu is what
-    is left of right_mu, and a nonzero one takes k_mu times column mu of K
-    off the rows of the nu that dominate mu, all still to be solved."""
-    pending = dict(right)
-    solved: dict[Monomial, list[int]] = {}
-    for mu in reversed([strip_partition(mu) for mu in partitions_of(n)]):
-        vector = list(pending.pop(mu))
-        solved[_partition_monomial(mu, n)] = vector
+    right: Sequence[list[int]], table: Sequence[KostkaColumn]
+) -> list[list[int]]:
+    """The k with K k = right, both indexed by rank, from the last to the
+    first: k_j is what is left of right_j, and a nonzero one takes k_j
+    times column j of K off the rows of the ranks that dominate j, all
+    still to be solved."""
+    pending = list(right)
+    for j in range(len(table) - 1, -1, -1):
+        vector = pending[j]
         if any(vector):
-            for nu, count in _kostka_column(mu).items():
-                if nu != mu:
-                    pending[nu] = [v - count * k for v, k in zip(pending[nu], vector)]
-    return solved
+            ranks, counts = table[j]
+            for r, count in zip(ranks, counts):
+                if r != j:
+                    pending[r] = [v - count * k for v, k in zip(pending[r], vector)]
+    return pending
 
 
 def chern_coordinates(
@@ -193,9 +216,12 @@ def chern_coordinates(
     given one integer vector F_lambda per padded partition lambda of n, all
     of one length: the forward substitution to the Schur coordinates of f,
     then the back substitution on their conjugate partitions."""
-    stripped = {strip_partition(lam): f for lam, f in monomial_coefficients.items()}
-    h = _kostka_forward_substitution(stripped, n)
-    return _kostka_back_substitution({_conjugate(rho): g for rho, g in h.items()}, n)
+    parts = partitions_of(n)
+    rank = {lam: j for j, lam in enumerate(parts)}
+    table = _kostka_table(n)
+    h = _kostka_forward_substitution([monomial_coefficients[lam] for lam in parts], table)
+    k = _kostka_back_substitution([h[rank[_conjugate(nu, n)]] for nu in parts], table)
+    return {_partition_monomial(mu, n): v for mu, v in zip(parts, k)}
 
 
 def schur(a: Sequence[int], n: int) -> ChernFunctional:
@@ -211,10 +237,12 @@ def _schur_rows(
     """P_a for each padded partition a of n in `parts`, as integer rows over
     `weight_basis(n)`: column a of K^-1, every requested column in one back
     substitution on the unit vectors e_a, over the weight-n monomials c^mu."""
-    zero = [0] * len(parts)
-    units = {strip_partition(mu): zero for mu in partitions_of(n)}
+    order = partitions_of(n)
+    rank = {mu: j for j, mu in enumerate(order)}
+    units = [[0] * len(parts)] * len(order)
     for j, a in enumerate(parts):
-        units[strip_partition(a)] = [int(i == j) for i in range(len(parts))]
-    inverse = _kostka_back_substitution(units, n)
+        units[rank[a]] = [int(i == j) for i in range(len(parts))]
+    k = _kostka_back_substitution(units, _kostka_table(n))
+    inverse = {_partition_monomial(mu, n): v for mu, v in zip(order, k)}
     rows = zip(*(inverse[m] for m in weight_basis(n)))
     return {a: ChernFunctional(n, convention, row, 1) for a, row in zip(parts, rows)}

@@ -15,6 +15,9 @@ package's own:
   variable, with no Chern number, and of the other recipe leaves and their
   products by closed forms and the product rule;
 * the full chi_y table from the closed product formula over formal roots;
+* the Schur coordinates of the chi_y genus by the dual Cauchy and dual
+  Jacobi-Trudi identities, one determinant over Z[y] per partition (no
+  Kostka number);
 * partition counting by the bounded-part recurrence;
 * cofactor expansion for determinants;
 * Fourier-Motzkin elimination for cone feasibility;
@@ -64,6 +67,7 @@ from chigenus.poly import (
     mono_weight,
     parse_decimal,
     parse_terms,
+    partitions_of,
     rational_parts,
     terms_text,
     weight_basis,
@@ -534,6 +538,92 @@ def chi_table_via_roots(n: int) -> list[GradedPoly]:
     for p in range(n + 1):
         rows.append(GradedPoly(n, to_elementary(rp_degree_part(by_y_degree[p], n), n)))
     return rows
+
+
+# -- Schur coordinates of chi_y by the Jacobi-Trudi determinant ------------------
+
+
+def chi_y_factor(n: int) -> tuple[int, list[list[int]]]:
+    """(L, [Q_0, ..., Q_n]) with Q_k = [T_k, S_k] the integer polynomial
+    T_k + y S_k = L^k q_k(y), the coefficients of Q_y(x) = (1 + y e^-x) x /
+    (1 - e^-x) from `bernoulli_plus`: t_k = B+_k / k! (the Todd factor) and
+    s_k = (-1)^k t_k (x / (e^x - 1)), L the lcm of their denominators."""
+    t = [bernoulli_plus(k) / factorial(k) for k in range(n + 1)]
+    scale = math.lcm(*(c.denominator for c in t))
+    scaled = [c.numerator * (scale**k // c.denominator) for k, c in enumerate(t)]
+    return scale, [[c, (-1) ** k * c] for k, c in enumerate(scaled)]
+
+
+def ypoly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer polynomials in y, lowest power first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            out[i + j] += x * z
+    return out
+
+
+def _ypoly_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[y], asserting that b divides a."""
+    while len(b) > 1 and not b[-1]:
+        b = b[:-1]
+    rest = list(a)
+    quotient = [0] * max(len(a) - len(b) + 1, 1)
+    for i in range(len(a) - len(b), -1, -1):
+        quotient[i], remainder = divmod(rest[i + len(b) - 1], b[-1])
+        assert remainder == 0
+        for j, z in enumerate(b):
+            rest[i + j] -= quotient[i] * z
+    assert not any(rest)
+    return quotient
+
+
+def ypoly_det(matrix: Sequence[Sequence[list[int]]]) -> list[int]:
+    """Determinant over Z[y] by Bareiss's fraction-free elimination: after
+    step k every entry below and right of the pivot is a (k+2)-minor, and
+    the division by the previous pivot is exact."""
+    m = [list(row) for row in matrix]
+    size, sign, previous = len(m), 1, [1]
+    for k in range(size - 1):
+        if not any(m[k][k]):
+            below = [i for i in range(k + 1, size) if any(m[i][k])]
+            if not below:
+                return [0]
+            m[k], m[below[0]] = m[below[0]], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                cross = ypoly_mul(m[k][k], m[i][j])
+                for d, c in enumerate(ypoly_mul(m[i][k], m[k][j])):
+                    cross[d] -= c
+                m[i][j] = _ypoly_exact_div(cross, previous)
+        previous = m[k][k]
+    return [sign * c for c in m[-1][-1]] if size else [1]
+
+
+@lru_cache(maxsize=None)
+def chi_y_schur_coordinates(n: int) -> tuple[tuple[int, ...], ...]:
+    """L^n h_lambda(y) for each lambda in `partitions_of(n)`, as its n + 1
+    coefficients in y: h_lambda is the coefficient of s_lambda(x) in
+    prod_i Q_y(x_i).  With Q_y(x) = q_0 prod_j (1 + x z_j), the dual Cauchy
+    and dual Jacobi-Trudi identities (Macdonald, I.4.3' and I.3.5) give
+    L^n h_lambda = Q_0^(n-l) det(Q_(lambda_i - i + j)), l = len(lambda), an
+    l x l determinant with Q_k = 0 outside 0..n.  No Kostka number enters."""
+    _, q = chi_y_factor(n)
+    coordinates = []
+    for lam in partitions_of(n):
+        parts = [p for p in lam if p]
+        size = len(parts)
+        matrix = [
+            [q[k] if 0 <= (k := parts[i] - i + j) <= n else [0] for j in range(size)]
+            for i in range(size)
+        ]
+        h = ypoly_det(matrix)
+        for _ in range(n - size):
+            h = ypoly_mul(h, q[0])
+        assert not any(h[n + 1 :])
+        coordinates.append(tuple(h[: n + 1]) + (0,) * (n + 1 - len(h)))
+    return tuple(coordinates)
 
 
 def exterior_character_via_roots(p: int, n: int) -> GradedPoly:

@@ -33,7 +33,13 @@ from chigenus.poly import DimensionMismatch, lowest_terms, weight_basis
 from chigenus.symchern import BasisConvention, ConventionMismatch
 
 from conftest import rationals
-from oracles import GradedPoly, basis_coordinates, fourier_motzkin_feasible, fraction_phase_one
+from oracles import (
+    GradedPoly,
+    basis_coordinates,
+    chi_y_schur_coordinates,
+    fourier_motzkin_feasible,
+    fraction_phase_one,
+)
 
 COT = BasisConvention.COTANGENT
 TAN = BasisConvention.TANGENT
@@ -608,6 +614,21 @@ class TestVerdictTable:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_recomputed_rows_match(self, n):
         assert verdict_lines(n) == self.rows(n)
+
+    def test_schur_only_rows_follow_the_sign_of_their_schur_coordinates(self):
+        # the Schur polynomials are a basis, and c_1^n lies in their cone, so
+        # with "schur" or "c1top,schur" row p is certified iff (-1)^p chi^p
+        # has no negative Schur coordinate: (-1)^p [y^p] h_lambda(y) >= 0
+        # for every lambda, in either mode (the oracle uses no Kostka number)
+        checked = 0
+        for line in self.LINES:
+            n, _, tags, p, status = line.split()
+            if tags in ("schur", "c1top,schur"):
+                p = int(p)
+                certified = all((-1) ** p * h[p] >= 0 for h in chi_y_schur_coordinates(int(n)))
+                assert status == ("certified" if certified else "open"), line
+                checked += 1
+        assert checked == 4 * sum(n + 1 for n in range(1, 13))
 
 
 class TestGeneratorSetRows:

@@ -4,25 +4,28 @@ from itertools import permutations
 
 import pytest
 
-from chigenus.poly import _partition_monomial, weight_basis
+import chigenus.symchern
+from chigenus.hrr import _chi_y_factor
+from chigenus.poly import weight_basis
 from chigenus.symchern import (
     BasisConvention,
     ChernFunctional,
     InvalidPartition,
     _kostka_back_substitution,
-    _kostka_column,
     _kostka_forward_substitution,
+    _kostka_table,
     _schur_rows,
     chern_coordinates,
     parse_partition,
     partition_label,
     partitions_of,
     schur,
-    strip_partition,
 )
 
 from oracles import (
     GradedPoly,
+    chi_y_factor,
+    chi_y_schur_coordinates,
     cofactor_det,
     jacobi_trudi_matrix,
     partition_count,
@@ -32,6 +35,7 @@ from oracles import (
     schur_via_tableaux,
     ssyt_schur,
     to_elementary,
+    ypoly_mul,
 )
 
 
@@ -168,8 +172,10 @@ class TestSchur:
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_matches_laplace_oracle(self, n):
-        for a in partitions_of(n):
-            assert schur(a, n).terms() == schur_via_laplace(a, n).terms(), a
+        # against one all-rows solve, which the two tests above pin
+        # `schur(a, n)` to
+        for a, f in _schur_rows(partitions_of(n), n).items():
+            assert f.terms() == schur_via_laplace(a, n).terms(), a
 
     def test_rejects_invalid_partitions(self):
         with pytest.raises(InvalidPartition):
@@ -185,44 +191,75 @@ class TestKostkaSolves:
     against tableau enumeration, and each solve's output multiplied back by
     K, so the forward solve's Schur coordinates h are checked on their own."""
 
-    @staticmethod
-    def stripped(n):
-        return [strip_partition(mu) for mu in partitions_of(n)]
-
     @pytest.mark.parametrize("n", range(0, 8))
     def test_columns_count_tableaux(self, n):
-        # K[shape][content] is the coefficient of x^content in s_shape
-        columns = {content: {} for content in self.stripped(n)}
-        for shape in self.stripped(n):
+        # K[shape][content] is the coefficient of x^content in s_shape; column
+        # j of the table holds the ranks of its shapes and these counts
+        parts = partitions_of(n)
+        columns = [{} for _ in parts]
+        for r, shape in enumerate(parts):
             schur_function = ssyt_schur(shape, n)
-            for content, column in columns.items():
-                count = schur_function.get(content + (0,) * (n - len(content)), 0)
+            for j, content in enumerate(parts):
+                count = schur_function.get(content, 0)
                 if count:
-                    column[shape] = int(count)
-        for content, column in columns.items():
-            assert _kostka_column(content) == column, content
+                    columns[j][r] = int(count)
+        table = _kostka_table(n)
+        assert [dict(zip(ranks, counts)) for ranks, counts in table] == columns
+        assert all(len(set(ranks)) == len(ranks) for ranks, _ in table)
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_solves_satisfy_their_systems(self, n):
         rng = random.Random(3300 + n)
         width = 3
-        parts = self.stripped(n)
-        right = {
-            mu: [0] * width if rng.random() < 0.3 else [rng.randint(-9, 9) for _ in range(width)]
-            for mu in parts
-        }
-        h = _kostka_forward_substitution(right, n)
-        k = _kostka_back_substitution(right, n)
-        assert set(h) == set(parts) and set(k) == set(weight_basis(n))
-        k = {mu: k[_partition_monomial(mu, n)] for mu in parts}
-        for lam in parts:
+        size = len(partitions_of(n))
+        right = [
+            [0] * width if rng.random() < 0.3 else [rng.randint(-9, 9) for _ in range(width)]
+            for _ in range(size)
+        ]
+        kept = [list(v) for v in right]
+        table = _kostka_table(n)
+        h = _kostka_forward_substitution(right, table)
+        k = _kostka_back_substitution(right, table)
+        assert len(h) == len(k) == size and right == kept
+        column = [dict(zip(ranks, counts)) for ranks, counts in table]
+        for lam in range(size):
             # K^T h = right: row lam of K^T is column lam of K
-            column = _kostka_column(lam).items()
-            forward = [sum(c * h[rho][j] for rho, c in column) for j in range(width)]
+            forward = [sum(c * h[r][i] for r, c in column[lam].items()) for i in range(width)]
             # K k = right: row lam of K holds K[lam][mu] over the columns mu
-            row = [(mu, _kostka_column(mu).get(lam, 0)) for mu in parts]
-            back = [sum(c * k[mu][j] for mu, c in row) for j in range(width)]
+            back = [
+                sum(column[mu].get(lam, 0) * k[mu][i] for mu in range(size)) for i in range(width)
+            ]
             assert forward == right[lam] and back == right[lam], lam
+
+    def test_module_keeps_no_cache(self):
+        # the table lives for one solve; `partitions_of` and `weight_basis`
+        # are cached in `poly` and only imported here
+        own = [
+            f
+            for f in vars(chigenus.symchern).values()
+            if callable(f) and getattr(f, "__module__", None) == "chigenus.symchern"
+        ]
+        assert _kostka_table in own
+        assert [f.__name__ for f in own if hasattr(f, "cache_info")] == []
+
+
+class TestChiYSchurCoordinates:
+    """The forward solve on the chi_y right-hand side of `hrr` against the
+    closed form of its Schur coordinates, a Jacobi-Trudi determinant over
+    Z[y] that uses no Kostka number (`oracles.chi_y_schur_coordinates`)."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_forward_solve_matches_the_determinant_oracle(self, n):
+        scale, q = chi_y_factor(n)
+        assert (scale, tuple(map(tuple, q))) == _chi_y_factor(n)
+        right = []
+        for lam in partitions_of(n):
+            poly = [1]
+            for k in lam:  # padded: each zero part is a factor Q_0
+                poly = ypoly_mul(poly, q[k])
+            right.append(poly)
+        h = _kostka_forward_substitution(right, _kostka_table(n))
+        assert [tuple(v) for v in h] == list(chi_y_schur_coordinates(n))
 
 
 class TestChernCoordinates:
