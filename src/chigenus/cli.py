@@ -329,13 +329,14 @@ def _cmd_check(args) -> tuple[int, str]:
 
 
 def _cmd_variety_eval(args) -> tuple[int, str]:
+    from .hrr import euler_number
     from .poly import rational_text
     from .varieties import descriptor_from_token
 
     descriptor = descriptor_from_token(args.descriptor, args.max_dim)
     n = descriptor.dimension
     numerators, den = descriptor._chi_y()
-    euler = sum(numerators[0::2]) - sum(numerators[1::2])  # sum_p (-1)^p chi^p
+    euler = euler_number(numerators)
     # every number is rendered before anything is printed
     if args.target is None:
         values = [rational_text(c, den) for c in numerators]

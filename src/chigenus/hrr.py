@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Sequence
 
 from . import SIGN_MODES
 # the functional type and its tags live in `poly`; importing them from here
@@ -47,6 +48,7 @@ __all__ = [
     "chi_p",
     "chi_table",
     "euler_functional",
+    "euler_number",
     "SIGN_MODES",
     "mode_convention",
     "chi_sign",
@@ -101,9 +103,8 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     for p in range(n + 1):
         if any(k[p] != sign * k[n - p] for k in numerators):
             raise ConsistencyError(f"duality symmetry failed at dimension {n}, p={p}")
-    euler = euler_functional(n).numerators
-    for k, e in zip(numerators, euler):
-        if sign * (sum(k[0::2]) - sum(k[1::2])) != e * den:
+    for k, e in zip(numerators, euler_functional(n).numerators):
+        if sign * euler_number(k) != e * den:
             raise ConsistencyError(f"alternating sum is not the Euler class at dimension {n}")
     return tuple(
         ChernFunctional(n, BasisConvention.COTANGENT, [sign * k[p] for k in numerators], den)
@@ -130,6 +131,11 @@ def euler_functional(n: int) -> ChernFunctional:
     last monomial of `weight_basis(n)`, and for n = 0 the only one, 1."""
     coeffs = (0,) * (len(weight_basis(n)) - 1) + ((-1) ** n,)
     return ChernFunctional(n, BasisConvention.COTANGENT, coeffs, 1)
+
+
+def euler_number(chi: Sequence[int]) -> int:
+    """sum_p (-1)^p chi^p, chi_y at y = -1: the Euler number."""
+    return sum(chi[0::2]) - sum(chi[1::2])
 
 
 def mode_convention(mode: str) -> BasisConvention:

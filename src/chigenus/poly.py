@@ -364,11 +364,14 @@ def parse_decimal(text: str) -> int:
 
 def parse_json(text: str):
     """The values of JSON text, the corpus's or the config's; a repeated key,
-    an integer past the digit limit and too deep nesting are ValueErrors."""
+    an integer past the digit limit, NaN and the infinities (which `json`
+    takes but JSON has not) and too deep nesting are ValueErrors."""
     import json
 
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
+        return json.loads(
+            text, object_pairs_hook=_unique_keys, parse_int=_json_int, parse_constant=_not_json
+        )
     except RecursionError:
         raise ValueError("JSON nests too deeply") from None
 
@@ -378,6 +381,10 @@ def _json_int(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"a number has over {sys.get_int_max_str_digits()} digits") from None
+
+
+def _not_json(literal: str):
+    raise ValueError(f"{literal} is not JSON")
 
 
 def _unique_keys(pairs: list) -> dict:

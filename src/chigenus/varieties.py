@@ -13,9 +13,10 @@ total-Chern-class computation:
 
 A leaf's chi^p values pair `chi_table(n)` with its Chern numbers; chi_y is
 multiplicative (Hirzebruch, Topological Methods, 15.5), so a product
-convolves its factors' values.  The Euler number is sum_p (-1)^p chi^p.
-Sign audits evaluate the signed values (-1)^{n-p} chi^p or (-1)^p chi^p
-(`hrr.chi_sign`) and report per-p pass/fail.  Nefness (or asphericity) of
+convolves its factors' values.  A sign audit holds those values and
+derives from them the signed values (-1)^{n-p} chi^p or (-1)^p chi^p
+(`hrr.chi_sign`), each row's pass/fail and the Euler number
+(`hrr.euler_number`).  Nefness (or asphericity) of
 the relevant bundle is an assertion made by the caller, never checked here.
 """
 
@@ -29,7 +30,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import MAX_DIM
-from .hrr import ChernFunctional, chi_sign, chi_table
+from .hrr import ChernFunctional, chi_sign, chi_table, euler_number, mode_convention
 from .poly import (
     DimensionMismatch,
     Monomial,
@@ -61,7 +62,6 @@ __all__ = [
     "chern_numbers",
     "evaluate",
     "chi_values",
-    "SignAuditRow",
     "SignAudit",
     "check_signs",
     "descriptor_from_json",
@@ -376,77 +376,59 @@ def chi_values(v: VarietyDescriptor | ChernFunctional) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den) for c in numerators)
 
 
-class SignAuditRow(Record):
-    p: int
-    numerator: int
-    denominator: int
-    sign: int
-
-    @property
-    def ok(self) -> bool:
-        return self.sign * self.numerator >= 0
-
-    @property
-    def value(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.numerator, self.denominator)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "chi": rational_text(self.numerator, self.denominator),
-            "ok": self.ok,
-            "p": self.p,
-            "sign": self.sign,
-            "signed": rational_text(self.sign * self.numerator, self.denominator),
-        }
-
-
 class SignAudit(Record):
+    """The sign audit of one variety under a sign mode: its chi^0..chi^n as
+    `_chi_y` returns them, int numerators over one positive denominator in
+    lowest terms.  Row p checks chi_sign(n, p, mode) * chi^p >= 0."""
+
     variety: str
-    dimension: int
     mode: str
-    rows: tuple[SignAuditRow, ...]
-    euler_numerator: int
-    euler_denominator: int
+    numerators: tuple[int, ...]
+    denominator: int
+
+    def __post_init__(self):
+        mode_convention(self.mode)  # refuses an unknown mode
 
     @property
-    def euler(self) -> Fraction:
-        from fractions import Fraction
+    def dimension(self) -> int:
+        return len(self.numerators) - 1
 
-        return Fraction(self.euler_numerator, self.euler_denominator)
+    @property
+    def signs(self) -> tuple[int, ...]:
+        return tuple(chi_sign(self.dimension, p, self.mode) for p in range(self.dimension + 1))
 
     @property
     def passed(self) -> bool:
-        return all(row.ok for row in self.rows)
+        return all(s * c >= 0 for s, c in zip(self.signs, self.numerators))
 
     def to_json_dict(self) -> dict:
+        den = self.denominator
+        rows = [
+            {
+                "chi": rational_text(c, den),
+                "ok": s * c >= 0,
+                "p": p,
+                "sign": s,
+                "signed": rational_text(s * c, den),
+            }
+            for p, (s, c) in enumerate(zip(self.signs, self.numerators))
+        ]
         return {
             "dim": self.dimension,
-            "euler": rational_text(self.euler_numerator, self.euler_denominator),
+            "euler": rational_text(euler_number(self.numerators), den),
             "mode": self.mode,
             "pass": self.passed,
-            "rows": [row.to_json_dict() for row in self.rows],
+            "rows": rows,
             "variety": self.variety,
         }
 
 
 def check_signs(v: VarietyDescriptor, mode: str) -> SignAudit:
-    """Audit the sign pattern of the evaluated chi^p values.
-
-    Row p checks chi_sign(n, p, mode) * chi^p >= 0: (-1)^{n-p} chi^p under
-    ``nef_cotangent``, (-1)^p chi^p under ``nef_tangent``.  The caller
-    asserts the geometric hypothesis; this only decides the arithmetic.
-    """
-    n = v.dimension
-    signs = [chi_sign(n, p, mode) for p in range(n + 1)]
-    numerators, den = v._chi_y()
-    rows = []
-    for p, (c, sign) in enumerate(zip(numerators, signs)):
-        (c,), d = lowest_terms((c,), den)
-        rows.append(SignAuditRow(p, c, d, sign))
-    (euler,), euler_den = lowest_terms((sum(numerators[0::2]) - sum(numerators[1::2]),), den)
-    return SignAudit(v.name(), n, mode, tuple(rows), euler, euler_den)
+    """Audit the sign pattern of the evaluated chi^p values:
+    (-1)^{n-p} chi^p >= 0 under ``nef_cotangent``, (-1)^p chi^p >= 0 under
+    ``nef_tangent``.  The caller asserts the geometric hypothesis; this
+    only decides the arithmetic."""
+    return SignAudit(v.name(), mode, *v._chi_y())
 
 
 # -- descriptor (de)serialization -------------------------------------------

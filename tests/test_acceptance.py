@@ -206,7 +206,7 @@ def test_criterion_7_corpus_audit():
         assert check_signs(Product(Curve(2), Curve(2)), "nef_cotangent").passed
         bmy = check_signs(Surface(9, 3), "nef_cotangent")
         assert bmy.passed
-        assert bmy.rows[1].value == -1
+        assert bmy.numerators[1] == -bmy.denominator  # chi^1 = -1
         assert evaluate(euler_functional(3), Hypersurface(5, 4)) == -200
 
 

@@ -347,6 +347,16 @@ BAD_CONVENTION = {
     '{"name":"e","descriptor":{"type":"explicit","n":1,"convention":5}}': "5",
     '{"name":"e","descriptor":{"type":"explicit","n":1,"convention":[1]}}': "[1]",
 }
+# NaN, Infinity and -Infinity are extensions that Python's `json` reads, not
+# JSON: each is refused by name, wherever in a line it stands
+NOT_JSON = {
+    line.replace("@", literal): literal
+    for literal in ("NaN", "Infinity", "-Infinity")
+    for line in (
+        '{"name":"x","descriptor":{"type":"pn","n":2},"expected":{"euler":@}}',
+        '{"name":"x","descriptor":{"type":"pn","n":@}}',
+    )
+}
 
 
 class TestCheckCommand:
@@ -427,6 +437,7 @@ class TestCheckCommand:
             *UNKNOWN_FIELD,
             *BAD_TOP_LEVEL,
             *BAD_CONVENTION,
+            *NOT_JSON,
         ],
     )
     def test_malformed_corpus_line_exit_two(self, capsys, tmp_path, line):
@@ -454,6 +465,8 @@ class TestCheckCommand:
                 f"error: bad corpus line 1: unknown convention {BAD_CONVENTION[line]} "
                 "(use tangent or cotangent)\n"
             )
+        if line in NOT_JSON:
+            assert err == f"error: bad corpus line 1: {NOT_JSON[line]} is not JSON\n"
 
     def test_corpus_line_not_utf8_names_the_line(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -1075,6 +1088,17 @@ class TestConfigFile:
             2,
             "",
             f"error: cannot read config {str(config)!r}: JSON nests too deeply\n",
+        )
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_config_value_that_is_not_json(self, capsys, tmp_path, monkeypatch, literal):
+        config = tmp_path / "config.json"
+        config.write_text('{"max_dim": %s}' % literal)
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
+        assert run_cli(capsys, "chi", "--dim", "2") == (
+            2,
+            "",
+            f"error: cannot read config {str(config)!r}: {literal} is not JSON\n",
         )
 
     def test_config_integer_past_the_digit_limit(self, capsys, tmp_path, monkeypatch):

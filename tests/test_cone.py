@@ -549,6 +549,46 @@ class TestChiSignReports:
                         compared += 1
         assert compared == 124
 
+    def test_c1top_never_changes_a_row(self):
+        # c_1^n = sum_lambda f^lambda s_lambda with every f^lambda > 0
+        # (Macdonald I.7), so the reduced cost of the c1top column is a
+        # positive combination of the Schur columns' and Bland's rule never
+        # lets it enter: a certificate gives it 0, which JSON omits
+        compared = 0
+        for n in range(1, 10):
+            for extra in [()] + [(f"my{n}",)] * (n in (2, 4)):
+                for mode in SIGN_MODES:
+                    without = certify_chi_signs(n, mode, ("schur",) + extra)
+                    with_c1top = certify_chi_signs(n, mode, ("schur", "c1top") + extra)
+                    for row, twin in zip(without.rows, with_c1top.rows, strict=True):
+                        assert row.to_json_dict() == twin.to_json_dict(), (n, mode, extra, row.p)
+                        compared += 1
+        assert compared == 124
+
+    def test_c1top_never_changes_an_inline_result(self):
+        # the same for seeded targets, half of them in the cone by construction
+        rng = random.Random(20261019)
+        compared = certified = 0
+        for n in range(1, 9):
+            for extra in [()] + [(f"my{n}",)] * (n in (2, 4)):
+                for convention in (COT, TAN):
+                    gens = generators(n, ("schur",) + extra, convention)
+                    with_c1top = generators(n, ("schur", "c1top") + extra, convention)
+                    columns = [f.numerators for f in gens.functionals()]
+                    size = len(columns[0])
+                    for k in range(24):
+                        if k % 2:
+                            weights = [rng.randint(0, 3) for _ in columns]
+                            rhs = combination(weights, columns)
+                        else:
+                            rhs = [rng.randint(-4, 4) for _ in range(size)]
+                        target = ChernFunctional(n, convention, rhs, 1)
+                        result = certify(target, gens)
+                        assert result.to_json_dict() == certify(target, with_c1top).to_json_dict()
+                        compared += 1
+                        certified += isinstance(result, Certificate)
+        assert compared == 480 and certified >= 240
+
     @pytest.mark.parametrize("mode", SIGN_MODES)
     def test_each_distinct_target_is_solved_once(self, mode, monkeypatch):
         import chigenus.cone as cone

@@ -21,7 +21,7 @@ from chigenus.cone import (
     certify_chi_signs,
     generators,
 )
-from chigenus.hrr import ChernFunctional, ChiTable, chi_p, chi_table, euler_functional
+from chigenus.hrr import ChernFunctional, ChiTable, chi_p, chi_sign, chi_table, euler_functional
 from chigenus.poly import DimensionMismatch, Record, partitions_of, weight_basis
 from chigenus.symchern import BasisConvention
 from chigenus.varieties import (
@@ -33,7 +33,6 @@ from chigenus.varieties import (
     Product,
     ProjectiveSpace,
     SignAudit,
-    SignAuditRow,
     Surface,
     chern_numbers,
     check_signs,
@@ -248,10 +247,6 @@ class TestChiYOfProducts:
     from its factors' values; they must equal the rows of `chi_table(n)`
     paired with the product's Chern numbers (the Whitney split)."""
 
-    @staticmethod
-    def in_lowest_terms(num, den):
-        return den > 0 and gcd(num, den) == 1
-
     @given(
         st.integers(0, 10).flatmap(nested_products),
         st.sampled_from(["nef_cotangent", "nef_tangent"]),
@@ -265,11 +260,9 @@ class TestChiYOfProducts:
         assert [Fraction(c, den) for c in numerators] == expected
         assert list(chi_values(variety)) == expected
         audit = check_signs(variety, mode)
-        assert [row.value for row in audit.rows] == expected
-        assert audit.euler == evaluate(euler_functional(n), numbers)
-        for row in audit.rows:
-            assert self.in_lowest_terms(row.numerator, row.denominator)
-        assert self.in_lowest_terms(audit.euler_numerator, audit.euler_denominator)
+        assert (audit.numerators, audit.denominator) == (numerators, den)
+        euler = evaluate(euler_functional(n), numbers)
+        assert audit.to_json_dict()["euler"] == str(euler)
 
 
 class TestEvaluate:
@@ -494,23 +487,25 @@ class TestProductsOfProjectiveSpaces:
 class TestCheckSigns:
     def test_p3_tangent_mode(self):
         audit = check_signs(ProjectiveSpace(3), "nef_tangent")
-        assert [row.value * row.sign for row in audit.rows] == [1, 1, 1, 1]
+        assert (audit.numerators, audit.denominator) == ((1, -1, 1, -1), 1)
+        assert audit.signs == (1, -1, 1, -1)
         assert audit.passed
 
     def test_abelian_cotangent_mode(self):
         audit = check_signs(AbelianVariety(2), "nef_cotangent")
-        assert all(row.value == 0 for row in audit.rows)
+        assert audit.numerators == (0, 0, 0)
         assert audit.passed
 
     def test_product_of_genus_two_curves(self):
         audit = check_signs(Product(Curve(2), Curve(2)), "nef_cotangent")
-        assert [row.value for row in audit.rows] == [1, -2, 1]
-        assert [row.value * row.sign for row in audit.rows] == [1, 2, 1]
+        assert (audit.numerators, audit.denominator) == ((1, -2, 1), 1)
+        assert audit.signs == (1, -1, 1)
         assert audit.passed
 
     def test_bmy_equality_surface(self):
         audit = check_signs(Surface(9, 3), "nef_cotangent")
-        assert audit.rows[1].value == -1
+        assert chi_values(Surface(9, 3))[1] == -1
+        assert audit.numerators[1] == -audit.denominator
         assert audit.passed
 
     def test_failing_audit(self):
@@ -520,14 +515,53 @@ class TestCheckSigns:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             check_signs(Curve(2), "both")
+        with pytest.raises(ValueError):
+            SignAudit("curve:2", "nef-cotangent", (1, 1), 1)
+
+    def test_an_audit_is_the_chi_values_with_their_signs(self):
+        # seeded nested products, explicit leaves with rational numbers in
+        # either convention, and products with an explicit factor
+        rng = random.Random(20261019)
+
+        def explicit(dim):
+            values = {
+                m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in weight_basis(dim)
+            }
+            return Explicit(dim, values, rng.choice([COT, TAN]))
+
+        varieties = []
+        for _ in range(40):
+            dim = rng.randint(1, 8)
+            k = rng.randint(0, dim)
+            varieties += [random_variety(rng, dim), explicit(dim)]
+            if 0 < k < dim:
+                varieties.append(Product(explicit(k), random_variety(rng, dim - k)))
+        for variety in varieties:
+            n, values = variety.dimension, chi_values(variety)
+            for mode in ("nef_cotangent", "nef_tangent"):
+                audit = check_signs(variety, mode)
+                signs = tuple(chi_sign(n, p, mode) for p in range(n + 1))
+                assert audit.variety == variety.name() and audit.dimension == n
+                assert audit.denominator > 0
+                assert gcd(audit.denominator, *audit.numerators) == 1
+                assert tuple(Fraction(c, audit.denominator) for c in audit.numerators) == values
+                assert audit.signs == signs
+                assert audit.passed == all(s * v >= 0 for s, v in zip(signs, values))
+                data = audit.to_json_dict()
+                assert data["rows"] == [
+                    {"chi": str(v), "ok": s * v >= 0, "p": p, "sign": s, "signed": str(s * v)}
+                    for p, (s, v) in enumerate(zip(signs, values))
+                ]
+                assert data["euler"] == str(sum((-1) ** p * v for p, v in enumerate(values)))
 
     def test_json_rows_print_the_signed_value(self):
         rows = check_signs(Product(Curve(2), Curve(2)), "nef_cotangent").to_json_dict()["rows"]
         assert [(row["chi"], row["sign"], row["signed"]) for row in rows] == [
             ("1", 1, "1"), ("-2", -1, "2"), ("1", 1, "1"),
         ]
-        row = SignAuditRow(p=1, numerator=-3, denominator=4, sign=-1).to_json_dict()
-        assert row == {"chi": "-3/4", "ok": True, "p": 1, "sign": -1, "signed": "3/4"}
+        audit = SignAudit("surface:1:1", "nef_cotangent", (2, -3, 2), 4).to_json_dict()
+        assert audit["rows"][1] == {"chi": "-3/4", "ok": True, "p": 1, "sign": -1, "signed": "3/4"}
+        assert audit["euler"] == "7/4"
 
     def test_products_never_compute_their_chern_numbers(self, monkeypatch):
         # the leaves' rows are counted; a product's would be counted too
@@ -543,7 +577,7 @@ class TestCheckSigns:
             monkeypatch.setattr(cls, "_tangent_values", counting)
         audit = check_signs(variety, "nef_cotangent")
         assert calls == ["pn:2", "curve:2", "pn:2"]
-        assert audit.euler == expected
+        assert audit.to_json_dict()["euler"] == str(expected)
 
 
 class TestDescriptorSerialization:
@@ -897,8 +931,8 @@ class TestChernNumbersAreAFunctional:
 
 
 # Every value class and its fields, in constructor order, as they were when
-# the classes were frozen dataclasses; the sign audits have since held their
-# numbers as int numerators over a positive denominator.
+# the classes were frozen dataclasses; a sign audit has since held its chi^p
+# values as int numerators over one positive denominator, one row for all p.
 RECORD_FIELDS = {
     ChernFunctional: ("dimension", "convention", "numerators", "denominator"),
     ChiTable: ("dimension", "convention", "rows"),
@@ -913,8 +947,7 @@ RECORD_FIELDS = {
     Hypersurface: ("degree", "ambient"),
     AbelianVariety: ("n",),
     Product: ("left", "right"),
-    SignAuditRow: ("p", "numerator", "denominator", "sign"),
-    SignAudit: ("variety", "dimension", "mode", "rows", "euler_numerator", "euler_denominator"),
+    SignAudit: ("variety", "mode", "numerators", "denominator"),
     CorpusEntry: ("name", "descriptor", "expected"),
 }
 
@@ -938,7 +971,6 @@ def record_samples():
         Surface(9, 3),
         AbelianVariety(2),
         audit,
-        *audit.rows,
         CorpusEntry("x", Curve(2), {"euler": "-2"}),
     ]
 
