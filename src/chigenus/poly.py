@@ -362,18 +362,47 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
+_JSON_SPACE = " \t\n\r"  # JSON's whitespace; `str.strip()` strips more
+
+
 def parse_json(text: str):
     """The values of JSON text, the corpus's or the config's; a repeated key,
     an integer past the digit limit, NaN and the infinities (which `json`
-    takes but JSON has not) and too deep nesting are ValueErrors."""
-    import json
+    takes but JSON has not) and too deep nesting are ValueErrors.
 
+    It runs CPython's `_json` scanner, as `json.loads` does, without the
+    `json` package: it skips JSON's whitespace and refuses a BOM, no value
+    and extra data itself, with `json`'s errors and messages, and loads
+    `json.decoder` only to raise one."""
+    from _json import make_scanner
+
+    if text.startswith("\ufeff"):
+        raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    scan = make_scanner(_JSONContext)
+    start = len(text) - len(text.lstrip(_JSON_SPACE))
     try:
-        return json.loads(
-            text, object_pairs_hook=_unique_keys, parse_int=_json_int, parse_constant=_not_json
-        )
+        try:
+            value, end = scan(text, start)
+        except SystemError:
+            # before 3.12 the scanner only looks JSONDecodeError up in
+            # sys.modules, and without it fails as a SystemError
+            import json.decoder
+
+            value, end = scan(text, start)
+    except StopIteration as stop:
+        raise _decode_error("Expecting value", text, stop.value) from None
     except RecursionError:
         raise ValueError("JSON nests too deeply") from None
+    extra = len(text) - len(text[end:].lstrip(_JSON_SPACE))
+    if extra < len(text):
+        raise _decode_error("Extra data", text, extra)
+    return value
+
+
+def _decode_error(message: str, text: str, position: int) -> ValueError:
+    from json import JSONDecodeError
+
+    return JSONDecodeError(message, text, position)
 
 
 def _json_int(text: str) -> int:
@@ -393,6 +422,17 @@ def _unique_keys(pairs: list) -> dict:
         keys = [key for key, _ in pairs]
         raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
     return obj
+
+
+class _JSONContext:
+    """What `json.loads` hands its scanner, with the hooks above."""
+
+    strict = True
+    object_hook = None
+    object_pairs_hook = _unique_keys
+    parse_float = float
+    parse_int = _json_int
+    parse_constant = _not_json
 
 
 class BasisConvention(str, Enum):

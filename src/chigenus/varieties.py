@@ -572,7 +572,7 @@ def load_corpus(path, max_dim: int = MAX_DIM) -> list[CorpusEntry]:
     with open(path, "rb") as handle:
         for line_number, raw in enumerate(handle, 1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8").strip(" \t\n\r")  # JSON's whitespace only
                 if not line or line.startswith("#"):
                     continue
                 obj = parse_json(line)

@@ -38,7 +38,10 @@ package's own:
   its top-level comma, which the comma index of
   ``varieties.descriptor_from_token`` replaced (same results and messages);
 * polynomial text by the two-flag term parser that the one-pass term loop
-  of ``poly.parse_terms`` replaced (same results and messages).
+  of ``poly.parse_terms`` replaced (same results and messages);
+* JSON text by ``json.loads`` with the hooks of ``poly``, the reader that
+  ``poly.parse_json``'s own use of ``json``'s C scanner replaced (same
+  values and errors).
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ from chigenus.poly import (
     Monomial,
     ParseError,
     RationalLike,
+    _json_int,
+    _not_json,
+    _unique_keys,
     as_rational,
     json_terms,
     mono_key,
@@ -1282,3 +1288,14 @@ def flagged_parse_terms(dim: int, text: str) -> list[tuple[Monomial, int, int]]:
                 f" > dimension {dim}"
             )
     return terms
+
+
+def json_loads_parse(text: str):
+    """JSON text by `json.loads` with `poly`'s hooks for a repeated key, an
+    integer past the digit limit and NaN or the infinities."""
+    try:
+        return json.loads(
+            text, object_pairs_hook=_unique_keys, parse_int=_json_int, parse_constant=_not_json
+        )
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None

@@ -18,7 +18,7 @@ from chigenus.hrr import ChernFunctional, chi_p, chi_table
 from chigenus.poly import json_view, weight_basis
 from chigenus.symchern import BasisConvention, partition_label, partitions_of, schur
 
-from oracles import GradedPoly
+from oracles import GradedPoly, json_loads_parse
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # SHA-256 of the stdout of each `chi --json` command, recorded before the
@@ -347,6 +347,19 @@ BAD_CONVENTION = {
     '{"name":"e","descriptor":{"type":"explicit","n":1,"convention":5}}': "5",
     '{"name":"e","descriptor":{"type":"explicit","n":1,"convention":[1]}}': "[1]",
 }
+# `str.strip()` strips these, but JSON does not take them as whitespace: a
+# line that starts or ends with one is not JSON, and one that holds only one
+# is not blank
+NOT_JSON_SPACE = {
+    text: refusal
+    for space in ("\x0c", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000")
+    for line in ('{"name":"p","descriptor":{"type":"pn","n":2}}',)
+    for text, refusal in (
+        (space, "Expecting value: line 1 column 1 (char 0)"),
+        (space + line, "Expecting value: line 1 column 1 (char 0)"),
+        (line + space, f"Extra data: line 1 column {len(line) + 1} (char {len(line)})"),
+    )
+}
 # NaN, Infinity and -Infinity are extensions that Python's `json` reads, not
 # JSON: each is refused by name, wherever in a line it stands
 NOT_JSON = {
@@ -438,6 +451,7 @@ class TestCheckCommand:
             *BAD_TOP_LEVEL,
             *BAD_CONVENTION,
             *NOT_JSON,
+            *NOT_JSON_SPACE,
         ],
     )
     def test_malformed_corpus_line_exit_two(self, capsys, tmp_path, line):
@@ -467,6 +481,8 @@ class TestCheckCommand:
             )
         if line in NOT_JSON:
             assert err == f"error: bad corpus line 1: {NOT_JSON[line]} is not JSON\n"
+        if line in NOT_JSON_SPACE:
+            assert err == f"error: bad corpus line 1: {NOT_JSON_SPACE[line]}\n"
 
     def test_corpus_line_not_utf8_names_the_line(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -475,6 +491,15 @@ class TestCheckCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: bad corpus line 2: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
+
+    def test_json_whitespace_around_a_corpus_line_is_stripped(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        line = '{"name":"p","descriptor":{"type":"pn","n":2}}'
+        corpus.write_text(line + "\n")
+        plain = run_cli(capsys, "check", str(corpus))
+        corpus.write_text(f" \t{line} \t\r\n \t\r\n")
+        assert run_cli(capsys, "check", str(corpus)) == plain
+        assert plain[0] == 0
 
     def test_recipe_field_refusal_names_kind_and_field(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -1324,21 +1349,29 @@ class TestStartup:
         (("variety", "eval", "pn:2", "--json"), CHI | {"chigenus.varieties"}),
     ]
 
-    @staticmethod
-    def modules_after(argv, after=""):
+    @classmethod
+    def modules_after(cls, argv, after=""):
         """The chigenus modules a command line, then the statement `after`,
         load, and every module they add."""
+        return cls.probe(argv, after)[2:]
+
+    @staticmethod
+    def probe(argv, after=""):
+        """A command line's exit code and stderr lines, then the chigenus
+        modules it and the statement `after` load, and every module they
+        add."""
         script = RAISE_AT_EXIT + (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import runpy\n"
             f"sys.argv = ['chigenus', *{list(argv)!r}]\n"
+            "code = None\n"
             "try:\n"
             "    runpy.run_module('chigenus', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit:\n"
-            "    pass\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
             f"{after}\n"
-            "print(sorted(m for m in sys.modules if m.startswith('chigenus.')),\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('chigenus.')),\n"
             "      sorted(set(sys.modules) - before), sep='\\n', file=sys.stderr)\n"
         )
         result = subprocess.run(
@@ -1348,8 +1381,9 @@ class TestStartup:
             timeout=30,
             cwd=GOLDEN.parent.parent,  # corpus paths are relative to the repository root
         )
-        loaded, added = map(ast.literal_eval, result.stderr.splitlines()[-2:])
-        return set(loaded), set(added)
+        *err, code, loaded, added = result.stderr.splitlines()
+        loaded, added = set(ast.literal_eval(loaded)), set(ast.literal_eval(added))
+        return ast.literal_eval(code), err, loaded, added
 
     @pytest.mark.parametrize("argv, expected", LOADS, ids=[" ".join(a) for a, _ in LOADS])
     def test_command_loads_only_its_modules(self, argv, expected):
@@ -1395,9 +1429,13 @@ class TestStartup:
         _, added = self.modules_after(("variety", "eval", "pn:2"), after)
         assert self.FRACTION_MODULES <= added, added
 
-    # JSON is written by `cli._json_text`, so a command loads `json` only to
-    # read a corpus or a config file; those two runs show the probe sees it
+    # JSON is written by `cli._json_text` and read by `poly.parse_json` with
+    # `json`'s C scanner alone, so no command loads the `json` package, and
+    # only reading a corpus or a config file loads `_json`; those two runs
+    # show the probe sees it.  A refusal may load `json.decoder` for its
+    # error.
     JSON_MODULES = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+    JSON_PACKAGE = JSON_MODULES - {"_json"}
     WRITERS = [
         ("chi", "--dim", "4"),
         ("schur", "--dim", "4"),
@@ -1413,16 +1451,39 @@ class TestStartup:
         _, added = self.modules_after(argv)
         assert not self.JSON_MODULES & added, added
 
-    def test_reading_a_corpus_loads_json(self):
+    def test_reading_a_corpus_loads_only_the_scanner(self):
         _, added = self.modules_after(("check", "tests/data/corpus.jsonl", "--json"))
-        assert self.JSON_MODULES <= added, added
+        assert "_json" in added and not self.JSON_PACKAGE & added, added
 
-    def test_reading_a_config_loads_json(self, tmp_path, monkeypatch):
+    def test_reading_a_config_loads_only_the_scanner(self, tmp_path, monkeypatch):
         config = tmp_path / "config.json"
         config.write_text('{"max_dim": 4}')
         monkeypatch.setenv("CHIGENUS_CONFIG", str(config))  # the child inherits it
         _, added = self.modules_after(("chi", "--dim", "4", "--json"))
-        assert self.JSON_MODULES <= added, added
+        assert "_json" in added and not self.JSON_PACKAGE & added, added
+
+    # a refusal by the scanner itself (a missing comma or colon, a control
+    # character in a string), with no value, with extra data, and by a hook
+    REFUSED_LINES = [
+        '{"name": "p" "descriptor": {"type": "pn", "n": 2}}',
+        '{"name": "p", "descriptor": {"type": "pn", "n" 2}}',
+        '{"name": "p\x01", "descriptor": {"type": "pn", "n": 2}}',
+        '{"name": "p", "descriptor": }',
+        '{"name": "p", "descriptor": {"type": "pn", "n": 2}} {}',
+        '\x0c{"name": "p", "descriptor": {"type": "pn", "n": 2}}',
+        '{"name": "p", "descriptor": {"type": "pn", "n": 2, "n": 3}}',
+        '{"name": "p", "descriptor": {"type": "pn", "n": NaN}}',
+    ]
+
+    @pytest.mark.parametrize("line", REFUSED_LINES)
+    def test_a_refused_corpus_line_exits_two_with_one_line(self, tmp_path, line):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(line + "\n")
+        with pytest.raises(ValueError) as refusal:
+            json_loads_parse(line)
+        code, err, _, added = self.probe(("check", str(corpus)))
+        assert (code, err) == (2, [f"error: bad corpus line 1: {refusal.value}"])
+        assert "_json" in added, added
 
     def test_every_export_is_its_home_modules_object(self):
         import importlib

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import pathlib
 import random
@@ -32,7 +33,7 @@ from chigenus.poly import (
 )
 
 from conftest import graded_polys, poly_pairs, poly_triples, rationals
-from oracles import GradedPoly, flagged_parse_terms
+from oracles import GradedPoly, flagged_parse_terms, json_loads_parse
 
 
 # `GradedPoly` is the truncated ring of the oracles: the tests below pin the
@@ -485,6 +486,108 @@ class TestOnePassTerms:
         with pytest.raises(ParseError) as info:
             parse_terms(2, text)
         assert str(info.value) == message
+
+
+class TestScannerReader:
+    """`parse_json` runs `json`'s C scanner without the `json` package.
+    Against `json.loads` with the same hooks, the reader it replaced, on
+    seeded mutations of the corpus lines and on drawn text: the same value
+    of the same types, or the same exception and message."""
+
+    DATA = pathlib.Path(__file__).parent / "data"
+    DEEP = 5000  # past the interpreter's recursion limit
+    CASES = [
+        # a BOM, whitespace and what follows the value
+        "\ufeff{}", "\ufeff", " \ufeff1", " \t\n\r[1] \t\n\r", "1 2", '{"a": 1} x', "[]]",
+        "", " ", "\x0c1", "1\x0c", "\x0b1", "\u00a01", "\u20281", "\u00851",
+        # strings: control characters, escapes and lone surrogates
+        '"a\x00b"', '"tab\there"', '"\x1f"', '"new\nline"', '"\\u00e9\\u0041"', '"\\ud800"',
+        '"\\udc00\\ud800"', '"\\ud83d\\ude00"', '"\\u12"', '"\\x41"', '"\\uZZZZ"', '"\ud800"',
+        '"open', '{"a', '{"a":"b',
+        # numbers, the digit limit and the constants JSON has not
+        "9" * 4300, "9" * 4301, "-" + "9" * 4301, "[%s]" % ("9" * 4301), "1" + "0" * 4300 + ".5",
+        "NaN", "Infinity", "-Infinity", "[NaN]", '{"a": -Infinity}', "nan", "-NaN", "+1", "01",
+        "1.", ".5", "1e5", "1E+5", "-0", "-0.0", "1.5e-3", "1e400",
+        # objects: repeated keys and broken punctuation
+        '{"a": 1, "a": 2}', '{"a": {"b": 1, "b": 1}}', '[{"x": 1}, {"x": 2, "x": 3}]',
+        '{"a" 1}', "{1: 2}", '{"a": 1,}', "[1,]", "[,1]", '{"a": 1 "b": 2}',
+        # nesting past the recursion limit, and bare scalars
+        "[" * DEEP + "]" * DEEP, '{"a":' * DEEP + "1" + "}" * DEEP, "[" * DEEP,
+        "true", "false", "null", '"s"', "1", "1.0", "tru", "nul", "[true, 1, 1.0]",
+    ]
+    INSERTS = [
+        *'{}[]:,"\\ \t\n\r0123456789.-+eEtrufalsnNIiy',
+        "\x00", "\x0c", "\x0b", "\x1f", "\ufeff", "\u00a0", "\u2028", "\ud800", "\u00e9",
+        "NaN", "-Infinity", "\\u", "\\ud800", '"n":', '"n": 1, ',
+    ]
+    REFUSALS = {
+        "Expecting value",
+        "Extra data",
+        "Unexpected UTF-8 BOM",
+        "Expecting ',' delimiter",
+        "Expecting ':' delimiter",
+        "Expecting property name enclosed in double quotes",
+        "Invalid control character",
+        "Invalid \\escape",
+        "Invalid \\uXXXX escape",
+        "Unterminated string",
+        "repeated key",
+        "is not JSON",
+        "digits",
+        "JSON nests too deeply",
+    }
+
+    @staticmethod
+    def outcome(read, text):
+        # a value's repr tells 1 from 1.0 from True, and keeps the key order
+        try:
+            return repr(read(text))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    def mutated(self, rng, text):
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+            kind = rng.randrange(3)
+            if kind == 0:
+                text = text[:j]
+            elif kind == 1:
+                text = text[:i] + rng.choice(self.INSERTS) + text[i:]
+            elif j < len(text):
+                text = text[:i] + text[j] + text[i + 1 : j] + text[i] + text[j + 1 :]
+        return text
+
+    def test_matches_json_loads(self):
+        paths = sorted(self.DATA.glob("*.jsonl"))
+        lines = [line for path in paths for line in path.read_text().splitlines()]
+        rng = random.Random(38)
+        seen = set()
+        pool = lines + self.CASES
+        texts = self.CASES + [self.mutated(rng, rng.choice(pool)) for _ in range(4000)]
+        for text in texts:
+            expected = self.outcome(json_loads_parse, text)
+            assert self.outcome(parse_json, text) == expected, text[:200]
+            if isinstance(expected, str):
+                seen.add("value")
+            else:
+                seen |= {refusal for refusal in self.REFUSALS if refusal in expected[1]}
+        assert seen == self.REFUSALS | {"value"}
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=8,
+    )
+
+    @given(
+        st.lists(st.sampled_from(INSERTS), max_size=12).map("".join)
+        | st.builds(
+            json.dumps, json_values, ensure_ascii=st.booleans(), indent=st.sampled_from([None, 0, 2])
+        )
+    )
+    def test_matches_json_loads_on_drawn_text(self, text):
+        assert self.outcome(parse_json, text) == self.outcome(json_loads_parse, text)
 
 
 class TestOneRepresentation:
