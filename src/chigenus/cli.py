@@ -3,16 +3,14 @@ corpus sign audits, in line-stable text or canonical JSON.
 
 Exit codes: 0 success/certified, 1 infeasible or failed audit, 2 usage,
 malformed input or output that cannot be written.  JSON output is a single
-line with sorted keys and exact 'a/b' rationals, so repeated runs are
-byte-identical.
+line with sorted keys and exact 'a/b' rationals, written by
+`poly.json_text`, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from functools import lru_cache
-from itertools import repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -86,55 +84,10 @@ def _decimal(text: str) -> int:
         raise ValueError(f"invalid int value: {text!r}") from None
 
 
-def _json_text(value) -> str:
-    """The canonical JSON of a str, int, bool, list, dict or ChernFunctional:
-    what json.dumps(value, sort_keys=True, separators=(",", ":")) writes,
-    with a functional written as its `poly_json_dict()`.  A str must be
-    plain, printable ASCII with no '"' or '\\', as every string a command
-    prints is, so it needs no escape.  Each container is joined as it
-    closes, with one call per level of nesting, and a functional's terms
-    are written straight from its numerators, with no dict per term; any
-    other value, and a key that is not a plain str, is a TypeError."""
-    if isinstance(value, str):
-        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
-            return '"' + value + '"'
-        raise TypeError(f"no JSON form for a str that needs an escape: {value!r}")
-    if isinstance(value, dict):
-        members = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"a JSON key must be a str, not {type(key).__name__}")
-            members.append(_json_text(key) + ":" + _json_text(value[key]))
-        return "{%s}" % ",".join(members)  # one copy of the joined text, not two
-    if isinstance(value, list):
-        return "[%s]" % ",".join(map(_json_text, value))
-    if isinstance(value, int):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return int.__repr__(value)
-    from .poly import ChernFunctional, json_term_texts
-
-    if isinstance(value, ChernFunctional):
-        n = value.dimension
-        parts = zip(_exps_texts(n), value.numerators, repeat(value.denominator))
-        terms = ",".join(
-            '{"den":"%s","exps":%s,"num":"%s"}' % (den, exps, num)
-            for exps, num, den in json_term_texts(parts)
-        )
-        return '{"dim":%d,"terms":[%s]}' % (n, terms)
-    raise TypeError(f"no JSON form for {type(value).__name__}")
-
-
-@lru_cache(maxsize=None)
-def _exps_texts(n: int) -> tuple[str, ...]:
-    """The JSON exponent list of each monomial of `weight_basis(n)`."""
-    from .poly import weight_basis
-
-    return tuple("[%s]" % ",".join(map(str, mono)) for mono in weight_basis(n))
-
-
 def _envelope(command: str, dimension: int, convention: str, payload: dict) -> str:
     """The one JSON line of a --json command."""
+    from .poly import json_text
+
     envelope = {
         "command": command,
         "convention": convention,
@@ -142,7 +95,7 @@ def _envelope(command: str, dimension: int, convention: str, payload: dict) -> s
         "payload": payload,
         "toolVersion": __version__,
     }
-    return _json_text(envelope)
+    return json_text(envelope)
 
 
 def _parse_mode(text: str) -> str:
@@ -309,7 +262,8 @@ def _cmd_check(args) -> tuple[int, str]:
     from .varieties import check_signs, descriptor_from_token, load_corpus
 
     mode = _parse_mode(args.mode)
-    if os.path.exists(args.target):
+    # no token ends in .jsonl or holds a '/', so a missing corpus is an OSError
+    if os.path.exists(args.target) or args.target.endswith(".jsonl") or "/" in args.target:
         descriptors = [entry.descriptor for entry in load_corpus(args.target, args.max_dim)]
         if not descriptors:
             raise ValueError(f"corpus {args.target} holds no entries")

@@ -151,10 +151,10 @@ class Certificate(Record):
         return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     def _json_shape(self) -> dict:
-        # the target in place (`poly.json_view`); a certificate has no
-        # residual, and its zero keeps the output format
+        # the target in place (`poly.json_text`, `poly.json_view`); a
+        # certificate has no residual, and the zero row keeps the output format
         return {
-            "residual": {"dim": self.target.dimension, "terms": []},
+            "residual": self.target.scaled(0),
             "target": self.target,
             "terms": [
                 {"coef": rational_text(c, self.denominator), "gen": name}

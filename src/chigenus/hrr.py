@@ -182,7 +182,7 @@ class ChiTable(Record):
         )
 
     def _json_shape(self) -> dict:
-        # the rows in place, for `poly.json_view` and `cli._json_text`
+        # the rows in place, for `poly.json_text` and `poly.json_view`
         return {
             "convention": self.convention.value,
             "dim": self.dimension,

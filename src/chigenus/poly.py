@@ -1,6 +1,6 @@
 """Chern-class monomials, the partitions that index the weight-n ones, the
-text and JSON forms of polynomials in them, and the top-weight functional
-type.
+text forms of polynomials in them, the top-weight functional type, and the
+one canonical JSON writer (`json_text`) and reader (`parse_json`).
 
 The variables are c_1, ..., c_n with weight(c_i) = i.  A monomial is an
 exponent tuple of length n (entry i-1 is the exponent of c_i).  The
@@ -26,7 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -51,13 +51,12 @@ __all__ = [
     "InvalidPartition",
     "partitions_of",
     "weight_basis",
-    "json_term_texts",
-    "json_terms",
     "parse_terms",
     "terms_text",
     "BasisConvention",
     "ConventionMismatch",
     "ChernFunctional",
+    "json_text",
     "json_view",
 ]
 
@@ -259,23 +258,6 @@ def weight_basis(dim: int) -> tuple[Monomial, ...]:
     is typed, like that of `partitions_of`."""
     monomials = (_partition_monomial(mu, dim) for mu in partitions_of(dim))
     return tuple(sorted(monomials, key=mono_key))
-
-
-def json_term_texts(terms: Iterable[tuple[object, int, int]]) -> Iterator[tuple[object, str, str]]:
-    """(key, numerator text, denominator text) of each (key, numerator,
-    denominator > 0) triple whose numerator is not zero, the coefficient in
-    lowest terms: the one rule for JSON terms, which `json_terms` lists and
-    `cli._json_text` writes.  The key is passed through as it is."""
-    for key, num, den in terms:
-        if num:
-            num_text, _, den_text = rational_text(num, den).partition("/")
-            yield key, num_text, den_text or "1"
-
-
-def json_terms(terms: Iterable[tuple[Monomial, int, int]]) -> list[dict]:
-    """The JSON term list of (monomial, numerator, denominator > 0) triples
-    given in `mono_key` order (`json_term_texts`)."""
-    return [{"exps": list(m), "num": a, "den": b} for m, a, b in json_term_texts(terms)]
 
 
 # patterns, not compiled ones: `re` compiles each on first use and caches it,
@@ -534,13 +516,9 @@ class ChernFunctional(Record):
         """The nonzero coefficients, by monomial."""
         return {m: c for m, c in zip(weight_basis(self.dimension), self.coeffs) if c}
 
-    def _parts(self) -> Iterable[tuple[Monomial, int, int]]:
-        return zip(weight_basis(self.dimension), self.numerators, repeat(self.denominator))
-
     def poly_json_dict(self) -> dict:
-        """The JSON form of the functional as a polynomial: its dimension
-        and `json_terms` over the basis, which is in `mono_key` order."""
-        return {"dim": self.dimension, "terms": json_terms(self._parts())}
+        """The JSON form of the functional as a polynomial (`json_view`)."""
+        return json_view(self)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -582,20 +560,67 @@ class ChernFunctional(Record):
     # -- serialization --------------------------------------------------------
 
     def to_text(self) -> str:
-        return terms_text(self._parts())
+        basis = weight_basis(self.dimension)
+        return terms_text(zip(basis, self.numerators, repeat(self.denominator)))
 
     def __str__(self) -> str:
         return self.to_text()
 
 
+def json_text(value) -> str:
+    """The canonical JSON of a str, int, bool, list, dict or ChernFunctional:
+    what json.dumps(value, sort_keys=True, separators=(",", ":")) writes,
+    with a functional written as {"dim", "terms"}, one {"den", "exps", "num"}
+    term per nonzero coefficient in lowest terms.  A str must be plain,
+    printable ASCII with no '"' or '\\', as every string a command prints
+    is, so it needs no escape.  Each container is joined as it closes, with
+    one call per level of nesting, and a functional's terms are written
+    straight from its numerators, with no dict per term; any other value,
+    and a key that is not a plain str, is a TypeError."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return '"' + value + '"'
+        raise TypeError(f"no JSON form for a str that needs an escape: {value!r}")
+    if isinstance(value, dict):
+        members = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"a JSON key must be a str, not {type(key).__name__}")
+            members.append(json_text(key) + ":" + json_text(value[key]))
+        return "{%s}" % ",".join(members)  # one copy of the joined text, not two
+    if isinstance(value, list):
+        return "[%s]" % ",".join(map(json_text, value))
+    if isinstance(value, int):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return int.__repr__(value)
+    if isinstance(value, ChernFunctional):
+        n, den = value.dimension, value.denominator
+        terms = []
+        for exps, num in zip(_exps_texts(n), value.numerators):
+            if num:
+                num_text, _, den_text = rational_text(num, den).partition("/")
+                term = '{"den":"%s","exps":%s,"num":"%s"}' % (den_text or "1", exps, num_text)
+                terms.append(term)
+        return '{"dim":%d,"terms":[%s]}' % (n, ",".join(terms))
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+@lru_cache(maxsize=None)
+def _exps_texts(n: int) -> tuple[str, ...]:
+    """The JSON exponent list of each monomial of `weight_basis(n)`."""
+    return tuple("[%s]" % ",".join(map(str, mono)) for mono in weight_basis(n))
+
+
 def json_view(shape):
     """The plain JSON values of a shape: dicts, lists, strs, ints and bools
     that hold `ChernFunctional`s in place, as a report's `_json_shape()`
-    does, with each functional replaced by its `poly_json_dict()`.
-    `cli._json_text` writes a shape as it is, so a command builds no term
-    dict; the library's `to_json_dict` views are this of the same shape."""
+    does, with each functional replaced by what `json_text` writes for it,
+    read back (`parse_json`).  A command writes a shape as it is, so it
+    builds no term dict; the library's `to_json_dict` views are this of the
+    same shape, and so hold what the command prints."""
     if isinstance(shape, ChernFunctional):
-        return shape.poly_json_dict()
+        return parse_json(json_text(shape))
     if isinstance(shape, dict):
         return {key: json_view(value) for key, value in shape.items()}
     if isinstance(shape, list):

@@ -67,7 +67,6 @@ from chigenus.poly import (
     _not_json,
     _unique_keys,
     as_rational,
-    json_terms,
     mono_key,
     mono_text,
     mono_weight,
@@ -276,7 +275,9 @@ class GradedPoly:
         return cls(dim, [(mono, Fraction(num, den)) for mono, num, den in parse_terms(dim, text)])
 
     def to_json_dict(self) -> dict:
-        return {"dim": self._dim, "terms": json_terms(self._triples())}
+        # the term list from its own Fractions, so that it checks `poly.json_text`
+        terms = [{"exps": list(m), "num": str(a), "den": str(b)} for m, a, b in self._triples()]
+        return {"dim": self._dim, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "GradedPoly":

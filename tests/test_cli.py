@@ -11,11 +11,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chigenus import __version__, poly
-from chigenus.cli import _json_text, main
+from chigenus import __version__, cone, hrr, poly
+from chigenus.cli import main
 from chigenus.cone import Certificate, certify, certify_chi_signs, generators
 from chigenus.hrr import ChernFunctional, chi_p, chi_table
-from chigenus.poly import json_view, weight_basis
+from chigenus.poly import json_text, json_view, weight_basis
 from chigenus.symchern import BasisConvention, partition_label, partitions_of, schur
 
 from oracles import GradedPoly, json_loads_parse
@@ -425,6 +425,24 @@ class TestCheckCommand:
     def test_unknown_token(self, capsys):
         code, _, err = run_cli(capsys, "check", "blah:3")
         assert code == 2
+
+    # a target that exists, ends in .jsonl or holds a '/' is a corpus path,
+    # as no token does either, so a missing corpus is reported as a missing file
+    @pytest.mark.parametrize(
+        "target, error",
+        [
+            ("missing.jsonl", "[Errno 2] No such file or directory: 'missing.jsonl'"),
+            ("nope/x", "[Errno 2] No such file or directory: 'nope/x'"),
+            ("pn:2.5", "malformed variety token 'pn:2.5'"),
+            ("blah:3", "unknown variety token 'blah:3'"),
+        ],
+    )
+    def test_target_is_a_corpus_path_or_a_token(
+        self, capsys, monkeypatch, tmp_path, target, error
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "check", target)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
     @pytest.mark.parametrize(
         "line",
@@ -1173,7 +1191,7 @@ class TestDeterminism:
         assert first.stdout.strip()
 
 
-# the strings `cli._json_text` writes: printable ASCII without '"' or '\\',
+# the strings `poly.json_text` writes: printable ASCII without '"' or '\\',
 # which is every string a command prints, so none needs an escape
 PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'))
 JSON_VALUES = st.recursive(
@@ -1184,18 +1202,19 @@ JSON_VALUES = st.recursive(
 
 
 class TestJsonText:
-    """`cli._json_text` writes what json.dumps(sort_keys=True) with compact
-    separators writes, without loading `json`."""
+    """`poly.json_text` writes what json.dumps(sort_keys=True) with compact
+    separators writes, without loading `json`; a functional is checked
+    against the oracle's term list, which shares no code with the writer."""
 
     @given(JSON_VALUES)
     @example({"say": "a 'b'", "path": "a/b", "tilde": "~", "": [True, -(10**100)]})
     def test_matches_json_dumps(self, value):
-        assert _json_text(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+        assert json_text(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
     @pytest.mark.parametrize("value", [1.0, None, (1, 2), {"a": (1,)}, [None], {1: 2}])
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
-            _json_text(value)
+            json_text(value)
 
     # one string for each class the writer has no escape for
     NEEDS_ESCAPE = {
@@ -1211,9 +1230,9 @@ class TestJsonText:
     @pytest.mark.parametrize("text", NEEDS_ESCAPE.values(), ids=NEEDS_ESCAPE)
     def test_str_needing_an_escape_raises_as_value_and_key(self, text):
         with pytest.raises(TypeError, match="needs an escape"):
-            _json_text(text)
+            json_text(text)
         with pytest.raises(TypeError, match="needs an escape"):
-            _json_text({text: 1})
+            json_text({text: 1})
 
     # edges of the functional case: the zero row, dimension 0 (whose one
     # monomial has no exponents), large and negative numerators over
@@ -1229,8 +1248,9 @@ class TestJsonText:
     @pytest.mark.parametrize("fields", FUNCTIONALS.values(), ids=FUNCTIONALS)
     def test_functional_matches_json_dumps_of_its_dict_view(self, fields):
         f = ChernFunctional(*fields)
-        expected = json.dumps(f.poly_json_dict(), sort_keys=True, separators=(",", ":"))
-        assert _json_text(f) == expected
+        view = GradedPoly(f.dimension, f.terms()).to_json_dict()
+        assert json_text(f) == json.dumps(view, sort_keys=True, separators=(",", ":"))
+        assert f.poly_json_dict() == view
 
     @given(st.data())
     def test_seeded_functionals_match_json_dumps(self, data):
@@ -1240,9 +1260,12 @@ class TestJsonText:
         numerators = data.draw(st.lists(coefficient, min_size=size, max_size=size))
         den = data.draw(st.integers(1, 10**6))
         f = ChernFunctional(n, data.draw(st.sampled_from(BasisConvention)), numerators, den)
+        view = GradedPoly(n, f.terms()).to_json_dict()
         shape = {"rows": [{"poly": f}, f], "x": 1}
-        for value, view in ((f, f.poly_json_dict()), (shape, json_view(shape))):
-            assert _json_text(value) == json.dumps(view, sort_keys=True, separators=(",", ":"))
+        expected = {"rows": [{"poly": view}, view], "x": 1}
+        for value, plain in ((f, view), (shape, expected)):
+            assert json_text(value) == json.dumps(plain, sort_keys=True, separators=(",", ":"))
+        assert json_view(shape) == expected
 
 
 class TestPayloadsWithoutTermDicts:
@@ -1263,10 +1286,11 @@ class TestPayloadsWithoutTermDicts:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_no_term_dict_is_built(self, capsys, monkeypatch, command):
-        def refuse(terms):
-            raise AssertionError("a --json command built a term dict")
+        def refuse(shape):
+            raise AssertionError("a --json command built a dict view")
 
-        monkeypatch.setattr(poly, "json_terms", refuse)
+        for module in (poly, hrr, cone):  # each module that binds the view
+            monkeypatch.setattr(module, "json_view", refuse)
         code, out, err = run_cli(capsys, *command.split())
         assert code in (0, 1) and err == ""
         assert json.loads(out)["payload"]
@@ -1429,7 +1453,7 @@ class TestStartup:
         _, added = self.modules_after(("variety", "eval", "pn:2"), after)
         assert self.FRACTION_MODULES <= added, added
 
-    # JSON is written by `cli._json_text` and read by `poly.parse_json` with
+    # JSON is written by `poly.json_text` and read by `poly.parse_json` with
     # `json`'s C scanner alone, so no command loads the `json` package, and
     # only reading a corpus or a config file loads `_json`; those two runs
     # show the probe sees it.  A refusal may load `json.decoder` for its

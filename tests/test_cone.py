@@ -532,22 +532,23 @@ class TestChiSignReports:
         # under nef_tangent the target is the nef_cotangent one flipped to
         # tangent variables, (-1)^n times its coefficients, with the sign
         # (-1)^n times its sign: the same row over the same Schur rows, so the
-        # two modes ask one question in two conventions
+        # two modes ask one question in two conventions, and their whole
+        # reports agree but for the mode, the convention and those signs
         compared = 0
-        for n in range(1, 10):
+        for n in range(1, 11):
             extras = [()] + [(f"my{n}",)] * (n in (2, 4))  # my2, my4: n = 2, 4 only
             for extra in extras:
-                for c1top in ((), ("c1top",)):
+                for c1top in ((), ("c1top",)) if n < 10 else ((),):
                     tags = ("schur",) + extra + c1top
-                    cotangent = certify_chi_signs(n, "nef_cotangent", tags)
-                    tangent = certify_chi_signs(n, "nef_tangent", tags)
-                    for cot, tan in zip(cotangent.rows, tangent.rows, strict=True):
-                        assert cot.target.poly_json_dict() == tan.target.poly_json_dict()
-                        assert (cot.scale, cot.status) == (tan.scale, tan.status)
-                        assert cot.result.to_json_dict() == tan.result.to_json_dict()
-                        assert tan.sign == (-1) ** n * cot.sign
-                        compared += 1
-        assert compared == 124
+                    cotangent = certify_chi_signs(n, "nef_cotangent", tags).to_json_dict()
+                    tangent = certify_chi_signs(n, "nef_tangent", tags).to_json_dict()
+                    for report in (cotangent, tangent):
+                        del report["mode"], report["convention"]
+                    for row in tangent["rows"]:
+                        row["sign"] *= (-1) ** n
+                    assert cotangent == tangent, (n, tags)
+                    compared += len(tangent["rows"])
+        assert compared == 135
 
     def test_c1top_never_changes_a_row(self):
         # c_1^n = sum_lambda f^lambda s_lambda with every f^lambda > 0
