@@ -84,8 +84,9 @@ def _decimal(text: str) -> int:
         raise ValueError(f"invalid int value: {text!r}") from None
 
 
-def _envelope(command: str, dimension: int, convention: str, payload: dict) -> str:
-    """The one JSON line of a --json command."""
+def _envelope(command: str, dimension: int, convention: str, payload) -> str:
+    """The one JSON line of a --json command; the payload is a dict or a
+    record, as `poly.json_text` writes it."""
     from .poly import json_text
 
     envelope = {
@@ -132,7 +133,7 @@ def _cmd_chi(args) -> tuple[int, str]:
     if convention == BasisConvention.TANGENT:
         table = table.flipped()
     if args.json:
-        return EXIT_OK, _envelope("chi", n, convention.value, table._json_shape())
+        return EXIT_OK, _envelope("chi", n, convention.value, table)
     lines = [f"chi table (dim {n}, {convention.value})"]
     lines += (f"chi^{p} = {row.to_text()}" for p, row in enumerate(table.rows))
     return EXIT_OK, "\n".join(lines)
@@ -209,7 +210,7 @@ def _cmd_certify(args) -> tuple[int, str]:
         report = certify_chi_signs(n, mode, tags)
         code = EXIT_OK if report.all_certified else EXIT_NEGATIVE
         if args.json:
-            return code, _envelope("certify", n, convention.value, report._json_shape())
+            return code, _envelope("certify", n, convention.value, report)
         assumed = ",".join(report.assumptions)
         lines = [f"chi sign report (dim {n}, mode {mode}, assume {assumed})"]
         lines += (f"p={row.p} scale={row.scale} {row.status}" for row in report.rows)
@@ -229,7 +230,7 @@ def _cmd_certify(args) -> tuple[int, str]:
             "sign": sign,
             "status": "certified" if certified else "infeasible",
             "target": target,
-            result.json_key: result._json_shape(),
+            result.json_key: result,
         }
         return code, _envelope("certify", n, convention.value, payload)
     lines = [f"certify (dim {n}, {convention.value})"]
@@ -248,7 +249,7 @@ def _cmd_certify(args) -> tuple[int, str]:
 
 
 def _audit_text(audit: SignAudit) -> list[str]:
-    data = audit.to_json_dict()  # the numbers as JSON writes them
+    data = audit._json_shape()  # the numbers as JSON writes them
     lines = [f"sign audit: {audit.variety} (dim {audit.dimension}, mode {audit.mode})"]
     for row in data["rows"]:
         verdict = "ok" if row["ok"] else "FAIL"
@@ -273,7 +274,7 @@ def _cmd_check(args) -> tuple[int, str]:
     passed = all(a.passed for a in audits)
     code = EXIT_OK if passed else EXIT_NEGATIVE
     if args.json:
-        payload = {"audits": [a.to_json_dict() for a in audits], "pass": passed}
+        payload = {"audits": audits, "pass": passed}
         dim = audits[0].dimension if len(audits) == 1 else 0
         return code, _envelope("check", dim, "cotangent", payload)
     return code, "\n".join(line for audit in audits for line in _audit_text(audit))
@@ -309,7 +310,7 @@ def _cmd_variety_eval(args) -> tuple[int, str]:
         payload = {"target": label, "value": rational_text(value, den)}
         lines = [f"{label} = {payload['value']}"]
     if args.json:
-        payload["descriptor"] = descriptor.to_json_dict()
+        payload["descriptor"] = descriptor
         return EXIT_OK, _envelope("variety-eval", n, "cotangent", payload)
     return EXIT_OK, "\n".join(lines)
 

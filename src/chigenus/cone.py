@@ -29,7 +29,6 @@ from .poly import (
     ConventionMismatch,
     DimensionMismatch,
     Record,
-    json_view,
     lowest_terms,
     rational_text,
     weight_basis,
@@ -129,7 +128,7 @@ class Certificate(Record):
     coefficients are the whole proof, held like a `ChernFunctional` row as
     numerators over one positive denominator (`poly.lowest_terms`)."""
 
-    json_key = "certificate"  # where a report holds `_json_shape()`
+    json_key = "certificate"  # where a report holds the result
     target: ChernFunctional
     generator_names: tuple[str, ...]
     numerators: tuple[int, ...]
@@ -151,8 +150,8 @@ class Certificate(Record):
         return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     def _json_shape(self) -> dict:
-        # the target in place (`poly.json_text`, `poly.json_view`); a
-        # certificate has no residual, and the zero row keeps the output format
+        # the target in place, for `poly.json_text`; a certificate has no
+        # residual, and the zero row keeps the output format
         return {
             "residual": self.target.scaled(0),
             "target": self.target,
@@ -163,9 +162,6 @@ class Certificate(Record):
             ],
         }
 
-    def to_json_dict(self) -> dict:
-        return json_view(self._json_shape())
-
 
 class Infeasibility(Record):
     """Farkas witness: pairs <= 0 with every generator, > 0 with the target."""
@@ -175,9 +171,6 @@ class Infeasibility(Record):
 
     def _json_shape(self) -> dict:
         return {"witness": self.witness}
-
-    def to_json_dict(self) -> dict:
-        return json_view(self._json_shape())
 
 
 CertifyResult = Union[Certificate, Infeasibility]
@@ -344,11 +337,8 @@ class ChiSignRow(Record):
             "sign": self.sign,
             "status": self.status,
             "target": self.target,
-            self.result.json_key: self.result._json_shape(),
+            self.result.json_key: self.result,
         }
-
-    def to_json_dict(self) -> dict:
-        return json_view(self._json_shape())
 
 
 class ChiSignReport(Record):
@@ -374,11 +364,8 @@ class ChiSignReport(Record):
             "convention": self.convention.value,
             "dim": self.dimension,
             "mode": self.mode,
-            "rows": [row._json_shape() for row in self.rows],
+            "rows": list(self.rows),
         }
-
-    def to_json_dict(self) -> dict:
-        return json_view(self._json_shape())
 
 
 def certify_chi_signs(

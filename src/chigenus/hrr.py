@@ -34,7 +34,6 @@ from .poly import (
     ChernFunctional,
     ConventionMismatch,
     Record,
-    json_view,
     lowest_terms,
     partitions_of,
     weight_basis,
@@ -182,15 +181,12 @@ class ChiTable(Record):
         )
 
     def _json_shape(self) -> dict:
-        # the rows in place, for `poly.json_text` and `poly.json_view`
+        # the rows in place, for `poly.json_text`
         return {
             "convention": self.convention.value,
             "dim": self.dimension,
             "rows": [{"p": p, "poly": row} for p, row in enumerate(self.rows)],
         }
-
-    def to_json_dict(self) -> dict:
-        return json_view(self._json_shape())
 
 
 def chi_table(n: int) -> ChiTable:

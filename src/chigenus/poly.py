@@ -91,6 +91,10 @@ class Record:
     `QualName(field=value, ...)`.  Unlike `dataclasses`, nothing is
     generated with `exec` when a subclass is defined, which keeps import
     cheap for every cold command.
+
+    A record with a JSON form has a `_json_shape()`, its layout with records
+    and functionals in place, which `json_text` writes; `to_json_dict()` is
+    that text read back, and a record with no shape refuses it.
     """
 
     __slots__ = ()
@@ -137,6 +141,10 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def to_json_dict(self) -> dict:
+        """What a command prints for this record, as plain JSON values."""
+        return json_view(self)
 
 
 def rational_parts(value: RationalLike) -> tuple[int, int]:
@@ -516,10 +524,6 @@ class ChernFunctional(Record):
         """The nonzero coefficients, by monomial."""
         return {m: c for m, c in zip(weight_basis(self.dimension), self.coeffs) if c}
 
-    def poly_json_dict(self) -> dict:
-        """The JSON form of the functional as a polynomial (`json_view`)."""
-        return json_view(self)
-
     # -- arithmetic ----------------------------------------------------------
 
     def scaled(self, factor: RationalLike) -> "ChernFunctional":
@@ -568,15 +572,15 @@ class ChernFunctional(Record):
 
 
 def json_text(value) -> str:
-    """The canonical JSON of a str, int, bool, list, dict or ChernFunctional:
-    what json.dumps(value, sort_keys=True, separators=(",", ":")) writes,
-    with a functional written as {"dim", "terms"}, one {"den", "exps", "num"}
-    term per nonzero coefficient in lowest terms.  A str must be plain,
-    printable ASCII with no '"' or '\\', as every string a command prints
-    is, so it needs no escape.  Each container is joined as it closes, with
-    one call per level of nesting, and a functional's terms are written
-    straight from its numerators, with no dict per term; any other value,
-    and a key that is not a plain str, is a TypeError."""
+    """The canonical JSON of a str, int, bool, list, dict, ChernFunctional
+    or record: what json.dumps(value, sort_keys=True, separators=(",", ":"))
+    writes, with a functional written as {"dim", "terms"} (one {"den",
+    "exps", "num"} term per nonzero coefficient in lowest terms) and a
+    record, or any value with a `_json_shape()`, written as that shape.
+    A str must be plain, printable ASCII with no '"' or '\\', as every
+    string a command prints is, so it needs no escape.  Containers are
+    joined as they close, and a functional's terms straight from its
+    numerators; any other value, and a non-str key, is a TypeError."""
     if isinstance(value, str):
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return '"' + value + '"'
@@ -603,6 +607,8 @@ def json_text(value) -> str:
                 term = '{"den":"%s","exps":%s,"num":"%s"}' % (den_text or "1", exps, num_text)
                 terms.append(term)
         return '{"dim":%d,"terms":[%s]}' % (n, ",".join(terms))
+    if hasattr(value, "_json_shape"):
+        return json_text(value._json_shape())
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
@@ -612,17 +618,9 @@ def _exps_texts(n: int) -> tuple[str, ...]:
     return tuple("[%s]" % ",".join(map(str, mono)) for mono in weight_basis(n))
 
 
-def json_view(shape):
-    """The plain JSON values of a shape: dicts, lists, strs, ints and bools
-    that hold `ChernFunctional`s in place, as a report's `_json_shape()`
-    does, with each functional replaced by what `json_text` writes for it,
-    read back (`parse_json`).  A command writes a shape as it is, so it
-    builds no term dict; the library's `to_json_dict` views are this of the
-    same shape, and so hold what the command prints."""
-    if isinstance(shape, ChernFunctional):
-        return parse_json(json_text(shape))
-    if isinstance(shape, dict):
-        return {key: json_view(value) for key, value in shape.items()}
-    if isinstance(shape, list):
-        return [json_view(value) for value in shape]
-    return shape
+def json_view(value):
+    """What `json_text` writes for a value, read back (`parse_json`): plain
+    dicts, lists, strs, ints and bools.  A command writes a record's shape
+    as it is, so it builds no view; the library's `to_json_dict` views are
+    this, and so hold exactly what the command prints."""
+    return parse_json(json_text(value))

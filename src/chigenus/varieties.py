@@ -90,7 +90,9 @@ class VarietyDescriptor(ABC):
     def name(self) -> str: ...
 
     @abstractmethod
-    def to_json_dict(self) -> dict: ...
+    def _json_shape(self) -> dict: ...
+
+    to_json_dict = Record.to_json_dict  # for `Explicit` too, which is not a `Record`
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name()
@@ -114,7 +116,7 @@ class _Recipe(VarietyDescriptor, Record):
     def name(self) -> str:
         return ":".join([self._kind, *map(str, self._astuple())])
 
-    def to_json_dict(self) -> dict:
+    def _json_shape(self) -> dict:
         return {**dict(zip(self._fields, self._astuple())), "type": self._kind}
 
 
@@ -247,12 +249,8 @@ class Product(VarietyDescriptor, Record):
     def name(self) -> str:
         return f"product({self.left.name()},{self.right.name()})"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "left": self.left.to_json_dict(),
-            "right": self.right.to_json_dict(),
-            "type": "product",
-        }
+    def _json_shape(self) -> dict:
+        return {"left": self.left, "right": self.right, "type": "product"}
 
 
 class Explicit(VarietyDescriptor):
@@ -290,7 +288,7 @@ class Explicit(VarietyDescriptor):
     def name(self) -> str:
         return f"explicit:{self.dimension}"
 
-    def to_json_dict(self) -> dict:
+    def _json_shape(self) -> dict:
         n, den = self.dimension, self._numbers.denominator
         values = zip(weight_basis(n), self._numbers.numerators)
         return {
@@ -401,7 +399,7 @@ class SignAudit(Record):
     def passed(self) -> bool:
         return all(s * c >= 0 for s, c in zip(self.signs, self.numerators))
 
-    def to_json_dict(self) -> dict:
+    def _json_shape(self) -> dict:
         den = self.denominator
         rows = [
             {

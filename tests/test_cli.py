@@ -4,19 +4,22 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from operator import mul
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chigenus import __version__, cone, hrr, poly
+from chigenus import ASSUMPTION_TAGS, SIGN_MODES, __version__, poly
 from chigenus.cli import main
 from chigenus.cone import Certificate, certify, certify_chi_signs, generators
 from chigenus.hrr import ChernFunctional, chi_p, chi_table
 from chigenus.poly import json_text, json_view, weight_basis
 from chigenus.symchern import BasisConvention, partition_label, partitions_of, schur
+from chigenus.varieties import check_signs, descriptor_from_token, load_corpus
 
 from oracles import GradedPoly, json_loads_parse
 
@@ -1250,7 +1253,7 @@ class TestJsonText:
         f = ChernFunctional(*fields)
         view = GradedPoly(f.dimension, f.terms()).to_json_dict()
         assert json_text(f) == json.dumps(view, sort_keys=True, separators=(",", ":"))
-        assert f.poly_json_dict() == view
+        assert f.to_json_dict() == view
 
     @given(st.data())
     def test_seeded_functionals_match_json_dumps(self, data):
@@ -1282,18 +1285,27 @@ class TestPayloadsWithoutTermDicts:
         "certify --dim 4 --target -1*c1^4+4*c1^2*c2 --json",
         "certify --all-p --dim 5 --json",
         "certify --all-p --dim 4 --mode nef-tangent --json",
+        "check tests/data/corpus.jsonl --json",
+        "check tests/data/corpus.jsonl --mode nef-tangent --json",
+        "check pn:3 --json",
+        "variety eval product(pn:1,curve:2) --json",
+        "variety eval pn:2 --target chi:1 --json",
+        # the text lines read the shapes, not the views
+        "check tests/data/corpus.jsonl",
+        "certify --dim 4 --target chi:4 --assume my4,c1top",
     ]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_no_term_dict_is_built(self, capsys, monkeypatch, command):
-        def refuse(shape):
-            raise AssertionError("a --json command built a dict view")
+        def refuse(value):
+            raise AssertionError("a command built a dict view")
 
-        for module in (poly, hrr, cone):  # each module that binds the view
-            monkeypatch.setattr(module, "json_view", refuse)
+        # the one module that binds the view: every `to_json_dict` calls it there
+        monkeypatch.setattr(poly, "json_view", refuse)
+        monkeypatch.chdir(GOLDEN.parent.parent)  # corpus paths are relative to the repository root
         code, out, err = run_cli(capsys, *command.split())
         assert code in (0, 1) and err == ""
-        assert json.loads(out)["payload"]
+        assert json.loads(out)["payload"] if "--json" in command else out
 
     @pytest.mark.parametrize("convention", ["cotangent", "tangent"])
     @pytest.mark.parametrize("n", range(10))
@@ -1307,7 +1319,7 @@ class TestPayloadsWithoutTermDicts:
     def test_schur_payload_is_the_generators_view(self, capsys, n):
         _, out, _ = run_cli(capsys, "schur", "--dim", str(n), "--json", "--max-dim", "9")
         generators = [
-            {"name": partition_label(a), "poly": schur(a, n).poly_json_dict()}
+            {"name": partition_label(a), "poly": schur(a, n).to_json_dict()}
             for a in partitions_of(n)
         ]
         assert json.loads(out)["payload"] == {"generators": generators}
@@ -1319,6 +1331,100 @@ class TestPayloadsWithoutTermDicts:
         _, out, _ = run_cli(capsys, *argv)
         report = certify_chi_signs(n, mode.replace("-", "_"))
         assert json.loads(out)["payload"] == report.to_json_dict()
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def printed(value):
+    """What `poly.json_text` writes for a value, read by the stdlib's
+    reader, which shares no code with `poly.parse_json`."""
+    return json.loads(json_text(value))
+
+
+def assumption_sets(n):
+    """Every set of assumption tags that `generators` takes in dimension n."""
+    tags = [tag for tag in ASSUMPTION_TAGS if tag not in ("my2", "my4") or tag == f"my{n}"]
+    return [
+        tuple(tag for k, tag in enumerate(tags) if mask >> k & 1) for mask in range(2 ** len(tags))
+    ]
+
+
+class TestViewsAreThePrintedText:
+    """Every `to_json_dict()` is what `json_text` writes for its record,
+    read back, and a command prints the records whose views the library
+    hands out."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_chi_tables(self, n):
+        for table in (chi_table(n), chi_table(n).flipped()):
+            assert table.to_json_dict() == printed(table)
+
+    @pytest.mark.parametrize("mode", SIGN_MODES)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sign_reports(self, n, mode):
+        for tags in assumption_sets(n):
+            report = certify_chi_signs(n, mode, tags)
+            view = report.to_json_dict()
+            assert view == printed(report), tags
+            assert view["rows"] == [row.to_json_dict() for row in report.rows]
+
+    def test_seeded_inline_results(self):
+        # half of the targets are in the cone by construction
+        rng = random.Random(20261020)
+        compared = certified = 0
+        for n in range(1, 7):
+            for convention in BasisConvention:
+                for tags in assumption_sets(n):
+                    gens = generators(n, tags, convention)
+                    columns = [f.numerators for f in gens.functionals()]
+                    size = len(weight_basis(n))
+                    for k in range(6):
+                        if k % 2 and columns:
+                            weights = [rng.randint(0, 3) for _ in columns]
+                            rhs = [sum(map(mul, weights, row)) for row in zip(*columns)]
+                        else:
+                            rhs = [rng.randint(-4, 4) for _ in range(size)]
+                        result = certify(ChernFunctional(n, convention, rhs, 1), gens)
+                        assert result.to_json_dict() == printed(result), (n, tags, rhs)
+                        compared += 1
+                        certified += isinstance(result, Certificate)
+        assert compared >= 200 and 0 < certified < compared
+
+    @pytest.mark.parametrize("corpus", ["corpus.jsonl", "products.jsonl"])
+    def test_corpus_descriptors_and_audits(self, corpus):
+        for entry in load_corpus(DATA / corpus):
+            assert entry.descriptor.to_json_dict() == printed(entry.descriptor), entry.name
+            for mode in SIGN_MODES:
+                audit = check_signs(entry.descriptor, mode)
+                assert audit.to_json_dict() == printed(audit), (entry.name, mode)
+
+    def test_a_record_without_a_shape_has_no_view(self):
+        entry = load_corpus(DATA / "corpus.jsonl")[0]
+        for record in (generators(2), entry):
+            with pytest.raises(TypeError, match=f"no JSON form for {type(record).__name__}"):
+                record.to_json_dict()
+
+    @pytest.mark.parametrize("mode", ["nef-cotangent", "nef-tangent"])
+    @pytest.mark.parametrize("corpus", ["corpus.jsonl", "products.jsonl"])
+    def test_check_payload_is_the_audits_views(self, capsys, corpus, mode):
+        _, out, _ = run_cli(capsys, "check", str(DATA / corpus), "--mode", mode, "--json")
+        entries = load_corpus(DATA / corpus)
+        audits = [check_signs(entry.descriptor, mode.replace("-", "_")) for entry in entries]
+        assert json.loads(out)["payload"]["audits"] == [a.to_json_dict() for a in audits]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("product(pn:1,curve:2)",),
+            ("pn:2", "--target", "chi:1"),
+            ("product(pn:2,product(curve:2,pn:2))", "--target", "euler"),
+        ],
+    )
+    def test_eval_payload_holds_the_descriptor_view(self, capsys, argv):
+        _, out, _ = run_cli(capsys, "variety", "eval", *argv, "--json")
+        descriptor = descriptor_from_token(argv[0])
+        assert json.loads(out)["payload"]["descriptor"] == descriptor.to_json_dict()
 
 
 # `cli.run()` ends the process at `os._exit`; a child script that goes on

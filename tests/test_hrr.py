@@ -440,4 +440,4 @@ class TestChernFunctional:
         rows = chi_table(n).rows
         zero = ChernFunctional(n, COT, (0,) * len(weight_basis(n)), 1)
         for f in (*rows, *(row.flipped() for row in rows), zero):
-            assert f.poly_json_dict() == GradedPoly(n, f.terms()).to_json_dict()
+            assert f.to_json_dict() == GradedPoly(n, f.terms()).to_json_dict()

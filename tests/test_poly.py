@@ -727,7 +727,7 @@ class TestIntegerRow:
         n, convention, coeffs = row
         f = ChernFunctional(n, convention, coeffs, 1)
         assert f.to_text() == str(f) == fraction_text(n, coeffs)
-        assert f.poly_json_dict() == {
+        assert f.to_json_dict() == {
             "dim": n,
             "terms": [
                 {"exps": list(m), "num": str(c.numerator), "den": str(c.denominator)}

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import json
 import random
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from chigenus.cone import (
     generators,
 )
 from chigenus.hrr import ChernFunctional, ChiTable, chi_p, chi_sign, chi_table, euler_functional
-from chigenus.poly import DimensionMismatch, Record, partitions_of, weight_basis
+from chigenus.poly import DimensionMismatch, Record, json_text, partitions_of, weight_basis
 from chigenus.symchern import BasisConvention
 from chigenus.varieties import (
     AbelianVariety,
@@ -606,6 +607,32 @@ class TestDescriptorSerialization:
     def test_explicit_json_round_trip(self):
         explicit = Explicit(2, {"c1^2": 9, "c2": 3}, COT)
         assert descriptor_from_json(explicit.to_json_dict()) == explicit
+
+    def test_explicit_leaves_round_trip_inside_products(self):
+        # a product's shape holds its factors in place, so an explicit leaf
+        # at any depth is written, and read back, as a flat one is
+        rng = random.Random(20261020)
+        leaves = {COT: 0, TAN: 0}
+
+        def variety(dim):
+            if dim >= 2 and rng.random() < 0.6:
+                k = rng.randint(1, dim - 1)
+                return Product(variety(k), variety(dim - k))
+            if rng.random() < 0.4:
+                return random_variety(rng, dim)
+            convention = rng.choice([COT, TAN])
+            leaves[convention] += 1
+            values = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in weight_basis(dim)]
+            return Explicit(dim, dict(zip(weight_basis(dim), values)), convention)
+
+        for _ in range(100):
+            dim = rng.randint(2, 8)
+            k = rng.randint(1, dim - 1)
+            descriptor = Product(variety(k), variety(dim - k))
+            view = descriptor.to_json_dict()
+            assert descriptor_from_json(view) == descriptor, descriptor.name()
+            assert json.loads(json_text(descriptor)) == view, descriptor.name()
+        assert min(leaves.values()) >= 50, leaves
 
     @pytest.mark.parametrize("key", ["c1*c1", "1*c1^2", "c_1^2", "c1^2*c2^0", (2, 0)])
     def test_explicit_key_spellings(self, key):
