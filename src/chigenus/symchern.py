@@ -14,23 +14,24 @@ Polynomials, I.6)
 
 with nu' the conjugate partition.  So the basis change is one pair of
 integer solves over the ranks of the partitions in `partitions_of(n)`.
-Both read the table of `_kostka_table(n)`, which holds each column of K as
-the ranks of its shapes and their counts; its caller builds it for one
-solve, and the module keeps no state between calls.
+Both read the columns of K from `_kostka_columns(n)`, which builds a column
+when a solve asks for it and lives for one solve; the module keeps no state
+between calls.
 `_kostka_forward_substitution` solves K^T h = F: it takes sum_lambda F_lambda
 m_lambda to its Schur coordinates h_rho = g_{rho'}.
 `_kostka_back_substitution` solves K k = g: it takes sum_nu g_nu s_{nu'} to
-its c-monomial coordinates k.  `chern_coordinates` builds one table and runs
-both, the conjugation between them a permutation of the ranks.  The Schur
-polynomial P_a(c) = det(c_{a_i - i + j}) (c_0 = 1, c_k = 0 for k outside
-[0, n]), the basic positivity generator for nef bundles, is s_{a'} by the
-dual Jacobi-Trudi identity, so its coordinates are column a of K^-1: the
-back substitution on the unit vector e_a.
+its c-monomial coordinates k.  `chern_coordinates` builds every column once
+and runs both, the conjugation between them a permutation of the ranks.  The
+Schur polynomial P_a(c) = det(c_{a_i - i + j}) (c_0 = 1, c_k = 0 for k
+outside [0, n]), the basic positivity generator for nef bundles, is s_{a'} by
+the dual Jacobi-Trudi identity, so its coordinates are column a of K^-1: the
+back substitution on the unit vector e_a, which asks only for the columns of
+its nonzero coordinates.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 # the functional type, its tags and the partitions live in `poly`; importing
 # them from here also works
@@ -82,6 +83,7 @@ def strip_partition(parts: Sequence[int]) -> Partition:
 
 
 def _validate_partition(parts: Sequence[int], n: int) -> Partition:
+    partitions_of(n)  # cached; refuses an n that is not a non-negative int
     padded = pad_partition(parts, n)
     if any(isinstance(p, bool) or not isinstance(p, int) or p < 0 for p in padded):
         raise InvalidPartition(f"parts must be non-negative integers: {parts}")
@@ -135,56 +137,52 @@ def _horizontal_strips(shape: Partition, size: int) -> list[Partition]:
 KostkaColumn = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _kostka_columns(
-    column: dict[Partition, int],
-    left: int,
-    cap: int,
-    strips: dict[tuple[Partition, int], list[Partition]],
-) -> Iterator[dict[Partition, int]]:
-    """The columns of K, keyed by shape, for every content that extends
-    the prefix of `column` by parts of at most `cap` summing to `left`, in
-    reverse-lexicographic order: the descent of `partitions_of`, a
-    depth-first walk of the prefix trie, so the generators alive hold the
-    column of each prefix of the current content and no other.  `strips`
-    memoizes `_horizontal_strips`, as one (shape, size) recurs in many
-    contents."""
-    if not left:
-        yield column
-        return
-    for part in range(min(left, cap), 0, -1):
-        longer: dict[Partition, int] = {}
-        for shape, count in column.items():
-            strip = strips.get((shape, part))
-            if strip is None:
-                strip = strips[shape, part] = _horizontal_strips(shape, part)
-            for grown in strip:
-                longer[grown] = longer.get(grown, 0) + count
-        yield from _kostka_columns(longer, left - part, part, strips)
+def _kostka_columns(n: int) -> Callable[[int], KostkaColumn]:
+    """`column(j)`: column j of K, for the content of rank j in
+    `partitions_of(n)`, as the ranks of the shapes with K[shape][content] != 0
+    and those counts of semistandard tableaux.  It keeps the columns of the
+    prefixes of the last content asked for, pops them back to the prefix the
+    next content shares, and grows one horizontal strip per remaining part:
+    ascending and descending ranks both walk the prefix trie depth first, so
+    a solve builds each prefix once.  `strips` memoizes `_horizontal_strips`,
+    as one (shape, size) recurs in many contents."""
+    contents = partitions_of(n)
+    rank = {strip_partition(mu): j for j, mu in enumerate(contents)}
+    strips: dict[tuple[Partition, int], list[Partition]] = {}
+    prefix: list[int] = []
+    chain: list[dict[Partition, int]] = [{(): 1}]  # the column of each prefix
 
+    def column(j: int) -> KostkaColumn:
+        parts = strip_partition(contents[j])
+        shared = 0
+        while shared < min(len(prefix), len(parts)) and prefix[shared] == parts[shared]:
+            shared += 1
+        del prefix[shared:], chain[shared + 1 :]
+        for part in parts[shared:]:
+            longer: dict[Partition, int] = {}
+            for shape, count in chain[-1].items():
+                strip = strips.get((shape, part))
+                if strip is None:
+                    strip = strips[shape, part] = _horizontal_strips(shape, part)
+                for grown in strip:
+                    longer[grown] = longer.get(grown, 0) + count
+            prefix.append(part)
+            chain.append(longer)
+        return tuple(rank[shape] for shape in chain[-1]), tuple(chain[-1].values())
 
-def _kostka_table(n: int) -> list[KostkaColumn]:
-    """Column j of K for each partition of n, in `partitions_of(n)` order:
-    the ranks of the shapes with K[shape][content] != 0 and those counts of
-    semistandard tableaux, grown one horizontal strip per part of the
-    content (`_kostka_columns`, with a strip memo that lives for the
-    call)."""
-    rank = {strip_partition(mu): j for j, mu in enumerate(partitions_of(n))}
-    return [
-        (tuple(rank[shape] for shape in column), tuple(column.values()))
-        for column in _kostka_columns({(): 1}, n, n, {})
-    ]
+    return column
 
 
 def _kostka_forward_substitution(
-    right: Sequence[Sequence[int]], table: Sequence[KostkaColumn]
+    right: Sequence[Sequence[int]], column: Callable[[int], KostkaColumn]
 ) -> list[list[int]]:
     """The h with K^T h = right, both indexed by rank, from the first to the
     last: row j of K^T is column j of K, whose other ranks dominate j and
     so are solved before it."""
     solved: list[list[int]] = []
-    for j, (ranks, counts) in enumerate(table):
+    for j in range(len(right)):
         vector = list(right[j])
-        for r, count in zip(ranks, counts):
+        for r, count in zip(*column(j)):
             if r != j:
                 vector = [v - count * h for v, h in zip(vector, solved[r])]
         solved.append(vector)
@@ -192,18 +190,17 @@ def _kostka_forward_substitution(
 
 
 def _kostka_back_substitution(
-    right: Sequence[list[int]], table: Sequence[KostkaColumn]
+    right: Sequence[list[int]], column: Callable[[int], KostkaColumn]
 ) -> list[list[int]]:
     """The k with K k = right, both indexed by rank, from the last to the
     first: k_j is what is left of right_j, and a nonzero one takes k_j
     times column j of K off the rows of the ranks that dominate j, all
-    still to be solved."""
+    still to be solved; only then is column j asked for."""
     pending = list(right)
-    for j in range(len(table) - 1, -1, -1):
+    for j in range(len(pending) - 1, -1, -1):
         vector = pending[j]
         if any(vector):
-            ranks, counts = table[j]
-            for r, count in zip(ranks, counts):
+            for r, count in zip(*column(j)):
                 if r != j:
                     pending[r] = [v - count * k for v, k in zip(pending[r], vector)]
     return pending
@@ -218,9 +215,9 @@ def chern_coordinates(
     then the back substitution on their conjugate partitions."""
     parts = partitions_of(n)
     rank = {lam: j for j, lam in enumerate(parts)}
-    table = _kostka_table(n)
-    h = _kostka_forward_substitution([monomial_coefficients[lam] for lam in parts], table)
-    k = _kostka_back_substitution([h[rank[_conjugate(nu, n)]] for nu in parts], table)
+    column = list(map(_kostka_columns(n), range(len(parts)))).__getitem__
+    h = _kostka_forward_substitution([monomial_coefficients[lam] for lam in parts], column)
+    k = _kostka_back_substitution([h[rank[_conjugate(nu, n)]] for nu in parts], column)
     return {_partition_monomial(mu, n): v for mu, v in zip(parts, k)}
 
 
@@ -242,7 +239,7 @@ def _schur_rows(
     units = [[0] * len(parts)] * len(order)
     for j, a in enumerate(parts):
         units[rank[a]] = [int(i == j) for i in range(len(parts))]
-    k = _kostka_back_substitution(units, _kostka_table(n))
+    k = _kostka_back_substitution(units, _kostka_columns(n))
     inverse = {_partition_monomial(mu, n): v for mu, v in zip(order, k)}
     rows = zip(*(inverse[m] for m in weight_basis(n)))
     return {a: ChernFunctional(n, convention, row, 1) for a, row in zip(parts, rows)}

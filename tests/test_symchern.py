@@ -6,14 +6,14 @@ import pytest
 
 import chigenus.symchern
 from chigenus.hrr import _chi_y_factor
-from chigenus.poly import weight_basis
+from chigenus.poly import _partition_monomial, weight_basis
 from chigenus.symchern import (
     BasisConvention,
     ChernFunctional,
     InvalidPartition,
     _kostka_back_substitution,
+    _kostka_columns,
     _kostka_forward_substitution,
-    _kostka_table,
     _schur_rows,
     chern_coordinates,
     parse_partition,
@@ -177,6 +177,15 @@ class TestSchur:
         for a, f in _schur_rows(partitions_of(n), n).items():
             assert f.terms() == schur_via_laplace(a, n).terms(), a
 
+    @pytest.mark.parametrize("a, n", [((1,), 1.0), ((2,), 2.0), ((1,), "1"), ((3,), True), ((1,), -1)])
+    def test_refuses_a_bad_dimension_like_partitions_of(self, a, n):
+        with pytest.raises(InvalidPartition) as expected:
+            partitions_of(n)
+        with pytest.raises(InvalidPartition) as info:
+            schur(a, n)
+        assert str(info.value) == str(expected.value)
+        assert str(info.value) == f"partition weight must be a non-negative integer: {n!r}"
+
     def test_rejects_invalid_partitions(self):
         with pytest.raises(InvalidPartition):
             schur((1, 2), 3)
@@ -203,7 +212,7 @@ class TestKostkaSolves:
                 count = schur_function.get(content, 0)
                 if count:
                     columns[j][r] = int(count)
-        table = _kostka_table(n)
+        table = list(map(_kostka_columns(n), range(len(parts))))
         assert [dict(zip(ranks, counts)) for ranks, counts in table] == columns
         assert all(len(set(ranks)) == len(ranks) for ranks, _ in table)
 
@@ -217,9 +226,9 @@ class TestKostkaSolves:
             for _ in range(size)
         ]
         kept = [list(v) for v in right]
-        table = _kostka_table(n)
-        h = _kostka_forward_substitution(right, table)
-        k = _kostka_back_substitution(right, table)
+        table = list(map(_kostka_columns(n), range(size)))
+        h = _kostka_forward_substitution(right, table.__getitem__)
+        k = _kostka_back_substitution(right, table.__getitem__)
         assert len(h) == len(k) == size and right == kept
         column = [dict(zip(ranks, counts)) for ranks, counts in table]
         for lam in range(size):
@@ -231,15 +240,51 @@ class TestKostkaSolves:
             ]
             assert forward == right[lam] and back == right[lam], lam
 
+    @pytest.mark.parametrize(
+        "a", [(4, 4, 4, 4), (16,), (1,) * 16] + random.Random(41).sample(partitions_of(16), 5)
+    )
+    def test_one_row_reads_only_the_columns_it_needs(self, monkeypatch, a):
+        # the back substitution on e_a reads column j iff k_j != 0, with
+        # k = K^-1 e_a the coordinates of P_a: so it reads the ranks of P_a's
+        # monomials, each once, from the last to the first
+        a += (0,) * (16 - len(a))
+        rank = {_partition_monomial(mu, 16): j for j, mu in enumerate(partitions_of(16))}
+        needed = sorted((rank[m] for m in schur(a, 16).terms()), reverse=True)
+        read = []
+
+        def recording(n):
+            column = _kostka_columns(n)
+
+            def recorded(j):
+                read.append(j)
+                return column(j)
+
+            return recorded
+
+        monkeypatch.setattr(chigenus.symchern, "_kostka_columns", recording)
+        _schur_rows([a], 16)
+        assert read == needed
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_one_builder_serves_any_order(self, n):
+        # ascending and descending ranks walk the prefix trie depth first, a
+        # shuffle jumps about it: one builder gives the same columns in each
+        size = len(partitions_of(n))
+        shuffled = random.Random(4100 + n).sample(range(size), size)
+        column = _kostka_columns(n)
+        ascending = [column(j) for j in range(size)]
+        for order in (range(size - 1, -1, -1), shuffled):
+            assert {j: column(j) for j in order} == dict(enumerate(ascending)), order
+
     def test_module_keeps_no_cache(self):
-        # the table lives for one solve; `partitions_of` and `weight_basis`
+        # a column builder lives for one solve; `partitions_of` and `weight_basis`
         # are cached in `poly` and only imported here
         own = [
             f
             for f in vars(chigenus.symchern).values()
             if callable(f) and getattr(f, "__module__", None) == "chigenus.symchern"
         ]
-        assert _kostka_table in own
+        assert _kostka_columns in own
         assert [f.__name__ for f in own if hasattr(f, "cache_info")] == []
 
 
@@ -258,7 +303,7 @@ class TestChiYSchurCoordinates:
             for k in lam:  # padded: each zero part is a factor Q_0
                 poly = ypoly_mul(poly, q[k])
             right.append(poly)
-        h = _kostka_forward_substitution(right, _kostka_table(n))
+        h = _kostka_forward_substitution(right, _kostka_columns(n))
         assert [tuple(v) for v in h] == list(chi_y_schur_coordinates(n))
 
 
