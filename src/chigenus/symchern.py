@@ -146,14 +146,14 @@ def _kostka_columns(n: int) -> Callable[[int], KostkaColumn]:
     ascending and descending ranks both walk the prefix trie depth first, so
     a solve builds each prefix once.  `strips` memoizes `_horizontal_strips`,
     as one (shape, size) recurs in many contents."""
-    contents = partitions_of(n)
-    rank = {strip_partition(mu): j for j, mu in enumerate(contents)}
+    contents = [strip_partition(mu) for mu in partitions_of(n)]
+    rank = {mu: j for j, mu in enumerate(contents)}
     strips: dict[tuple[Partition, int], list[Partition]] = {}
     prefix: list[int] = []
     chain: list[dict[Partition, int]] = [{(): 1}]  # the column of each prefix
 
     def column(j: int) -> KostkaColumn:
-        parts = strip_partition(contents[j])
+        parts = contents[j]
         shared = 0
         while shared < min(len(prefix), len(parts)) and prefix[shared] == parts[shared]:
             shared += 1
