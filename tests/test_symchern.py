@@ -177,7 +177,9 @@ class TestSchur:
         for a, f in _schur_rows(partitions_of(n), n).items():
             assert f.terms() == schur_via_laplace(a, n).terms(), a
 
-    @pytest.mark.parametrize("a, n", [((1,), 1.0), ((2,), 2.0), ((1,), "1"), ((3,), True), ((1,), -1)])
+    @pytest.mark.parametrize(
+        "a, n", [((1,), 1.0), ((2,), 2.0), ((1,), "1"), ((3,), True), ((1,), -1)]
+    )
     def test_refuses_a_bad_dimension_like_partitions_of(self, a, n):
         with pytest.raises(InvalidPartition) as expected:
             partitions_of(n)
