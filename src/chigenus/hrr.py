@@ -38,7 +38,6 @@ from .poly import (
     partitions_of,
     weight_basis,
 )
-from .symchern import chern_coordinates
 
 __all__ = [
     "ConsistencyError",
@@ -85,6 +84,8 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     (-1)^n chi^{n-p} and the alternating-sum identity sum_p (-1)^p chi^p =
     Euler functional.  A failure means the chi_y engine is broken and
     aborts."""
+    from .symchern import chern_coordinates  # only rows load the Kostka solve
+
     basis = weight_basis(n)  # refuses an n that is not a non-negative int
     scale, factor = _chi_y_factor(n)
     monomial = {}  # m_lambda coefficient times L^n, lowest power of y first

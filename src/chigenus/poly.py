@@ -51,6 +51,7 @@ __all__ = [
     "InvalidPartition",
     "partitions_of",
     "weight_basis",
+    "basis_ranks",
     "parse_terms",
     "terms_text",
     "BasisConvention",
@@ -264,8 +265,19 @@ def weight_basis(dim: int) -> tuple[Monomial, ...]:
     monomials c^mu of the partitions mu of `dim` (Macdonald, Symmetric
     Functions and Hall Polynomials, I.1-I.2), in canonical order.  The cache
     is typed, like that of `partitions_of`."""
-    monomials = (_partition_monomial(mu, dim) for mu in partitions_of(dim))
-    return tuple(sorted(monomials, key=mono_key))
+    parts = partitions_of(dim)
+    return tuple(_partition_monomial(parts[j], dim) for j in basis_ranks(dim))
+
+
+@lru_cache(maxsize=None, typed=True)
+def basis_ranks(dim: int) -> tuple[int, ...]:
+    """The rank in `partitions_of(dim)` of each monomial of
+    `weight_basis(dim)`, in basis order: the one permutation between the
+    two orders, so a solve over partition ranks is read out in basis order
+    without a monomial per partition.  The cache is typed, like that of
+    `partitions_of`."""
+    keys = [mono_key(_partition_monomial(mu, dim)) for mu in partitions_of(dim)]
+    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
 
 # patterns, not compiled ones: `re` compiles each on first use and caches it,

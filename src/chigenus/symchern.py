@@ -42,7 +42,7 @@ from .poly import (
     InvalidPartition,
     Monomial,
     Partition,
-    _partition_monomial,
+    basis_ranks,
     parse_decimal,
     partitions_of,
     weight_basis,
@@ -212,13 +212,14 @@ def chern_coordinates(
     """The c-monomial coordinates k of f = sum_lambda F_lambda m_lambda(x),
     given one integer vector F_lambda per padded partition lambda of n, all
     of one length: the forward substitution to the Schur coordinates of f,
-    then the back substitution on their conjugate partitions."""
+    then the back substitution on their conjugate partitions, read out over
+    `weight_basis(n)` in its order."""
     parts = partitions_of(n)
     rank = {lam: j for j, lam in enumerate(parts)}
     column = list(map(_kostka_columns(n), range(len(parts)))).__getitem__
     h = _kostka_forward_substitution([monomial_coefficients[lam] for lam in parts], column)
     k = _kostka_back_substitution([h[rank[_conjugate(nu, n)]] for nu in parts], column)
-    return {_partition_monomial(mu, n): v for mu, v in zip(parts, k)}
+    return dict(zip(weight_basis(n), map(k.__getitem__, basis_ranks(n))))
 
 
 def schur(a: Sequence[int], n: int) -> ChernFunctional:
@@ -240,6 +241,5 @@ def _schur_rows(
     for j, a in enumerate(parts):
         units[rank[a]] = [int(i == j) for i in range(len(parts))]
     k = _kostka_back_substitution(units, _kostka_columns(n))
-    inverse = {_partition_monomial(mu, n): v for mu, v in zip(order, k)}
-    rows = zip(*(inverse[m] for m in weight_basis(n)))
+    rows = zip(*map(k.__getitem__, basis_ranks(n)))
     return {a: ChernFunctional(n, convention, row, 1) for a, row in zip(parts, rows)}

@@ -11,13 +11,18 @@ total-Chern-class computation:
 * product X x Y:             Whitney sum of factors (`chern_numbers` only)
 * explicit:                  raw numbers supplied by the caller
 
-A leaf's chi^p values pair `chi_table(n)` with its Chern numbers; chi_y is
-multiplicative (Hirzebruch, Topological Methods, 15.5), so a product
-convolves its factors' values.  A sign audit holds those values and
-derives from them the signed values (-1)^{n-p} chi^p or (-1)^p chi^p
-(`hrr.chi_sign`), each row's pass/fail and the Euler number
-(`hrr.euler_number`).  Nefness (or asphericity) of
-the relevant bundle is an assertion made by the caller, never checked here.
+A recipe leaf's chi^p values come from its closed form for chi_y
+(Hirzebruch, Topological Methods, 15.5): (-1)^p on P^n, 0 on an abelian
+variety, (1 - g, g - 1) on a curve, Noether's formula on a surface and the
+residue formula on a hypersurface, so no recipe builds a chi table.  Only an
+explicit leaf pairs `chi_table(n)` with its Chern numbers.  chi_y is
+multiplicative, so a product convolves its factors' values.  The Chern
+numbers of every descriptor stay library API (`chern_numbers`, `evaluate`),
+and the tests check each closed form against them.  A sign audit holds
+those values and derives from them the signed values (-1)^{n-p} chi^p or
+(-1)^p chi^p (`hrr.chi_sign`), each row's pass/fail and the Euler number
+(`hrr.euler_number`).  Nefness (or asphericity) of the relevant bundle is
+an assertion made by the caller, never checked here.
 """
 
 from __future__ import annotations
@@ -25,13 +30,14 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import MAX_DIM
 from .hrr import ChernFunctional, chi_sign, chi_table, euler_number, mode_convention
 from .poly import (
+    BasisConvention,
     DimensionMismatch,
     Monomial,
     RationalLike,
@@ -45,7 +51,6 @@ from .poly import (
     rational_text,
     weight_basis,
 )
-from .symchern import BasisConvention
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -83,7 +88,7 @@ class VarietyDescriptor(ABC):
 
     def _chi_y(self) -> tuple[tuple[int, ...], int]:
         """chi^0..chi^n as int numerators over one positive denominator, in
-        lowest terms."""
+        lowest terms; a recipe overrides this with its closed form."""
         return _paired(self._tangent_values())
 
     @abstractmethod
@@ -132,6 +137,10 @@ class ProjectiveSpace(_Recipe):
         # P^n is a hyperplane in P^{n+1}
         return Hypersurface(1, self.n + 1)._tangent_values()
 
+    def _chi_y(self) -> tuple[tuple[int, ...], int]:
+        # h^{p,q} = 1 if p = q, else 0
+        return tuple((-1) ** p for p in range(self.n + 1)), 1
+
 
 class Curve(_Recipe):
     genus: int
@@ -143,6 +152,9 @@ class Curve(_Recipe):
 
     def _tangent_values(self) -> ChernFunctional:
         return ChernFunctional(1, BasisConvention.TANGENT, (2 - 2 * self.genus,), 1)
+
+    def _chi_y(self) -> tuple[tuple[int, ...], int]:
+        return (1 - self.genus, self.genus - 1), 1
 
 
 class Surface(_Recipe):
@@ -160,6 +172,11 @@ class Surface(_Recipe):
     def _tangent_values(self) -> ChernFunctional:
         # weight_basis(2) = (c1^2, c2)
         return ChernFunctional(2, BasisConvention.TANGENT, (self.c1sq, self.c2), 1)
+
+    def _chi_y(self) -> tuple[tuple[int, ...], int]:
+        # Noether: chi^0 = chi^2 = (c1^2 + c2)/12, and chi^1 = (c1^2 - 5 c2)/6
+        edge = self.c1sq + self.c2
+        return lowest_terms((edge, 2 * (self.c1sq - 5 * self.c2), edge), 12)
 
 
 class Hypersurface(_Recipe):
@@ -187,6 +204,39 @@ class Hypersurface(_Recipe):
         ]
         return ChernFunctional(n, BasisConvention.TANGENT, numbers, 1)
 
+    def _chi_y(self) -> tuple[tuple[int, ...], int]:
+        # The residue formula, with u = 1 + y and g = 1 - (1 - z)^d:
+        #   chi_y = [z^N] (u - yz)^{N+1} g / (u (u - y g) (1 - z)).
+        # At an integer node y, u^{N+1} / (u - y g) = sum_m K_m z^m below z^{N+1},
+        # with K_0 = u^N and K_m = y (sum_{j=1..m} g_j K_{m-j}) / u, all
+        # integers; so u^{N+2} chi_y is [z^N] of (u - yz)^{N+1} G K, with
+        # G = g / (1 - z), and the chi^p are integers, so every division is
+        # exact.  Newton's forward differences of the values at y = 0..n give
+        # chi_y over n!.  No term of (1 - z)^d past z^N enters, so the degree
+        # may be any size.
+        N, d, n = self.ambient, self.degree, self.dimension
+        g = [0] + [(-1) ** (k + 1) * comb(d, k) for k in range(1, N + 1)]
+        G = list(itertools.accumulate(g))
+        values = []
+        for y in range(n + 1):
+            u = 1 + y
+            K = [u**N]
+            for m in range(1, N + 1):
+                K.append(y * sum(map(mul, g[1 : m + 1], reversed(K))) // u)
+            GK = [sum(map(mul, G[: i + 1], reversed(K[: i + 1]))) for i in range(N + 1)]
+            total = sum(
+                comb(N + 1, k) * u ** (N + 1 - k) * (-y) ** k * GK[N - k] for k in range(N + 1)
+            )
+            values.append(total // u ** (N + 2))
+        numerators = [0] * (n + 1)
+        falling = [1]  # y (y - 1) ... (y - k + 1), lowest power first
+        for k in range(n + 1):
+            scale = values[0] * (factorial(n) // factorial(k))  # the k-th difference
+            numerators = [a + scale * b for a, b in zip(numerators, falling + [0] * n)]
+            falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+            values = [b - a for a, b in zip(values, values[1:])]
+        return lowest_terms(numerators, factorial(n))
+
 
 class AbelianVariety(_Recipe):
     n: int
@@ -198,6 +248,9 @@ class AbelianVariety(_Recipe):
 
     def _tangent_values(self) -> ChernFunctional:  # trivial tangent bundle
         return ChernFunctional(self.n, BasisConvention.TANGENT, [0] * len(weight_basis(self.n)), 1)
+
+    def _chi_y(self) -> tuple[tuple[int, ...], int]:
+        return (0,) * (self.n + 1), 1
 
 
 class Product(VarietyDescriptor, Record):

@@ -716,7 +716,8 @@ def hypersurface_chi_y(degree: int, ambient: int) -> tuple[Fraction, ...]:
     summed as series in z at the nodes y = 0..n and interpolated in y.  No
     Chern number, chi table or Kostka matrix enters."""
     N, d, n = ambient, degree, ambient - 1
-    power = [(-1) ** k * comb(d, k) for k in range(d + 1)]  # (1 - z)^d
+    # (1 - z)^d below z^{N+1}, the only terms that enter, so d may be any size
+    power = [(-1) ** k * comb(d, k) for k in range(min(d, N) + 1)]
     values = []
     for y in range(n + 1):
         numerator = series_mul(

@@ -870,28 +870,35 @@ class TestVarietyCommand:
             assert out == ""
             assert err == f"error: bad chi target {target!r}\n"
 
-    def test_eval_computes_chern_numbers_of_the_leaves_only(self, capsys, monkeypatch):
-        # a product's chi values convolve its factors'; the command never
-        # computes a Chern number of a product
-        from chigenus.varieties import Curve, Product, ProjectiveSpace
+    def test_eval_computes_chern_numbers_of_the_leaves_only(self, capsys, monkeypatch, tmp_path):
+        # a recipe leaf takes chi_y from its closed form and a product
+        # convolves its factors'; only an explicit leaf's Chern numbers are
+        # computed, and paired with a chi table
+        from chigenus import hrr
+        from chigenus.varieties import Curve, Explicit, Product, ProjectiveSpace
 
         calls = []
-        for leaf in (ProjectiveSpace, Curve):
+        for cls in (ProjectiveSpace, Curve, Product, Explicit):
 
-            def counting(self, tangent_values=leaf._tangent_values):
+            def counting(self, tangent_values=cls._tangent_values):
                 calls.append(self.name())
                 return tangent_values(self)
 
-            monkeypatch.setattr(leaf, "_tangent_values", counting)
-
-        def whitney(self):
-            raise AssertionError("a product's Chern numbers were computed")
-
-        monkeypatch.setattr(Product, "_tangent_values", whitney)
+            monkeypatch.setattr(cls, "_tangent_values", counting)
+        rows = hrr._chi_y_rows
+        monkeypatch.setattr(hrr, "_chi_y_rows", lambda n: calls.append(n) or rows(n))
         code, out, _ = run_cli(capsys, "variety", "eval", "product(pn:1,product(curve:2,pn:2))")
         assert code == 0
-        assert calls == ["pn:1", "curve:2", "pn:2"]
+        assert calls == []
         assert out.splitlines()[-1] == "euler = -12"
+        explicit = {"type": "explicit", "n": 2, "values": {"c1^2": 9, "c2": 3}}
+        line = {"name": "e", "descriptor": {"type": "product", "left": explicit, "right": {"type": "pn", "n": 1}}}
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(line) + "\n")
+        code, out, _ = run_cli(capsys, "check", str(corpus))
+        assert code == 1
+        assert calls == ["explicit:2", 2]
+        assert out.splitlines()[-2] == "euler = 6"
 
 
 class TestDimensionLimit:
@@ -1475,8 +1482,11 @@ class TestStartup:
         (("schur", "--dim", "3", "--json"), {"chigenus.poly", "chigenus.symchern"}),
         (("certify", "--dim", "3", "--all-p"), CHI | {"chigenus.cone"}),
         (("certify", "--dim", "2", "--target", "chi:1"), CHI | {"chigenus.cone"}),
-        (("check", "pn:3"), CHI | {"chigenus.varieties"}),
-        (("variety", "eval", "pn:2", "--json"), CHI | {"chigenus.varieties"}),
+        # a recipe leaf's chi_y is a closed form: no Kostka solve
+        (("check", "pn:3"), {"chigenus.poly", "chigenus.hrr", "chigenus.varieties"}),
+        (("variety", "eval", "pn:2", "--json"), {"chigenus.poly", "chigenus.hrr", "chigenus.varieties"}),
+        # an explicit leaf pairs its Chern numbers with a chi table
+        (("check", "tests/data/products.jsonl"), CHI | {"chigenus.varieties"}),
     ]
 
     @classmethod

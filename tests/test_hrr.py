@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chigenus import hrr
+from chigenus import hrr, symchern
 from chigenus.hrr import (
     ChernFunctional,
     ConsistencyError,
@@ -297,7 +297,7 @@ class TestRowValidation:
         _chi_y_rows.cache_clear()
 
     def test_broken_rows_refused_before_any_use(self, monkeypatch, cold_rows):
-        real = hrr.chern_coordinates
+        real = symchern.chern_coordinates  # `_chi_y_rows` imports it when it runs
 
         def perturbed(monomial, n):
             coordinates = real(monomial, n)
@@ -306,7 +306,7 @@ class TestRowValidation:
             coordinates[first] = [k[0], k[1] + 1, *k[2:]]  # the y^1 coefficient
             return coordinates
 
-        monkeypatch.setattr(hrr, "chern_coordinates", perturbed)
+        monkeypatch.setattr(symchern, "chern_coordinates", perturbed)
         with pytest.raises(ConsistencyError):
             chi_p(4, 1)
 

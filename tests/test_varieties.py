@@ -40,6 +40,7 @@ from chigenus.varieties import (
     chi_values,
     descriptor_from_json,
     descriptor_from_token,
+    _paired,
     evaluate,
     load_corpus,
 )
@@ -318,17 +319,43 @@ class TestEulerCharacteristics:
             ) * evaluate(euler_functional(right.dimension), right)
 
 
+class TestRecipeChiYMatchesTheChernRoute:
+    """Each recipe's closed-form `_chi_y` against `_paired` of its Chern
+    numbers, the route of an explicit leaf through a chi table, for n <= 12
+    and for a degree far above the ambient."""
+
+    def test_matches_paired_chern_numbers(self):
+        leaves = [Curve(g) for g in range(15)]
+        leaves += [Surface(a, c) for a in range(-10, 31, 4) for c in range(-10, 41, 5)]
+        leaves += [Hypersurface(10**30, ambient) for ambient in range(2, 9)]
+        for n in range(1, 13):
+            leaves += [ProjectiveSpace(n), AbelianVariety(n)]
+            leaves += [Hypersurface(d, n + 1) for d in range(1, 9)]
+        for leaf in leaves:
+            assert leaf._chi_y() == _paired(leaf._tangent_values()), leaf.name()
+
+
 class TestHypersurfaceClosedForm:
     """Every chi^p of a degree-d hypersurface against the residue formula
-    of `oracles.hypersurface_chi_y`, which uses no Chern number and no
-    Kostka matrix, up to n = 14, the largest golden `chi --json` table.
-    Its Chern numbers are polynomials in d of degree at most n + 1, so
-    d = 1..6 pins each chi^p row on a slice of rank up to 6."""
+    of `oracles.hypersurface_chi_y`, in `Fraction`s and interpolated by
+    Lagrange, where `_chi_y` sums integer series and takes forward
+    differences: d = 1..6 up to n = 14, one degree per even ambient up to
+    30, and the degree 10**30."""
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_chi_values(self, d):
         for n in range(1, 15):
             assert chi_values(Hypersurface(d, n + 1)) == hypersurface_chi_y(d, n + 1), n
+
+    @pytest.mark.parametrize("ambient", range(16, 31, 2))
+    def test_chi_values_up_to_ambient_30(self, ambient):
+        d = ambient // 2 % 8 + 1
+        assert chi_values(Hypersurface(d, ambient)) == hypersurface_chi_y(d, ambient)
+
+    def test_a_degree_far_above_the_ambient(self):
+        # only the terms of (1 - z)^d below z^{N+1} enter
+        for ambient in range(2, 9):
+            assert chi_values(Hypersurface(10**30, ambient)) == hypersurface_chi_y(10**30, ambient)
 
 
 def leaf_product(rng, n):
@@ -346,10 +373,11 @@ def leaf_product(rng, n):
 
 
 class TestLeafClosedForms:
-    """Every chi^p of P^n, curves, abelian varieties and surfaces, and of
-    seeded random products of all recipe leaves up to total dimension 14,
-    against `oracles.closed_form_chi_y`: closed forms multiplied out by the
-    product rule, with no Chern number and no Whitney split."""
+    """Every chi^p of P^n and abelian varieties up to the ceiling `MAX_DIM`,
+    of curves and surfaces, and of seeded random products of all recipe
+    leaves up to total dimension 14, against `oracles.closed_form_chi_y`:
+    closed forms multiplied out by the product rule, with no Chern number
+    and no Whitney split."""
 
     def test_known_values(self):
         assert closed_form_chi_y(Surface(0, 24)) == (2, -20, 2)  # K3
@@ -357,7 +385,7 @@ class TestLeafClosedForms:
         assert closed_form_chi_y(Product(Curve(2), Curve(3))) == (2, -4, 2)
 
     def test_leaves(self):
-        for n in range(1, 15):
+        for n in range(1, MAX_DIM + 1):
             for leaf in (ProjectiveSpace(n), AbelianVariety(n)):
                 assert chi_values(leaf) == closed_form_chi_y(leaf), leaf.name()
         for g in range(8):
@@ -565,20 +593,28 @@ class TestCheckSigns:
         assert audit["euler"] == "7/4"
 
     def test_products_never_compute_their_chern_numbers(self, monkeypatch):
-        # the leaves' rows are counted; a product's would be counted too
+        # neither a product nor a recipe leaf computes Chern numbers or a chi
+        # table; an explicit leaf does both
+        import chigenus.hrr as hrr
+
         variety = descriptor_from_token("product(pn:2,product(curve:2,pn:2))")
         expected = evaluate(euler_functional(5), variety)
         calls = []
-        for cls in (ProjectiveSpace, Curve, Product):
+        for cls in (ProjectiveSpace, Curve, Product, Explicit):
 
             def counting(self, tangent_values=cls._tangent_values):
                 calls.append(self.name())
                 return tangent_values(self)
 
             monkeypatch.setattr(cls, "_tangent_values", counting)
+        rows = hrr._chi_y_rows
+        monkeypatch.setattr(hrr, "_chi_y_rows", lambda n: calls.append(n) or rows(n))
         audit = check_signs(variety, "nef_cotangent")
-        assert calls == ["pn:2", "curve:2", "pn:2"]
+        assert calls == []
         assert audit.to_json_dict()["euler"] == str(expected)
+        explicit = Explicit(2, {"c1^2": 9, "c2": 3})
+        check_signs(Product(explicit, variety), "nef_cotangent")
+        assert calls == ["explicit:2", 2]
 
 
 class TestDescriptorSerialization:
