@@ -892,9 +892,9 @@ class TestVarietyCommand:
         assert calls == []
         assert out.splitlines()[-1] == "euler = -12"
         explicit = {"type": "explicit", "n": 2, "values": {"c1^2": 9, "c2": 3}}
-        line = {"name": "e", "descriptor": {"type": "product", "left": explicit, "right": {"type": "pn", "n": 1}}}
+        product = {"type": "product", "left": explicit, "right": {"type": "pn", "n": 1}}
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(json.dumps(line) + "\n")
+        corpus.write_text(json.dumps({"name": "e", "descriptor": product}) + "\n")
         code, out, _ = run_cli(capsys, "check", str(corpus))
         assert code == 1
         assert calls == ["explicit:2", 2]

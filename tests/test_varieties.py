@@ -40,9 +40,9 @@ from chigenus.varieties import (
     chi_values,
     descriptor_from_json,
     descriptor_from_token,
-    _paired,
     evaluate,
     load_corpus,
+    _paired,
 )
 
 from conftest import rationals
@@ -321,14 +321,17 @@ class TestEulerCharacteristics:
 
 class TestRecipeChiYMatchesTheChernRoute:
     """Each recipe's closed-form `_chi_y` against `_paired` of its Chern
-    numbers, the route of an explicit leaf through a chi table, for n <= 12
-    and for a degree far above the ambient."""
+    numbers, the route of an explicit leaf through a chi table, up to
+    n = 14, the largest golden `chi --json` table, and for a degree far
+    above the ambient.  A hypersurface's Chern numbers are polynomials in d
+    of degree at most n + 1, so d = 1..8 also pins each chi^p row of the
+    table on a slice of rank up to 8."""
 
     def test_matches_paired_chern_numbers(self):
         leaves = [Curve(g) for g in range(15)]
         leaves += [Surface(a, c) for a in range(-10, 31, 4) for c in range(-10, 41, 5)]
         leaves += [Hypersurface(10**30, ambient) for ambient in range(2, 9)]
-        for n in range(1, 13):
+        for n in range(1, 15):
             leaves += [ProjectiveSpace(n), AbelianVariety(n)]
             leaves += [Hypersurface(d, n + 1) for d in range(1, 9)]
         for leaf in leaves:
