@@ -140,35 +140,33 @@ KostkaColumn = tuple[tuple[int, ...], tuple[int, ...]]
 def _kostka_columns(n: int) -> Callable[[int], KostkaColumn]:
     """`column(j)`: column j of K, for the content of rank j in
     `partitions_of(n)`, as the ranks of the shapes with K[shape][content] != 0
-    and those counts of semistandard tableaux.  It keeps the columns of the
-    prefixes of the last content asked for, pops them back to the prefix the
-    next content shares, and grows one horizontal strip per remaining part:
-    ascending and descending ranks both walk the prefix trie depth first, so
-    a solve builds each prefix once.  `strips` memoizes `_horizontal_strips`,
-    as one (shape, size) recurs in many contents."""
+    and those counts of semistandard tableaux.  One stack holds each prefix
+    of the last content asked for with its column: it pops until the top
+    prefix starts the next content, then grows one horizontal strip per
+    remaining part.  Ascending and descending ranks both walk the prefix trie
+    depth first, so a solve builds each prefix once.  `strips` memoizes
+    `_horizontal_strips`, as one (shape, size) recurs in many contents."""
     contents = [strip_partition(mu) for mu in partitions_of(n)]
     rank = {mu: j for j, mu in enumerate(contents)}
     strips: dict[tuple[Partition, int], list[Partition]] = {}
-    prefix: list[int] = []
-    chain: list[dict[Partition, int]] = [{(): 1}]  # the column of each prefix
+    stack: list[tuple[Partition, dict[Partition, int]]] = [((), {(): 1})]
 
     def column(j: int) -> KostkaColumn:
         parts = contents[j]
-        shared = 0
-        while shared < min(len(prefix), len(parts)) and prefix[shared] == parts[shared]:
-            shared += 1
-        del prefix[shared:], chain[shared + 1 :]
-        for part in parts[shared:]:
+        while stack[-1][0] != parts[: len(stack[-1][0])]:
+            stack.pop()
+        prefix, counts = stack[-1]
+        for part in parts[len(prefix) :]:
             longer: dict[Partition, int] = {}
-            for shape, count in chain[-1].items():
+            for shape, count in counts.items():
                 strip = strips.get((shape, part))
                 if strip is None:
                     strip = strips[shape, part] = _horizontal_strips(shape, part)
                 for grown in strip:
                     longer[grown] = longer.get(grown, 0) + count
-            prefix.append(part)
-            chain.append(longer)
-        return tuple(rank[shape] for shape in chain[-1]), tuple(chain[-1].values())
+            prefix, counts = prefix + (part,), longer
+            stack.append((prefix, counts))
+        return tuple(map(rank.__getitem__, counts)), tuple(counts.values())
 
     return column
 
@@ -235,11 +233,7 @@ def _schur_rows(
     """P_a for each padded partition a of n in `parts`, as integer rows over
     `weight_basis(n)`: column a of K^-1, every requested column in one back
     substitution on the unit vectors e_a, over the weight-n monomials c^mu."""
-    order = partitions_of(n)
-    rank = {mu: j for j, mu in enumerate(order)}
-    units = [[0] * len(parts)] * len(order)
-    for j, a in enumerate(parts):
-        units[rank[a]] = [int(i == j) for i in range(len(parts))]
+    units = [[int(mu == a) for a in parts] for mu in partitions_of(n)]
     k = _kostka_back_substitution(units, _kostka_columns(n))
     rows = zip(*map(k.__getitem__, basis_ranks(n)))
     return {a: ChernFunctional(n, convention, row, 1) for a, row in zip(parts, rows)}

@@ -165,6 +165,15 @@ class TestSchur:
         for a in drawn:
             assert schur(a, 16) == rows[a], a
 
+    @pytest.mark.parametrize("convention", list(BasisConvention))
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_repeated_and_unordered_requests(self, n, convention):
+        # every requested column carries its own unit, so a partition asked
+        # for twice, out of rank order, gets its row each time
+        a, b = random.Random(4300 + n).choices(partitions_of(n), k=2)
+        merged = {**_schur_rows([a], n, convention), **_schur_rows([b], n, convention)}
+        assert _schur_rows([b, a, b], n, convention) == merged
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_cofactor_oracle(self, n):
         for a in partitions_of(n):
