@@ -8,13 +8,13 @@ Chern classes.  All n+1 of them come at once from the chi_y genus
     Q_y(x) = (1 + y exp(-x)) * x / (1 - exp(-x)) = sum_k q_k(y) x^k,
 
 over the Chern roots x_1..x_n of the tangent bundle, where
-q_k(y) = t_k + y s_k with t_k = (-1)^k B_k / k!, s_k = B_k / k! and
-B_1 = -1/2.  The coefficient of the monomial symmetric function m_lambda is
-q_0^{n - len(lambda)} prod_i q_{lambda_i}, a polynomial of degree n in y whose
-y^p coefficient belongs to chi^p.  With q_k scaled by L^k (L the lcm of the
-denominators of t_k and s_k, k <= n) these are integer polynomials over
-L^n; `symchern.chern_coordinates` takes them to the c-monomials, and each
-row is its integer numerators over L^n.
+q_k(y) = s_k ((-1)^k + y) with s_k = B_k / k! and B_1 = -1/2.  The
+coefficient of the monomial symmetric function m_lambda is
+q_0^{n - len(lambda)} prod_i q_{lambda_i}, a polynomial of degree n in y
+whose y^p coefficient belongs to chi^p.  With s_k scaled by L^k (L the lcm
+of the denominators of s_k, k <= n) these are integer polynomials over L^n;
+`symchern.chern_coordinates` takes them to the c-monomials, and each row is
+its integer numerators over L^n.
 
 The public chi^p functionals are flipped into cotangent variables (c_i
 meaning c_i of the cotangent bundle) exactly once, at the boundary.
@@ -58,9 +58,9 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates an implementation bug."""
 
 
-def _chi_y_factor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(L, ((T_0, S_0), ..., (T_n, S_n))) with q_k(y) = (T_k + y S_k) / L^k
-    the coefficients of Q_y (see the module docstring)."""
+def _chi_y_factor(n: int) -> tuple[int, tuple[int, ...]]:
+    """(L, (S_0, ..., S_n)) with S_k = s_k L^k: the coefficients of Q_y are
+    q_k(y) = S_k ((-1)^k + y) / L^k (see the module docstring)."""
     # s_k = B_k / k! (B_1 = -1/2) as (numerator, denominator): the coefficients
     # of x / (e^x - 1), the inverse of (e^x - 1) / x = sum_j x^j / (j + 1)!
     s = [(1, 1)]
@@ -69,15 +69,15 @@ def _chi_y_factor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         den = math.lcm(*(b for _, b in terms))
         (total,), den = lowest_terms([-sum(a * (den // b) for a, b in terms)], den)
         s.append((total, den))
-    scale = math.lcm(*(b for _, b in s))  # also that of t_k = (-1)^k s_k
-    scaled = [a * (scale**k // b) for k, (a, b) in enumerate(s)]
-    return scale, tuple(((-1) ** k * c, c) for k, c in enumerate(scaled))
+    scale = math.lcm(*(b for _, b in s))
+    return scale, tuple(a * (scale**k // b) for k, (a, b) in enumerate(s))
 
 
 @lru_cache(maxsize=None)
 def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
-    """chi^0..chi^n of dimension n, in cotangent variables: the
-    coefficients in y of the chi_y genus (see the module docstring).
+    """chi^0..chi^n of dimension n, in cotangent variables: the y^p parts
+    of the chi_y genus (module docstring), from one `chern_coordinates`
+    solve on its m_lambda coefficients listed in `partitions_of(n)` order.
 
     The rows are validated once, here, on the integer numerators over L^n
     that they are built from: the duality symmetry chi^p =
@@ -86,20 +86,18 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     aborts."""
     from .symchern import chern_coordinates  # only rows load the Kostka solve
 
-    basis = weight_basis(n)  # refuses an n that is not a non-negative int
+    parts = partitions_of(n)  # refuses an n that is not a non-negative int
     scale, factor = _chi_y_factor(n)
-    monomial = {}  # m_lambda coefficient times L^n, lowest power of y first
-    for parts in partitions_of(n):
+    right = []  # m_lambda coefficients times L^n, lowest power of y first
+    for lam in parts:
         poly = [1]
-        for k in parts:  # padded: each zero part is a factor q_0
-            t, s = factor[k]
-            poly = [t * a + s * b for a, b in zip(poly + [0], [0] + poly)]
-        monomial[parts] = poly
-    coordinates = chern_coordinates(monomial, n)
-    den = scale**n
+        for k in lam:  # padded: each zero part is a factor q_0
+            poly = [factor[k] * ((-1) ** k * a + b) for a, b in zip(poly + [0], [0] + poly)]
+        right.append(poly)
     # tangent numerators; the flip to cotangent variables is the sign (-1)^n
+    numerators = chern_coordinates(right, n)
+    den = scale**n
     sign = (-1) ** n
-    numerators = [coordinates[m] for m in basis]
     for p in range(n + 1):
         if any(k[p] != sign * k[n - p] for k in numerators):
             raise ConsistencyError(f"duality symmetry failed at dimension {n}, p={p}")

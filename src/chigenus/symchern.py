@@ -31,7 +31,7 @@ its nonzero coordinates.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 # the functional type, its tags and the partitions live in `poly`; importing
 # them from here also works
@@ -40,12 +40,10 @@ from .poly import (
     ChernFunctional,
     ConventionMismatch,
     InvalidPartition,
-    Monomial,
     Partition,
     basis_ranks,
     parse_decimal,
     partitions_of,
-    weight_basis,
 )
 
 __all__ = [
@@ -204,20 +202,18 @@ def _kostka_back_substitution(
     return pending
 
 
-def chern_coordinates(
-    monomial_coefficients: Mapping[Partition, Sequence[int]], n: int
-) -> dict[Monomial, list[int]]:
+def chern_coordinates(right: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     """The c-monomial coordinates k of f = sum_lambda F_lambda m_lambda(x),
-    given one integer vector F_lambda per padded partition lambda of n, all
-    of one length: the forward substitution to the Schur coordinates of f,
-    then the back substitution on their conjugate partitions, read out over
-    `weight_basis(n)` in its order."""
+    given the integer vectors F_lambda, all of one length, in
+    `partitions_of(n)` order: the forward substitution to the Schur
+    coordinates of f, then the back substitution on their conjugate
+    partitions, read out in `weight_basis(n)` order through `basis_ranks`."""
     parts = partitions_of(n)
     rank = {lam: j for j, lam in enumerate(parts)}
     column = list(map(_kostka_columns(n), range(len(parts)))).__getitem__
-    h = _kostka_forward_substitution([monomial_coefficients[lam] for lam in parts], column)
+    h = _kostka_forward_substitution(right, column)
     k = _kostka_back_substitution([h[rank[_conjugate(nu, n)]] for nu in parts], column)
-    return dict(zip(weight_basis(n), map(k.__getitem__, basis_ranks(n))))
+    return list(map(k.__getitem__, basis_ranks(n)))
 
 
 def schur(a: Sequence[int], n: int) -> ChernFunctional:

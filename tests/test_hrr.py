@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -17,7 +18,7 @@ from chigenus.hrr import (
     chi_table,
     euler_functional,
 )
-from chigenus.poly import DimensionMismatch, weight_basis
+from chigenus.poly import DimensionMismatch, InvalidPartition, weight_basis
 from chigenus.symchern import BasisConvention
 
 import oracles
@@ -135,13 +136,13 @@ class TestExteriorCharacters:
 class TestChiYFactor:
     @pytest.mark.parametrize("n", range(0, 13))
     def test_coefficients_match_bernoulli_closed_form(self, n):
-        # q_k(y) = t_k + y s_k: t_k = B^+_k / k! is the Todd series and
-        # s_k = (-1)^k B^+_k / k! that of x / (e^x - 1)
+        # q_k(y) = t_k + y s_k = S_k ((-1)^k + y) / L^k: t_k = B^+_k / k! is
+        # the Todd series and s_k = (-1)^k B^+_k / k! that of x / (e^x - 1)
         scale, factor = _chi_y_factor(n)
         assert len(factor) == n + 1
-        for k, (t, s) in enumerate(factor):
+        for k, s in enumerate(factor):
             expected = bernoulli_plus(k) / factorial(k)
-            assert Fraction(t, scale**k) == expected, (n, k)
+            assert Fraction((-1) ** k * s, scale**k) == expected, (n, k)
             assert Fraction(s, scale**k) == (-1) ** k * expected, (n, k)
 
     def test_scale_is_the_least_common_denominator(self):
@@ -299,11 +300,10 @@ class TestRowValidation:
     def test_broken_rows_refused_before_any_use(self, monkeypatch, cold_rows):
         real = symchern.chern_coordinates  # `_chi_y_rows` imports it when it runs
 
-        def perturbed(monomial, n):
-            coordinates = real(monomial, n)
-            first = next(iter(coordinates))
-            k = coordinates[first]
-            coordinates[first] = [k[0], k[1] + 1, *k[2:]]  # the y^1 coefficient
+        def perturbed(right, n):
+            coordinates = real(right, n)
+            k = coordinates[0]
+            coordinates[0] = [k[0], k[1] + 1, *k[2:]]  # the y^1 coefficient
             return coordinates
 
         monkeypatch.setattr(symchern, "chern_coordinates", perturbed)
@@ -325,7 +325,7 @@ class TestCacheKeys:
     rows of dimensions 0..2 are cached: True == 1 and both hash alike, so no
     cache on the way may answer a bool with the row of 1."""
 
-    BAD = [(True, 0), (True, 1), (2, True), (2, False), (-1, 0), (2, -1)]
+    BAD = [(True, 0), (True, 1), (2, True), (2, False), (-1, 0), (2, -1), ("x", 0), (2.0, 0)]
 
     @pytest.fixture
     def cold_rows(self):
@@ -345,6 +345,20 @@ class TestCacheKeys:
             chi_p(n, p)
         assert chi_p(1, 0) == functional(1, "-1/2*c1")
         assert chi_p(2, 1) == functional(2, "1/6*c1^2 - 5/6*c2")
+
+    @pytest.mark.parametrize("n", [True, -1, "x", 2.0])
+    def test_bad_dimension_refused_before_any_chi_y_arithmetic(self, monkeypatch, cold_rows, n):
+        # `partitions_of` refuses n, cold and warm, before `_chi_y_factor` runs
+        message = re.escape(f"partition weight must be a non-negative integer: {n!r}")
+        monkeypatch.setattr(hrr, "_chi_y_factor", lambda _: pytest.fail("chi_y arithmetic ran"))
+        for _ in range(2):
+            with pytest.raises(InvalidPartition, match=message):
+                chi_p(n, 0)
+            with pytest.raises(InvalidPartition, match=message):
+                chi_table(n)
+            monkeypatch.undo()
+            for m in range(3):
+                chi_table(m)
 
     def test_table_refuses_a_bool_cold_and_warm(self, cold_rows):
         with pytest.raises(ValueError):
