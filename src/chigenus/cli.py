@@ -290,6 +290,11 @@ def _cmd_variety_eval(args) -> tuple[int, str]:
 
     descriptor = descriptor_from_token(args.descriptor, args.max_dim)
     n = descriptor.dimension
+    p = None  # the target is parsed before any chi^p is computed
+    if args.target not in (None, "euler"):
+        if not args.target.startswith("chi:"):
+            raise ValueError(f"unknown eval target {args.target!r}")
+        p = _parse_chi_target(args.target, n)
     numerators, den = descriptor._chi_y()
     euler = euler_number(numerators)
     # every number is rendered before anything is printed
@@ -300,13 +305,7 @@ def _cmd_variety_eval(args) -> tuple[int, str]:
         lines += (f"chi^{p} = {value}" for p, value in enumerate(values))
         lines.append(f"euler = {payload['euler']}")
     else:
-        if args.target.startswith("chi:"):
-            p = _parse_chi_target(args.target, n)
-            value, label = numerators[p], f"chi^{p}"
-        elif args.target == "euler":
-            value, label = euler, "euler"
-        else:
-            raise ValueError(f"unknown eval target {args.target!r}")
+        value, label = (euler, "euler") if p is None else (numerators[p], f"chi^{p}")
         payload = {"target": label, "value": rational_text(value, den)}
         lines = [f"{label} = {payload['value']}"]
     if args.json:

@@ -117,10 +117,10 @@ def chi_p(n: int, p: int) -> ChernFunctional:
     characteristic of its sheaf of p-forms, e.g. chi^1 = (c_1^2 - 5 c_2)/6
     in dimension 2.
     """
-    rows = _chi_y_rows(n)
+    partitions_of(n)  # n is refused first, then p, before any row is built
     if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= n:
         raise ValueError(f"form degree {p!r} outside 0..{n}")
-    return rows[p]
+    return _chi_y_rows(n)[p]
 
 
 def euler_functional(n: int) -> ChernFunctional:

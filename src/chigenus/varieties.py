@@ -13,8 +13,9 @@ total-Chern-class computation:
 
 A recipe leaf's chi^p values come from its closed form for chi_y
 (Hirzebruch, Topological Methods, 15.5): (-1)^p on P^n, 0 on an abelian
-variety, (1 - g, g - 1) on a curve, Noether's formula on a surface and the
-residue formula on a hypersurface, so no recipe builds a chi table.  Only an
+variety, (1 - g, g - 1) on a curve, Noether's formula on a surface, and on a
+hypersurface Bott's formula for chi(P^N, Omega^q(m)) carried through the
+conormal sequence, so no recipe builds a chi table.  Only an
 explicit leaf pairs `chi_table(n)` with its Chern numbers.  chi_y is
 multiplicative, so a product convolves its factors' values.  The Chern
 numbers of every descriptor stay library API (`chern_numbers`, `evaluate`),
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from math import comb, factorial, lcm, prod
+from math import comb, lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -205,37 +206,23 @@ class Hypersurface(_Recipe):
         return ChernFunctional(n, BasisConvention.TANGENT, numbers, 1)
 
     def _chi_y(self) -> tuple[tuple[int, ...], int]:
-        # The residue formula, with u = 1 + y and g = 1 - (1 - z)^d:
-        #   chi_y = [z^N] (u - yz)^{N+1} g / (u (u - y g) (1 - z)).
-        # At an integer node y, u^{N+1} / (u - y g) = sum_m K_m z^m below z^{N+1},
-        # with K_0 = u^N and K_m = y (sum_{j=1..m} g_j K_{m-j}) / u, all
-        # integers; so u^{N+2} chi_y is [z^N] of (u - yz)^{N+1} G K, with
-        # G = g / (1 - z), and the chi^p are integers, so every division is
-        # exact.  Newton's forward differences of the values at y = 0..n give
-        # chi_y over n!.  No term of (1 - z)^d past z^N enters, so the degree
-        # may be any size.
-        N, d, n = self.ambient, self.degree, self.dimension
-        g = [0] + [(-1) ** (k + 1) * comb(d, k) for k in range(1, N + 1)]
-        G = list(itertools.accumulate(g))
-        values = []
-        for y in range(n + 1):
-            u = 1 + y
-            K = [u**N]
-            for m in range(1, N + 1):
-                K.append(y * sum(map(mul, g[1 : m + 1], reversed(K))) // u)
-            GK = [sum(map(mul, G[: i + 1], reversed(K[: i + 1]))) for i in range(N + 1)]
-            total = sum(
-                comb(N + 1, k) * u ** (N + 1 - k) * (-y) ** k * GK[N - k] for k in range(N + 1)
-            )
-            values.append(total // u ** (N + 2))
-        numerators = [0] * (n + 1)
-        falling = [1]  # y (y - 1) ... (y - k + 1), lowest power first
-        for k in range(n + 1):
-            scale = values[0] * (factorial(n) // factorial(k))  # the k-th difference
-            numerators = [a + scale * b for a, b in zip(numerators, falling + [0] * n)]
-            falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
-            values = [b - a for a, b in zip(values, values[1:])]
-        return lowest_terms(numerators, factorial(n))
+        # Bott's formula (Okonek-Schneider-Spindler I.1): chi(P^N, Omega^q(-kd))
+        # from 0 -> Omega^q -> wedge^q O(-1)^{N+1} -> Omega^{q-1} -> 0 and
+        # chi(O(-m)) = C(N - m, N), read as a polynomial in m.  Restriction to V
+        # (0 -> F(-d) -> F -> F|V -> 0) and the wedges of the conormal sequence
+        # 0 -> O(-d)|V -> Omega_P|V -> Omega_V -> 0 (Hartshorne II.8) give chi^p(V) =
+        # sum_i (-1)^i chi(Omega_P^{p-i}(-id)|V).  Only binomials of the degree
+        # enter, so it may be any size.
+        N, d = self.ambient, self.degree
+        T = [[0] for _ in range(N + 1)]  # T[k][q + 1] = chi(Omega^q(-kd)); Omega^{-1} = 0
+        for k, q in itertools.product(range(N + 1), range(N)):
+            m = k * d + q  # chi(O(-m)) is 1 at m = 0, else (-1)^N C(m - 1, N)
+            T[k].append(comb(N + 1, q) * ((-1) ** N * comb(m - 1, N) if m else 1) - T[k][-1])
+        chi = [
+            sum((-1) ** i * (T[i][p + 1 - i] - T[i + 1][p + 1 - i]) for i in range(p + 1))
+            for p in range(N)
+        ]
+        return tuple(chi), 1
 
 
 class AbelianVariety(_Recipe):

@@ -870,6 +870,23 @@ class TestVarietyCommand:
             assert out == ""
             assert err == f"error: bad chi target {target!r}\n"
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("chi:99", "chi target p=99 outside 0..64"),
+            ("chi:x", "bad chi target 'chi:x'"),
+            ("bogus", "unknown eval target 'bogus'"),
+        ],
+    )
+    def test_target_refused_before_chi_y(self, capsys, monkeypatch, target, message):
+        from chigenus.varieties import Hypersurface
+
+        monkeypatch.setattr(Hypersurface, "_chi_y", lambda self: pytest.fail("chi_y computed"))
+        degree = str(10**60)
+        argv = ("variety", "eval", f"hypersurface:{degree}:65", "--max-dim", "64")
+        code, out, err = run_cli(capsys, *argv, "--target", target)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_eval_computes_chern_numbers_of_the_leaves_only(self, capsys, monkeypatch, tmp_path):
         # a recipe leaf takes chi_y from its closed form and a product
         # convolves its factors'; only an explicit leaf's Chern numbers are

@@ -360,6 +360,12 @@ class TestCacheKeys:
             for m in range(3):
                 chi_table(m)
 
+    @pytest.mark.parametrize("p", [6, -1, True])
+    def test_bad_form_degree_refused_before_any_chi_y_arithmetic(self, monkeypatch, cold_rows, p):
+        monkeypatch.setattr(hrr, "_chi_y_factor", lambda _: pytest.fail("chi_y arithmetic ran"))
+        with pytest.raises(ValueError, match=re.escape(f"form degree {p!r} outside 0..5")):
+            chi_p(5, p)
+
     def test_table_refuses_a_bool_cold_and_warm(self, cold_rows):
         with pytest.raises(ValueError):
             chi_table(True)

@@ -22,7 +22,15 @@ from chigenus.cone import (
     certify_chi_signs,
     generators,
 )
-from chigenus.hrr import ChernFunctional, ChiTable, chi_p, chi_sign, chi_table, euler_functional
+from chigenus.hrr import (
+    ChernFunctional,
+    ChiTable,
+    chi_p,
+    chi_sign,
+    chi_table,
+    euler_functional,
+    euler_number,
+)
 from chigenus.poly import DimensionMismatch, Record, json_text, partitions_of, weight_basis
 from chigenus.symchern import BasisConvention
 from chigenus.varieties import (
@@ -341,9 +349,10 @@ class TestRecipeChiYMatchesTheChernRoute:
 class TestHypersurfaceClosedForm:
     """Every chi^p of a degree-d hypersurface against the residue formula
     of `oracles.hypersurface_chi_y`, in `Fraction`s and interpolated by
-    Lagrange, where `_chi_y` sums integer series and takes forward
-    differences: d = 1..6 up to n = 14, one degree per even ambient up to
-    30, and the degree 10**30."""
+    Lagrange, where `_chi_y` takes Bott's formula through the conormal
+    sequence: d = 1..6 up to n = 14, one degree per even ambient up to 30,
+    and the degree 10**30.  Up to the ceiling, Serre duality, the Euler
+    number and chi^0 hold for a few degrees."""
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_chi_values(self, d):
@@ -359,6 +368,17 @@ class TestHypersurfaceClosedForm:
         # only the terms of (1 - z)^d below z^{N+1} enter
         for ambient in range(2, 9):
             assert chi_values(Hypersurface(10**30, ambient)) == hypersurface_chi_y(10**30, ambient)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 10**30])
+    def test_identities_up_to_the_ceiling(self, d):
+        # e = [h^{N-1}] d (1 + h)^{N+1} / (1 + dh), and chi^0 = chi(O) - chi(O(-d)) on P^N
+        for ambient in range(2, MAX_DIM + 2):
+            n = ambient - 1
+            chi, den = Hypersurface(d, ambient)._chi_y()
+            assert den == 1
+            assert all(chi[p] == (-1) ** n * chi[n - p] for p in range(n + 1)), ambient
+            assert euler_number(chi) == ((1 - d) ** (ambient + 1) - 1) // d + ambient + 1
+            assert chi[0] == 1 - (-1) ** ambient * comb(d - 1, ambient)
 
 
 def leaf_product(rng, n):
