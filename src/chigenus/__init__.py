@@ -14,7 +14,7 @@ import importlib
 __version__ = "0.1.0"
 
 # Owned here so the command-line parser can name them without loading the
-# mathematics; `hrr` and `cone` re-export them.
+# mathematics; `hrr` and `cone` import them from here.
 SIGN_MODES = ("nef_cotangent", "nef_tangent")
 ASSUMPTION_TAGS = ("schur", "my2", "my4", "c1top")
 # The ceiling on every dimension limit.  It bounds nesting, not work: a product

@@ -19,7 +19,7 @@ from . import ASSUMPTION_TAGS, MAX_DIM, SIGN_MODES, __version__
 # The mathematics is imported by each command when it runs, so a command
 # loads only the modules it uses and --version or --help loads none.
 if TYPE_CHECKING:
-    from .symchern import BasisConvention
+    from .poly import BasisConvention
     from .varieties import SignAudit
 
 EXIT_OK = 0
@@ -125,7 +125,7 @@ def _parse_assumptions(text: str | None) -> tuple[str, ...]:
 
 def _cmd_chi(args) -> tuple[int, str]:
     from .hrr import chi_table
-    from .symchern import BasisConvention
+    from .poly import BasisConvention
 
     n = _within_limit(args.max_dim, args.dim)
     convention = BasisConvention(args.convention)
@@ -143,7 +143,8 @@ def _cmd_chi(args) -> tuple[int, str]:
 
 
 def _cmd_schur(args) -> tuple[int, str]:
-    from .symchern import _schur_rows, parse_partition, partition_label, partitions_of
+    from .poly import partitions_of
+    from .symchern import _schur_rows, parse_partition, partition_label
 
     n = _within_limit(args.max_dim, args.dim)
     parts = partitions_of(n) if args.partition is None else [parse_partition(args.partition, n)]

@@ -30,16 +30,16 @@ from .poly import (
     DimensionMismatch,
     Record,
     lowest_terms,
+    partitions_of,
     rational_text,
     weight_basis,
 )
-from .symchern import _schur_rows, partition_label, partitions_of
+from .symchern import _schur_rows, partition_label
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "ASSUMPTION_TAGS",
     "GeneratorSet",
     "Certificate",
     "Infeasibility",

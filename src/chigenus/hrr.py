@@ -27,12 +27,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import SIGN_MODES
-# the functional type and its tags live in `poly`; importing them from here
-# also works
 from .poly import (
     BasisConvention,
     ChernFunctional,
-    ConventionMismatch,
     Record,
     lowest_terms,
     partitions_of,
@@ -41,13 +38,11 @@ from .poly import (
 
 __all__ = [
     "ConsistencyError",
-    "ChernFunctional",
     "ChiTable",
     "chi_p",
     "chi_table",
     "euler_functional",
     "euler_number",
-    "SIGN_MODES",
     "mode_convention",
     "chi_sign",
     "signed_target",

@@ -33,12 +33,9 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-# the functional type, its tags and the partitions live in `poly`; importing
-# them from here also works
 from .poly import (
     BasisConvention,
     ChernFunctional,
-    ConventionMismatch,
     InvalidPartition,
     Partition,
     basis_ranks,
@@ -47,29 +44,12 @@ from .poly import (
 )
 
 __all__ = [
-    "BasisConvention",
-    "ConventionMismatch",
-    "InvalidPartition",
-    "Partition",
-    "partitions_of",
-    "pad_partition",
     "strip_partition",
     "parse_partition",
     "partition_label",
     "chern_coordinates",
     "schur",
 ]
-
-
-def pad_partition(parts: Sequence[int], n: int) -> Partition:
-    """Zero-pad to length n: the form of the `P_(...)` labels, and one
-    zero part per factor q_0 in `hrr._chi_y_rows`."""
-    parts = tuple(parts)
-    if len(parts) > n:
-        if any(p != 0 for p in parts[n:]):
-            raise InvalidPartition(f"partition {parts} longer than {n}")
-        parts = parts[:n]
-    return parts + (0,) * (n - len(parts))
 
 
 def strip_partition(parts: Sequence[int]) -> Partition:
@@ -81,8 +61,13 @@ def strip_partition(parts: Sequence[int]) -> Partition:
 
 
 def _validate_partition(parts: Sequence[int], n: int) -> Partition:
+    """`parts` zero-padded to length n, the form of the `P_(...)` labels,
+    once it is checked to be a partition of n."""
     partitions_of(n)  # cached; refuses an n that is not a non-negative int
-    padded = pad_partition(parts, n)
+    parts = tuple(parts)
+    if any(p != 0 for p in parts[n:]):
+        raise InvalidPartition(f"partition {parts} longer than {n}")
+    padded = parts[:n] + (0,) * (n - len(parts))
     if any(isinstance(p, bool) or not isinstance(p, int) or p < 0 for p in padded):
         raise InvalidPartition(f"parts must be non-negative integers: {parts}")
     if any(padded[i] < padded[i + 1] for i in range(len(padded) - 1)):

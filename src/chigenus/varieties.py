@@ -14,16 +14,17 @@ total-Chern-class computation:
 A recipe leaf's chi^p values come from its closed form for chi_y
 (Hirzebruch, Topological Methods, 15.5): (-1)^p on P^n, 0 on an abelian
 variety, (1 - g, g - 1) on a curve, Noether's formula on a surface, and on a
-hypersurface Bott's formula for chi(P^N, Omega^q(m)) carried through the
-conormal sequence, so no recipe builds a chi table.  Only an
-explicit leaf pairs `chi_table(n)` with its Chern numbers.  chi_y is
-multiplicative, so a product convolves its factors' values.  The Chern
-numbers of every descriptor stay library API (`chern_numbers`, `evaluate`),
-and the tests check each closed form against them.  A sign audit holds
-those values and derives from them the signed values (-1)^{n-p} chi^p or
-(-1)^p chi^p (`hrr.chi_sign`), each row's pass/fail and the Euler number
-(`hrr.euler_number`).  Nefness (or asphericity) of the relevant bundle is
-an assertion made by the caller, never checked here.
+hypersurface Bott's formula for chi(P^N, Omega^q(-kd)), a triangular table
+(k + q <= N) carried through the conormal sequence, so no recipe builds a
+chi table.  Only an explicit leaf pairs `chi_table(n)` with its Chern
+numbers.  chi_y is multiplicative, so a product convolves its factors'
+values.  The Chern numbers of every descriptor stay library API
+(`chern_numbers`, `evaluate`), and the tests check each closed form against
+them.  A sign audit holds those values and derives from them the signed
+values (-1)^{n-p} chi^p or (-1)^p chi^p (`hrr.chi_sign`), each row's
+pass/fail and the Euler number (`hrr.euler_number`).  Nefness (or
+asphericity) of the relevant bundle is an assertion made by the caller,
+never checked here.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import MAX_DIM
-from .hrr import ChernFunctional, chi_sign, chi_table, euler_number, mode_convention
+from .hrr import chi_sign, chi_table, euler_number, mode_convention
 from .poly import (
     BasisConvention,
+    ChernFunctional,
     DimensionMismatch,
     Monomial,
     RationalLike,
@@ -211,11 +213,12 @@ class Hypersurface(_Recipe):
         # chi(O(-m)) = C(N - m, N), read as a polynomial in m.  Restriction to V
         # (0 -> F(-d) -> F -> F|V -> 0) and the wedges of the conormal sequence
         # 0 -> O(-d)|V -> Omega_P|V -> Omega_V -> 0 (Hartshorne II.8) give chi^p(V) =
-        # sum_i (-1)^i chi(Omega_P^{p-i}(-id)|V).  Only binomials of the degree
-        # enter, so it may be any size.
+        # sum_i (-1)^i chi(Omega_P^{p-i}(-id)|V), which reads T[k][q + 1] only
+        # for k + q <= N, so the table is built triangular.  Only binomials of
+        # the degree enter, so it may be any size.
         N, d = self.ambient, self.degree
         T = [[0] for _ in range(N + 1)]  # T[k][q + 1] = chi(Omega^q(-kd)); Omega^{-1} = 0
-        for k, q in itertools.product(range(N + 1), range(N)):
+        for k, q in ((k, q) for k in range(N + 1) for q in range(min(N, N + 1 - k))):
             m = k * d + q  # chi(O(-m)) is 1 at m = 0, else (-1)^N C(m - 1, N)
             T[k].append(comb(N + 1, q) * ((-1) ** N * comb(m - 1, N) if m else 1) - T[k][-1])
         chi = [

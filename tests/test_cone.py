@@ -29,8 +29,13 @@ from chigenus.hrr import (
     mode_convention,
     signed_target,
 )
-from chigenus.poly import DimensionMismatch, lowest_terms, weight_basis
-from chigenus.symchern import BasisConvention, ConventionMismatch
+from chigenus.poly import (
+    BasisConvention,
+    ConventionMismatch,
+    DimensionMismatch,
+    lowest_terms,
+    weight_basis,
+)
 
 from conftest import rationals
 from oracles import (

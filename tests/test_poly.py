@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import json
 import math
 import pathlib
@@ -631,6 +633,52 @@ class TestOneRepresentation:
         for name in self.GONE:
             with pytest.raises(AttributeError):
                 getattr(chigenus, name)
+
+
+class TestOneHome:
+    """Each public name has one home: a submodule's `__all__` lists only
+    what it defines, and the modules import each name from its home."""
+
+    SOURCES = TestOneRepresentation.SOURCES
+
+    @staticmethod
+    def defines(module, name):
+        """A class or function by its `__module__`; any other value by a
+        top-level assignment in the module's source."""
+        value = getattr(module, name)
+        if inspect.isclass(value) or inspect.isfunction(inspect.unwrap(value)):
+            return value.__module__ == module.__name__
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        targets = [
+            target
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        ]
+        return any(
+            isinstance(leaf, ast.Name) and leaf.id == name
+            for target in targets
+            for leaf in ast.walk(target)
+        )
+
+    @pytest.mark.parametrize("home", ["poly", "symchern", "hrr", "cone", "varieties"])
+    def test_all_lists_only_names_the_module_defines(self, home):
+        module = importlib.import_module(f"chigenus.{home}")
+        assert [name for name in module.__all__ if not self.defines(module, name)] == []
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+    def test_every_relative_import_names_the_defining_module(self, path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        borrowed = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                module = importlib.import_module(f".{node.module or ''}", "chigenus")
+                borrowed += [
+                    f"{module.__name__}.{alias.name}"
+                    for alias in node.names
+                    if not self.defines(module, alias.name)
+                ]
+        assert borrowed == [], path.name
 
 
 COT, TAN = BasisConvention.COTANGENT, BasisConvention.TANGENT

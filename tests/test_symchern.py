@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
 
@@ -226,6 +227,29 @@ class TestKostkaSolves:
         table = list(map(_kostka_columns(n), range(len(parts))))
         assert [dict(zip(ranks, counts)) for ranks, counts in table] == columns
         assert all(len(set(ranks)) == len(ranks) for ranks, _ in table)
+
+    @pytest.mark.parametrize("n", range(0, 21))
+    def test_columns_satisfy_the_hook_length_identity(self, n):
+        # RSK pairs the words of content mu with the pairs (P, Q) of one shape,
+        # P semistandard of content mu and Q standard (Stanley, EC2, ch. 7), so
+        # sum_lambda K[lambda][mu] f^lambda = n! / prod_i mu_i!; f^lambda, the
+        # standard tableaux, comes from the hook-length formula, which shares
+        # no step with the horizontal strips
+        parts = partitions_of(n)
+        standard = []
+        for shape in parts:
+            column_lengths = [sum(1 for p in shape if p > j) for j in range(n)]
+            hooks = prod(
+                row - j + column_lengths[j] - i - 1
+                for i, row in enumerate(shape)
+                for j in range(row)
+            )
+            standard.append(factorial(n) // hooks)
+        column = _kostka_columns(n)
+        for j, content in enumerate(parts):
+            words = factorial(n) // prod(map(factorial, content))
+            ranks, counts = column(j)
+            assert sum(count * standard[r] for r, count in zip(ranks, counts)) == words, content
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_solves_satisfy_their_systems(self, n):

@@ -330,7 +330,7 @@ class TestEulerCharacteristics:
 class TestRecipeChiYMatchesTheChernRoute:
     """Each recipe's closed-form `_chi_y` against `_paired` of its Chern
     numbers, the route of an explicit leaf through a chi table, up to
-    n = 14, the largest golden `chi --json` table, and for a degree far
+    n = 16, the largest golden `chi --json` table, and for a degree far
     above the ambient.  A hypersurface's Chern numbers are polynomials in d
     of degree at most n + 1, so d = 1..8 also pins each chi^p row of the
     table on a slice of rank up to 8."""
@@ -339,7 +339,7 @@ class TestRecipeChiYMatchesTheChernRoute:
         leaves = [Curve(g) for g in range(15)]
         leaves += [Surface(a, c) for a in range(-10, 31, 4) for c in range(-10, 41, 5)]
         leaves += [Hypersurface(10**30, ambient) for ambient in range(2, 9)]
-        for n in range(1, 15):
+        for n in range(1, 17):
             leaves += [ProjectiveSpace(n), AbelianVariety(n)]
             leaves += [Hypersurface(d, n + 1) for d in range(1, 9)]
         for leaf in leaves:
