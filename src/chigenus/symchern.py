@@ -44,20 +44,11 @@ from .poly import (
 )
 
 __all__ = [
-    "strip_partition",
     "parse_partition",
     "partition_label",
     "chern_coordinates",
     "schur",
 ]
-
-
-def strip_partition(parts: Sequence[int]) -> Partition:
-    """Drop trailing zeros."""
-    parts = tuple(parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
 
 
 def _validate_partition(parts: Sequence[int], n: int) -> Partition:
@@ -114,7 +105,7 @@ def _horizontal_strips(shape: Partition, size: int) -> list[Partition]:
             for rows, left in grown
             for extra in range(min(left, room), -1, -1)
         ]
-    return [strip_partition(rows) for rows, left in grown if not left]
+    return [tuple(filter(None, rows)) for rows, left in grown if not left]
 
 
 KostkaColumn = tuple[tuple[int, ...], tuple[int, ...]]
@@ -129,7 +120,7 @@ def _kostka_columns(n: int) -> Callable[[int], KostkaColumn]:
     remaining part.  Ascending and descending ranks both walk the prefix trie
     depth first, so a solve builds each prefix once.  `strips` memoizes
     `_horizontal_strips`, as one (shape, size) recurs in many contents."""
-    contents = [strip_partition(mu) for mu in partitions_of(n)]
+    contents = [tuple(filter(None, mu)) for mu in partitions_of(n)]
     rank = {mu: j for j, mu in enumerate(contents)}
     strips: dict[tuple[Partition, int], list[Partition]] = {}
     stack: list[tuple[Partition, dict[Partition, int]]] = [((), {(): 1})]

@@ -14,8 +14,8 @@ total-Chern-class computation:
 A recipe leaf's chi^p values come from its closed form for chi_y
 (Hirzebruch, Topological Methods, 15.5): (-1)^p on P^n, 0 on an abelian
 variety, (1 - g, g - 1) on a curve, Noether's formula on a surface, and on a
-hypersurface Bott's formula for chi(P^N, Omega^q(-kd)), a triangular table
-(k + q <= N) carried through the conormal sequence, so no recipe builds a
+hypersurface one alternating sum of Bott's formula for chi(P^N,
+Omega^q(-m)), carried through the conormal sequence, so no recipe builds a
 chi table.  Only an explicit leaf pairs `chi_table(n)` with its Chern
 numbers.  chi_y is multiplicative, so a product convolves its factors'
 values.  The Chern numbers of every descriptor stay library API
@@ -208,24 +208,22 @@ class Hypersurface(_Recipe):
         return ChernFunctional(n, BasisConvention.TANGENT, numbers, 1)
 
     def _chi_y(self) -> tuple[tuple[int, ...], int]:
-        # Bott's formula (Okonek-Schneider-Spindler I.1): chi(P^N, Omega^q(-kd))
-        # from 0 -> Omega^q -> wedge^q O(-1)^{N+1} -> Omega^{q-1} -> 0 and
-        # chi(O(-m)) = C(N - m, N), read as a polynomial in m.  Restriction to V
-        # (0 -> F(-d) -> F -> F|V -> 0) and the wedges of the conormal sequence
-        # 0 -> O(-d)|V -> Omega_P|V -> Omega_V -> 0 (Hartshorne II.8) give chi^p(V) =
-        # sum_i (-1)^i chi(Omega_P^{p-i}(-id)|V), which reads T[k][q + 1] only
-        # for k + q <= N, so the table is built triangular.  Only binomials of
-        # the degree enter, so it may be any size.
+        # Restriction 0 -> F(-d) -> F -> F|V -> 0 and the wedges of the conormal
+        # sequence 0 -> O(-d)|V -> Omega_P|V -> Omega_V -> 0 (Hartshorne II.8) give
+        # chi^p(V) = sum_i (-1)^i chi(Omega_P^{p-i}(-id)|V) = (-1)^p + (-1)^N (B[p] +
+        # B[p + 1]), where B[s] sums (-1)^i C(id + q, q) C(id - 1, N - q) over i >= 1
+        # and q = s - i >= 0: Bott's formula (Okonek-Schneider-Spindler I.1) gives
+        # chi(P^N, Omega^q(-m)) = (-1)^N C(m + q, q) C(m - 1, N - q) for m > 0, and
+        # (-1)^p = chi(P^N, Omega^p).  Only binomials of d enter, so it may be any size.
         N, d = self.ambient, self.degree
-        T = [[0] for _ in range(N + 1)]  # T[k][q + 1] = chi(Omega^q(-kd)); Omega^{-1} = 0
-        for k, q in ((k, q) for k in range(N + 1) for q in range(min(N, N + 1 - k))):
-            m = k * d + q  # chi(O(-m)) is 1 at m = 0, else (-1)^N C(m - 1, N)
-            T[k].append(comb(N + 1, q) * ((-1) ** N * comb(m - 1, N) if m else 1) - T[k][-1])
-        chi = [
-            sum((-1) ** i * (T[i][p + 1 - i] - T[i + 1][p + 1 - i]) for i in range(p + 1))
-            for p in range(N)
+        B = [
+            sum(
+                (-1) ** i * comb(i * d + s - i, s - i) * comb(i * d - 1, N - s + i)
+                for i in range(1, s + 1)
+            )
+            for s in range(N + 1)
         ]
-        return tuple(chi), 1
+        return tuple((-1) ** p + (-1) ** N * (B[p] + B[p + 1]) for p in range(N)), 1
 
 
 class AbelianVariety(_Recipe):

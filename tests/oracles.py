@@ -9,7 +9,8 @@ package's own:
 * Schur polynomials by semistandard-tableau enumeration over formal Chern
   roots (combinatorial, no determinant);
 * symmetric-polynomial reduction to elementary symmetric polynomials by
-  the classical leading-term algorithm;
+  the classical leading-term algorithm, which expands each product of
+  elementary polynomials once and reuses it;
 * the Todd class from Bernoulli numbers, one factor per formal root;
 * the chi_y genus of a hypersurface by its closed residue formula in one
   variable, with no Chern number, and of the other recipe leaves and their
@@ -57,11 +58,14 @@ from math import comb, factorial
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from chigenus.hrr import ChernFunctional, ConsistencyError
+from chigenus.hrr import ConsistencyError
 from chigenus.poly import (
+    BasisConvention,
+    ChernFunctional,
     DimensionMismatch,
     Monomial,
     ParseError,
+    Partition,
     RationalLike,
     _json_int,
     _not_json,
@@ -77,7 +81,6 @@ from chigenus.poly import (
     terms_text,
     weight_basis,
 )
-from chigenus.symchern import BasisConvention, Partition
 from chigenus.varieties import (
     _RECIPES,
     AbelianVariety,
@@ -402,11 +405,28 @@ def elementary_poly(k: int, n: int) -> tuple[tuple[tuple[int, ...], Fraction], .
     return tuple(out.items())
 
 
+@lru_cache(maxsize=None)
+def elementary_product(
+    multiplicities: Monomial, n: int
+) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """prod_i e_i^{m_i}(x_1..x_n), with m_i at index i - 1, as a frozen
+    RootPoly."""
+    degree = sum(i * m for i, m in enumerate(multiplicities, 1))
+    expansion = rp_const(n, Fraction(1))
+    for i, m in enumerate(multiplicities, 1):
+        e_i = dict(elementary_poly(i, n))
+        for _ in range(m):
+            expansion = rp_mul(expansion, e_i, degree)
+    return tuple(expansion.items())
+
+
 def to_elementary(f: RootPoly, n: int) -> dict[Monomial, Fraction]:
     """Express a homogeneous symmetric polynomial in e_1..e_n.
 
     Returns a map from c-monomial exponent tuples (exponent of e_i at
-    index i-1) to coefficients, by the classical leading-term descent.
+    index i-1) to coefficients, by the classical leading-term descent; each
+    leading term's product of e_i is expanded once per n
+    (`elementary_product`).
     """
     if not f:
         return {}
@@ -420,16 +440,8 @@ def to_elementary(f: RootPoly, n: int) -> dict[Monomial, Fraction]:
             lead[i] >= lead[i + 1] for i in range(n - 1)
         ), f"input not symmetric: leading exponent {lead}"
         coef = work[lead]
-        multiplicities = [
-            lead[i] - (lead[i + 1] if i + 1 < n else 0) for i in range(n)
-        ]
-        expansion = rp_const(n, Fraction(1))
-        for i, m in enumerate(multiplicities):
-            e_i = dict(elementary_poly(i + 1, n))
-            for _ in range(m):
-                expansion = rp_mul(expansion, e_i, sum(lead))
-        work = rp_add(work, rp_scale(expansion, -coef))
-        mono = tuple(multiplicities)
+        mono = tuple(lead[i] - (lead[i + 1] if i + 1 < n else 0) for i in range(n))
+        work = rp_add(work, rp_scale(dict(elementary_product(mono, n)), -coef))
         value = result.get(mono, Fraction(0)) + coef
         if value:
             result[mono] = value

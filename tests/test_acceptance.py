@@ -19,12 +19,9 @@ from chigenus.cone import (
     generators,
     verify_certificate,
 )
-from chigenus.hrr import ChernFunctional, chi_p, euler_functional
-from chigenus.symchern import (
-    BasisConvention,
-    partitions_of,
-    schur,
-)
+from chigenus.hrr import chi_p, euler_functional
+from chigenus.poly import BasisConvention, ChernFunctional, partitions_of
+from chigenus.symchern import schur
 from chigenus.varieties import (
     AbelianVariety,
     Curve,

@@ -16,9 +16,16 @@ from hypothesis import strategies as st
 from chigenus import ASSUMPTION_TAGS, SIGN_MODES, __version__, poly
 from chigenus.cli import main
 from chigenus.cone import Certificate, certify, certify_chi_signs, generators
-from chigenus.hrr import ChernFunctional, chi_p, chi_table
-from chigenus.poly import json_text, json_view, weight_basis
-from chigenus.symchern import BasisConvention, partition_label, partitions_of, schur
+from chigenus.hrr import chi_p, chi_table
+from chigenus.poly import (
+    BasisConvention,
+    ChernFunctional,
+    json_text,
+    json_view,
+    partitions_of,
+    weight_basis,
+)
+from chigenus.symchern import partition_label, schur
 from chigenus.varieties import check_signs, descriptor_from_token, load_corpus
 
 from oracles import GradedPoly, json_loads_parse

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chigenus import SIGN_MODES
 from chigenus.cli import OPTIONAL_ASSUMPTIONS
 from chigenus.cone import (
     Certificate,
@@ -21,8 +22,6 @@ from chigenus.cone import (
     _phase_one,
 )
 from chigenus.hrr import (
-    SIGN_MODES,
-    ChernFunctional,
     ConsistencyError,
     chi_p,
     chi_sign,
@@ -31,6 +30,7 @@ from chigenus.hrr import (
 )
 from chigenus.poly import (
     BasisConvention,
+    ChernFunctional,
     ConventionMismatch,
     DimensionMismatch,
     lowest_terms,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from chigenus import hrr, symchern
 from chigenus.hrr import (
-    ChernFunctional,
     ConsistencyError,
     _chi_y_factor,
     _chi_y_rows,
@@ -18,8 +17,13 @@ from chigenus.hrr import (
     chi_table,
     euler_functional,
 )
-from chigenus.poly import DimensionMismatch, InvalidPartition, weight_basis
-from chigenus.symchern import BasisConvention
+from chigenus.poly import (
+    BasisConvention,
+    ChernFunctional,
+    DimensionMismatch,
+    InvalidPartition,
+    weight_basis,
+)
 
 import oracles
 from conftest import rationals

@@ -640,6 +640,9 @@ class TestOneHome:
     what it defines, and the modules import each name from its home."""
 
     SOURCES = TestOneRepresentation.SOURCES
+    # the test and bench scripts, which import the package by absolute name
+    ROOT = pathlib.Path(__file__).parent.parent
+    SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("bench/*.py"))
 
     @staticmethod
     def defines(module, name):
@@ -678,6 +681,18 @@ class TestOneHome:
                     for alias in node.names
                     if not self.defines(module, alias.name)
                 ]
+        assert borrowed == [], path.name
+
+    @pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: f"{path.parent.name}/{path.name}")
+    def test_every_script_import_names_the_defining_module(self, path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        borrowed = [
+            f"{node.lineno}: {node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("chigenus.")
+            for alias in node.names
+            if not self.defines(importlib.import_module(node.module), alias.name)
+        ]
         assert borrowed == [], path.name
 
 

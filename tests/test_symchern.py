@@ -7,11 +7,15 @@ import pytest
 
 import chigenus.symchern
 from chigenus.hrr import _chi_y_factor
-from chigenus.poly import _partition_monomial, weight_basis
-from chigenus.symchern import (
+from chigenus.poly import (
     BasisConvention,
     ChernFunctional,
     InvalidPartition,
+    _partition_monomial,
+    partitions_of,
+    weight_basis,
+)
+from chigenus.symchern import (
     _kostka_back_substitution,
     _kostka_columns,
     _kostka_forward_substitution,
@@ -19,7 +23,6 @@ from chigenus.symchern import (
     chern_coordinates,
     parse_partition,
     partition_label,
-    partitions_of,
     schur,
 )
 

@@ -23,7 +23,6 @@ from chigenus.cone import (
     generators,
 )
 from chigenus.hrr import (
-    ChernFunctional,
     ChiTable,
     chi_p,
     chi_sign,
@@ -31,8 +30,15 @@ from chigenus.hrr import (
     euler_functional,
     euler_number,
 )
-from chigenus.poly import DimensionMismatch, Record, json_text, partitions_of, weight_basis
-from chigenus.symchern import BasisConvention
+from chigenus.poly import (
+    BasisConvention,
+    ChernFunctional,
+    DimensionMismatch,
+    Record,
+    json_text,
+    partitions_of,
+    weight_basis,
+)
 from chigenus.varieties import (
     AbelianVariety,
     CorpusEntry,
@@ -352,7 +358,8 @@ class TestHypersurfaceClosedForm:
     Lagrange, where `_chi_y` takes Bott's formula through the conormal
     sequence: d = 1..6 up to n = 14, one degree per even ambient up to 30,
     and the degree 10**30.  Up to the ceiling, Serre duality, the Euler
-    number and chi^0 hold for a few degrees."""
+    number and chi^0 hold for a few degrees, and every chi^p of a hyperplane
+    and of a quadric is known."""
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_chi_values(self, d):
@@ -379,6 +386,17 @@ class TestHypersurfaceClosedForm:
             assert all(chi[p] == (-1) ** n * chi[n - p] for p in range(n + 1)), ambient
             assert euler_number(chi) == ((1 - d) ** (ambient + 1) - 1) // d + ambient + 1
             assert chi[0] == 1 - (-1) ** ambient * comb(d - 1, ambient)
+
+    def test_a_hyperplane_is_a_projective_space_up_to_the_ceiling(self):
+        for ambient in range(2, MAX_DIM + 2):
+            assert Hypersurface(1, ambient)._chi_y() == ProjectiveSpace(ambient - 1)._chi_y(), ambient
+
+    def test_a_quadric_up_to_the_ceiling(self):
+        # h^{p,p} = 1, and 2 at the middle of an even dimension; nothing else
+        for ambient in range(2, MAX_DIM + 2):
+            n = ambient - 1
+            chi = tuple((-1) ** p * (1 + (2 * p == n)) for p in range(n + 1))
+            assert Hypersurface(2, ambient)._chi_y() == (chi, 1), ambient
 
 
 def leaf_product(rng, n):
