@@ -280,32 +280,18 @@ def certify(target: ChernFunctional, gens: GeneratorSet) -> CertifyResult:
     return Infeasibility(witness)
 
 
-def verify_certificate(
-    cert: Certificate,
-    gens: GeneratorSet,
-    diagnostics: list[str] | None = None,
-) -> bool:
-    """Re-expand a certificate and check it exactly.
-
-    True iff the names, dimension and convention match `gens`, all
-    lambda_i >= 0 and sum lambda_i g_i == target, summed coordinate by
-    coordinate over the generator rows.  On failure a reason is appended to
-    `diagnostics` (if given).
-    """
-
-    def fail(reason: str) -> bool:
-        if diagnostics is not None:
-            diagnostics.append(reason)
-        return False
-
+def verify_certificate(cert: Certificate, gens: GeneratorSet) -> bool:
+    """True iff `cert` names the generators of `gens` in order, in their
+    dimension and convention, every lambda_i >= 0, and sum lambda_i g_i
+    equals the target exactly, summed coordinate by coordinate."""
     if cert.generator_names != gens.names():
-        return fail("certificate is not aligned with this generator set")
+        return False
     if cert.target.dimension != gens.dimension:
-        return fail("certificate dimension disagrees with generator set")
+        return False
     if cert.target.convention != gens.convention:
-        return fail("certificate convention disagrees with generator set")
+        return False
     if any(coef < 0 for coef in cert.numerators):
-        return fail("negative combination coefficient")
+        return False
     # sum_i (c_i / D) (g_i / d_i) == t / T, times D T L with L the lcm of the d_i
     functionals = gens.functionals()
     scale = math.lcm(*(f.denominator for f in functionals))
@@ -313,7 +299,7 @@ def verify_certificate(
     left, right = cert.target.denominator, cert.denominator * scale
     for i, t in enumerate(cert.target.numerators):
         if sum(c * f.numerators[i] for c, f in used) * left != t * right:
-            return fail("combination does not reproduce the target")
+            return False
     return True
 
 

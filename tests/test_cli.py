@@ -1489,6 +1489,20 @@ class TestStartup:
         )
         assert result.stdout.splitlines()[-1] == "[]", result.stdout
 
+    def test_a_submodule_read_as_an_attribute_loads_on_first_read(self):
+        # in this process every submodule is loaded already, so the hook's
+        # submodule branch runs only in a fresh interpreter
+        code = (
+            "import sys\nimport chigenus\n"
+            "print('chigenus.cone' in sys.modules)\n"
+            "print(callable(chigenus.cone.generators))\n"
+            "print('chigenus.cone' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.split() == ["False", "True", "True"], result.stdout
+
     # Each command imports only the mathematics it runs, and no command line
     # loads the standard modules of the former argparse parser.  Which
     # standard modules `site` loads depends on the host, so the child

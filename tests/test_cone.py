@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -240,9 +241,7 @@ class TestPaperChainCertificate:
             ),
             denominator=1,
         )
-        diagnostics = []
-        assert not verify_certificate(broken, gens, diagnostics)
-        assert diagnostics
+        assert not verify_certificate(broken, gens)
 
     def test_tampered_coefficient_fails(self):
         cert, gens = self.chain_certificate()
@@ -278,9 +277,7 @@ class TestCoefficientsAreTheCertificate:
             numerators=(Fraction(0), Fraction(1), Fraction(0)),
             denominator=1,
         )
-        diagnostics = []
-        assert not verify_certificate(cert, gens, diagnostics)
-        assert diagnostics == ["combination does not reproduce the target"]
+        assert not verify_certificate(cert, gens)
 
     def test_negative_coefficient_rejected(self):
         gens = generators(3, {"schur"})
@@ -290,9 +287,7 @@ class TestCoefficientsAreTheCertificate:
             numerators=(Fraction(-1), Fraction(1), Fraction(0)),
             denominator=1,
         )
-        diagnostics = []
-        assert not verify_certificate(cert, gens, diagnostics)
-        assert diagnostics == ["negative combination coefficient"]
+        assert not verify_certificate(cert, gens)
 
     def test_one_coefficient_per_name(self):
         names = generators(3, {"schur"}).names()
@@ -304,14 +299,12 @@ class TestCoefficientsAreTheCertificate:
         gens = generators(3, {"schur"})
         names = gens.names()
         tangent = functional(3, "1*c1*c2", TAN)
-        for target, order, reason in [
-            (functional(3, "1*c1*c2"), names[::-1], "is not aligned with this generator set"),
-            (functional(2, "1*c2"), names, "dimension disagrees with generator set"),
-            (tangent, names, "convention disagrees with generator set"),
+        for target, order in [
+            (functional(3, "1*c1*c2"), names[::-1]),
+            (functional(2, "1*c2"), names),
+            (tangent, names),
         ]:
-            diagnostics = []
-            assert not verify_certificate(Certificate(target, order, (1, 1, 0), 1), gens, diagnostics)
-            assert diagnostics == [f"certificate {reason}"]
+            assert not verify_certificate(Certificate(target, order, (1, 1, 0), 1), gens)
 
 
 class TestSoundnessAndDeterminism:
@@ -478,6 +471,55 @@ class TestSchurBasisOracle:
                 assert isinstance(result, Certificate) == all(c >= 0 for c in lam)
                 if isinstance(result, Certificate):
                     assert result.coefficients == lam
+
+
+class TestWitnessForm:
+    """Against the Schur-only set, a basis, the phase-1 Farkas witness is a
+    negative multiple of one Schur-coordinate functional: it pairs to 0 with
+    every generator but one, P_a, and negatively with P_a.  ROADMAP item 5
+    keeps this form; a degenerate phase-1 optimum can instead pair
+    negatively with more than one generator."""
+
+    # (convention, index) of the random targets below whose witness pairs
+    # negatively with two generators: at n = 8, P_(3,3,2) and P_(3,1,1,1,1,1)
+    DEGENERATE = {8: [(COT, 9)]}
+
+    @staticmethod
+    def pairings(target):
+        """The witness's pairing numerators with each Schur generator, or
+        None for a certified target; every denominator is positive."""
+        gens = generators(target.dimension, {"schur"}, target.convention)
+        result = certify(target, gens)
+        if isinstance(result, Certificate):
+            return None
+        return [sum(map(mul, result.witness.numerators, f.numerators)) for f in gens.functionals()]
+
+    @staticmethod
+    def one_coordinate(pairings):
+        nonzero = [x for x in pairings if x]
+        return len(nonzero) == 1 and nonzero[0] < 0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("mode", SIGN_MODES)
+    def test_chi_witnesses_pair_with_one_generator(self, n, mode):
+        witnessed = [self.pairings(t) for t in signed_chi_targets(n, mode)]
+        witnessed = [pairings for pairings in witnessed if pairings is not None]
+        assert witnessed
+        assert all(self.one_coordinate(pairings) for pairings in witnessed)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_witnesses_pair_with_one_generator(self, n):
+        rng = random.Random(n)
+        witnessed = {}
+        for convention in (COT, TAN):
+            for index in range(10):
+                values = [rng.randint(-9, 9) for _ in weight_basis(n)]
+                pairings = self.pairings(ChernFunctional(n, convention, values, 1))
+                if pairings is not None:
+                    witnessed[convention, index] = pairings
+        others = [key for key, pairings in witnessed.items() if not self.one_coordinate(pairings)]
+        assert witnessed and others == self.DEGENERATE.get(n, [])
+        assert all(sum(1 for x in witnessed[key] if x) == 2 for key in others)
 
 
 class TestChiSignReports:
@@ -747,12 +789,7 @@ class TestIntegerReVerification:
         numerators = list(cert.numerators)
         numerators[index] += step
         forged = Certificate(cert.target, cert.generator_names, numerators, cert.denominator)
-        diagnostics = []
-        assert not verify_certificate(forged, gens, diagnostics)
-        assert diagnostics in (
-            ["combination does not reproduce the target"],
-            ["negative combination coefficient"],
-        )
+        assert not verify_certificate(forged, gens)
 
     def test_a_negative_coefficient_is_refused(self):
         cert, gens = self.chain()
@@ -760,9 +797,7 @@ class TestIntegerReVerification:
         numerators = list(cert.numerators)
         numerators[index] = -numerators[index]
         forged = Certificate(cert.target, cert.generator_names, numerators, cert.denominator)
-        diagnostics = []
-        assert not verify_certificate(forged, gens, diagnostics)
-        assert diagnostics == ["negative combination coefficient"]
+        assert not verify_certificate(forged, gens)
 
     def test_a_scaled_certificate_is_the_same_certificate(self):
         cert, gens = self.chain()

@@ -311,8 +311,24 @@ class TestRowValidation:
             return coordinates
 
         monkeypatch.setattr(symchern, "chern_coordinates", perturbed)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="duality symmetry"):
             chi_p(4, 1)
+
+    def test_rows_that_keep_duality_are_refused_by_the_euler_class(self, monkeypatch, cold_rows):
+        real = symchern.chern_coordinates
+        n, p = 4, 1  # p != n - p
+
+        def perturbed(right, dim):
+            coordinates = real(right, dim)
+            k = list(coordinates[0])
+            k[p] += 1
+            k[n - p] += (-1) ** n  # chi^p = (-1)^n chi^{n-p} still holds
+            coordinates[0] = k
+            return coordinates
+
+        monkeypatch.setattr(symchern, "chern_coordinates", perturbed)
+        with pytest.raises(ConsistencyError, match="alternating sum is not the Euler class"):
+            chi_p(n, p)
 
     def test_rows_checked_once_per_dimension(self, monkeypatch, cold_rows):
         real = hrr.euler_functional

@@ -96,6 +96,13 @@ class TestChernNumbers:
         for mono, value in zip(weight_basis(n), numbers.coeffs):
             assert value == prod(comb(n + 1, i) ** e for i, e in enumerate(mono, 1)), mono
 
+    @pytest.mark.parametrize(
+        "value", ["pn:2", ChernFunctional(2, COT, (9, 3), 1)], ids=["token", "functional"]
+    )
+    def test_refuses_what_is_not_a_descriptor(self, value):
+        with pytest.raises(TypeError, match="chern_numbers expects a VarietyDescriptor"):
+            chern_numbers(value)
+
     def test_abelian_all_zero(self):
         numbers = chern_numbers(AbelianVariety(3), COT)
         assert all(v == 0 for v in numbers.coeffs)
