@@ -157,7 +157,8 @@ def signed_target(
     Returns (target, scale) with target = scale * sign * functional, so a
     certificate for the target is a statement about an integral functional.
     """
-    return functional.in_convention(mode_convention(mode)).scaled(sign).clear_denominators()
+    row = functional.in_convention(mode_convention(mode)).scaled(sign)
+    return row.scaled(row.denominator), row.denominator
 
 
 class ChiTable(Record):

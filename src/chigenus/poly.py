@@ -26,7 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -509,20 +509,6 @@ class ChernFunctional(Record):
             raise ValueError(f"polynomial text {text!r} is not of weight {dimension}")
         return cls(dimension, convention, tuple(sums[m] for m in basis), den)
 
-    @classmethod
-    def from_values(
-        cls,
-        dimension: int,
-        convention: BasisConvention,
-        values: Mapping[Monomial, RationalLike],
-    ) -> "ChernFunctional":
-        basis = weight_basis(dimension)
-        lookup = {tuple(m): v for m, v in values.items()}
-        unknown = set(lookup).difference(basis)
-        if unknown:
-            raise ValueError(f"not weight-{dimension} monomials: {sorted(unknown)}")
-        return cls(dimension, convention, [lookup.get(m, 0) for m in basis], 1)
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -565,13 +551,6 @@ class ChernFunctional(Record):
                 f"expected {len(self.numerators)} values, got {len(numerators)}"
             )
         return Fraction(sum(map(mul, self.numerators, numerators)), self.denominator * den)
-
-    def clear_denominators(self) -> tuple["ChernFunctional", int]:
-        """Smallest positive integer multiple with integral coefficients.
-
-        Returns (scaled functional, multiplier): the numerators and the denominator."""
-        cleared = ChernFunctional(self.dimension, self.convention, self.numerators, 1)
-        return cleared, self.denominator
 
     # -- serialization --------------------------------------------------------
 

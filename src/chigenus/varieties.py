@@ -313,7 +313,8 @@ class Explicit(VarietyDescriptor):
             if mono in monomials:
                 raise ValueError(f"two keys name the monomial {mono_text(mono) or '1'}: {key!r}")
             monomials[mono] = value
-        self._numbers = ChernFunctional.from_values(n, convention, monomials)
+        row = [monomials.get(m, 0) for m in weight_basis(n)]
+        self._numbers = ChernFunctional(n, convention, row, 1)
 
     @property
     def dimension(self) -> int:

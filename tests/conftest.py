@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from chigenus.poly import weight_basis
+from chigenus.poly import BasisConvention, weight_basis
 from oracles import GradedPoly
 
 # `pythonpath` in pyproject.toml puts `src` on this process's path; the
@@ -40,6 +40,16 @@ def graded_polys(dim: int, max_terms: int = 5) -> st.SearchStrategy[GradedPoly]:
     return st.lists(
         st.tuples(monomials_for(dim), rationals()), max_size=max_terms
     ).map(lambda terms: GradedPoly(dim, terms))
+
+
+@st.composite
+def fraction_rows(draw, max_dim: int = 7):
+    """(n, convention, the coefficients as Fractions) of a random weight-n row."""
+    n = draw(st.integers(0, max_dim), label="n")
+    size = len(weight_basis(n))
+    coeffs = draw(st.lists(rationals(10**6, 10**4), min_size=size, max_size=size))
+    conventions = [BasisConvention.COTANGENT, BasisConvention.TANGENT]
+    return n, draw(st.sampled_from(conventions)), tuple(coeffs)
 
 
 @st.composite

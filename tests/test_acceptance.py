@@ -19,7 +19,7 @@ from chigenus.cone import (
     generators,
     verify_certificate,
 )
-from chigenus.hrr import chi_p, euler_functional
+from chigenus.hrr import chi_p, euler_functional, signed_target
 from chigenus.poly import BasisConvention, ChernFunctional, partitions_of
 from chigenus.symchern import schur
 from chigenus.varieties import (
@@ -53,7 +53,7 @@ def functional(dim, text):
 
 
 def signed_chi_target(n, p):
-    cleared, _ = chi_p(n, p).scaled((-1) ** (n - p)).clear_denominators()
+    cleared, _ = signed_target(chi_p(n, p), (-1) ** (n - p), "nef_cotangent")
     return cleared
 
 
@@ -118,7 +118,7 @@ def test_criterion_3_paper_chain_certificate():
 def test_criterion_4_infeasibility_reproduction():
     with criterion("C4", "720*chi^4 over Schur generators alone is infeasible"):
         gens = generators(4, ("schur",))
-        target, scale = chi_p(4, 4).clear_denominators()
+        target, scale = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         assert scale == 720
         result = certify(target, gens)
         assert isinstance(result, Infeasibility)
@@ -177,7 +177,7 @@ def test_criterion_6_property_suite():
             gens = generators(n, tags)
             columns = [f.coeffs for f in gens.functionals()]
             targets = [
-                chi_p(n, p).scaled(s).clear_denominators()[0].coeffs
+                signed_target(chi_p(n, p), s, "nef_cotangent")[0].coeffs
                 for p in range(n + 1)
                 for s in (1, -1)
             ]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from chigenus import ASSUMPTION_TAGS, SIGN_MODES, __version__, poly
 from chigenus.cli import main
 from chigenus.cone import Certificate, certify, certify_chi_signs, generators
-from chigenus.hrr import chi_p, chi_table
+from chigenus.hrr import chi_p, chi_table, signed_target
 from chigenus.poly import (
     BasisConvention,
     ChernFunctional,
@@ -288,7 +288,7 @@ class TestCertifyCommand:
         payload = envelope["payload"]
         assert payload["status"] == "certified"
         target = GradedPoly.from_json_dict(payload["certificate"]["target"])
-        cleared, _ = chi_p(4, 4).clear_denominators()
+        cleared, _ = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         assert target.top_coefficients() == cleared.coeffs
         # re-run certify in-process and compare coefficient maps
         gens = generators(4, ("schur", "my4", "c1top"))

@@ -136,7 +136,7 @@ class TestCertify:
 
     def test_dim4_chi4_infeasible_over_schur(self):
         gens = generators(4, {"schur"})
-        target, scale = chi_p(4, 4).clear_denominators()
+        target, scale = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         assert scale == 720
         result = certify(target, gens)
         assert isinstance(result, Infeasibility)
@@ -147,7 +147,7 @@ class TestCertify:
 
     def test_dim4_chi4_feasible_with_assumptions(self):
         gens = generators(4, {"schur", "my4", "c1top"})
-        target, _ = chi_p(4, 4).clear_denominators()
+        target, _ = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         result = certify(target, gens)
         assert isinstance(result, Certificate)
         assert verify_certificate(result, gens)
@@ -202,7 +202,7 @@ class TestPaperChainCertificate:
 
     def chain_certificate(self):
         gens = self.gens()
-        target, scale = chi_p(4, 4).clear_denominators()
+        target, scale = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         assert scale == 720
         coefficients = tuple(
             self.CHAIN.get(name, Fraction(0)) for name in gens.names()
@@ -312,7 +312,7 @@ class TestSoundnessAndDeterminism:
         for n in range(1, 5):
             gens = generators(n, {"schur"})
             for p in range(n + 1):
-                target, _ = chi_p(n, p).scaled((-1) ** (n - p)).clear_denominators()
+                target, _ = signed_target(chi_p(n, p), (-1) ** (n - p), "nef_cotangent")
                 result = certify(target, gens)
                 if isinstance(result, Certificate):
                     assert verify_certificate(result, gens)
@@ -324,7 +324,7 @@ class TestSoundnessAndDeterminism:
     def test_byte_identical_reruns(self):
         def run():
             gens = generators(4, {"schur", "my4", "c1top"})
-            target, _ = chi_p(4, 4).clear_denominators()
+            target, _ = signed_target(chi_p(4, 4), 1, "nef_cotangent")
             return json.dumps(certify(target, gens).to_json_dict(), sort_keys=True)
 
         assert run() == run()
@@ -338,7 +338,7 @@ class TestFourierMotzkinCrossCheck:
         columns = [f.coeffs for f in gens.functionals()]
         for p in range(n + 1):
             for sign in (1, -1):
-                target, _ = chi_p(n, p).scaled(sign).clear_denominators()
+                target, _ = signed_target(chi_p(n, p), sign, "nef_cotangent")
                 simplex = isinstance(certify(target, gens), Certificate)
                 brute = fourier_motzkin_feasible(columns, target.coeffs)
                 assert simplex == brute, (n, p, sign)
@@ -777,7 +777,7 @@ class TestIntegerReVerification:
 
     def chain(self):
         gens = generators(4, ("schur", "my4", "c1top"))
-        target, _ = chi_p(4, 4).clear_denominators()
+        target, _ = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         cert = certify(target, gens)
         assert isinstance(cert, Certificate) and cert.denominator > 1
         return cert, gens

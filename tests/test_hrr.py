@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chigenus import hrr, symchern
+from chigenus import SIGN_MODES, hrr, symchern
 from chigenus.hrr import (
     ConsistencyError,
     _chi_y_factor,
@@ -16,6 +17,7 @@ from chigenus.hrr import (
     chi_p,
     chi_table,
     euler_functional,
+    signed_target,
 )
 from chigenus.poly import (
     BasisConvention,
@@ -26,7 +28,7 @@ from chigenus.poly import (
 )
 
 import oracles
-from conftest import rationals
+from conftest import fraction_rows
 from oracles import (
     GradedPoly,
     _lagrange_coefficients,
@@ -240,6 +242,17 @@ class TestSignModes:
             f"mode must be one of ('nef_cotangent', 'nef_tangent'), got {mode!r}"
         )
 
+    @given(fraction_rows(), st.sampled_from(SIGN_MODES), st.sampled_from([1, -1]))
+    def test_signed_target_is_the_least_integral_multiple(self, row, mode, sign):
+        n, convention, coeffs = row
+        convention_sign = 1 if convention is hrr.mode_convention(mode) else (-1) ** n
+        signed = [sign * convention_sign * c for c in coeffs]
+        target, scale = signed_target(ChernFunctional(n, convention, coeffs, 1), sign, mode)
+        assert scale == math.lcm(*(c.denominator for c in signed))
+        assert target.denominator == 1
+        assert target.convention is hrr.mode_convention(mode)
+        assert target.coeffs == tuple(c * scale for c in signed)
+
 
 class TestChiTable:
     def test_dim2_rows(self):
@@ -423,32 +436,11 @@ class TestChernFunctional:
         assert f.flipped().convention is TAN
         assert f.flipped().flipped() == f
 
-    def test_clear_denominators(self):
-        f = functional(2, "1/6*c1^2 - 5/6*c2")
-        cleared, scale = f.clear_denominators()
-        assert scale == 6
-        assert cleared == functional(2, "1*c1^2 - 5*c2")
-
     def test_dot_product(self):
         f = functional(2, "1/12*c1^2 + 1/12*c2")
         assert f.dot((Fraction(9), Fraction(3))) == 1
         assert f.dot((9, "3")) == 1
         assert f.dot(("1/2", Fraction(-3, 5))) == Fraction(1, 24) - Fraction(1, 20)
-
-    @given(st.data())
-    def test_dot_equals_fraction_sum(self, data):
-        # the integer accumulation over common denominators returns exactly
-        # the Fraction sum of the products
-        n = data.draw(st.integers(0, 9), label="n")
-        size = len(weight_basis(n))
-        coeffs = data.draw(st.lists(rationals(), min_size=size, max_size=size))
-        values = data.draw(
-            st.lists(rationals(1 << 40, 1 << 20), min_size=size, max_size=size)
-        )
-        f = ChernFunctional(n, COT, coeffs, 1)
-        expected = sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
-        assert f.dot(values) == expected
-        assert type(f.dot(values)) is Fraction
 
     def test_dot_of_chi_rows_on_random_numbers(self):
         rng = random.Random(20231021)
