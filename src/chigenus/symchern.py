@@ -3,11 +3,12 @@ integer basis changes between symmetric functions of the Chern roots.
 
 A weight-n symmetric function of the roots x_1..x_n is written over the
 monomials c^mu = c_{mu_1} c_{mu_2} ... in c_i = e_i(x), one per partition mu
-of n (`poly.partitions_of`, `poly.weight_basis`).  One transition matrix
-leads into that basis: the Kostka matrix K, which counts semistandard
-tableaux one horizontal strip at a time.  It is upper unitriangular in
-reverse-lexicographic order, and (Macdonald, Symmetric Functions and Hall
-Polynomials, I.6)
+of n (`poly.partitions_of`, `poly.weight_basis`); a caller's partition is
+one that `partitions_of(n)` lists once zero-padded to length n, and any other
+is refused with one message.  One transition matrix leads into that basis:
+the Kostka matrix K, which counts semistandard tableaux one horizontal strip
+at a time.  It is upper unitriangular in reverse-lexicographic order, and
+(Macdonald, Symmetric Functions and Hall Polynomials, I.6)
 
     s_rho = sum_lambda K[rho][lambda] m_lambda,
     e_mu  = sum_nu K[nu][mu] s_{nu'},
@@ -53,19 +54,16 @@ __all__ = [
 
 def _validate_partition(parts: Sequence[int], n: int) -> Partition:
     """`parts` zero-padded to length n, the form of the `P_(...)` labels,
-    once it is checked to be a partition of n."""
-    partitions_of(n)  # cached; refuses an n that is not a non-negative int
+    once `partitions_of(n)` lists it: zero parts past n drop, and a bool or
+    non-int part is refused first, as 1.0 or True would equal 1 there."""
+    order = partitions_of(n)  # cached; refuses an n that is not a non-negative int
     parts = tuple(parts)
-    if any(p != 0 for p in parts[n:]):
-        raise InvalidPartition(f"partition {parts} longer than {n}")
     padded = parts[:n] + (0,) * (n - len(parts))
-    if any(isinstance(p, bool) or not isinstance(p, int) or p < 0 for p in padded):
-        raise InvalidPartition(f"parts must be non-negative integers: {parts}")
-    if any(padded[i] < padded[i + 1] for i in range(len(padded) - 1)):
-        raise InvalidPartition(f"parts must be non-increasing: {parts}")
-    if padded and padded[0] > n:
-        raise InvalidPartition(f"largest part {padded[0]} exceeds {n}")
-    if sum(padded) != n:
+    if (
+        any(p != 0 for p in parts[n:])
+        or any(isinstance(p, bool) or not isinstance(p, int) for p in padded)
+        or padded not in order
+    ):
         raise InvalidPartition(f"{parts} is not a partition of {n}")
     return padded
 

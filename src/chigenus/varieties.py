@@ -17,12 +17,13 @@ variety, (1 - g, g - 1) on a curve, Noether's formula on a surface, and on a
 hypersurface one alternating sum of Bott's formula for chi(P^N,
 Omega^q(-m)), carried through the conormal sequence, so no recipe builds a
 chi table.  Only an explicit leaf pairs `chi_table(n)` with its Chern
-numbers.  chi_y is multiplicative, so a product convolves its factors'
-values.  The Chern numbers of every descriptor stay library API
-(`chern_numbers`, `evaluate`), and the tests check each closed form against
-them.  A sign audit holds those values and derives from them the signed
-values (-1)^{n-p} chi^p or (-1)^p chi^p (`hrr.chi_sign`), each row's
-pass/fail and the Euler number (`hrr.euler_number`).  Nefness (or
+numbers, in `Explicit._chi_y`; the plain base class `VarietyDescriptor`
+gives no descriptor a default.  chi_y is multiplicative, so a product
+convolves its factors' values.  The Chern numbers of every descriptor stay
+library API (`chern_numbers`, `evaluate`), and the tests check each closed
+form against them.  A sign audit holds those values and derives from them
+the signed values (-1)^{n-p} chi^p or (-1)^p chi^p (`hrr.chi_sign`), each
+row's pass/fail and the Euler number (`hrr.euler_number`).  Nefness (or
 asphericity) of the relevant bundle is an assertion made by the caller,
 never checked here.
 """
@@ -30,7 +31,6 @@ never checked here.
 from __future__ import annotations
 
 import itertools
-from abc import ABC, abstractmethod
 from bisect import bisect_left
 from math import comb, lcm, prod
 from operator import mul
@@ -78,27 +78,11 @@ __all__ = [
     "load_corpus",
 ]
 
-class VarietyDescriptor(ABC):
-    """Recipe for a manifold whose Chern numbers can be computed exactly."""
-
-    @property
-    @abstractmethod
-    def dimension(self) -> int: ...
-
-    @abstractmethod
-    def _tangent_values(self) -> ChernFunctional:
-        """Chern numbers of the tangent bundle, as a tangent-convention row."""
-
-    def _chi_y(self) -> tuple[tuple[int, ...], int]:
-        """chi^0..chi^n as int numerators over one positive denominator, in
-        lowest terms; a recipe overrides this with its closed form."""
-        return _paired(self._tangent_values())
-
-    @abstractmethod
-    def name(self) -> str: ...
-
-    @abstractmethod
-    def _json_shape(self) -> dict: ...
+class VarietyDescriptor:
+    """Recipe for a manifold whose Chern numbers can be computed exactly.  Each
+    class gives `dimension`, `_tangent_values()` (its tangent-convention Chern
+    numbers), `_chi_y()` (chi^0..chi^n as int numerators over one positive
+    denominator, in lowest terms), `name()` and `_json_shape()` itself."""
 
     to_json_dict = Record.to_json_dict  # for `Explicit` too, which is not a `Record`
 
@@ -326,6 +310,9 @@ class Explicit(VarietyDescriptor):
 
     def _tangent_values(self) -> ChernFunctional:
         return self._numbers.in_convention(BasisConvention.TANGENT)
+
+    def _chi_y(self) -> tuple[tuple[int, ...], int]:
+        return _paired(self._tangent_values())
 
     def name(self) -> str:
         return f"explicit:{self.dimension}"

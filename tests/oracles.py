@@ -20,6 +20,10 @@ package's own:
   Jacobi-Trudi identities, one determinant over Z[y] per partition (no
   Kostka number);
 * partition counting by the bounded-part recurrence;
+* partition validation by the five rules (nothing nonzero past position n,
+  non-negative int parts, non-increasing, largest part at most n, sum n)
+  that the lookup of ``symchern._validate_partition`` in ``partitions_of(n)``
+  replaced;
 * cofactor expansion for determinants;
 * Fourier-Motzkin elimination for cone feasibility;
 * Gaussian elimination over Fractions for membership in the cone of a
@@ -319,6 +323,26 @@ def partition_count(n: int, max_part: int | None = None) -> int:
     if n < 0 or max_part == 0:
         return 0
     return partition_count(n - max_part, max_part) + partition_count(n, max_part - 1)
+
+
+def partition_by_rules(parts: Sequence, n: int) -> Partition | None:
+    """`parts` zero-padded to length n if they make a partition of n, by
+    the rules checked one at a time, else None.  A part past position n
+    must compare equal to 0 (so 0.0 drops and None does not); every other
+    part must be an int, not a bool."""
+    parts = tuple(parts)
+    if any(p != 0 for p in parts[n:]):
+        return None
+    padded = parts[:n] + (0,) * (n - len(parts))
+    if any(isinstance(p, bool) or not isinstance(p, int) or p < 0 for p in padded):
+        return None
+    if any(padded[i] < padded[i + 1] for i in range(len(padded) - 1)):
+        return None
+    if padded and padded[0] > n:
+        return None
+    if sum(padded) != n:
+        return None
+    return padded
 
 
 def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:

@@ -158,7 +158,7 @@ class TestSchurCommand:
     def test_negative_partition_part_reaches_its_check(self, capsys):
         code, out, err = run_cli(capsys, "schur", "--dim", "3", "--partition", "-1,4")
         assert (code, out) == (2, "")
-        assert err == "error: parts must be non-negative integers: (-1, 4)\n"
+        assert err == "error: (-1, 4) is not a partition of 3\n"
 
     def test_spaced_partition_text(self, capsys):
         code, out, _ = run_cli(capsys, "schur", "--dim", "3", "--partition", "2, 1")

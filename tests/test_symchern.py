@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
@@ -20,6 +20,7 @@ from chigenus.symchern import (
     _kostka_columns,
     _kostka_forward_substitution,
     _schur_rows,
+    _validate_partition,
     chern_coordinates,
     parse_partition,
     partition_label,
@@ -32,6 +33,7 @@ from oracles import (
     chi_y_schur_coordinates,
     cofactor_det,
     jacobi_trudi_matrix,
+    partition_by_rules,
     partition_count,
     power_sum,
     power_sum_via_roots,
@@ -104,6 +106,32 @@ class TestPartitions:
         with pytest.raises(InvalidPartition):
             parse_partition("a,b", 3)
 
+    def test_validation_matches_the_five_rules(self):
+        # every tuple of length <= n + 1 with entries in -1..n+1, and each
+        # partition with a part replaced by a non-int, or with an extra part
+        # past position n that is None, 0.0 or "x" (0.0 drops, as 0.0 == 0)
+        cases = []
+        for n in range(5):
+            for length in range(n + 2):
+                cases += [(t, n) for t in product(range(-1, n + 2), repeat=length)]
+            for a in partitions_of(n):
+                for i, odd in product(range(n), (True, 1.0, "1")):
+                    cases.append((a[:i] + (odd,) + a[i + 1 :], n))
+                for odd in (None, 0.0, "x"):
+                    cases += [(a + (odd,), n), (a + (0, odd), n)]
+        accepted = 0
+        for parts, n in cases:
+            try:
+                got = _validate_partition(parts, n)
+            except InvalidPartition as exc:
+                got = str(exc)
+            expected = partition_by_rules(parts, n)
+            if expected is None:
+                expected = f"{parts} is not a partition of {n}"
+            assert got == expected, (parts, n)
+            accepted += type(got) is tuple
+        assert accepted > sum(map(len, map(partitions_of, range(5))))
+
 
 class TestSchur:
     def test_dim3_displays(self):
@@ -131,7 +159,7 @@ class TestSchur:
     def test_refuses_a_partition_longer_than_n(self):
         with pytest.raises(InvalidPartition) as info:
             schur((1, 1, 1, 1), 3)
-        assert str(info.value) == "partition (1, 1, 1, 1) longer than 3"
+        assert str(info.value) == "(1, 1, 1, 1) is not a partition of 3"
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_matches_tableau_oracle(self, n):

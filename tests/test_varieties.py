@@ -49,6 +49,7 @@ from chigenus.varieties import (
     ProjectiveSpace,
     SignAudit,
     Surface,
+    VarietyDescriptor,
     chern_numbers,
     check_signs,
     chi_values,
@@ -350,16 +351,17 @@ class TestEulerCharacteristics:
 class TestRecipeChiYMatchesTheChernRoute:
     """Each recipe's closed-form `_chi_y` against `_paired` of its Chern
     numbers, the route of an explicit leaf through a chi table, up to
-    n = 16, the largest golden `chi --json` table, and for a degree far
-    above the ambient.  A hypersurface's Chern numbers are polynomials in d
-    of degree at most n + 1, so d = 1..8 also pins each chi^p row of the
-    table on a slice of rank up to 8."""
+    n = 18, two dimensions past n = 16, the largest golden `chi --json`
+    table, so the chi rows at n = 17 and 18 meet an independent closed form
+    too; and for a degree far above the ambient.  A hypersurface's Chern
+    numbers are polynomials in d of degree at most n + 1, so d = 1..8 also
+    pins each chi^p row of the table on a slice of rank up to 8."""
 
     def test_matches_paired_chern_numbers(self):
         leaves = [Curve(g) for g in range(15)]
         leaves += [Surface(a, c) for a in range(-10, 31, 4) for c in range(-10, 41, 5)]
         leaves += [Hypersurface(10**30, ambient) for ambient in range(2, 9)]
-        for n in range(1, 17):
+        for n in range(1, 19):
             leaves += [ProjectiveSpace(n), AbelianVariety(n)]
             leaves += [Hypersurface(d, n + 1) for d in range(1, 9)]
         for leaf in leaves:
@@ -670,6 +672,25 @@ class TestCheckSigns:
         explicit = Explicit(2, {"c1^2": 9, "c2": 3})
         check_signs(Product(explicit, variety), "nef_cotangent")
         assert calls == ["explicit:2", 2]
+
+
+class TestDescriptorInterface:
+    def test_each_class_gives_the_interface_itself(self):
+        # the plain base holds none of it, so no descriptor inherits a
+        # default; only `Explicit._chi_y` pairs a chi table
+        import chigenus.varieties as varieties
+
+        concrete = (
+            ProjectiveSpace, Curve, Surface, Hypersurface, AbelianVariety, Product, Explicit
+        )
+        exported = [getattr(varieties, name) for name in varieties.__all__]
+        assert {
+            x for x in exported if isinstance(x, type) and issubclass(x, VarietyDescriptor)
+        } == {VarietyDescriptor, *concrete}
+        for cls in concrete:
+            own = cls.__mro__[: cls.__mro__.index(VarietyDescriptor)]
+            for attribute in ("dimension", "_tangent_values", "_chi_y", "name", "_json_shape"):
+                assert any(attribute in vars(k) for k in own), (cls, attribute)
 
 
 class TestDescriptorSerialization:
