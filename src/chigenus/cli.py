@@ -1,7 +1,7 @@
 """Command-line surface: chi tables, Schur generators, certificates, and
 corpus sign audits, in line-stable text or canonical JSON.
 
-Exit codes: 0 success/certified, 1 infeasible or failed audit, 2 usage,
+Exit codes: 0 success/certified, 1 infeasible, open or failed audit, 2 usage,
 malformed input or output that cannot be written.  JSON output is a single
 line with sorted keys and exact 'a/b' rationals, written by
 `poly.json_text`, so repeated runs are byte-identical.

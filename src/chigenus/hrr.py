@@ -16,8 +16,8 @@ of the denominators of s_k, k <= n) these are integer polynomials over L^n;
 `symchern.chern_coordinates` takes them to the c-monomials, and each row is
 its integer numerators over L^n.
 
-The public chi^p functionals are flipped into cotangent variables (c_i
-meaning c_i of the cotangent bundle) exactly once, at the boundary.
+The rows are flipped into cotangent variables (c_i of the cotangent bundle)
+once, where they are built: the flip of a weight-n row is the sign (-1)^n.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
 
     The rows are validated once, here, on the integer numerators over L^n
     that they are built from: the duality symmetry chi^p =
-    (-1)^n chi^{n-p} and the alternating-sum identity sum_p (-1)^p chi^p =
-    Euler functional.  A failure means the chi_y engine is broken and
-    aborts."""
+    (-1)^n chi^{n-p}, the alternating-sum identity sum_p (-1)^p chi^p =
+    Euler functional, and chi^p(P^n) = (-1)^p.  A failure means the chi_y
+    engine is broken and aborts."""
     from .symchern import chern_coordinates  # only rows load the Kostka solve
 
     parts = partitions_of(n)  # refuses an n that is not a non-negative int
@@ -99,6 +99,11 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     for k, e in zip(numerators, euler_functional(n).numerators):
         if sign * euler_number(k) != e * den:
             raise ConsistencyError(f"alternating sum is not the Euler class at dimension {n}")
+    # chi^p(P^n) = (-1)^p, with the Chern numbers c^mu[P^n] = prod_i C(n + 1, i)^{e_i}
+    pn = [math.prod(math.comb(n + 1, i) ** e for i, e in enumerate(m, 1)) for m in weight_basis(n)]
+    for p in range(n + 1):
+        if sum(c * k[p] for c, k in zip(pn, numerators)) != (-1) ** p * den:
+            raise ConsistencyError(f"chi^{p}(P^{n}) is not (-1)^{p} at dimension {n}")
     return tuple(
         ChernFunctional(n, BasisConvention.COTANGENT, [sign * k[p] for k in numerators], den)
         for p in range(n + 1)

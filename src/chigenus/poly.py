@@ -13,8 +13,8 @@ Every weight-n row is a `ChernFunctional`: one rational per monomial of
 weight-n Chern polynomial or the Chern numbers of an n-fold, and `dot` pairs
 the two; it scales, and rows are summed entry by entry where needed.
 A row is integer numerators over one positive denominator in lowest terms;
-floats are rejected at every entry point.  `fractions` is imported only
-where a caller asks for a `Fraction` (`as_rational`, `coeffs`, `dot`).
+floats are rejected at every entry point.  `fractions` is imported only where
+a caller asks for a `Fraction` or passes a value that is not an int or a str.
 """
 
 from __future__ import annotations

@@ -15,14 +15,14 @@ at a time.  It is upper unitriangular in reverse-lexicographic order, and
 
 with nu' the conjugate partition.  So the basis change is one pair of
 integer solves over the ranks of the partitions in `partitions_of(n)`.
-Both read the columns of K from `_kostka_columns(n)`, which builds a column
-when a solve asks for it and lives for one solve; the module keeps no state
-between calls.
+Both read the columns of K that `_kostka_columns(n)` builds when asked; the
+module keeps no state between calls.
 `_kostka_forward_substitution` solves K^T h = F: it takes sum_lambda F_lambda
 m_lambda to its Schur coordinates h_rho = g_{rho'}.
 `_kostka_back_substitution` solves K k = g: it takes sum_nu g_nu s_{nu'} to
-its c-monomial coordinates k.  `chern_coordinates` builds every column once
-and runs both, the conjugation between them a permutation of the ranks.  The
+its c-monomial coordinates k.  `chern_coordinates` reads every column in both,
+so it builds them all once into one list and keeps it for both solves, the
+conjugation between them a permutation of the ranks.  The
 Schur polynomial P_a(c) = det(c_{a_i - i + j}) (c_0 = 1, c_k = 0 for k
 outside [0, n]), the basic positivity generator for nef bundles, is s_{a'} by
 the dual Jacobi-Trudi identity, so its coordinates are column a of K^-1: the

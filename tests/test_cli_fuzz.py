@@ -11,19 +11,33 @@ line on stderr and nothing on stdout, and exit 1 only with an
 "infeasible", "open" or failed-audit verdict on stdout.  Dimensions
 within the limit stay small, and larger ones are refused before anything of
 their size is built, so every example runs in milliseconds.
+
+A second property test draws accepted `--json` command lines at n <= 6
+(`chi`, `schur`, inline and `--all-p` `certify`, `check` on a generated
+corpus, `variety eval`) with the op builders of `bench/workloads.py`, and
+passes each stdout to the verifier of its kind in `bench/check.py`, which
+re-checks it with its own `Fraction` code and imports no chigenus module:
+exit 1 must come exactly with an infeasible target, an open report or a
+failed audit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chigenus import SIGN_MODES
 from chigenus.cli import CONFIG_ENV, main
 
 SMALL = st.integers(-2, 6)
@@ -265,3 +279,97 @@ def test_main_keeps_the_error_contract(invocation, config):
         assert stderr == "", (argv, stderr)
         if code == 1:
             assert any(verdict in stdout for verdict in VERDICTS), (argv, stdout)
+
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """A module of `bench/` loaded by path under its own name, by which the
+    bench's modules import one another (`workloads` imports `check`)."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checker = bench_module("check")
+workloads = bench_module("workloads")  # the bench's op builders and recipe draws
+
+
+@st.composite
+def varieties(draw, most: int = 6, depth: int = 2):
+    """A variety of dimension at most `most`, nested at most `depth` deep,
+    its leaves drawn by the bench's `_variety`."""
+    if most >= 2 and depth and draw(st.booleans()):
+        left = draw(varieties(most - 1, depth - 1))
+        right = draw(varieties(most - left.dimension, depth - 1))
+        return workloads.Descriptor("product", (left, right))
+    return workloads._variety(draw(st.randoms(use_true_random=True)), draw(st.integers(1, most)))
+
+
+@st.composite
+def verified_ops(draw, kind: str):
+    """A `workloads.Op` of one `bench/check.py` kind at n <= 6: an accepted
+    `--json` command line and what the checker needs to verify its output.
+    A `check` op names its corpus "{corpus}" and holds the corpus text."""
+    n = draw(st.integers(0 if kind in ("chi", "schur") else 1, 6))
+    if kind == "chi":
+        return workloads._chi(n, draw(st.sampled_from(workloads.CONVENTIONS)))
+    if kind == "schur":
+        return workloads._schur_op(n)
+    if kind == "certify":  # feasible by construction, or drawn per monomial
+        rng = draw(st.randoms(use_true_random=True))
+        return workloads._certify_op(rng, n, draw(st.booleans()))
+    mode = draw(st.sampled_from(SIGN_MODES))
+    if kind == "all_p":
+        return workloads._all_p_op(n, mode)
+    if kind == "check":
+        descriptors = tuple(draw(st.lists(varieties(), min_size=1, max_size=3)))
+        corpus = "".join(
+            json.dumps({"descriptor": d.to_json(), "name": d.token()}) + "\n" for d in descriptors
+        )
+        argv = ["check", "{corpus}", "--json", "--mode", mode.replace("_", "-")]
+        return workloads.Op(kind, argv, mode=mode, descriptors=descriptors, corpus=corpus)
+    variety = draw(varieties())
+    argv = ["variety", "eval", variety.token(), "--json"]
+    return workloads.Op(kind, argv, dim=variety.dimension, descriptors=(variety,))
+
+
+# each kind on its own, so every run draws every kind; `chi`, `schur` and
+# `all_p` have fewer distinct command lines than examples
+@pytest.mark.parametrize("kind", ["chi", "schur", "certify", "all_p", "check", "eval"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_accepted_outputs_pass_the_independent_checker(kind, data):
+    op = data.draw(verified_ops(kind))
+    saved = os.environ.pop(CONFIG_ENV, None)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with tempfile.TemporaryDirectory() as scratch:
+            corpus = os.path.join(scratch, "corpus.jsonl")
+            with open(corpus, "w", encoding="utf-8") as handle:
+                handle.write(op.corpus)
+            argv = [corpus if arg == "{corpus}" else arg for arg in op.argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+    finally:
+        if saved is not None:
+            os.environ[CONFIG_ENV] = saved
+    assert code in (0, 1) and err.getvalue() == "", (argv, code, err.getvalue())
+    # raises unless the output verifies and exit 1 comes exactly with an
+    # infeasible target, an open report or a failed audit
+    checker.check_op(op, code, out.getvalue().encode())
+
+
+def test_the_checker_imports_no_chigenus_module():
+    # a child with chigenus on its path (conftest.py sets PYTHONPATH) loads
+    # the checker and lists every chigenus module it then holds
+    script = (
+        "import runpy, sys\n"
+        "runpy.run_path(sys.argv[1])\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'chigenus'))"
+    )
+    argv = [sys.executable, "-S", "-c", script, str(BENCH / "check.py")]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -343,6 +343,23 @@ class TestRowValidation:
         with pytest.raises(ConsistencyError, match="alternating sum is not the Euler class"):
             chi_p(n, p)
 
+    def test_rows_that_keep_duality_and_euler_are_refused_by_projective_space(
+        self, monkeypatch, cold_rows
+    ):
+        real = symchern.chern_coordinates
+        n = 2  # weight_basis(2) = (c1^2, c2), and c1^2[P^2] = 9
+
+        def perturbed(right, dim):
+            coordinates = real(right, dim)
+            # (1, 2, 1) is symmetric and its alternating sum is 0, so duality
+            # and the Euler class still hold, but chi^p(P^2) moves by 9 (1, 2, 1)
+            coordinates[0] = [k + e for k, e in zip(coordinates[0], (1, 2, 1))]
+            return coordinates
+
+        monkeypatch.setattr(symchern, "chern_coordinates", perturbed)
+        with pytest.raises(ConsistencyError, match=r"chi\^0\(P\^2\) is not \(-1\)\^0"):
+            chi_p(n, 0)
+
     def test_rows_checked_once_per_dimension(self, monkeypatch, cold_rows):
         real = hrr.euler_functional
         calls = []

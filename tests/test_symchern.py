@@ -343,7 +343,7 @@ class TestKostkaSolves:
             assert {j: column(j) for j in order} == dict(enumerate(ascending)), order
 
     def test_module_keeps_no_cache(self):
-        # a column builder lives for one solve; `partitions_of` and `weight_basis`
+        # a column builder lives for one call; `partitions_of` and `weight_basis`
         # are cached in `poly` and only imported here
         own = [
             f
