@@ -27,10 +27,10 @@ MAX_DIM = 64
 _HOMES = {
     name: home
     for home, names in {
-        "poly": "BasisConvention ChernFunctional ConventionMismatch DimensionMismatch "
-        "InvalidPartition ParseError as_rational partitions_of weight_basis",
+        "poly": "BasisConvention ChernFunctional ConsistencyError ConventionMismatch "
+        "DimensionMismatch InvalidPartition ParseError as_rational partitions_of weight_basis",
         "symchern": "schur",
-        "hrr": "ChiTable ConsistencyError chi_p chi_table euler_functional",
+        "hrr": "chi_p chi_table euler_functional",
         "cone": "Certificate ChiSignReport GeneratorSet Infeasibility certify "
         "certify_chi_signs generators verify_certificate",
         "varieties": "AbelianVariety Curve Explicit Hypersurface Product "

@@ -129,13 +129,13 @@ def _cmd_chi(args) -> tuple[int, str]:
 
     n = _within_limit(args.max_dim, args.dim)
     convention = BasisConvention(args.convention)
-    table = chi_table(n)
-    if convention == BasisConvention.TANGENT:
-        table = table.flipped()
+    rows = [row.in_convention(convention) for row in chi_table(n)]
     if args.json:
-        return EXIT_OK, _envelope("chi", n, convention.value, table)
+        table = [{"p": p, "poly": row} for p, row in enumerate(rows)]
+        payload = {"convention": convention.value, "dim": n, "rows": table}
+        return EXIT_OK, _envelope("chi", n, convention.value, payload)
     lines = [f"chi table (dim {n}, {convention.value})"]
-    lines += (f"chi^{p} = {row.to_text()}" for p, row in enumerate(table.rows))
+    lines += (f"chi^{p} = {row.to_text()}" for p, row in enumerate(rows))
     return EXIT_OK, "\n".join(lines)
 
 

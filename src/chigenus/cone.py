@@ -22,10 +22,11 @@ from operator import mul
 from typing import TYPE_CHECKING, Sequence, Union
 
 from . import ASSUMPTION_TAGS
-from .hrr import ConsistencyError, chi_p, chi_sign, mode_convention, signed_target
+from .hrr import chi_p, chi_sign, mode_convention, signed_target
 from .poly import (
     BasisConvention,
     ChernFunctional,
+    ConsistencyError,
     ConventionMismatch,
     DimensionMismatch,
     Record,

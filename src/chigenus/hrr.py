@@ -18,6 +18,8 @@ its integer numerators over L^n.
 
 The rows are flipped into cotangent variables (c_i of the cotangent bundle)
 once, where they are built: the flip of a weight-n row is the sign (-1)^n.
+`chi_table(n)` is that validated tuple of rows itself; the `chi` command
+flips them to the convention it is asked for and writes its own payload.
 """
 
 from __future__ import annotations
@@ -30,15 +32,13 @@ from . import SIGN_MODES
 from .poly import (
     BasisConvention,
     ChernFunctional,
-    Record,
+    ConsistencyError,
     lowest_terms,
     partitions_of,
     weight_basis,
 )
 
 __all__ = [
-    "ConsistencyError",
-    "ChiTable",
     "chi_p",
     "chi_table",
     "euler_functional",
@@ -47,10 +47,6 @@ __all__ = [
     "chi_sign",
     "signed_target",
 ]
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed; indicates an implementation bug."""
 
 
 def _chi_y_factor(n: int) -> tuple[int, tuple[int, ...]]:
@@ -166,30 +162,7 @@ def signed_target(
     return row.scaled(row.denominator), row.denominator
 
 
-class ChiTable(Record):
-    """All chi^p functionals of one dimension, in a single convention."""
-
-    dimension: int
-    convention: BasisConvention
-    rows: tuple[ChernFunctional, ...]
-
-    def flipped(self) -> "ChiTable":
-        return ChiTable(
-            self.dimension,
-            self.convention.other(),
-            tuple(r.flipped() for r in self.rows),
-        )
-
-    def _json_shape(self) -> dict:
-        # the rows in place, for `poly.json_text`
-        return {
-            "convention": self.convention.value,
-            "dim": self.dimension,
-            "rows": [{"p": p, "poly": row} for p, row in enumerate(self.rows)],
-        }
-
-
-def chi_table(n: int) -> ChiTable:
-    """All n+1 chi^p functionals in cotangent convention, validated where
-    they are built (`_chi_y_rows`)."""
-    return ChiTable(n, BasisConvention.COTANGENT, _chi_y_rows(n))
+def chi_table(n: int) -> tuple[ChernFunctional, ...]:
+    """All n+1 chi^p functionals in cotangent convention, chi^p at index p,
+    validated where they are built (`_chi_y_rows`)."""
+    return _chi_y_rows(n)

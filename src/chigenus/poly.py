@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 __all__ = [
     "DimensionMismatch",
     "ParseError",
+    "ConsistencyError",
     "FrozenInstanceError",
     "Record",
     "Monomial",
@@ -76,6 +77,10 @@ class ParseError(ValueError):
 
 class InvalidPartition(ValueError):
     """Sequence is not a partition of the requested weight."""
+
+
+class ConsistencyError(RuntimeError):
+    """An internal cross-check failed; indicates an implementation bug."""
 
 
 class FrozenInstanceError(AttributeError):

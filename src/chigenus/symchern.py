@@ -32,11 +32,13 @@ its nonzero coordinates.
 
 from __future__ import annotations
 
+from math import factorial, prod
 from typing import Callable, Sequence
 
 from .poly import (
     BasisConvention,
     ChernFunctional,
+    ConsistencyError,
     InvalidPartition,
     Partition,
     basis_ranks,
@@ -117,10 +119,17 @@ def _kostka_columns(n: int) -> Callable[[int], KostkaColumn]:
     prefix starts the next content, then grows one horizontal strip per
     remaining part.  Ascending and descending ranks both walk the prefix trie
     depth first, so a solve builds each prefix once.  `strips` memoizes
-    `_horizontal_strips`, as one (shape, size) recurs in many contents."""
+    `_horizontal_strips`, as one (shape, size) recurs in many contents.  A
+    built column must count the n! / prod_i mu_i! words of its content mu by
+    RSK, sum_shape K[shape][mu] f^shape, or `ConsistencyError` is raised."""
     contents = [tuple(filter(None, mu)) for mu in partitions_of(n)]
     rank = {mu: j for j, mu in enumerate(contents)}
     strips: dict[tuple[Partition, int], list[Partition]] = {}
+    hooks = []  # f^shape by rank: n! over the product of its hook lengths
+    for shape in contents:
+        cols = _conjugate(shape, max(shape, default=0))
+        boxes = [(i, j) for i, r in enumerate(shape) for j in range(r)]
+        hooks.append(factorial(n) // prod(shape[i] - j + cols[j] - i - 1 for i, j in boxes))
     stack: list[tuple[Partition, dict[Partition, int]]] = [((), {(): 1})]
 
     def column(j: int) -> KostkaColumn:
@@ -138,7 +147,10 @@ def _kostka_columns(n: int) -> Callable[[int], KostkaColumn]:
                     longer[grown] = longer.get(grown, 0) + count
             prefix, counts = prefix + (part,), longer
             stack.append((prefix, counts))
-        return tuple(map(rank.__getitem__, counts)), tuple(counts.values())
+        built = tuple(map(rank.__getitem__, counts)), tuple(counts.values())
+        if sum(c * hooks[r] for r, c in zip(*built)) != factorial(n) // prod(map(factorial, parts)):
+            raise ConsistencyError(f"column {parts} of K fails the hook-length identity")
+        return built
 
     return column
 

@@ -388,7 +388,7 @@ def evaluate(f: ChernFunctional, v: VarietyDescriptor | ChernFunctional) -> Frac
 def _paired(numbers: ChernFunctional) -> tuple[tuple[int, ...], int]:
     """`chi_table(n)` paired with Chern numbers, in the form of `_chi_y`."""
     numbers = numbers.in_convention(BasisConvention.COTANGENT)
-    rows = chi_table(numbers.dimension).rows
+    rows = chi_table(numbers.dimension)
     den = lcm(*(r.denominator for r in rows))
     dots = [sum(map(mul, r.numerators, numbers.numerators)) * (den // r.denominator) for r in rows]
     return lowest_terms(dots, den * numbers.denominator)

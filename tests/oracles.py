@@ -39,6 +39,8 @@ package's own:
 * Chern numbers of products by multiplying total Chern classes in the
   bigraded ring Q[c(X)] (x) Q[c(Y)], the expansion that the Whitney split
   of ``varieties.Product`` replaced;
+* Chern numbers of P^a x P^b from its total Chern class (1 + h1)^(a+1)
+  (1 + h2)^(b+1), in two variables, with no Chern number of a factor;
 * variety tokens by the parser that rescans each product's inner text for
   its top-level comma, which the comma index of
   ``varieties.descriptor_from_token`` replaced (same results and messages);
@@ -62,10 +64,10 @@ from math import comb, factorial
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from chigenus.hrr import ConsistencyError
 from chigenus.poly import (
     BasisConvention,
     ChernFunctional,
+    ConsistencyError,
     DimensionMismatch,
     Monomial,
     ParseError,
@@ -1054,6 +1056,35 @@ def bigraded_tangent_values(variety) -> dict[Monomial, Fraction]:
                 number += coef * left_lookup[mx] * right_lookup[my]
         values[mono] = number
     return values
+
+
+def projective_product_numbers(a: int, b: int) -> dict[Monomial, int]:
+    """Tangent Chern numbers of P^a x P^b: c^mu is the h1^a h2^b coefficient
+    of prod_s c_{mu_s}, with c_k the weight-k part of (1 + h1)^(a+1)
+    (1 + h2)^(b+1), in dicts {(i, j): coefficient of h1^i h2^j} truncated at
+    h1^(a+1) = h2^(b+1) = 0.  Each monomial takes its classes largest first,
+    so monomials that share a prefix of classes share its product."""
+    n = a + b
+    classes = [
+        {(i, k - i): comb(a + 1, i) * comb(b + 1, k - i) for i in range(k + 1)}
+        for k in range(n + 1)
+    ]
+    products: dict[tuple[int, ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+
+    def product(prefix: tuple[int, ...]) -> dict[tuple[int, int], int]:
+        if prefix not in products:
+            out: dict[tuple[int, int], int] = {}
+            for (i, j), u in product(prefix[:-1]).items():
+                for (di, dj), v in classes[prefix[-1]].items():
+                    if i + di <= a and j + dj <= b:
+                        out[i + di, j + dj] = out.get((i + di, j + dj), 0) + u * v
+            products[prefix] = out
+        return products[prefix]
+
+    return {
+        mono: product(tuple(k for k in range(n, 0, -1) for _ in range(mono[k - 1]))).get((a, b), 0)
+        for mono in weight_basis(n)
+    }
 
 
 # -- chi_y rows by exp/log series and interpolation (replaced route) -------------

@@ -94,7 +94,7 @@ class TestChiCommand:
         assert (payload["dim"], payload["convention"]) == (3, "cotangent")
         rows = sorted(payload["rows"], key=lambda row: row["p"])
         assert [GradedPoly.from_json_dict(row["poly"]).top_coefficients() for row in rows] == [
-            row.coeffs for row in chi_table(3).rows
+            row.coeffs for row in chi_table(3)
         ]
 
     def test_dim_out_of_range(self, capsys):
@@ -1343,8 +1343,12 @@ class TestPayloadsWithoutTermDicts:
     def test_chi_payload_is_the_table_view(self, capsys, n, convention):
         argv = ["chi", "--dim", str(n), "--json", "--max-dim", "9", "--convention", convention]
         _, out, _ = run_cli(capsys, *argv)
-        table = chi_table(n) if convention == "cotangent" else chi_table(n).flipped()
-        assert json.loads(out)["payload"] == table.to_json_dict()
+        rows = [row.in_convention(BasisConvention(convention)) for row in chi_table(n)]
+        assert json.loads(out)["payload"] == {
+            "convention": convention,
+            "dim": n,
+            "rows": [{"p": p, "poly": row.to_json_dict()} for p, row in enumerate(rows)],
+        }
 
     @pytest.mark.parametrize("n", range(10))
     def test_schur_payload_is_the_generators_view(self, capsys, n):
@@ -1388,8 +1392,9 @@ class TestViewsAreThePrintedText:
 
     @pytest.mark.parametrize("n", range(10))
     def test_chi_tables(self, n):
-        for table in (chi_table(n), chi_table(n).flipped()):
-            assert table.to_json_dict() == printed(table)
+        for row in chi_table(n):
+            for f in (row, row.flipped()):
+                assert f.to_json_dict() == printed(f)
 
     @pytest.mark.parametrize("mode", SIGN_MODES)
     @pytest.mark.parametrize("n", range(1, 8))

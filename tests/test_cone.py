@@ -23,7 +23,6 @@ from chigenus.cone import (
     _phase_one,
 )
 from chigenus.hrr import (
-    ConsistencyError,
     chi_p,
     chi_sign,
     mode_convention,
@@ -32,6 +31,7 @@ from chigenus.hrr import (
 from chigenus.poly import (
     BasisConvention,
     ChernFunctional,
+    ConsistencyError,
     ConventionMismatch,
     DimensionMismatch,
     lowest_terms,

@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chigenus import SIGN_MODES, hrr, symchern
+from chigenus.cli import main
 from chigenus.hrr import (
-    ConsistencyError,
     _chi_y_factor,
     _chi_y_rows,
     chi_p,
@@ -22,8 +22,10 @@ from chigenus.hrr import (
 from chigenus.poly import (
     BasisConvention,
     ChernFunctional,
+    ConsistencyError,
     DimensionMismatch,
     InvalidPartition,
+    json_text,
     weight_basis,
 )
 
@@ -256,45 +258,61 @@ class TestSignModes:
 
 class TestChiTable:
     def test_dim2_rows(self):
-        table = chi_table(2)
-        assert [row.to_text() for row in table.rows] == [
+        rows = chi_table(2)
+        assert [row.to_text() for row in rows] == [
             "1/12*c1^2 + 1/12*c2",
             "1/6*c1^2 - 5/6*c2",
             "1/12*c1^2 + 1/12*c2",
         ]
 
     def test_dim3_boundary_rows(self):
-        table = chi_table(3)
-        assert table.rows[0] == functional(3, "-1/24*c1*c2")
-        assert table.rows[3] == functional(3, "1/24*c1*c2")
+        rows = chi_table(3)
+        assert rows[0] == functional(3, "-1/24*c1*c2")
+        assert rows[3] == functional(3, "1/24*c1*c2")
 
     def test_dim1(self):
-        table = chi_table(1)
-        assert [row.to_text() for row in table.rows] == ["-1/2*c1", "1/2*c1"]
+        rows = chi_table(1)
+        assert [row.to_text() for row in rows] == ["-1/2*c1", "1/2*c1"]
 
     def test_point(self):
-        table = chi_table(0)
-        assert len(table.rows) == 1
-        assert table.rows[0].coeffs == (Fraction(1),)
+        rows = chi_table(0)
+        assert len(rows) == 1
+        assert rows[0].coeffs == (Fraction(1),)
 
-    def test_json_round_trip(self):
-        table = chi_table(3)
-        payload = json.loads(json.dumps(table.to_json_dict()))
+    @pytest.mark.parametrize("n", range(6))
+    def test_the_table_is_the_cached_rows(self, n):
+        rows = chi_table(n)
+        assert rows is _chi_y_rows(n)
+        assert isinstance(rows, tuple) and len(rows) == n + 1
+        assert all(row.convention is COT and row.dimension == n for row in rows)
+
+    def test_the_table_class_is_gone(self):
+        import chigenus
+
+        for module in (chigenus, hrr):
+            with pytest.raises(AttributeError):
+                module.ChiTable
+
+    def test_json_round_trip(self, capsys):
+        # the `chi --json` payload, which the command writes from the rows
+        assert main(["chi", "--dim", "3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
         assert (payload["dim"], payload["convention"]) == (3, "cotangent")
         assert [row["p"] for row in payload["rows"]] == [0, 1, 2, 3]
         assert [
             GradedPoly.from_json_dict(row["poly"]).top_coefficients() for row in payload["rows"]
-        ] == [row.coeffs for row in table.rows]
+        ] == [row.coeffs for row in chi_table(3)]
 
     def test_flip_round_trip(self):
-        table = chi_table(4)
-        assert table.flipped().flipped() == table
-        assert table.flipped().convention is TAN
+        rows = chi_table(4)
+        assert tuple(row.flipped().flipped() for row in rows) == rows
+        assert all(row.in_convention(TAN).convention is TAN for row in rows)
+        assert tuple(row.in_convention(TAN).in_convention(COT) for row in rows) == rows
 
     def test_deterministic(self):
-        first = json.dumps(chi_table(4).to_json_dict(), sort_keys=True)
+        first = json_text(list(chi_table(4)))
         _chi_y_rows.cache_clear()
-        second = json.dumps(chi_table(4).to_json_dict(), sort_keys=True)
+        second = json_text(list(chi_table(4)))
         assert first == second
 
     def test_rows_identical_under_concurrent_evaluation(self):
@@ -304,7 +322,7 @@ class TestChiTable:
         with ThreadPoolExecutor(max_workers=6) as pool:
             concurrent_rows = list(pool.map(lambda p: chi_p(5, p), range(6)))
         assert concurrent_rows == [chi_p(5, p) for p in range(6)]
-        assert tuple(concurrent_rows) == chi_table(5).rows
+        assert tuple(concurrent_rows) == chi_table(5)
 
 
 class TestRowValidation:
@@ -462,7 +480,7 @@ class TestChernFunctional:
     def test_dot_of_chi_rows_on_random_numbers(self):
         rng = random.Random(20231021)
         for n in range(10):
-            rows = chi_table(n).rows
+            rows = chi_table(n)
             for _ in range(5):
                 values = [
                     Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
@@ -486,7 +504,7 @@ class TestChernFunctional:
 
     @pytest.mark.parametrize("n", range(9))
     def test_poly_json_dict_matches_the_polynomial(self, n):
-        rows = chi_table(n).rows
+        rows = chi_table(n)
         zero = ChernFunctional(n, COT, (0,) * len(weight_basis(n)), 1)
         for f in (*rows, *(row.flipped() for row in rows), zero):
             assert f.to_json_dict() == GradedPoly(n, f.terms()).to_json_dict()

@@ -10,6 +10,7 @@ from chigenus.hrr import _chi_y_factor
 from chigenus.poly import (
     BasisConvention,
     ChernFunctional,
+    ConsistencyError,
     InvalidPartition,
     _partition_monomial,
     partitions_of,
@@ -281,6 +282,32 @@ class TestKostkaSolves:
             words = factorial(n) // prod(map(factorial, content))
             ranks, counts = column(j)
             assert sum(count * standard[r] for r, count in zip(ranks, counts)) == words, content
+
+    @pytest.fixture
+    def one_strip_twice(self, monkeypatch):
+        # the strip of one box on the shape (1,) yields (2,) twice, so every
+        # content that starts (1, 1) counts one tableau too many
+        real = chigenus.symchern._horizontal_strips
+
+        def doubled(shape, size):
+            grown = real(shape, size)
+            return grown + grown[:1] if (shape, size) == ((1,), 1) else grown
+
+        monkeypatch.setattr(chigenus.symchern, "_horizontal_strips", doubled)
+
+    def test_a_miscounted_column_is_refused_as_it_is_built(self, one_strip_twice):
+        column = _kostka_columns(3)
+        column(0), column(1)  # the contents (3) and (2, 1) grow no strip on (1,)
+        message = r"column \(1, 1, 1\) of K fails the hook-length identity"
+        with pytest.raises(ConsistencyError, match=message):
+            column(2)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_no_solve_reads_a_miscounted_column(self, one_strip_twice, n):
+        with pytest.raises(ConsistencyError, match="hook-length identity"):
+            _schur_rows(partitions_of(n), n)
+        with pytest.raises(ConsistencyError, match="hook-length identity"):
+            chern_coordinates([[1]] * len(partitions_of(n)), n)
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_solves_satisfy_their_systems(self, n):

@@ -23,7 +23,6 @@ from chigenus.cone import (
     generators,
 )
 from chigenus.hrr import (
-    ChiTable,
     chi_p,
     chi_sign,
     chi_table,
@@ -66,6 +65,7 @@ from oracles import (
     closed_form_chi_y,
     hypersurface_chi_y,
     partition_count,
+    projective_product_numbers,
     rank,
     rescanning_descriptor_from_token,
     series_inv,
@@ -285,7 +285,7 @@ class TestChiYOfProducts:
     def test_convolution_matches_the_chern_numbers(self, variety, mode):
         n = variety.dimension
         numbers = chern_numbers(variety, COT)
-        expected = [row.dot(numbers.numerators) / numbers.denominator for row in chi_table(n).rows]
+        expected = [row.dot(numbers.numerators) / numbers.denominator for row in chi_table(n)]
         numerators, den = variety._chi_y()
         assert den > 0 and gcd(den, *numerators) == 1
         assert [Fraction(c, den) for c in numerators] == expected
@@ -544,7 +544,7 @@ class TestProductsOfProjectiveSpaces:
     def test_chi_values_are_the_product_of_the_factors(self, n):
         # the dimension-n rows paired with the product's Chern numbers:
         # chi_values(variety) would only multiply the factors' tables
-        rows = chi_table(n).rows
+        rows = chi_table(n)
         for parts, variety in self.products(n):
             numbers = chern_numbers(variety, COT)
             values = [row.dot(numbers.numerators) / numbers.denominator for row in rows]
@@ -562,6 +562,24 @@ class TestProductsOfProjectiveSpaces:
     def test_tangent_numbers_have_full_rank(self, n):
         vectors = [chern_numbers(variety, TAN).coeffs for _, variety in self.products(n)]
         assert rank(vectors) == partition_count(n)
+
+    # (a, b) up to n = a + b = 18; above n = 10 only the oracle gives the numbers
+    PAIRS = [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 4), (7, 3)]
+    PAIRS += [(6, 6), (9, 5), (8, 8), (13, 5), (9, 9)]
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_explicit_pairing_of_two_projective_spaces(self, a, b):
+        # chi_y(P^a x P^b) = chi_y(P^a) chi_y(P^b), so chi^p = (-1)^p times
+        # the number of (i, j) with i + j = p, i <= a and j <= b
+        n = a + b
+        numbers = projective_product_numbers(a, b)
+        expected = [(-1) ** p * sum(0 <= p - i <= b for i in range(a + 1)) for p in range(n + 1)]
+        assert list(chi_values(Explicit(n, numbers, TAN))) == expected
+        if n <= 10:  # the Whitney split of `Product`, where it is quick
+            product = Product(ProjectiveSpace(a), ProjectiveSpace(b))
+            assert chern_numbers(product, TAN).terms() == {
+                mono: value for mono, value in numbers.items() if value
+            }
 
     def test_rank_oracle(self):
         assert rank([]) == 0
@@ -1073,7 +1091,6 @@ class TestChernNumbersAreAFunctional:
 # values as int numerators over one positive denominator, one row for all p.
 RECORD_FIELDS = {
     ChernFunctional: ("dimension", "convention", "numerators", "denominator"),
-    ChiTable: ("dimension", "convention", "rows"),
     GeneratorSet: ("dimension", "convention", "generators"),
     Certificate: ("target", "generator_names", "numerators", "denominator"),
     Infeasibility: ("witness",),
@@ -1096,7 +1113,6 @@ def record_samples():
     audit = check_signs(product, "nef_cotangent")
     return [
         ChernFunctional(2, COT, (1, Fraction(-1, 2)), 1),
-        chi_table(2),
         generators(2),
         report,
         *report.rows,
