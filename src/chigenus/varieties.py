@@ -9,23 +9,25 @@ total-Chern-class computation:
 * degree-d hypersurface:     c(T) = (1 + h)^{n+2} / (1 + d h),  int h^n = d
 * abelian variety:           trivial tangent bundle, all numbers zero
 * product X x Y:             Whitney sum of factors (`chern_numbers` only)
-* explicit:                  raw numbers supplied by the caller
+* explicit:                  one Chern row, a `ChernFunctional`, given
 
 A recipe leaf's chi^p values come from its closed form for chi_y
 (Hirzebruch, Topological Methods, 15.5): (-1)^p on P^n, 0 on an abelian
 variety, (1 - g, g - 1) on a curve, Noether's formula on a surface, and on a
 hypersurface one alternating sum of Bott's formula for chi(P^N,
 Omega^q(-m)), carried through the conormal sequence, so no recipe builds a
-chi table.  Only an explicit leaf pairs `chi_table(n)` with its Chern
-numbers, in `Explicit._chi_y`; the plain base class `VarietyDescriptor`
-gives no descriptor a default.  chi_y is multiplicative, so a product
-convolves its factors' values.  The Chern numbers of every descriptor stay
-library API (`chern_numbers`, `evaluate`), and the tests check each closed
-form against them.  A sign audit holds those values and derives from them
-the signed values (-1)^{n-p} chi^p or (-1)^p chi^p (`hrr.chi_sign`), each
-row's pass/fail and the Euler number (`hrr.euler_number`).  Nefness (or
-asphericity) of the relevant bundle is an assertion made by the caller,
-never checked here.
+chi table.  Only an explicit leaf, its Chern row held in cotangent
+variables, pairs `chi_table(n)` with that row, in `Explicit._chi_y`; the
+base class `VarietyDescriptor`, a `Record`, gives no descriptor a default.
+chi_y is multiplicative, so a product convolves its factors' values.  The
+Chern numbers of every descriptor stay library API (`chern_numbers`,
+`evaluate`; a row is `Explicit(row)`), and the tests check each closed form
+against them.  Only `descriptor_from_json` reads an explicit's "values",
+monomial text to exact number.  A sign audit holds the chi^p values and
+derives from them the signed values (-1)^{n-p} chi^p or (-1)^p chi^p
+(`hrr.chi_sign`), each row's pass/fail and the Euler number
+(`hrr.euler_number`).  Nefness (or asphericity) of the relevant bundle is
+an assertion made by the caller, never checked here.
 """
 
 from __future__ import annotations
@@ -78,19 +80,17 @@ __all__ = [
     "load_corpus",
 ]
 
-class VarietyDescriptor:
+class VarietyDescriptor(Record):
     """Recipe for a manifold whose Chern numbers can be computed exactly.  Each
     class gives `dimension`, `_tangent_values()` (its tangent-convention Chern
     numbers), `_chi_y()` (chi^0..chi^n as int numerators over one positive
     denominator, in lowest terms), `name()` and `_json_shape()` itself."""
 
-    to_json_dict = Record.to_json_dict  # for `Explicit` too, which is not a `Record`
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name()
 
 
-class _Recipe(VarietyDescriptor, Record):
+class _Recipe(VarietyDescriptor):
     """A variety given by integer fields.  `_kind` is its token head and
     JSON "type"; `_lows` holds one lower bound per field (None: any
     integer).  Neither is annotated, so neither is a `Record` field."""
@@ -225,7 +225,7 @@ class AbelianVariety(_Recipe):
         return (0,) * (self.n + 1), 1
 
 
-class Product(VarietyDescriptor, Record):
+class Product(VarietyDescriptor):
     left: VarietyDescriptor
     right: VarietyDescriptor
 
@@ -279,88 +279,46 @@ class Product(VarietyDescriptor, Record):
 
 
 class Explicit(VarietyDescriptor):
-    """Raw Chern numbers, for manifolds outside the recipe set."""
+    """A manifold outside the recipe set, given by its Chern numbers: one
+    weight-n row, held in cotangent variables whichever convention it is
+    given in, so one variety is one descriptor."""
 
-    def __init__(
-        self,
-        n: int,
-        values: Mapping[Monomial, RationalLike] | Mapping[str, RationalLike],
-        convention: BasisConvention = BasisConvention.COTANGENT,
-    ):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError(f"dimension must be a non-negative integer: {n!r}")
-        if not isinstance(values, Mapping):
-            raise TypeError(f"Chern numbers must be a mapping: {values!r}")
-        monomials: dict[Monomial, RationalLike] = {}
-        for key, value in values.items():
-            mono = _monomial_key(key, n)
-            if mono in monomials:
-                raise ValueError(f"two keys name the monomial {mono_text(mono) or '1'}: {key!r}")
-            monomials[mono] = value
-        row = [monomials.get(m, 0) for m in weight_basis(n)]
-        self._numbers = ChernFunctional(n, convention, row, 1)
+    numbers: ChernFunctional
+
+    def __post_init__(self):
+        if not isinstance(self.numbers, ChernFunctional):
+            raise TypeError(f"Explicit takes a ChernFunctional row: {self.numbers!r}")
+        object.__setattr__(self, "numbers", self.numbers.in_convention(BasisConvention.COTANGENT))
 
     @property
     def dimension(self) -> int:
-        return self._numbers.dimension
-
-    @property
-    def convention(self) -> BasisConvention:
-        return self._numbers.convention
+        return self.numbers.dimension
 
     def _tangent_values(self) -> ChernFunctional:
-        return self._numbers.in_convention(BasisConvention.TANGENT)
+        return self.numbers.in_convention(BasisConvention.TANGENT)
 
     def _chi_y(self) -> tuple[tuple[int, ...], int]:
-        return _paired(self._tangent_values())
+        # the cotangent rows of chi_table(n) over one denominator, paired with the row
+        rows, numbers = chi_table(self.dimension), self.numbers.numerators
+        den = lcm(*(r.denominator for r in rows))
+        dots = [sum(map(mul, r.numerators, numbers)) * (den // r.denominator) for r in rows]
+        return lowest_terms(dots, den * self.numbers.denominator)
 
     def name(self) -> str:
         return f"explicit:{self.dimension}"
 
     def _json_shape(self) -> dict:
-        n, den = self.dimension, self._numbers.denominator
-        values = zip(weight_basis(n), self._numbers.numerators)
-        return {
-            "convention": self.convention.value,
-            "n": n,
-            "type": "explicit",
-            "values": {(mono_text(m) or "1"): rational_text(c, den) for m, c in values if c},
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Explicit):
-            return NotImplemented
-        # one variety given in either convention is one descriptor
-        cot = BasisConvention.COTANGENT
-        return self._numbers.in_convention(cot) == other._numbers.in_convention(cot)
-
-    def __hash__(self) -> int:
-        return hash(self._numbers.in_convention(BasisConvention.COTANGENT))
+        n, den = self.dimension, self.numbers.denominator
+        values = zip(weight_basis(n), self.numbers.numerators)
+        values = {(mono_text(m) or "1"): rational_text(c, den) for m, c in values if c}
+        return {"convention": "cotangent", "n": n, "type": "explicit", "values": values}
 
 
-def _monomial_key(key: str | Monomial, dim: int) -> Monomial:
-    """A weight-`dim` monomial from its text, one product term with
-    coefficient 1 ('c1^2*c2', or '1' for the constant), or from its
-    exponent tuple."""
-    if isinstance(key, str):
-        terms = parse_terms(dim, key)
-    else:
-        try:
-            terms = [(tuple(key), 1, 1)]
-        except TypeError:  # neither text nor a sequence, e.g. the int 3
-            raise ValueError(f"not a weight-{dim} monomial: {key!r}") from None
-    if len(terms) != 1:
-        raise ValueError(f"monomial key expected, got {key!r}")
-    ((mono, num, den),) = terms
-    if (num, den) != (1, 1):
-        raise ValueError(f"monomial key must have coefficient 1: {key!r}")
-    if (
-        len(mono) != dim
-        or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in mono)
-        or mono_weight(mono) != dim
-    ):
-        raise ValueError(f"not a weight-{dim} monomial: {key!r}")
-    return mono
+def _descriptor(v: VarietyDescriptor, caller: str) -> VarietyDescriptor:
+    """v, refused unless it is a descriptor."""
+    if not isinstance(v, VarietyDescriptor):
+        raise TypeError(f"{caller} expects a VarietyDescriptor; a Chern row is Explicit(row)")
+    return v
 
 
 def chern_numbers(
@@ -369,37 +327,24 @@ def chern_numbers(
 ) -> ChernFunctional:
     """Exact Chern numbers of a descriptor in the requested convention, as
     a row over `weight_basis(n)`."""
-    if not isinstance(v, VarietyDescriptor):
-        raise TypeError("chern_numbers expects a VarietyDescriptor")
-    return v._tangent_values().in_convention(convention)
+    return _descriptor(v, "chern_numbers")._tangent_values().in_convention(convention)
 
 
-def evaluate(f: ChernFunctional, v: VarietyDescriptor | ChernFunctional) -> Fraction:
+def evaluate(f: ChernFunctional, v: VarietyDescriptor) -> Fraction:
     """Pair a functional with a variety's Chern numbers (exact dot product)."""
-    numbers = v if isinstance(v, ChernFunctional) else chern_numbers(v, f.convention)
+    numbers = chern_numbers(_descriptor(v, "evaluate"), f.convention)
     if numbers.dimension != f.dimension:
         raise DimensionMismatch(
             f"functional dimension {f.dimension} != variety {numbers.dimension}"
         )
-    numbers = numbers.in_convention(f.convention)
     return f.dot(numbers.numerators) / numbers.denominator
 
 
-def _paired(numbers: ChernFunctional) -> tuple[tuple[int, ...], int]:
-    """`chi_table(n)` paired with Chern numbers, in the form of `_chi_y`."""
-    numbers = numbers.in_convention(BasisConvention.COTANGENT)
-    rows = chi_table(numbers.dimension)
-    den = lcm(*(r.denominator for r in rows))
-    dots = [sum(map(mul, r.numerators, numbers.numerators)) * (den // r.denominator) for r in rows]
-    return lowest_terms(dots, den * numbers.denominator)
-
-
-def chi_values(v: VarietyDescriptor | ChernFunctional) -> tuple[Fraction, ...]:
-    """The evaluated chi^p table (chi^0, ..., chi^n) of a descriptor or of
-    its Chern numbers."""
+def chi_values(v: VarietyDescriptor) -> tuple[Fraction, ...]:
+    """The evaluated chi^p table (chi^0, ..., chi^n) of a descriptor."""
     from fractions import Fraction
 
-    numerators, den = _paired(v) if isinstance(v, ChernFunctional) else v._chi_y()
+    numerators, den = _descriptor(v, "chi_values")._chi_y()
     return tuple(Fraction(c, den) for c in numerators)
 
 
@@ -455,6 +400,7 @@ def check_signs(v: VarietyDescriptor, mode: str) -> SignAudit:
     (-1)^{n-p} chi^p >= 0 under ``nef_cotangent``, (-1)^p chi^p >= 0 under
     ``nef_tangent``.  The caller asserts the geometric hypothesis; this
     only decides the arithmetic."""
+    v = _descriptor(v, "check_signs")
     return SignAudit(v.name(), mode, *v._chi_y())
 
 
@@ -496,6 +442,39 @@ def _field(obj: Mapping, field: str):
     return obj[field]
 
 
+def _monomial_key(key: str, dim: int) -> Monomial:
+    """A weight-`dim` monomial from its text, one product term with
+    coefficient 1 ('c1^2*c2', or '1' for the constant)."""
+    if not isinstance(key, str):  # from Python only: a JSON key is text
+        raise ValueError(f"not a weight-{dim} monomial: {key!r}")
+    terms = parse_terms(dim, key)
+    if len(terms) != 1:
+        raise ValueError(f"monomial key expected, got {key!r}")
+    ((mono, num, den),) = terms
+    if (num, den) != (1, 1):
+        raise ValueError(f"monomial key must have coefficient 1: {key!r}")
+    if mono_weight(mono) != dim:
+        raise ValueError(f"not a weight-{dim} monomial: {key!r}")
+    return mono
+
+
+def _explicit_row(n, values, convention) -> ChernFunctional:
+    """The Chern row of an explicit's JSON fields: its dimension, the
+    `values` mapping of monomial text to exact number (0 where a monomial
+    is missing) and its convention, checked in that order."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"dimension must be a non-negative integer: {n!r}")
+    if not isinstance(values, Mapping):
+        raise TypeError(f"Chern numbers must be a mapping: {values!r}")
+    monomials: dict[Monomial, RationalLike] = {}
+    for key, value in values.items():
+        mono = _monomial_key(key, n)
+        if mono in monomials:
+            raise ValueError(f"two keys name the monomial {mono_text(mono) or '1'}: {key!r}")
+        monomials[mono] = value
+    return ChernFunctional(n, convention, [monomials.get(m, 0) for m in weight_basis(n)], 1)
+
+
 def descriptor_from_json(
     obj: Mapping, max_dim: int = MAX_DIM, *, _depth: int = 0
 ) -> VarietyDescriptor:
@@ -518,9 +497,10 @@ def descriptor_from_json(
         n = _field(obj, "n")
         _refuse_above(max_dim, n, lambda: f"explicit:{n}")
         try:
-            return Explicit(n, obj.get("values", {}), obj.get("convention", "cotangent"))
+            row = _explicit_row(n, obj.get("values", {}), obj.get("convention", "cotangent"))
         except TypeError as exc:  # values, or a value of theirs, of the wrong type
             raise ValueError(str(exc)) from exc
+        return Explicit(row)
     if kind == "product":
         left = descriptor_from_json(_field(obj, "left"), max_dim, _depth=_depth + 1)
         right = descriptor_from_json(_field(obj, "right"), max_dim, _depth=_depth + 1)

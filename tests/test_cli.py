@@ -357,6 +357,44 @@ BAD_CONVENTION = {
     '{"name":"e","descriptor":{"type":"explicit","n":1,"convention":5}}': "5",
     '{"name":"e","descriptor":{"type":"explicit","n":1,"convention":[1]}}': "[1]",
 }
+# an explicit's dimension, values mapping, monomial keys and numbers are
+# each refused by what is wrong with them, as is a factor of dimension 0
+BAD_EXPLICIT = {
+    '{"name":"e","descriptor":{"type":"explicit","n":"2"}}': (
+        "dimension must be a non-negative integer: '2'"
+    ),
+    '{"name":"e","descriptor":{"type":"explicit","n":2,"values":[1]}}': (
+        "Chern numbers must be a mapping: [1]"
+    ),
+    '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1^2 + c2":1}}}': (
+        "monomial key expected, got 'c1^2 + c2'"
+    ),
+    '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"2*c2":1}}}': (
+        "monomial key must have coefficient 1: '2*c2'"
+    ),
+    '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1":1}}}': (
+        "not a weight-2 monomial: 'c1'"
+    ),
+    '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c9":1}}}': (
+        "variable c9 outside dimension 2"
+    ),
+    '{"name":"e","descriptor":{"type":"explicit","n":3,"values":{"c1*c2":1,"c2*c1":2}}}': (
+        "two keys name the monomial c1*c2: 'c2*c1'"
+    ),
+    '{"name":"e","descriptor":{"type":"explicit","n":1,"values":{"c1":1.5}}}': (
+        "exact rational required (int, Fraction, or 'a/b' string), got float"
+    ),
+    '{"name":"e","descriptor":{"type":"explicit","n":1,"values":{"c1":true}}}': (
+        "bool is not a rational coefficient"
+    ),
+    '{"name":"e","descriptor":{"type":"explicit","n":1,"values":{"c1":"1/0"}}}': (
+        "bad rational literal '1/0'"
+    ),
+    (
+        '{"name":"e","descriptor":{"type":"product","left":{"type":"pn","n":1},'
+        '"right":{"type":"explicit","n":0}}}'
+    ): "product factor explicit:0 has dimension 0",
+}
 # `str.strip()` strips these, but JSON does not take them as whitespace: a
 # line that starts or ends with one is not JSON, and one that holds only one
 # is not blank
@@ -460,9 +498,7 @@ class TestCheckCommand:
             '{"name":"s","descriptor":{"type":"surface","c1sq":9.5,"c2":3}}',
             '{"name":"s","descriptor":{"type":"surface","c1sq":"a","c2":null}}',
             '{"name":"h","descriptor":{"type":"hypersurface","degree":true,"ambient":3}}',
-            '{"name":"e","descriptor":{"type":"explicit","n":2,"values":[1]}}',
             '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c2":null}}}',
-            '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1":1}}}',
             '{"name":"e","descriptor":{"type":"explicit","n":99,"values":{"c1":1}}}',
             '{"name":"e","descriptor":{"type":"explicit","n":99,"values":{"2*c99":1}}}',
             '{"name":"e","descriptor":{"type":"explicit","n":2,"values":{"c1^2":"1","c1*c1":"2"}}}',
@@ -478,6 +514,7 @@ class TestCheckCommand:
             *UNKNOWN_FIELD,
             *BAD_TOP_LEVEL,
             *BAD_CONVENTION,
+            *BAD_EXPLICIT,
             *NOT_JSON,
             *NOT_JSON_SPACE,
         ],
@@ -507,6 +544,8 @@ class TestCheckCommand:
                 f"error: bad corpus line 1: unknown convention {BAD_CONVENTION[line]} "
                 "(use tangent or cotangent)\n"
             )
+        if line in BAD_EXPLICIT:
+            assert err == f"error: bad corpus line 1: {BAD_EXPLICIT[line]}\n"
         if line in NOT_JSON:
             assert err == f"error: bad corpus line 1: {NOT_JSON[line]} is not JSON\n"
         if line in NOT_JSON_SPACE:
@@ -896,8 +935,8 @@ class TestVarietyCommand:
 
     def test_eval_computes_chern_numbers_of_the_leaves_only(self, capsys, monkeypatch, tmp_path):
         # a recipe leaf takes chi_y from its closed form and a product
-        # convolves its factors'; only an explicit leaf's Chern numbers are
-        # computed, and paired with a chi table
+        # convolves its factors'; no Chern numbers are computed, and only an
+        # explicit leaf pairs the row it holds with a chi table
         from chigenus import hrr
         from chigenus.varieties import Curve, Explicit, Product, ProjectiveSpace
 
@@ -921,7 +960,7 @@ class TestVarietyCommand:
         corpus.write_text(json.dumps({"name": "e", "descriptor": product}) + "\n")
         code, out, _ = run_cli(capsys, "check", str(corpus))
         assert code == 1
-        assert calls == ["explicit:2", 2]
+        assert calls == [2]
         assert out.splitlines()[-2] == "euler = 6"
 
 

@@ -33,6 +33,7 @@ from chigenus.poly import (
     BasisConvention,
     ChernFunctional,
     DimensionMismatch,
+    FrozenInstanceError,
     Record,
     json_text,
     partitions_of,
@@ -56,7 +57,6 @@ from chigenus.varieties import (
     descriptor_from_token,
     evaluate,
     load_corpus,
-    _paired,
 )
 
 from conftest import rationals
@@ -147,29 +147,33 @@ class TestChernNumbers:
 
     def test_explicit_rejects_an_unknown_convention(self):
         with pytest.raises(ValueError) as info:
-            Explicit(2, {}, "x")
+            descriptor_from_json({"type": "explicit", "n": 2, "values": {}, "convention": "x"})
         assert str(info.value) == "unknown convention 'x' (use tangent or cotangent)"
 
     def test_explicit_descriptor(self):
-        explicit = Explicit(2, {"c1^2": 9, "c2": 3}, COT)
+        explicit = Explicit(ChernFunctional.from_text(2, COT, "9*c1^2 + 3*c2"))
         assert chern_numbers(explicit, COT).terms().get((2, 0), 0) == 9
         with pytest.raises(TypeError):
-            Explicit(2, {"c1^2": 0.5}, COT)
+            ChernFunctional(2, COT, (0.5, 0), 1)
         with pytest.raises(ValueError):
-            Explicit(2, {"c1": 1}, COT)  # not top weight
+            ChernFunctional.from_text(2, COT, "c1")  # not top weight
+        # a row, and nothing else, is an explicit's Chern numbers
+        for value in (2, {"c1^2": 9, "c2": 3}, Surface(9, 3)):
+            with pytest.raises(TypeError) as info:
+                Explicit(value)
+            assert str(info.value) == f"Explicit takes a ChernFunctional row: {value!r}"
 
     @pytest.mark.parametrize(
         "values",
         [
             {"c1^2": "1", "c1*c1": "2"},
             {"c1*c1": "2", "c1^2": "1"},
-            {(2, 0): 1, "c1^2": 1},
             {"1*c2": 3, "c2": 3},
         ],
     )
     def test_explicit_rejects_two_keys_for_one_monomial(self, values):
         with pytest.raises(ValueError, match="two keys name the monomial"):
-            Explicit(2, values, COT)
+            descriptor_from_json({"type": "explicit", "n": 2, "values": values})
 
 
 def random_variety(rng, dim):
@@ -214,8 +218,9 @@ class TestProductMatchesBigradedOracle:
         # every leaf hands the split int numerators over one denominator,
         # so rational Chern numbers of an explicit leaf load no `fractions`
         token = (
-            "Product(Explicit(1, {'c1': '1/3'}), Product(ProjectiveSpace(1), "
-            "Explicit(2, {'c1^2': '-5/7', 'c2': 3}, BasisConvention.TANGENT)))"
+            "Product(Explicit(ChernFunctional(1, 'cotangent', ['1/3'], 1)), "
+            "Product(ProjectiveSpace(1), "
+            "Explicit(ChernFunctional(2, BasisConvention.TANGENT, ['-5/7', 3], 1))))"
         )
         code = (
             "import sys\n"
@@ -240,8 +245,9 @@ def leaves(draw, dim):
     one, in either convention, with random rationals given as Fractions,
     'a/b' strings or ints."""
     explicit = st.builds(
-        Explicit,
-        st.just(dim),
+        lambda values, convention: Explicit(
+            ChernFunctional(dim, convention, [values.get(m, 0) for m in weight_basis(dim)], 1)
+        ),
         st.dictionaries(
             st.sampled_from(weight_basis(dim)),
             rationals().flatmap(lambda r: st.sampled_from([r, str(r)] + [int(r)] * (r == int(r)))),
@@ -292,7 +298,7 @@ class TestChiYOfProducts:
         assert list(chi_values(variety)) == expected
         audit = check_signs(variety, mode)
         assert (audit.numerators, audit.denominator) == (numerators, den)
-        euler = evaluate(euler_functional(n), numbers)
+        euler = evaluate(euler_functional(n), Explicit(numbers))
         assert audit.to_json_dict()["euler"] == str(euler)
 
 
@@ -315,7 +321,22 @@ class TestEvaluate:
 
     def test_accepts_precomputed_numbers(self):
         numbers = chern_numbers(ProjectiveSpace(2), TAN)
-        assert evaluate(chi_p(2, 0), numbers) == 1
+        assert evaluate(chi_p(2, 0), Explicit(numbers)) == 1
+
+    @pytest.mark.parametrize("read", [evaluate, chi_values, check_signs])
+    def test_refuses_a_bare_row(self, read):
+        # a row is a variety's numbers only as `Explicit(row)`
+        numbers = chern_numbers(ProjectiveSpace(2), TAN)
+        args = {
+            evaluate: (chi_p(2, 0), numbers),
+            chi_values: (numbers,),
+            check_signs: (numbers, "nef_tangent"),
+        }[read]
+        with pytest.raises(TypeError) as info:
+            read(*args)
+        assert str(info.value) == (
+            f"{read.__name__} expects a VarietyDescriptor; a Chern row is Explicit(row)"
+        )
 
 
 class TestEulerCharacteristics:
@@ -349,8 +370,8 @@ class TestEulerCharacteristics:
 
 
 class TestRecipeChiYMatchesTheChernRoute:
-    """Each recipe's closed-form `_chi_y` against `_paired` of its Chern
-    numbers, the route of an explicit leaf through a chi table, up to
+    """Each recipe's closed-form `_chi_y` against that of an explicit leaf
+    with its Chern numbers, the route through a chi table, up to
     n = 18, two dimensions past n = 16, the largest golden `chi --json`
     table, so the chi rows at n = 17 and 18 meet an independent closed form
     too; and for a degree far above the ambient.  A hypersurface's Chern
@@ -365,7 +386,7 @@ class TestRecipeChiYMatchesTheChernRoute:
             leaves += [ProjectiveSpace(n), AbelianVariety(n)]
             leaves += [Hypersurface(d, n + 1) for d in range(1, 9)]
         for leaf in leaves:
-            assert leaf._chi_y() == _paired(leaf._tangent_values()), leaf.name()
+            assert leaf._chi_y() == Explicit(leaf._tangent_values())._chi_y(), leaf.name()
 
 
 class TestHypersurfaceClosedForm:
@@ -501,7 +522,7 @@ class TestTableProperties:
         ]
         for left, right in cases:
             lv, rv = chi_values(left), chi_values(right)
-            pv = chi_values(chern_numbers(Product(left, right), COT))
+            pv = chi_values(Explicit(chern_numbers(Product(left, right), COT)))
             for p in range(len(pv)):
                 expected = sum(
                     (
@@ -574,7 +595,8 @@ class TestProductsOfProjectiveSpaces:
         n = a + b
         numbers = projective_product_numbers(a, b)
         expected = [(-1) ** p * sum(0 <= p - i <= b for i in range(a + 1)) for p in range(n + 1)]
-        assert list(chi_values(Explicit(n, numbers, TAN))) == expected
+        row = ChernFunctional(n, TAN, [numbers.get(m, 0) for m in weight_basis(n)], 1)
+        assert list(chi_values(Explicit(row))) == expected
         if n <= 10:  # the Whitney split of `Product`, where it is quick
             product = Product(ProjectiveSpace(a), ProjectiveSpace(b))
             assert chern_numbers(product, TAN).terms() == {
@@ -631,7 +653,7 @@ class TestCheckSigns:
             values = {
                 m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in weight_basis(dim)
             }
-            return Explicit(dim, values, rng.choice([COT, TAN]))
+            return Explicit(ChernFunctional(dim, rng.choice([COT, TAN]), list(values.values()), 1))
 
         varieties = []
         for _ in range(40):
@@ -669,7 +691,7 @@ class TestCheckSigns:
 
     def test_products_never_compute_their_chern_numbers(self, monkeypatch):
         # neither a product nor a recipe leaf computes Chern numbers or a chi
-        # table; an explicit leaf does both
+        # table; an explicit leaf pairs the row it holds with a chi table
         import chigenus.hrr as hrr
 
         variety = descriptor_from_token("product(pn:2,product(curve:2,pn:2))")
@@ -687,9 +709,9 @@ class TestCheckSigns:
         audit = check_signs(variety, "nef_cotangent")
         assert calls == []
         assert audit.to_json_dict()["euler"] == str(expected)
-        explicit = Explicit(2, {"c1^2": 9, "c2": 3})
+        explicit = Explicit(ChernFunctional.from_text(2, COT, "9*c1^2 + 3*c2"))
         check_signs(Product(explicit, variety), "nef_cotangent")
-        assert calls == ["explicit:2", 2]
+        assert calls == [2]
 
 
 class TestDescriptorInterface:
@@ -735,8 +757,19 @@ class TestDescriptorSerialization:
         assert descriptor_from_json(descriptor.to_json_dict()) == descriptor
 
     def test_explicit_json_round_trip(self):
-        explicit = Explicit(2, {"c1^2": 9, "c2": 3}, COT)
+        explicit = Explicit(ChernFunctional.from_text(2, COT, "9*c1^2 + 3*c2"))
         assert descriptor_from_json(explicit.to_json_dict()) == explicit
+
+    def test_explicit_json_writes_the_cotangent_row(self):
+        # a row given in tangent variables is held, and written, flipped
+        tangent = Explicit(ChernFunctional.from_text(3, TAN, "7/3*c1^3 - 5/2*c1*c2 + 1/6*c3"))
+        assert tangent.to_json_dict() == {
+            "convention": "cotangent",
+            "n": 3,
+            "type": "explicit",
+            "values": {"c1^3": "-7/3", "c1*c2": "5/2", "c3": "-1/6"},
+        }
+        assert descriptor_from_json(tangent.to_json_dict()) == tangent
 
     def test_explicit_leaves_round_trip_inside_products(self):
         # a product's shape holds its factors in place, so an explicit leaf
@@ -753,7 +786,7 @@ class TestDescriptorSerialization:
             convention = rng.choice([COT, TAN])
             leaves[convention] += 1
             values = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in weight_basis(dim)]
-            return Explicit(dim, dict(zip(weight_basis(dim), values)), convention)
+            return Explicit(ChernFunctional(dim, convention, values, 1))
 
         for _ in range(100):
             dim = rng.randint(2, 8)
@@ -764,9 +797,10 @@ class TestDescriptorSerialization:
             assert json.loads(json_text(descriptor)) == view, descriptor.name()
         assert min(leaves.values()) >= 50, leaves
 
-    @pytest.mark.parametrize("key", ["c1*c1", "1*c1^2", "c_1^2", "c1^2*c2^0", (2, 0)])
+    @pytest.mark.parametrize("key", ["c1*c1", "1*c1^2", "c_1^2", "c1^2*c2^0"])
     def test_explicit_key_spellings(self, key):
-        assert Explicit(2, {key: 5, "c2": 1}, COT) == Explicit(2, {"c1^2": 5, "c2": 1}, COT)
+        obj = {"type": "explicit", "n": 2, "values": {key: 5, "c2": 1}}
+        assert descriptor_from_json(obj) == Explicit(ChernFunctional(2, COT, (5, 1), 1))
 
     @pytest.mark.parametrize("key", ["2*c2-c2", "c2 + 0", "c1^2 - c1^2 + c2", "0", "c2 - c1"])
     def test_explicit_key_is_one_term(self, key):
@@ -800,16 +834,12 @@ class TestDescriptorSerialization:
         assert str(info.value) == message
         assert isinstance(info.value.__cause__, TypeError)
 
-    @pytest.mark.parametrize("key", [3, 1.5, None])
-    def test_explicit_key_that_is_neither_text_nor_a_sequence_is_refused(self, key):
+    @pytest.mark.parametrize("key", [3, 1.5, None, (2, 0)])
+    def test_explicit_key_that_is_not_text_is_refused(self, key):
         # from Python only: a JSON key is always a string
-        message = f"not a weight-2 monomial: {key!r}"
-        with pytest.raises(ValueError) as info:
-            Explicit(2, {key: 1})
-        assert str(info.value) == message
         with pytest.raises(ValueError) as info:
             descriptor_from_json({"type": "explicit", "n": 2, "values": {key: 1}})
-        assert str(info.value) == message
+        assert str(info.value) == f"not a weight-2 monomial: {key!r}"
 
     def test_bad_tokens(self):
         for token in ["pn", "pn:x", "blah:3", "surface:9", "product(pn:1"]:
@@ -888,7 +918,7 @@ class TestDescriptorSerialization:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_json_refuses_a_product_factor_of_dimension_zero(self, side):
         point = {"type": "explicit", "n": 0, "values": {"1": "3"}}
-        assert descriptor_from_json(point) == Explicit(0, {"1": 3})
+        assert descriptor_from_json(point) == Explicit(ChernFunctional(0, COT, (3,), 1))
         pn = {"type": "pn", "n": 1}
         obj = {"type": "product", "left": pn, "right": pn, side: point}
         for nested in (obj, {"type": "product", "left": obj, "right": {"type": "pn", "n": 2}}):
@@ -1052,15 +1082,18 @@ class TestChernNumbersAreAFunctional:
             ChernFunctional(2, COT, (Fraction(1),), 1)
 
     def test_explicit_fills_zeros(self):
-        assert chern_numbers(Explicit(2, {(2, 0): 5}), COT).coeffs == (5, 0)
+        explicit = descriptor_from_json({"type": "explicit", "n": 2, "values": {"c1^2": 5}})
+        assert chern_numbers(explicit, COT).coeffs == (5, 0)
 
     def test_explicit_rejects_low_weight_monomials(self):
         with pytest.raises(ValueError):
-            Explicit(2, {(1, 0): 5})
+            descriptor_from_json({"type": "explicit", "n": 2, "values": {"c1": 5}})
 
     def test_explicit_rejects_floats(self):
         with pytest.raises(TypeError):
-            Explicit(2, {(2, 0): 1.5})
+            ChernFunctional(2, COT, (1.5, 0), 1)
+        with pytest.raises(ValueError):
+            descriptor_from_json({"type": "explicit", "n": 2, "values": {"c1^2": 1.5}})
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_in_convention_round_trip(self, n):
@@ -1088,7 +1121,8 @@ class TestChernNumbersAreAFunctional:
 
 # Every value class and its fields, in constructor order, as they were when
 # the classes were frozen dataclasses; a sign audit has since held its chi^p
-# values as int numerators over one positive denominator, one row for all p.
+# values as int numerators over one positive denominator, one row for all p,
+# and an explicit variety, once a class of its own, has become its Chern row.
 RECORD_FIELDS = {
     ChernFunctional: ("dimension", "convention", "numerators", "denominator"),
     GeneratorSet: ("dimension", "convention", "generators"),
@@ -1102,6 +1136,7 @@ RECORD_FIELDS = {
     Hypersurface: ("degree", "ambient"),
     AbelianVariety: ("n",),
     Product: ("left", "right"),
+    Explicit: ("numbers",),
     SignAudit: ("variety", "mode", "numerators", "denominator"),
     CorpusEntry: ("name", "descriptor", "expected"),
 }
@@ -1124,6 +1159,7 @@ def record_samples():
         product.right,
         Surface(9, 3),
         AbelianVariety(2),
+        Explicit(ChernFunctional(2, TAN, (9, "3/2"), 1)),
         audit,
         CorpusEntry("x", Curve(2), {"euler": "-2"}),
     ]
@@ -1205,35 +1241,66 @@ class TestRecord:
         assert functional.convention is COT
         assert functional.coeffs == (Fraction(1), Fraction(1, 2))
 
-    def test_explicit_is_not_a_record(self):
-        a = Explicit(1, {"c1": 2})
-        assert not isinstance(a, Record)
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda v, field: setattr(v, field, 3),
+            lambda v, field: setattr(v, "extra", 1),
+            lambda v, field: delattr(v, field),
+        ],
+    )
+    def test_every_descriptor_is_a_frozen_record(self, mutate):
+        import chigenus.varieties as varieties
+
+        exported = [getattr(varieties, name) for name in varieties.__all__]
+        classes = {x for x in exported if isinstance(x, type) and issubclass(x, VarietyDescriptor)}
+        assert all(issubclass(cls, Record) for cls in classes)
+        samples = [x for x in record_samples() if isinstance(x, VarietyDescriptor)]
+        assert {type(x) for x in samples} == classes - {VarietyDescriptor}
+        for sample in samples:
+            field = sample._fields[0]
+            before = (repr(sample), hash(sample))
+            with pytest.raises(FrozenInstanceError):
+                mutate(sample, field)
+            assert (repr(sample), hash(sample)) == before
+        row = ChernFunctional(1, COT, (2,), 1)
+        assert Explicit(row) == Explicit(row.flipped())
+        assert hash(Explicit(row)) == hash(Explicit(row.flipped()))
+
+    def test_explicit_is_its_row(self):
+        a = Explicit(ChernFunctional(1, COT, (2,), 1))
         assert a.name() == "explicit:1"
-        assert a != Explicit(1, {"c1": 3})
+        assert a != Explicit(ChernFunctional(1, COT, (3,), 1))
         assert a != Curve(0)
-        assert hash(a) == hash(Explicit(1, {(1,): 2}))
+        assert a == descriptor_from_json({"type": "explicit", "n": 1, "values": {"c1": 2}})
+        assert repr(a) == (
+            "Explicit(numbers=ChernFunctional(dimension=1, "
+            "convention=<BasisConvention.COTANGENT: 'cotangent'>, numerators=(2,), denominator=1))"
+        )
 
     def test_explicit_equality_ignores_input_convention(self):
-        cotangent = Explicit(1, {"c1": 2})
-        tangent = Explicit(1, {"c1": -2}, TAN)
+        cotangent = Explicit(ChernFunctional(1, COT, (2,), 1))
+        tangent = Explicit(ChernFunctional(1, TAN, (-2,), 1))
         assert cotangent == tangent
         assert hash(cotangent) == hash(tangent)
-        surface = Explicit(2, {"c1^2": 9, "c2": 3}, COT)
+        surface = Explicit(ChernFunctional(2, COT, (9, 3), 1))
         # c1^2 and c2 have even weight, so the same numbers in either convention
-        assert surface == Explicit(2, {"c1^2": 9, "c2": 3}, TAN)
-        assert hash(surface) == hash(Explicit(2, {"c1^2": 9, "c2": 3}, TAN))
+        assert surface == Explicit(ChernFunctional(2, TAN, (9, 3), 1))
+        assert hash(surface) == hash(Explicit(ChernFunctional(2, TAN, (9, 3), 1)))
 
     def test_explicit_with_different_numbers_is_unequal(self):
-        assert Explicit(1, {"c1": 2}) != Explicit(1, {"c1": 2}, TAN)
-        assert Explicit(1, {"c1": 2}) != Explicit(1, {"c1": -2})
-        assert Explicit(2, {"c1^2": 9, "c2": 3}, COT) != Explicit(2, {"c1^2": 9, "c2": -3}, TAN)
-        assert Explicit(1, {"c1": 0}) != Explicit(2, {"c1^2": 0, "c2": 0})
+        def explicit(n, convention, *values):
+            return Explicit(ChernFunctional(n, convention, values, 1))
+
+        assert explicit(1, COT, 2) != explicit(1, TAN, 2)
+        assert explicit(1, COT, 2) != explicit(1, COT, -2)
+        assert explicit(2, COT, 9, 3) != explicit(2, TAN, 9, -3)
+        assert explicit(1, COT, 0) != explicit(2, COT, 0, 0)
 
     @pytest.mark.parametrize("convention", [COT, TAN])
     def test_explicit_never_equals_a_curve(self, convention):
         curve = Curve(0)  # tangent c1 = 2, cotangent c1 = -2
-        values = chern_numbers(curve, convention).terms()
-        same_numbers = Explicit(1, values, convention)
+        same_numbers = Explicit(chern_numbers(curve, convention))
         assert chern_numbers(same_numbers) == chern_numbers(curve)
         assert same_numbers != curve
         assert curve != same_numbers
