@@ -26,45 +26,14 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
-CONFIG_ENV = "CHIGENUS_CONFIG"
-
-# The only dimension limit: `main` resolves it (config, then --max-dim, at
-# most `MAX_DIM`).  `_within_limit` gates only --dim; `varieties` refuses a
-# token or a corpus line above it, or one whose products nest as deep.
+# The only dimension limit: the default of --max-dim, which `main` holds
+# within 0..`MAX_DIM`.  `_within_limit` gates only --dim; `varieties` refuses
+# a token or a corpus line above it, or one whose products nest as deep.
 DEFAULT_MAX_DIM = 8
 
 MODE_NAMES = tuple(mode.replace("_", "-") for mode in SIGN_MODES)
 # "schur" is always on; --assume adds the opt-in inequality generators
 OPTIONAL_ASSUMPTIONS = tuple(tag for tag in ASSUMPTION_TAGS if tag != "schur")
-
-
-def _load_config() -> dict:
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    from .poly import parse_json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            config = parse_json(handle.read())
-    except (OSError, ValueError) as exc:  # bad JSON, a repeated key or not UTF-8
-        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ValueError(f"config {path!r} must hold a JSON object")
-    for key in config:
-        if key != "max_dim":
-            raise ValueError(f"unknown config key {key!r} (the only key is 'max_dim')")
-    return config
-
-
-def _resolve_max_dim(flag: int | None) -> int:
-    # the config is checked even when --max-dim overrides it
-    value = _load_config().get("max_dim", DEFAULT_MAX_DIM)
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= MAX_DIM:
-        raise ValueError(f"config key 'max_dim' must be an integer within 0..{MAX_DIM}")
-    if flag is not None and not 0 <= flag <= MAX_DIM:
-        raise ValueError(f"--max-dim must be an integer within 0..{MAX_DIM}")
-    return value if flag is None else flag
 
 
 def _within_limit(max_dim: int, dim: int, low: int = 0) -> int:
@@ -196,7 +165,7 @@ def _parse_target(args, n: int, mode: str, convention: BasisConvention):
 
 
 def _cmd_certify(args) -> tuple[int, str]:
-    from .cone import Certificate, certify, certify_chi_signs, generators
+    from .cone import Certificate, _assumption_tags, certify, certify_chi_signs, generators
     from .hrr import mode_convention
 
     if args.all_p and args.target is not None:
@@ -218,9 +187,9 @@ def _cmd_certify(args) -> tuple[int, str]:
         lines.append(f"verdict: {'certified' if report.all_certified else 'open'}")
         return code, "\n".join(lines)
 
-    gens = generators(n, tags, convention)
+    _assumption_tags(n, tags)  # the tags and the target are refused before any catalog is built
     target, sign, scale = _parse_target(args, n, mode, convention)
-    result = certify(target, gens)
+    result = certify(target, generators(n, tags, convention))
     certified = isinstance(result, Certificate)
     code = EXIT_OK if certified else EXIT_NEGATIVE
     if args.json:
@@ -322,7 +291,7 @@ def _cmd_variety_eval(args) -> tuple[int, str]:
 # makes a switch and a tuple lists the accepted values.
 FLAGS = {
     "--json": (None, False),
-    "--max-dim": (_decimal, None),
+    "--max-dim": (_decimal, DEFAULT_MAX_DIM),
     "--dim": (_decimal, None),
     "--convention": (("tangent", "cotangent"), "cotangent"),
     "--partition": (str, None),
@@ -438,7 +407,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(args, str):  # --help or --version
             code, text = EXIT_OK, args
         else:
-            args.max_dim = _resolve_max_dim(args.max_dim)
+            if not 0 <= args.max_dim <= MAX_DIM:
+                raise ValueError(f"--max-dim must be an integer within 0..{MAX_DIM}")
             code, text = args.func(args)
         print(text, flush=True)
         return code

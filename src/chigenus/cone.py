@@ -82,6 +82,20 @@ class GeneratorSet(Record):
         return len(self.generators)
 
 
+def _assumption_tags(n: int, assumptions: Sequence[str] | set[str]) -> set[str]:
+    """The assumption tags as a set, refused if one is unknown or `my2` or
+    `my4` is outside its dimension; it builds nothing."""
+    tags = set(assumptions)
+    unknown = tags.difference(ASSUMPTION_TAGS)
+    if unknown:
+        raise ValueError(f"unknown assumption tags: {sorted(unknown)}")
+    if "my2" in tags and n != 2:
+        raise ValueError("assumption 'my2' is only valid in dimension 2")
+    if "my4" in tags and n != 4:
+        raise ValueError("assumption 'my4' is only valid in dimension 4")
+    return tags
+
+
 def generators(
     n: int,
     assumptions: Sequence[str] | set[str] = ("schur",),
@@ -99,14 +113,7 @@ def generators(
     The inequality generators carry geometric hypotheses, so they are
     strictly opt-in and never assumed silently.
     """
-    tags = set(assumptions)
-    unknown = tags.difference(ASSUMPTION_TAGS)
-    if unknown:
-        raise ValueError(f"unknown assumption tags: {sorted(unknown)}")
-    if "my2" in tags and n != 2:
-        raise ValueError("assumption 'my2' is only valid in dimension 2")
-    if "my4" in tags and n != 4:
-        raise ValueError("assumption 'my4' is only valid in dimension 4")
+    tags = _assumption_tags(n, assumptions)
     convention = BasisConvention(convention)
     entries: list[tuple[str, ChernFunctional]] = []
     if "schur" in tags:

@@ -373,7 +373,7 @@ _JSON_SPACE = " \t\n\r"  # JSON's whitespace; `str.strip()` strips more
 
 
 def parse_json(text: str):
-    """The values of JSON text, the corpus's or the config's; a repeated key,
+    """The values of JSON text, such as a corpus line; a repeated key,
     an integer past the digit limit, NaN and the infinities (which `json`
     takes but JSON has not) and too deep nesting are ValueErrors.
 

@@ -224,6 +224,31 @@ class TestCertifyCommand:
         )
         assert code == 2  # not homogeneous of top weight
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ("--target", "c1^5"),
+                "bad target polynomial: monomial c1^5 has weight 5 > dimension 4",
+            ),
+            (("--target", "chi:5"), "chi target p=5 outside 0..4"),
+            (
+                ("--assume", "my2", "--target", "c1^5"),
+                "assumption 'my2' is only valid in dimension 2",
+            ),
+        ],
+        ids=["polynomial", "chi", "my2-first"],
+    )
+    def test_target_refused_before_the_catalog(self, capsys, monkeypatch, flags, message):
+        # the assumptions, then the target, are checked before the Schur
+        # catalog or any chi_y row is built
+        from chigenus import cone, hrr
+
+        monkeypatch.setattr(cone, "_schur_rows", lambda *a: pytest.fail("catalog built"))
+        monkeypatch.setattr(hrr, "_chi_y_rows", lambda n: pytest.fail("chi_y computed"))
+        code, out, err = run_cli(capsys, "certify", "--dim", "4", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_invalid_assumption_for_dimension(self, capsys):
         code, _, err = run_cli(
             capsys, "certify", "--dim", "3", "--target", "chi:3", "--assume", "my4"
@@ -790,7 +815,7 @@ class TestDeepNesting:
         argv = ("check", str(corpus), "--max-dim", str(max_dim))
         assert run_cli(capsys, *argv) == (2, "", f"error: bad corpus line 1: {refusal}")
 
-    def test_max_dim_ceiling(self, capsys, tmp_path, monkeypatch):
+    def test_max_dim_ceiling(self, capsys):
         # the chain 63 deep above runs under --max-dim 64; a weight-64 leaf
         # would need all p(64) (about 1.7 million) monomials
         assert run_cli(capsys, "variety", "eval", "pn:1", "--max-dim", "64")[0] == 0
@@ -799,17 +824,6 @@ class TestDeepNesting:
             "",
             "error: --max-dim must be an integer within 0..64\n",
         )
-        config = tmp_path / "config.json"
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        config.write_text('{"max_dim": 64}')
-        assert run_cli(capsys, "variety", "eval", "pn:1")[0] == 0
-        config.write_text('{"max_dim": 65}')
-        for flags in ((), ("--max-dim", "8")):  # the config is checked all the same
-            assert run_cli(capsys, "variety", "eval", "pn:1", *flags) == (
-                2,
-                "",
-                "error: config key 'max_dim' must be an integer within 0..64\n",
-            )
 
 
 class TestComputedNumbersPastTheDigitLimit:
@@ -991,58 +1005,66 @@ class TestDimensionLimit:
         code, _, _ = run_cli(capsys, "certify", "--dim", "9", "--all-p", "--max-dim", "9")
         assert code in (0, 1)
 
-    def test_config_raises_limit(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"max_dim": 9}))
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        code, _, _ = run_cli(capsys, "variety", "eval", "pn:9")
-        assert code == 0
-        code, _, _ = run_cli(capsys, "check", "pn:9", "--mode", "nef-tangent")
-        assert code == 0
-        code, _, _ = run_cli(capsys, "check", "pn:10")
-        assert code == 2
-
-    def test_config_limit_reaches_certify(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"max_dim": 2}))
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        code, _, err = run_cli(capsys, "certify", "--dim", "3", "--target", "chi:3")
+    def test_flag_lowers_limit_for_certify(self, capsys):
+        code, _, err = run_cli(
+            capsys, "certify", "--dim", "3", "--target", "chi:3", "--max-dim", "2"
+        )
         assert code == 2
         assert err == "error: --dim must be within 1..2\n"
-        code, _, _ = run_cli(capsys, "certify", "--dim", "2", "--target", "chi:2")
+        code, _, _ = run_cli(capsys, "certify", "--dim", "2", "--target", "chi:2", "--max-dim", "2")
         assert code == 0
 
-    @pytest.mark.parametrize("key", ["certify_max_dim", "max-dim"])
-    def test_config_rejects_unknown_key(self, capsys, tmp_path, monkeypatch, key):
+    @pytest.mark.parametrize(
+        "text", ['{"max_dim": 9}', "{not json", None], ids=["limit", "broken", "missing"]
+    )
+    def test_the_environment_sets_no_limit(self, capsys, tmp_path, monkeypatch, text):
+        # --max-dim is the one source of the limit: a config file named in
+        # the environment, read by earlier versions, is ignored, even one
+        # that is broken or missing
+        monkeypatch.delenv("CHIGENUS_CONFIG", raising=False)
+        unset = run_cli(capsys, "chi", "--dim", "2", "--json")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"max_dim": 8, key: 9}))
+        if text is not None:
+            config.write_text(text)
         monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        for flags in ((), ("--max-dim", "8")):
-            code, out, err = run_cli(
-                capsys, "certify", "--dim", "3", "--target", "chi:3", *flags
-            )
-            assert code == 2
-            assert out == ""
-            assert err == f"error: unknown config key {key!r} (the only key is 'max_dim')\n"
+        assert run_cli(capsys, "chi", "--dim", "9") == (
+            2,
+            "",
+            "error: --dim must be within 0..8\n",
+        )
+        assert run_cli(capsys, "chi", "--dim", "2", "--json") == unset
 
-    def test_config_rejects_repeated_key(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text('{"max_dim": 5, "max_dim": 6}')
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        for flags in ((), ("--max-dim", "6")):
-            code, out, err = run_cli(capsys, "chi", "--dim", "6", *flags)
-            assert (code, out) == (2, "")
-            assert err == f"error: cannot read config {str(config)!r}: repeated key 'max_dim'\n"
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("true", "--max-dim: invalid int value: 'true'"),
+            ("false", "--max-dim: invalid int value: 'false'"),
+            ("-1", "--max-dim must be an integer within 0..64"),
+            ("9.0", "--max-dim: invalid int value: '9.0'"),
+            ("65", "--max-dim must be an integer within 0..64"),
+            ("", "--max-dim: invalid int value: ''"),
+        ],
+        ids=["true", "false", "-1", "9.0", "65", "empty"],
+    )
+    def test_flag_rejects_non_integer_limit(self, capsys, bad, message):
+        # the limit is a plain decimal within 0..MAX_DIM, even at --dim 0
+        assert run_cli(capsys, "chi", "--dim", "0", "--max-dim", bad) == (
+            2,
+            "",
+            f"error: {message}\n",
+        )
 
-    @pytest.mark.parametrize("bad", [True, False, -1, 9.0, "9"])
-    def test_config_rejects_non_integer_limit(self, capsys, tmp_path, monkeypatch, bad):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"max_dim": bad}))
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        code, out, err = run_cli(capsys, "chi", "--dim", "0")
-        assert code == 2
-        assert out == ""
-        assert err == "error: config key 'max_dim' must be an integer within 0..64\n"
+    def test_no_module_reads_the_environment(self):
+        sources = sorted(pathlib.Path(poly.__file__).parent.glob("*.py"))
+        assert len(sources) > 1
+        readers = [
+            f"{path.name}:{node.lineno}"
+            for path in sources
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and {getattr(node, "id", None), getattr(node, "attr", None)} & {"environ", "getenv"}
+        ]
+        assert readers == []
 
 
 class TestSharedFlags:
@@ -1082,6 +1104,19 @@ class TestSharedFlags:
             code, out, err = run_cli(capsys, *inside, "--max-dim", limit)
             assert (code, out) == (2, "")
             assert err == "error: --max-dim must be an integer within 0..64\n"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_ignores_a_config_variable(self, capsys, tmp_path, monkeypatch, command):
+        # a file naming a lower limit in CHIGENUS_CONFIG, which earlier
+        # versions read, changes no byte at dimension 3
+        _, above, _ = self.COMMANDS[command]
+        monkeypatch.delenv("CHIGENUS_CONFIG", raising=False)
+        unset = run_cli(capsys, *above, "--json")
+        assert unset[0] in (0, 1) and unset[2] == ""
+        config = tmp_path / "config.json"
+        config.write_text('{"max_dim": 2}')
+        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
+        assert run_cli(capsys, *above, "--json") == unset
 
     @pytest.mark.parametrize(
         "argv, bad",
@@ -1155,6 +1190,12 @@ class TestSharedFlags:
              "--convention: invalid choice 'both' (use tangent or cotangent)"),
             (("chi", "--dim=2", "--convention="),
              "--convention: invalid choice '' (use tangent or cotangent)"),
+            (("chi", "--dim", "2", "--max-dim", "5", "--max-dim=6"), "--max-dim given twice"),
+            (("chi", "--dim", "2", "--max_dim", "5"), "unknown flag '--max_dim' for chi"),
+            (("chi", "--dim", "2", "--certify-max-dim", "5"),
+             "unknown flag '--certify-max-dim' for chi"),
+            (("chi", "--dim", "2", "--max-di", "5"), "unknown flag '--max-di' for chi"),
+            (("chi", "--dim", "2", "--max-dim"), "--max-dim needs a value"),
         ],
     )
     def test_bad_command_line_is_one_error_line(self, capsys, argv, message):
@@ -1164,78 +1205,6 @@ class TestSharedFlags:
         spaced = run_cli(capsys, "chi", "--dim", "3", "--convention", "tangent", "--json")
         joined = run_cli(capsys, "chi", "--dim=3", "--convention=tangent", "--json")
         assert spaced == joined and spaced[0] == 0
-
-
-class TestConfigFile:
-    def test_config_raises_then_overridden(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"max_dim": 9}))
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        code, _, _ = run_cli(capsys, "chi", "--dim", "9")
-        assert code == 0
-        monkeypatch.delenv("CHIGENUS_CONFIG")
-        code, _, _ = run_cli(capsys, "chi", "--dim", "9")
-        assert code == 2
-
-    def test_broken_config(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text("{not json")
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        code, _, err = run_cli(capsys, "chi", "--dim", "2")
-        assert code == 2
-
-    @pytest.mark.parametrize("text", ["[1]", "8", '"max_dim"', "null"])
-    def test_config_must_hold_an_object(self, capsys, tmp_path, monkeypatch, text):
-        config = tmp_path / "config.json"
-        config.write_text(text)
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        assert run_cli(capsys, "chi", "--dim", "2") == (
-            2,
-            "",
-            f"error: config {str(config)!r} must hold a JSON object\n",
-        )
-
-    def test_deeply_nested_config(self, capsys, tmp_path, monkeypatch):
-        # read by `json` alone, so refused whatever the command line holds
-        config = tmp_path / "config.json"
-        config.write_text("[" * 200_000)
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        assert run_cli(capsys, "chi", "--dim", "2") == (
-            2,
-            "",
-            f"error: cannot read config {str(config)!r}: JSON nests too deeply\n",
-        )
-
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-    def test_config_value_that_is_not_json(self, capsys, tmp_path, monkeypatch, literal):
-        config = tmp_path / "config.json"
-        config.write_text('{"max_dim": %s}' % literal)
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        assert run_cli(capsys, "chi", "--dim", "2") == (
-            2,
-            "",
-            f"error: cannot read config {str(config)!r}: {literal} is not JSON\n",
-        )
-
-    def test_config_integer_past_the_digit_limit(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text('{"max_dim": ' + "9" * 5000 + "}")
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        limit = sys.get_int_max_str_digits()
-        assert run_cli(capsys, "chi", "--dim", "2") == (
-            2,
-            "",
-            f"error: cannot read config {str(config)!r}: a number has over {limit} digits\n",
-        )
-
-    def test_config_not_utf8_names_the_file(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_bytes(b"\xff")
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))
-        code, out, err = run_cli(capsys, "chi", "--dim", "2")
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot read config {str(config)!r}: 'utf-8' codec")
-        assert err.count("\n") == 1
 
 
 class TestPinnedOutputs:
@@ -1653,9 +1622,8 @@ class TestStartup:
 
     # JSON is written by `poly.json_text` and read by `poly.parse_json` with
     # `json`'s C scanner alone, so no command loads the `json` package, and
-    # only reading a corpus or a config file loads `_json`; those two runs
-    # show the probe sees it.  A refusal may load `json.decoder` for its
-    # error.
+    # only reading a corpus loads `_json`; that run shows the probe sees it.
+    # A refusal may load `json.decoder` for its error.
     JSON_MODULES = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
     JSON_PACKAGE = JSON_MODULES - {"_json"}
     WRITERS = [
@@ -1675,13 +1643,6 @@ class TestStartup:
 
     def test_reading_a_corpus_loads_only_the_scanner(self):
         _, added = self.modules_after(("check", "tests/data/corpus.jsonl", "--json"))
-        assert "_json" in added and not self.JSON_PACKAGE & added, added
-
-    def test_reading_a_config_loads_only_the_scanner(self, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text('{"max_dim": 4}')
-        monkeypatch.setenv("CHIGENUS_CONFIG", str(config))  # the child inherits it
-        _, added = self.modules_after(("chi", "--dim", "4", "--json"))
         assert "_json" in added and not self.JSON_PACKAGE & added, added
 
     # a refusal by the scanner itself (a missing comma or colon, a control
@@ -1758,7 +1719,6 @@ class TestExitContract:
     def env(self, monkeypatch):
         # help text is static: a narrow terminal must not change a byte of it
         monkeypatch.setenv("COLUMNS", "20")
-        monkeypatch.delenv("CHIGENUS_CONFIG", raising=False)
         # a block-buffered stdout must still be flushed at exit
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
         # corpus paths are relative to the repository root, here and in the child

@@ -3,9 +3,9 @@
 Whatever the tokens, corpus lines (with misspelt fields and top-level keys,
 names that are not strings, an `expected` that is not an object,
 conventions, dimensions above the limit and integers past the digit
-limit), polynomial text, numeric flag values,
-config JSON or shape of the command line (either flag value form, values
-that start with '-', unknown or repeated flags, no command), `main`
+limit), polynomial text, numeric flag values (`--max-dim` among them)
+or shape of the command line (either flag value form, values that start
+with '-', unknown or repeated flags, no command), `main`
 returns 0, 1 or 2 without raising; exit 2 comes with exactly one `error:`
 line on stderr and nothing on stdout, and exit 1 only with an
 "infeasible", "open" or failed-audit verdict on stdout.  Dimensions
@@ -38,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chigenus import SIGN_MODES
-from chigenus.cli import CONFIG_ENV, main
+from chigenus.cli import main
 
 SMALL = st.integers(-2, 6)
 # recipe kind -> the fields its descriptor JSON needs ("bogus" is no kind)
@@ -162,18 +162,6 @@ def corpus_lines(draw) -> str:
     return line.replace("\n", " ").replace("\r", " ")
 
 
-@st.composite
-def configs(draw) -> str | None:
-    """Config file text, or None for no config."""
-    valid = st.sampled_from([None, '{"max_dim": 2}', '{"max_dim": 6}'])
-    junk = st.one_of(
-        json_scalars.map(lambda limit: json.dumps({"max_dim": limit})),
-        json_values.map(json.dumps),
-        st.text(max_size=8),
-    )
-    return mostly(draw, valid, junk)
-
-
 modes = st.sampled_from(["nef-cotangent", "nef-tangent", "nef_tangent", "both"])
 
 
@@ -244,29 +232,18 @@ VERDICTS = (
 
 
 @settings(max_examples=300, deadline=None)
-@given(invocations(), configs())
-def test_main_keeps_the_error_contract(invocation, config):
+@given(invocations())
+def test_main_keeps_the_error_contract(invocation):
     argv, lines = invocation
-    saved = os.environ.pop(CONFIG_ENV, None)
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with tempfile.TemporaryDirectory() as scratch:
-            if lines is not None:
-                corpus = os.path.join(scratch, "corpus.jsonl")
-                with open(corpus, "w", encoding="utf-8") as handle:
-                    handle.write("\n".join(lines) + "\n")
-                argv = [corpus if arg == "{corpus}" else arg for arg in argv]
-            if config is not None:
-                path = os.path.join(scratch, "config.json")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(config)
-                os.environ[CONFIG_ENV] = path
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-    finally:
-        os.environ.pop(CONFIG_ENV, None)
-        if saved is not None:
-            os.environ[CONFIG_ENV] = saved
+    with tempfile.TemporaryDirectory() as scratch:
+        if lines is not None:
+            corpus = os.path.join(scratch, "corpus.jsonl")
+            with open(corpus, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            argv = [corpus if arg == "{corpus}" else arg for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     stdout, stderr = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
@@ -343,19 +320,14 @@ def verified_ops(draw, kind: str):
 @given(data=st.data())
 def test_accepted_outputs_pass_the_independent_checker(kind, data):
     op = data.draw(verified_ops(kind))
-    saved = os.environ.pop(CONFIG_ENV, None)
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with tempfile.TemporaryDirectory() as scratch:
-            corpus = os.path.join(scratch, "corpus.jsonl")
-            with open(corpus, "w", encoding="utf-8") as handle:
-                handle.write(op.corpus)
-            argv = [corpus if arg == "{corpus}" else arg for arg in op.argv]
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-    finally:
-        if saved is not None:
-            os.environ[CONFIG_ENV] = saved
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus = os.path.join(scratch, "corpus.jsonl")
+        with open(corpus, "w", encoding="utf-8") as handle:
+            handle.write(op.corpus)
+        argv = [corpus if arg == "{corpus}" else arg for arg in op.argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     assert code in (0, 1) and err.getvalue() == "", (argv, code, err.getvalue())
     # raises unless the output verifies and exit 1 comes exactly with an
     # infeasible target, an open report or a failed audit

@@ -7,7 +7,7 @@ import re
 import shlex
 
 import chigenus
-from chigenus.cli import CONFIG_ENV, main
+from chigenus.cli import main
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -37,7 +37,6 @@ def test_the_readme_library_example_runs():
 
 def test_the_readme_cli_lines_exit_as_stated(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)  # the corpus path is relative to the repository
-    monkeypatch.delenv(CONFIG_ENV, raising=False)
     commands = [line for line in code_block("## CLI", "sh") if line.startswith("chigenus ")]
     assert commands
     exits, stated = [], []
