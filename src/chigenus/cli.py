@@ -237,7 +237,7 @@ def _cmd_check(args) -> tuple[int, str]:
     if os.path.exists(args.target) or args.target.endswith(".jsonl") or "/" in args.target:
         descriptors = [entry.descriptor for entry in load_corpus(args.target, args.max_dim)]
         if not descriptors:
-            raise ValueError(f"corpus {args.target} holds no entries")
+            raise ValueError(f"corpus {args.target!r} holds no entries")
     else:  # a corpus line or token above the limit is refused where it is read
         descriptors = [descriptor_from_token(args.target, args.max_dim)]
     audits = [check_signs(descriptor, mode) for descriptor in descriptors]

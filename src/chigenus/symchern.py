@@ -125,12 +125,16 @@ def _kostka_columns(n: int) -> Callable[[int], KostkaColumn]:
     contents = [tuple(filter(None, mu)) for mu in partitions_of(n)]
     rank = {mu: j for j, mu in enumerate(contents)}
     strips: dict[tuple[Partition, int], list[Partition]] = {}
-    hooks = []  # f^shape by rank: n! over the product of its hook lengths
-    for shape in contents:
-        cols = _conjugate(shape, max(shape, default=0))
-        boxes = [(i, j) for i, r in enumerate(shape) for j in range(r)]
-        hooks.append(factorial(n) // prod(shape[i] - j + cols[j] - i - 1 for i, j in boxes))
+    hooks: dict[int, int] = {}  # f^shape by rank, for the shapes of built columns
     stack: list[tuple[Partition, dict[Partition, int]]] = [((), {(): 1})]
+
+    def f(r: int) -> int:  # f^shape of rank r: n! over the product of its hook lengths
+        if r not in hooks:
+            shape = contents[r]
+            cols = _conjugate(shape, max(shape, default=0))
+            boxes = [(i, j) for i, row in enumerate(shape) for j in range(row)]
+            hooks[r] = factorial(n) // prod(shape[i] - j + cols[j] - i - 1 for i, j in boxes)
+        return hooks[r]
 
     def column(j: int) -> KostkaColumn:
         parts = contents[j]
@@ -148,7 +152,7 @@ def _kostka_columns(n: int) -> Callable[[int], KostkaColumn]:
             prefix, counts = prefix + (part,), longer
             stack.append((prefix, counts))
         built = tuple(map(rank.__getitem__, counts)), tuple(counts.values())
-        if sum(c * hooks[r] for r, c in zip(*built)) != factorial(n) // prod(map(factorial, parts)):
+        if sum(c * f(r) for r, c in zip(*built)) != factorial(n) // prod(map(factorial, parts)):
             raise ConsistencyError(f"column {parts} of K fails the hook-length identity")
         return built
 
