@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # Owned here so the command-line parser can name them without loading the
 # mathematics; `hrr` and `cone` import them from here.
 SIGN_MODES = ("nef_cotangent", "nef_tangent")
-ASSUMPTION_TAGS = ("schur", "my2", "my4", "c1top")
+ASSUMPTION_TAGS = ("my2", "my4", "c1top")
 # The ceiling on every dimension limit.  It bounds nesting, not work: a product
 # read within it nests too shallowly to near the stack.  Recipe leaves take
 # chi_y from closed forms and enumerate no monomial, but an explicit leaf or a

@@ -82,30 +82,33 @@ class GeneratorSet(Record):
         return len(self.generators)
 
 
-def _assumption_tags(n: int, assumptions: Sequence[str] | set[str]) -> set[str]:
-    """The assumption tags as a set, refused if one is unknown or `my2` or
-    `my4` is outside its dimension; it builds nothing."""
-    tags = set(assumptions)
-    unknown = tags.difference(ASSUMPTION_TAGS)
-    if unknown:
-        raise ValueError(f"unknown assumption tags: {sorted(unknown)}")
-    if "my2" in tags and n != 2:
-        raise ValueError("assumption 'my2' is only valid in dimension 2")
-    if "my4" in tags and n != 4:
-        raise ValueError("assumption 'my4' is only valid in dimension 4")
+def _assumption_tags(n: int, assumptions: Sequence[str]) -> tuple[str, ...]:
+    """The opt-in tags, checked in the order given; it builds nothing.  It
+    refuses a `str`, then an unknown or a repeated tag, then `my2` or `my4`
+    outside its dimension."""
+    if isinstance(assumptions, str):
+        raise TypeError(f"assumptions must be a sequence of tags, not the str {assumptions!r}")
+    tags = tuple(assumptions)
+    for i, tag in enumerate(tags):
+        if tag not in ASSUMPTION_TAGS:
+            raise ValueError(f"unknown assumption {tag!r} (use {', '.join(ASSUMPTION_TAGS)})")
+        if tag in tags[:i]:
+            raise ValueError(f"assumption {tag!r} given twice")
+    for tag, dim in (("my2", 2), ("my4", 4)):
+        if tag in tags and n != dim:
+            raise ValueError(f"assumption {tag!r} is only valid in dimension {dim}")
     return tags
 
 
 def generators(
     n: int,
-    assumptions: Sequence[str] | set[str] = ("schur",),
+    assumptions: Sequence[str] = (),
     convention: BasisConvention = BasisConvention.COTANGENT,
 ) -> GeneratorSet:
-    """Build the generator catalog for dimension n.
+    """The generator catalog for dimension n: every Schur polynomial of the
+    (co)tangent bundle, in partition order, then the opt-in inequality
+    generators that `assumptions` names (`_assumption_tags`):
 
-    `assumptions` selects which families are taken as non-negative:
-
-    * ``schur``  -- all Schur polynomials of the (co)tangent bundle;
     * ``my2``    -- 3c_2 - c_1^2 >= 0 (dimension 2 only);
     * ``my4``    -- (5/2)c_1^2 c_2 - c_1^4 >= 0 (dimension 4 only);
     * ``c1top``  -- c_1^n >= 0.
@@ -115,10 +118,8 @@ def generators(
     """
     tags = _assumption_tags(n, assumptions)
     convention = BasisConvention(convention)
-    entries: list[tuple[str, ChernFunctional]] = []
-    if "schur" in tags:
-        schur_rows = _schur_rows(partitions_of(n), n, convention)
-        entries += ((partition_label(a), f) for a, f in schur_rows.items())
+    schur_rows = _schur_rows(partitions_of(n), n, convention)
+    entries = [(partition_label(a), f) for a, f in schur_rows.items()]
     # rows over weight_basis(2) = (c1^2, c2) and weight_basis(4) = (c1^4,
     # c1^2*c2, c1*c3, c2^2, c4); c_1^n is the first monomial of every basis
     if "my2" in tags:
@@ -362,11 +363,7 @@ class ChiSignReport(Record):
         }
 
 
-def certify_chi_signs(
-    n: int,
-    mode: str,
-    assumptions: Sequence[str] | set[str] = ("schur",),
-) -> ChiSignReport:
+def certify_chi_signs(n: int, mode: str, assumptions: Sequence[str] = ()) -> ChiSignReport:
     """Try to certify the sign pattern of every chi^p in dimension n.
 
     Row p asks for chi_sign(n, p, mode) * chi^p >= 0 against the generators
@@ -378,7 +375,8 @@ def certify_chi_signs(
     "open" and carries the Farkas witness: the witness shows these
     generators are insufficient, not that the sign statement is false.
     """
-    gens = generators(n, assumptions, mode_convention(mode))
+    tags = _assumption_tags(n, assumptions)  # read once: the report lists what was assumed
+    gens = generators(n, tags, mode_convention(mode))
     rows = []
     solved: dict[ChernFunctional, CertifyResult] = {}  # rows p and n - p share one
     for p in range(n + 1):
@@ -387,4 +385,4 @@ def certify_chi_signs(
         if target not in solved:
             solved[target] = certify(target, gens)
         rows.append(ChiSignRow(p, sign, scale, target, solved[target]))
-    return ChiSignReport(n, mode, tuple(sorted(set(assumptions))), tuple(rows))
+    return ChiSignReport(n, mode, tuple(sorted(("schur", *tags))), tuple(rows))

@@ -13,8 +13,8 @@ coefficient of the monomial symmetric function m_lambda is
 q_0^{n - len(lambda)} prod_i q_{lambda_i}, a polynomial of degree n in y
 whose y^p coefficient belongs to chi^p.  With s_k scaled by L^k (L the lcm
 of the denominators of s_k, k <= n) these are integer polynomials over L^n;
-`symchern.chern_coordinates` takes them to the c-monomials, and each row is
-its integer numerators over L^n.
+`symchern.chern_coordinates` takes them, divided with L^n by their gcd, to
+the c-monomials, and each row is its integer numerators over L^n / gcd.
 
 The rows are flipped into cotangent variables (c_i of the cotangent bundle)
 once, where they are built: the flip of a weight-n row is the sign (-1)^n.
@@ -69,12 +69,14 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
     """chi^0..chi^n of dimension n, in cotangent variables: the y^p parts
     of the chi_y genus (module docstring), from one `chern_coordinates`
     solve on its m_lambda coefficients listed in `partitions_of(n)` order.
+    Those and L^n are divided by their gcd first, so the solve runs at the
+    scale of the row denominators (Hirzebruch's Todd denominators), not L^n.
 
-    The rows are validated once, here, on the integer numerators over L^n
-    that they are built from: the duality symmetry chi^p =
-    (-1)^n chi^{n-p}, the alternating-sum identity sum_p (-1)^p chi^p =
-    Euler functional, and chi^p(P^n) = (-1)^p.  A failure means the chi_y
-    engine is broken and aborts."""
+    The rows are validated once, here, on the integer numerators they are
+    built from: the duality symmetry chi^p = (-1)^n chi^{n-p}, the
+    alternating-sum identity sum_p (-1)^p chi^p = Euler functional, and
+    chi^p(P^n) = (-1)^p.  A failure means the chi_y engine is broken and
+    aborts."""
     from .symchern import chern_coordinates  # only rows load the Kostka solve
 
     parts = partitions_of(n)  # refuses an n that is not a non-negative int
@@ -86,8 +88,9 @@ def _chi_y_rows(n: int) -> tuple[ChernFunctional, ...]:
             poly = [factor[k] * ((-1) ** k * a + b) for a, b in zip(poly + [0], [0] + poly)]
         right.append(poly)
     # tangent numerators; the flip to cotangent variables is the sign (-1)^n
-    numerators = chern_coordinates(right, n)
-    den = scale**n
+    g = math.gcd(scale**n, *(c for poly in right for c in poly))
+    numerators = chern_coordinates([[c // g for c in poly] for poly in right], n)
+    den = scale**n // g
     sign = (-1) ** n
     for p in range(n + 1):
         if any(k[p] != sign * k[n - p] for k in numerators):

@@ -299,8 +299,10 @@ def parse_terms(dim: int, text: str) -> list[tuple[Monomial, int, int]]:
     so '1 - 1' is two terms.  The grammar is what `terms_text`
     writes, plus c_1 for c1 and an omitted unit coefficient; a coefficient
     may only lead its term, and '0' alone has no terms.  A monomial heavier
-    than `dim` is refused once the whole text has parsed.  Every refusal is
-    a `ParseError`."""
+    than `dim` is refused once the whole text has parsed.  Text that is not
+    a `str` is a `TypeError`; every other refusal is a `ParseError`."""
+    if not isinstance(text, str):
+        raise TypeError(f"polynomial text must be a str, not {type(text).__name__}")
     body = text.strip()
     if not body:
         raise ParseError("empty polynomial text")

@@ -16,6 +16,9 @@ package's own:
   variable, with no Chern number, and of the other recipe leaves and their
   products by closed forms and the product rule;
 * the full chi_y table from the closed product formula over formal roots;
+* the chi_y genus at one point mod a prime, as the truncated product of the
+  series Q_y(x_i t) over the point's roots, against the rows evaluated at
+  the point's Chern classes;
 * the Schur coordinates of the chi_y genus by the dual Cauchy and dual
   Jacobi-Trudi identities, one determinant over Z[y] per partition (no
   Kostka number);
@@ -583,6 +586,51 @@ def chi_table_via_roots(n: int) -> list[GradedPoly]:
     for p in range(n + 1):
         rows.append(GradedPoly(n, to_elementary(rp_degree_part(by_y_degree[p], n), n)))
     return rows
+
+
+# -- chi_y at a point mod a prime ----------------------------------------------
+
+# two weight-n rows that differ agree at a uniformly random point mod P with
+# probability at most 2n / P (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979)
+POINT_PRIME = 2**61 - 1
+
+
+def row_at_roots(row: ChernFunctional, roots: Sequence[int]) -> int:
+    """A weight-n row at the Chern classes of tangent roots x_1..x_n, mod
+    `POINT_PRIME`: c_j is e_j(x) in tangent variables and (-1)^j e_j(x) in
+    cotangent ones."""
+    n, prime = row.dimension, POINT_PRIME
+    e = [1] + [0] * n
+    for x in roots:
+        for j in range(n, 0, -1):
+            e[j] = (e[j] + x * e[j - 1]) % prime
+    if row.convention is BasisConvention.COTANGENT:
+        e = [(-1) ** j * ej for j, ej in enumerate(e)]
+    total = 0
+    for mono, num in zip(weight_basis(n), row.numerators):
+        for j, k in enumerate(mono, 1):
+            num = num * pow(e[j], k, prime) % prime
+        total += num
+    return total * pow(row.denominator, -1, prime) % prime
+
+
+def chi_y_at_roots(roots: Sequence[int], y: int) -> int:
+    """[t^n] prod_i Q_y(x_i t) mod `POINT_PRIME`, n = len(roots): the chi_y
+    genus sum_p y^p chi^p at the point, from Q_y(x) = sum_k (t_k + y s_k) x^k
+    with t_k = B+_k / k! (`bernoulli_plus`) and s_k = (-1)^k t_k.  It forms
+    no Chern class: n products of truncated series in t."""
+    n, prime = len(roots), POINT_PRIME
+    q = []
+    for k in range(n + 1):
+        t = bernoulli_plus(k) / factorial(k)
+        q.append(t.numerator * pow(t.denominator, -1, prime) * (1 + (-1) ** k * y) % prime)
+    series = [1] + [0] * n
+    for x in roots:
+        factor = [q[k] * pow(x, k, prime) % prime for k in range(n + 1)]
+        series = [
+            sum(series[i] * factor[k - i] for i in range(k + 1)) % prime for k in range(n + 1)
+        ]
+    return series[n]
 
 
 # -- Schur coordinates of chi_y by the Jacobi-Trudi determinant ------------------

@@ -89,7 +89,7 @@ def test_criterion_2_schur_golden_tables():
 
 def test_criterion_3_paper_chain_certificate():
     with criterion("C3", "the encoded descent-chain certificate verifies exactly"):
-        gens = generators(4, ("schur", "my4", "c1top"))
+        gens = generators(4, ("my4", "c1top"))
         chain = {
             "P_(1,1,1,1)": Fraction(1),
             "P_(2,2,0,0)": Fraction(2),
@@ -117,7 +117,7 @@ def test_criterion_3_paper_chain_certificate():
 
 def test_criterion_4_infeasibility_reproduction():
     with criterion("C4", "720*chi^4 over Schur generators alone is infeasible"):
-        gens = generators(4, ("schur",))
+        gens = generators(4)
         target, scale = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         assert scale == 720
         result = certify(target, gens)
@@ -131,14 +131,14 @@ def test_criterion_4_infeasibility_reproduction():
 def test_criterion_5_feasibility_suite():
     with criterion("C5", "the listed sign targets all certify and verify"):
         cases = [
-            (1, 0, ("schur",)),
-            (1, 1, ("schur",)),
-            (2, 0, ("schur",)),
-            (2, 1, ("schur", "my2")),
-            (2, 2, ("schur",)),
-            (3, 0, ("schur",)),
-            (3, 3, ("schur",)),
-            (4, 4, ("schur", "my4", "c1top")),
+            (1, 0, ()),
+            (1, 1, ()),
+            (2, 0, ()),
+            (2, 1, ("my2",)),
+            (2, 2, ()),
+            (3, 0, ()),
+            (3, 3, ()),
+            (4, 4, ("my4", "c1top")),
         ]
         for n, p, tags in cases:
             gens = generators(n, tags)
@@ -173,7 +173,7 @@ def test_criterion_6_property_suite():
         # simplex feasibility equals Fourier-Motzkin up to dimension 3
         rng = random.Random(4213)
         for n in (1, 2, 3):
-            tags = ("schur", "my2") if n == 2 else ("schur",)
+            tags = ("my2",) if n == 2 else ()
             gens = generators(n, tags)
             columns = [f.coeffs for f in gens.functionals()]
             targets = [

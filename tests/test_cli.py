@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 from chigenus import ASSUMPTION_TAGS, SIGN_MODES, __version__, poly
 from chigenus.cli import main
-from chigenus.cone import Certificate, certify, certify_chi_signs, generators
+from chigenus.cone import (
+    Certificate,
+    ChiSignReport,
+    ChiSignRow,
+    GeneratorSet,
+    certify,
+    certify_chi_signs,
+    generators,
+)
 from chigenus.hrr import chi_p, chi_table, signed_target
 from chigenus.poly import (
     BasisConvention,
@@ -290,7 +298,7 @@ class TestCertifyCommand:
         cleared, _ = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         assert target.top_coefficients() == cleared.coeffs
         # re-run certify in-process and compare coefficient maps
-        gens = generators(4, ("schur", "my4", "c1top"))
+        gens = generators(4, ("my4", "c1top"))
         result = certify(
             ChernFunctional(4, BasisConvention.COTANGENT, target.top_coefficients(), 1), gens
         )
@@ -1370,11 +1378,17 @@ def printed(value):
 
 
 def assumption_sets(n):
-    """Every set of assumption tags that `generators` takes in dimension n."""
+    """Every set of opt-in tags that `generators` takes in dimension n."""
     tags = [tag for tag in ASSUMPTION_TAGS if tag not in ("my2", "my4") or tag == f"my{n}"]
     return [
         tuple(tag for k, tag in enumerate(tags) if mask >> k & 1) for mask in range(2 ** len(tags))
     ]
+
+
+def without_schur(gens, tags):
+    """The opt-in rows of a catalog alone: a set `generators` never builds,
+    as it always holds the Schur family, but `certify` takes."""
+    return GeneratorSet(gens.dimension, gens.convention, gens.generators[len(gens) - len(tags) :])
 
 
 class TestViewsAreThePrintedText:
@@ -1393,9 +1407,15 @@ class TestViewsAreThePrintedText:
     def test_sign_reports(self, n, mode):
         for tags in assumption_sets(n):
             report = certify_chi_signs(n, mode, tags)
-            view = report.to_json_dict()
-            assert view == printed(report), tags
-            assert view["rows"] == [row.to_json_dict() for row in report.rows]
+            gens = without_schur(generators(n, tags, report.convention), tags)
+            rows = tuple(
+                ChiSignRow(row.p, row.sign, row.scale, row.target, certify(row.target, gens))
+                for row in report.rows
+            )
+            for shown in (ChiSignReport(n, mode, tuple(sorted(tags)), rows), report):
+                view = shown.to_json_dict()
+                assert view == printed(shown), tags
+                assert view["rows"] == [row.to_json_dict() for row in shown.rows]
 
     def test_seeded_inline_results(self):
         # half of the targets are in the cone by construction
@@ -1404,19 +1424,21 @@ class TestViewsAreThePrintedText:
         for n in range(1, 7):
             for convention in BasisConvention:
                 for tags in assumption_sets(n):
-                    gens = generators(n, tags, convention)
-                    columns = [f.numerators for f in gens.functionals()]
-                    size = len(weight_basis(n))
-                    for k in range(6):
-                        if k % 2 and columns:
-                            weights = [rng.randint(0, 3) for _ in columns]
-                            rhs = [sum(map(mul, weights, row)) for row in zip(*columns)]
-                        else:
-                            rhs = [rng.randint(-4, 4) for _ in range(size)]
-                        result = certify(ChernFunctional(n, convention, rhs, 1), gens)
-                        assert result.to_json_dict() == printed(result), (n, tags, rhs)
-                        compared += 1
-                        certified += isinstance(result, Certificate)
+                    catalog = generators(n, tags, convention)
+                    # the opt-in rows alone, then the whole catalog
+                    for gens in (without_schur(catalog, tags), catalog):
+                        columns = [f.numerators for f in gens.functionals()]
+                        size = len(weight_basis(n))
+                        for k in range(6):
+                            if k % 2 and columns:
+                                weights = [rng.randint(0, 3) for _ in columns]
+                                rhs = [sum(map(mul, weights, row)) for row in zip(*columns)]
+                            else:
+                                rhs = [rng.randint(-4, 4) for _ in range(size)]
+                            result = certify(ChernFunctional(n, convention, rhs, 1), gens)
+                            assert result.to_json_dict() == printed(result), (n, tags, rhs)
+                            compared += 1
+                            certified += isinstance(result, Certificate)
         assert compared >= 200 and 0 < certified < compared
 
     @pytest.mark.parametrize("corpus", ["corpus.jsonl", "products.jsonl"])

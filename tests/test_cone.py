@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chigenus import SIGN_MODES
-from chigenus.cli import OPTIONAL_ASSUMPTIONS
+from chigenus import ASSUMPTION_TAGS, SIGN_MODES
 from chigenus.cone import (
     Certificate,
     ChiSignReport,
@@ -35,8 +34,10 @@ from chigenus.poly import (
     ConventionMismatch,
     DimensionMismatch,
     lowest_terms,
+    partitions_of,
     weight_basis,
 )
+from chigenus.symchern import partition_label
 
 from conftest import rationals
 from oracles import (
@@ -65,13 +66,13 @@ def nonzero_coefficients(cert):
 
 class TestGenerators:
     def test_dim2_schur_only(self):
-        gens = generators(2, {"schur"})
+        gens = generators(2)
         assert gens.names() == ("P_(2,0)", "P_(1,1)")
         assert gens.functionals()[0] == functional(2, "1*c2")
         assert gens.functionals()[1] == functional(2, "1*c1^2 - 1*c2")
 
     def test_dim4_schur_matches_displays(self):
-        gens = generators(4, {"schur"})
+        gens = generators(4)
         assert [f.to_text() for f in gens.functionals()] == [
             "1*c4",
             "1*c1*c3 - 1*c4",
@@ -81,35 +82,75 @@ class TestGenerators:
         ]
 
     def test_dim4_full_count(self):
-        gens = generators(4, {"schur", "my4", "c1top"})
+        gens = generators(4, ("my4", "c1top"))
         assert len(gens) == 7
         assert gens.names()[-2:] == ("my4", "c1top")
 
     def test_assumption_polynomials(self):
-        my2 = dict(generators(2, {"schur", "my2"}).generators)["my2"]
+        my2 = dict(generators(2, ("my2",)).generators)["my2"]
         assert my2 == functional(2, "-1*c1^2 + 3*c2")
-        my4 = dict(generators(4, {"schur", "my4"}).generators)["my4"]
+        my4 = dict(generators(4, ("my4",)).generators)["my4"]
         assert my4 == functional(4, "-1*c1^4 + 5/2*c1^2*c2")
-        c1top = dict(generators(3, {"schur", "c1top"}).generators)["c1top"]
+        c1top = dict(generators(3, ("c1top",)).generators)["c1top"]
         assert c1top == functional(3, "1*c1^3")
 
     def test_invalid_pairings(self):
         with pytest.raises(ValueError):
-            generators(3, {"schur", "my2"})
+            generators(3, ("my2",))
         with pytest.raises(ValueError):
-            generators(2, {"schur", "my4"})
+            generators(2, ("my4",))
         with pytest.raises(ValueError):
-            generators(2, {"schur", "bogus"})
+            generators(2, ("bogus",))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_schur_family_is_always_the_catalog(self, n):
+        schur_names = tuple(partition_label(a) for a in partitions_of(n))
+        assert generators(n).names() == generators(n, ()).names() == schur_names
+        assert generators(n, ("c1top",)).names() == (*schur_names, "c1top")
+
+    # each refusal names the first tag it meets: every tag is checked for
+    # being known and new before any for its dimension, my2 before my4
+    @pytest.mark.parametrize(
+        "tags, message",
+        [
+            (("schur",), "unknown assumption 'schur' (use my2, my4, c1top)"),
+            (("c1top", "bogus", "my2"), "unknown assumption 'bogus' (use my2, my4, c1top)"),
+            (("c1top", "c1top"), "assumption 'c1top' given twice"),
+            (("my2", "c1top", "my2"), "assumption 'my2' given twice"),
+            (("my4", "my2"), "assumption 'my2' is only valid in dimension 2"),
+            (("c1top", "my4"), "assumption 'my4' is only valid in dimension 4"),
+        ],
+    )
+    def test_tags_are_refused_in_order(self, tags, message):
+        for build in (generators, lambda n, t: certify_chi_signs(n, "nef_tangent", t)):
+            with pytest.raises(ValueError) as info:
+                build(3, tags)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("tags", ["schur", "my2", ""])
+    def test_a_str_is_refused(self, tags):
+        for build in (generators, lambda n, t: certify_chi_signs(n, "nef_cotangent", t)):
+            with pytest.raises(TypeError) as info:
+                build(2, tags)
+            assert "\n" not in str(info.value)
+
+    def test_cone_alone_words_a_tag_refusal(self):
+        # the command line hands its tags to `cone`, the one check of them
+        import chigenus.cone as cone
+
+        sources = sorted(pathlib.Path(cone.__file__).parent.glob("*.py"))
+        for wording in ("unknown assumption", "assumption {tag!r}"):
+            assert [path.name for path in sources if wording in path.read_text()] == ["cone.py"]
 
     def test_tangent_convention_tagging(self):
-        gens = generators(3, {"schur"}, TAN)
+        gens = generators(3, (), TAN)
         assert gens.convention is TAN
         assert all(f.convention is TAN for f in gens.functionals())
 
 
 class TestCertify:
     def test_dim2_todd_target(self):
-        gens = generators(2, {"schur"})
+        gens = generators(2)
         target = functional(2, "1*c1^2 + 1*c2")  # 12 * chi^0
         result = certify(target, gens)
         assert isinstance(result, Certificate)
@@ -121,7 +162,7 @@ class TestCertify:
         }
 
     def test_dim2_bmy_target(self):
-        gens = generators(2, {"schur", "my2"})
+        gens = generators(2, ("my2",))
         target = functional(2, "-1*c1^2 + 5*c2")  # -6 * chi^1
         result = certify(target, gens)
         assert isinstance(result, Certificate)
@@ -130,12 +171,12 @@ class TestCertify:
         assert combo["my2"] > 0  # Schur cone alone cannot reach it
 
     def test_dim2_bmy_needed(self):
-        gens = generators(2, {"schur"})
+        gens = generators(2)
         target = functional(2, "-1*c1^2 + 5*c2")
         assert isinstance(certify(target, gens), Infeasibility)
 
     def test_dim4_chi4_infeasible_over_schur(self):
-        gens = generators(4, {"schur"})
+        gens = generators(4)
         target, scale = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         assert scale == 720
         result = certify(target, gens)
@@ -146,21 +187,21 @@ class TestCertify:
         assert witness.dot(target.coeffs) > 0
 
     def test_dim4_chi4_feasible_with_assumptions(self):
-        gens = generators(4, {"schur", "my4", "c1top"})
+        gens = generators(4, ("my4", "c1top"))
         target, _ = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         result = certify(target, gens)
         assert isinstance(result, Certificate)
         assert verify_certificate(result, gens)
 
     def test_mismatch_errors(self):
-        gens = generators(2, {"schur"})
+        gens = generators(2)
         with pytest.raises(DimensionMismatch):
             certify(functional(3, "1*c3"), gens)
         with pytest.raises(ConventionMismatch):
             certify(functional(2, "1*c2", TAN), gens)
 
     def test_zero_target_feasible(self):
-        gens = generators(3, {"schur"})
+        gens = generators(3)
         result = certify(ChernFunctional(3, COT, (0, 0, 0), 1), gens)
         assert isinstance(result, Certificate)
         assert all(c == 0 for c in result.coefficients)
@@ -168,7 +209,7 @@ class TestCertify:
     @pytest.mark.parametrize("n", range(5))
     def test_empty_generator_set_certifies_only_zero(self, n):
         # the combination of no rows is zero in every coordinate
-        gens = generators(n, ())
+        gens = GeneratorSet(n, COT, ())  # `generators` always holds the Schur family
         assert len(gens) == 0
         size = len(weight_basis(n))
         result = certify(ChernFunctional(n, COT, (0,) * size, 1), gens)
@@ -180,7 +221,7 @@ class TestCertify:
 
     def test_empty_generator_set_refuses_a_nonzero_target(self):
         target = functional(3, "1*c1*c2")
-        result = certify(target, generators(3, ()))
+        result = certify(target, GeneratorSet(3, COT, ()))
         assert isinstance(result, Infeasibility)
         assert result.witness.dot(target.coeffs) > 0
 
@@ -198,7 +239,7 @@ class TestPaperChainCertificate:
     }
 
     def gens(self):
-        return generators(4, {"schur", "my4", "c1top"})
+        return generators(4, ("my4", "c1top"))
 
     def chain_certificate(self):
         gens = self.gens()
@@ -260,7 +301,7 @@ class TestPaperChainCertificate:
 class TestCoefficientsAreTheCertificate:
     # over (P_(3,0,0), P_(2,1,0), P_(1,1,1)) = (c3, c1*c2 - c3, ...)
     def test_generator_combination_accepted(self):
-        gens = generators(3, {"schur"})
+        gens = generators(3)
         cert = Certificate(
             target=functional(3, "1*c1*c2"),
             generator_names=gens.names(),
@@ -270,7 +311,7 @@ class TestCoefficientsAreTheCertificate:
         assert verify_certificate(cert, gens)
 
     def test_dropped_coefficient_rejected(self):
-        gens = generators(3, {"schur"})
+        gens = generators(3)
         cert = Certificate(
             target=functional(3, "1*c1*c2"),
             generator_names=gens.names(),
@@ -280,7 +321,7 @@ class TestCoefficientsAreTheCertificate:
         assert not verify_certificate(cert, gens)
 
     def test_negative_coefficient_rejected(self):
-        gens = generators(3, {"schur"})
+        gens = generators(3)
         cert = Certificate(
             target=functional(3, "1*c1*c2 - 2*c3"),
             generator_names=gens.names(),
@@ -290,13 +331,13 @@ class TestCoefficientsAreTheCertificate:
         assert not verify_certificate(cert, gens)
 
     def test_one_coefficient_per_name(self):
-        names = generators(3, {"schur"}).names()
+        names = generators(3).names()
         with pytest.raises(ValueError) as info:
             Certificate(functional(3, "1*c1*c2"), names, (1, 1), 1)
         assert str(info.value) == "one coefficient per generator name required"
 
     def test_misaligned_certificate_rejected(self):
-        gens = generators(3, {"schur"})
+        gens = generators(3)
         names = gens.names()
         tangent = functional(3, "1*c1*c2", TAN)
         for target, order in [
@@ -310,7 +351,7 @@ class TestCoefficientsAreTheCertificate:
 class TestSoundnessAndDeterminism:
     def test_every_returned_certificate_verifies(self):
         for n in range(1, 5):
-            gens = generators(n, {"schur"})
+            gens = generators(n)
             for p in range(n + 1):
                 target, _ = signed_target(chi_p(n, p), (-1) ** (n - p), "nef_cotangent")
                 result = certify(target, gens)
@@ -323,7 +364,7 @@ class TestSoundnessAndDeterminism:
 
     def test_byte_identical_reruns(self):
         def run():
-            gens = generators(4, {"schur", "my4", "c1top"})
+            gens = generators(4, ("my4", "c1top"))
             target, _ = signed_target(chi_p(4, 4), 1, "nef_cotangent")
             return json.dumps(certify(target, gens).to_json_dict(), sort_keys=True)
 
@@ -333,7 +374,7 @@ class TestSoundnessAndDeterminism:
 class TestFourierMotzkinCrossCheck:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_signed_chi_targets(self, n):
-        tags = {"schur", "my2"} if n == 2 else {"schur"}
+        tags = ("my2",) if n == 2 else ()
         gens = generators(n, tags)
         columns = [f.coeffs for f in gens.functionals()]
         for p in range(n + 1):
@@ -346,7 +387,7 @@ class TestFourierMotzkinCrossCheck:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_random_targets(self, n):
         rng = random.Random(20260811 + n)
-        gens = generators(n, {"schur"})
+        gens = generators(n)
         columns = [f.coeffs for f in gens.functionals()]
         size = len(columns[0])
         for _ in range(25):
@@ -367,8 +408,8 @@ def combination(weights, columns):
     return tuple(sum(w * col[i] for w, col in zip(weights, columns)) for i in rows)
 
 
-AUGMENTED = [(2, ("schur", "my2")), (4, ("schur", "my4")), (4, ("schur", "my4", "c1top"))] + [
-    (n, ("schur", "c1top")) for n in range(1, 7)
+AUGMENTED = [(2, ("my2",)), (4, ("my4",)), (4, ("my4", "c1top"))] + [
+    (n, ("c1top",)) for n in range(1, 7)
 ]
 
 
@@ -389,7 +430,7 @@ class TestPivotPathMatchesFractionSimplex:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("mode", SIGN_MODES)
     def test_signed_chi_targets(self, n, mode):
-        gens = generators(n, {"schur"}, mode_convention(mode))
+        gens = generators(n, (), mode_convention(mode))
         columns = [f.coeffs for f in gens.functionals()]
         for target in signed_chi_targets(n, mode):
             for sign in (1, -1):
@@ -407,7 +448,7 @@ class TestPivotPathMatchesFractionSimplex:
     @settings(derandomize=True, max_examples=150)
     @given(st.data())
     def test_random_fractional_targets(self, data):
-        n, tags = data.draw(st.sampled_from([(n, ("schur",)) for n in range(1, 7)] + AUGMENTED))
+        n, tags = data.draw(st.sampled_from([(n, ()) for n in range(1, 7)] + AUGMENTED))
         gens = generators(n, tags)
         columns = [f.coeffs for f in gens.functionals()]
         size = len(columns[0])
@@ -417,7 +458,7 @@ class TestPivotPathMatchesFractionSimplex:
     @settings(derandomize=True, max_examples=150)
     @given(st.data())
     def test_feasible_by_construction(self, data):
-        n, tags = data.draw(st.sampled_from([(n, ("schur",)) for n in range(1, 7)] + AUGMENTED))
+        n, tags = data.draw(st.sampled_from([(n, ()) for n in range(1, 7)] + AUGMENTED))
         gens = generators(n, tags)
         columns = [f.coeffs for f in gens.functionals()]
         weights = data.draw(
@@ -441,7 +482,7 @@ class TestPivotPathMatchesFractionSimplex:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_zero_target(self, n):
-        columns = [f.coeffs for f in generators(n, {"schur"}).functionals()]
+        columns = [f.coeffs for f in generators(n).functionals()]
         status, lam = self.assert_same(columns, (Fraction(0),) * len(columns[0]))
         assert status == "feasible" and not any(lam)
 
@@ -455,7 +496,7 @@ class TestSchurBasisOracle:
     def test_verdict_and_coefficients(self, n):
         rng = random.Random(20261018 + n)
         for mode in SIGN_MODES:
-            gens = generators(n, {"schur"}, mode_convention(mode))
+            gens = generators(n, (), mode_convention(mode))
             columns = [f.coeffs for f in gens.functionals()]
             size = len(columns)
             targets = [t.scaled(sign) for t in signed_chi_targets(n, mode) for sign in (1, -1)]
@@ -488,7 +529,7 @@ class TestWitnessForm:
     def pairings(target):
         """The witness's pairing numerators with each Schur generator, or
         None for a certified target; every denominator is positive."""
-        gens = generators(target.dimension, {"schur"}, target.convention)
+        gens = generators(target.dimension, (), target.convention)
         result = certify(target, gens)
         if isinstance(result, Certificate):
             return None
@@ -542,9 +583,15 @@ class TestChiSignReports:
         assert report.rows[0].status == "certified"
 
     def test_dim4_with_assumptions(self):
-        report = certify_chi_signs(4, "nef_cotangent", ("schur", "my4", "c1top"))
+        report = certify_chi_signs(4, "nef_cotangent", ("my4", "c1top"))
         assert report.rows[4].status == "certified"
         assert report.rows[0].status == "certified"
+
+    def test_the_report_lists_the_tags_it_was_given_once(self):
+        # an iterator is read once, so the report names the rows it used
+        report = certify_chi_signs(2, "nef_cotangent", iter(["my2"]))
+        assert report.assumptions == ("my2", "schur")
+        assert report == certify_chi_signs(2, "nef_cotangent", ("my2",))
 
     def test_dim4_schur_only_leaves_top_open(self):
         report = certify_chi_signs(4, "nef_cotangent")
@@ -586,7 +633,7 @@ class TestChiSignReports:
             extras = [()] + [(f"my{n}",)] * (n in (2, 4))  # my2, my4: n = 2, 4 only
             for extra in extras:
                 for c1top in ((), ("c1top",)) if n < 10 else ((),):
-                    tags = ("schur",) + extra + c1top
+                    tags = extra + c1top
                     cotangent = certify_chi_signs(n, "nef_cotangent", tags).to_json_dict()
                     tangent = certify_chi_signs(n, "nef_tangent", tags).to_json_dict()
                     for report in (cotangent, tangent):
@@ -606,8 +653,8 @@ class TestChiSignReports:
         for n in range(1, 10):
             for extra in [()] + [(f"my{n}",)] * (n in (2, 4)):
                 for mode in SIGN_MODES:
-                    without = certify_chi_signs(n, mode, ("schur",) + extra)
-                    with_c1top = certify_chi_signs(n, mode, ("schur", "c1top") + extra)
+                    without = certify_chi_signs(n, mode, extra)
+                    with_c1top = certify_chi_signs(n, mode, ("c1top",) + extra)
                     for row, twin in zip(without.rows, with_c1top.rows, strict=True):
                         assert row.to_json_dict() == twin.to_json_dict(), (n, mode, extra, row.p)
                         compared += 1
@@ -620,8 +667,8 @@ class TestChiSignReports:
         for n in range(1, 9):
             for extra in [()] + [(f"my{n}",)] * (n in (2, 4)):
                 for convention in (COT, TAN):
-                    gens = generators(n, ("schur",) + extra, convention)
-                    with_c1top = generators(n, ("schur", "c1top") + extra, convention)
+                    gens = generators(n, extra, convention)
+                    with_c1top = generators(n, ("c1top",) + extra, convention)
                     columns = [f.numerators for f in gens.functionals()]
                     size = len(columns[0])
                     for k in range(24):
@@ -654,15 +701,15 @@ VERDICTS = pathlib.Path(__file__).parent / "golden" / "verdicts.txt"
 
 
 def assumption_sets(n):
-    """Every assumption set `certify --dim n` accepts: "schur" and any of
-    the optional tags that `generators` takes at n."""
-    for k in range(len(OPTIONAL_ASSUMPTIONS) + 1):
-        for extra in itertools.combinations(OPTIONAL_ASSUMPTIONS, k):
+    """Every assumption set `certify --dim n` accepts: any of the opt-in
+    tags that `generators` takes at n, beside the Schur family."""
+    for k in range(len(ASSUMPTION_TAGS) + 1):
+        for extra in itertools.combinations(ASSUMPTION_TAGS, k):
             try:
-                generators(n, ("schur", *extra))
+                generators(n, extra)
             except ValueError:  # my2 or my4 outside its dimension
                 continue
-            yield ("schur", *extra)
+            yield extra
 
 
 def verdict_lines(n):
@@ -690,7 +737,7 @@ class TestVerdictTable:
     def test_the_table_holds_every_row_for_n_1_to_12(self):
         keys = [line.rsplit(" ", 1)[0] for line in self.LINES]
         expected = [
-            f"{n} {mode} {','.join(sorted(tags))} {p}"
+            f"{n} {mode} {','.join(sorted(('schur', *tags)))} {p}"
             for n in range(1, 13)
             for mode in SIGN_MODES
             for tags in assumption_sets(n)
@@ -755,12 +802,12 @@ class TestIntegerReVerification:
     @pytest.mark.parametrize("mode", SIGN_MODES)
     def test_my4_certificates_reverify(self, mode):
         # my4 = (5/2) c1^2 c2 - c1^4 is the one generator row over 2
-        gens = generators(4, ("schur", "my4"), mode_convention(mode))
+        gens = generators(4, ("my4",), mode_convention(mode))
         my4 = dict(gens.generators)["my4"]
         assert (my4.numerators, my4.denominator) == ((-2, 5, 0, 0, 0), 2)
         certificates = [
             row.result
-            for row in certify_chi_signs(4, mode, ("schur", "my4")).rows
+            for row in certify_chi_signs(4, mode, ("my4",)).rows
             if isinstance(row.result, Certificate)
         ]
         own = certify(my4, gens)
@@ -770,13 +817,13 @@ class TestIntegerReVerification:
             assert cert.denominator > 0
 
     def test_my4_coefficient_over_two(self):
-        gens = generators(4, ("schur", "my4", "c1top"))
+        gens = generators(4, ("my4", "c1top"))
         cert = certify(functional(4, "-1*c1^4 + 4*c1^2*c2 + 1*c1*c3 + 3*c2^2 - 1*c4"), gens)
         assert cert.denominator == 2
         assert verify_certificate(cert, gens)
 
     def chain(self):
-        gens = generators(4, ("schur", "my4", "c1top"))
+        gens = generators(4, ("my4", "c1top"))
         target, _ = signed_target(chi_p(4, 4), 1, "nef_cotangent")
         cert = certify(target, gens)
         assert isinstance(cert, Certificate) and cert.denominator > 1
@@ -812,21 +859,21 @@ class TestIntegerReVerification:
         monkeypatch.setattr(cone, "_phase_one", lambda columns, rhs: answer)
 
     def test_a_witness_pairing_positively_with_a_generator_is_refused(self, monkeypatch):
-        gens = generators(2, {"schur"})  # P_(2,0) = c2, P_(1,1) = c1^2 - c2
+        gens = generators(2)  # P_(2,0) = c2, P_(1,1) = c1^2 - c2
         # w = c1^2 + 2 c2 separates the target c1^2 but pairs 2/3 with P_(2,0)
         self.forge(monkeypatch, ("infeasible", (1, 2), 3))
         with pytest.raises(ConsistencyError, match=r"pairs positively with P_\(2,0\)"):
             certify(functional(2, "1*c1^2"), gens)
 
     def test_a_witness_that_does_not_separate_is_refused(self, monkeypatch):
-        gens = generators(2, {"schur"})
+        gens = generators(2)
         # w = -c1^2 pairs 0 and -1/5 with the generators, and -1/5 with c1^2
         self.forge(monkeypatch, ("infeasible", (-1, 0), 5))
         with pytest.raises(ConsistencyError, match="does not separate"):
             certify(functional(2, "1*c1^2"), gens)
 
     def test_a_wrong_combination_is_refused(self, monkeypatch):
-        gens = generators(2, {"schur"})
+        gens = generators(2)
         # c1^2 = P_(2,0) + P_(1,1); claim half of each
         self.forge(monkeypatch, ("feasible", (1, 1), 2))
         with pytest.raises(ConsistencyError, match="invalid certificate"):

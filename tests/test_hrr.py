@@ -32,6 +32,7 @@ from chigenus.poly import (
 import oracles
 from conftest import fraction_rows
 from oracles import (
+    POINT_PRIME,
     GradedPoly,
     _lagrange_coefficients,
     _log_exterior_coefficients,
@@ -39,7 +40,9 @@ from oracles import (
     _multiplicative_sequence,
     bernoulli_plus,
     chi_table_via_roots,
+    chi_y_at_roots,
     exterior_character_via_roots,
+    row_at_roots,
     todd_class,
     todd_via_roots,
 )
@@ -323,6 +326,29 @@ class TestChiTable:
             concurrent_rows = list(pool.map(lambda p: chi_p(5, p), range(6)))
         assert concurrent_rows == [chi_p(5, p) for p in range(6)]
         assert tuple(concurrent_rows) == chi_table(5)
+
+
+class TestChiYAtAPoint:
+    """Every chi^p row up to n = 20 at a seeded point mod a prime: sum_p
+    y^p chi^p(c(x)) = [t^n] prod_i Q_y(x_i t) (`oracles.chi_y_at_roots`),
+    which shares no step with the Kostka solve.  A wrong coefficient fails
+    it but with probability at most 2n / (2^61 - 1)."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_rows_match_the_product_at_a_point(self, n):
+        rng = random.Random(20261022 + n)
+        roots = [rng.randrange(POINT_PRIME) for _ in range(n)]
+        y = rng.randrange(POINT_PRIME)
+        rows = chi_table(n)
+        values = [row_at_roots(row, roots) for row in rows]
+        assert sum(v * pow(y, p, POINT_PRIME) for p, v in enumerate(values)) % POINT_PRIME == (
+            chi_y_at_roots(roots, y)
+        )
+        # the check sees a numerator of chi^1 moved by one
+        numerators = list(rows[1].numerators)
+        numerators[rng.randrange(len(numerators))] += 1
+        moved = ChernFunctional(n, COT, numerators, rows[1].denominator)
+        assert row_at_roots(moved, roots) != values[1]
 
 
 class TestRowValidation:

@@ -421,6 +421,12 @@ class TestTopWeightParser:
             ChernFunctional.from_text(2, BasisConvention.COTANGENT, text)
         assert not isinstance(info.value, ParseError)
 
+    @pytest.mark.parametrize("text", [None, b"c1^2", 2, ["c1^2"]])
+    def test_text_that_is_not_a_str_is_a_type_error(self, text):
+        with pytest.raises(TypeError) as info:
+            ChernFunctional.from_text(2, BasisConvention.COTANGENT, text)
+        assert str(info.value) == f"polynomial text must be a str, not {type(text).__name__}"
+
     def test_terms_are_the_nonzero_coefficients(self):
         f = ChernFunctional.from_text(3, BasisConvention.COTANGENT, "1/24*c1*c2 - c3")
         assert f.terms() == {(0, 0, 1): Fraction(-1), (1, 1, 0): Fraction(1, 24)}

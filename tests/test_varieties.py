@@ -1143,7 +1143,7 @@ RECORD_FIELDS = {
 
 
 def record_samples():
-    report = certify_chi_signs(4, "nef_cotangent", ("schur", "my4", "c1top"))
+    report = certify_chi_signs(4, "nef_cotangent", ("my4", "c1top"))
     product = Product(Curve(2), ProjectiveSpace(1))
     audit = check_signs(product, "nef_cotangent")
     return [
