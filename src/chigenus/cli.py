@@ -149,7 +149,7 @@ def _parse_target(args, n: int, mode: str, convention: BasisConvention):
 
 
 def _cmd_certify(args) -> tuple[int, str]:
-    from .cone import Certificate, _assumption_tags, certify, certify_chi_signs, generators
+    from .cone import Certificate, certify, certify_chi_signs, generators
     from .hrr import mode_convention
 
     if args.all_p and args.target is not None:
@@ -172,9 +172,9 @@ def _cmd_certify(args) -> tuple[int, str]:
         lines.append(f"verdict: {'certified' if report.all_certified else 'open'}")
         return code, "\n".join(lines)
 
-    _assumption_tags(n, tags)  # the tags and the target are refused before any catalog is built
+    gens = generators(n, tags, convention)  # refuses the tags; no row is built before `certify`
     target, sign, scale = _parse_target(args, n, mode, convention)
-    result = certify(target, generators(n, tags, convention))
+    result = certify(target, gens)
     certified = isinstance(result, Certificate)
     code = EXIT_OK if certified else EXIT_NEGATIVE
     if args.json:

@@ -53,35 +53,6 @@ __all__ = [
 ]
 
 
-class GeneratorSet(Record):
-    """Ordered, named generator functionals of one dimension/convention.
-
-    Schur generators come first, in the fixed partition order, so
-    certificate coefficients are stable across runs.
-    """
-
-    dimension: int
-    convention: BasisConvention
-    generators: tuple[tuple[str, ChernFunctional], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "convention", BasisConvention(self.convention))
-        for name, f in self.generators:
-            if f.dimension != self.dimension:
-                raise DimensionMismatch(f"generator {name} is not of dimension {self.dimension}")
-            if f.convention is not self.convention:
-                raise ConventionMismatch(f"generator {name} is not in {self.convention.value}")
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.generators)
-
-    def functionals(self) -> tuple[ChernFunctional, ...]:
-        return tuple(f for _, f in self.generators)
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-
 def _assumption_tags(n: int, assumptions: Sequence[str]) -> tuple[str, ...]:
     """The opt-in tags, checked in the order given; it builds nothing.  It
     refuses a `str`, then an unknown or a repeated tag, then `my2` or `my4`
@@ -100,36 +71,53 @@ def _assumption_tags(n: int, assumptions: Sequence[str]) -> tuple[str, ...]:
     return tags
 
 
+# The opt-in rows, geometric hypotheses that are never assumed silently:
+# my2 = 3c_2 - c_1^2 (n = 2 only), my4 = (5/2)c_1^2 c_2 - c_1^4 (n = 4 only)
+# and c1top = c_1^n, as numerators over weight_basis(n) = (c_1^n, ...),
+# zero-padded to its length, and a denominator.
+_OPT_IN_ROWS = {"my2": ((-1, 3), 1), "my4": ((-2, 5), 2), "c1top": ((1,), 1)}
+
+
+class GeneratorSet(Record):
+    """Every Schur polynomial of the (co)tangent bundle of dimension n, in
+    partition order, then the `_OPT_IN_ROWS` that `tags` names, in order.
+    The rows are built on the first `functionals()` and kept outside the
+    fields, so equality, hash, repr and `names()` build none."""
+
+    dimension: int
+    convention: BasisConvention
+    tags: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "tags", _assumption_tags(self.dimension, self.tags))
+        object.__setattr__(self, "convention", BasisConvention(self.convention))
+        partitions_of(self.dimension)  # refuses a dimension
+
+    def names(self) -> tuple[str, ...]:
+        return (*map(partition_label, partitions_of(self.dimension)), *self.tags)
+
+    def functionals(self) -> tuple[ChernFunctional, ...]:
+        if "_rows" not in self.__dict__:
+            n, convention = self.dimension, self.convention
+            size = len(weight_basis(n))
+            self.__dict__["_rows"] = (*_schur_rows(partitions_of(n), n, convention).values(), *(
+                ChernFunctional(n, convention, numerators + (0,) * (size - len(numerators)), den)
+                for numerators, den in map(_OPT_IN_ROWS.__getitem__, self.tags)
+            ))
+        return self.__dict__["_rows"]
+
+    def __len__(self) -> int:
+        return len(self.names())
+
+
 def generators(
     n: int,
     assumptions: Sequence[str] = (),
     convention: BasisConvention = BasisConvention.COTANGENT,
 ) -> GeneratorSet:
-    """The generator catalog for dimension n: every Schur polynomial of the
-    (co)tangent bundle, in partition order, then the opt-in inequality
-    generators that `assumptions` names (`_assumption_tags`):
-
-    * ``my2``    -- 3c_2 - c_1^2 >= 0 (dimension 2 only);
-    * ``my4``    -- (5/2)c_1^2 c_2 - c_1^4 >= 0 (dimension 4 only);
-    * ``c1top``  -- c_1^n >= 0.
-
-    The inequality generators carry geometric hypotheses, so they are
-    strictly opt-in and never assumed silently.
-    """
-    tags = _assumption_tags(n, assumptions)
-    convention = BasisConvention(convention)
-    schur_rows = _schur_rows(partitions_of(n), n, convention)
-    entries = [(partition_label(a), f) for a, f in schur_rows.items()]
-    # rows over weight_basis(2) = (c1^2, c2) and weight_basis(4) = (c1^4,
-    # c1^2*c2, c1*c3, c2^2, c4); c_1^n is the first monomial of every basis
-    if "my2" in tags:
-        entries.append(("my2", ChernFunctional(2, convention, (-1, 3), 1)))
-    if "my4" in tags:
-        entries.append(("my4", ChernFunctional(4, convention, (-2, 5, 0, 0, 0), 2)))
-    if "c1top" in tags:
-        unit = (1,) + (0,) * (len(weight_basis(n)) - 1)
-        entries.append(("c1top", ChernFunctional(n, convention, unit, 1)))
-    return GeneratorSet(n, convention, tuple(entries))
+    """The generator catalog of dimension n: the Schur family, then the
+    opt-in rows that `assumptions` names (`_assumption_tags`)."""
+    return GeneratorSet(n, convention, assumptions)
 
 
 class Certificate(Record):
@@ -263,6 +251,8 @@ def certify(target: ChernFunctional, gens: GeneratorSet) -> CertifyResult:
     a Farkas witness is returned.  Both outcomes are re-verified exactly
     before being handed back.
     """
+    if not (isinstance(target, ChernFunctional) and isinstance(gens, GeneratorSet)):
+        raise TypeError("certify takes a ChernFunctional target and a GeneratorSet")
     if target.dimension != gens.dimension:
         raise DimensionMismatch(
             f"target dimension {target.dimension} != generators {gens.dimension}"
@@ -281,7 +271,7 @@ def certify(target: ChernFunctional, gens: GeneratorSet) -> CertifyResult:
         return certificate
     witness = ChernFunctional(gens.dimension, gens.convention, numerators, den)
     # every denominator is positive, so a pairing has its numerator sum's sign
-    for name, f in gens.generators:
+    for name, f in zip(gens.names(), gens.functionals()):
         if sum(map(mul, witness.numerators, f.numerators)) > 0:
             raise ConsistencyError(f"Farkas witness pairs positively with {name}")
     if sum(map(mul, witness.numerators, target.numerators)) <= 0:
@@ -293,6 +283,8 @@ def verify_certificate(cert: Certificate, gens: GeneratorSet) -> bool:
     """True iff `cert` names the generators of `gens` in order, in their
     dimension and convention, every lambda_i >= 0, and sum lambda_i g_i
     equals the target exactly, summed coordinate by coordinate."""
+    if not (isinstance(cert, Certificate) and isinstance(gens, GeneratorSet)):
+        raise TypeError("verify_certificate takes a Certificate and a GeneratorSet")
     if cert.generator_names != gens.names():
         return False
     if cert.target.dimension != gens.dimension:
@@ -375,8 +367,7 @@ def certify_chi_signs(n: int, mode: str, assumptions: Sequence[str] = ()) -> Chi
     "open" and carries the Farkas witness: the witness shows these
     generators are insufficient, not that the sign statement is false.
     """
-    tags = _assumption_tags(n, assumptions)  # read once: the report lists what was assumed
-    gens = generators(n, tags, mode_convention(mode))
+    gens = generators(n, assumptions, mode_convention(mode))
     rows = []
     solved: dict[ChernFunctional, CertifyResult] = {}  # rows p and n - p share one
     for p in range(n + 1):
@@ -385,4 +376,4 @@ def certify_chi_signs(n: int, mode: str, assumptions: Sequence[str] = ()) -> Chi
         if target not in solved:
             solved[target] = certify(target, gens)
         rows.append(ChiSignRow(p, sign, scale, target, solved[target]))
-    return ChiSignReport(n, mode, tuple(sorted(("schur", *tags))), tuple(rows))
+    return ChiSignReport(n, mode, tuple(sorted(("schur", *gens.tags))), tuple(rows))

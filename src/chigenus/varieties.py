@@ -229,6 +229,10 @@ class Product(VarietyDescriptor):
     left: VarietyDescriptor
     right: VarietyDescriptor
 
+    def __post_init__(self):
+        for factor in (self.left, self.right):
+            _descriptor(factor, "Product")
+
     @property
     def dimension(self) -> int:
         return self.left.dimension + self.right.dimension
@@ -332,6 +336,8 @@ def chern_numbers(
 
 def evaluate(f: ChernFunctional, v: VarietyDescriptor) -> Fraction:
     """Pair a functional with a variety's Chern numbers (exact dot product)."""
+    if not isinstance(f, ChernFunctional):
+        raise TypeError(f"evaluate expects a ChernFunctional, not {type(f).__name__}")
     numbers = chern_numbers(_descriptor(v, "evaluate"), f.convention)
     if numbers.dimension != f.dimension:
         raise DimensionMismatch(

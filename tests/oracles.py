@@ -19,6 +19,8 @@ package's own:
 * the chi_y genus at one point mod a prime, as the truncated product of the
   series Q_y(x_i t) over the point's roots, against the rows evaluated at
   the point's Chern classes;
+* each Schur polynomial at one point mod a prime, as its Jacobi-Trudi
+  determinant reduced by elimination mod the prime (no Kostka number);
 * the Schur coordinates of the chi_y genus by the dual Cauchy and dual
   Jacobi-Trudi identities, one determinant over Z[y] per partition (no
   Kostka number);
@@ -606,12 +608,54 @@ def row_at_roots(row: ChernFunctional, roots: Sequence[int]) -> int:
             e[j] = (e[j] + x * e[j - 1]) % prime
     if row.convention is BasisConvention.COTANGENT:
         e = [(-1) ** j * ej for j, ej in enumerate(e)]
-    total = 0
-    for mono, num in zip(weight_basis(n), row.numerators):
+    return row_at_classes(row, e)
+
+
+def row_at_classes(row: ChernFunctional, c: Sequence[int]) -> int:
+    """A weight-n row at the Chern classes c_1..c_n = c[1..n], mod
+    `POINT_PRIME`, read as a polynomial in them whatever its convention."""
+    values = _monomials_at(row.dimension, tuple(c))
+    total = sum(num * value for num, value in zip(row.numerators, values))
+    return total * pow(row.denominator, -1, POINT_PRIME) % POINT_PRIME
+
+
+@lru_cache(maxsize=4)
+def _monomials_at(n: int, c: tuple[int, ...]) -> tuple[int, ...]:
+    """Each monomial of `weight_basis(n)` at the point c, mod `POINT_PRIME`."""
+    prime, values = POINT_PRIME, []
+    for mono in weight_basis(n):
+        value = 1
         for j, k in enumerate(mono, 1):
-            num = num * pow(e[j], k, prime) % prime
-        total += num
-    return total * pow(row.denominator, -1, prime) % prime
+            value = value * pow(c[j], k, prime) % prime
+        values.append(value)
+    return tuple(values)
+
+
+def schur_at_point(a: Sequence[int], c: Sequence[int]) -> int:
+    """The Schur polynomial det(c_{a_i - i + j}) of a partition a at the
+    point c (c[0] = 1, c_k = 0 for k outside 0..len(c) - 1), mod
+    `POINT_PRIME`: the Jacobi-Trudi matrix over the nonzero parts of a,
+    reduced to triangular form by elimination mod the prime.  It uses no
+    Kostka number and no other Schur polynomial."""
+    prime, parts = POINT_PRIME, [p for p in a if p]
+    size = len(parts)
+    matrix = [
+        [c[p - i + j] if 0 <= p - i + j < len(c) else 0 for j in range(size)]
+        for i, p in enumerate(parts)
+    ]
+    det = 1
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if matrix[r][col] % prime), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            matrix[col], matrix[pivot], det = matrix[pivot], matrix[col], -det
+        det = det * matrix[col][col] % prime
+        inverse = pow(matrix[col][col], -1, prime)
+        for r in range(col + 1, size):
+            f = matrix[r][col] * inverse % prime
+            matrix[r] = [(x - f * y) % prime for x, y in zip(matrix[r], matrix[col])]
+    return det % prime
 
 
 def chi_y_at_roots(roots: Sequence[int], y: int) -> int:

@@ -100,7 +100,7 @@ def test_criterion_3_paper_chain_certificate():
         }
         target = functional(4, "-1*c1^4 + 4*c1^2*c2 + 1*c1*c3 + 3*c2^2 - 1*c4")
         # expansion oracle first: plain polynomial arithmetic
-        lookup = dict(gens.generators)
+        lookup = dict(zip(gens.names(), gens.functionals()))
         expansion = GradedPoly.zero(4)
         for name, coefficient in chain.items():
             expansion = expansion + GradedPoly(4, lookup[name].terms()) * coefficient

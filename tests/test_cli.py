@@ -19,7 +19,8 @@ from chigenus.cone import (
     Certificate,
     ChiSignReport,
     ChiSignRow,
-    GeneratorSet,
+    Infeasibility,
+    _phase_one,
     certify,
     certify_chi_signs,
     generators,
@@ -230,6 +231,16 @@ class TestCertifyCommand:
         monkeypatch.setattr(hrr, "_chi_y_rows", lambda n: pytest.fail("chi_y computed"))
         code, out, err = run_cli(capsys, "certify", "--dim", "4", *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("target, code", [("chi:4", 0), ("c1^4 - 9*c4", 1)])
+    def test_a_target_builds_the_catalog_once(self, capsys, monkeypatch, target, code):
+        from chigenus import cone
+
+        built, build = [], cone._schur_rows
+        monkeypatch.setattr(cone, "_schur_rows", lambda *a: built.append(a[1]) or build(*a))
+        argv = ("certify", "--dim", "4", "--target", target, "--assume", "my4,c1top")
+        assert run_cli(capsys, *argv)[0] == code
+        assert built == [4]
 
     def test_invalid_assumption_for_dimension(self, capsys):
         code, _, err = run_cli(
@@ -1385,10 +1396,20 @@ def assumption_sets(n):
     ]
 
 
-def without_schur(gens, tags):
-    """The opt-in rows of a catalog alone: a set `generators` never builds,
-    as it always holds the Schur family, but `certify` takes."""
-    return GeneratorSet(gens.dimension, gens.convention, gens.generators[len(gens) - len(tags) :])
+def without_schur(catalog, tags):
+    """The opt-in rows of a catalog alone, and a solver over them.  No
+    `GeneratorSet` holds them without the Schur family, so the solver asks
+    the simplex directly and returns its answer as `certify` would."""
+    rows = catalog.functionals()[len(catalog) - len(tags) :]
+
+    def solve(target):
+        columns = [(f.numerators, f.denominator) for f in rows]
+        status, numerators, den = _phase_one(columns, (target.numerators, target.denominator))
+        if status == "feasible":
+            return Certificate(target, tags, numerators, den)
+        return Infeasibility(ChernFunctional(target.dimension, target.convention, numerators, den))
+
+    return rows, solve
 
 
 class TestViewsAreThePrintedText:
@@ -1407,9 +1428,9 @@ class TestViewsAreThePrintedText:
     def test_sign_reports(self, n, mode):
         for tags in assumption_sets(n):
             report = certify_chi_signs(n, mode, tags)
-            gens = without_schur(generators(n, tags, report.convention), tags)
+            _, solve = without_schur(generators(n, tags, report.convention), tags)
             rows = tuple(
-                ChiSignRow(row.p, row.sign, row.scale, row.target, certify(row.target, gens))
+                ChiSignRow(row.p, row.sign, row.scale, row.target, solve(row.target))
                 for row in report.rows
             )
             for shown in (ChiSignReport(n, mode, tuple(sorted(tags)), rows), report):
@@ -1426,8 +1447,9 @@ class TestViewsAreThePrintedText:
                 for tags in assumption_sets(n):
                     catalog = generators(n, tags, convention)
                     # the opt-in rows alone, then the whole catalog
-                    for gens in (without_schur(catalog, tags), catalog):
-                        columns = [f.numerators for f in gens.functionals()]
+                    whole = catalog.functionals(), lambda target: certify(target, catalog)
+                    for rows, solve in (without_schur(catalog, tags), whole):
+                        columns = [f.numerators for f in rows]
                         size = len(weight_basis(n))
                         for k in range(6):
                             if k % 2 and columns:
@@ -1435,7 +1457,7 @@ class TestViewsAreThePrintedText:
                                 rhs = [sum(map(mul, weights, row)) for row in zip(*columns)]
                             else:
                                 rhs = [rng.randint(-4, 4) for _ in range(size)]
-                            result = certify(ChernFunctional(n, convention, rhs, 1), gens)
+                            result = solve(ChernFunctional(n, convention, rhs, 1))
                             assert result.to_json_dict() == printed(result), (n, tags, rhs)
                             compared += 1
                             certified += isinstance(result, Certificate)

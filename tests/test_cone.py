@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import pathlib
@@ -33,11 +34,12 @@ from chigenus.poly import (
     ConsistencyError,
     ConventionMismatch,
     DimensionMismatch,
+    InvalidPartition,
     lowest_terms,
     partitions_of,
     weight_basis,
 )
-from chigenus.symchern import partition_label
+from chigenus.symchern import partition_label, schur
 
 from conftest import rationals
 from oracles import (
@@ -87,11 +89,11 @@ class TestGenerators:
         assert gens.names()[-2:] == ("my4", "c1top")
 
     def test_assumption_polynomials(self):
-        my2 = dict(generators(2, ("my2",)).generators)["my2"]
+        my2 = generators(2, ("my2",)).functionals()[-1]
         assert my2 == functional(2, "-1*c1^2 + 3*c2")
-        my4 = dict(generators(4, ("my4",)).generators)["my4"]
+        my4 = generators(4, ("my4",)).functionals()[-1]
         assert my4 == functional(4, "-1*c1^4 + 5/2*c1^2*c2")
-        c1top = dict(generators(3, ("c1top",)).generators)["c1top"]
+        c1top = generators(3, ("c1top",)).functionals()[-1]
         assert c1top == functional(3, "1*c1^3")
 
     def test_invalid_pairings(self):
@@ -206,24 +208,26 @@ class TestCertify:
         assert isinstance(result, Certificate)
         assert all(c == 0 for c in result.coefficients)
 
+    # a generator set always holds the Schur family, so the simplex is asked
+    # directly about no columns
     @pytest.mark.parametrize("n", range(5))
-    def test_empty_generator_set_certifies_only_zero(self, n):
+    def test_no_columns_combine_to_zero_only(self, n):
         # the combination of no rows is zero in every coordinate
-        gens = GeneratorSet(n, COT, ())  # `generators` always holds the Schur family
-        assert len(gens) == 0
         size = len(weight_basis(n))
-        result = certify(ChernFunctional(n, COT, (0,) * size, 1), gens)
-        assert isinstance(result, Certificate)
-        assert result.coefficients == ()
-        assert verify_certificate(result, gens)
+        assert _phase_one([], ((0,) * size, 1)) == ("feasible", (), 1)
+        status, witness, _ = _phase_one([], ((1,) + (0,) * (size - 1), 1))
+        assert status == "infeasible" and witness[0] > 0
+        gens = generators(n)
+        zero = Certificate(ChernFunctional(n, COT, (0,) * size, 1), gens.names(), [0] * len(gens), 1)
+        assert verify_certificate(zero, gens)
         c1_top = ChernFunctional(n, COT, (1,) + (0,) * (size - 1), 1)
         assert not verify_certificate(Certificate(c1_top, (), (), 1), gens)
 
-    def test_empty_generator_set_refuses_a_nonzero_target(self):
+    def test_no_columns_refuse_a_nonzero_target(self):
         target = functional(3, "1*c1*c2")
-        result = certify(target, GeneratorSet(3, COT, ()))
-        assert isinstance(result, Infeasibility)
-        assert result.witness.dot(target.coeffs) > 0
+        status, witness, den = _phase_one([], (target.numerators, target.denominator))
+        assert status == "infeasible"
+        assert ChernFunctional(3, COT, witness, den).dot(target.coeffs) > 0
 
 
 class TestPaperChainCertificate:
@@ -261,7 +265,7 @@ class TestPaperChainCertificate:
     def test_expansion_oracle_validates_coefficients(self):
         # direct polynomial expansion, no Certificate machinery involved
         gens = self.gens()
-        lookup = dict(gens.generators)
+        lookup = dict(zip(gens.names(), gens.functionals()))
         total = GradedPoly.zero(4)
         for name, coefficient in self.CHAIN.items():
             total = total + GradedPoly(4, lookup[name].terms()) * coefficient
@@ -399,6 +403,17 @@ class TestFourierMotzkinCrossCheck:
             assert simplex == brute
 
 
+@functools.lru_cache(maxsize=None)
+def kostka_rows(n):
+    """The rows of K, with g = K t the Schur coordinates of a weight-n
+    target t: row b is the functional "coordinate b", found by the oracle's
+    elimination on each unit vector."""
+    columns = [f.coeffs for f in generators(n).functionals()]
+    size = len(columns)
+    units = [basis_coordinates(columns, [int(i == mu) for i in range(size)]) for mu in range(size)]
+    return tuple(zip(*units))
+
+
 def signed_chi_targets(n, mode):
     return [signed_target(chi_p(n, p), chi_sign(n, p, mode), mode)[0] for p in range(n + 1)]
 
@@ -526,41 +541,81 @@ class TestWitnessForm:
     DEGENERATE = {8: [(COT, 9)]}
 
     @staticmethod
-    def pairings(target):
-        """The witness's pairing numerators with each Schur generator, or
-        None for a certified target; every denominator is positive."""
-        gens = generators(target.dimension, (), target.convention)
-        result = certify(target, gens)
-        if isinstance(result, Certificate):
-            return None
-        return [sum(map(mul, result.witness.numerators, f.numerators)) for f in gens.functionals()]
+    def witness(target):
+        """The witness of a target against the Schur-only set, or None for
+        a certified target."""
+        result = certify(target, generators(target.dimension, (), target.convention))
+        return None if isinstance(result, Certificate) else result.witness
+
+    @staticmethod
+    def pairings(witness):
+        """The witness's pairing numerators with each Schur generator;
+        every denominator is positive."""
+        gens = generators(witness.dimension, (), witness.convention)
+        return [sum(map(mul, witness.numerators, f.numerators)) for f in gens.functionals()]
 
     @staticmethod
     def one_coordinate(pairings):
         nonzero = [x for x in pairings if x]
         return len(nonzero) == 1 and nonzero[0] < 0
 
+    @staticmethod
+    def random_targets(n):
+        rng = random.Random(n)
+        return {
+            (convention, index): ChernFunctional(
+                n, convention, [rng.randint(-9, 9) for _ in weight_basis(n)], 1
+            )
+            for convention in (COT, TAN)
+            for index in range(10)
+        }
+
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("mode", SIGN_MODES)
     def test_chi_witnesses_pair_with_one_generator(self, n, mode):
-        witnessed = [self.pairings(t) for t in signed_chi_targets(n, mode)]
-        witnessed = [pairings for pairings in witnessed if pairings is not None]
+        witnesses = [self.witness(t) for t in signed_chi_targets(n, mode)]
+        witnessed = [self.pairings(w) for w in witnesses if w is not None]
         assert witnessed
         assert all(self.one_coordinate(pairings) for pairings in witnessed)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_random_witnesses_pair_with_one_generator(self, n):
-        rng = random.Random(n)
         witnessed = {}
-        for convention in (COT, TAN):
-            for index in range(10):
-                values = [rng.randint(-9, 9) for _ in weight_basis(n)]
-                pairings = self.pairings(ChernFunctional(n, convention, values, 1))
-                if pairings is not None:
-                    witnessed[convention, index] = pairings
+        for key, target in self.random_targets(n).items():
+            witness = self.witness(target)
+            if witness is not None:
+                witnessed[key] = self.pairings(witness)
         others = [key for key, pairings in witnessed.items() if not self.one_coordinate(pairings)]
         assert witnessed and others == self.DEGENERATE.get(n, [])
         assert all(sum(1 for x in witnessed[key] if x) == 2 for key in others)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_single_row_witnesses_are_dual_optimal(self, n):
+        # The phase-1 dual is: maximize w.t subject to w.P_b <= 0 for every
+        # b, w_mu >= -1 where t_mu < 0 and w_mu <= 1 elsewhere.  Row b of K
+        # (g = K t, the Schur coordinates) pairs to delta_ab with P_a and
+        # holds Kostka numbers, all >= 0, so for g_b < 0 the functional -K_b
+        # scaled to min{w_mu : t_mu < 0} = -1 is a feasible dual, and the
+        # simplex's witness, optimal, attains the largest w.t among them.
+        kostka = kostka_rows(n)
+        assert all(k >= 0 for row in kostka for k in row)
+        targets = [t for mode in SIGN_MODES for t in signed_chi_targets(n, mode)]
+        checked = 0
+        for target in [*targets, *self.random_targets(n).values()]:
+            witness = self.witness(target)
+            if witness is None or not self.one_coordinate(self.pairings(witness)):
+                continue
+            t = target.coeffs
+            negative = [mu for mu, x in enumerate(t) if x < 0]
+
+            def value(w):
+                return sum(map(mul, w, t)) / -min(w[mu] for mu in negative)
+
+            g = [sum(map(mul, row, t)) for row in kostka]
+            best = max(value([-k for k in row]) for row, g_b in zip(kostka, g) if g_b < 0)
+            assert value(witness.coeffs) == best > 0
+            checked += 1
+        assert checked
 
 
 class TestChiSignReports:
@@ -766,31 +821,72 @@ class TestVerdictTable:
         assert checked == 4 * sum(n + 1 for n in range(1, 13))
 
 
-class TestGeneratorSetRows:
-    """A generator set refuses, when it is built, a row of another
-    dimension or convention than the set."""
+class TestGeneratorSetIsItsTags:
+    """A generator set is its fields (dimension, convention, tags): it
+    names the Schur family and the opt-in rows without building a row, and
+    builds the rows once, on the first `functionals()`."""
 
-    def test_foreign_dimension_refused(self):
-        row = ChernFunctional(2, COT, (1, 0), 1)
-        with pytest.raises(DimensionMismatch):
-            GeneratorSet(3, COT, (("x", row),))
+    @pytest.fixture
+    def no_catalog(self, monkeypatch):
+        import chigenus.cone as cone
 
-    def test_foreign_convention_refused(self):
-        row = ChernFunctional(2, TAN, (1, 0), 1)
-        with pytest.raises(ConventionMismatch):
-            GeneratorSet(2, COT, (("x", row),))
+        monkeypatch.setattr(cone, "_schur_rows", lambda *a: pytest.fail("catalog built"))
 
-    def test_mismatched_set_never_reaches_verification(self):
-        # this set made verify_certificate raise IndexError deep inside
-        t3 = functional(3, "1*c1^3")
-        with pytest.raises(DimensionMismatch):
-            row = ChernFunctional(2, "cotangent", (1, 0), 1)
-            gens = GeneratorSet(3, "cotangent", (("x", row),))
-            verify_certificate(Certificate(t3, ("x",), (1,), 1), gens)
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import chigenus.cone as cone
+
+        calls = []
+        build = cone._schur_rows
+        monkeypatch.setattr(cone, "_schur_rows", lambda *a: calls.append(a[1]) or build(*a))
+        return calls
+
+    def test_the_fields_are_the_tags(self):
+        assert GeneratorSet._fields == ("dimension", "convention", "tags")
+
+    @pytest.mark.parametrize(
+        "n, tags", [(2, ("my2", "c1top")), (4, ("c1top", "my4")), (7, ()), (18, ("c1top",))]
+    )
+    @pytest.mark.parametrize("convention", [COT, TAN])
+    def test_named_and_compared_without_a_row(self, no_catalog, n, tags, convention):
+        gens = generators(n, tags, convention)
+        twin = GeneratorSet(n, convention.value, list(tags))
+        assert gens == twin and hash(gens) == hash(twin)
+        assert gens != generators(n, tags, TAN if convention is COT else COT)
+        assert (gens == generators(n, tags[:-1], convention)) == (not tags)
+        assert (gens.dimension, gens.convention, gens.tags) == (n, convention, tags)
+        assert repr(gens) == (
+            f"GeneratorSet(dimension={n}, convention={convention!r}, tags={tags!r})"
+        )
+        assert gens.names() == (*map(partition_label, partitions_of(n)), *tags)
+        assert len(gens) == len(partitions_of(n)) + len(tags)
+
+    @pytest.mark.parametrize("n, tags", [(2, ("c1top", "my2")), (4, ("my4",)), (5, ())])
+    def test_rows_are_built_once_when_read(self, builds, n, tags):
+        gens = generators(n, tags, TAN)
+        assert builds == []
+        rows = gens.functionals()
+        assert builds == [n] and gens.functionals() is rows
+        assert gens == generators(n, tags, TAN) and len(rows) == len(gens)
+        # the Schur polynomials of the tangent bundle: the same rows, tagged tangent
+        schur_rows = [schur(a, n).numerators for a in partitions_of(n)]
+        assert [f.numerators for f in rows[: len(schur_rows)]] == schur_rows
+        assert all(f.dimension == n and f.convention is TAN for f in rows)
+
+    @pytest.mark.parametrize("mode", SIGN_MODES)
+    def test_a_report_builds_the_catalog_once(self, builds, mode):
+        for n in range(1, 9):
+            certify_chi_signs(n, mode, ("c1top",))
+            assert builds == [n]
+            builds.clear()
+
+    def test_a_bad_dimension_is_refused_before_a_row(self, no_catalog):
+        for n in (-1, True, 2.0, None):
+            with pytest.raises(InvalidPartition):
+                generators(n)
 
     def test_convention_is_normalized(self):
-        row = ChernFunctional(2, COT, (1, 0), 1)
-        assert GeneratorSet(2, "cotangent", (("x", row),)).convention is COT
+        assert GeneratorSet(2, "cotangent", ()).convention is COT
 
 
 class TestIntegerReVerification:
@@ -803,7 +899,7 @@ class TestIntegerReVerification:
     def test_my4_certificates_reverify(self, mode):
         # my4 = (5/2) c1^2 c2 - c1^4 is the one generator row over 2
         gens = generators(4, ("my4",), mode_convention(mode))
-        my4 = dict(gens.generators)["my4"]
+        my4 = gens.functionals()[-1]
         assert (my4.numerators, my4.denominator) == ((-2, 5, 0, 0, 0), 2)
         certificates = [
             row.result

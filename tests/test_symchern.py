@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -6,6 +9,8 @@ from math import factorial, prod
 import pytest
 
 import chigenus.symchern
+from chigenus.cli import main
+from chigenus.cone import generators
 from chigenus.hrr import _chi_y_factor
 from chigenus.poly import (
     BasisConvention,
@@ -29,6 +34,7 @@ from chigenus.symchern import (
 )
 
 from oracles import (
+    POINT_PRIME,
     GradedPoly,
     chi_y_factor,
     chi_y_schur_coordinates,
@@ -38,12 +44,18 @@ from oracles import (
     partition_count,
     power_sum,
     power_sum_via_roots,
+    row_at_classes,
+    schur_at_point,
     schur_via_laplace,
     schur_via_tableaux,
     ssyt_schur,
     to_elementary,
     ypoly_mul,
 )
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+OUTPUT_SHA256 = json.loads((GOLDEN / "outputs_sha256.json").read_text())
 
 
 def P(dim, text):
@@ -237,6 +249,58 @@ class TestSchur:
             schur((3, 1), 3)
         with pytest.raises(InvalidPartition):
             schur((4,), 3)
+
+
+class TestSchurRowsAtAPoint:
+    """Every Schur row of the catalog to n = 14, and each pinned
+    `schur --partition` row from n = 16, at a seeded point mod 2^61 - 1,
+    against det(c_{a_i - i + j}) by elimination mod the prime
+    (`oracles.schur_at_point`), which uses no Kostka number.  A wrong
+    coefficient passes with probability at most n / (2^61 - 1)."""
+
+    PINNED = sorted(
+        command
+        for command in OUTPUT_SHA256
+        if command.startswith("schur ") and "--partition" in command
+        and "--json" not in command and int(command.split()[2]) >= 16
+    )
+
+    @staticmethod
+    def point(n):
+        rng = random.Random(20261023 + n)
+        return [1] + [rng.randrange(POINT_PRIME) for _ in range(n)]
+
+    @staticmethod
+    def sees_a_coefficient_off_by_one(row, c, value):
+        numerators = list(row.numerators)
+        numerators[random.Random(len(numerators)).randrange(len(numerators))] += 1
+        moved = ChernFunctional(row.dimension, row.convention, numerators, row.denominator)
+        return row_at_classes(moved, c) != value
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_catalog_rows(self, n):
+        c = self.point(n)
+        rows = generators(n).functionals()
+        for a, f in zip(partitions_of(n), rows, strict=True):
+            assert row_at_classes(f, c) == schur_at_point(a, c), a
+        assert self.sees_a_coefficient_off_by_one(rows[-1], c, schur_at_point((1,) * n, c))
+
+    def test_the_pinned_rows_from_16_are_pinned(self):
+        assert [int(command.split()[2]) for command in self.PINNED] == [16, 18, 20]
+
+    @pytest.mark.parametrize("command", PINNED)
+    def test_pinned_partition_rows(self, capsys, command):
+        assert main(command.split()) == 0
+        out = capsys.readouterr().out
+        label, text = out.strip().split(" = ")
+        n = int(command.split()[2])
+        a = parse_partition(command.split()[4], n)
+        assert label == partition_label(a)
+        row, c = ChernFunctional.from_text(n, "cotangent", text), self.point(n)
+        assert row_at_classes(row, c) == schur_at_point(a, c)
+        assert self.sees_a_coefficient_off_by_one(row, c, schur_at_point(a, c))
+        # the row checked is the row pinned
+        assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command]["stdout"]
 
 
 class TestKostkaSolves:

@@ -19,8 +19,10 @@ from chigenus.cone import (
     ChiSignRow,
     GeneratorSet,
     Infeasibility,
+    certify,
     certify_chi_signs,
     generators,
+    verify_certificate,
 )
 from chigenus.hrr import (
     chi_p,
@@ -337,6 +339,24 @@ class TestEvaluate:
         assert str(info.value) == (
             f"{read.__name__} expects a VarietyDescriptor; a Chern row is Explicit(row)"
         )
+
+    # each raised AttributeError, or for Product nothing until `.dimension`
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: certify(chi_p(2, 0), None),
+            lambda: certify(None, generators(2)),
+            lambda: verify_certificate(None, generators(2)),
+            lambda: verify_certificate(certify(chi_p(2, 0).scaled(12), generators(2)), None),
+            lambda: evaluate(None, ProjectiveSpace(2)),
+            lambda: Product(None, None),
+        ],
+        ids=["certify-set", "certify-row", "verify-cert", "verify-set", "evaluate", "product"],
+    )
+    def test_a_missing_argument_is_a_type_error(self, call):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) and "\n" not in str(info.value)
 
 
 class TestEulerCharacteristics:
@@ -1122,10 +1142,11 @@ class TestChernNumbersAreAFunctional:
 # Every value class and its fields, in constructor order, as they were when
 # the classes were frozen dataclasses; a sign audit has since held its chi^p
 # values as int numerators over one positive denominator, one row for all p,
-# and an explicit variety, once a class of its own, has become its Chern row.
+# an explicit variety, once a class of its own, has become its Chern row, and
+# a generator set, once its named rows, is its tags.
 RECORD_FIELDS = {
     ChernFunctional: ("dimension", "convention", "numerators", "denominator"),
-    GeneratorSet: ("dimension", "convention", "generators"),
+    GeneratorSet: ("dimension", "convention", "tags"),
     Certificate: ("target", "generator_names", "numerators", "denominator"),
     Infeasibility: ("witness",),
     ChiSignRow: ("p", "sign", "scale", "target", "result"),
